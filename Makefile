@@ -5,9 +5,9 @@ GO ?= go
 # Per-target budget for the fuzz smoke pass (native Go fuzzing syntax).
 FUZZTIME ?= 30s
 
-.PHONY: ci fmt vet build test race check bench fuzz-smoke bench-compare cache-gate bench-rebuild chaos-gate bench-faults liveness-gate agg-gate bench-agg ingest-gate bench-ingest compile-gate bench-compile crash-gate
+.PHONY: ci fmt vet build test race check bench fuzz-smoke bench-compare cache-gate bench-rebuild chaos-gate bench-faults liveness-gate agg-gate bench-agg ingest-gate bench-ingest compile-gate crash-gate perf-test
 
-ci: fmt vet build test race check liveness-gate cache-gate chaos-gate agg-gate ingest-gate compile-gate crash-gate fuzz-smoke bench-compare
+ci: fmt vet build test race check liveness-gate cache-gate chaos-gate agg-gate ingest-gate compile-gate crash-gate fuzz-smoke bench-compare perf-test
 
 fmt:
 	@out="$$(gofmt -l .)"; \
@@ -80,14 +80,16 @@ cache-gate: build
 
 # Fault-injection gate: the chaos property suite (deterministic seeded
 # injector, fixed seed matrix baked into the tests) under the race detector.
-# Covers reference-vs-sharded parity under injected allocation failures at
-# 1%/10%/50%, cross-class quarantine isolation, exact suppression and
-# handler-panic accounting, and concurrent no-deadlock/no-corruption
-# invariants — plus the injector's own determinism tests and the monitor's
-# supervision passthrough.
+# Covers per-thread-slot-array vs global-striped parity across the overflow
+# policies, with and without injected allocation failures at 1%/10%/50%
+# (the two bodies share no code, so each is the other's reference past the
+# first overflow, where the lifecycle model stops), cross-class quarantine
+# isolation, exact suppression and handler-panic accounting, and concurrent
+# no-deadlock/no-corruption invariants — plus the injector's own
+# determinism tests and the monitor's supervision passthrough.
 chaos-gate:
 	$(GO) test -race -count=1 ./internal/faultinject
-	$(GO) test -race -count=1 ./internal/core -run 'TestChaos'
+	$(GO) test -race -count=1 ./internal/core -run 'TestChaos|TestDifferential'
 	$(GO) test -race -count=1 ./internal/monitor -run 'TestSupervision|TestHealth'
 
 # Supervision-policy cost ladder on the sharded store (drop-new vs
@@ -129,24 +131,20 @@ ingest-gate:
 bench-ingest:
 	$(GO) run ./cmd/tesla-bench -fig ingest
 
-# Compiled-engine gate: the schedule-exploring compiled-vs-interpreted
-# differential under the race detector. Covers >=1000 seeded schedules per
-# sweep across the single-mutex reference store and stripe counts 1-16
-# (supervision matrix: overflow policies, quarantine/re-arm, strict and
-# required symbols, resets), the same sweeps under injected allocation
-# failures, the Plan-carrying batch variant, the automaton-level lowering /
-# image round-trip / corrupt-image-rejection suite, and the build graph's
+# Compiled-engine gate: the event bodies against the lifecycle model under
+# the race detector. Covers 1440 seeded schedules (>=1000 of them overflow-
+# free, compared on every event to their end; the rest up to their first
+# overflow) over the per-thread slot array and the global store at 1-16
+# stripes, both fail-fast modes, synchronous and batched at sizes 1/7/64,
+# plus the cached-plan slot-array-vs-striped engine differentials (sync
+# and batched, with and without injected allocation faults), the
+# plan-lowering unit tests, the automaton-level lowering / image
+# round-trip / corrupt-image-rejection suite, and the build graph's
 # per-class engine cache cutoffs.
 compile-gate:
-	$(GO) test -race -count=1 ./internal/core -run 'TestEngineDifferential|TestEngineBatchDifferential|TestTransitionSet|TestInitTransition'
+	$(GO) test -race -count=1 ./internal/core -run 'TestModelDifferential|TestEngine|TestTransitionSet|TestInitTransition'
 	$(GO) test -race -count=1 ./internal/automata -run 'TestEngine|TestAttachEngine|TestStepUnifiedContract'
 	$(GO) test -race -count=1 ./internal/build -run 'TestEngineNode|TestAssertionEditRelowersOneClass|TestBodyEditKeepsEngines'
-
-# Compile figure: interpreted transition walk vs the compiled step engines,
-# with the shared noise gate and the >=1.5x single-thread speedup floor
-# enforced by the figure itself.
-bench-compile:
-	$(GO) run ./cmd/tesla-bench -fig compile
 
 # Crash-consistency gate: the WAL spool's torn-tail recovery unit suite,
 # the in-process randomized crash schedules (producer/server kills and
@@ -163,9 +161,8 @@ crash-gate: build
 
 # Short fuzz pass over the binary/JSON trace codec, the streaming frame
 # reader, the WAL spool's segment repair, the csub front end, the batched
-# event plane's flush protocol and the compiled-vs-interpreted step
-# differential
-# ($(FUZZTIME) per target); saved crashers land in testdata/fuzz and fail
+# event plane's flush protocol and the event bodies against the lifecycle
+# model ($(FUZZTIME) per target); saved crashers land in testdata/fuzz and fail
 # `make test` from then on.
 fuzz-smoke:
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzCodecRoundTrip$$' -fuzztime $(FUZZTIME)
@@ -175,13 +172,20 @@ fuzz-smoke:
 	$(GO) test ./internal/monitor -run '^$$' -fuzz '^FuzzBatchFlush$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzCompiledStep$$' -fuzztime $(FUZZTIME)
 
-# Store benchmarks, single-mutex reference vs sharded, diffed with benchstat
-# when it is installed (the benchmark names match across runs by design).
+# Global-store benchmarks, 1 stripe vs the GOMAXPROCS-sized default,
+# diffed with benchstat when it is installed (the benchmark names match
+# across runs by design).
 bench-compare:
 	@TESLA_STORE_SHARDS=1 $(GO) test ./internal/core -run '^$$' -bench 'StoreOLTP' -benchtime 0.5s -count 5 | tee /tmp/tesla-store-old.txt
 	@$(GO) test ./internal/core -run '^$$' -bench 'StoreOLTP' -benchtime 0.5s -count 5 | tee /tmp/tesla-store-new.txt
 	@if command -v benchstat >/dev/null 2>&1; then \
 		benchstat /tmp/tesla-store-old.txt /tmp/tesla-store-new.txt; \
 	else \
-		echo "benchstat not installed; raw results above (old = mutex, new = sharded)"; \
+		echo "benchstat not installed; raw results above (old = 1 stripe, new = GOMAXPROCS stripes)"; \
 	fi
+
+# The benchmark harness is a module of its own (cmd/tesla-perf/go.mod), so
+# the root `go build ./...` never compiles it: an internal API change that
+# breaks it only shows up here.
+perf-test:
+	cd cmd/tesla-perf && $(GO) test ./...

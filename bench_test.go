@@ -226,22 +226,29 @@ func BenchmarkFig14bRedraw(b *testing.B) {
 	}
 }
 
+// benchPlans lowers the enter/check/exit automaton the store benchmarks
+// drive, once, as the monitor does at link time.
+func benchPlans(cls *core.Class) (enter, check, exit *core.SymbolPlan) {
+	enter = core.NewSymbolPlan(cls, "enter", 0, core.TransitionSet{{From: 0, To: 1, Flags: core.TransInit}})
+	check = core.NewSymbolPlan(cls, "check", 0, core.TransitionSet{{From: 1, To: 2, KeyMask: 1}, {From: 2, To: 2, KeyMask: 1}})
+	exit = core.NewSymbolPlan(cls, "exit", 0, core.TransitionSet{
+		{From: 1, To: 4, Flags: core.TransCleanup},
+		{From: 2, To: 4, Flags: core.TransCleanup},
+	})
+	return
+}
+
 // BenchmarkCoreUpdateState is the hot-path cost of one libtesla event.
 func BenchmarkCoreUpdateState(b *testing.B) {
 	cls := &core.Class{Name: "bench", States: 5, Limit: 8}
 	s := core.NewStore(core.PerThread, nil)
 	s.Register(cls)
-	enter := core.TransitionSet{{From: 0, To: 1, Flags: core.TransInit}}
-	check := core.TransitionSet{{From: 1, To: 2, KeyMask: 1}, {From: 2, To: 2, KeyMask: 1}}
-	exit := core.TransitionSet{
-		{From: 1, To: 4, Flags: core.TransCleanup},
-		{From: 2, To: 4, Flags: core.TransCleanup},
-	}
+	enter, check, exit := benchPlans(cls)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.UpdateState(cls, "enter", 0, core.AnyKey, enter)
-		s.UpdateState(cls, "check", 0, core.NewKey(core.Value(i&7)), check)
-		s.UpdateState(cls, "exit", 0, core.AnyKey, exit)
+		s.UpdateStatePlan(enter, core.AnyKey)
+		s.UpdateStatePlan(check, core.NewKey(core.Value(i&7)))
+		s.UpdateStatePlan(exit, core.AnyKey)
 	}
 }
 
@@ -254,19 +261,14 @@ func BenchmarkAblationPreallocation(b *testing.B) {
 			cls := &core.Class{Name: "prealloc", States: 5, Limit: limit}
 			s := core.NewStore(core.PerThread, nil)
 			s.Register(cls)
-			enter := core.TransitionSet{{From: 0, To: 1, Flags: core.TransInit}}
-			check := core.TransitionSet{{From: 1, To: 2, KeyMask: 1}, {From: 2, To: 2, KeyMask: 1}}
-			exit := core.TransitionSet{
-				{From: 1, To: 4, Flags: core.TransCleanup},
-				{From: 2, To: 4, Flags: core.TransCleanup},
-			}
+			enter, check, exit := benchPlans(cls)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				s.UpdateState(cls, "enter", 0, core.AnyKey, enter)
+				s.UpdateStatePlan(enter, core.AnyKey)
 				for j := 0; j < 4; j++ {
-					s.UpdateState(cls, "check", 0, core.NewKey(core.Value(j)), check)
+					s.UpdateStatePlan(check, core.NewKey(core.Value(j)))
 				}
-				s.UpdateState(cls, "exit", 0, core.AnyKey, exit)
+				s.UpdateStatePlan(exit, core.AnyKey)
 			}
 		})
 	}
@@ -312,10 +314,7 @@ int main(int n) { return run(n); }
 }
 
 // BenchmarkVMOverhead compares instrumented vs uninstrumented execution of
-// the same program on the IR interpreter. The instrumented rung runs twice:
-// through the compiled step engines (the default) and pinned to the
-// interpreted transition walk (NoEngine) — the gap between the two is the
-// interpreter tax the engines remove.
+// the same program on the IR interpreter.
 func BenchmarkVMOverhead(b *testing.B) {
 	src := map[string]string{"p.c": `
 int chk(int x) { return 0; }
@@ -335,11 +334,9 @@ int main(int n) { return work(n); }
 	rungs := []struct {
 		name         string
 		instrumented bool
-		opts         monitor.Options
 	}{
-		{"plain", false, monitor.Options{}},
-		{"instrumented", true, monitor.Options{}},
-		{"instrumented-noengine", true, monitor.Options{NoEngine: true}},
+		{"plain", false},
+		{"instrumented", true},
 	}
 	for _, r := range rungs {
 		b.Run(r.name, func(b *testing.B) {
@@ -347,7 +344,7 @@ int main(int n) { return work(n); }
 			if err != nil {
 				b.Fatal(err)
 			}
-			rt, err := build.NewRuntime(r.opts)
+			rt, err := build.NewRuntime(monitor.Options{})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -7,7 +7,7 @@
 //
 //	tesla-bench -all
 //	tesla-bench -table 1
-//	tesla-bench -fig 9|10|11a|11b|12|13|14a|14b|elide|trace|shard|rebuild|faults|agg|ingest|compile
+//	tesla-bench -fig 9|10|11a|11b|12|13|14a|14b|elide|trace|shard|rebuild|faults|agg|ingest
 //
 // -fig elide (alias: elision) prints the hook/instruction counts of the
 // three elision rungs: full instrumentation, safety-only elision, and
@@ -25,13 +25,13 @@ import (
 func main() {
 	all := flag.Bool("all", false, "run everything")
 	table := flag.String("table", "", "regenerate a table (1)")
-	fig := flag.String("fig", "", "regenerate a figure (9, 10, 11a, 11b, 12, 13, 14a, 14b, elide, trace, shard, rebuild, faults, agg, ingest, compile)")
+	fig := flag.String("fig", "", "regenerate a figure (9, 10, 11a, 11b, 12, 13, 14a, 14b, elide, trace, shard, rebuild, faults, agg, ingest)")
 	iters := flag.Int("iters", 2000, "iterations per measurement")
 	files := flag.Int("files", 24, "files in the figure 10 synthetic codebase")
 	flag.Parse()
 
 	if !*all && *table == "" && *fig == "" {
-		fmt.Fprintln(os.Stderr, "usage: tesla-bench -all | -table 1 | -fig 9|10|11a|11b|12|13|14a|14b|elide|trace|shard|rebuild|faults|agg|ingest|compile")
+		fmt.Fprintln(os.Stderr, "usage: tesla-bench -all | -table 1 | -fig 9|10|11a|11b|12|13|14a|14b|elide|trace|shard|rebuild|faults|agg|ingest")
 		os.Exit(2)
 	}
 
@@ -92,8 +92,5 @@ func main() {
 	}
 	if want("ingest") {
 		run("ingest", func() error { return bench.FigIngest(w, *iters) })
-	}
-	if want("compile") {
-		run("compile", func() error { return bench.FigCompile(w, *iters) })
 	}
 }

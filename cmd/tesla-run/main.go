@@ -32,18 +32,13 @@
 //	          [-agg-spool dir]
 //	          [-j N] [-cache dir] [-explain] [-health] [-failure mode]
 //	          [-overflow policy] [-quarantine-after K] [-rearm N]
-//	          [-shards N] [-batch N] [-noengine] [-arg N]... file.c...
+//	          [-shards N] [-batch N] [-arg N]... file.c...
 //
 // -batch N switches the monitor to the batched per-thread event plane: each
 // thread stages up to N events in a local ring and applies them to the
 // global store in runs, amortising stripe locking. 0 (the default) keeps
 // the synchronous reference path. Verdicts are identical either way; batch
 // only changes when events are applied, never whether.
-//
-// -noengine pins the monitor to the interpreted transition walk instead of
-// the compiled step engines — the byte-identical reference path the
-// compile-gate differential proves equivalent. Useful for isolating an
-// engine bug in the field and for measuring the interpreter tax.
 //
 // Exit status distinguishes the three failure layers: 1 for assertion
 // violations (the monitored program is wrong), 2 for build/usage errors (the
@@ -71,7 +66,7 @@ import (
 
 func main() {
 	tool := cli.New("tesla-run",
-		"[-plain] [-failstop] [-debug] [-trace out.tr] [-agg addr] [-j N] [-cache dir] [-explain] [-health] [-failure mode] [-overflow policy] [-shards N] [-batch N] [-noengine] [-arg N]... file.c...")
+		"[-plain] [-failstop] [-debug] [-trace out.tr] [-agg addr] [-j N] [-cache dir] [-explain] [-health] [-failure mode] [-overflow policy] [-shards N] [-batch N] [-arg N]... file.c...")
 	plain := flag.Bool("plain", false, "run without instrumentation (Default build)")
 	failstop := flag.Bool("failstop", false, "abort on the first violation")
 	debug := flag.Bool("debug", false, "trace automaton events (TESLA_DEBUG-style output)")
@@ -85,9 +80,8 @@ func main() {
 	aggProcess := flag.String("agg-process", "", "process name reported to -agg (default host:pid)")
 	aggSpool := flag.String("agg-spool", "", "write-ahead spool directory for -agg (crash-durable exactly-once delivery)")
 	entry := flag.String("entry", "main", "entry function")
-	shards := flag.Int("shards", 0, "global-store lock stripes (0 = GOMAXPROCS, 1 = single-mutex reference store)")
+	shards := flag.Int("shards", 0, "global-store lock stripes (0 = GOMAXPROCS)")
 	batch := flag.Int("batch", 0, "per-thread event ring size for batched dispatch (0 = synchronous reference path)")
-	noEngine := flag.Bool("noengine", false, "use the interpreted transition walk instead of the compiled step engines")
 	health := flag.Bool("health", false, "print the per-class monitor health report to stderr after the run")
 	failureMode := flag.String("failure", "default", "violation action: default, report, stop or callback")
 	overflow := flag.String("overflow", "default", "instance-table overflow policy: default, drop-new, evict-oldest or quarantine")
@@ -123,7 +117,6 @@ func main() {
 		FailFast:        *failstop,
 		GlobalShards:    *shards,
 		BatchSize:       *batch,
-		NoEngine:        *noEngine,
 		Failure:         failure,
 		Overflow:        overflowPol,
 		QuarantineAfter: *quarAfter,

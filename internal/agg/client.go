@@ -69,6 +69,7 @@ type Client struct {
 	ringDropped   atomic.Uint64
 	reconnects    atomic.Uint64
 	spoolFaults   atomic.Uint64
+	lingerExpiry  atomic.Uint64
 	byeSent       atomic.Bool
 }
 
@@ -112,7 +113,15 @@ type ClientStats struct {
 	// were still sent from memory, but a crash before delivery would
 	// lose them (reduced durability, not reduced delivery).
 	SpoolFaults uint64
+	// ByeLingerExpired counts closes that gave up waiting for the server
+	// to close its end after the bye (see byeLinger): the bye was
+	// written, but whether the server read it is unknown.
+	ByeLingerExpired uint64
 }
+
+// byeLinger bounds how long a producer waits, after writing its bye, for
+// the server to drain and close its end. A variable so tests can shorten it.
+var byeLinger = 10 * time.Second
 
 // Degraded reports whether the client lost anything: a producer whose
 // run was otherwise clean must exit 3 when this is set.
@@ -270,13 +279,14 @@ func (c *Client) SendHealth(hs []core.ClassHealth) error {
 // Stats returns the client's accounting so far.
 func (c *Client) Stats() ClientStats {
 	return ClientStats{
-		SentFrames:    c.sentFrames.Load(),
-		SentEvents:    c.sentEvents.Load(),
-		DroppedFrames: c.droppedFrames.Load(),
-		DroppedEvents: c.droppedEvents.Load(),
-		RingDropped:   c.ringDropped.Load(),
-		Reconnects:    c.reconnects.Load(),
-		SpoolFaults:   c.spoolFaults.Load(),
+		SentFrames:       c.sentFrames.Load(),
+		SentEvents:       c.sentEvents.Load(),
+		DroppedFrames:    c.droppedFrames.Load(),
+		DroppedEvents:    c.droppedEvents.Load(),
+		RingDropped:      c.ringDropped.Load(),
+		Reconnects:       c.reconnects.Load(),
+		SpoolFaults:      c.spoolFaults.Load(),
+		ByeLingerExpired: c.lingerExpiry.Load(),
 	}
 }
 
@@ -537,7 +547,8 @@ func (c *Client) writer(conn net.Conn) {
 		if st.readerDone != nil {
 			select {
 			case <-st.readerDone:
-			case <-time.After(10 * time.Second):
+			case <-time.After(byeLinger):
+				c.lingerExpiry.Add(1)
 			}
 		}
 	}

@@ -37,6 +37,10 @@ type ResumeStats struct {
 	// ack watermark at handshake); Skipped were already acked durable.
 	Resent  uint64
 	Skipped uint64
+	// ByeLingerExpired is 1 when the server never closed its end after
+	// the bye within byeLinger: the bye was written, but whether the
+	// server read it is unknown.
+	ByeLingerExpired uint64
 }
 
 // ResumeOpts configures ResumeSpool.
@@ -128,7 +132,8 @@ func ResumeSpool(addr, process, dir string, opts ResumeOpts) (ResumeStats, error
 	// the frames before it) cannot be destroyed by our close.
 	select {
 	case <-readerDone:
-	case <-time.After(10 * time.Second):
+	case <-time.After(byeLinger):
+		st.ByeLingerExpired++
 	}
 	return st, nil
 }

@@ -82,7 +82,13 @@ func (s *Server) Store() *Store { return s.store }
 func (s *Server) Serve(ln net.Listener) error {
 	s.mu.Lock()
 	s.ln = ln
+	closed := s.closed.Load()
 	s.mu.Unlock()
+	if closed {
+		// Close ran before the listener was known to it.
+		ln.Close()
+		return nil
+	}
 	for {
 		conn, err := ln.Accept()
 		if err != nil {
@@ -91,10 +97,19 @@ func (s *Server) Serve(ln net.Listener) error {
 			}
 			return err
 		}
+		// Register under mu after a closed check: Close sets closed before
+		// it snapshots conns under mu, so a connection is either in its
+		// snapshot (and closed by it) or refused here — never left open
+		// for wg.Wait to sit out its idle timeout.
 		s.mu.Lock()
+		if s.closed.Load() {
+			s.mu.Unlock()
+			conn.Close()
+			return nil
+		}
 		s.conns[conn] = struct{}{}
-		s.mu.Unlock()
 		s.wg.Add(1)
+		s.mu.Unlock()
 		go func() {
 			defer s.wg.Done()
 			s.handle(conn)

@@ -229,20 +229,3 @@ func TestElisionRuns(t *testing.T) {
 		t.Fatalf("table output:\n%s", buf.String())
 	}
 }
-
-func TestFigCompileMeasureBothPaths(t *testing.T) {
-	// Interpreted and compiled, synchronous and batched: every cell of the
-	// compile figure must measure cleanly (the speedup itself is asserted by
-	// `make bench-compile`, which runs the full noise-gated figure).
-	for _, noEngine := range []bool{false, true} {
-		for _, batch := range []int{0, ingestBatch} {
-			evs, err := FigCompileMeasure(noEngine, batch, 2, 2000)
-			if err != nil {
-				t.Fatalf("noEngine=%v batch=%d: %v", noEngine, batch, err)
-			}
-			if evs <= 0 {
-				t.Fatalf("noEngine=%v batch=%d: nonpositive throughput %v", noEngine, batch, evs)
-			}
-		}
-	}
-}

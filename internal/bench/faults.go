@@ -5,8 +5,6 @@ import (
 	"io"
 	"runtime"
 	"sort"
-	"sync"
-	"time"
 
 	"tesla/internal/core"
 	"tesla/internal/faultinject"
@@ -52,39 +50,6 @@ func figFaultsVariants() []figFaultsVariant {
 	}
 }
 
-// FigFaultsMeasure drives the shard-figure session workload through a store
-// built with the variant's options and returns events/sec.
-func FigFaultsMeasure(opts core.StoreOpts, g, total int) float64 {
-	cls := &core.Class{Name: "session", States: 8, Limit: shardFigLimit}
-	s := core.NewStoreOpts(opts)
-	s.Register(cls)
-	enter, work, site := shardFigTransitions()
-	for k := 0; k < shardFigSessions; k++ {
-		s.UpdateState(cls, "enter", 0, core.NewKey(core.Value(k)), enter)
-	}
-
-	perG := total / g
-	var wg sync.WaitGroup
-	start := time.Now()
-	for t := 0; t < g; t++ {
-		wg.Add(1)
-		go func(t int) {
-			defer wg.Done()
-			base := (t * shardFigKeysPerG) % shardFigSessions
-			for i := 0; i < perG; i++ {
-				key := core.NewKey(core.Value(base + i%shardFigKeysPerG))
-				if i%8 == 7 {
-					s.UpdateState(cls, "site", core.SymRequired, key, site)
-				} else {
-					s.UpdateState(cls, "work", 0, key, work)
-				}
-			}
-		}(t)
-	}
-	wg.Wait()
-	return float64(perG*g) / time.Since(start).Seconds()
-}
-
 // FigFaults prints the supervision-policy throughput ladder. The ladder is
 // measured single-goroutine: the acceptance question is what the policy
 // machinery costs per event on the hot path, and one goroutine isolates
@@ -106,7 +71,7 @@ func FigFaults(w io.Writer, iters int) error {
 	samples := make([][]float64, len(variants))
 	for r := 0; r < rounds; r++ {
 		for i, v := range variants {
-			samples[i] = append(samples[i], FigFaultsMeasure(v.opts(), 1, total))
+			samples[i] = append(samples[i], shardFigMeasure(v.opts(), 1, total))
 		}
 	}
 	// Median per rung: with the rounds interleaved, slow drift (frequency

@@ -58,8 +58,7 @@ func ingestAutomaton() (*automata.Automaton, int, error) {
 // goroutines (one monitor thread each, disjoint ranges of keysPerG keys)
 // and returns aggregate events/sec. The timed region includes the final
 // drain: the batched plane only gets credit for events the store has
-// actually absorbed. FigCompile shares this body with engine-selecting
-// options.
+// actually absorbed.
 func ingestRun(o monitor.Options, g, keysPerG, total int) (float64, error) {
 	auto, symID, err := ingestAutomaton()
 	if err != nil {

@@ -1,12 +1,12 @@
 package core
 
-// Batched ingestion. UpdateState costs one full lock round-trip per event; at
-// millions of events per second the monitor's dispatch plane stages matched
-// symbols per thread and applies them here in runs, amortising stripe
-// acquisition and registration lookups across a batch. Semantics are the
-// single-event path's, exactly: ops apply strictly in slice order (no
-// cross-key reordering — the differential harness compares against a
-// reference store fed one op at a time), every op re-plans its lock need
+// Batched ingestion. UpdateStatePlan costs one full lock round-trip per
+// event; at millions of events per second the monitor's dispatch plane
+// stages matched symbols per thread and applies them here in runs,
+// amortising stripe acquisition and registration lookups across a batch.
+// Semantics are the single-event path's, exactly: ops apply strictly in
+// slice order (no cross-key reordering — the differential harness compares
+// against a store fed one op at a time), every op re-plans its lock need
 // under the held stripes, and handler notifications buffer across the whole
 // batch and dispatch once, after every lock is released.
 
@@ -15,40 +15,20 @@ package core
 // for the whole batch and starving concurrent threads.
 const batchRunMax = 64
 
-// BatchOp is one deferred UpdateState call: the class, the driving symbol
-// (name for notifications, flags for required/strict verdicts), the key the
-// event binds and the transition set it can drive.
+// BatchOp is one deferred UpdateStatePlan call: the compiled plan of the
+// driving (class, symbol) and the key the event binds.
 type BatchOp struct {
-	Cls    *Class
-	Symbol string
-	Flags  SymbolFlags
-	Key    Key
-	TS     TransitionSet
-
-	// Plan, when non-nil, is the op's compiled engine plan (engine.go): the
-	// batch run applies it through the monomorphic engine body instead of
-	// the interpreted walk. It must have been lowered from the same
-	// (Cls, Symbol, Flags, TS); stores built with StoreOpts.NoEngine ignore
-	// it.
 	Plan *SymbolPlan
+	Key  Key
 }
 
-// batchPlan resolves the engine plan an op applies under in this store: nil
-// when the op carries none or the store is pinned to the interpreted walk.
-func (s *Store) batchPlan(op *BatchOp) *SymbolPlan {
-	if s.noEngine {
-		return nil
-	}
-	return op.Plan
-}
-
-// UpdateBatch applies ops in order, equivalent to calling UpdateState once
-// per op but with locks amortised across runs: the reference store holds its
-// mutex over the whole batch; the sharded store acquires the union lock set
-// of a lookahead window of same-class ops and applies as many as the held
-// stripes cover, re-planning each op under the locks. The returned error is
-// the first (in op order) fail-stop violation or overflow, matching the
-// error the synchronous path would have returned from that op's UpdateState.
+// UpdateBatch applies ops in order, equivalent to calling UpdateStatePlan
+// once per op but with locks amortised across runs: the global store
+// acquires the union lock set of a lookahead window of same-class ops and
+// applies as many as the held stripes cover, re-planning each op under the
+// locks. The returned error is the first (in op order) fail-stop violation
+// or overflow, matching the error the synchronous path would have returned
+// from that op.
 func (s *Store) UpdateBatch(ops []BatchOp) error {
 	if len(ops) == 0 {
 		return nil
@@ -56,63 +36,23 @@ func (s *Store) UpdateBatch(ops []BatchOp) error {
 	if s.nshards > 0 {
 		return s.updateBatchSharded(ops)
 	}
-	return s.updateBatchRef(ops)
-}
-
-// updateBatchRef is the batch path over the single-mutex reference store:
-// one lock round-trip and one notification dispatch for the whole batch.
-func (s *Store) updateBatchRef(ops []BatchOp) error {
 	var nb noteBuf
 	var firstErr error
-	s.lock()
 	for i := range ops {
 		op := &ops[i]
-		cs := s.classes[op.Cls]
-		if cs == nil {
-			s.unlock()
-			s.Register(op.Cls)
-			s.lock()
-			cs = s.classes[op.Cls]
-		}
-		var err error
-		if p := s.batchPlan(op); p != nil {
-			err = s.updateRefEngineLocked(cs, p, op.Key, &nb)
-		} else {
-			err = s.updateRefLocked(cs, op.Symbol, op.Flags, op.Key, op.TS, &nb)
-		}
-		if err != nil && firstErr == nil {
+		if err := s.updateSlots(s.slotsOf(op.Plan.Cls), op.Plan, op.Key, &nb); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
-	s.unlock()
 	s.dispatch(&nb)
 	return firstErr
-}
-
-// batchNeed is one op's full lock requirement: its plan, escalated to every
-// stripe for cleanup ops (which expunge the whole class). Plan-carrying ops
-// use the compiled plan's hoisted «init» and cleanup instead of rescanning
-// the transition set.
-func (s *Store) batchNeed(sc *shardedClass, op *BatchOp) (set uint64, scan bool) {
-	if p := s.batchPlan(op); p != nil {
-		set, scan = sc.planWith(op.Key, p.initTr())
-		if p.cleanup {
-			set = sc.allMask()
-		}
-		return set, scan
-	}
-	set, scan = sc.plan(op.Key, op.TS)
-	if op.TS.HasCleanup() {
-		set = sc.allMask()
-	}
-	return set, scan
 }
 
 // updateBatchSharded is the batch path over the lock-striped store. Each
 // outer iteration opens a window: the union of the optimistic lock plans of
 // the next run of same-class ops (capped at batchRunMax). The window's
-// stripes are acquired once — with the same re-plan/escalate loop the
-// single-event path uses for the head op — and ops then apply in order,
+// stripes are acquired once — with lockCovering re-planning the head op,
+// as the single-event path does — and ops then apply in order,
 // each re-planning under the held locks; the first op whose need outgrows
 // the held set ends the run and starts the next window. Order is never
 // changed: an op applies exactly when every op before it has.
@@ -121,35 +61,20 @@ func (s *Store) updateBatchSharded(ops []BatchOp) error {
 	var firstErr error
 	i := 0
 	for i < len(ops) {
-		sc := s.shardedClassOf(ops[i].Cls)
-		if sc == nil {
-			s.Register(ops[i].Cls)
-			sc = s.shardedClassOf(ops[i].Cls)
-		}
+		cls := ops[i].Plan.Cls
+		sc := s.shardsOf(cls)
 		if s.shardedQuarGate(sc, &nb) {
 			i++
 			continue
 		}
 
-		set, _ := s.batchNeed(sc, &ops[i])
+		set, _ := eventNeed(sc, ops[i].Plan, ops[i].Key)
 		j := i + 1
-		for ; j < len(ops) && j-i < batchRunMax && ops[j].Cls == ops[i].Cls; j++ {
-			ps, _ := s.batchNeed(sc, &ops[j])
+		for ; j < len(ops) && j-i < batchRunMax && ops[j].Plan.Cls == cls; j++ {
+			ps, _ := eventNeed(sc, ops[j].Plan, ops[j].Key)
 			set |= ps
 		}
-		for tries := 0; ; tries++ {
-			s.lockShards(sc, set)
-			need, _ := s.batchNeed(sc, &ops[i])
-			if need&^set == 0 {
-				break
-			}
-			s.unlockShards(sc, set)
-			if tries >= 1 {
-				set = sc.allMask()
-			} else {
-				set |= need
-			}
-		}
+		set, _ = s.lockCovering(sc, set, ops[i].Plan, ops[i].Key)
 
 		for i < j {
 			op := &ops[i]
@@ -160,7 +85,7 @@ func (s *Store) updateBatchSharded(ops []BatchOp) error {
 				i++
 				continue
 			}
-			need, scan := s.batchNeed(sc, op)
+			need, scan := eventNeed(sc, op.Plan, op.Key)
 			if need&^set != 0 {
 				// The run's window no longer covers this op (a mid-run
 				// activation widened its mask set, or a re-arm left a
@@ -168,13 +93,7 @@ func (s *Store) updateBatchSharded(ops []BatchOp) error {
 				// and reacquire.
 				break
 			}
-			var err error
-			if p := s.batchPlan(op); p != nil {
-				err = s.updateShardedEngineBody(sc, p, op.Key, &nb, set, scan)
-			} else {
-				err = s.updateShardedBody(sc, op.Symbol, op.Flags, op.Key, op.TS, &nb, set, scan)
-			}
-			if err != nil && firstErr == nil {
+			if err := s.applySharded(sc, op.Plan, op.Key, &nb, set, scan); err != nil && firstErr == nil {
 				firstErr = err
 			}
 			i++

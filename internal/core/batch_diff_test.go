@@ -16,14 +16,14 @@ import (
 // flush points are permuted per schedule (a random flush probability rides
 // on top of the forced batch-size boundary) so run splits land everywhere,
 // including mid-quarantine, mid-overflow and across cleanup expunges. Both
-// the single-mutex reference batch path and the sharded lookahead batch
-// path are swept, with and without injected allocation failures.
+// the per-thread batch loop and the striped lookahead batch path are swept,
+// with and without injected allocation failures.
 
-// runBatchDifferential drives one schedule through a sequential store and a
-// batched store (same shard count, same injected fault schedule), comparing
-// at every flush boundary. batchSize caps a batch; flushP adds random early
-// flushes so the same schedule is split differently across seeds.
-func runBatchDifferential(t *testing.T, seed int64, shards, batchSize int, rate float64) {
+// runBatchDifferential drives one schedule through a sequential store of
+// layout seqL and a batched store of layout batL (same injected fault
+// schedule), comparing at every flush boundary. batchSize caps a batch;
+// random early flushes split the same schedule differently across seeds.
+func runBatchDifferential(t *testing.T, seed int64, seqL, batL layout, batchSize int, rate float64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	cls := &Class{
@@ -43,17 +43,18 @@ func runBatchDifferential(t *testing.T, seed int64, shards, batchSize int, rate 
 
 	hseq := &noteHandler{}
 	hbat := &noteHandler{}
-	seq := NewStoreOpts(StoreOpts{
-		Context: Global, Handler: hseq, Shards: shards,
+	seq := seqL.store(StoreOpts{
+		Handler:   hseq,
 		AllocFail: func(c *Class) bool { return injSeq.Should(faultinject.SiteAlloc, c.Name) },
 	})
-	bat := NewStoreOpts(StoreOpts{
-		Context: Global, Handler: hbat, Shards: shards,
+	bat := batL.store(StoreOpts{
+		Handler:   hbat,
 		AllocFail: func(c *Class) bool { return injBat.Should(faultinject.SiteAlloc, c.Name) },
 	})
 	seq.Register(cls)
 	bat.Register(cls)
 
+	plans := planCache{}
 	var pending []BatchOp
 	seqErrs := 0 // sequential errors in the pending chunk
 	flushAt := -1
@@ -63,8 +64,8 @@ func runBatchDifferential(t *testing.T, seed int64, shards, batchSize int, rate 
 		}
 		err := bat.UpdateBatch(pending)
 		if (err != nil) != (seqErrs > 0) {
-			t.Fatalf("seed %d shards %d batch %d event %d: verdict diverged: batch err=%v, sequential errors=%d",
-				seed, shards, batchSize, i, err, seqErrs)
+			t.Fatalf("seed %d %v/%v batch %d event %d: verdict diverged: batch err=%v, sequential errors=%d",
+				seed, seqL, batL, batchSize, i, err, seqErrs)
 		}
 		pending = pending[:0]
 		seqErrs = 0
@@ -72,24 +73,24 @@ func runBatchDifferential(t *testing.T, seed int64, shards, batchSize int, rate 
 	}
 	compare := func(i int) {
 		if lr, lb := seq.LiveCount(cls), bat.LiveCount(cls); lr != lb {
-			t.Fatalf("seed %d shards %d batch %d event %d: live diverged: seq=%d batched=%d",
-				seed, shards, batchSize, i, lr, lb)
+			t.Fatalf("seed %d %v/%v batch %d event %d: live diverged: seq=%d batched=%d",
+				seed, seqL, batL, batchSize, i, lr, lb)
 		}
 		if ir, ib := instSet(seq, cls), instSet(bat, cls); !reflect.DeepEqual(ir, ib) {
-			t.Fatalf("seed %d shards %d batch %d event %d: instances diverged:\nseq:     %v\nbatched: %v",
-				seed, shards, batchSize, i, ir, ib)
+			t.Fatalf("seed %d %v/%v batch %d event %d: instances diverged:\nseq:     %v\nbatched: %v",
+				seed, seqL, batL, batchSize, i, ir, ib)
 		}
 		if qr, qb := seq.Quarantined(cls), bat.Quarantined(cls); qr != qb {
-			t.Fatalf("seed %d shards %d batch %d event %d: quarantine diverged: seq=%v batched=%v",
-				seed, shards, batchSize, i, qr, qb)
+			t.Fatalf("seed %d %v/%v batch %d event %d: quarantine diverged: seq=%v batched=%v",
+				seed, seqL, batL, batchSize, i, qr, qb)
 		}
 		if hr, hb := healthOf(seq, cls), healthOf(bat, cls); hr != hb {
-			t.Fatalf("seed %d shards %d batch %d event %d: health diverged:\nseq:     %v\nbatched: %v",
-				seed, shards, batchSize, i, hr, hb)
+			t.Fatalf("seed %d %v/%v batch %d event %d: health diverged:\nseq:     %v\nbatched: %v",
+				seed, seqL, batL, batchSize, i, hr, hb)
 		}
 		if nr, nb := hseq.sorted(), hbat.sorted(); !reflect.DeepEqual(nr, nb) {
-			t.Fatalf("seed %d shards %d batch %d event %d: notifications diverged:\nseq:     %v\nbatched: %v",
-				seed, shards, batchSize, i, nr, nb)
+			t.Fatalf("seed %d %v/%v batch %d event %d: notifications diverged:\nseq:     %v\nbatched: %v",
+				seed, seqL, batL, batchSize, i, nr, nb)
 		}
 	}
 
@@ -109,7 +110,7 @@ func runBatchDifferential(t *testing.T, seed int64, shards, batchSize int, rate 
 			if seq.UpdateState(cls, ev.symbol, ev.flags, ev.key, ev.ts) != nil {
 				seqErrs++
 			}
-			pending = append(pending, BatchOp{Cls: cls, Symbol: ev.symbol, Flags: ev.flags, Key: ev.key, TS: ev.ts})
+			pending = append(pending, BatchOp{Plan: plans.plan(cls, ev.symbol, ev.flags, ev.ts), Key: ev.key})
 			if len(pending) >= batchSize || rng.Intn(6) == 0 {
 				flush(i)
 				compare(i)
@@ -129,13 +130,13 @@ func runBatchDifferential(t *testing.T, seed int64, shards, batchSize int, rate 
 // TestBatchDifferentialStore sweeps ≥1000 schedules over batch sizes
 // {1, 7, 64} (1 degenerates every batch to a single op — the batch plumbing
 // alone; 64 is batchRunMax, so the 48-event schedules also exercise runs at
-// and below the lookahead window cap) and both store implementations.
+// and below the lookahead window cap) and every store layout.
 func TestBatchDifferentialStore(t *testing.T) {
 	n := 0
 	for _, size := range []int{1, 7, 64} {
 		for i := 0; i < 400; i++ {
-			shards := []int{1, 2, 4, 8, 16}[i%5]
-			runBatchDifferential(t, int64(20000+i), shards, size, 0)
+			l := layouts[i%len(layouts)]
+			runBatchDifferential(t, int64(20000+i), l, l, size, 0)
 			n++
 		}
 	}
@@ -150,9 +151,9 @@ func TestBatchDifferentialStore(t *testing.T) {
 func TestBatchDifferentialInjected(t *testing.T) {
 	for _, rate := range []float64{0.01, 0.10, 0.50} {
 		for i := 0; i < 120; i++ {
-			shards := []int{1, 2, 4, 8, 16}[i%5]
 			size := []int{1, 7, 64}[i%3]
-			runBatchDifferential(t, int64(30000+i), shards, size, rate)
+			l := layouts[i%len(layouts)]
+			runBatchDifferential(t, int64(30000+i), l, l, size, rate)
 		}
 	}
 }

@@ -33,12 +33,15 @@ func healthOf(s *Store, cls *Class) [5]uint64 {
 }
 
 // runChaosDifferential drives one randomised schedule with injected
-// allocation failures through the reference and sharded stores, asserting
+// allocation failures through the per-thread slot array and the striped
+// store, asserting
 // after every event that verdicts, live counts, instance sets, notification
 // multisets, quarantine state and health counters all agree. The two stores
 // get two injectors built from the same seed, so they see byte-identical
-// fault schedules.
-func runChaosDifferential(t *testing.T, seed int64, shards int, rate float64) {
+// fault schedules. With cached set, the striped store runs one plan per
+// (symbol, flags), lowered once and reused for the whole schedule, while the
+// slot array keeps lowering a fresh plan per event through UpdateState.
+func runChaosDifferential(t *testing.T, seed int64, shards int, rate float64, cached bool) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	pol := chaosPolicies[rng.Intn(len(chaosPolicies))]
@@ -62,7 +65,7 @@ func runChaosDifferential(t *testing.T, seed int64, shards int, rate float64) {
 	href := &noteHandler{}
 	hsh := &noteHandler{}
 	ref := NewStoreOpts(StoreOpts{
-		Context: Global, Handler: href, Shards: 1,
+		Context: PerThread, Handler: href,
 		AllocFail: func(c *Class) bool { return injRef.Should(faultinject.SiteAlloc, c.Name) },
 	})
 	sh := NewStoreOpts(StoreOpts{
@@ -75,6 +78,7 @@ func runChaosDifferential(t *testing.T, seed int64, shards int, rate float64) {
 	ref.Register(cls)
 	sh.Register(cls)
 
+	plans := planCache{}
 	for i, ev := range randSchedule(rng, states, 64) {
 		var errRef, errSh error
 		switch ev.op {
@@ -86,7 +90,11 @@ func runChaosDifferential(t *testing.T, seed int64, shards int, rate float64) {
 			sh.ResetClass(cls)
 		default:
 			errRef = ref.UpdateState(cls, ev.symbol, ev.flags, ev.key, ev.ts)
-			errSh = sh.UpdateState(cls, ev.symbol, ev.flags, ev.key, ev.ts)
+			if cached {
+				errSh = sh.UpdateStatePlan(plans.plan(cls, ev.symbol, ev.flags, ev.ts), ev.key)
+			} else {
+				errSh = sh.UpdateState(cls, ev.symbol, ev.flags, ev.key, ev.ts)
+			}
 		}
 		if (errRef == nil) != (errSh == nil) {
 			t.Fatalf("seed %d rate %v event %d (%s %s): verdict diverged: ref=%v sharded=%v",
@@ -125,8 +133,8 @@ func TestChaosDifferentialInjected(t *testing.T) {
 	n := 0
 	for _, rate := range []float64{0.01, 0.10, 0.50} {
 		for i := 0; i < 150; i++ {
-			shards := []int{2, 4, 8, 16}[i%4]
-			runChaosDifferential(t, int64(5000+i), shards, rate)
+			shards := []int{1, 2, 4, 8, 16}[i%5]
+			runChaosDifferential(t, int64(5000+i), shards, rate, false)
 			n++
 		}
 	}
@@ -151,7 +159,7 @@ func classStream(h *noteHandler, cls string) []string {
 // runIsolation drives a hot class A (tiny limit, quarantine policy, injected
 // allocation failures) interleaved with a healthy class B through one store
 // and returns B's exact notification stream and verdict sequence.
-func runIsolation(t *testing.T, shards int, inject bool, rate float64) ([]string, string) {
+func runIsolation(t *testing.T, l layout, inject bool, rate float64) ([]string, string) {
 	t.Helper()
 	a := &Class{Name: "iso-a", States: 4, Limit: 1, Overflow: QuarantineClass, QuarantineAfter: 2, RearmEvents: 4}
 	b := &Class{Name: "iso-b", States: 4, Limit: 8}
@@ -159,8 +167,8 @@ func runIsolation(t *testing.T, shards int, inject bool, rate float64) ([]string
 	inj := faultinject.New(2026)
 	inj.SetRate(faultinject.SiteAlloc, rate)
 	h := &noteHandler{}
-	s := NewStoreOpts(StoreOpts{
-		Context: Global, Handler: h, Shards: shards,
+	s := l.store(StoreOpts{
+		Handler: h,
 		AllocFail: func(c *Class) bool {
 			if !inject || c.Name != "iso-a" {
 				return false
@@ -205,18 +213,18 @@ func runIsolation(t *testing.T, shards int, inject bool, rate float64) ([]string
 
 // TestChaosCrossClassIsolation: quarantining (and fault-injecting) class A
 // leaves class B's notifications and verdicts byte-identical to an
-// uninjected run, on both store implementations and both issue rates.
+// uninjected run, on both store layouts and both issue rates.
 func TestChaosCrossClassIsolation(t *testing.T) {
-	for _, shards := range []int{1, 4} {
+	for _, l := range []layout{{PerThread, 0}, {Global, 4}} {
 		for _, rate := range []float64{0.01, 0.10} {
-			baseNotes, baseVerdicts := runIsolation(t, shards, false, rate)
-			injNotes, injVerdicts := runIsolation(t, shards, true, rate)
+			baseNotes, baseVerdicts := runIsolation(t, l, false, rate)
+			injNotes, injVerdicts := runIsolation(t, l, true, rate)
 			if injVerdicts != baseVerdicts {
-				t.Fatalf("shards=%d rate=%v: class B verdicts diverged under class-A faults", shards, rate)
+				t.Fatalf("%v rate=%v: class B verdicts diverged under class-A faults", l, rate)
 			}
 			if !reflect.DeepEqual(injNotes, baseNotes) {
-				t.Fatalf("shards=%d rate=%v: class B notifications diverged under class-A faults:\nbase: %v\ninj:  %v",
-					shards, rate, baseNotes, injNotes)
+				t.Fatalf("%v rate=%v: class B notifications diverged under class-A faults:\nbase: %v\ninj:  %v",
+					l, rate, baseNotes, injNotes)
 			}
 		}
 	}
@@ -237,13 +245,12 @@ func (h *injectedPanicHandler) Transition(cls *Class, inst *Instance, from, to u
 // TestChaosHandlerPanicRates: with handler panics injected at 1% and 10%,
 // no panic escapes, every panic is counted, and the store keeps monitoring.
 func TestChaosHandlerPanicRates(t *testing.T) {
-	for _, shards := range []int{1, 4} {
+	for _, l := range []layout{{PerThread, 0}, {Global, 4}} {
 		for _, rate := range []float64{0.01, 0.10} {
 			inj := faultinject.New(77)
 			inj.SetRate(faultinject.SiteHandlerPanic, rate)
 			cls := &Class{Name: "hp", States: 4, Limit: 64}
-			s := NewStoreOpts(StoreOpts{
-				Context: Global, Shards: shards,
+			s := l.store(StoreOpts{
 				Handler: &injectedPanicHandler{inj: inj},
 				// Keep the handler in service so every injected panic is
 				// exercised rather than short-circuited by quarantine.
@@ -257,13 +264,13 @@ func TestChaosHandlerPanicRates(t *testing.T) {
 				s.UpdateState(cls, "mid", 0, k, mid)
 			}
 			if got, want := s.HandlerPanics(), inj.Fired(faultinject.SiteHandlerPanic, "hp"); got != want {
-				t.Fatalf("shards=%d rate=%v: recovered %d panics, injector fired %d", shards, rate, got, want)
+				t.Fatalf("%v rate=%v: recovered %d panics, injector fired %d", l, rate, got, want)
 			}
 			if got := s.HandlerPanics(); got == 0 {
-				t.Fatalf("shards=%d rate=%v: no panics injected; test lost its teeth", shards, rate)
+				t.Fatalf("%v rate=%v: no panics injected; test lost its teeth", l, rate)
 			}
 			if n := s.LiveCount(cls); n != 64 {
-				t.Fatalf("shards=%d rate=%v: live=%d, monitoring degraded by handler faults", shards, rate, n)
+				t.Fatalf("%v rate=%v: live=%d, monitoring degraded by handler faults", l, rate, n)
 			}
 		}
 	}

@@ -9,16 +9,17 @@ import (
 	"testing"
 )
 
-// Differential property harness: the sharded lock-striped store must be
-// observationally equivalent to the seed single-mutex store (the reference
-// model, selected with Shards: 1). Identical randomised event schedules —
-// init, update, clone, cleanup over random keys, ANY patterns, strict and
-// required events, overflow — are driven through both stores, asserting
-// identical verdicts, live counts, instance sets and handler notification
-// multisets after every event. Notification order within one event may
-// differ (slot numbering diverges once frees interleave with allocations),
-// so notifications are compared as multisets, which is also the only
-// meaningful comparison once the sharded store runs concurrently.
+// Differential property harness: the global lock-striped store must be
+// observationally equivalent to the per-thread slot-array store. The two
+// bodies share no code, so each is the other's reference wherever the
+// lifecycle model (model_test.go) stops — past the first overflow, where the
+// overflow policies and quarantine take over. Identical randomised event
+// schedules — init, update, clone, cleanup over random keys, ANY patterns,
+// strict and required events, overflow — are driven through both stores,
+// asserting identical verdicts, live counts, instance sets and handler
+// notification multisets after every event. Notifications are compared as
+// multisets, which is also the only meaningful comparison once the striped
+// store runs concurrently.
 
 // noteHandler records every notification as a serialised line.
 type noteHandler struct {
@@ -97,6 +98,11 @@ func randKey(rng *rand.Rand) Key {
 // randSchedule builds one schedule over the given class shape.
 func randSchedule(rng *rand.Rand, states uint32, n int) []diffEvent {
 	enter := TransitionSet{{From: 0, To: 1, Flags: TransInit, KeyMask: uint32(rng.Intn(1 << KeySize))}}
+	if rng.Intn(2) == 0 {
+		// The bound's entry event also moves live instances on: when one
+		// consumes it, no new instance may start.
+		enter = append(enter, Transition{From: 1, To: 2, KeyMask: uint32(rng.Intn(1 << KeySize))})
+	}
 	var mid TransitionSet
 	for s := uint32(1); s < states; s++ {
 		mid = append(mid, Transition{From: s, To: 1 + (s+1)%states, KeyMask: uint32(rng.Intn(1 << KeySize))})
@@ -160,15 +166,12 @@ func runDifferential(t *testing.T, seed int64, shards int, failFast bool) {
 
 	href := &noteHandler{}
 	hsh := &noteHandler{}
-	ref := NewStoreOpts(StoreOpts{Context: Global, Handler: href, Shards: 1})
+	ref := NewStoreOpts(StoreOpts{Context: PerThread, Handler: href})
 	sh := NewStoreOpts(StoreOpts{Context: Global, Handler: hsh, Shards: shards})
 	ref.FailFast = failFast
 	sh.FailFast = failFast
 	ref.Register(cls)
 	sh.Register(cls)
-	if !sh.Sharded() || ref.Sharded() {
-		t.Fatalf("impl selection broken: ref sharded=%v sh sharded=%v", ref.Sharded(), sh.Sharded())
-	}
 
 	for i, ev := range randSchedule(rng, states, 48) {
 		var errRef, errSh error
@@ -208,11 +211,10 @@ func runDifferential(t *testing.T, seed int64, shards int, failFast bool) {
 	}
 }
 
-// TestDifferentialShardedVsReference runs ≥1000 randomised schedules against
-// the reference store, covering both fail-fast modes and several stripe
-// counts (including 2, where cross-shard traffic is most likely, and the
-// single-stripe sharded store, which isolates the index/free-list machinery
-// from striping).
+// TestDifferentialShardedVsReference runs ≥1000 randomised schedules of the
+// striped store against the slot array, covering both fail-fast modes and
+// several stripe counts (including 2, where cross-shard traffic is most
+// likely).
 func TestDifferentialShardedVsReference(t *testing.T) {
 	const schedules = 1200
 	for i := 0; i < schedules; i++ {
@@ -221,19 +223,19 @@ func TestDifferentialShardedVsReference(t *testing.T) {
 	}
 }
 
-// TestDifferentialSingleStripe pins the sharded implementation with one
-// stripe against the reference separately: any divergence here is in the
-// hash index or free list, not the lock planning.
+// TestDifferentialSingleStripe pins the striped store with one stripe
+// against the slot array separately: any divergence here is in the hash
+// index or free list, not the lock planning.
 func TestDifferentialSingleStripe(t *testing.T) {
 	for i := 0; i < 100; i++ {
-		runDifferential(t, int64(10000+i), 2, false)
+		runDifferential(t, int64(10000+i), 1, i%2 == 0)
 	}
 }
 
 // TestDifferentialConcurrentPerKey checks linearisable per-key outcomes:
 // goroutines drive disjoint key ranges concurrently into one sharded global
 // store; afterwards each goroutine's schedule replayed alone against a
-// reference store must produce exactly the final instances the shared store
+// per-thread store must produce exactly the final instances the shared store
 // holds for that goroutine's keys. Keys are made independent by an «init»
 // transition that binds the event key directly (no shared ANY parent), so
 // the decomposition is semantically exact. Run under -race this also proves
@@ -290,7 +292,7 @@ func TestDifferentialConcurrentPerKey(t *testing.T) {
 	}
 
 	for g := 0; g < goroutines; g++ {
-		ref := NewStoreOpts(StoreOpts{Context: Global, Shards: 1})
+		ref := NewStore(PerThread, nil)
 		ref.Register(cls)
 		for _, st := range schedules[g] {
 			ref.UpdateState(cls, st.symbol, st.flags, st.key, st.ts)

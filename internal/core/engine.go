@@ -1,30 +1,23 @@
 package core
 
-// The compiled transition engine. The interpreted event bodies (update.go,
-// shard.go) pay a per-event "interpreter tax" that is constant per
-// (class, symbol): they rescan the transition set for every candidate
-// instance, recompute HasCleanup and the «init» selection, and walk Key
-// comparison bit by bit. A SymbolPlan hoists all of that out of the event
-// loop at automaton-link time — internal/automata lowers each class into a
-// StepEngine holding one plan per alphabet symbol — leaving monomorphic
-// bodies whose per-event work is O(candidates) table lookups:
+// The compiled transition engine. Everything an event's effect depends on
+// that is constant per (class, symbol) is derived once, at automaton-link
+// time — internal/automata lowers each class into a StepEngine holding one
+// SymbolPlan per alphabet symbol — so the store's event bodies do
+// O(candidates) table lookups per event:
 //
-//   - a dense state→transition array (next) replaces the first-match scan
+//   - a dense state→transition array (next) replaces a first-match scan
 //     over the TransitionSet, with a 64-bit From-state bitmask in front of
 //     it so the common no-edge case is one shift-and-test;
 //   - the «init» transition and the cleanup flag are picked once, not once
 //     per event;
 //   - Key compatibility is unrolled for TESLA_KEY_SIZE = 4 into a branchless
 //     mismatch mask, and clone-key unions skip the redundant compatibility
-//     re-check the generic path pays;
-//   - the reference store's candidate snapshot and exact-key probe stop as
-//     soon as every live instance has been seen instead of walking the
-//     whole preallocated block.
+//     re-check the generic Key methods pay.
 //
-// The interpreted walk survives untouched as the executable differential
-// reference, selectable per store via StoreOpts.NoEngine — the PR 3/4/8
-// pattern: fast path + byte-identical reference + schedule-exploring parity
-// gate (engine_diff_test.go, FuzzCompiledStep).
+// Both store bodies — per-thread slots (update.go) and global stripes
+// (shard.go) — execute plans; UpdateState lowers one per call for callers
+// without a StepEngine.
 
 import "sync"
 
@@ -33,14 +26,13 @@ import "sync"
 // rather than silently miscompiled.
 const _ = uint(KeySize-4) + uint(4-KeySize)
 
-// notePool recycles engine-path notification buffers. A noteBuf's inline
-// array is several KB, and the interpreted entry points heap-allocate one
-// per event (the buffer escapes into the policy closures and the handler
-// interface); at millions of events per second that allocation — and the GC
-// work of scanning it — is a large share of the per-event cost. The compiled
-// entry point draws buffers from this pool instead, so the steady-state
-// engine path allocates nothing. Safe because notes are delivered to
-// handlers by pointer valid only for the duration of the callback
+// notePool recycles per-event notification buffers. A noteBuf's inline
+// array is several KB and escapes into the handler interface, so a fresh one
+// per event would be heap-allocated; at millions of events per second that
+// allocation — and the GC work of scanning it — is a large share of the
+// per-event cost. UpdateStatePlan draws buffers from this pool instead, so
+// the steady-state event path allocates nothing. Safe because notes are
+// delivered to handlers by pointer valid only for the duration of the callback
 // (supervise.go: instances are copied because slots may be reused once the
 // locks drop — the same contract covers the buffer itself).
 var notePool = sync.Pool{New: func() any { return new(noteBuf) }}
@@ -55,38 +47,18 @@ func (nb *noteBuf) reset() {
 	nb.spill = nil
 }
 
-// refFail records one violation on the reference store's engine path: the
-// fail closure of updateRefLocked as a direct call.
-func (s *Store) refFail(cs *classState, nb *noteBuf, failStop bool, firstErr *error, v *Violation) {
-	cs.health.Violations++
-	nb.add(note{kind: noteFail, cls: cs.cls, v: v})
-	if failStop && *firstErr == nil {
-		*firstErr = v
-	}
-}
-
-// shardedFail is refFail over the lock-striped store.
-func (s *Store) shardedFail(sc *shardedClass, nb *noteBuf, failStop bool, firstErr *error, v *Violation) {
-	sc.health.violations.Add(1)
-	nb.add(note{kind: noteFail, cls: sc.cls, v: v})
-	if failStop && *firstErr == nil {
-		*firstErr = v
-	}
-}
-
-// SymbolPlan is the compiled form of one (class, symbol) pair: everything
-// UpdateState derives from the TransitionSet per event, derived once.
+// SymbolPlan is the compiled form of one (class, symbol) pair: everything an
+// event's effect depends on that its TransitionSet fixes, derived once.
 type SymbolPlan struct {
 	// Cls, Symbol, Flags and TS are the arguments the equivalent
-	// interpreted UpdateState call would take; the reference fallback
-	// (StoreOpts.NoEngine) passes them through verbatim.
+	// UpdateState call would take.
 	Cls    *Class
 	Symbol string
 	Flags  SymbolFlags
 	TS     TransitionSet
 
 	// next[q] is the index in TS of the transition taken from state q
-	// (first match wins, like the interpreted scan), or -1. The table
+	// (the first edge from q in TS order wins), or -1. The table
 	// covers every From state in TS, so an out-of-range state provably has
 	// no edge.
 	next []int32
@@ -126,9 +98,8 @@ func NewSymbolPlan(cls *Class, symbol string, flags SymbolFlags, ts TransitionSe
 	for i := range ts {
 		q := ts[i].From
 		if p.next[q] >= 0 {
-			// A second edge from the same state: the interpreted scan
-			// takes the first, so the plan keeps it and the shape is
-			// nondeterministic.
+			// A second edge from the same state: the first one in
+			// TS order wins and the shape is nondeterministic.
 			p.det = false
 			continue
 		}
@@ -140,12 +111,10 @@ func NewSymbolPlan(cls *Class, symbol string, flags SymbolFlags, ts TransitionSe
 			p.keyed = true
 		}
 	}
-	if p.init < 0 {
-		for i := range ts {
-			if ts[i].Init() {
-				p.init = int32(i)
-				break
-			}
+	for i := range ts {
+		if ts[i].Init() {
+			p.init = int32(i)
+			break
 		}
 	}
 	p.cleanup = ts.HasCleanup()
@@ -279,329 +248,4 @@ func union4(k, o Key) Key {
 	}
 	k.Mask |= o.Mask
 	return k
-}
-
-// findExactFast is classState.findExact with an early exit once every live
-// instance has been seen — engine-path only, so the reference store's
-// whole-block scan stays byte-identical.
-func (cs *classState) findExactFast(key Key) *Instance {
-	seen := 0
-	for i := range cs.insts {
-		if !cs.insts[i].Active {
-			continue
-		}
-		if cs.insts[i].Key == key {
-			return &cs.insts[i]
-		}
-		if seen++; seen >= cs.live {
-			break
-		}
-	}
-	return nil
-}
-
-// UpdateStatePlan drives one program event through a compiled plan. It is
-// observably equivalent to
-//
-//	s.UpdateState(p.Cls, p.Symbol, p.Flags, key, p.TS)
-//
-// — and literally is that call when the store was built with
-// StoreOpts.NoEngine, which is how the differential harness runs the same
-// event stream through the interpreted reference.
-func (s *Store) UpdateStatePlan(p *SymbolPlan, key Key) error {
-	if s.noEngine {
-		return s.UpdateState(p.Cls, p.Symbol, p.Flags, key, p.TS)
-	}
-	nb := notePool.Get().(*noteBuf)
-	var err error
-	if s.nshards > 0 {
-		sc := s.shardedClassOf(p.Cls)
-		if sc == nil {
-			s.Register(p.Cls)
-			sc = s.shardedClassOf(p.Cls)
-		}
-		err = s.updateShardedEngine(sc, p, key, nb)
-	} else {
-		err = s.updateRefEngine(p, key, nb)
-	}
-	s.dispatch(nb)
-	nb.reset()
-	notePool.Put(nb)
-	return err
-}
-
-// updateRefEngine locks the reference store and runs the compiled body.
-func (s *Store) updateRefEngine(p *SymbolPlan, key Key, nb *noteBuf) error {
-	s.lock()
-	defer s.unlock()
-	cs := s.classes[p.Cls]
-	if cs == nil {
-		s.unlock()
-		s.Register(p.Cls)
-		s.lock()
-		cs = s.classes[p.Cls]
-	}
-	return s.updateRefEngineLocked(cs, p, key, nb)
-}
-
-// updateRefEngineLocked is the compiled event body over the reference store:
-// the same lifecycle as updateRefLocked (update.go), with the per-event
-// derivations replaced by the plan's tables. Every divergence in behaviour
-// is a bug the differential gate exists to catch.
-func (s *Store) updateRefEngineLocked(cs *classState, p *SymbolPlan, key Key, nb *noteBuf) error {
-	cls := cs.cls
-	if s.refQuarGate(cs, nb) {
-		return nil
-	}
-
-	// Direct calls to the policy machinery (refFail/refClaim) instead of the
-	// interpreted body's closures: the closures force nb onto the heap per
-	// event, and the engine's whole point is to leave nothing per-event.
-	var firstErr error
-	failStop := cs.pol.failureIn(s) == FailStop
-
-	// Snapshot the instances live before this event, stopping at the live
-	// count instead of walking the whole preallocated block.
-	var candArr [DefaultInstanceLimit]refCand
-	live := candArr[:0]
-	for i, n := 0, cs.live; i < len(cs.insts) && len(live) < n; i++ {
-		if cs.insts[i].Active {
-			live = append(live, refCand{idx: i, birth: cs.insts[i].birth})
-		}
-	}
-
-	matched := false
-	for _, c := range live {
-		inst := &cs.insts[c.idx]
-		if !inst.Active || inst.birth != c.birth {
-			continue
-		}
-		if !compatible4(inst.Key, key) {
-			continue
-		}
-
-		tr := p.find(inst.State)
-		if tr == nil {
-			switch {
-			case p.cleanup:
-				s.refFail(cs, nb, failStop, &firstErr, &Violation{Class: cls, Kind: VerdictIncomplete, Key: inst.Key, State: inst.State, Symbol: p.Symbol})
-			case p.Flags&SymStrict != 0:
-				s.refFail(cs, nb, failStop, &firstErr, &Violation{Class: cls, Kind: VerdictBadTransition, Key: inst.Key, State: inst.State, Symbol: p.Symbol})
-				inst.Active = false
-				cs.live--
-			}
-			continue
-		}
-
-		if key.Mask&^inst.Key.Mask != 0 {
-			// Specialisation (compatibility already established): clone.
-			newKey := union4(inst.Key, key)
-			if cs.findExactFast(newKey) != nil {
-				matched = true
-				continue
-			}
-			parent := *inst
-			clone := s.refClaim(cs, nb, failStop, &firstErr, newKey)
-			if clone == nil {
-				continue
-			}
-			cs.birthClock++
-			*clone = Instance{State: tr.To, Key: newKey, Active: true, birth: cs.birthClock}
-			cs.commit()
-			nb.add(note{kind: noteClone, cls: cls, parent: parent, inst: *clone})
-			nb.add(note{kind: noteTransition, cls: cls, inst: *clone, from: tr.From, to: tr.To, symbol: p.Symbol})
-			matched = true
-			if tr.Cleanup() {
-				nb.add(note{kind: noteAccept, cls: cls, inst: *clone})
-			}
-			continue
-		}
-
-		from := inst.State
-		inst.State = tr.To
-		nb.add(note{kind: noteTransition, cls: cls, inst: *inst, from: from, to: tr.To, symbol: p.Symbol})
-		matched = true
-		if tr.Cleanup() {
-			nb.add(note{kind: noteAccept, cls: cls, inst: *inst})
-		}
-	}
-
-	if !matched && !cs.quarantined {
-		if init := p.initTr(); init != nil {
-			initKey := key.project(init.KeyMask)
-			if cs.findExactFast(initKey) == nil {
-				if inst := s.refClaim(cs, nb, failStop, &firstErr, initKey); inst != nil {
-					cs.birthClock++
-					*inst = Instance{State: init.To, Key: initKey, Active: true, birth: cs.birthClock}
-					cs.commit()
-					nb.add(note{kind: noteNew, cls: cls, inst: *inst})
-					nb.add(note{kind: noteTransition, cls: cls, inst: *inst, from: init.From, to: init.To, symbol: p.Symbol})
-					matched = true
-					if init.Cleanup() {
-						nb.add(note{kind: noteAccept, cls: cls, inst: *inst})
-					}
-				}
-			}
-		} else if p.Flags&SymRequired != 0 && cs.live > 0 {
-			s.refFail(cs, nb, failStop, &firstErr, &Violation{Class: cls, Kind: VerdictNoInstance, Key: key, Symbol: p.Symbol})
-		}
-	}
-
-	if p.cleanup && !cs.quarantined {
-		cs.expunge()
-	}
-
-	return firstErr
-}
-
-// updateShardedEngine is the compiled analogue of updateShardedLocked: the
-// same quarantine gate and plan/lock/re-plan escalation, with the «init»
-// selection and cleanup escalation taken from the plan.
-func (s *Store) updateShardedEngine(sc *shardedClass, p *SymbolPlan, key Key, nb *noteBuf) error {
-	if s.shardedQuarGate(sc, nb) {
-		return nil
-	}
-
-	set, scan := sc.planWith(key, p.initTr())
-	if p.cleanup {
-		set = sc.allMask()
-	}
-	for tries := 0; ; tries++ {
-		s.lockShards(sc, set)
-		need, nscan := sc.planWith(key, p.initTr())
-		if need&^set == 0 {
-			scan = nscan
-			break
-		}
-		s.unlockShards(sc, set)
-		if tries >= 1 {
-			set = sc.allMask()
-		} else {
-			set |= need
-		}
-	}
-	defer s.unlockShards(sc, set)
-	return s.updateShardedEngineBody(sc, p, key, nb, set, scan)
-}
-
-// updateShardedEngineBody is the compiled event body over the lock-striped
-// store, mirroring updateShardedBody (shard.go) with the plan's tables in
-// place of the per-event scans. The caller holds the stripe locks in set.
-func (s *Store) updateShardedEngineBody(sc *shardedClass, p *SymbolPlan, key Key, nb *noteBuf, set uint64, scan bool) error {
-	if sc.needsFlush.Load() && set == sc.allMask() {
-		sc.expungeLocked()
-		sc.needsFlush.Store(false)
-	}
-
-	// As in the reference engine body: direct shardedFail/shardedClaim calls
-	// so nothing per-event escapes to the heap.
-	var firstErr error
-	failStop := sc.pol.failureIn(s) == FailStop
-
-	var candBuf [DefaultInstanceLimit]shardCand
-	cand := candBuf[:0]
-	if scan {
-		for si := range sc.shards {
-			for _, e := range sc.shards[si].table {
-				if e == 0 {
-					continue
-				}
-				if slot := int32(e - 1); compatible4(sc.insts[slot].Key, key) {
-					cand = append(cand, shardCand{slot: slot, birth: sc.insts[slot].birth})
-				}
-			}
-		}
-	} else {
-		for m := uint32(0); m <= keyMaskAll; m++ {
-			if m&^key.Mask != 0 || sc.masks[m].Load() == 0 {
-				continue
-			}
-			k := key.project(m)
-			if slot := sc.findIn(&sc.shards[sc.shardOf(k)], k); slot >= 0 {
-				cand = append(cand, shardCand{slot: slot, birth: sc.insts[slot].birth})
-			}
-		}
-	}
-	for i := 1; i < len(cand); i++ {
-		for j := i; j > 0 && cand[j].slot < cand[j-1].slot; j-- {
-			cand[j], cand[j-1] = cand[j-1], cand[j]
-		}
-	}
-
-	matched := false
-	for _, c := range cand {
-		if sc.quarantined.Load() {
-			break
-		}
-		inst := &sc.insts[c.slot]
-		if !inst.Active || inst.birth != c.birth {
-			continue
-		}
-
-		tr := p.find(inst.State)
-		if tr == nil {
-			switch {
-			case p.cleanup:
-				s.shardedFail(sc, nb, failStop, &firstErr, &Violation{Class: sc.cls, Kind: VerdictIncomplete, Key: inst.Key, State: inst.State, Symbol: p.Symbol})
-			case p.Flags&SymStrict != 0:
-				s.shardedFail(sc, nb, failStop, &firstErr, &Violation{Class: sc.cls, Kind: VerdictBadTransition, Key: inst.Key, State: inst.State, Symbol: p.Symbol})
-				sc.deactivate(c.slot)
-			}
-			continue
-		}
-
-		if key.Mask&^inst.Key.Mask != 0 {
-			newKey := union4(inst.Key, key)
-			if sc.findIn(&sc.shards[sc.shardOf(newKey)], newKey) >= 0 {
-				matched = true
-				continue
-			}
-			parent := *inst
-			nslot := s.shardedClaim(sc, nb, failStop, &firstErr, set, newKey)
-			if nslot < 0 {
-				continue
-			}
-			clone := sc.activate(nslot, tr.To, newKey)
-			nb.add(note{kind: noteClone, cls: sc.cls, parent: parent, inst: *clone})
-			nb.add(note{kind: noteTransition, cls: sc.cls, inst: *clone, from: tr.From, to: tr.To, symbol: p.Symbol})
-			matched = true
-			if tr.Cleanup() {
-				nb.add(note{kind: noteAccept, cls: sc.cls, inst: *clone})
-			}
-			continue
-		}
-
-		from := inst.State
-		inst.State = tr.To
-		nb.add(note{kind: noteTransition, cls: sc.cls, inst: *inst, from: from, to: tr.To, symbol: p.Symbol})
-		matched = true
-		if tr.Cleanup() {
-			nb.add(note{kind: noteAccept, cls: sc.cls, inst: *inst})
-		}
-	}
-
-	if !matched && !sc.quarantined.Load() {
-		if init := p.initTr(); init != nil {
-			initKey := key.project(init.KeyMask)
-			if sc.findIn(&sc.shards[sc.shardOf(initKey)], initKey) < 0 {
-				if slot := s.shardedClaim(sc, nb, failStop, &firstErr, set, initKey); slot >= 0 {
-					inst := sc.activate(slot, init.To, initKey)
-					nb.add(note{kind: noteNew, cls: sc.cls, inst: *inst})
-					nb.add(note{kind: noteTransition, cls: sc.cls, inst: *inst, from: init.From, to: init.To, symbol: p.Symbol})
-					matched = true
-					if init.Cleanup() {
-						nb.add(note{kind: noteAccept, cls: sc.cls, inst: *inst})
-					}
-				}
-			}
-		} else if p.Flags&SymRequired != 0 && sc.live.Load() > 0 {
-			s.shardedFail(sc, nb, failStop, &firstErr, &Violation{Class: sc.cls, Kind: VerdictNoInstance, Key: key, Symbol: p.Symbol})
-		}
-	}
-
-	if p.cleanup && !sc.quarantined.Load() {
-		sc.expungeLocked()
-	}
-
-	return firstErr
 }

@@ -1,271 +1,62 @@
 package core
 
-import (
-	"math/rand"
-	"reflect"
-	"testing"
+import "testing"
 
-	"tesla/internal/faultinject"
-)
+// Compiled-engine cross-body differentials: the engine contract is link-time
+// lowering — one SymbolPlan per (symbol, flags), reused for every event of
+// that symbol. These sweeps run the striped store on such cached plans
+// (UpdateStatePlan, Plan-carrying UpdateBatch) against the per-thread slot
+// array lowering a fresh plan per event (UpdateState), over the supervision
+// schedules (overflow policies, quarantine/re-arm, strict and required
+// symbols, resets) at every stripe count, with and without injected
+// allocation failures. The two bodies share no body code, so each is the
+// other's reference for the degradation paths the lifecycle model in
+// model_test.go does not cover; a plan that went stale or was mutated by
+// execution diverges from the fresh one. This is part of `make compile-gate`.
 
-// Compiled-vs-interpreted differential: a store driving events through the
-// compiled engine bodies (UpdateStatePlan, plan-carrying batch ops) must be
-// observationally equivalent to a NoEngine store fed the identical schedule
-// through the interpreted table-driven walk — identical verdicts, live
-// counts, instance sets, quarantine state, health counters and notification
-// multisets after every event. Schedules are the randomised supervision
-// sweeps from differential_test.go (overflow policies, quarantine/re-arm,
-// strict and required symbols, resets), swept across the single-mutex
-// reference store and every sharded stripe count, with and without injected
-// allocation failures. This is the `make compile-gate` suite.
-
-// planCache memoizes one schedule's lowered plans per (symbol, flags): the
-// engine contract is link-time lowering, one plan reused for every event of
-// that symbol — allocating per event would hide staleness bugs.
-type planCache map[string]*SymbolPlan
-
-func (pc planCache) plan(cls *Class, symbol string, flags SymbolFlags, ts TransitionSet) *SymbolPlan {
-	id := symbol + string(rune('0'+flags))
-	p, ok := pc[id]
-	if !ok {
-		p = NewSymbolPlan(cls, symbol, flags, ts)
-		pc[id] = p
-	}
-	return p
-}
-
-// runEngineDifferential drives one schedule through a NoEngine store (the
-// interpreted reference) and an engine store, both via UpdateStatePlan — the
-// NoEngine store's UpdateStatePlan is literally the UpdateState fallback, so
-// the differential also pins the dispatch switch itself.
-func runEngineDifferential(t *testing.T, seed int64, shards int, failFast bool, rate float64) {
-	t.Helper()
-	rng := rand.New(rand.NewSource(seed))
-	cls := &Class{
-		Name: "enginediff", States: 8, Limit: 2 + rng.Intn(8),
-		Overflow:        []OverflowPolicy{DropNew, EvictOldest, QuarantineClass}[rng.Intn(3)],
-		QuarantineAfter: 1 + rng.Intn(3),
-		RearmEvents:     1 + rng.Intn(8),
-	}
-	states := uint32(3 + rng.Intn(3))
-
-	injRef := faultinject.New(uint64(seed))
-	injEng := faultinject.New(uint64(seed))
-	if rate > 0 {
-		injRef.SetRate(faultinject.SiteAlloc, rate)
-		injEng.SetRate(faultinject.SiteAlloc, rate)
-	}
-
-	href := &noteHandler{}
-	heng := &noteHandler{}
-	ref := NewStoreOpts(StoreOpts{
-		Context: Global, Handler: href, Shards: shards, NoEngine: true,
-		AllocFail: func(c *Class) bool { return injRef.Should(faultinject.SiteAlloc, c.Name) },
-	})
-	eng := NewStoreOpts(StoreOpts{
-		Context: Global, Handler: heng, Shards: shards,
-		AllocFail: func(c *Class) bool { return injEng.Should(faultinject.SiteAlloc, c.Name) },
-	})
-	ref.FailFast = failFast
-	eng.FailFast = failFast
-	ref.Register(cls)
-	eng.Register(cls)
-	if ref.EngineEnabled() || !eng.EngineEnabled() {
-		t.Fatalf("engine selection broken: ref=%v eng=%v", ref.EngineEnabled(), eng.EngineEnabled())
-	}
-
-	plans := planCache{}
-	for i, ev := range randSchedule(rng, states, 48) {
-		var errRef, errEng error
-		switch ev.op {
-		case "reset":
-			ref.Reset()
-			eng.Reset()
-		case "resetclass":
-			ref.ResetClass(cls)
-			eng.ResetClass(cls)
-		default:
-			p := plans.plan(cls, ev.symbol, ev.flags, ev.ts)
-			errRef = ref.UpdateStatePlan(p, ev.key)
-			errEng = eng.UpdateStatePlan(p, ev.key)
-		}
-		if (errRef == nil) != (errEng == nil) {
-			t.Fatalf("seed %d shards %d event %d (%s %s): verdict diverged: interpreted=%v engine=%v",
-				seed, shards, i, ev.symbol, ev.key, errRef, errEng)
-		}
-		if lr, le := ref.LiveCount(cls), eng.LiveCount(cls); lr != le {
-			t.Fatalf("seed %d shards %d event %d (%s %s): live diverged: interpreted=%d engine=%d",
-				seed, shards, i, ev.symbol, ev.key, lr, le)
-		}
-		if ir, ie := instSet(ref, cls), instSet(eng, cls); !reflect.DeepEqual(ir, ie) {
-			t.Fatalf("seed %d shards %d event %d (%s %s): instances diverged:\ninterpreted: %v\nengine:      %v",
-				seed, shards, i, ev.symbol, ev.key, ir, ie)
-		}
-		if qr, qe := ref.Quarantined(cls), eng.Quarantined(cls); qr != qe {
-			t.Fatalf("seed %d shards %d event %d: quarantine diverged: interpreted=%v engine=%v",
-				seed, shards, i, qr, qe)
-		}
-		if hr, he := healthOf(ref, cls), healthOf(eng, cls); hr != he {
-			t.Fatalf("seed %d shards %d event %d: health diverged:\ninterpreted: %v\nengine:      %v",
-				seed, shards, i, hr, he)
-		}
-		if nr, ne := href.sorted(), heng.sorted(); !reflect.DeepEqual(nr, ne) {
-			t.Fatalf("seed %d shards %d event %d (%s %s): notifications diverged:\ninterpreted: %v\nengine:      %v",
-				seed, shards, i, ev.symbol, ev.key, nr, ne)
-		}
-	}
-	if fr, fe := injRef.TotalFired(), injEng.TotalFired(); fr != fe {
-		t.Fatalf("seed %d: injectors diverged: interpreted fired %d, engine %d", seed, fr, fe)
-	}
-}
-
-// TestEngineDifferential sweeps ≥1000 randomised schedules over the
-// single-mutex reference store (Shards: 1) and every sharded stripe count,
-// both fail-fast modes.
+// TestEngineDifferential sweeps 1250 randomised schedules of cached-plan
+// events on 1, 2, 4, 8 and 16 stripes against the slot array.
 func TestEngineDifferential(t *testing.T) {
 	const schedules = 1250
 	for i := 0; i < schedules; i++ {
 		shards := []int{1, 2, 4, 8, 16}[i%5]
-		runEngineDifferential(t, int64(40000+i), shards, i%2 == 0, 0)
+		runChaosDifferential(t, int64(40000+i), shards, 0, true)
 	}
 }
 
 // TestEngineDifferentialInjected repeats the sweep with allocation failures
-// injected at 1%, 10% and 50%: the compiled claim path must degrade —
-// drop, evict, quarantine, suppress — exactly like the interpreted one.
+// injected at 1%, 10% and 50%: the cached-plan claim path must degrade —
+// drop, evict, quarantine, suppress — exactly like the freshly lowered one.
 func TestEngineDifferentialInjected(t *testing.T) {
 	for _, rate := range []float64{0.01, 0.10, 0.50} {
 		for i := 0; i < 150; i++ {
 			shards := []int{1, 2, 4, 8, 16}[i%5]
-			runEngineDifferential(t, int64(50000+i), shards, i%2 == 0, rate)
+			runChaosDifferential(t, int64(50000+i), shards, rate, true)
 		}
 	}
 }
 
-// runEngineBatchDifferential crosses the engine differential with the batch
-// plane: Plan-carrying ops applied through UpdateBatch on an engine store
-// versus the same events applied one at a time through the interpreted walk
-// on a NoEngine store, compared at every flush boundary.
-func runEngineBatchDifferential(t *testing.T, seed int64, shards, batchSize int, rate float64) {
-	t.Helper()
-	rng := rand.New(rand.NewSource(seed))
-	cls := &Class{
-		Name: "enginebatch", States: 8, Limit: 2 + rng.Intn(8),
-		Overflow:        []OverflowPolicy{DropNew, EvictOldest, QuarantineClass}[rng.Intn(3)],
-		QuarantineAfter: 1 + rng.Intn(3),
-		RearmEvents:     1 + rng.Intn(8),
-	}
-	states := uint32(3 + rng.Intn(3))
-
-	injSeq := faultinject.New(uint64(seed))
-	injBat := faultinject.New(uint64(seed))
-	if rate > 0 {
-		injSeq.SetRate(faultinject.SiteAlloc, rate)
-		injBat.SetRate(faultinject.SiteAlloc, rate)
-	}
-
-	hseq := &noteHandler{}
-	hbat := &noteHandler{}
-	seq := NewStoreOpts(StoreOpts{
-		Context: Global, Handler: hseq, Shards: shards, NoEngine: true,
-		AllocFail: func(c *Class) bool { return injSeq.Should(faultinject.SiteAlloc, c.Name) },
-	})
-	bat := NewStoreOpts(StoreOpts{
-		Context: Global, Handler: hbat, Shards: shards,
-		AllocFail: func(c *Class) bool { return injBat.Should(faultinject.SiteAlloc, c.Name) },
-	})
-	seq.Register(cls)
-	bat.Register(cls)
-
-	plans := planCache{}
-	var pending []BatchOp
-	seqErrs := 0
-	flush := func(i int) {
-		if len(pending) == 0 {
-			return
-		}
-		err := bat.UpdateBatch(pending)
-		if (err != nil) != (seqErrs > 0) {
-			t.Fatalf("seed %d shards %d batch %d event %d: verdict diverged: engine batch err=%v, interpreted errors=%d",
-				seed, shards, batchSize, i, err, seqErrs)
-		}
-		pending = pending[:0]
-		seqErrs = 0
-	}
-	compare := func(i int) {
-		if lr, lb := seq.LiveCount(cls), bat.LiveCount(cls); lr != lb {
-			t.Fatalf("seed %d shards %d batch %d event %d: live diverged: interpreted=%d engine=%d",
-				seed, shards, batchSize, i, lr, lb)
-		}
-		if ir, ib := instSet(seq, cls), instSet(bat, cls); !reflect.DeepEqual(ir, ib) {
-			t.Fatalf("seed %d shards %d batch %d event %d: instances diverged:\ninterpreted: %v\nengine:      %v",
-				seed, shards, batchSize, i, ir, ib)
-		}
-		if qr, qb := seq.Quarantined(cls), bat.Quarantined(cls); qr != qb {
-			t.Fatalf("seed %d shards %d batch %d event %d: quarantine diverged", seed, shards, batchSize, i)
-		}
-		if hr, hb := healthOf(seq, cls), healthOf(bat, cls); hr != hb {
-			t.Fatalf("seed %d shards %d batch %d event %d: health diverged:\ninterpreted: %v\nengine:      %v",
-				seed, shards, batchSize, i, hr, hb)
-		}
-		if nr, nb := hseq.sorted(), hbat.sorted(); !reflect.DeepEqual(nr, nb) {
-			t.Fatalf("seed %d shards %d batch %d event %d: notifications diverged:\ninterpreted: %v\nengine:      %v",
-				seed, shards, batchSize, i, nr, nb)
-		}
-	}
-
-	for i, ev := range randSchedule(rng, states, 48) {
-		switch ev.op {
-		case "reset":
-			flush(i)
-			seq.Reset()
-			bat.Reset()
-			compare(i)
-		case "resetclass":
-			flush(i)
-			seq.ResetClass(cls)
-			bat.ResetClass(cls)
-			compare(i)
-		default:
-			if seq.UpdateState(cls, ev.symbol, ev.flags, ev.key, ev.ts) != nil {
-				seqErrs++
-			}
-			pending = append(pending, BatchOp{
-				Cls: cls, Symbol: ev.symbol, Flags: ev.flags, Key: ev.key, TS: ev.ts,
-				Plan: plans.plan(cls, ev.symbol, ev.flags, ev.ts),
-			})
-			if len(pending) >= batchSize || rng.Intn(6) == 0 {
-				flush(i)
-				compare(i)
-			}
-		}
-	}
-	flush(48)
-	compare(48)
-	if fs, fb := injSeq.TotalFired(), injBat.TotalFired(); fs != fb {
-		t.Fatalf("seed %d: injectors diverged: interpreted fired %d, engine %d", seed, fs, fb)
-	}
-}
-
-// TestEngineBatchDifferential sweeps Plan-carrying batches (sizes 1, 7 and
-// batchRunMax) against the interpreted sequential walk across stripe counts.
+// TestEngineBatchDifferential crosses the engine differential with the batch
+// plane: Plan-carrying batches (sizes 1, 7 and batchRunMax) on the striped
+// store against the same events applied one at a time to the slot array,
+// compared at every flush boundary.
 func TestEngineBatchDifferential(t *testing.T) {
 	for _, size := range []int{1, 7, 64} {
 		for i := 0; i < 150; i++ {
 			shards := []int{1, 2, 4, 8, 16}[i%5]
-			runEngineBatchDifferential(t, int64(60000+i), shards, size, 0)
+			runBatchDifferential(t, int64(60000+i), layout{PerThread, 0}, layout{Global, shards}, size, 0)
 		}
 	}
 }
 
-// TestEngineBatchDifferentialInjected repeats the batch sweep under injected
-// allocation failures.
+// TestEngineBatchDifferentialInjected repeats the cross-body batch sweep
+// under injected allocation failures.
 func TestEngineBatchDifferentialInjected(t *testing.T) {
 	for _, rate := range []float64{0.10, 0.50} {
 		for i := 0; i < 100; i++ {
 			shards := []int{1, 2, 4, 8, 16}[i%5]
 			size := []int{1, 7, 64}[i%3]
-			runEngineBatchDifferential(t, int64(70000+i), shards, size, rate)
+			runBatchDifferential(t, int64(70000+i), layout{PerThread, 0}, layout{Global, shards}, size, rate)
 		}
 	}
 }

@@ -1,17 +1,17 @@
 package core
 
 import (
-	"reflect"
+	"fmt"
 	"testing"
 )
 
-// FuzzCompiledStep feeds fuzzer-chosen event streams through a compiled
-// engine store and the interpreted NoEngine reference and requires identical
-// observable state after every event. Each input byte encodes one event —
-// symbol choice in the low bits, key material in the high bits — so the
-// fuzzer can reach clone chains, strict violations, required-site misses,
-// overflow and cleanup expunges in any order. This is the coverage-guided
-// companion to the seeded sweep in engine_diff_test.go and runs in
+// FuzzCompiledStep feeds fuzzer-chosen event streams through the per-thread
+// slot array and the global striped store and checks every event against the
+// lifecycle model (model_test.go), up to the stream's first overflow. Each
+// input byte encodes one event — symbol choice in the low bits, key material
+// in the high bits — so the fuzzer can reach clone chains, strict
+// violations, required-site misses and cleanup expunges in any order. This
+// is the coverage-guided companion to TestModelDifferential and runs in
 // `make fuzz-smoke`.
 func FuzzCompiledStep(f *testing.F) {
 	f.Add([]byte{0x00})
@@ -41,14 +41,14 @@ func FuzzCompiledStep(f *testing.F) {
 		if len(data) > 512 {
 			return
 		}
-		for _, shards := range []int{1, 4} {
-			cls := &Class{Name: "fuzzstep", States: 8, Limit: 6, Overflow: EvictOldest}
-			href := &noteHandler{}
-			heng := &noteHandler{}
-			ref := NewStoreOpts(StoreOpts{Context: Global, Handler: href, Shards: shards, NoEngine: true})
-			eng := NewStoreOpts(StoreOpts{Context: Global, Handler: heng, Shards: shards})
-			ref.Register(cls)
-			eng.Register(cls)
+		for _, l := range []layout{{PerThread, 0}, {Global, 1}, {Global, 4}} {
+			const limit = 6
+			cls := &Class{Name: "fuzzstep", States: 8, Limit: limit}
+			h := &noteHandler{}
+			s := l.store(StoreOpts{Handler: h})
+			s.FailFast = true
+			s.Register(cls)
+			m := newLifecycleModel(cls.Name, limit)
 
 			plans := make([]*SymbolPlan, len(symbols))
 			for i, sym := range symbols {
@@ -56,7 +56,7 @@ func FuzzCompiledStep(f *testing.F) {
 			}
 
 			for i, b := range data {
-				sym := int(b) % len(symbols)
+				sym := symbols[int(b)%len(symbols)]
 				key := Key{}
 				if b&0x40 != 0 {
 					key = key.Set(0, Value(b>>6))
@@ -64,24 +64,19 @@ func FuzzCompiledStep(f *testing.F) {
 				if b&0x20 != 0 {
 					key = key.Set(1, Value(b>>5&1))
 				}
-				errRef := ref.UpdateStatePlan(plans[sym], key)
-				errEng := eng.UpdateStatePlan(plans[sym], key)
-				if (errRef == nil) != (errEng == nil) {
-					t.Fatalf("byte %d (%#x, shards %d): verdict diverged: interpreted=%v engine=%v",
-						i, b, shards, errRef, errEng)
+				violated, overflow := m.step(sym.name, sym.flags, key, sym.ts)
+				err := s.UpdateStatePlan(plans[int(b)%len(symbols)], key)
+				if overflow {
+					if !sawOverflow(h) {
+						t.Fatalf("byte %d (%#x, %v): model overflowed, store did not", i, b, l)
+					}
+					break
 				}
-				if lr, le := ref.LiveCount(cls), eng.LiveCount(cls); lr != le {
-					t.Fatalf("byte %d (%#x, shards %d): live diverged: interpreted=%d engine=%d",
-						i, b, shards, lr, le)
+				where := fmt.Sprintf("byte %d (%#x, %v)", i, b, l)
+				if (err != nil) != violated {
+					t.Fatalf("%s: error %v, model violated=%v", where, err, violated)
 				}
-				if ir, ie := instSet(ref, cls), instSet(eng, cls); !reflect.DeepEqual(ir, ie) {
-					t.Fatalf("byte %d (%#x, shards %d): instances diverged:\ninterpreted: %v\nengine:      %v",
-						i, b, shards, ir, ie)
-				}
-				if nr, ne := href.sorted(), heng.sorted(); !reflect.DeepEqual(nr, ne) {
-					t.Fatalf("byte %d (%#x, shards %d): notifications diverged:\ninterpreted: %v\nengine:      %v",
-						i, b, shards, nr, ne)
-				}
+				checkAgainstModel(t, where, s, cls, h, m)
 			}
 		}
 	})

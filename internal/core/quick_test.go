@@ -32,16 +32,16 @@ func randomSets(r *rand.Rand) (enter, mid, site, exit TransitionSet) {
 //  3. after a cleanup event the class is empty;
 //  4. LiveCount agrees with Instances.
 //
-// The property runs against both store implementations.
+// The property runs against both store layouts.
 func TestQuickStoreInvariants(t *testing.T) {
-	storeVariants(t, func(t *testing.T, shards int) { quickStoreInvariants(t, shards) })
+	storeVariants(t, func(t *testing.T, l layout) { quickStoreInvariants(t, l) })
 }
 
-func quickStoreInvariants(t *testing.T, shards int) {
+func quickStoreInvariants(t *testing.T, l layout) {
 	rng := rand.New(rand.NewSource(7))
 	f := func() bool {
 		cls := &Class{Name: "q", States: 16, Limit: 4 + rng.Intn(8)}
-		s := NewStoreOpts(StoreOpts{Context: PerThread, Shards: shards})
+		s := l.store(StoreOpts{})
 		s.Register(cls)
 		enter, mid, site, exit := randomSets(rng)
 

@@ -10,19 +10,16 @@ import (
 // lock stripes selected by Key hash, so that global-context events for
 // unrelated keys proceed in parallel instead of serialising on one mutex
 // (§3.2's explicit lock, whose cost figure 12 measures). Three structures
-// replace the reference store's linear scans:
+// replace the per-thread store's linear scans:
 //
 //   - a per-shard open-addressed hash index mapping an instance key to its
 //     slot in the block (linear probing, backward-shift deletion). Tables
 //     are sized to twice the class limit so the load factor never exceeds
 //     one half even if every instance hashes to one shard;
 //   - a class-wide free-slot bitmap allocated lowest-slot-first, replacing
-//     the O(n) alloc scan with an O(n/64) word scan. First-fit is load-
-//     bearing, not an aesthetic choice: candidate instances are processed
-//     in slot order, so under overflow the slot each instance occupies
-//     decides which clone attempts get the last free slots — a LIFO free
-//     list diverges from the reference store there (the differential
-//     harness catches it). Capacity semantics are unchanged: overflow
+//     the O(n) alloc scan with an O(n/64) word scan. First-fit keeps the
+//     slot numbering — and so Instances order — identical to the
+//     per-thread store's. Capacity semantics are unchanged: overflow
 //     happens exactly when the class's whole block is live;
 //   - atomics for the per-class live count and a census of live instances
 //     per key mask, which drives lock planning below.
@@ -58,7 +55,7 @@ type shardedClass struct {
 	insts []Instance
 	// free is the free-slot bitmap (bit set ⇒ slot free); allocSlot scans
 	// it from word zero so slots are claimed lowest-first, matching the
-	// reference allocator's first-fit scan.
+	// per-thread allocator's first-fit scan.
 	free []atomic.Uint64
 	// live is the class-wide active-instance count.
 	live atomic.Int32
@@ -82,7 +79,7 @@ type shardedClass struct {
 	needsFlush atomic.Bool
 	// health is the class's degradation accounting.
 	health shardedHealth
-	// birthClock stamps activations, mirroring the reference store's
+	// birthClock stamps activations, mirroring the per-thread store's
 	// counter so EvictOldest picks the same victim in both.
 	birthClock atomic.Uint64
 }
@@ -171,12 +168,8 @@ func (sc *shardedClass) allMask() uint64 {
 }
 
 // lockShards acquires the stripes in set in ascending index order — the
-// fixed lock order every cross-shard operation follows. Per-thread stores
-// skip locking entirely, like the reference store.
+// fixed lock order every cross-shard operation follows.
 func (s *Store) lockShards(sc *shardedClass, set uint64) {
-	if s.context != Global {
-		return
-	}
 	for i := range sc.shards {
 		if set&(1<<uint(i)) != 0 {
 			sc.shards[i].mu.Lock()
@@ -185,9 +178,6 @@ func (s *Store) lockShards(sc *shardedClass, set uint64) {
 }
 
 func (s *Store) unlockShards(sc *shardedClass, set uint64) {
-	if s.context != Global {
-		return
-	}
 	for i := range sc.shards {
 		if set&(1<<uint(i)) != 0 {
 			sc.shards[i].mu.Unlock()
@@ -197,7 +187,7 @@ func (s *Store) unlockShards(sc *shardedClass, set uint64) {
 
 // allocSlot claims the lowest free slot, or returns -1 on overflow.
 // Lock-free: events holding different stripe locks allocate concurrently,
-// and sequentially the slot chosen is exactly the reference allocator's.
+// and sequentially the slot chosen is exactly the per-thread allocator's.
 func (sc *shardedClass) allocSlot() int32 {
 	for w := range sc.free {
 		v := sc.free[w].Load()
@@ -322,19 +312,12 @@ func (sc *shardedClass) expungeLocked() {
 	sc.resetFreeList()
 }
 
-// plan computes the lock set an event with this key and transition set
+// lockSet computes the stripes an event with this key and «init» transition
 // needs: the shard of every live-mask projection of the key, the shard of
 // the key itself (clone target) and of the «init» key. scan reports that
 // some live instance binds a slot outside the event's mask, forcing the
 // all-stripes fallback.
-func (sc *shardedClass) plan(key Key, ts TransitionSet) (set uint64, scan bool) {
-	return sc.planWith(key, initTransition(ts))
-}
-
-// planWith is plan with the «init» transition already selected — the
-// compiled-engine path supplies the plan's hoisted init instead of scanning
-// the transition set per event.
-func (sc *shardedClass) planWith(key Key, init *Transition) (set uint64, scan bool) {
+func (sc *shardedClass) lockSet(key Key, init *Transition) (set uint64, scan bool) {
 	// A pending quarantine flush needs exclusive ownership.
 	if sc.needsFlush.Load() {
 		return sc.allMask(), true
@@ -346,7 +329,7 @@ func (sc *shardedClass) planWith(key Key, init *Transition) (set uint64, scan bo
 	// and normal planning applies. The headroom argument collapses when a
 	// fault injector is armed (any allocation may fail), so then every
 	// event takes the full set. Concurrent events can still eat the
-	// headroom plan() saw; the allocation path re-checks ownership and
+	// headroom lockSet saw; the allocation path re-checks ownership and
 	// degrades that rare overflow to drop-new rather than scan unowned
 	// stripes.
 	if sc.pol.overflow == EvictOldest {
@@ -408,6 +391,17 @@ func (s *Store) shardedClassOf(cls *Class) *shardedClass {
 	return s.stab.Load().m[cls]
 }
 
+// shardsOf is shardedClassOf with the implicit registration slotsOf
+// performs for per-thread stores.
+func (s *Store) shardsOf(cls *Class) *shardedClass {
+	sc := s.shardedClassOf(cls)
+	if sc == nil {
+		s.Register(cls)
+		sc = s.shardedClassOf(cls)
+	}
+	return sc
+}
+
 // instancesSharded snapshots the live instances of cls in slot order.
 func (s *Store) instancesSharded(cls *Class) []Instance {
 	sc := s.shardedClassOf(cls)
@@ -432,18 +426,6 @@ func (s *Store) instancesSharded(cls *Class) []Instance {
 type shardCand struct {
 	slot  int32
 	birth uint64
-}
-
-// updateSharded is UpdateState over the lock-striped store. It reproduces
-// the reference implementation's lifecycle exactly (init, clone, update,
-// error, cleanup — §4.4.1) and its supervision behaviour (overflow policies,
-// quarantine, buffered dispatch); only the locking and lookup machinery
-// differ.
-func (s *Store) updateSharded(sc *shardedClass, symbol string, flags SymbolFlags, key Key, ts TransitionSet) error {
-	var nb noteBuf
-	err := s.updateShardedLocked(sc, symbol, flags, key, ts, &nb)
-	s.dispatch(&nb)
-	return err
 }
 
 // shardedQuarGate runs the quarantine fast path for one event: re-arm when
@@ -474,54 +456,17 @@ func (s *Store) shardedQuarGate(sc *shardedClass, nb *noteBuf) bool {
 	return false
 }
 
-func (s *Store) updateShardedLocked(sc *shardedClass, symbol string, flags SymbolFlags, key Key, ts TransitionSet, nb *noteBuf) error {
-	// Quarantine fast path, before any stripe lock. The re-arm check runs
-	// before suppression so the event that brings the class back is itself
-	// processed normally; the physical expunge stays deferred (needsFlush)
-	// until the stripe locks are held below.
-	if s.shardedQuarGate(sc, nb) {
-		return nil
-	}
-
-	// Acquire the planned lock set, then re-plan under the locks: another
-	// thread may have activated an instance whose mask widens the set
-	// between planning and locking. The loop escalates to all stripes
-	// after one miss, so it terminates.
-	set, scan := sc.plan(key, ts)
-	if ts.HasCleanup() {
-		// Cleanup expunges the whole class; take everything up front.
-		set = sc.allMask()
-	}
-	for tries := 0; ; tries++ {
-		s.lockShards(sc, set)
-		need, nscan := sc.plan(key, ts)
-		if need&^set == 0 {
-			scan = nscan
-			break
-		}
-		s.unlockShards(sc, set)
-		if tries >= 1 {
-			set = sc.allMask()
-		} else {
-			set |= need
-		}
-	}
-	defer s.unlockShards(sc, set)
-	return s.updateShardedBody(sc, symbol, flags, key, ts, nb, set, scan)
-}
-
-// shardedAllocator builds the sharded store's policy-driven slot claimer as
-// a closure for the interpreted event body below. The compiled engine body
-// (engine.go) calls shardedClaim directly — same policy machinery, no
-// per-event closure allocation.
-func (s *Store) shardedAllocator(sc *shardedClass, nb *noteBuf, failStop bool, firstErr *error, set uint64) func(Key) int32 {
-	return func(k Key) int32 {
-		return s.shardedClaim(sc, nb, failStop, firstErr, set, k)
+// shardedFail records one violation on the lock-striped store.
+func (s *Store) shardedFail(sc *shardedClass, nb *noteBuf, failStop bool, firstErr *error, v *Violation) {
+	sc.health.violations.Add(1)
+	nb.add(note{kind: noteFail, cls: sc.cls, v: v})
+	if failStop && *firstErr == nil {
+		*firstErr = v
 	}
 }
 
 // shardedClaim claims one instance slot under the class's overflow policy.
-// It mirrors the reference store's refClaim (update.go) decision for
+// It mirrors the per-thread store's slotClaim (update.go) decision for
 // decision, including when the fault injector is consulted, so the
 // differential harness sees identical degradation sequences. Returns the
 // claimed slot or -1 to drop.
@@ -542,18 +487,18 @@ func (s *Store) shardedClaim(sc *shardedClass, nb *noteBuf, failStop bool, first
 		case EvictOldest:
 			if set != sc.allMask() {
 				// Concurrent events consumed the free headroom
-				// plan() justified the partial lock set with; the
+				// lockSet justified the partial lock set with; the
 				// victim scan would touch unowned stripes. Degrade
 				// this one allocation to drop-new (the overflow is
 				// already counted above). Sequentially this cannot
-				// happen: plan() takes every stripe whenever the
+				// happen: lockSet takes every stripe whenever the
 				// event alone could exhaust the block or an
 				// injector is armed.
 				break
 			}
 			// The full lock set is held, so the class-wide scan and
 			// deactivation are safe. Same victim rule as the
-			// reference store: oldest same-mask instance first, so
+			// per-thread store: oldest same-mask instance first, so
 			// the unkeyed parent (oldest by construction) is only
 			// sacrificed when nothing bound like the newcomer lives.
 			victim, anyVictim := int32(-1), int32(-1)
@@ -607,17 +552,60 @@ func (s *Store) shardedClaim(sc *shardedClass, nb *noteBuf, failStop bool, first
 	return slot
 }
 
-// updateShardedBody is the event body proper, shared by the single-event path
-// above and the batch run loop (batch.go). The caller holds the stripe locks
-// in set, which must cover the event's planned need; scan selects the
-// all-stripes candidate walk. This is the interpreted (table-driven) walk;
-// the compiled engine body in engine.go replaces its per-event scans with
-// precomputed plans, and the differential gate pins the two equal.
-func (s *Store) updateShardedBody(sc *shardedClass, symbol string, flags SymbolFlags, key Key, ts TransitionSet, nb *noteBuf, set uint64, scan bool) error {
-	cleanup := ts.HasCleanup()
+// eventNeed is one event's full lock requirement: its stripe set, escalated
+// to every stripe for cleanup events (which expunge the whole class).
+func eventNeed(sc *shardedClass, p *SymbolPlan, key Key) (set uint64, scan bool) {
+	set, scan = sc.lockSet(key, p.initTr())
+	if p.cleanup {
+		set = sc.allMask()
+	}
+	return set, scan
+}
 
+// lockCovering acquires set, then re-plans the event (p, key) under the
+// locks and widens the set until it covers the event's need: another thread
+// may have activated an instance whose mask widens it between planning and
+// locking. It escalates to every stripe after one miss, so it terminates,
+// and returns the held set and the event's scan flag.
+func (s *Store) lockCovering(sc *shardedClass, set uint64, p *SymbolPlan, key Key) (uint64, bool) {
+	for tries := 0; ; tries++ {
+		s.lockShards(sc, set)
+		need, scan := eventNeed(sc, p, key)
+		if need&^set == 0 {
+			return set, scan
+		}
+		s.unlockShards(sc, set)
+		if tries >= 1 {
+			set = sc.allMask()
+		} else {
+			set |= need
+		}
+	}
+}
+
+// updateSharded is the global event path: the quarantine gate, then the
+// event's stripes, then the body.
+func (s *Store) updateSharded(sc *shardedClass, p *SymbolPlan, key Key, nb *noteBuf) error {
+	// Quarantine fast path, before any stripe lock. The re-arm check runs
+	// before suppression so the event that brings the class back is itself
+	// processed normally; the physical expunge stays deferred (needsFlush)
+	// until the stripe locks are held.
+	if s.shardedQuarGate(sc, nb) {
+		return nil
+	}
+	set, _ := eventNeed(sc, p, key)
+	set, scan := s.lockCovering(sc, set, p, key)
+	defer s.unlockShards(sc, set)
+	return s.applySharded(sc, p, key, nb, set, scan)
+}
+
+// applySharded is the global event body, shared by updateSharded and the
+// batch run loop (batch.go): the §4.4.1 lifecycle over the striped index.
+// The caller holds the stripe locks in set, which must cover the event's
+// planned need; scan selects the all-stripes candidate walk.
+func (s *Store) applySharded(sc *shardedClass, p *SymbolPlan, key Key, nb *noteBuf, set uint64, scan bool) error {
 	if sc.needsFlush.Load() && set == sc.allMask() {
-		// Deferred quarantine expunge: plan() escalates to every stripe
+		// Deferred quarantine expunge: lockSet escalates to every stripe
 		// while the flag is set, so the first event through after re-arm
 		// lands here holding the full set. (A concurrent entry can raise
 		// the flag after our plan — then this event proceeds as if
@@ -628,21 +616,12 @@ func (s *Store) updateShardedBody(sc *shardedClass, symbol string, flags SymbolF
 
 	var firstErr error
 	failStop := sc.pol.failureIn(s) == FailStop
-	fail := func(v *Violation) {
-		sc.health.violations.Add(1)
-		nb.add(note{kind: noteFail, cls: sc.cls, v: v})
-		if failStop && firstErr == nil {
-			firstErr = v
-		}
-	}
-
-	alloc := s.shardedAllocator(sc, nb, failStop, &firstErr, set)
 
 	// Collect the instances live before this event (so clones made below
 	// are not driven by the same event), compatible with its key. With no
 	// out-of-mask masks live, every compatible instance is a projection
-	// of the key: a handful of O(1) index lookups replaces the reference
-	// store's scan over the whole block.
+	// of the key: a handful of O(1) index lookups replaces a scan over the
+	// whole block.
 	var candBuf [DefaultInstanceLimit]shardCand
 	cand := candBuf[:0]
 	if scan {
@@ -651,7 +630,7 @@ func (s *Store) updateShardedBody(sc *shardedClass, symbol string, flags SymbolF
 				if e == 0 {
 					continue
 				}
-				if slot := int32(e - 1); sc.insts[slot].Key.Compatible(key) {
+				if slot := int32(e - 1); compatible4(sc.insts[slot].Key, key) {
 					cand = append(cand, shardCand{slot: slot, birth: sc.insts[slot].birth})
 				}
 			}
@@ -667,11 +646,11 @@ func (s *Store) updateShardedBody(sc *shardedClass, symbol string, flags SymbolF
 			}
 		}
 	}
-	// Process in slot order, matching the reference store's iteration.
-	// Insertion sort: candidate lists are short (≤ one per live mask off
-	// the scan path) and sort.Slice would allocate on the monitored path.
+	// Process in creation order, as the per-thread store does. Insertion
+	// sort: candidate lists are short (≤ one per live mask off the scan
+	// path) and sort.Slice would allocate on the monitored path.
 	for i := 1; i < len(cand); i++ {
-		for j := i; j > 0 && cand[j].slot < cand[j-1].slot; j-- {
+		for j := i; j > 0 && cand[j].birth < cand[j-1].birth; j-- {
 			cand[j], cand[j-1] = cand[j-1], cand[j]
 		}
 	}
@@ -679,7 +658,7 @@ func (s *Store) updateShardedBody(sc *shardedClass, symbol string, flags SymbolF
 	matched := false
 	for _, c := range cand {
 		if sc.quarantined.Load() {
-			// The class went out of service mid-event; the reference
+			// The class went out of service mid-event; the per-thread
 			// store's expunge leaves no candidate to process.
 			break
 		}
@@ -690,35 +669,23 @@ func (s *Store) updateShardedBody(sc *shardedClass, symbol string, flags SymbolF
 			continue
 		}
 
-		var tr *Transition
-		for j := range ts {
-			if ts[j].From == inst.State {
-				tr = &ts[j]
-				break
-			}
-		}
-
+		tr := p.find(inst.State)
 		if tr == nil {
 			switch {
-			case cleanup:
-				// The bound is ending but this instance is stuck
-				// in a non-accepting state: an `eventually`
-				// obligation was never satisfied.
-				fail(&Violation{Class: sc.cls, Kind: VerdictIncomplete, Key: inst.Key, State: inst.State, Symbol: symbol})
-			case flags&SymStrict != 0:
-				fail(&Violation{Class: sc.cls, Kind: VerdictBadTransition, Key: inst.Key, State: inst.State, Symbol: symbol})
+			case p.cleanup:
+				s.shardedFail(sc, nb, failStop, &firstErr, &Violation{Class: sc.cls, Kind: VerdictIncomplete, Key: inst.Key, State: inst.State, Symbol: p.Symbol})
+			case p.Flags&SymStrict != 0:
+				s.shardedFail(sc, nb, failStop, &firstErr, &Violation{Class: sc.cls, Kind: VerdictBadTransition, Key: inst.Key, State: inst.State, Symbol: p.Symbol})
 				sc.deactivate(c.slot)
 			}
 			continue
 		}
 
-		if inst.Key.Specializes(key) {
-			// The event binds variables this instance has not seen:
-			// clone a more specific instance and leave the parent.
-			// For in-plan parents the union is the event key itself,
-			// whose stripe is locked; scan-mode parents run under
-			// every stripe lock.
-			newKey := inst.Key.Union(key)
+		if key.Mask&^inst.Key.Mask != 0 {
+			// Clone. For in-plan parents the union is the event key
+			// itself, whose stripe is locked; scan-mode parents run
+			// under every stripe lock.
+			newKey := union4(inst.Key, key)
 			if sc.findIn(&sc.shards[sc.shardOf(newKey)], newKey) >= 0 {
 				matched = true
 				continue
@@ -726,13 +693,13 @@ func (s *Store) updateShardedBody(sc *shardedClass, symbol string, flags SymbolF
 			// Copy the parent before allocating: eviction may free
 			// and immediately reuse the parent's own slot.
 			parent := *inst
-			nslot := alloc(newKey)
+			nslot := s.shardedClaim(sc, nb, failStop, &firstErr, set, newKey)
 			if nslot < 0 {
 				continue
 			}
 			clone := sc.activate(nslot, tr.To, newKey)
 			nb.add(note{kind: noteClone, cls: sc.cls, parent: parent, inst: *clone})
-			nb.add(note{kind: noteTransition, cls: sc.cls, inst: *clone, from: tr.From, to: tr.To, symbol: symbol})
+			nb.add(note{kind: noteTransition, cls: sc.cls, inst: *clone, from: tr.From, to: tr.To, symbol: p.Symbol})
 			matched = true
 			if tr.Cleanup() {
 				nb.add(note{kind: noteAccept, cls: sc.cls, inst: *clone})
@@ -742,7 +709,7 @@ func (s *Store) updateShardedBody(sc *shardedClass, symbol string, flags SymbolF
 
 		from := inst.State
 		inst.State = tr.To
-		nb.add(note{kind: noteTransition, cls: sc.cls, inst: *inst, from: from, to: tr.To, symbol: symbol})
+		nb.add(note{kind: noteTransition, cls: sc.cls, inst: *inst, from: from, to: tr.To, symbol: p.Symbol})
 		matched = true
 		if tr.Cleanup() {
 			nb.add(note{kind: noteAccept, cls: sc.cls, inst: *inst})
@@ -750,29 +717,27 @@ func (s *Store) updateShardedBody(sc *shardedClass, symbol string, flags SymbolF
 	}
 
 	if !matched && !sc.quarantined.Load() {
-		if init := initTransition(ts); init != nil {
+		if init := p.initTr(); init != nil {
 			initKey := key.project(init.KeyMask)
 			if sc.findIn(&sc.shards[sc.shardOf(initKey)], initKey) < 0 {
-				if slot := alloc(initKey); slot >= 0 {
+				if slot := s.shardedClaim(sc, nb, failStop, &firstErr, set, initKey); slot >= 0 {
 					inst := sc.activate(slot, init.To, initKey)
 					nb.add(note{kind: noteNew, cls: sc.cls, inst: *inst})
-					nb.add(note{kind: noteTransition, cls: sc.cls, inst: *inst, from: init.From, to: init.To, symbol: symbol})
-					matched = true
+					nb.add(note{kind: noteTransition, cls: sc.cls, inst: *inst, from: init.From, to: init.To, symbol: p.Symbol})
 					if init.Cleanup() {
 						nb.add(note{kind: noteAccept, cls: sc.cls, inst: *inst})
 					}
 				}
 			}
-		} else if flags&SymRequired != 0 && sc.live.Load() > 0 {
-			// Execution reached the assertion site with bindings for
-			// which no instance exists (fig. 9 “Error”); with no live
-			// instances the event arrived outside the bound and is
-			// ignored, as in the reference store.
-			fail(&Violation{Class: sc.cls, Kind: VerdictNoInstance, Key: key, Symbol: symbol})
+		} else if p.Flags&SymRequired != 0 && sc.live.Load() > 0 {
+			// Reached the assertion site with bindings no instance
+			// holds (fig. 9 “Error”); with no live instances the event
+			// arrived outside the bound and is ignored.
+			s.shardedFail(sc, nb, failStop, &firstErr, &Violation{Class: sc.cls, Kind: VerdictNoInstance, Key: key, Symbol: p.Symbol})
 		}
 	}
 
-	if cleanup && !sc.quarantined.Load() {
+	if p.cleanup && !sc.quarantined.Load() {
 		// A cleanup transition resets the class: all instances are
 		// expunged and events are ignored until the next «init».
 		sc.expungeLocked()

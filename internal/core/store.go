@@ -32,9 +32,10 @@ func (c Context) String() string {
 	}
 }
 
-// classState holds a class's preallocated instance block within one store
-// (the unsharded reference implementation; see shard.go for the lock-striped
-// one).
+// classState holds a class's preallocated instance block within a per-thread
+// store: a plain slot array scanned linearly, touched by one thread only and
+// therefore never locked (see shard.go for the global store's lock-striped
+// layout).
 type classState struct {
 	cls *Class
 	// insts is allocated once, at class registration, so that instance
@@ -46,13 +47,13 @@ type classState struct {
 
 	// pol is the class's supervision policy resolved against the store's
 	// defaults at registration; quar and health are its degradation
-	// state and accounting, all guarded by the store mutex.
+	// state and accounting.
 	pol         classPolicy
 	quar        quarState
 	quarantined bool
 	health      Health
 	// birthClock stamps activations so EvictOldest picks the same victim
-	// in both store implementations.
+	// as the striped store.
 	birthClock uint64
 }
 
@@ -62,13 +63,9 @@ type StoreOpts struct {
 	Context Context
 	// Handler receives lifecycle notifications; nil discards them.
 	Handler Handler
-	// Shards selects the instance-store implementation. 0 (auto) uses the
-	// sharded lock-striped store sized to GOMAXPROCS for the Global
-	// context and the unsharded reference store for PerThread. 1 is the
-	// escape hatch: the seed single-mutex store with linear scans, which
-	// also serves as the reference model for the differential test
-	// harness. Values ≥ 2 select the sharded store with that many
-	// stripes, rounded up to a power of two and capped at 64.
+	// Shards is the Global store's lock-stripe count, rounded up to a
+	// power of two and capped at 64; 0 sizes it to GOMAXPROCS. PerThread
+	// stores take no locks and ignore it.
 	Shards int
 
 	// Failure is the store-wide default failure action for classes whose
@@ -87,11 +84,6 @@ type StoreOpts struct {
 	// HandlerPanicLimit quarantines the notification handler after this
 	// many recovered panics (0 = DefaultHandlerPanicLimit).
 	HandlerPanicLimit int
-	// NoEngine disables the compiled transition engine (engine.go):
-	// UpdateStatePlan and plan-carrying batch ops fall back to the
-	// interpreted table-driven walk, making the store the executable
-	// reference the engine differential harness compares against.
-	NoEngine bool
 	// AllocFail, when non-nil, is consulted before every instance-slot
 	// allocation; returning true forces the allocation to fail as if the
 	// class's block were exhausted. It is the fault-injection seam used
@@ -103,19 +95,21 @@ type StoreOpts struct {
 	Clock func() time.Time
 }
 
-// Store manages automata instances for one context. The zero value is not
-// usable; construct with NewStore or NewStoreOpts.
+// Store manages automata instances for one context. The context alone picks
+// the layout: a PerThread store keeps each class in a lock-free slot array
+// (classState, update.go), a Global store in lock-striped hash-indexed
+// shards (shardedClass, shard.go). The zero value is not usable; construct
+// with NewStore or NewStoreOpts.
 type Store struct {
+	// mu serialises the Global store's copy-on-write registrations.
 	mu      sync.Mutex
 	context Context
 	hv      atomic.Pointer[handlerCell]
 
-	// nshards == 0 selects the unsharded reference implementation below;
-	// otherwise state lives in the sharded table (shard.go).
+	// nshards is the Global store's stripe count; 0 marks a PerThread
+	// store, whose state lives in classes instead of stab.
 	nshards int
-	// noEngine pins this store to the interpreted walk (StoreOpts.NoEngine).
-	noEngine bool
-	classes  map[*Class]*classState
+	classes map[*Class]*classState
 	// order preserves registration order for deterministic iteration.
 	order []*classState
 	stab  atomic.Pointer[shardTable]
@@ -149,9 +143,7 @@ type shardTable struct {
 }
 
 // NewStore creates a store for the given context. handler may be nil, in
-// which case notifications are discarded. The Global context defaults to the
-// sharded lock-striped implementation; use NewStoreOpts with Shards: 1 for
-// the single-mutex reference store.
+// which case notifications are discarded.
 func NewStore(ctx Context, handler Handler) *Store {
 	return NewStoreOpts(StoreOpts{Context: ctx, Handler: handler})
 }
@@ -161,25 +153,19 @@ func NewStoreOpts(o StoreOpts) *Store {
 	if o.Handler == nil {
 		o.Handler = NopHandler{}
 	}
-	s := &Store{context: o.Context, noEngine: o.NoEngine}
+	s := &Store{context: o.Context}
 	s.sv.init(o)
 	s.hv.Store(&handlerCell{h: o.Handler})
-	switch {
-	case o.Shards == 1:
-		// The seed single-mutex store.
-	case o.Shards == 0 && o.Context != Global:
-		// Per-thread stores see no concurrency; the reference store's
-		// simplicity wins by default.
-	default:
-		n := o.Shards
-		if n == 0 {
-			n = runtime.GOMAXPROCS(0)
-		}
-		s.nshards = shardCount(n)
-		s.stab.Store(&shardTable{})
+	if o.Context != Global {
+		s.classes = make(map[*Class]*classState)
 		return s
 	}
-	s.classes = make(map[*Class]*classState)
+	n := o.Shards
+	if n == 0 {
+		n = runtime.GOMAXPROCS(0)
+	}
+	s.nshards = shardCount(n)
+	s.stab.Store(&shardTable{})
 	return s
 }
 
@@ -201,22 +187,9 @@ func shardCount(n int) int {
 // Context returns the store's context.
 func (s *Store) Context() Context { return s.context }
 
-// Shards returns the number of lock stripes: 1 for the unsharded reference
-// implementation.
-func (s *Store) Shards() int {
-	if s.nshards == 0 {
-		return 1
-	}
-	return s.nshards
-}
-
-// Sharded reports whether the store uses the lock-striped implementation.
-func (s *Store) Sharded() bool { return s.nshards > 0 }
-
-// EngineEnabled reports whether UpdateStatePlan runs compiled engine bodies
-// (false for stores built with StoreOpts.NoEngine, which take the
-// interpreted reference walk instead).
-func (s *Store) EngineEnabled() bool { return !s.noEngine }
+// Shards returns the number of lock stripes: 0 for a PerThread store, which
+// takes no locks.
+func (s *Store) Shards() int { return s.nshards }
 
 // Handler returns the store's notification handler.
 func (s *Store) Handler() Handler { return s.hv.Load().h }
@@ -229,18 +202,6 @@ func (s *Store) SetHandler(h Handler) {
 	s.hv.Store(&handlerCell{h: h})
 }
 
-func (s *Store) lock() {
-	if s.context == Global {
-		s.mu.Lock()
-	}
-}
-
-func (s *Store) unlock() {
-	if s.context == Global {
-		s.mu.Unlock()
-	}
-}
-
 // Register adds a class to the store, preallocating its instance block.
 // Registering the same class twice is a no-op.
 func (s *Store) Register(cls *Class) {
@@ -248,8 +209,6 @@ func (s *Store) Register(cls *Class) {
 		s.registerSharded(cls, nil)
 		return
 	}
-	s.lock()
-	defer s.unlock()
 	if _, ok := s.classes[cls]; ok {
 		return
 	}
@@ -282,8 +241,6 @@ func (s *Store) RegisterWithStorage(cls *Class, storage []Instance) {
 		s.registerSharded(cls, storage)
 		return
 	}
-	s.lock()
-	defer s.unlock()
 	if cs, ok := s.classes[cls]; ok {
 		// Replacing storage resets the class wholesale, like the sharded
 		// store's re-registration: supervision state starts over too.
@@ -305,8 +262,6 @@ func (s *Store) Registered(cls *Class) bool {
 	if s.nshards > 0 {
 		return s.shardedClassOf(cls) != nil
 	}
-	s.lock()
-	defer s.unlock()
 	_, ok := s.classes[cls]
 	return ok
 }
@@ -321,8 +276,6 @@ func (s *Store) Classes() []*Class {
 		}
 		return out
 	}
-	s.lock()
-	defer s.unlock()
 	out := make([]*Class, len(s.order))
 	for i, cs := range s.order {
 		out[i] = cs.cls
@@ -338,8 +291,6 @@ func (s *Store) Instances(cls *Class) []Instance {
 	if s.nshards > 0 {
 		return s.instancesSharded(cls)
 	}
-	s.lock()
-	defer s.unlock()
 	cs := s.classes[cls]
 	if cs == nil || cs.quarantined {
 		return nil
@@ -363,8 +314,6 @@ func (s *Store) LiveCount(cls *Class) int {
 		}
 		return int(sc.live.Load())
 	}
-	s.lock()
-	defer s.unlock()
 	cs := s.classes[cls]
 	if cs == nil || cs.quarantined {
 		return 0
@@ -385,8 +334,6 @@ func (s *Store) Reset() {
 		}
 		return
 	}
-	s.lock()
-	defer s.unlock()
 	for _, cs := range s.order {
 		cs.expunge()
 		cs.clearQuarantine()
@@ -404,8 +351,6 @@ func (s *Store) ResetClass(cls *Class) {
 		}
 		return
 	}
-	s.lock()
-	defer s.unlock()
 	if cs := s.classes[cls]; cs != nil {
 		cs.expunge()
 		cs.clearQuarantine()
@@ -420,17 +365,25 @@ func (cs *classState) expunge() {
 }
 
 // clearQuarantine silently resets quarantine state (Reset/ResetClass and
-// storage replacement). The store mutex must be held.
+// storage replacement).
 func (cs *classState) clearQuarantine() {
 	cs.quar = quarState{}
 	cs.quarantined = false
 }
 
 // findExact returns the active instance with exactly the given key, or nil.
+// The scan stops once every live instance has been seen.
 func (cs *classState) findExact(key Key) *Instance {
+	seen := 0
 	for i := range cs.insts {
-		if cs.insts[i].Active && cs.insts[i].Key == key {
+		if !cs.insts[i].Active {
+			continue
+		}
+		if cs.insts[i].Key == key {
 			return &cs.insts[i]
+		}
+		if seen++; seen >= cs.live {
+			break
 		}
 	}
 	return nil

@@ -7,11 +7,11 @@ import (
 	"testing"
 )
 
-// benchShards selects the store implementation under benchmark from the
-// TESLA_STORE_SHARDS environment variable (1 = reference single-mutex store,
-// 0 or unset = sharded auto). `make bench-compare` runs these benchmarks
-// once per setting and diffs them with benchstat: the benchmark names are
-// identical across runs by construction.
+// benchShards selects the global store's stripe count under benchmark from
+// the TESLA_STORE_SHARDS environment variable (0 or unset = GOMAXPROCS).
+// `make bench-compare` runs these benchmarks at 1 stripe and at the default
+// and diffs them with benchstat: the benchmark names are identical across
+// runs by construction.
 func benchShards() int {
 	n, err := strconv.Atoi(os.Getenv("TESLA_STORE_SHARDS"))
 	if err != nil {
@@ -21,33 +21,33 @@ func benchShards() int {
 }
 
 // benchStore builds the OLTP-session store of the `-fig shard` figure: a
-// pool of keyed sessions inside a much larger preallocated block, so the
-// reference store's O(limit) scans are on display.
-func benchStore(shards int) (*Store, *Class, TransitionSet, TransitionSet) {
+// pool of keyed sessions inside a much larger preallocated block. Plans are
+// lowered once, so the benchmarks price the event path, not lowering.
+func benchStore(shards int) (s *Store, work, site *SymbolPlan) {
 	cls := &Class{Name: "bench", States: 8, Limit: 1024}
-	s := NewStoreOpts(StoreOpts{Context: Global, Shards: shards})
+	s = NewStoreOpts(StoreOpts{Context: Global, Shards: shards})
 	s.Register(cls)
-	enter := TransitionSet{{From: 0, To: 1, Flags: TransInit, KeyMask: 1}}
-	work := TransitionSet{{From: 1, To: 2, KeyMask: 1}, {From: 2, To: 1, KeyMask: 1}}
-	site := TransitionSet{{From: 1, To: 1, KeyMask: 1}, {From: 2, To: 2, KeyMask: 1}}
+	enter := NewSymbolPlan(cls, "enter", 0, TransitionSet{{From: 0, To: 1, Flags: TransInit, KeyMask: 1}})
+	work = NewSymbolPlan(cls, "work", 0, TransitionSet{{From: 1, To: 2, KeyMask: 1}, {From: 2, To: 1, KeyMask: 1}})
+	site = NewSymbolPlan(cls, "site", SymRequired, TransitionSet{{From: 1, To: 1, KeyMask: 1}, {From: 2, To: 2, KeyMask: 1}})
 	for k := 0; k < 128; k++ {
-		s.UpdateState(cls, "enter", 0, NewKey(Value(k)), enter)
+		s.UpdateStatePlan(enter, NewKey(Value(k)))
 	}
-	return s, cls, work, site
+	return s, work, site
 }
 
 // BenchmarkStoreOLTP drives keyed work and required-site events through the
 // global store from one goroutine.
 func BenchmarkStoreOLTP(b *testing.B) {
-	s, cls, work, site := benchStore(benchShards())
+	s, work, site := benchStore(benchShards())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		key := NewKey(Value(i % 128))
 		if i%8 == 7 {
-			s.UpdateState(cls, "site", SymRequired, key, site)
+			s.UpdateStatePlan(site, key)
 		} else {
-			s.UpdateState(cls, "work", 0, key, work)
+			s.UpdateStatePlan(work, key)
 		}
 	}
 }
@@ -55,7 +55,7 @@ func BenchmarkStoreOLTP(b *testing.B) {
 // BenchmarkStoreOLTPParallel is the contended variant: RunParallel drives
 // disjoint key ranges from GOMAXPROCS goroutines.
 func BenchmarkStoreOLTPParallel(b *testing.B) {
-	s, cls, work, site := benchStore(benchShards())
+	s, work, site := benchStore(benchShards())
 	var nextG int
 	var mu sync.Mutex
 	b.ReportAllocs()
@@ -70,9 +70,9 @@ func BenchmarkStoreOLTPParallel(b *testing.B) {
 		for pb.Next() {
 			key := NewKey(Value(base + i%16))
 			if i%8 == 7 {
-				s.UpdateState(cls, "site", SymRequired, key, site)
+				s.UpdateStatePlan(site, key)
 			} else {
-				s.UpdateState(cls, "work", 0, key, work)
+				s.UpdateStatePlan(work, key)
 			}
 			i++
 		}

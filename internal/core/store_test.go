@@ -4,20 +4,21 @@ import (
 	"testing"
 )
 
-// storeVariants runs a subtest against both store implementations.
-func storeVariants(t *testing.T, fn func(t *testing.T, shards int)) {
+// storeVariants runs a subtest against both store layouts: "reference" is
+// the per-thread slot array, "sharded" the global store at 8 stripes.
+func storeVariants(t *testing.T, fn func(t *testing.T, l layout)) {
 	t.Helper()
-	t.Run("reference", func(t *testing.T) { fn(t, 1) })
-	t.Run("sharded", func(t *testing.T) { fn(t, 8) })
+	t.Run("reference", func(t *testing.T) { fn(t, layout{PerThread, 0}) })
+	t.Run("sharded", func(t *testing.T) { fn(t, layout{Global, 8}) })
 }
 
 // TestInstancesSnapshotIsolated is the regression test for Instances
 // returning copies: a snapshot taken before further events must not change
 // when the store mutates its preallocated slots in place.
 func TestInstancesSnapshotIsolated(t *testing.T) {
-	storeVariants(t, func(t *testing.T, shards int) {
+	storeVariants(t, func(t *testing.T, l layout) {
 		cls := &Class{Name: "snap", States: 4, Limit: 8}
-		s := NewStoreOpts(StoreOpts{Context: Global, Shards: shards})
+		s := l.store(StoreOpts{})
 		s.Register(cls)
 
 		enter := TransitionSet{{From: 0, To: 1, Flags: TransInit, KeyMask: 1}}
@@ -56,7 +57,7 @@ func TestInstancesSnapshotIsolated(t *testing.T) {
 // counts.
 func TestAllocLeavesLiveUntouched(t *testing.T) {
 	cls := &Class{Name: "alloc", States: 4, Limit: 4}
-	s := NewStoreOpts(StoreOpts{Context: PerThread, Shards: 1})
+	s := NewStore(PerThread, nil)
 	s.Register(cls)
 	cs := s.classes[cls]
 
@@ -83,30 +84,29 @@ func TestAllocLeavesLiveUntouched(t *testing.T) {
 	}
 }
 
-// TestShardCountSelection pins the StoreOpts.Shards contract.
+// TestShardCountSelection pins the StoreOpts.Shards contract: the context
+// picks the layout, and Shards only sizes the global store's stripes.
 func TestShardCountSelection(t *testing.T) {
 	cases := []struct {
-		ctx     Context
-		shards  int
-		sharded bool
-		want    int
+		ctx    Context
+		shards int
+		want   int
 	}{
-		{Global, 1, false, 1},
-		{PerThread, 0, false, 1},
-		{Global, 2, true, 2},
-		{Global, 3, true, 4},    // rounded up to a power of two
-		{Global, 500, true, 64}, // capped
-		{PerThread, 8, true, 8}, // explicit request wins over context default
+		{Global, 1, 1}, // one stripe, not a different implementation
+		{Global, 2, 2},
+		{Global, 3, 4},    // rounded up to a power of two
+		{Global, 500, 64}, // capped
+		{PerThread, 0, 0},
+		{PerThread, 8, 0}, // per-thread stores take no locks
 	}
 	for _, c := range cases {
 		s := NewStoreOpts(StoreOpts{Context: c.ctx, Shards: c.shards})
-		if s.Sharded() != c.sharded || s.Shards() != c.want {
-			t.Errorf("StoreOpts{%v, Shards: %d}: sharded=%v shards=%d, want %v/%d",
-				c.ctx, c.shards, s.Sharded(), s.Shards(), c.sharded, c.want)
+		if got := s.Shards(); got != c.want {
+			t.Errorf("StoreOpts{%v, Shards: %d}: %d stripes, want %d", c.ctx, c.shards, got, c.want)
 		}
 	}
-	if s := NewStoreOpts(StoreOpts{Context: Global}); !s.Sharded() {
-		t.Error("Global store did not default to the sharded implementation")
+	if s := NewStoreOpts(StoreOpts{Context: Global}); s.Shards() < 1 {
+		t.Error("Global store with Shards 0 was not sized to GOMAXPROCS")
 	}
 }
 

@@ -278,9 +278,8 @@ func (p classPolicy) failureIn(s *Store) FailureAction {
 	return FailReport
 }
 
-// quarState is the quarantine bookkeeping shared by both store
-// implementations. The reference store mutates it under the store mutex;
-// the sharded store guards it with shardedClass.quarMu and mirrors the
+// quarState is the quarantine bookkeeping shared by both store layouts.
+// The per-thread store mutates it directly; the sharded store guards it with shardedClass.quarMu and mirrors the
 // quarantined bit into an atomic for the lock-free fast path.
 type quarState struct {
 	// streak counts consecutive overflows since the last successful
@@ -459,13 +458,8 @@ func (s *Store) policyOf(cls *Class) classPolicy {
 		if sc := s.shardedClassOf(cls); sc != nil {
 			return sc.pol
 		}
-	} else {
-		s.mu.Lock()
-		cs, ok := s.classes[cls]
-		s.mu.Unlock()
-		if ok {
-			return cs.pol
-		}
+	} else if cs := s.classes[cls]; cs != nil {
+		return cs.pol
 	}
 	return s.sv.resolve(cls)
 }
@@ -498,12 +492,8 @@ func (s *Store) Health(cls *Class) Health {
 			return h
 		}
 		h = sc.healthSnapshot()
-	} else {
-		s.mu.Lock()
-		if cs := s.classes[cls]; cs != nil {
-			h = cs.health
-		}
-		s.mu.Unlock()
+	} else if cs := s.classes[cls]; cs != nil {
+		h = cs.health
 	}
 	h.HandlerPanics = s.handlerPanicsFor(cls.Name)
 	return h
@@ -529,7 +519,6 @@ func (s *Store) HealthReport() []ClassHealth {
 		}
 		return out
 	}
-	s.mu.Lock()
 	for _, cs := range s.order {
 		ch := ClassHealth{
 			Class:       cs.cls.Name,
@@ -539,11 +528,8 @@ func (s *Store) HealthReport() []ClassHealth {
 		if !cs.quarantined {
 			ch.Live = cs.live
 		}
+		ch.HandlerPanics = s.handlerPanicsFor(cs.cls.Name)
 		out = append(out, ch)
-	}
-	s.mu.Unlock()
-	for i := range out {
-		out[i].HandlerPanics = s.handlerPanicsFor(out[i].Class)
 	}
 	return out
 }
@@ -554,8 +540,6 @@ func (s *Store) Quarantined(cls *Class) bool {
 		sc := s.shardedClassOf(cls)
 		return sc != nil && sc.quarantined.Load()
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	cs := s.classes[cls]
 	return cs != nil && cs.quarantined
 }

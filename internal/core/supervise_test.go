@@ -8,21 +8,17 @@ import (
 )
 
 // Supervision unit tests. Every behavioural test runs against both store
-// implementations (Shards: 1 reference, Shards: 4 striped): the supervision
-// layer must be implementation-independent.
+// layouts — "reference" is the per-thread slot array, "sharded" the global
+// store at 4 stripes: the supervision layer must be layout-independent.
 
 func bothStores(t *testing.T, f func(t *testing.T, mk func(o StoreOpts) *Store)) {
 	t.Helper()
 	for _, tc := range []struct {
-		name   string
-		shards int
-	}{{"reference", 1}, {"sharded", 4}} {
+		name string
+		l    layout
+	}{{"reference", layout{PerThread, 0}}, {"sharded", layout{Global, 4}}} {
 		t.Run(tc.name, func(t *testing.T) {
-			f(t, func(o StoreOpts) *Store {
-				o.Context = Global
-				o.Shards = tc.shards
-				return NewStoreOpts(o)
-			})
+			f(t, tc.l.store)
 		})
 	}
 }

@@ -7,6 +7,11 @@ import "testing"
 // empty sets, several init candidates, cleanup-only sets — are pinned here
 // and cross-checked against the plan's cached answers.
 
+// initOf lowers ts and returns the plan's hoisted «init» transition.
+func initOf(ts TransitionSet) *Transition {
+	return NewSymbolPlan(&Class{Name: "init", States: 8}, "e", 0, ts).initTr()
+}
+
 func TestTransitionSetPredicatesEmpty(t *testing.T) {
 	var ts TransitionSet
 	if ts.HasInit() {
@@ -15,10 +20,10 @@ func TestTransitionSetPredicatesEmpty(t *testing.T) {
 	if ts.HasCleanup() {
 		t.Error("empty set reports HasCleanup")
 	}
-	if tr := initTransition(ts); tr != nil {
+	if tr := initOf(ts); tr != nil {
 		t.Errorf("empty set yields init transition %v", tr)
 	}
-	if ts := (TransitionSet{{From: 1, To: 2}}); ts.HasInit() || ts.HasCleanup() || initTransition(ts) != nil {
+	if ts := (TransitionSet{{From: 1, To: 2}}); ts.HasInit() || ts.HasCleanup() || initOf(ts) != nil {
 		t.Error("plain update edge misclassified")
 	}
 }
@@ -32,22 +37,15 @@ func TestInitTransitionFirstCandidateWins(t *testing.T) {
 	if !ts.HasInit() {
 		t.Fatal("HasInit false with two init candidates")
 	}
-	tr := initTransition(ts)
-	if tr == nil {
-		t.Fatal("no init transition found")
-	}
-	// The interpreted walk takes the first init in set order; the engine's
-	// hoisted selection must agree or clones land in different start states.
-	if tr != &ts[1] {
-		t.Errorf("initTransition picked %v, want first candidate %v", tr, ts[1])
-	}
+	// The first init in set order wins, or instances land in different
+	// start states than the lifecycle rules say.
 	cls := &Class{Name: "initpick", States: 8}
 	p := NewSymbolPlan(cls, "enter", 0, ts)
 	if !p.HasInit() {
-		t.Error("plan lost the init transition")
+		t.Fatal("plan lost the init transition")
 	}
-	if got := p.initTr(); got.To != 1 || got.KeyMask != 1 {
-		t.Errorf("plan hoisted init %v, want first candidate", got)
+	if got := p.initTr(); got != &ts[1] {
+		t.Errorf("plan hoisted init %v, want first candidate %v", got, ts[1])
 	}
 }
 
@@ -62,7 +60,7 @@ func TestTransitionSetCleanupOnly(t *testing.T) {
 	if !ts.HasCleanup() {
 		t.Error("cleanup-only set misses HasCleanup")
 	}
-	if tr := initTransition(ts); tr != nil {
+	if tr := initOf(ts); tr != nil {
 		t.Errorf("cleanup-only set yields init transition %v", tr)
 	}
 	cls := &Class{Name: "cleanuponly", States: 8}
@@ -78,7 +76,7 @@ func TestTransitionSetInitAndCleanupTogether(t *testing.T) {
 	if !ts.HasInit() || !ts.HasCleanup() {
 		t.Fatal("combined init+cleanup flags not reported")
 	}
-	if tr := initTransition(ts); tr == nil || !tr.Cleanup() {
-		t.Errorf("initTransition = %v, want the combined edge", tr)
+	if tr := initOf(ts); tr == nil || !tr.Cleanup() {
+		t.Errorf("hoisted init = %v, want the combined edge", tr)
 	}
 }

@@ -21,63 +21,63 @@ package core
 // variable bindings the event provides. ts is the set of class transitions
 // this event can drive, assembled statically by the event translator.
 //
-// Handler notifications are buffered during the critical section and
-// dispatched after every lock is released (see supervise.go), so handlers
-// may block, or even call back into the store, without stalling monitored
-// threads.
+// UpdateState lowers a fresh SymbolPlan on every call, which suits tests and
+// one-off callers; hot paths lower each (class, symbol) once with
+// NewSymbolPlan and call UpdateStatePlan, the store's only event body.
+func (s *Store) UpdateState(cls *Class, symbol string, flags SymbolFlags, key Key, ts TransitionSet) error {
+	return s.UpdateStatePlan(NewSymbolPlan(cls, symbol, flags, ts), key)
+}
+
+// UpdateStatePlan drives one program event through a compiled plan (see
+// UpdateState for the lifecycle it implements).
+//
+// Handler notifications are buffered while the event runs and dispatched
+// after every lock is released (see supervise.go), so handlers may block, or
+// even call back into the store, without stalling monitored threads.
 //
 // The returned error is non-nil only when the class's effective failure
 // action is FailStop (FailDefault defers to Store.FailFast) and a violation
 // or overflow occurred; the store's Handler is notified of every outcome
 // regardless.
-func (s *Store) UpdateState(cls *Class, symbol string, flags SymbolFlags, key Key, ts TransitionSet) error {
+func (s *Store) UpdateStatePlan(p *SymbolPlan, key Key) error {
+	nb := notePool.Get().(*noteBuf)
+	var err error
 	if s.nshards > 0 {
-		sc := s.shardedClassOf(cls)
-		if sc == nil {
-			// Implicit registration keeps one-off uses simple; hot
-			// paths should Register up front so this branch never
-			// runs.
-			s.Register(cls)
-			sc = s.shardedClassOf(cls)
-		}
-		return s.updateSharded(sc, symbol, flags, key, ts)
+		err = s.updateSharded(s.shardsOf(p.Cls), p, key, nb)
+	} else {
+		err = s.updateSlots(s.slotsOf(p.Cls), p, key, nb)
 	}
-
-	var nb noteBuf
-	err := s.updateRef(cls, symbol, flags, key, ts, &nb)
-	s.dispatch(&nb)
+	s.dispatch(nb)
+	nb.reset()
+	notePool.Put(nb)
 	return err
 }
 
-// refCand is one pre-event live instance in the reference store's candidate
+// slotsOf resolves cls in a per-thread store. Implicit registration keeps
+// one-off uses simple; hot paths should Register up front so the branch
+// never runs.
+func (s *Store) slotsOf(cls *Class) *classState {
+	cs := s.classes[cls]
+	if cs == nil {
+		s.Register(cls)
+		cs = s.classes[cls]
+	}
+	return cs
+}
+
+// slotCand is one pre-event live instance in the per-thread candidate
 // snapshot. The birth stamp detects a slot that was evicted and reused by
 // this same event: the new occupant must not be driven by it.
-type refCand struct {
+type slotCand struct {
 	idx   int
 	birth uint64
 }
 
-// updateRef is the reference (single-mutex) event body. Notifications are
-// accumulated in nb for the caller to dispatch after the lock is released.
-func (s *Store) updateRef(cls *Class, symbol string, flags SymbolFlags, key Key, ts TransitionSet, nb *noteBuf) error {
-	s.lock()
-	defer s.unlock()
-
-	cs := s.classes[cls]
-	if cs == nil {
-		s.unlock()
-		s.Register(cls)
-		s.lock()
-		cs = s.classes[cls]
-	}
-	return s.updateRefLocked(cs, symbol, flags, key, ts, nb)
-}
-
-// refQuarGate runs the quarantine fast path for one event over the reference
+// slotQuarGate runs the quarantine fast path for one event over a per-thread
 // store: re-arm when due (so the event that brings the class back is itself
 // processed normally), otherwise count the suppression and report true so the
-// caller skips the event. The store lock must be held.
-func (s *Store) refQuarGate(cs *classState, nb *noteBuf) bool {
+// caller skips the event.
+func (s *Store) slotQuarGate(cs *classState, nb *noteBuf) bool {
 	if !cs.quarantined {
 		return false
 	}
@@ -92,24 +92,23 @@ func (s *Store) refQuarGate(cs *classState, nb *noteBuf) bool {
 	return true
 }
 
-// refAllocator builds the reference store's policy-driven slot claimer as a
-// closure for the interpreted event body below. The compiled engine body
-// (engine.go) calls refClaim directly — same policy machinery, no per-event
-// closure allocation — so both paths degrade identically.
-func (s *Store) refAllocator(cs *classState, nb *noteBuf, failStop bool, firstErr *error) func(Key) *Instance {
-	return func(k Key) *Instance {
-		return s.refClaim(cs, nb, failStop, firstErr, k)
+// slotFail records one violation on the per-thread store.
+func (s *Store) slotFail(cs *classState, nb *noteBuf, failStop bool, firstErr *error, v *Violation) {
+	cs.health.Violations++
+	nb.add(note{kind: noteFail, cls: cs.cls, v: v})
+	if failStop && *firstErr == nil {
+		*firstErr = v
 	}
 }
 
-// refClaim claims one instance slot under the class's overflow policy. It
+// slotClaim claims one instance slot under the class's overflow policy. It
 // consults the fault injector first; on overflow it records one Overflow
 // note, then degrades: DropNew drops, EvictOldest sacrifices the oldest
 // instance and retries once (the retry consults the injector again; a second
 // failure drops silently), QuarantineClass counts the streak and past the
 // threshold takes the class out of service. nil means the caller must drop
 // the would-be instance.
-func (s *Store) refClaim(cs *classState, nb *noteBuf, failStop bool, firstErr *error, k Key) *Instance {
+func (s *Store) slotClaim(cs *classState, nb *noteBuf, failStop bool, firstErr *error, k Key) *Instance {
 	cls := cs.cls
 	if cs.quarantined {
 		// Entered quarantine earlier in this same event.
@@ -175,40 +174,37 @@ func (s *Store) refClaim(cs *classState, nb *noteBuf, failStop bool, firstErr *e
 	return slot
 }
 
-// updateRefLocked is the event body proper, factored out so UpdateBatch can
-// hold the store mutex across a whole run of ops (batch.go). The store lock
-// must be held and cs registered. This is the interpreted (table-driven)
-// walk; the compiled engine body in engine.go replaces its linear scans with
-// precomputed plans, and the differential gate pins the two equal.
-func (s *Store) updateRefLocked(cs *classState, symbol string, flags SymbolFlags, key Key, ts TransitionSet, nb *noteBuf) error {
+// updateSlots is the per-thread event body: the §4.4.1 lifecycle over the
+// class's slot array, with the plan's tables answering every per-symbol
+// question. The striped body (shard.go) shares no code with it; the
+// differential suites pin the two equal, and the lifecycle model in
+// model_test.go pins both to the rules.
+func (s *Store) updateSlots(cs *classState, p *SymbolPlan, key Key, nb *noteBuf) error {
 	cls := cs.cls
-
-	// Quarantine fast path. The re-arm check runs before suppression so
-	// the event that brings the class back is itself processed normally.
-	if s.refQuarGate(cs, nb) {
+	if s.slotQuarGate(cs, nb) {
 		return nil
 	}
 
 	var firstErr error
 	failStop := cs.pol.failureIn(s) == FailStop
-	fail := func(v *Violation) {
-		cs.health.Violations++
-		nb.add(note{kind: noteFail, cls: cls, v: v})
-		if failStop && firstErr == nil {
-			firstErr = v
+
+	// Snapshot the instances live before this event so that clones created
+	// below are not themselves driven by the same event. The walk stops at
+	// the live count instead of covering the whole preallocated block.
+	var candArr [DefaultInstanceLimit]slotCand
+	live := candArr[:0]
+	for i, n := 0, cs.live; i < len(cs.insts) && len(live) < n; i++ {
+		if cs.insts[i].Active {
+			live = append(live, slotCand{idx: i, birth: cs.insts[i].birth})
 		}
 	}
-	alloc := s.refAllocator(cs, nb, failStop, &firstErr)
-
-	cleanup := ts.HasCleanup()
-
-	// Snapshot the instances that were live before this event so that
-	// clones created below are not themselves driven by the same event.
-	var candArr [DefaultInstanceLimit]refCand
-	live := candArr[:0]
-	for i := range cs.insts {
-		if cs.insts[i].Active {
-			live = append(live, refCand{idx: i, birth: cs.insts[i].birth})
+	// Process in creation order, whichever slots freed and reused ones
+	// hold: the outcome then depends on the event history alone, not on
+	// the slot layout. Insertion sort, because the slot walk is already in
+	// creation order unless a freed slot was reused.
+	for i := 1; i < len(live); i++ {
+		for j := i; j > 0 && live[j].birth < live[j-1].birth; j-- {
+			live[j], live[j-1] = live[j-1], live[j]
 		}
 	}
 
@@ -220,37 +216,31 @@ func (s *Store) updateRefLocked(cs *classState, symbol string, flags SymbolFlags
 			// hold a new occupant, which this event must not drive).
 			continue
 		}
-		if !inst.Key.Compatible(key) {
+		if !compatible4(inst.Key, key) {
 			continue
 		}
 
-		var tr *Transition
-		for j := range ts {
-			if ts[j].From == inst.State {
-				tr = &ts[j]
-				break
-			}
-		}
-
+		tr := p.find(inst.State)
 		if tr == nil {
 			switch {
-			case cleanup:
+			case p.cleanup:
 				// The bound is ending but this instance is stuck
 				// in a non-accepting state: an `eventually`
 				// obligation was never satisfied.
-				fail(&Violation{Class: cls, Kind: VerdictIncomplete, Key: inst.Key, State: inst.State, Symbol: symbol})
-			case flags&SymStrict != 0:
-				fail(&Violation{Class: cls, Kind: VerdictBadTransition, Key: inst.Key, State: inst.State, Symbol: symbol})
+				s.slotFail(cs, nb, failStop, &firstErr, &Violation{Class: cls, Kind: VerdictIncomplete, Key: inst.Key, State: inst.State, Symbol: p.Symbol})
+			case p.Flags&SymStrict != 0:
+				s.slotFail(cs, nb, failStop, &firstErr, &Violation{Class: cls, Kind: VerdictBadTransition, Key: inst.Key, State: inst.State, Symbol: p.Symbol})
 				inst.Active = false
 				cs.live--
 			}
 			continue
 		}
 
-		if inst.Key.Specializes(key) {
-			// The event binds variables this instance has not seen:
-			// clone a more specific instance and leave the parent.
-			newKey := inst.Key.Union(key)
+		if key.Mask&^inst.Key.Mask != 0 {
+			// The event binds variables this instance has not seen
+			// (compatibility is already established): clone a more
+			// specific instance and leave the parent.
+			newKey := union4(inst.Key, key)
 			if cs.findExact(newKey) != nil {
 				// The specific instance already exists and is
 				// processed (or was) on its own terms.
@@ -260,7 +250,7 @@ func (s *Store) updateRefLocked(cs *classState, symbol string, flags SymbolFlags
 			// Copy the parent before allocating: eviction may free
 			// and immediately reuse the parent's own slot.
 			parent := *inst
-			clone := alloc(newKey)
+			clone := s.slotClaim(cs, nb, failStop, &firstErr, newKey)
 			if clone == nil {
 				continue
 			}
@@ -268,7 +258,7 @@ func (s *Store) updateRefLocked(cs *classState, symbol string, flags SymbolFlags
 			*clone = Instance{State: tr.To, Key: newKey, Active: true, birth: cs.birthClock}
 			cs.commit()
 			nb.add(note{kind: noteClone, cls: cls, parent: parent, inst: *clone})
-			nb.add(note{kind: noteTransition, cls: cls, inst: *clone, from: tr.From, to: tr.To, symbol: symbol})
+			nb.add(note{kind: noteTransition, cls: cls, inst: *clone, from: tr.From, to: tr.To, symbol: p.Symbol})
 			matched = true
 			if tr.Cleanup() {
 				nb.add(note{kind: noteAccept, cls: cls, inst: *clone})
@@ -278,7 +268,7 @@ func (s *Store) updateRefLocked(cs *classState, symbol string, flags SymbolFlags
 
 		from := inst.State
 		inst.State = tr.To
-		nb.add(note{kind: noteTransition, cls: cls, inst: *inst, from: from, to: tr.To, symbol: symbol})
+		nb.add(note{kind: noteTransition, cls: cls, inst: *inst, from: from, to: tr.To, symbol: p.Symbol})
 		matched = true
 		if tr.Cleanup() {
 			nb.add(note{kind: noteAccept, cls: cls, inst: *inst})
@@ -286,49 +276,38 @@ func (s *Store) updateRefLocked(cs *classState, symbol string, flags SymbolFlags
 	}
 
 	if !matched && !cs.quarantined {
-		if init := initTransition(ts); init != nil {
+		if init := p.initTr(); init != nil {
 			initKey := key.project(init.KeyMask)
 			if cs.findExact(initKey) == nil {
-				if inst := alloc(initKey); inst != nil {
+				if inst := s.slotClaim(cs, nb, failStop, &firstErr, initKey); inst != nil {
 					cs.birthClock++
 					*inst = Instance{State: init.To, Key: initKey, Active: true, birth: cs.birthClock}
 					cs.commit()
 					nb.add(note{kind: noteNew, cls: cls, inst: *inst})
-					nb.add(note{kind: noteTransition, cls: cls, inst: *inst, from: init.From, to: init.To, symbol: symbol})
-					matched = true
+					nb.add(note{kind: noteTransition, cls: cls, inst: *inst, from: init.From, to: init.To, symbol: p.Symbol})
 					if init.Cleanup() {
 						nb.add(note{kind: noteAccept, cls: cls, inst: *inst})
 					}
 				}
 			}
-		} else if flags&SymRequired != 0 && cs.live > 0 {
+		} else if p.Flags&SymRequired != 0 && cs.live > 0 {
 			// Execution reached the assertion site with bindings for
 			// which no instance exists: the events the assertion
 			// requires never happened (fig. 9 “Error”). With no live
 			// instances at all the automaton was never initialised —
 			// the event arrived outside the assertion's bound — and
 			// libtesla ignores events until the next «init».
-			fail(&Violation{Class: cls, Kind: VerdictNoInstance, Key: key, Symbol: symbol})
+			s.slotFail(cs, nb, failStop, &firstErr, &Violation{Class: cls, Kind: VerdictNoInstance, Key: key, Symbol: p.Symbol})
 		}
 	}
 
-	if cleanup && !cs.quarantined {
+	if p.cleanup && !cs.quarantined {
 		// A cleanup transition resets the class: all instances are
 		// expunged and events are ignored until the next «init».
 		cs.expunge()
 	}
 
 	return firstErr
-}
-
-// initTransition returns the first init transition in ts, or nil.
-func initTransition(ts TransitionSet) *Transition {
-	for i := range ts {
-		if ts[i].Init() {
-			return &ts[i]
-		}
-	}
-	return nil
 }
 
 // project restricts a key to the slots in mask.

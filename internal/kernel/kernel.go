@@ -115,6 +115,11 @@ type Thread struct {
 	fds []*File
 
 	locks []string // WITNESS shadow stack (Debug mode)
+
+	// sink keeps the workloads' user-space compute (OLTPTransaction,
+	// BuildStep) from being eliminated as dead code. It is per thread so
+	// threads of different kernels can run workloads concurrently.
+	sink int64
 }
 
 // NewThread creates a thread belonging to a fresh process.

@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"tesla/internal/automata"
@@ -467,4 +468,31 @@ func TestGlobalAssertionAcrossKernelThreads(t *testing.T) {
 	if vs := h.Violations(); len(vs) != 1 {
 		t.Fatalf("missing cross-thread check not detected: %v", vs)
 	}
+}
+
+// TestWorkloadsRunConcurrently drives the OLTP and build workloads on two
+// booted kernels from two goroutines at once. Under -race it pins that the
+// workloads keep their compute results per thread, not in package state.
+func TestWorkloadsRunConcurrently(t *testing.T) {
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		k, _, err := Boot(Release, SetAll, BugConfig{}, monitor.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		th := k.NewThread()
+		p, err := SetupOLTP(th)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 10; i++ {
+				OLTPTransaction(th, p)
+				BuildStep(th, i)
+			}
+		}()
+	}
+	wg.Wait()
 }

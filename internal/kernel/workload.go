@@ -80,7 +80,7 @@ func OLTPTransaction(t *Thread, p OLTPPair) {
 		acc = acc*1103515245 + 12345
 		acc ^= acc >> 16
 	}
-	sink = acc
+	t.sink = acc
 	t.Recv(p.Client, 512)         // response rows
 	t.Select(p.Client)            // wait for more
 	t.Send(p.Client, 64)          // commit
@@ -91,9 +91,6 @@ func OLTPTransaction(t *Thread, p OLTPPair) {
 		t.Close(fd)
 	}
 }
-
-// sink defeats dead-code elimination of workload compute.
-var sink int64
 
 // BuildStep is one compiler-build step: open sources and headers, read
 // them, burn some user CPU "compiling", write the object file (figure
@@ -118,7 +115,7 @@ func BuildStep(t *Thread, step int) int64 {
 		acc = acc*1103515245 + 12345
 		acc ^= acc >> 16
 	}
-	sink = acc
+	t.sink = acc
 	t.Close(fd)
 	ofd := t.Open(fmt.Sprintf("/obj/file%d.o", step%64))
 	if ofd >= 0 {

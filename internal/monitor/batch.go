@@ -33,7 +33,7 @@ import (
 // batch_parity_test.go and core/differential_test.go pin the two equal.
 
 // stagedOp is one matched symbol waiting in the ring: the store it targets
-// and the deferred UpdateState call.
+// and the deferred UpdateStatePlan call.
 type stagedOp struct {
 	store *core.Store
 	op    core.BatchOp
@@ -154,12 +154,12 @@ func (th *Thread) stageOp(store *core.Store, op core.BatchOp, drainThrough bool)
 // opDrains reports whether a staged op must drain through synchronously:
 // only verdict-bearing symbols (required, strict, or cleanup transitions)
 // on automata whose effective failure action is fail-stop can turn into
-// UpdateState errors, and only those pay the inline flush.
-func (th *Thread) opDrains(idx int, flags core.SymbolFlags, ts core.TransitionSet) bool {
+// UpdateStatePlan errors, and only those pay the inline flush.
+func (th *Thread) opDrains(idx int, p *core.SymbolPlan) bool {
 	if !th.m.failStop[idx] {
 		return false
 	}
-	return flags&(core.SymRequired|core.SymStrict) != 0 || ts.HasCleanup()
+	return p.Flags&(core.SymRequired|core.SymStrict) != 0 || p.HasCleanup()
 }
 
 // flushBatch steals the staged ring and applies it: tap events first, in

@@ -31,17 +31,9 @@ type Options struct {
 	// their first non-initialisation event (§5.2.2).
 	Naive bool
 	// GlobalShards selects the global store's lock-stripe count, passed
-	// through to core.StoreOpts.Shards: 0 sizes the sharded store to
-	// GOMAXPROCS, 1 selects the single-mutex reference store, ≥2 forces a
-	// stripe count. Per-thread stores are unaffected.
+	// through to core.StoreOpts.Shards: 0 sizes it to GOMAXPROCS.
+	// Per-thread stores take no locks and are unaffected.
 	GlobalShards int
-	// NoEngine pins every store (global and per-thread) to the interpreted
-	// table-driven walk instead of the compiled transition engines lowered
-	// from the automata (core.StoreOpts.NoEngine). The interpreted walk is
-	// the executable differential reference the engine parity harness and
-	// the compile figure's baseline rung run on; production monitors leave
-	// this off.
-	NoEngine bool
 	// BatchSize enables the batched per-thread event plane (batch.go):
 	// each Thread stages up to this many program events in a ring and
 	// applies them to the stores in runs, amortising stripe locking and
@@ -75,12 +67,11 @@ type Options struct {
 
 // storeOpts translates the monitor options into core store options for the
 // given context.
-func (o Options) storeOpts(ctx core.Context, shards int) core.StoreOpts {
+func (o Options) storeOpts(ctx core.Context) core.StoreOpts {
 	return core.StoreOpts{
 		Context:           ctx,
 		Handler:           o.Handler,
-		Shards:            shards,
-		NoEngine:          o.NoEngine,
+		Shards:            o.GlobalShards,
 		Failure:           o.Failure,
 		Overflow:          o.Overflow,
 		QuarantineAfter:   o.QuarantineAfter,
@@ -114,8 +105,7 @@ type Monitor struct {
 
 	// plans[idx][symID] is automaton idx's compiled engine plan for that
 	// symbol (automata.StepEngine lowering): every dispatch path routes
-	// events through these, and the stores fall back to the interpreted
-	// walk when built with Options.NoEngine.
+	// events through these.
 	plans [][]*core.SymbolPlan
 
 	// failStop records, per automaton, whether its class's effective
@@ -170,7 +160,7 @@ func newLazyState(bounds, autos int) lazyState {
 func New(opts Options, autos ...*automata.Automaton) (*Monitor, error) {
 	m := &Monitor{
 		opts:      opts,
-		global:    core.NewStoreOpts(opts.storeOpts(core.Global, opts.GlobalShards)),
+		global:    core.NewStoreOpts(opts.storeOpts(core.Global)),
 		callIdx:   map[string][]symRef{},
 		retIdx:    map[string][]symRef{},
 		msgIdx:    map[string][]symRef{},
@@ -331,7 +321,7 @@ func (m *Monitor) NewThread() *Thread {
 	th := &Thread{
 		m:     m,
 		id:    int(m.nextThread.Add(1)) - 1,
-		store: core.NewStoreOpts(m.opts.storeOpts(core.PerThread, 1)),
+		store: core.NewStoreOpts(m.opts.storeOpts(core.PerThread)),
 		lazy:  newLazyState(len(m.boundSlot), len(m.autos)),
 	}
 	th.store.FailFast = m.opts.FailFast
@@ -698,14 +688,11 @@ func (th *Thread) BoundEnd(slot int) error {
 // sendOp routes one matched (automaton, symbol, key) op to store through the
 // automaton's compiled engine plan: staged with the plan attached in batched
 // mode (the batch run applies it through the engine body), else driven
-// synchronously via UpdateStatePlan. Stores built with Options.NoEngine fall
-// back to the interpreted walk inside core, so dispatch is uniform here on
-// both planes.
+// synchronously via UpdateStatePlan.
 func (th *Thread) sendOp(store *core.Store, idx int, sym *automata.Symbol, key core.Key) error {
-	auto := th.m.autos[idx]
 	p := th.m.plans[idx][sym.ID]
 	if th.batch != nil {
-		return th.stageOp(store, core.BatchOp{Cls: auto.Class, Symbol: sym.Name, Flags: sym.Flags, Key: key, TS: auto.Trans[sym.ID], Plan: p}, th.opDrains(idx, sym.Flags, auto.Trans[sym.ID]))
+		return th.stageOp(store, core.BatchOp{Plan: p, Key: key}, th.opDrains(idx, p))
 	}
 	return store.UpdateStatePlan(p, key)
 }
