@@ -5,9 +5,9 @@ GO ?= go
 # Per-target budget for the fuzz smoke pass (native Go fuzzing syntax).
 FUZZTIME ?= 30s
 
-.PHONY: ci fmt vet build test race check bench fuzz-smoke bench-compare cache-gate bench-rebuild chaos-gate bench-faults liveness-gate agg-gate bench-agg ingest-gate bench-ingest compile-gate crash-gate perf-test
+.PHONY: ci fmt vet build test race check bench fuzz-smoke bench-compare cache-gate bench-rebuild chaos-gate bench-faults liveness-gate agg-gate bench-agg ingest-gate bench-ingest compile-gate crash-gate alloc-gate perf-test
 
-ci: fmt vet build test race check liveness-gate cache-gate chaos-gate agg-gate ingest-gate compile-gate crash-gate fuzz-smoke bench-compare perf-test
+ci: fmt vet build test race check liveness-gate cache-gate chaos-gate agg-gate ingest-gate compile-gate crash-gate alloc-gate fuzz-smoke bench-compare perf-test
 
 fmt:
 	@out="$$(gofmt -l .)"; \
@@ -158,6 +158,16 @@ crash-gate: build
 	$(GO) test -count=1 ./internal/trace -run 'TestSpool|TestWAL'
 	$(GO) test -count=1 ./internal/agg -run 'TestCrashSchedules|TestSnapshot|TestDurableAcks|TestResendDeduplicated'
 	$(GO) test -count=1 ./cmd/tesla-agg -run 'TestCrashGate'
+
+# Allocation gate: the steady-state trace path from recorder to fleet
+# store reuses its memory. UpdateBatch allocates nothing on the slot array
+# or the striped store; a Publisher flush (cut, encode, send, server apply,
+# ack) and an IngestFrame cost as many allocations for 2000 events as for
+# 100. The tests carry a !race build tag (sync.Pool drops items under the
+# race detector), so this gate is their only CI run besides `make test`.
+alloc-gate:
+	$(GO) test -count=1 ./internal/core -run '^TestUpdateBatchAllocs$$'
+	$(GO) test -count=1 ./internal/agg -run '^(TestIngestFrameAllocs|TestPublisherFlushAllocs)$$'
 
 # Short fuzz pass over the binary/JSON trace codec, the streaming frame
 # reader, the WAL spool's segment repair, the csub front end, the batched

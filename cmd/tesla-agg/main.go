@@ -162,9 +162,15 @@ func cmdResend(args []string) {
 	if err != nil {
 		fatal(err)
 	}
+	// A linger expiry means the bye was written but the server never
+	// closed its end: whether it read the bye is unknown, so say so.
+	linger := ""
+	if st.ByeLingerExpired > 0 {
+		linger = fmt.Sprintf(", bye linger expired %d time(s)", st.ByeLingerExpired)
+	}
 	fmt.Fprintf(os.Stderr,
-		"tesla-agg: resend complete: %d frame(s) / %d event(s) in spool, %d resent, %d already delivered\n",
-		st.Frames, st.Events, st.Resent, st.Skipped)
+		"tesla-agg: resend complete: %d frame(s) / %d event(s) in spool, %d resent, %d already delivered%s\n",
+		st.Frames, st.Events, st.Resent, st.Skipped, linger)
 	if *rm {
 		if err := os.RemoveAll(dir); err != nil {
 			fatal(err)

@@ -287,10 +287,17 @@ func finishAgg(pub *agg.Publisher, c *agg.Client, m *monitor.Monitor) bool {
 		fmt.Fprintf(os.Stderr, "tesla-run: agg: %v\n", err)
 		degraded = true
 	}
-	if st := c.Stats(); st.Degraded() {
+	st := c.Stats()
+	if st.Degraded() {
 		fmt.Fprintf(os.Stderr, "tesla-run: agg: stream degraded: dropped %d frame(s) / %d event(s)\n",
 			st.DroppedFrames, st.DroppedEvents)
 		degraded = true
+	}
+	if st.ByeLingerExpired > 0 {
+		// Not a loss the producer can count: the bye was written, but the
+		// server never closed its end, so whether it was read is unknown.
+		fmt.Fprintf(os.Stderr, "tesla-run: agg: bye linger expired %d time(s): the server did not confirm the final accounting\n",
+			st.ByeLingerExpired)
 	}
 	return degraded
 }

@@ -1,8 +1,6 @@
 package agg
 
 import (
-	"bytes"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"net"
@@ -71,6 +69,10 @@ type Client struct {
 	spoolFaults   atomic.Uint64
 	lingerExpiry  atomic.Uint64
 	byeSent       atomic.Bool
+
+	// perEvent is the encoded bytes per event of the last sizeable
+	// frame, the capacity estimate for the next payload.
+	perEvent atomic.Int64
 }
 
 // ClientOpts configures a Client.
@@ -209,15 +211,20 @@ func dialHandshake(addr string, hello Hello, wrap func(net.Conn) net.Conn) (net.
 // when a spool is configured, and enqueues it. It never blocks: a full
 // buffer overflows to the spool (when present) or drops the frame,
 // counted.
+//
+// The encode is synchronous and keeps nothing of tr: the caller may
+// refill tr.Events as soon as SendTrace returns (Publisher reuses one
+// delta across flushes). The delta is encoded once, straight into the
+// payload that is queued, resent and spooled.
 func (c *Client) SendTrace(tr *trace.Trace) error {
-	var body bytes.Buffer
-	var prefix [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(prefix[:], uint64(len(tr.Events)))
-	body.Write(prefix[:n])
-	if err := trace.Write(&body, tr); err != nil {
-		return err
+	n := len(tr.Events)
+	buf := appendSeqBody(make([]byte, 0, seqRoom+256+n*int(c.perEvent.Load())), tr)
+	if n >= 64 {
+		// Size the next payload from this one, so an encode normally fills
+		// its allocation without regrowing it.
+		c.perEvent.Store(int64(len(buf)/n + 1))
 	}
-	events := uint64(len(tr.Events))
+	events := uint64(n)
 	c.ringDropped.Add(tr.Dropped)
 
 	c.mu.Lock()
@@ -229,7 +236,7 @@ func (c *Client) SendTrace(tr *trace.Trace) error {
 	}
 	c.nextSeq++
 	seq := c.nextSeq
-	payload := EncodeSeqTrace(seq, body.Bytes())
+	payload := sealSeq(buf, seq)
 	spooled := false
 	if c.opts.Spool != nil {
 		if err := c.opts.Spool.Append(payload); err != nil {

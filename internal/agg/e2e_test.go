@@ -396,7 +396,7 @@ func mustCompile(t *testing.T, name, src string) *automata.Automaton {
 
 // TestAggBatchedProducer runs the real producer stack — batched monitor
 // threads staging into trace rings, the publisher cutting live deltas with
-// CutSince while events fly — against an in-process server, and checks that
+// CutInto while events fly — against an in-process server, and checks that
 // the exact-accounting invariant survives batching: per producer,
 // ingested + dropped == sent, and every event the recorder assigned a
 // sequence number to is either ingested or charged to a drop counter

@@ -1,0 +1,166 @@
+package agg
+
+import (
+	"encoding/binary"
+	"fmt"
+	"net"
+	"path/filepath"
+	"reflect"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"tesla/internal/core"
+	"tesla/internal/dtrace"
+	"tesla/internal/trace"
+)
+
+// sliceWindowSamples is the reference for failure samples: the window
+// kept as a slice of the frame's last Window events, shifted on every
+// event, and copied whole into each failure's sample.
+func sliceWindowSamples(process string, events []trace.Event, window int) []Sample {
+	var out []Sample
+	win := make([]trace.Event, 0, window)
+	for _, ev := range events {
+		if ev.Kind == trace.KindFail {
+			out = append(out, Sample{Process: process, Events: append(append([]trace.Event(nil), win...), ev)})
+		}
+		if len(win) == window {
+			copy(win, win[1:])
+			win = win[:window-1]
+		}
+		win = append(win, ev)
+	}
+	return out
+}
+
+// TestStreamingSamplesMatchSliceWindow: the streaming ingester's ring
+// window yields exactly the failure samples of the slice-window
+// reference — failures at frame positions 0, 1, Window-1, Window and
+// Window+5, plus two back to back — through both IngestFrame and
+// IngestTrace, and the window restarts with every frame.
+func TestStreamingSamplesMatchSliceWindow(t *testing.T) {
+	for _, window := range []int{1, 4, 8} {
+		fails := map[int]bool{0: true, 1: true, window - 1: true, window: true, window + 5: true, window + 9: true, window + 10: true}
+		var seq uint64
+		var frames []*trace.Trace
+		var want []Sample
+		for f := 0; f < 2; f++ {
+			tr := &trace.Trace{FormatVersion: trace.Version}
+			for i := 0; i < window+16; i++ {
+				seq++
+				ev := trace.Event{Seq: seq, Thread: -1, Kind: trace.KindTransition, Class: "c", From: uint32(i), To: uint32(i + 1), Symbol: "t"}
+				if fails[i] {
+					ev = trace.Event{Seq: seq, Thread: -1, Kind: trace.KindFail, Class: "c", Symbol: "site", Verdict: core.VerdictNoInstance}
+				}
+				tr.Events = append(tr.Events, ev)
+			}
+			frames = append(frames, tr)
+			want = append(want, sliceWindowSamples("p", tr.Events, window)...)
+		}
+		for _, path := range []struct {
+			name   string
+			ingest func(*Store, *trace.Trace) error
+		}{
+			{"IngestFrame", func(s *Store, tr *trace.Trace) error {
+				return s.IngestFrame("p", trace.AppendBinary(binary.AppendUvarint(nil, uint64(len(tr.Events))), tr))
+			}},
+			{"IngestTrace", func(s *Store, tr *trace.Trace) error { s.IngestTrace("p", tr); return nil }},
+		} {
+			store := NewStore(StoreOpts{SampleCap: 64, Window: window})
+			for _, tr := range frames {
+				if err := path.ingest(store, tr); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got := store.Samples("c"); !reflect.DeepEqual(got, want) {
+				t.Fatalf("window %d, %s: samples diverge from the slice-window reference\ngot:  %+v\nwant: %+v", window, path.name, got, want)
+			}
+		}
+	}
+}
+
+// TestPublisherBufferReuse: the publisher refills one delta on every
+// flush, so once a flush returns its events are overwritten by the next.
+// Frames still queued (a one-frame buffer overflowing to the spool) or
+// unacked (a connection reset after the write landed) must nonetheless
+// deliver the earlier events exactly once: the encode at SendTrace keeps
+// nothing of the delta.
+func TestPublisherBufferReuse(t *testing.T) {
+	srv, sock := startServer(t, ServerOpts{})
+	spool, err := trace.OpenSpool(filepath.Join(t.TempDir(), "spool"), trace.SpoolOpts{Sync: trace.SpoolSyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fired atomic.Bool
+	c, err := Dial(sock, ClientOpts{
+		Tool: "t", Process: "reuse", Buffer: 1, Backoff: 5 * time.Millisecond, Spool: spool,
+		wrapConn: func(conn net.Conn) net.Conn {
+			return &flakyConn{Conn: conn, failAt: 2, fired: &fired}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := trace.NewRecorder(nil, 1<<14)
+	pub := NewPublisher(rec, c)
+	classes := []*core.Class{{Name: "alpha"}, {Name: "beta"}}
+
+	const flushes = 12
+	var backing *trace.Event
+	for f := 0; f < flushes; f++ {
+		// Every delta has its own content and is no larger than the
+		// first, so each flush overwrites the same backing array.
+		cls := classes[f%2]
+		inst := &core.Instance{Key: core.NewKey(core.Value(f))}
+		for i := 0; i < 40-f; i++ {
+			rec.Transition(cls, inst, uint32(f), uint32(f+1), fmt.Sprintf("s%d", f))
+		}
+		rec.Accept(cls, inst)
+		rec.Fail(&core.Violation{Class: cls, Kind: core.VerdictNoInstance, Key: inst.Key, Symbol: fmt.Sprintf("site%d", f%3)})
+		if err := pub.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if f == 0 {
+			backing = &pub.delta.Events[0]
+		} else if &pub.delta.Events[0] != backing {
+			t.Fatalf("flush %d did not reuse the delta's backing array", f)
+		}
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if !fired.Load() || c.Stats().Reconnects == 0 {
+		t.Fatalf("the injected reset never forced a reconnect (fired=%v, stats %+v)", fired.Load(), c.Stats())
+	}
+
+	var ps ProducerStat
+	waitFor(t, "reuse producer clean", func() bool {
+		for _, p := range srv.Store().Fleet().Producers {
+			if p.Process == "reuse" && p.Clean {
+				ps = p
+				return true
+			}
+		}
+		return false
+	})
+	if ps.Events+ps.DroppedEvents != ps.SentEvents {
+		t.Fatalf("accounting leak: ingested %d + dropped %d != sent %d", ps.Events, ps.DroppedEvents, ps.SentEvents)
+	}
+	if recorded := rec.EventCount(); ps.Events != recorded {
+		t.Fatalf("ingested %d events, recorder recorded %d: not exactly once", ps.Events, recorded)
+	}
+	want, got := dtrace.Summarize(rec.Snapshot()), srv.Store().Summarize()
+	for _, pair := range []struct {
+		name      string
+		want, got *dtrace.Aggregation
+	}{
+		{"transitions", want.Transitions, got.Transitions},
+		{"accepts", want.Accepts, got.Accepts},
+		{"failures", want.Failures, got.Failures},
+	} {
+		if w, g := pair.want.Snapshot(), pair.got.Snapshot(); !reflect.DeepEqual(w, g) {
+			t.Fatalf("%s diverge from the recorded run\nrecorded: %v\nfleet:    %v", pair.name, w, g)
+		}
+	}
+}

@@ -9,14 +9,19 @@ import (
 
 // Publisher streams a live Recorder to a Client as delta traces: each
 // flush cuts exactly the events recorded since the previous flush
-// (trace.Recorder.CutSince), with per-delta loss accounting, so the
+// (trace.Recorder.CutInto), with per-delta loss accounting, so the
 // fleet store receives every event once — or an explicit drop count.
+//
+// Every flush cuts into the same delta, which is safe because SendTrace
+// encodes synchronously and keeps nothing of it: steady-state flushing
+// copies each event once, into memory the publisher already owns.
 type Publisher struct {
 	rec *trace.Recorder
 	c   *Client
 
-	mu  sync.Mutex
-	cut *trace.Cut
+	mu    sync.Mutex
+	cut   trace.Cut
+	delta trace.Trace
 
 	stop chan struct{}
 	done chan struct{}
@@ -32,12 +37,11 @@ func NewPublisher(rec *trace.Recorder, c *Client) *Publisher {
 func (p *Publisher) Flush() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	tr, next := p.rec.CutSince(p.cut)
-	p.cut = next
-	if len(tr.Events) == 0 && tr.Dropped == 0 {
+	p.rec.CutInto(&p.cut, &p.delta)
+	if len(p.delta.Events) == 0 && p.delta.Dropped == 0 {
 		return nil
 	}
-	return p.c.SendTrace(tr)
+	return p.c.SendTrace(&p.delta)
 }
 
 // Start flushes on an interval until Stop. Live flushing is what keeps a

@@ -27,6 +27,7 @@ type Store struct {
 
 	sampleCap int
 	window    int
+	ingesters sync.Pool // *ingester, one per in-flight frame
 
 	// Fleet ingestion totals. Server-side queue drops are counted here
 	// and per producer; everything else rolls up from the stripes and
@@ -184,44 +185,82 @@ func (s *Store) stripeOf(k siteKey) *stripe {
 // the whole-trace convenience over ingest; the server's per-connection
 // workers use IngestFrame on raw payloads instead.
 func (s *Store) IngestTrace(process string, tr *trace.Trace) {
-	s.ingestEvents(process, tr.Events, tr.Dropped)
-	s.frames.Add(1)
+	in := s.ingester(process)
+	for i := range tr.Events {
+		in.feed(&tr.Events[i])
+	}
+	in.finish(tr.Dropped)
 }
 
-// ingestEvents applies one frame's events, maintaining the trailing
-// window for failure samples. Window context is frame-local: a failure in
-// the first events of a delta carries less context, never wrong context.
-func (s *Store) ingestEvents(process string, events []trace.Event, ringDropped uint64) {
-	win := make([]trace.Event, 0, s.window)
-	for i := range events {
-		ev := &events[i]
-		switch ev.Kind {
-		case trace.KindTransition:
-			s.add(siteKey{process: process, class: ev.Class, kind: ev.Kind,
-				from: ev.From, to: ev.To, symbol: ev.Symbol}, nil)
-		case trace.KindAccept:
-			s.add(siteKey{process: process, class: ev.Class, kind: ev.Kind}, nil)
-		case trace.KindFail:
-			sample := append(append([]trace.Event(nil), win...), *ev)
-			s.add(siteKey{process: process, class: ev.Class, kind: ev.Kind,
-				symbol: ev.Symbol, verdict: ev.Verdict.String()}, sample)
-		}
-		if s.window > 0 {
-			if len(win) == s.window {
-				copy(win, win[1:])
-				win = win[:s.window-1]
-			}
-			win = append(win, *ev)
-		}
-	}
-	s.events.Add(uint64(len(events)))
+// ingester applies one frame's events as they arrive, one at a time. It
+// holds a ring of the last Window events — the leading context of a
+// failure sample — and copies a sample out of it only when a failure
+// arrives, so a frame is aggregated in memory bounded by the window, not
+// by the frame. Window context is frame-local: a failure in the first
+// events of a delta carries less context, never wrong context.
+type ingester struct {
+	s       *Store
+	process string
+	win     []trace.Event // ring of len s.window
+	start   int           // index of the oldest windowed event
+	n       int           // windowed events
+	events  uint64
+}
 
+// ingester returns a pooled ingester for one frame from process.
+func (s *Store) ingester(process string) *ingester {
+	in, _ := s.ingesters.Get().(*ingester)
+	if in == nil {
+		in = &ingester{s: s, win: make([]trace.Event, s.window)}
+	}
+	in.process = process
+	return in
+}
+
+// feed applies one event, then slides it into the window.
+func (in *ingester) feed(ev *trace.Event) {
+	s := in.s
+	switch ev.Kind {
+	case trace.KindTransition:
+		s.add(siteKey{process: in.process, class: ev.Class, kind: ev.Kind,
+			from: ev.From, to: ev.To, symbol: ev.Symbol}, nil)
+	case trace.KindAccept:
+		s.add(siteKey{process: in.process, class: ev.Class, kind: ev.Kind}, nil)
+	case trace.KindFail:
+		sample := make([]trace.Event, 0, in.n+1)
+		for i := 0; i < in.n; i++ {
+			sample = append(sample, in.win[(in.start+i)%len(in.win)])
+		}
+		s.add(siteKey{process: in.process, class: ev.Class, kind: ev.Kind,
+			symbol: ev.Symbol, verdict: ev.Verdict.String()}, append(sample, *ev))
+	}
+	if in.n < len(in.win) {
+		in.win[(in.start+in.n)%len(in.win)] = *ev
+		in.n++
+	} else {
+		in.win[in.start] = *ev
+		in.start = (in.start + 1) % len(in.win)
+	}
+	in.events++
+}
+
+// finish books the frame against the fleet and producer totals and
+// returns the ingester to the pool, its window cleared so it pins none of
+// the frame's events.
+func (in *ingester) finish(ringDropped uint64) {
+	s := in.s
+	s.events.Add(in.events)
+	s.frames.Add(1)
 	s.mu.Lock()
-	p := s.proc(process)
+	p := s.proc(in.process)
 	p.frames++
-	p.events += uint64(len(events))
+	p.events += in.events
 	p.ringDropped += ringDropped
 	s.mu.Unlock()
+
+	clear(in.win)
+	in.process, in.start, in.n, in.events = "", 0, 0, 0
+	s.ingesters.Put(in)
 }
 
 // add bumps one site, feeding the failure reservoir when a sample is
@@ -247,7 +286,9 @@ func (s *Store) add(k siteKey, sample []trace.Event) {
 }
 
 // IngestFrame decodes and aggregates one FrameTrace payload: the event
-// count prefix, then the binary trace. The declared count is the drop-
+// count prefix, then the binary trace. Events stream from the decoder
+// into the frame's ingester one at a time; the frame is never
+// materialised as an event slice. The declared count is the drop-
 // accounting unit; a payload whose decode dies mid-way contributes the
 // events it actually yielded and marks the producer's frame bad.
 func (s *Store) IngestFrame(process string, payload []byte) error {
@@ -261,19 +302,19 @@ func (s *Store) IngestFrame(process string, payload []byte) error {
 		s.markBadFrame(process)
 		return fmt.Errorf("agg: trace frame from %s: %w", process, err)
 	}
-	events := make([]trace.Event, 0, min(int(declared), 4096))
+	in := s.ingester(process)
 	for {
 		ev, err := sd.Next()
 		if err != nil {
 			break // io.EOF, or corruption counted below
 		}
-		events = append(events, ev)
+		in.feed(&ev)
 	}
-	s.ingestEvents(process, events, sd.Dropped())
-	s.frames.Add(1)
-	if uint64(len(events)) != declared {
+	decoded := in.events
+	in.finish(sd.Dropped())
+	if decoded != declared {
 		s.markBadFrame(process)
-		return fmt.Errorf("agg: trace frame from %s declared %d events, decoded %d", process, declared, len(events))
+		return fmt.Errorf("agg: trace frame from %s declared %d events, decoded %d", process, declared, decoded)
 	}
 	return nil
 }

@@ -189,11 +189,30 @@ func rejectHello(h Hello) string {
 // The result is also exactly what the client write-ahead-logs to its
 // offline spool: spool frame == wire frame, so resume is a replay.
 func EncodeSeqTrace(seq uint64, tracePayload []byte) []byte {
+	buf := make([]byte, seqRoom, seqRoom+len(tracePayload))
+	return sealSeq(append(buf, tracePayload...), seq)
+}
+
+// seqRoom is the space a sequenced payload reserves in front of its body
+// for the sequence number, which is only known once the frame is queued.
+const seqRoom = binary.MaxVarintLen64
+
+// appendSeqBody appends the body of a FrameSeqTrace payload for tr — the
+// event count, then the binary trace — after seqRoom reserved bytes, so the
+// delta is encoded once, in place, into what becomes its final payload.
+func appendSeqBody(dst []byte, tr *trace.Trace) []byte {
+	dst = append(dst[:0], make([]byte, seqRoom)...)
+	dst = binary.AppendUvarint(dst, uint64(len(tr.Events)))
+	return trace.AppendBinary(dst, tr)
+}
+
+// sealSeq writes seq into the room reserved in front of buf's body and
+// returns the finished FrameSeqTrace payload, a suffix of buf.
+func sealSeq(buf []byte, seq uint64) []byte {
 	var prefix [binary.MaxVarintLen64]byte
 	n := binary.PutUvarint(prefix[:], seq)
-	out := make([]byte, 0, n+len(tracePayload))
-	out = append(out, prefix[:n]...)
-	return append(out, tracePayload...)
+	copy(buf[seqRoom-n:], prefix[:n])
+	return buf[seqRoom-n:]
 }
 
 // SeqTraceInfo splits a FrameSeqTrace payload into its sequence number,

@@ -1,0 +1,72 @@
+//go:build !race
+
+package core
+
+import "testing"
+
+// Allocation regressions for the batched event plane. The file is excluded
+// under -race, where sync.Pool drops items at random, so a pooled buffer
+// cannot stay warm and every count would be noise.
+
+// noteCounter counts the notifications a batch delivers without
+// allocating itself.
+type noteCounter struct {
+	NopHandler
+	n int
+}
+
+func (c *noteCounter) InstanceNew(*Class, *Instance)                        { c.n++ }
+func (c *noteCounter) Transition(*Class, *Instance, uint32, uint32, string) { c.n++ }
+func (c *noteCounter) Accept(*Class, *Instance)                             { c.n++ }
+
+// TestUpdateBatchAllocs: in steady state UpdateBatch allocates nothing, on
+// the per-thread slot array and on the striped global store, even though
+// each batch's notifications spill far past a noteBuf's inline array.
+func TestUpdateBatchAllocs(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		opts StoreOpts
+	}{
+		{"slots", StoreOpts{Context: PerThread}},
+		{"striped", StoreOpts{Context: Global, Shards: 4}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			h := &noteCounter{}
+			tc.opts.Handler = h
+			s := NewStoreOpts(tc.opts)
+			cls := &Class{Name: "alloc", States: 4, Limit: DefaultInstanceLimit}
+			s.Register(cls)
+			enter := NewSymbolPlan(cls, "enter", 0, TransitionSet{{From: 0, To: 1, Flags: TransInit, KeyMask: 1}})
+			work := NewSymbolPlan(cls, "work", 0, TransitionSet{{From: 1, To: 2, KeyMask: 1}, {From: 2, To: 1, KeyMask: 1}})
+			exit := NewSymbolPlan(cls, "exit", 0, TransitionSet{{From: 1, To: 3, Flags: TransCleanup}, {From: 2, To: 3, Flags: TransCleanup}})
+
+			// One batch is a whole lifecycle: 24 keyed inits, two rounds
+			// of work per key, then the cleanup that accepts and expunges
+			// every instance — 144 notifications, most of them spilled.
+			const keys = 24
+			var ops []BatchOp
+			for k := 0; k < keys; k++ {
+				ops = append(ops, BatchOp{Plan: enter, Key: NewKey(Value(k))})
+			}
+			for r := 0; r < 2; r++ {
+				for k := 0; k < keys; k++ {
+					ops = append(ops, BatchOp{Plan: work, Key: NewKey(Value(k))})
+				}
+			}
+			ops = append(ops, BatchOp{Plan: exit, Key: AnyKey})
+
+			run := func() {
+				if err := s.UpdateBatch(ops); err != nil {
+					t.Fatal(err)
+				}
+			}
+			run()
+			if want := 6 * keys; h.n != want {
+				t.Fatalf("one batch delivered %d notifications, want %d", h.n, want)
+			}
+			if allocs := testing.AllocsPerRun(100, run); allocs != 0 {
+				t.Fatalf("UpdateBatch allocated %.1f times per call in steady state, want 0", allocs)
+			}
+		})
+	}
+}

@@ -33,18 +33,21 @@ func (s *Store) UpdateBatch(ops []BatchOp) error {
 	if len(ops) == 0 {
 		return nil
 	}
-	if s.nshards > 0 {
-		return s.updateBatchSharded(ops)
-	}
-	var nb noteBuf
+	nb := notePool.Get().(*noteBuf)
 	var firstErr error
-	for i := range ops {
-		op := &ops[i]
-		if err := s.updateSlots(s.slotsOf(op.Plan.Cls), op.Plan, op.Key, &nb); err != nil && firstErr == nil {
-			firstErr = err
+	if s.nshards > 0 {
+		firstErr = s.updateBatchSharded(ops, nb)
+	} else {
+		for i := range ops {
+			op := &ops[i]
+			if err := s.updateSlots(s.slotsOf(op.Plan.Cls), op.Plan, op.Key, nb); err != nil && firstErr == nil {
+				firstErr = err
+			}
 		}
 	}
-	s.dispatch(&nb)
+	s.dispatch(nb)
+	nb.reset()
+	notePool.Put(nb)
 	return firstErr
 }
 
@@ -55,15 +58,15 @@ func (s *Store) UpdateBatch(ops []BatchOp) error {
 // as the single-event path does — and ops then apply in order,
 // each re-planning under the held locks; the first op whose need outgrows
 // the held set ends the run and starts the next window. Order is never
-// changed: an op applies exactly when every op before it has.
-func (s *Store) updateBatchSharded(ops []BatchOp) error {
-	var nb noteBuf
+// changed: an op applies exactly when every op before it has. Notifications
+// accumulate in nb for the caller to dispatch once every stripe is released.
+func (s *Store) updateBatchSharded(ops []BatchOp, nb *noteBuf) error {
 	var firstErr error
 	i := 0
 	for i < len(ops) {
 		cls := ops[i].Plan.Cls
 		sc := s.shardsOf(cls)
-		if s.shardedQuarGate(sc, &nb) {
+		if s.shardedQuarGate(sc, nb) {
 			i++
 			continue
 		}
@@ -78,7 +81,7 @@ func (s *Store) updateBatchSharded(ops []BatchOp) error {
 
 		for i < j {
 			op := &ops[i]
-			if s.shardedQuarGate(sc, &nb) {
+			if s.shardedQuarGate(sc, nb) {
 				// Quarantined mid-run (or suppressed); the gate counted
 				// it, skip the op. Safe under the held stripes: quarMu
 				// nests inside stripe locks everywhere.
@@ -93,14 +96,13 @@ func (s *Store) updateBatchSharded(ops []BatchOp) error {
 				// and reacquire.
 				break
 			}
-			if err := s.applySharded(sc, op.Plan, op.Key, &nb, set, scan); err != nil && firstErr == nil {
+			if err := s.applySharded(sc, op.Plan, op.Key, nb, set, scan); err != nil && firstErr == nil {
 				firstErr = err
 			}
 			i++
 		}
 		s.unlockShards(sc, set)
 	}
-	s.dispatch(&nb)
 	return firstErr
 }
 

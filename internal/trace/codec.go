@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math/bits"
+	"sync"
 
 	"tesla/internal/core"
 )
@@ -24,13 +25,42 @@ const magic = "TESLATRC"
 // protecting against corrupt or hostile length prefixes.
 const maxTraceEvents = 1 << 26
 
-// Write encodes the trace in compact binary form.
+// Write encodes the trace in compact binary form with one Write call to w.
+// Like AppendBinary, it encodes synchronously and keeps nothing of t.
 func Write(w io.Writer, t *Trace) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(magic); err != nil {
-		return err
+	_, err := w.Write(AppendBinary(nil, t))
+	return err
+}
+
+// AppendBinary appends the compact binary encoding of t to dst and returns
+// the extended slice. It is the one encoder behind Write, the WAL trace
+// spool and the agg wire: a caller that owns a reusable buffer encodes a
+// delta straight into it, with no intermediate copy. It keeps nothing of t,
+// so the caller may reuse t.Events as soon as it returns.
+func AppendBinary(dst []byte, t *Trace) []byte {
+	enc := encoderPool.Get().(*encoder)
+	enc.buf = append(dst, magic...)
+	enc.trace(t)
+	dst = enc.buf
+	enc.buf = nil
+	if len(enc.strings) > maxPooledStrings {
+		enc.strings = map[string]uint64{}
+	} else {
+		clear(enc.strings)
 	}
-	enc := &encoder{w: bw, strings: map[string]uint64{}}
+	encoderPool.Put(enc)
+	return dst
+}
+
+// encoderPool recycles encoders so a steady stream of delta encodes reuses
+// one string-interning table instead of building a map per trace.
+var encoderPool = sync.Pool{New: func() any { return &encoder{strings: map[string]uint64{}} }}
+
+// maxPooledStrings caps the interning table a pooled encoder keeps: one
+// trace with an unusually large vocabulary must not pin it.
+const maxPooledStrings = 1024
+
+func (enc *encoder) trace(t *Trace) {
 	enc.uvarint(uint64(Version))
 	enc.uvarint(t.Dropped)
 	enc.uvarint(uint64(len(t.Automata)))
@@ -89,10 +119,6 @@ func Write(w io.Writer, t *Trace) error {
 			}
 		}
 	}
-	if enc.err != nil {
-		return enc.err
-	}
-	return bw.Flush()
 }
 
 // WriteJSON encodes the trace as indented JSON.
@@ -159,37 +185,19 @@ func minU64(a, b uint64) uint64 {
 	return b
 }
 
-// encoder accumulates binary output, deferring the first error. Strings are
-// interned: the first occurrence writes ref == table length followed by the
-// bytes; later occurrences write only the ref.
+// encoder appends binary output to buf. Strings are interned: the first
+// occurrence writes ref == table length followed by the bytes; later
+// occurrences write only the ref.
 type encoder struct {
-	w       *bufio.Writer
-	buf     [binary.MaxVarintLen64]byte
+	buf     []byte
 	strings map[string]uint64
-	err     error
 }
 
-func (e *encoder) byte(b byte) {
-	if e.err == nil {
-		e.err = e.w.WriteByte(b)
-	}
-}
+func (e *encoder) byte(b byte) { e.buf = append(e.buf, b) }
 
-func (e *encoder) uvarint(v uint64) {
-	if e.err != nil {
-		return
-	}
-	n := binary.PutUvarint(e.buf[:], v)
-	_, e.err = e.w.Write(e.buf[:n])
-}
+func (e *encoder) uvarint(v uint64) { e.buf = binary.AppendUvarint(e.buf, v) }
 
-func (e *encoder) varint(v int64) {
-	if e.err != nil {
-		return
-	}
-	n := binary.PutVarint(e.buf[:], v)
-	_, e.err = e.w.Write(e.buf[:n])
-}
+func (e *encoder) varint(v int64) { e.buf = binary.AppendVarint(e.buf, v) }
 
 func (e *encoder) str(s string) {
 	if ref, ok := e.strings[s]; ok {
@@ -200,9 +208,7 @@ func (e *encoder) str(s string) {
 	e.strings[s] = ref
 	e.uvarint(ref)
 	e.uvarint(uint64(len(s)))
-	if e.err == nil {
-		_, e.err = e.w.WriteString(s)
-	}
+	e.buf = append(e.buf, s...)
 }
 
 // key writes the bound mask then only the bound slots' values.

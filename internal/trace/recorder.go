@@ -44,7 +44,7 @@ type Recorder struct {
 	life  *ring
 	sinks []*threadSink
 	// injected counts DropFault rejections separately from ring
-	// overwrites, so CutSince can attribute per-cut losses exactly.
+	// overwrites, so a cut can attribute per-cut losses exactly.
 	injected uint64
 }
 
@@ -237,16 +237,44 @@ func (r *Recorder) Snapshot() *Trace {
 }
 
 // Cut is a watermark over every ring of a Recorder, as returned by
-// CutSince. The zero value (or nil) means "the beginning of the run".
+// CutSince and advanced in place by CutInto. The zero value (or nil)
+// means "the beginning of the run".
 type Cut struct {
 	life     uint64
 	injected uint64
-	sinks    map[*threadSink]uint64
+	// sinks[i] is the watermark of the i-th registered thread ring. Rings
+	// are only ever appended to a recorder, so registration order is a
+	// stable index; rings registered after the cut start at zero.
+	sinks []uint64
 }
 
 // CutSince returns the events recorded after prev (nil for the start of
-// the run) as a delta trace, plus the new watermark to pass next time.
-// The delta's Dropped field counts only what was lost since prev — ring
+// the run) as a fresh delta trace, plus the new watermark to pass next
+// time; prev is left unchanged. It is CutInto for callers that keep each
+// delta: a streaming consumer that is done with a delta before the next
+// cut should call CutInto and reuse one trace instead.
+func (r *Recorder) CutSince(prev *Cut) (*Trace, *Cut) {
+	next, tr := prev.clone(), &Trace{}
+	r.CutInto(next, tr)
+	return tr, next
+}
+
+// clone copies a watermark (nil clones to the start of the run).
+func (c *Cut) clone() *Cut {
+	if c == nil {
+		return &Cut{}
+	}
+	return &Cut{life: c.life, injected: c.injected, sinks: append([]uint64(nil), c.sinks...)}
+}
+
+// CutInto refills tr with the events recorded after c's watermark, in Seq
+// order, and advances c to the new watermark in place. tr.Events is
+// truncated and appended to, so its backing array is reused across cuts:
+// the steady-state cut copies each event once, into memory the caller
+// already owns, and allocates nothing. tr.Automata is set to the
+// recorder's own name list, which callers must treat as read-only.
+//
+// The delta's Dropped field counts only what was lost since c — ring
 // overwrites of not-yet-cut events and injected drops — so a consumer
 // summing delta lengths and delta Dropped fields accounts for every
 // event the run emitted, exactly once. This is the producer side of live
@@ -263,41 +291,42 @@ type Cut struct {
 // not-yet-read ring while a causally-later event in an already-read ring
 // is missed, punching a Seq hole through the final, never-followed-up
 // cut of a killed process.
-func (r *Recorder) CutSince(prev *Cut) (*Trace, *Cut) {
-	next := &Cut{sinks: map[*threadSink]uint64{}}
-	var prevLife, prevInjected uint64
-	var prevSinks map[*threadSink]uint64
-	if prev != nil {
-		prevLife, prevInjected, prevSinks = prev.life, prev.injected, prev.sinks
-	}
-
+func (r *Recorder) CutInto(c *Cut, tr *Trace) {
 	// Lock order: r.mu, then every sink. Push paths take a single sink
 	// lock (never r.mu under it) and lifeEvent takes r.mu alone, so this
 	// cannot deadlock against recording.
 	r.mu.Lock()
-	sinks := append([]*threadSink(nil), r.sinks...)
-	for _, s := range sinks {
+	for _, s := range r.sinks {
 		s.mu.Lock()
 	}
-	events, dropped := r.life.cutSince(prevLife, nil)
-	next.life = r.life.pushed
-	next.injected = r.injected
-	dropped += r.injected - prevInjected
-	for _, s := range sinks {
+	for len(c.sinks) < len(r.sinks) {
+		c.sinks = append(c.sinks, 0)
+	}
+	events, dropped := r.life.cutSince(c.life, tr.Events[:0])
+	c.life = r.life.pushed
+	dropped += r.injected - c.injected
+	c.injected = r.injected
+	for i, s := range r.sinks {
 		var lost uint64
-		events, lost = s.ring.cutSince(prevSinks[s], events)
-		next.sinks[s] = s.ring.pushed
+		events, lost = s.ring.cutSince(c.sinks[i], events)
+		c.sinks[i] = s.ring.pushed
 		dropped += lost
 	}
-	for _, s := range sinks {
+	for _, s := range r.sinks {
 		s.mu.Unlock()
 	}
 	r.mu.Unlock()
-	sort.Slice(events, func(i, j int) bool { return events[i].Seq < events[j].Seq })
-	return &Trace{
-		FormatVersion: Version,
-		Automata:      append([]string(nil), r.names...),
-		Dropped:       dropped,
-		Events:        events,
-	}, next
+	tr.FormatVersion = Version
+	tr.Automata = r.names[:len(r.names):len(r.names)]
+	tr.Dropped = dropped
+	tr.Events = events
+	sort.Sort((*bySeq)(&tr.Events))
 }
+
+// bySeq sorts a merged cut by sequence number. The pointer receiver lets
+// sort.Sort take it without boxing a slice header on the heap.
+type bySeq []Event
+
+func (s *bySeq) Len() int           { return len(*s) }
+func (s *bySeq) Less(i, j int) bool { return (*s)[i].Seq < (*s)[j].Seq }
+func (s *bySeq) Swap(i, j int)      { (*s)[i], (*s)[j] = (*s)[j], (*s)[i] }

@@ -12,7 +12,7 @@ type ring struct {
 	dropped uint64
 	// pushed counts every event ever pushed, including those since
 	// overwritten: it is the ring's logical write position, which lets a
-	// cut (recorder.CutSince) take exactly the events after a watermark
+	// cut (Recorder.CutInto) take exactly the events after a watermark
 	// and account exactly for the ones the ring overwrote in between.
 	pushed uint64
 }

@@ -9,6 +9,7 @@ import (
 
 	"tesla/internal/automata"
 	"tesla/internal/core"
+	"tesla/internal/monitor"
 )
 
 // TestStreamDecoderMatchesRead pins the incremental decoder to the batch
@@ -211,5 +212,63 @@ func TestCutSinceInjectedDrops(t *testing.T) {
 	tr2, _ := rec.CutSince(cut)
 	if len(tr2.Events) != 0 || tr2.Dropped != 0 {
 		t.Fatalf("idle cut: %d events, %d dropped; want 0, 0", len(tr2.Events), tr2.Dropped)
+	}
+}
+
+// TestCutIntoReusesDelta: CutInto advances its watermark in place and
+// refills one delta, yielding exactly the deltas a CutSince chain does —
+// across thread rings registered between cuts and ring overflow — while
+// reusing the delta's backing array whenever it is large enough. Its
+// encoding through AppendBinary round-trips through Read.
+func TestCutIntoReusesDelta(t *testing.T) {
+	autos := []*automata.Automaton{{Name: "a"}}
+	cls := &core.Class{Name: "a", States: 4, Limit: 4}
+	rec := NewRecorder(autos, 16)
+	var prev *Cut
+	var cut Cut
+	var delta Trace
+	var buf []byte
+	reused := 0
+	for round := 0; round < 12; round++ {
+		if round%4 == 0 {
+			// A new thread ring appears between cuts.
+			tap := rec.ThreadTap(round)
+			for i := 0; i < 3; i++ {
+				tap.ProgramEvent(monitor.ProgramEvent{Kind: monitor.ProgCall, Fn: "f", Vals: []core.Value{core.Value(i)}})
+			}
+		}
+		for i := 0; i < 2+round*3; i++ { // later rounds overflow the 16-event ring
+			rec.Transition(cls, &core.Instance{Key: core.NewKey(core.Value(i))}, 0, 1, "sym")
+		}
+		// A cut only reads the rings, so both chains, holding equal
+		// watermarks, must cut the same interval.
+		want, next := rec.CutSince(prev)
+		prev = next
+		before := cap(delta.Events)
+		backing := delta.Events[:min(1, before)]
+		rec.CutInto(&cut, &delta)
+		if len(delta.Events) != len(want.Events) || (len(want.Events) > 0 && !reflect.DeepEqual(delta.Events, want.Events)) {
+			t.Fatalf("round %d: CutInto events diverge from CutSince\ngot:  %v\nwant: %v", round, delta.Events, want.Events)
+		}
+		if delta.Dropped != want.Dropped {
+			t.Fatalf("round %d: CutInto dropped %d, CutSince %d", round, delta.Dropped, want.Dropped)
+		}
+		if len(backing) == 1 && len(delta.Events) > 0 && len(delta.Events) <= before {
+			if &delta.Events[0] != &backing[0] {
+				t.Fatalf("round %d: a delta that fit was not cut into the reused array", round)
+			}
+			reused++
+		}
+		buf = AppendBinary(buf[:0], &delta)
+		got, err := Read(bytes.NewReader(buf))
+		if err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		if got.Dropped != delta.Dropped || len(got.Events) != len(delta.Events) {
+			t.Fatalf("round %d: AppendBinary round trip lost events", round)
+		}
+	}
+	if reused == 0 {
+		t.Fatal("no delta fit the reused array; reuse went unexercised")
 	}
 }

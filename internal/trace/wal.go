@@ -22,7 +22,7 @@ import (
 // recovered spool is always a valid frame prefix of what was appended.
 //
 // Two producers sit on it: tesla-run -trace-spool streams delta traces
-// (Recorder.CutSince cuts, via SpoolWriter) so a SIGKILL'd process loses
+// (Recorder.CutInto cuts, via SpoolWriter) so a SIGKILL'd process loses
 // at most one flush interval of events, and the tesla-agg client
 // overflows undeliverable wire frames to disk so a server outage or a
 // producer crash never silently loses accounted events.
@@ -115,7 +115,14 @@ type Spool struct {
 	broken   error // a failed append poisons the spool until reopened
 	closed   bool
 	recov    SpoolRecovery
+	// frame is Append's reusable header+payload buffer, kept while it
+	// stays within spoolFrameKeep.
+	frame []byte
 }
+
+// spoolFrameKeep caps the frame buffer a spool keeps between appends, so
+// one oversized frame does not pin its size for the spool's lifetime.
+const spoolFrameKeep = 1 << 20
 
 func segName(i int) string { return fmt.Sprintf("wal-%06d.seg", i) }
 
@@ -341,12 +348,14 @@ func (s *Spool) Append(payload []byte) error {
 		}
 	}
 
-	var hdr [walFrameHeader]byte
-	binary.LittleEndian.PutUint32(hdr[:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:], crc32.Checksum(payload, crcTable))
-	buf := make([]byte, 0, frame)
-	buf = append(buf, hdr[:]...)
+	// The frame is assembled in a buffer the spool owns, so the header and
+	// payload reach the file in one write without a fresh copy per append.
+	buf := binary.LittleEndian.AppendUint32(s.frame[:0], uint32(len(payload)))
+	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(payload, crcTable))
 	buf = append(buf, payload...)
+	if cap(buf) <= spoolFrameKeep {
+		s.frame = buf
+	}
 
 	if err := s.writeLocked(buf); err != nil {
 		// Cut the torn tail immediately so the spool stays valid for
@@ -525,7 +534,7 @@ func ReadSpool(dir string) (*Trace, error) {
 
 // SpoolWriter streams a live Recorder into a Spool as delta traces: each
 // flush cuts exactly the events recorded since the previous flush
-// (Recorder.CutSince) and appends their binary encoding as one WAL
+// (Recorder.CutInto) and appends their binary encoding as one WAL
 // frame. Under SpoolSyncAlways a SIGKILL loses at most the events not
 // yet appended: one flush interval, plus whatever accumulated while an
 // in-flight flush was still encoding (on a saturated machine flushes
@@ -534,12 +543,19 @@ func ReadSpool(dir string) (*Trace, error) {
 // the run — exact as long as the recorder rings did not overwrite
 // between cuts; overwrites are counted in each delta's Dropped, never
 // lost silently.
+//
+// Each flush cuts into the same Trace and encodes into the same byte
+// buffer (Recorder.CutInto, AppendBinary), and Spool.Append copies the
+// frame into the spool's own buffer, so a steady flush cadence reuses its
+// memory instead of allocating per event.
 type SpoolWriter struct {
 	rec   *Recorder
 	spool *Spool
 
 	mu  sync.Mutex
-	cut *Cut
+	cut Cut
+	tr  Trace  // the reusable delta
+	buf []byte // the reusable encoding of tr
 	// lostFrames/lostEvents count deltas a failed append discarded —
 	// explicit loss accounting in the PR 5 tradition (the events are
 	// gone from the spool, never silently).
@@ -560,20 +576,14 @@ func NewSpoolWriter(rec *Recorder, spool *Spool) *SpoolWriter {
 func (w *SpoolWriter) Flush() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	tr, next := w.rec.CutSince(w.cut)
-	w.cut = next
-	if len(tr.Events) == 0 && tr.Dropped == 0 {
+	w.rec.CutInto(&w.cut, &w.tr)
+	if len(w.tr.Events) == 0 && w.tr.Dropped == 0 {
 		return nil
 	}
-	var buf bytes.Buffer
-	if err := Write(&buf, tr); err != nil {
+	w.buf = AppendBinary(w.buf[:0], &w.tr)
+	if err := w.spool.Append(w.buf); err != nil {
 		w.lostFrames++
-		w.lostEvents += uint64(len(tr.Events))
-		return err
-	}
-	if err := w.spool.Append(buf.Bytes()); err != nil {
-		w.lostFrames++
-		w.lostEvents += uint64(len(tr.Events))
+		w.lostEvents += uint64(len(w.tr.Events))
 		return err
 	}
 	return nil
