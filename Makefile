@@ -153,10 +153,12 @@ compile-gate:
 # SIGKILLs real tesla-run / tesla-agg binaries at randomized points:
 # every recovered -trace-spool must be a verbatim prefix of an uncrashed
 # run, and fleet counts must come out exactly once across producer
-# crash, two resends and a server kill/restart in between.
+# crash, two resends and a server kill/restart in between. The resend
+# tests add a spool replay that survives a connection reset and one that
+# refuses to close the accounting with a degraded bye.
 crash-gate: build
 	$(GO) test -count=1 ./internal/trace -run 'TestSpool|TestWAL'
-	$(GO) test -count=1 ./internal/agg -run 'TestCrashSchedules|TestSnapshot|TestDurableAcks|TestResendDeduplicated'
+	$(GO) test -count=1 ./internal/agg -run 'TestCrashSchedules|TestSnapshot|TestDurableAcks|TestResendDeduplicated|TestResendSpool'
 	$(GO) test -count=1 ./cmd/tesla-agg -run 'TestCrashGate'
 
 # Allocation gate: the steady-state trace path from recorder to fleet
@@ -195,7 +197,7 @@ bench-compare:
 	fi
 
 # The benchmark harness is a module of its own (cmd/tesla-perf/go.mod), so
-# the root `go build ./...` never compiles it: an internal API change that
-# breaks it only shows up here.
+# the root `go build ./...` and `make vet` never reach it: an internal API
+# change that breaks it only shows up here.
 perf-test:
-	cd cmd/tesla-perf && $(GO) test ./...
+	cd cmd/tesla-perf && $(GO) vet ./... && $(GO) test ./...

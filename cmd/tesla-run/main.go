@@ -1,7 +1,7 @@
 // tesla-run compiles, instruments and executes a csub program under TESLA:
 // the full §4 workflow in one command. Violations are reported as they are
-// detected; with -failstop (TESLA's default behaviour in the paper) the
-// first violation aborts execution. With -trace, every program and
+// detected; with -failure stop (TESLA's default behaviour in the paper)
+// the first violation aborts execution. With -trace, every program and
 // automaton lifecycle event is recorded to a trace file for offline replay
 // and shrinking with tesla-trace. The build runs through the parallel
 // content-hash-cached graph: -j bounds the workers, -cache persists
@@ -26,7 +26,7 @@
 //
 // Usage:
 //
-//	tesla-run [-plain] [-failstop] [-debug] [-trace out.tr] [-entry main]
+//	tesla-run [-plain] [-debug] [-trace out.tr] [-entry main]
 //	          [-trace-spool dir] [-spool-flush dur] [-spool-sync policy]
 //	          [-agg addr] [-agg-flush dur] [-agg-process name]
 //	          [-agg-spool dir]
@@ -66,9 +66,8 @@ import (
 
 func main() {
 	tool := cli.New("tesla-run",
-		"[-plain] [-failstop] [-debug] [-trace out.tr] [-agg addr] [-j N] [-cache dir] [-explain] [-health] [-failure mode] [-overflow policy] [-shards N] [-batch N] [-arg N]... file.c...")
+		"[-plain] [-debug] [-trace out.tr] [-agg addr] [-j N] [-cache dir] [-explain] [-health] [-failure mode] [-overflow policy] [-shards N] [-batch N] [-arg N]... file.c...")
 	plain := flag.Bool("plain", false, "run without instrumentation (Default build)")
-	failstop := flag.Bool("failstop", false, "abort on the first violation")
 	debug := flag.Bool("debug", false, "trace automaton events (TESLA_DEBUG-style output)")
 	tracePath := flag.String("trace", "", "record an event trace to this file (.json for JSON, else binary)")
 	traceCap := flag.Int("trace-buf", 0, "per-thread trace ring capacity in events (0 = default)")
@@ -114,7 +113,6 @@ func main() {
 		handler = append(handler, &core.PrintHandler{W: os.Stderr})
 	}
 	monOpts := monitor.Options{
-		FailFast:        *failstop,
 		GlobalShards:    *shards,
 		BatchSize:       *batch,
 		Failure:         failure,

@@ -57,6 +57,11 @@ type Client struct {
 	loadedSeq   uint64
 	spoolBehind bool
 	closed      bool
+	// resumed marks a client replaying a crashed run's spool: it must not
+	// close that run's accounting with a degraded bye, so the first frame
+	// it cannot deliver ends the writer without one (the spool keeps every
+	// frame for a retry).
+	resumed bool
 
 	done chan struct{}
 
@@ -141,6 +146,21 @@ type wireFrame struct {
 // naming both sides. The returned client owns the connection (and the
 // spool, when one is configured).
 func Dial(addr string, opts ClientOpts) (*Client, error) {
+	if opts.Spool != nil && opts.Spool.FrameCount() > 0 {
+		return nil, fmt.Errorf("agg: spool %s is not empty — it belongs to an earlier run; deliver it with `tesla-agg resend` before reusing the directory", opts.Spool.Dir())
+	}
+	c, conn, _, err := connect(addr, opts)
+	if err != nil {
+		return nil, err
+	}
+	go c.writer(conn)
+	return c, nil
+}
+
+// connect applies the option defaults and completes the handshake,
+// returning a client whose writer is not yet running, its connection and
+// the server's ack watermark.
+func connect(addr string, opts ClientOpts) (*Client, net.Conn, uint64, error) {
 	if opts.Buffer <= 0 {
 		opts.Buffer = 256
 	}
@@ -150,9 +170,6 @@ func Dial(addr string, opts ClientOpts) (*Client, error) {
 	if opts.Backoff <= 0 {
 		opts.Backoff = 50 * time.Millisecond
 	}
-	if opts.Spool != nil && opts.Spool.FrameCount() > 0 {
-		return nil, fmt.Errorf("agg: spool %s is not empty — it belongs to an earlier run; deliver it with `tesla-agg resend` before reusing the directory", opts.Spool.Dir())
-	}
 	c := &Client{opts: opts, addr: addr, done: make(chan struct{})}
 	c.cond = sync.NewCond(&c.mu)
 	conn, ack, err := dialHandshake(addr, Hello{
@@ -160,15 +177,14 @@ func Dial(addr string, opts ClientOpts) (*Client, error) {
 		Tool: opts.Tool, Process: opts.Process,
 	}, opts.wrapConn)
 	if err != nil {
-		return nil, err
+		return nil, nil, 0, err
 	}
 	c.noteAck(ack.Ack)
-	go c.writer(conn)
-	return c, nil
+	return c, conn, ack.Ack, nil
 }
 
 // dialHandshake dials addr, sends the magic and hello, and waits for the
-// ack. Shared by the client, the query CLI path and ResumeSpool.
+// ack. Shared by the client and the query CLI path.
 func dialHandshake(addr string, hello Hello, wrap func(net.Conn) net.Conn) (net.Conn, HelloAck, error) {
 	network, address := SplitAddr(addr)
 	conn, err := net.Dial(network, address)
@@ -527,9 +543,12 @@ func (c *Client) writer(conn net.Conn) {
 			c.sentFrames.Add(1)
 			c.sentEvents.Add(f.events)
 			c.retainUnacked(f)
-		} else {
-			c.droppedFrames.Add(1)
-			c.droppedEvents.Add(f.events)
+			continue
+		}
+		c.droppedFrames.Add(1)
+		c.droppedEvents.Add(f.events)
+		if c.resumed {
+			return
 		}
 	}
 	// Final accounting. Sent/dropped are complete here: the queue and

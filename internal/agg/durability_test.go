@@ -7,6 +7,7 @@ import (
 	"net"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -31,6 +32,9 @@ type flakyConn struct {
 	seqN   int
 	failAt int
 	fired  *atomic.Bool
+	// landed, when set, runs after the failing write and before the
+	// reset, e.g. to wait until the server has applied the frame.
+	landed func()
 }
 
 func (f *flakyConn) Write(b []byte) (int, error) {
@@ -44,6 +48,9 @@ func (f *flakyConn) Write(b []byte) (int, error) {
 	f.mu.Unlock()
 	if hit && f.fired.CompareAndSwap(false, true) {
 		// The frame is fully on the wire, but the caller sees a failure.
+		if f.landed != nil {
+			f.landed()
+		}
 		f.Conn.Close()
 		return n, fmt.Errorf("injected: connection reset after the write landed")
 	}
@@ -59,7 +66,15 @@ func TestResendDeduplicated(t *testing.T) {
 	c, err := Dial(sock, ClientOpts{
 		Tool: "t", Process: "flaky", Backoff: 5 * time.Millisecond,
 		wrapConn: func(conn net.Conn) net.Conn {
-			return &flakyConn{Conn: conn, failAt: 3, fired: &fired}
+			return &flakyConn{Conn: conn, failAt: 3, fired: &fired, landed: func() {
+				// Once the server has applied the frame, its re-send is a
+				// certain dup; without the wait, an ack write to the reset
+				// connection can close it before the frame is read.
+				deadline := time.Now().Add(10 * time.Second)
+				for srv.Store().AckSeq("flaky") < 3 && time.Now().Before(deadline) {
+					time.Sleep(time.Millisecond)
+				}
+			}}
 		},
 	})
 	if err != nil {
@@ -102,6 +117,143 @@ func TestResendDeduplicated(t *testing.T) {
 	}
 	if ps.Events+ps.DroppedEvents != ps.SentEvents {
 		t.Fatalf("accounting leak: %d + %d != %d", ps.Events, ps.DroppedEvents, ps.SentEvents)
+	}
+}
+
+// TestResendSpoolReconnects: a resend whose first connection resets after
+// a frame landed mid-spool reconnects and completes like any client: the
+// re-sent frame deduplicates, every event is ingested once, and the bye's
+// full-spool totals close the accounting exactly. The reset waits for the
+// server to apply the frame, so the dedup is certain rather than a race
+// between the server's read of the frame and its view of the reset.
+func TestResendSpoolReconnects(t *testing.T) {
+	srv, sock := startServer(t, ServerOpts{})
+	dir := t.TempDir()
+	spool, err := trace.OpenSpool(dir, trace.SpoolOpts{Sync: trace.SpoolSyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const frames, per = 8, 16
+	for i := 1; i <= frames; i++ {
+		payload := encodeTracePayload(t, producerTrace(uint64(i*100), per))
+		if err := spool.Append(EncodeSeqTrace(uint64(i), payload)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := spool.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	var fired atomic.Bool
+	st, err := ResumeSpool(sock, "resumed", dir, ResumeOpts{
+		wrapConn: func(conn net.Conn) net.Conn {
+			return &flakyConn{Conn: conn, failAt: 3, fired: &fired, landed: func() {
+				deadline := time.Now().Add(10 * time.Second)
+				for srv.Store().AckSeq("resumed") < 3 && time.Now().Before(deadline) {
+					time.Sleep(time.Millisecond)
+				}
+			}}
+		},
+	})
+	if err != nil {
+		t.Fatalf("resend: %v", err)
+	}
+	if !fired.Load() {
+		t.Fatal("fault never fired; the reconnect went unexercised")
+	}
+	if st.Frames != frames || st.Events != frames*per || st.Resent+st.Skipped != frames {
+		t.Fatalf("resume stats %+v, want %d frames / %d events all delivered", st, frames, frames*per)
+	}
+	var ps ProducerStat
+	waitFor(t, "resumed producer clean", func() bool {
+		for _, p := range srv.Store().Fleet().Producers {
+			if p.Process == "resumed" && p.Clean {
+				ps = p
+				return true
+			}
+		}
+		return false
+	})
+	if ps.Events != frames*per || ps.SentEvents != frames*per {
+		t.Fatalf("ingested %d / bye sent %d events, want exactly %d", ps.Events, ps.SentEvents, frames*per)
+	}
+	if ps.DupFrames == 0 {
+		t.Fatalf("expected the re-sent frames to be observed as dedups, got %+v", ps)
+	}
+	if ps.Events+ps.DroppedEvents != ps.SentEvents {
+		t.Fatalf("accounting leak: %d + %d != %d", ps.Events, ps.DroppedEvents, ps.SentEvents)
+	}
+}
+
+// TestResendSpoolNoDegradedBye: a resend that cannot deliver a frame
+// (its server connection resets and every redial fails) returns an error
+// and sends no bye, so the crashed run's accounting stays open; the spool
+// is untouched, and a retry delivers every event exactly once.
+func TestResendSpoolNoDegradedBye(t *testing.T) {
+	srv, sock := startServer(t, ServerOpts{})
+	dir := t.TempDir()
+	spool, err := trace.OpenSpool(dir, trace.SpoolOpts{Sync: trace.SpoolSyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const frames, per = 6, 8
+	for i := 1; i <= frames; i++ {
+		payload := encodeTracePayload(t, producerTrace(uint64(i*100), per))
+		if err := spool.Append(EncodeSeqTrace(uint64(i), payload)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := spool.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	var fired, dialed atomic.Bool
+	_, err = ResumeSpool(sock, "stuck", dir, ResumeOpts{
+		wrapConn: func(conn net.Conn) net.Conn {
+			if dialed.Swap(true) {
+				conn.Close() // every redial dies before its handshake
+				return conn
+			}
+			return &flakyConn{Conn: conn, failAt: 2, fired: &fired}
+		},
+	})
+	if err == nil {
+		t.Fatal("resend with an undeliverable frame reported success")
+	}
+	waitFor(t, "stuck producer disconnected", func() bool {
+		for _, p := range srv.Store().Fleet().Producers {
+			if p.Process == "stuck" && p.Disconnects > 0 {
+				return true
+			}
+		}
+		return false
+	})
+	for _, p := range srv.Store().Fleet().Producers {
+		if p.Process == "stuck" && (p.Clean || p.SentEvents != 0) {
+			t.Fatalf("failed resend closed the accounting: %+v", p)
+		}
+	}
+
+	st, err := ResumeSpool(sock, "stuck", dir, ResumeOpts{})
+	if err != nil {
+		t.Fatalf("retry: %v", err)
+	}
+	if st.Frames != frames {
+		t.Fatalf("retry saw %d spooled frames, want %d (spool not intact)", st.Frames, frames)
+	}
+	var ps ProducerStat
+	waitFor(t, "stuck producer clean", func() bool {
+		for _, p := range srv.Store().Fleet().Producers {
+			if p.Process == "stuck" && p.Clean {
+				ps = p
+				return true
+			}
+		}
+		return false
+	})
+	if ps.Events != frames*per || ps.Events+ps.DroppedEvents != ps.SentEvents {
+		t.Fatalf("after retry: ingested %d + dropped %d, sent %d, want exactly %d",
+			ps.Events, ps.DroppedEvents, ps.SentEvents, frames*per)
 	}
 }
 
@@ -294,9 +446,10 @@ func tracePayloadFor(t *testing.T, tr *trace.Trace) []byte {
 // ---------------------------------------------------------------------
 // Protocol compatibility.
 
-// TestV1ProducerAccepted: an old producer speaking proto v1 with
-// unsequenced frames is still ingested (without dedup or acks).
-func TestV1ProducerAccepted(t *testing.T) {
+// TestV1ProducerRejected: a producer speaking the retired proto v1 is
+// turned away at the handshake with a message naming both versions, and
+// leaves no producer record behind.
+func TestV1ProducerRejected(t *testing.T) {
 	srv, sock := startServer(t, ServerOpts{})
 	conn, err := net.Dial(SplitAddr(sock))
 	if err != nil {
@@ -314,27 +467,22 @@ func TestV1ProducerAccepted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	json.Unmarshal(payload, &ack)
-	if !ack.OK {
-		t.Fatalf("v1 hello rejected: %s", ack.Message)
-	}
-	tr := producerTrace(0, 8)
-	body := encodeTracePayload(t, tr)
-	if err := fw.Frame(FrameTrace, body); err != nil {
+	if err := json.Unmarshal(payload, &ack); err != nil {
 		t.Fatal(err)
 	}
-	bye, _ := json.Marshal(Bye{SentFrames: 1, SentEvents: 8})
-	if err := fw.Frame(FrameBye, bye); err != nil {
-		t.Fatal(err)
+	if ack.OK {
+		t.Fatal("v1 hello accepted")
 	}
-	waitFor(t, "v1 ingested", func() bool {
-		for _, p := range srv.Store().Fleet().Producers {
-			if p.Process == "v1" && p.Clean && p.Events == 8 {
-				return true
-			}
-		}
-		return false
-	})
+	if !strings.Contains(ack.Message, "proto v1") || !strings.Contains(ack.Message, "proto v2") {
+		t.Fatalf("rejection does not name both versions: %q", ack.Message)
+	}
+	// The server closes a rejected connection without reading further.
+	if _, _, err := trace.NewFrameReader(conn).Next(); err == nil {
+		t.Fatal("rejected connection stayed open")
+	}
+	if ps := srv.Store().Fleet().Producers; len(ps) != 0 {
+		t.Fatalf("rejected producer left a record: %+v", ps)
+	}
 }
 
 func encodeTracePayload(t *testing.T, tr *trace.Trace) []byte {

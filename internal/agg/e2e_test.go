@@ -130,7 +130,7 @@ func TestAggGate(t *testing.T) {
 	if err := trace.Write(&payload, lost); err != nil {
 		t.Fatal(err)
 	}
-	if err := fw.Frame(FrameTrace, []byte(payload.String())); err != nil {
+	if err := fw.Frame(FrameSeqTrace, EncodeSeqTrace(1, []byte(payload.String()))); err != nil {
 		t.Fatal(err)
 	}
 	conn.Close()
@@ -289,7 +289,11 @@ func TestServerQueueDrop(t *testing.T) {
 	if err := trace.Write(&payload, tr); err != nil {
 		t.Fatal(err)
 	}
-	store.DropFrame("p", FrameEventCount([]byte(payload.String())))
+	_, declared, _, err := SeqTraceInfo(EncodeSeqTrace(1, []byte(payload.String())))
+	if err != nil {
+		t.Fatal(err)
+	}
+	store.DropFrame("p", declared)
 	sum := store.Fleet()
 	if sum.DroppedFrames != 1 || sum.DroppedEvents != 10 {
 		t.Fatalf("drop accounting: %+v", sum)

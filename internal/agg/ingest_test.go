@@ -80,8 +80,9 @@ func TestStreamingSamplesMatchSliceWindow(t *testing.T) {
 	}
 }
 
-// TestPublisherBufferReuse: the publisher refills one delta on every
-// flush, so once a flush returns its events are overwritten by the next.
+// TestPublisherBufferReuse: the publisher's flusher refills one delta on
+// every flush, so once a flush returns its events are overwritten by the
+// next.
 // Frames still queued (a one-frame buffer overflowing to the spool) or
 // unacked (a connection reset after the write landed) must nonetheless
 // deliver the earlier events exactly once: the encode at SendTrace keeps
@@ -103,11 +104,21 @@ func TestPublisherBufferReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := trace.NewRecorder(nil, 1<<14)
-	pub := NewPublisher(rec, c)
+	// A Publisher is this flusher with Client.SendTrace as its send; the
+	// wrapper only watches which array each delta arrives in.
+	var backing *trace.Event
+	reused := true
+	pub := trace.NewFlusher(rec, 0, func(tr *trace.Trace) error {
+		if backing == nil {
+			backing = &tr.Events[0]
+		} else if &tr.Events[0] != backing {
+			reused = false
+		}
+		return c.SendTrace(tr)
+	})
 	classes := []*core.Class{{Name: "alpha"}, {Name: "beta"}}
 
 	const flushes = 12
-	var backing *trace.Event
 	for f := 0; f < flushes; f++ {
 		// Every delta has its own content and is no larger than the
 		// first, so each flush overwrites the same backing array.
@@ -121,11 +132,9 @@ func TestPublisherBufferReuse(t *testing.T) {
 		if err := pub.Flush(); err != nil {
 			t.Fatal(err)
 		}
-		if f == 0 {
-			backing = &pub.delta.Events[0]
-		} else if &pub.delta.Events[0] != backing {
-			t.Fatalf("flush %d did not reuse the delta's backing array", f)
-		}
+	}
+	if !reused {
+		t.Fatal("a flush did not reuse the delta's backing array")
 	}
 	if err := c.Close(); err != nil {
 		t.Fatal(err)

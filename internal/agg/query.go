@@ -42,7 +42,7 @@ type ProducerStat struct {
 	DroppedEvents uint64 `json:"droppedEvents"`
 	RingDropped   uint64 `json:"ringDropped"`
 	BadFrames     uint64 `json:"badFrames,omitempty"`
-	// DupFrames/DupEvents count deduplicated resends (proto v2): frames a
+	// DupFrames/DupEvents count deduplicated resends: frames a
 	// recovering producer sent again that the server had already applied.
 	// They are evidence of exactly-once at work, not double-counting —
 	// Frames/Events exclude them.
@@ -110,12 +110,7 @@ func (s *Store) forEachSite(fn func(k siteKey, a *siteAgg)) {
 
 // Fleet builds the fleet summary.
 func (s *Store) Fleet() FleetSummary {
-	sum := FleetSummary{
-		TotalFrames:   s.frames.Load(),
-		TotalEvents:   s.events.Load(),
-		DroppedFrames: s.droppedFrames.Load(),
-		DroppedEvents: s.droppedEvents.Load(),
-	}
+	var sum FleetSummary
 
 	classes := map[string]*ClassStat{}
 	s.forEachSite(func(k siteKey, a *siteAgg) {
@@ -163,6 +158,10 @@ func (s *Store) Fleet() FleetSummary {
 			ps.ClientDropped = p.bye.ClientDroppedEvents
 			sum.ClientDropped += p.bye.ClientDroppedEvents
 		}
+		sum.TotalFrames += p.frames
+		sum.TotalEvents += p.events
+		sum.DroppedFrames += p.droppedFrames
+		sum.DroppedEvents += p.droppedEvents
 		sum.RingDropped += p.ringDropped
 		if p.clean {
 			sum.CleanProducers++

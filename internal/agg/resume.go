@@ -3,10 +3,8 @@ package agg
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"net"
-	"time"
 
 	"tesla/internal/trace"
 )
@@ -14,15 +12,17 @@ import (
 // ResumeSpool delivers a crashed producer's offline spool and closes the
 // accounting its crash left open. The crashed run's client write-ahead-
 // logged every sequenced frame before sending it, so the spool is a
-// superset of what the server received from that producer; the handshake
-// returns the server's acked watermark, frames at or below it are
-// skipped, the rest are resent (the server deduplicates, so resending
-// into an unsnapshotted server that already applied them is also safe),
-// and a bye carrying the full-spool totals finally closes the producer
-// cleanly: ingested + dropped == sent holds again.
+// superset of what the server received from that producer. The resume is
+// a Client built over the recovered spool: frames at or below the
+// handshake's ack watermark count as already delivered, the rest replay
+// through the writer's spool-reload path — with the Client's reconnects,
+// retries and resend-until-acked — and Close sends a bye carrying the
+// full-spool totals: ingested + dropped == sent holds again. The server
+// deduplicates by sequence, so resending into a server that already
+// applied a frame is safe.
 //
-// A connection failure mid-resume returns an error with nothing lost —
-// the spool is untouched and a retry is idempotent.
+// A frame that cannot be delivered returns an error before any bye is
+// sent: the spool is untouched and a retry is idempotent.
 
 // ResumeStats is what a completed resume delivered.
 type ResumeStats struct {
@@ -64,32 +64,21 @@ func ResumeSpool(addr, process, dir string, opts ResumeOpts) (ResumeStats, error
 	if err != nil {
 		return st, err
 	}
-	defer spool.Close()
-
-	conn, ack, err := dialHandshake(addr, Hello{
-		Proto: ProtoVersion, Codec: trace.Version,
-		Tool: opts.Tool, Process: process,
-	}, opts.wrapConn)
+	if spool.FrameCount() == 0 {
+		spool.Close()
+		return st, fmt.Errorf("agg: spool %s holds no frames", dir)
+	}
+	c, conn, ack, err := connect(addr, ClientOpts{
+		Tool: opts.Tool, Process: process, Spool: spool, wrapConn: opts.wrapConn,
+	})
 	if err != nil {
+		spool.Close()
 		return st, err
 	}
-	defer conn.Close()
 
-	// Drain the server's per-frame acks concurrently: an unread ack
-	// stream would eventually fill the socket and wedge the server's
-	// apply worker against our own writes — a resume-shaped deadlock.
-	readerDone := make(chan struct{})
-	go func() {
-		defer close(readerDone)
-		fr := trace.NewFrameReader(conn)
-		for {
-			if _, _, err := fr.Next(); err != nil {
-				return
-			}
-		}
-	}()
-
-	fw := trace.NewFrameWriter(conn)
+	// Tally the spool for the bye. The delivered prefix counts as sent
+	// up front; the writer adds the rest as it replays them.
+	var skippedEvents uint64
 	err = spool.Range(func(payload []byte) error {
 		seq, events, tracePayload, err := SeqTraceInfo(payload)
 		if err != nil {
@@ -97,43 +86,36 @@ func ResumeSpool(addr, process, dir string, opts ResumeOpts) (ResumeStats, error
 		}
 		st.Frames++
 		st.Events += events
-		// The cut's ring-loss delta sits in the trace header; decode it
-		// so the bye's RingDropped matches what the live client counted.
+		// The cut's ring-loss delta sits in the trace header, so the bye's
+		// RingDropped matches what the live client counted.
 		_, n := binary.Uvarint(tracePayload)
-		if tr, err := trace.Read(bytes.NewReader(tracePayload[n:])); err == nil {
-			st.RingDropped += tr.Dropped
+		if sd, err := trace.NewStreamDecoder(bytes.NewReader(tracePayload[n:])); err == nil {
+			st.RingDropped += sd.Dropped()
 		}
-		if seq <= ack.Ack {
+		if seq <= ack {
 			st.Skipped++
-			return nil
+			skippedEvents += events
 		}
-		if err := fw.Frame(FrameSeqTrace, payload); err != nil {
-			return fmt.Errorf("agg: resend to %s: %w", addr, err)
-		}
-		st.Resent++
 		return nil
 	})
 	if err != nil {
+		conn.Close()
+		spool.Close()
 		return st, err
 	}
-	if st.Frames == 0 {
-		return st, fmt.Errorf("agg: spool %s holds no frames", dir)
-	}
+	c.sentFrames.Store(st.Skipped)
+	c.sentEvents.Store(skippedEvents)
+	c.ringDropped.Store(st.RingDropped)
+	c.loadedSeq = ack
+	c.spoolBehind, c.resumed = true, true
+	go c.writer(conn)
 
-	bye, _ := json.Marshal(Bye{
-		SentFrames:  st.Frames,
-		SentEvents:  st.Events,
-		RingDropped: st.RingDropped,
-	})
-	if err := fw.Frame(FrameBye, bye); err != nil {
-		return st, fmt.Errorf("agg: bye to %s: %w", addr, err)
-	}
-	// Linger until the server drains and closes its end, so the bye (and
-	// the frames before it) cannot be destroyed by our close.
-	select {
-	case <-readerDone:
-	case <-time.After(byeLinger):
-		st.ByeLingerExpired++
+	err = c.Close()
+	cs := c.Stats()
+	st.Resent = cs.SentFrames - st.Skipped
+	st.ByeLingerExpired = cs.ByeLingerExpired
+	if err != nil {
+		return st, fmt.Errorf("agg: resend of %s to %s incomplete, spool left intact: %w", dir, addr, err)
 	}
 	return st, nil
 }

@@ -270,12 +270,10 @@ func (s *Server) handle(conn net.Conn) {
 		s.logf("agg: %s: bad hello: %v", conn.RemoteAddr(), err)
 		return
 	}
-	if hello.Proto < MinProtoVersion || hello.Proto > ProtoVersion || hello.Codec != trace.Version {
+	if hello.Proto != ProtoVersion || hello.Codec != trace.Version {
 		// Version negotiation: reject at the handshake with both sides'
 		// versions and the producing tool named — an old producer is
 		// never accepted and then killed mid-stream by a codec error.
-		// Protos back to MinProtoVersion are accepted: a v1 producer
-		// streams unsequenced frames and simply gets no dedup or acks.
 		msg := rejectHello(hello)
 		ack, _ := json.Marshal(HelloAck{OK: false, Message: msg, Proto: ProtoVersion, Codec: trace.Version})
 		fw.Frame(FrameHelloAck, ack)
@@ -283,7 +281,7 @@ func (s *Server) handle(conn net.Conn) {
 		return
 	}
 	ackFrame := HelloAck{OK: true, Proto: ProtoVersion, Codec: trace.Version}
-	if !hello.Query && hello.Proto >= 2 {
+	if !hello.Query {
 		// The resume watermark: a reconnecting producer prunes its
 		// resend set to seq > Ack before sending anything.
 		ackFrame.Ack = s.store.AckSeq(producerName(hello))
@@ -319,14 +317,14 @@ func (s *Server) idleDeadline(conn net.Conn) {
 }
 
 // frameJob is one unit of worker-queue work for a producer connection: a
-// trace frame to apply, or (payload == nil) a drop marker for a frame
-// the queue rejected. Drop markers flow through the queue — blocking,
+// sequenced trace frame to apply, or (payload == nil) a drop marker for a
+// frame the queue rejected. Drop markers flow through the queue — blocking,
 // unlike frames — so apply and drop accounting reach the store in
 // arrival order and the applied watermark stays monotonic; a read-time
 // drop racing the worker could otherwise be snapshotted before the
 // frames that preceded it.
 type frameJob struct {
-	seq     uint64 // 0 for v1 unsequenced frames
+	seq     uint64
 	events  uint64
 	payload []byte
 }
@@ -337,31 +335,20 @@ func (s *Server) serveProducer(hello Hello, conn net.Conn, fr *trace.FrameReader
 	s.store.Connected(Hello{Process: process, Tool: hello.Tool})
 
 	aw := &ackWriter{conn: conn, fw: fw}
-	if hello.Proto >= 2 {
-		s.registerAck(process, aw)
-		defer s.unregisterAck(process, aw)
-	}
+	s.registerAck(process, aw)
+	defer s.unregisterAck(process, aw)
 
 	queue := make(chan frameJob, s.opts.Queue)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		for job := range queue {
-			switch {
-			case job.payload == nil:
+			if job.payload == nil {
 				s.store.DropSeqFrame(process, job.seq, job.events)
-			case job.seq > 0:
-				if err := s.store.ApplySeqFrame(process, job.seq, job.payload); err != nil {
-					s.logf("%v", err)
-				}
-			default:
-				if err := s.store.ApplyFrame(process, job.payload); err != nil {
-					s.logf("%v", err)
-				}
+			} else if err := s.store.ApplySeqFrame(process, job.seq, job.payload); err != nil {
+				s.logf("%v", err)
 			}
-			if job.seq > 0 && hello.Proto >= 2 {
-				aw.ack(s.store.AckSeq(process))
-			}
+			aw.ack(s.store.AckSeq(process))
 		}
 	}()
 
@@ -378,14 +365,6 @@ loop:
 			break
 		}
 		switch kind {
-		case FrameTrace:
-			// v1: unsequenced, no dedup, drop-new accounted at read time
-			// (no watermark to keep monotonic).
-			select {
-			case queue <- frameJob{payload: payload}:
-			default:
-				s.store.DropFrame(process, FrameEventCount(payload))
-			}
 		case FrameSeqTrace:
 			seq, events, tracePayload, err := SeqTraceInfo(payload)
 			if err != nil {

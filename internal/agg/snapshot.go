@@ -31,6 +31,8 @@ const SnapshotVersion = 1
 type Snapshot struct {
 	Version int `json:"version"`
 
+	// The fleet totals are sums over Producers, kept for readers of the
+	// file; Restore rebuilds them from the producers.
 	TotalFrames   uint64 `json:"totalFrames"`
 	TotalEvents   uint64 `json:"totalEvents"`
 	DroppedFrames uint64 `json:"droppedFrames"`
@@ -82,13 +84,7 @@ func (s *Store) Snapshot() *Snapshot {
 	s.applyMu.Lock()
 	defer s.applyMu.Unlock()
 
-	snap := &Snapshot{
-		Version:       SnapshotVersion,
-		TotalFrames:   s.frames.Load(),
-		TotalEvents:   s.events.Load(),
-		DroppedFrames: s.droppedFrames.Load(),
-		DroppedEvents: s.droppedEvents.Load(),
-	}
+	snap := &Snapshot{Version: SnapshotVersion}
 	s.forEachSite(func(k siteKey, a *siteAgg) {
 		site := SnapSite{
 			Process: k.process, Class: k.class, Kind: k.kind,
@@ -122,6 +118,10 @@ func (s *Store) Snapshot() *Snapshot {
 			DupEvents:     p.dupEvents,
 			Seq:           p.appliedSeq,
 		}
+		snap.TotalFrames += p.frames
+		snap.TotalEvents += p.events
+		snap.DroppedFrames += p.droppedFrames
+		snap.DroppedEvents += p.droppedEvents
 		if p.hasBye {
 			bye := p.bye
 			sp.Bye = &bye
@@ -218,11 +218,6 @@ func (s *Store) Restore(snap *Snapshot) {
 	if snap == nil {
 		return
 	}
-	s.frames.Store(snap.TotalFrames)
-	s.events.Store(snap.TotalEvents)
-	s.droppedFrames.Store(snap.DroppedFrames)
-	s.droppedEvents.Store(snap.DroppedEvents)
-
 	for i := range snap.Sites {
 		site := &snap.Sites[i]
 		k := siteKey{

@@ -19,8 +19,9 @@ import (
 // stripe pattern: sites hash onto lock stripes so concurrent connection
 // workers aggregate in parallel, and every stripe owns its map and its
 // reservoir RNG outright — no shared mutable state crosses a stripe
-// boundary. Producer bookkeeping (connect/bye/disconnect) is low-rate
-// and lives under one mutex.
+// boundary. Producer bookkeeping (connect/bye/disconnect, per-producer
+// ingest and drop counters) lives under one mutex; fleet totals are sums
+// over it at query time.
 type Store struct {
 	stripes []stripe
 	seed    maphash.Seed
@@ -29,16 +30,8 @@ type Store struct {
 	window    int
 	ingesters sync.Pool // *ingester, one per in-flight frame
 
-	// Fleet ingestion totals. Server-side queue drops are counted here
-	// and per producer; everything else rolls up from the stripes and
-	// producer table at query time.
-	frames        atomic.Uint64
-	events        atomic.Uint64
-	droppedFrames atomic.Uint64
-	droppedEvents atomic.Uint64
-
-	// applyMu makes snapshots frame-atomic: every sequenced frame apply
-	// (events + counters + appliedSeq advance) holds the read side, and
+	// applyMu makes snapshots frame-atomic: every frame apply (events +
+	// counters + appliedSeq advance) holds the read side, and
 	// Snapshot takes the write side, so a snapshot never captures half a
 	// frame's effects — the invariant that lets the ack-then-resend
 	// protocol promise exactly-once accounting across a server crash.
@@ -119,10 +112,10 @@ type producer struct {
 	droppedEvents uint64
 	ringDropped   uint64 // producer ring losses (summed from frame headers)
 	badFrames     uint64 // frames that failed to decode
-	dupFrames     uint64 // v2 resends deduplicated by sequence number
+	dupFrames     uint64 // resends deduplicated by sequence number
 	dupEvents     uint64
 
-	// Sequence watermarks (proto v2). receivedSeq is the highest sequence
+	// Sequence watermarks. receivedSeq is the highest sequence
 	// accepted for ingestion or drop accounting — anything at or below it
 	// is a duplicate resend. appliedSeq trails it by at most the worker
 	// queue; durableSeq trails appliedSeq by at most one snapshot
@@ -244,13 +237,11 @@ func (in *ingester) feed(ev *trace.Event) {
 	in.events++
 }
 
-// finish books the frame against the fleet and producer totals and
-// returns the ingester to the pool, its window cleared so it pins none of
-// the frame's events.
+// finish books the frame against its producer's totals and returns the
+// ingester to the pool, its window cleared so it pins none of the frame's
+// events.
 func (in *ingester) finish(ringDropped uint64) {
 	s := in.s
-	s.events.Add(in.events)
-	s.frames.Add(1)
 	s.mu.Lock()
 	p := s.proc(in.process)
 	p.frames++
@@ -285,8 +276,8 @@ func (s *Store) add(k siteKey, sample []trace.Event) {
 	st.mu.Unlock()
 }
 
-// IngestFrame decodes and aggregates one FrameTrace payload: the event
-// count prefix, then the binary trace. Events stream from the decoder
+// IngestFrame decodes and aggregates one trace payload: the event count
+// prefix, then the binary trace. Events stream from the decoder
 // into the frame's ingester one at a time; the frame is never
 // materialised as an event slice. The declared count is the drop-
 // accounting unit; a payload whose decode dies mid-way contributes the
@@ -319,22 +310,9 @@ func (s *Store) IngestFrame(process string, payload []byte) error {
 	return nil
 }
 
-// FrameEventCount reads a FrameTrace payload's declared event count
-// without decoding the trace — what drop accounting charges for a frame
-// the queue rejected.
-func FrameEventCount(payload []byte) uint64 {
-	n, sz := binary.Uvarint(payload)
-	if sz <= 0 {
-		return 0
-	}
-	return n
-}
-
-// DropFrame records a server-side queue rejection of a trace frame:
-// counted fleet-wide and against the producer, never silent.
+// DropFrame records a server-side rejection of a trace frame: counted
+// against the producer, never silent.
 func (s *Store) DropFrame(process string, events uint64) {
-	s.droppedFrames.Add(1)
-	s.droppedEvents.Add(events)
 	s.mu.Lock()
 	p := s.proc(process)
 	p.droppedFrames++
@@ -404,7 +382,7 @@ func (s *Store) markBadFrame(process string) {
 	s.mu.Unlock()
 }
 
-// BeginSeqFrame claims a v2 frame's sequence number for process: it
+// BeginSeqFrame claims a frame's sequence number for process: it
 // reports true and advances the received watermark when the frame is
 // fresh, and false — counting a deduplicated resend — when seq was
 // already received on this or an earlier connection (or, after a
@@ -424,7 +402,7 @@ func (s *Store) BeginSeqFrame(process string, seq, events uint64) bool {
 	return true
 }
 
-// ApplySeqFrame ingests one claimed v2 frame and advances the applied
+// ApplySeqFrame ingests one claimed frame and advances the applied
 // watermark, atomically with respect to Snapshot: a snapshot sees either
 // none or all of a frame's effects, so a restore plus resend can never
 // double-apply.
@@ -440,7 +418,7 @@ func (s *Store) ApplySeqFrame(process string, seq uint64, tracePayload []byte) e
 	return err
 }
 
-// DropSeqFrame records a server-side queue rejection of a claimed v2
+// DropSeqFrame records a server-side queue rejection of a claimed
 // frame. The drop advances the applied watermark like an apply would —
 // the frame's fate is decided and accounted, so it is ackable and must
 // not be resent.
@@ -453,14 +431,6 @@ func (s *Store) DropSeqFrame(process string, seq, events uint64) {
 		p.appliedSeq = seq
 	}
 	s.mu.Unlock()
-}
-
-// ApplyFrame ingests one unsequenced (v1) frame under the same snapshot
-// atomicity as the sequenced path.
-func (s *Store) ApplyFrame(process string, payload []byte) error {
-	s.applyMu.RLock()
-	defer s.applyMu.RUnlock()
-	return s.IngestFrame(process, payload)
 }
 
 // AckSeq returns the sequence watermark safe to acknowledge to process:

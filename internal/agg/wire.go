@@ -31,34 +31,26 @@ import (
 const Magic = "TESLAAGG"
 
 // ProtoVersion is the wire-protocol version spoken by this package. The
-// hello frame carries it together with the trace-codec version; a proto
-// outside [MinProtoVersion, ProtoVersion] or a codec mismatch rejects
-// the connection at the handshake — an old producer is turned away with
-// a diagnostic naming both sides, not cut off mid-stream with a codec
-// error.
+// hello frame carries it together with the trace-codec version; any other
+// proto or a codec mismatch rejects the connection at the handshake — an
+// old producer is turned away with a diagnostic naming both sides, not cut
+// off mid-stream with a codec error.
 //
-// v2 added the durability plane: sequenced trace frames (FrameSeqTrace),
-// server acks (FrameAck) and the HelloAck resume watermark. v1 producers
-// are still accepted — their unsequenced frames are ingested as before,
-// without dedup, so only v2 producers get exactly-once accounting across
-// crashes.
+// v2 is the durability plane: every trace frame is sequenced
+// (FrameSeqTrace), acked (FrameAck) and deduplicated, and the HelloAck
+// carries the resume watermark. v1's unsequenced frames are retired.
 const ProtoVersion = 2
-
-// MinProtoVersion is the oldest protocol the server still accepts.
-const MinProtoVersion = 1
 
 // Frame kinds of the wire protocol. The framing itself (kind byte,
 // uvarint length, payload) is trace.FrameWriter/FrameReader; this is the
 // schema above it. Control payloads are JSON (small, debuggable); trace
-// payloads are an event-count uvarint followed by a complete binary trace
-// encoding, so a dropped frame can be accounted in events without
-// decoding it.
+// payloads are a sequence number and an event-count uvarint followed by a
+// complete binary trace encoding, so a dropped frame can be accounted in
+// events without decoding it. Kind 2 was v1's unsequenced trace frame and
+// stays unassigned.
 const (
 	// FrameHello is the producer's first frame: a Hello payload.
 	FrameHello = 1
-	// FrameTrace is one delta trace: uvarint event count, then the
-	// binary codec bytes.
-	FrameTrace = 2
 	// FrameHealth is a []HealthRow JSON payload: the producer's merged
 	// monitor health counters (cumulative; the server keeps the latest).
 	FrameHealth = 3
@@ -71,13 +63,12 @@ const (
 	FrameQuery = 6
 	// FrameResult is the server's JSON answer to a FrameQuery.
 	FrameResult = 7
-	// FrameSeqTrace (proto v2) is one sequenced delta trace: uvarint
-	// frame sequence number, then the FrameTrace payload (uvarint event
-	// count + binary codec bytes). Sequence numbers are monotonic per
+	// FrameSeqTrace is one sequenced delta trace: uvarint frame sequence
+	// number, uvarint event count, then the binary codec bytes. Sequence numbers are monotonic per
 	// producer process across connections and restarts, so the server can
 	// deduplicate resent frames and acknowledge durable prefixes.
 	FrameSeqTrace = 8
-	// FrameAck (proto v2, server→producer) carries the producer's
+	// FrameAck (server→producer) carries the producer's
 	// acknowledged sequence watermark as an Ack payload: every frame with
 	// seq <= Ack.Seq is applied (and, when the server snapshots, durable)
 	// and may be pruned from the client's resend set and spool.
@@ -110,7 +101,7 @@ type HelloAck struct {
 	Message string `json:"message,omitempty"`
 	Proto   int    `json:"proto"`
 	Codec   int    `json:"codec"`
-	// Ack (proto v2) is the producer's acknowledged sequence watermark at
+	// Ack is the producer's acknowledged sequence watermark at
 	// handshake time — a reconnecting or resuming producer prunes its
 	// resend set to seq > Ack before sending anything.
 	Ack uint64 `json:"ack,omitempty"`
@@ -180,12 +171,12 @@ type Query struct {
 // actionable, naming the producing tool and both sides' versions.
 func rejectHello(h Hello) string {
 	return fmt.Sprintf(
-		"%s (process %q) speaks proto v%d / trace codec v%d; this tesla-agg accepts proto v%d-v%d / codec v%d — upgrade whichever side is older",
-		orUnknown(h.Tool), h.Process, h.Proto, h.Codec, MinProtoVersion, ProtoVersion, trace.Version)
+		"%s (process %q) speaks proto v%d / trace codec v%d; this tesla-agg accepts proto v%d / codec v%d — upgrade whichever side is older",
+		orUnknown(h.Tool), h.Process, h.Proto, h.Codec, ProtoVersion, trace.Version)
 }
 
-// EncodeSeqTrace prefixes a FrameTrace payload (event count + binary
-// trace) with its sequence number, producing a FrameSeqTrace payload.
+// EncodeSeqTrace prefixes a trace payload (event count + binary trace)
+// with its sequence number, producing a FrameSeqTrace payload.
 // The result is also exactly what the client write-ahead-logs to its
 // offline spool: spool frame == wire frame, so resume is a replay.
 func EncodeSeqTrace(seq uint64, tracePayload []byte) []byte {
@@ -216,7 +207,8 @@ func sealSeq(buf []byte, seq uint64) []byte {
 }
 
 // SeqTraceInfo splits a FrameSeqTrace payload into its sequence number,
-// declared event count and the embedded FrameTrace payload.
+// declared event count and the trace payload after the sequence number
+// (event count + binary trace).
 func SeqTraceInfo(payload []byte) (seq, events uint64, tracePayload []byte, err error) {
 	seq, n := binary.Uvarint(payload)
 	if n <= 0 || seq == 0 {

@@ -112,5 +112,5 @@ func (s *Store) updateBatchSharded(ops []BatchOp, nb *noteBuf) error {
 // through synchronously so their verdict error surfaces at the event call
 // that caused it.
 func (s *Store) FailStopFor(cls *Class) bool {
-	return s.sv.resolve(cls).failureIn(s) == FailStop
+	return s.sv.resolve(cls).failure == FailStop
 }

@@ -64,17 +64,15 @@ func runChaosDifferential(t *testing.T, seed int64, shards int, rate float64, ca
 
 	href := &noteHandler{}
 	hsh := &noteHandler{}
+	failure := failureFor(rng.Intn(2) == 0)
 	ref := NewStoreOpts(StoreOpts{
-		Context: PerThread, Handler: href,
+		Context: PerThread, Handler: href, Failure: failure,
 		AllocFail: func(c *Class) bool { return injRef.Should(faultinject.SiteAlloc, c.Name) },
 	})
 	sh := NewStoreOpts(StoreOpts{
-		Context: Global, Handler: hsh, Shards: shards,
+		Context: Global, Handler: hsh, Shards: shards, Failure: failure,
 		AllocFail: func(c *Class) bool { return injSh.Should(faultinject.SiteAlloc, c.Name) },
 	})
-	failFast := rng.Intn(2) == 0
-	ref.FailFast = failFast
-	sh.FailFast = failFast
 	ref.Register(cls)
 	sh.Register(cls)
 

@@ -166,10 +166,8 @@ func runDifferential(t *testing.T, seed int64, shards int, failFast bool) {
 
 	href := &noteHandler{}
 	hsh := &noteHandler{}
-	ref := NewStoreOpts(StoreOpts{Context: PerThread, Handler: href})
-	sh := NewStoreOpts(StoreOpts{Context: Global, Handler: hsh, Shards: shards})
-	ref.FailFast = failFast
-	sh.FailFast = failFast
+	ref := NewStoreOpts(StoreOpts{Context: PerThread, Handler: href, Failure: failureFor(failFast)})
+	sh := NewStoreOpts(StoreOpts{Context: Global, Handler: hsh, Shards: shards, Failure: failureFor(failFast)})
 	ref.Register(cls)
 	sh.Register(cls)
 

@@ -45,8 +45,7 @@ func FuzzCompiledStep(f *testing.F) {
 			const limit = 6
 			cls := &Class{Name: "fuzzstep", States: 8, Limit: limit}
 			h := &noteHandler{}
-			s := l.store(StoreOpts{Handler: h})
-			s.FailFast = true
+			s := l.store(StoreOpts{Handler: h, Failure: FailStop})
 			s.Register(cls)
 			m := newLifecycleModel(cls.Name, limit)
 

@@ -249,6 +249,15 @@ func (l layout) store(o StoreOpts) *Store {
 	return NewStoreOpts(o)
 }
 
+// failureFor maps a schedule's fail-fast switch onto the store-wide
+// failure action; off leaves it unset, which resolves to FailReport.
+func failureFor(failFast bool) FailureAction {
+	if failFast {
+		return FailStop
+	}
+	return FailDefault
+}
+
 // planCache memoizes one schedule's lowered plans per (symbol, flags): the
 // engine contract is link-time lowering, one plan reused for every event of
 // that symbol — lowering per event would hide staleness bugs.
@@ -306,8 +315,7 @@ func runModelDifferential(t *testing.T, seed int64, l layout, failFast bool, bat
 	states := uint32(3 + rng.Intn(3))
 
 	h := &noteHandler{}
-	s := l.store(StoreOpts{Handler: h})
-	s.FailFast = failFast
+	s := l.store(StoreOpts{Handler: h, Failure: failureFor(failFast)})
 	s.Register(cls)
 	m := newLifecycleModel(cls.Name, limit)
 

@@ -615,7 +615,7 @@ func (s *Store) applySharded(sc *shardedClass, p *SymbolPlan, key Key, nb *noteB
 	}
 
 	var firstErr error
-	failStop := sc.pol.failureIn(s) == FailStop
+	failStop := sc.pol.failure == FailStop
 
 	// Collect the instances live before this event (so clones made below
 	// are not driven by the same event), compatible with its key. With no

@@ -69,9 +69,8 @@ type StoreOpts struct {
 	Shards int
 
 	// Failure is the store-wide default failure action for classes whose
-	// Class.Failure is FailDefault. Leaving it FailDefault preserves the
-	// legacy behaviour: FailStop when Store.FailFast is set, else
-	// FailReport.
+	// Class.Failure is FailDefault (FailReport when left FailDefault).
+	// It is resolved once per class, at registration.
 	Failure FailureAction
 	// Overflow is the store-wide default overflow policy (DropNew when
 	// left OverflowDefault).
@@ -113,12 +112,6 @@ type Store struct {
 	// order preserves registration order for deterministic iteration.
 	order []*classState
 	stab  atomic.Pointer[shardTable]
-
-	// FailFast makes UpdateState return the first violation as an error
-	// (fail-stop is TESLA's default, but it is configurable at run time).
-	// Set it before the store is shared between threads. Classes whose
-	// Failure is not FailDefault override it individually.
-	FailFast bool
 
 	// sv is the resolved supervision configuration (supervise.go).
 	sv supervision

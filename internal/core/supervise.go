@@ -31,9 +31,8 @@ import (
 type FailureAction int
 
 const (
-	// FailDefault defers to the store's default action (which itself
-	// defaults to FailStop when Store.FailFast is set, FailReport
-	// otherwise).
+	// FailDefault defers to the store's default action
+	// (StoreOpts.Failure, itself FailReport when left FailDefault).
 	FailDefault FailureAction = iota
 	// FailReport notifies the handler and continues: the paper's
 	// best-effort printf/DTrace modes.
@@ -219,7 +218,7 @@ func (sv *supervision) init(o StoreOpts) {
 // class fields against store defaults, cached at registration so the event
 // hot path reads plain fields.
 type classPolicy struct {
-	failure         FailureAction // FailDefault ⇒ consult Store.FailFast
+	failure         FailureAction // never FailDefault once resolved
 	overflow        OverflowPolicy
 	quarantineAfter int
 	rearmEvents     int
@@ -243,6 +242,9 @@ func (sv *supervision) resolve(cls *Class) classPolicy {
 	if p.failure == FailDefault {
 		p.failure = sv.failure
 	}
+	if p.failure == FailDefault {
+		p.failure = FailReport
+	}
 	if p.overflow == OverflowDefault {
 		p.overflow = sv.overflow
 	}
@@ -265,17 +267,6 @@ func (sv *supervision) resolve(cls *Class) classPolicy {
 		p.rearmEvents = DefaultRearmEvents
 	}
 	return p
-}
-
-// failureIn maps FailDefault onto the store's legacy FailFast switch.
-func (p classPolicy) failureIn(s *Store) FailureAction {
-	if p.failure != FailDefault {
-		return p.failure
-	}
-	if s.FailFast {
-		return FailStop
-	}
-	return FailReport
 }
 
 // quarState is the quarantine bookkeeping shared by both store layouts.
@@ -398,7 +389,7 @@ func (s *Store) deliverNote(h Handler, n *note) {
 	s.notify(h, n)
 	if n.kind == noteFail && n.cls.OnViolation != nil {
 		pol := s.policyOf(n.cls)
-		if pol.failureIn(s) == FailCallback {
+		if pol.failure == FailCallback {
 			s.callback(n.cls, n.v)
 		}
 	}

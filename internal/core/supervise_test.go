@@ -28,7 +28,7 @@ func initTS() TransitionSet {
 }
 
 // TestFailureActions covers the §4.4.2 spectrum: stop, report, callback, and
-// the FailDefault → FailFast fallback.
+// the FailDefault → StoreOpts.Failure fallback.
 func TestFailureActions(t *testing.T) {
 	site := TransitionSet{{From: 1, To: 2, KeyMask: 1}}
 	violate := func(s *Store, cls *Class) error {
@@ -40,11 +40,10 @@ func TestFailureActions(t *testing.T) {
 	bothStores(t, func(t *testing.T, mk func(o StoreOpts) *Store) {
 		t.Run("default-failfast", func(t *testing.T) {
 			cls := &Class{Name: "d", States: 3, Limit: 4}
-			s := mk(StoreOpts{})
-			s.FailFast = true
+			s := mk(StoreOpts{Failure: FailStop})
 			s.Register(cls)
 			if err := violate(s, cls); err == nil {
-				t.Fatal("FailFast default: want violation error")
+				t.Fatal("FailStop store default: want violation error")
 			}
 		})
 		t.Run("default-report", func(t *testing.T) {
@@ -53,7 +52,7 @@ func TestFailureActions(t *testing.T) {
 			s := mk(StoreOpts{Handler: h})
 			s.Register(cls)
 			if err := violate(s, cls); err != nil {
-				t.Fatalf("non-FailFast default: unexpected error %v", err)
+				t.Fatalf("unset store default: unexpected error %v", err)
 			}
 			if len(h.Violations()) != 1 {
 				t.Fatal("handler missed the violation")
@@ -61,11 +60,10 @@ func TestFailureActions(t *testing.T) {
 		})
 		t.Run("class-report-overrides-failfast", func(t *testing.T) {
 			cls := &Class{Name: "r", States: 3, Limit: 4, Failure: FailReport}
-			s := mk(StoreOpts{})
-			s.FailFast = true
+			s := mk(StoreOpts{Failure: FailStop})
 			s.Register(cls)
 			if err := violate(s, cls); err != nil {
-				t.Fatalf("FailReport class under FailFast store: unexpected error %v", err)
+				t.Fatalf("FailReport class under FailStop store: unexpected error %v", err)
 			}
 		})
 		t.Run("class-stop-overrides-default", func(t *testing.T) {

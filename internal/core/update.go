@@ -36,7 +36,7 @@ func (s *Store) UpdateState(cls *Class, symbol string, flags SymbolFlags, key Ke
 // even call back into the store, without stalling monitored threads.
 //
 // The returned error is non-nil only when the class's effective failure
-// action is FailStop (FailDefault defers to Store.FailFast) and a violation
+// action is FailStop (FailDefault defers to StoreOpts.Failure) and a violation
 // or overflow occurred; the store's Handler is notified of every outcome
 // regardless.
 func (s *Store) UpdateStatePlan(p *SymbolPlan, key Key) error {
@@ -186,7 +186,7 @@ func (s *Store) updateSlots(cs *classState, p *SymbolPlan, key Key, nb *noteBuf)
 	}
 
 	var firstErr error
-	failStop := cs.pol.failureIn(s) == FailStop
+	failStop := cs.pol.failure == FailStop
 
 	// Snapshot the instances live before this event so that clones created
 	// below are not themselves driven by the same event. The walk stops at

@@ -126,8 +126,7 @@ func TestFig9Lifecycle(t *testing.T) {
 func TestFig9ErrorNoInstance(t *testing.T) {
 	cls := fig9Class()
 	h := NewCountingHandler()
-	s := NewStore(PerThread, h)
-	s.FailFast = true
+	s := NewStoreOpts(StoreOpts{Context: PerThread, Handler: h, Failure: FailStop})
 	s.Register(cls)
 	enter, check, site, _ := fig9Sets()
 
@@ -289,8 +288,7 @@ func TestOverflowReported(t *testing.T) {
 	cls := &Class{Name: "tiny", States: 3, Limit: 2}
 	h := NewCountingHandler()
 	overflowed := 0
-	s := NewStore(PerThread, MultiHandler{h, overflowCounter{&overflowed}})
-	s.FailFast = true
+	s := NewStoreOpts(StoreOpts{Context: PerThread, Handler: MultiHandler{h, overflowCounter{&overflowed}}, Failure: FailStop})
 	s.Register(cls)
 
 	enter := TransitionSet{{From: 0, To: 1, Flags: TransInit}}
@@ -420,7 +418,7 @@ func TestContextString(t *testing.T) {
 func TestRegisterWithStorage(t *testing.T) {
 	cls := &Class{Name: "delegated", States: 3}
 	storage := make([]Instance, 2)
-	s := NewStore(PerThread, nil)
+	s := NewStoreOpts(StoreOpts{Context: PerThread, Failure: FailStop})
 	s.RegisterWithStorage(cls, storage)
 
 	enter := TransitionSet{{From: 0, To: 1, Flags: TransInit}}
@@ -430,7 +428,6 @@ func TestRegisterWithStorage(t *testing.T) {
 	}
 	// The limit is the slice length: the third instance overflows.
 	check := TransitionSet{{From: 1, To: 2, KeyMask: 1}, {From: 2, To: 2, KeyMask: 1}}
-	s.FailFast = true
 	s.UpdateState(cls, "check", 0, NewKey(1), check)
 	if err := s.UpdateState(cls, "check", 0, NewKey(2), check); err != ErrOverflow {
 		t.Fatalf("want overflow, got %v", err)

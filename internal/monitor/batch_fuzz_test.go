@@ -59,11 +59,11 @@ func FuzzBatchFlush(f *testing.F) {
 	f.Add(uint8(0), true, []byte{4, 1, 4, 0, 4, 2})
 	f.Fuzz(func(t *testing.T, bs uint8, batchTap bool, actions []byte) {
 		size := int(bs)%9 + 1
-		// FailFast makes the site's automaton fail-stop, so site events are
+		// FailStop makes the site's automaton fail-stop, so site events are
 		// verdict-bearing and drain through the staging ring inline.
 		auto := mustAuto(t, "fz", `TESLA_SYSCALL_PREVIOUSLY(chk(x) == 0)`, nil)
 		tap := &orderTap{batch: batchTap}
-		m := MustNew(Options{Tap: tap, BatchSize: size, FailFast: true}, auto)
+		m := MustNew(Options{Tap: tap, BatchSize: size, Failure: core.FailStop}, auto)
 		th := m.NewThread()
 
 		var want []string

@@ -20,9 +20,6 @@ type Options struct {
 	Tap Tap
 	// Memory resolves indirect (&x) patterns (nil = raw values).
 	Memory Memory
-	// FailFast propagates the first violation as an error from the
-	// Thread event methods (TESLA's default fail-stop behaviour).
-	FailFast bool
 	// Naive disables the lazy-initialisation optimisation: every bound
 	// event does work on every automaton sharing that bound, the
 	// behaviour whose cost figure 13 quantifies. The optimised (default)
@@ -45,8 +42,9 @@ type Options struct {
 	BatchSize int
 
 	// Failure is the store-default failure action for classes that leave
-	// Class.Failure at FailDefault (§4.4.2's panic/printf spectrum). The
-	// zero value defers to FailFast: stop when set, report otherwise.
+	// Class.Failure at FailDefault (§4.4.2's panic/printf spectrum).
+	// FailStop propagates the first violation as an error from the Thread
+	// event methods (TESLA's fail-stop behaviour); the zero value reports.
 	Failure core.FailureAction
 	// Overflow is the store-default degradation policy applied when a
 	// class's instance table is full and Class.Overflow is OverflowDefault.
@@ -173,7 +171,6 @@ func New(opts Options, autos ...*automata.Automaton) (*Monitor, error) {
 		endCall:   map[string][]int{},
 		endRet:    map[string][]int{},
 	}
-	m.global.FailFast = opts.FailFast
 	for _, a := range autos {
 		if err := m.add(a); err != nil {
 			return nil, err
@@ -217,7 +214,7 @@ func (m *Monitor) add(a *automata.Automaton) error {
 	// else lowers here, once, so no event pays for plan construction.
 	m.plans = append(m.plans, a.Engine().Plans)
 	// Both contexts resolve failure actions against the same option
-	// defaults and FailFast switch, so the global store answers for all.
+	// defaults, so the global store answers for all.
 	m.failStop = append(m.failStop, m.global.FailStopFor(a.Class))
 
 	bound := a.Spec.Bound
@@ -324,7 +321,6 @@ func (m *Monitor) NewThread() *Thread {
 		store: core.NewStoreOpts(m.opts.storeOpts(core.PerThread)),
 		lazy:  newLazyState(len(m.boundSlot), len(m.autos)),
 	}
-	th.store.FailFast = m.opts.FailFast
 	if m.opts.Tap != nil {
 		th.tap = m.opts.Tap.ThreadTap(th.id)
 	}

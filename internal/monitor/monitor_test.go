@@ -75,7 +75,7 @@ func TestFig9EndToEnd(t *testing.T) {
 
 func TestFailFastPropagates(t *testing.T) {
 	auto := mustAuto(t, "ff", `TESLA_SYSCALL_PREVIOUSLY(check(x) == 0)`, nil)
-	m := MustNew(Options{FailFast: true}, auto)
+	m := MustNew(Options{Failure: core.FailStop}, auto)
 	th := m.NewThread()
 	th.Call("amd64_syscall")
 	err := th.Site("ff", 5)

@@ -109,7 +109,7 @@ func TestPipelineFailStop(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Fail-stop is TESLA's default: the violation aborts execution.
-	_, _, err = b.Run("main", monitor.Options{FailFast: true}, 0)
+	_, _, err = b.Run("main", monitor.Options{Failure: core.FailStop}, 0)
 	if err == nil {
 		t.Fatal("fail-stop run should abort")
 	}

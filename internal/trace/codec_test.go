@@ -170,9 +170,9 @@ func TestRingOverwritesOldest(t *testing.T) {
 	for i := 1; i <= 7; i++ {
 		r.push(Event{Seq: uint64(i)})
 	}
-	got := r.snapshot(nil)
-	if len(got) != 4 || r.dropped != 3 {
-		t.Fatalf("got %d events, %d dropped; want 4, 3", len(got), r.dropped)
+	got, lost := r.cutSince(0, nil)
+	if len(got) != 4 || lost != 3 {
+		t.Fatalf("got %d events, %d lost; want 4, 3", len(got), lost)
 	}
 	for i, ev := range got {
 		if want := uint64(4 + i); ev.Seq != want {

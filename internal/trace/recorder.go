@@ -159,7 +159,6 @@ func (r *Recorder) lifeEvent(ev Event) {
 	ev.Thread = -1
 	r.mu.Lock()
 	if r.DropFault != nil && r.DropFault() {
-		r.life.dropped++
 		r.injected++
 	} else {
 		r.life.push(ev)
@@ -211,29 +210,14 @@ func (r *Recorder) Quarantine(cls *core.Class, on bool) {
 // any that ring overflow has since discarded.
 func (r *Recorder) EventCount() uint64 { return r.seq.Load() }
 
-// Snapshot merges all rings into one Seq-ordered trace. It may be called
-// while threads are still recording; it sees a consistent prefix of each
-// ring at the moment it is locked.
+// Snapshot merges all rings into one Seq-ordered trace: the cut from the
+// zero watermark, so its Dropped counts every event lost so far and it
+// shares CutInto's cross-ring barrier. It may be called while threads are
+// still recording.
 func (r *Recorder) Snapshot() *Trace {
-	r.mu.Lock()
-	sinks := append([]*threadSink(nil), r.sinks...)
-	events := r.life.snapshot(nil)
-	dropped := r.life.dropped
-	r.mu.Unlock()
-
-	for _, s := range sinks {
-		s.mu.Lock()
-		events = s.ring.snapshot(events)
-		dropped += s.ring.dropped
-		s.mu.Unlock()
-	}
-	sort.Slice(events, func(i, j int) bool { return events[i].Seq < events[j].Seq })
-	return &Trace{
-		FormatVersion: Version,
-		Automata:      append([]string(nil), r.names...),
-		Dropped:       dropped,
-		Events:        events,
-	}
+	tr, _ := r.CutSince(nil)
+	tr.Automata = append([]string(nil), tr.Automata...)
+	return tr
 }
 
 // Cut is a watermark over every ring of a Recorder, as returned by

@@ -1,6 +1,7 @@
 package trace_test
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 
@@ -138,6 +139,30 @@ func TestRecorderBoundedMemory(t *testing.T) {
 	last := tr.Events[len(tr.Events)-1]
 	if last.Seq != rec.EventCount() {
 		t.Fatalf("newest event seq %d, recorder count %d", last.Seq, rec.EventCount())
+	}
+
+	// With injected drops on top of the overwrites, Snapshot is still
+	// exactly the cut from the zero watermark, Dropped included.
+	inj := faultinject.New(5)
+	inj.SetEvery(faultinject.SiteTraceDrop, 3)
+	rec.DropFault = func() bool { return inj.Should(faultinject.SiteTraceDrop, "life") }
+	inst := &core.Instance{Active: true}
+	for i := 0; i < 40; i++ {
+		th.Call("amd64_syscall")
+		rec.InstanceNew(auto.Class, inst)
+		th.Return("amd64_syscall", 0)
+	}
+	if inj.Fired(faultinject.SiteTraceDrop, "life") == 0 {
+		t.Fatal("injector never fired; the comparison lost its teeth")
+	}
+	snap := rec.Snapshot()
+	cut, _ := rec.CutSince(nil)
+	if !reflect.DeepEqual(snap, cut) {
+		t.Fatalf("Snapshot != CutSince(nil):\n snapshot: %d events, %d dropped\n cut:      %d events, %d dropped",
+			len(snap.Events), snap.Dropped, len(cut.Events), cut.Dropped)
+	}
+	if snap.Dropped+uint64(len(snap.Events)) != rec.EventCount() {
+		t.Fatalf("held %d + dropped %d != recorded %d", len(snap.Events), snap.Dropped, rec.EventCount())
 	}
 }
 

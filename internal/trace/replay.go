@@ -69,7 +69,6 @@ func Replay(t *Trace, autos []*automata.Automaton) (*Result, error) {
 func ReplayOpts(t *Trace, autos []*automata.Automaton, opts monitor.Options) (*Result, error) {
 	counting := core.NewCountingHandler()
 	opts.Handler = counting
-	opts.FailFast = false
 	// Replay is the reference path: it must reproduce live verdicts exactly
 	// whether the live run batched or not, so the replay monitor never
 	// batches — a caller's BatchSize (tesla-run flags forwarded wholesale)
@@ -181,7 +180,6 @@ func RerecordOpts(events []Event, autos []*automata.Automaton, opts monitor.Opti
 	rec := NewRecorder(autos, 0)
 	opts.Handler = rec
 	opts.Tap = rec
-	opts.FailFast = false
 	// As in ReplayOpts: re-recording is a reference-path replay.
 	opts.BatchSize = 0
 	m, err := monitor.New(opts, autos...)

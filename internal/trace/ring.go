@@ -1,15 +1,14 @@
 package trace
 
 // ring is a bounded append-only event buffer that overwrites its oldest
-// entries when full, counting what it loses. Bounding memory per thread is
-// what makes always-on tracing viable in the kernel configurations the
-// paper targets: a hot thread can emit millions of events, but debugging a
-// violation only ever needs the recent window that led to it.
+// entries when full. Bounding memory per thread is what makes always-on
+// tracing viable in the kernel configurations the paper targets: a hot
+// thread can emit millions of events, but debugging a violation only ever
+// needs the recent window that led to it.
 type ring struct {
-	buf     []Event
-	start   int // index of the oldest event
-	n       int // live events
-	dropped uint64
+	buf   []Event
+	start int // index of the oldest event
+	n     int // live events
 	// pushed counts every event ever pushed, including those since
 	// overwritten: it is the ring's logical write position, which lets a
 	// cut (Recorder.CutInto) take exactly the events after a watermark
@@ -36,15 +35,6 @@ func (r *ring) push(ev Event) {
 	}
 	r.buf[r.start] = ev
 	r.start = (r.start + 1) % len(r.buf)
-	r.dropped++
-}
-
-// snapshot appends the ring's events, oldest first, to dst.
-func (r *ring) snapshot(dst []Event) []Event {
-	for i := 0; i < r.n; i++ {
-		dst = append(dst, r.buf[(r.start+i)%len(r.buf)])
-	}
-	return dst
 }
 
 // cutSince appends the events pushed after the prevPushed watermark to

@@ -75,7 +75,6 @@ func ShrinkOpts(t *Trace, autos []*automata.Automaton, opts monitor.Options) (*S
 func violates(events []Event, autos []*automata.Automaton, target string, opts monitor.Options) bool {
 	counting := core.NewCountingHandler()
 	opts.Handler = counting
-	opts.FailFast = false
 	m, err := monitor.New(opts, autos...)
 	if err != nil {
 		return false

@@ -533,57 +533,44 @@ func ReadSpool(dir string) (*Trace, error) {
 }
 
 // SpoolWriter streams a live Recorder into a Spool as delta traces: each
-// flush cuts exactly the events recorded since the previous flush
-// (Recorder.CutInto) and appends their binary encoding as one WAL
-// frame. Under SpoolSyncAlways a SIGKILL loses at most the events not
-// yet appended: one flush interval, plus whatever accumulated while an
-// in-flight flush was still encoding (on a saturated machine flushes
-// batch up their backlog rather than fall behind silently). Everything
-// older is durable, and ReadSpool recovers it as a verbatim prefix of
-// the run — exact as long as the recorder rings did not overwrite
-// between cuts; overwrites are counted in each delta's Dropped, never
-// lost silently.
+// flush (Flusher) appends the binary encoding of the events recorded
+// since the previous flush as one WAL frame. Under SpoolSyncAlways a
+// SIGKILL loses at most the events not yet appended: one flush interval,
+// plus whatever accumulated while an in-flight flush was still encoding
+// (on a saturated machine flushes batch up their backlog rather than fall
+// behind silently). Everything older is durable, and ReadSpool recovers
+// it as a verbatim prefix of the run — exact as long as the recorder
+// rings did not overwrite between cuts; overwrites are counted in each
+// delta's Dropped, never lost silently.
 //
-// Each flush cuts into the same Trace and encodes into the same byte
-// buffer (Recorder.CutInto, AppendBinary), and Spool.Append copies the
-// frame into the spool's own buffer, so a steady flush cadence reuses its
-// memory instead of allocating per event.
+// Each flush encodes into the same byte buffer (AppendBinary), and
+// Spool.Append copies the frame into the spool's own buffer, so a steady
+// flush cadence reuses its memory instead of allocating per event.
 type SpoolWriter struct {
-	rec   *Recorder
+	Flusher
 	spool *Spool
-
-	mu  sync.Mutex
-	cut Cut
-	tr  Trace  // the reusable delta
-	buf []byte // the reusable encoding of tr
-	// lostFrames/lostEvents count deltas a failed append discarded —
-	// explicit loss accounting in the PR 5 tradition (the events are
-	// gone from the spool, never silently).
+	buf   []byte // the reusable encoding of the delta
+	// lostFrames/lostEvents count deltas a failed append discarded: the
+	// events are gone from the spool, but never silently. Flusher.mu
+	// guards them.
 	lostFrames uint64
 	lostEvents uint64
-
-	stop chan struct{}
-	done chan struct{}
 }
 
-// NewSpoolWriter pairs a recorder with a spool.
+// NewSpoolWriter pairs a recorder with a spool; Start defaults to a 25ms
+// flush interval.
 func NewSpoolWriter(rec *Recorder, spool *Spool) *SpoolWriter {
-	return &SpoolWriter{rec: rec, spool: spool}
+	w := &SpoolWriter{spool: spool}
+	w.rec, w.interval, w.send = rec, 25*time.Millisecond, w.append
+	return w
 }
 
-// Flush cuts and appends the delta since the last flush. Empty deltas
-// append nothing.
-func (w *SpoolWriter) Flush() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.rec.CutInto(&w.cut, &w.tr)
-	if len(w.tr.Events) == 0 && w.tr.Dropped == 0 {
-		return nil
-	}
-	w.buf = AppendBinary(w.buf[:0], &w.tr)
+// append encodes one delta and appends it to the spool.
+func (w *SpoolWriter) append(tr *Trace) error {
+	w.buf = AppendBinary(w.buf[:0], tr)
 	if err := w.spool.Append(w.buf); err != nil {
 		w.lostFrames++
-		w.lostEvents += uint64(len(w.tr.Events))
+		w.lostEvents += uint64(len(tr.Events))
 		return err
 	}
 	return nil
@@ -594,36 +581,4 @@ func (w *SpoolWriter) Lost() (frames, events uint64) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.lostFrames, w.lostEvents
-}
-
-// Start flushes on an interval until Stop.
-func (w *SpoolWriter) Start(interval time.Duration) {
-	if interval <= 0 {
-		interval = 25 * time.Millisecond
-	}
-	w.stop = make(chan struct{})
-	w.done = make(chan struct{})
-	go func() {
-		defer close(w.done)
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-t.C:
-				w.Flush()
-			case <-w.stop:
-				return
-			}
-		}
-	}()
-}
-
-// Stop ends the interval flusher (if started) and performs a final
-// flush, so a cleanly-exiting run's spool is complete.
-func (w *SpoolWriter) Stop() error {
-	if w.stop != nil {
-		close(w.stop)
-		<-w.done
-	}
-	return w.Flush()
 }
