@@ -138,13 +138,14 @@ bench-ingest:
 # stripes, both fail-fast modes, synchronous and batched at sizes 1/7/64,
 # plus the cached-plan slot-array-vs-striped engine differentials (sync
 # and batched, with and without injected allocation faults), the
-# plan-lowering unit tests, the automaton-level lowering / image
-# round-trip / corrupt-image-rejection suite, and the build graph's
-# per-class engine cache cutoffs.
+# plan-lowering unit tests (state tables against the first-match scan),
+# the automaton-level lowering suite, and the sequential, cold-graph and
+# warm-graph builds of one program running to the same results and
+# verdicts.
 compile-gate:
 	$(GO) test -race -count=1 ./internal/core -run 'TestModelDifferential|TestEngine|TestTransitionSet|TestInitTransition'
-	$(GO) test -race -count=1 ./internal/automata -run 'TestEngine|TestAttachEngine|TestStepUnifiedContract'
-	$(GO) test -race -count=1 ./internal/build -run 'TestEngineNode|TestAssertionEditRelowersOneClass|TestBodyEditKeepsEngines'
+	$(GO) test -race -count=1 ./internal/automata -run 'TestEngine|TestStepUnifiedContract'
+	$(GO) test -race -count=1 ./internal/build -run 'TestGraphRunsLikeSequential|TestGraphWarmMatchesCold'
 
 # Crash-consistency gate: the WAL spool's torn-tail recovery unit suite,
 # the in-process randomized crash schedules (producer/server kills and
@@ -184,16 +185,15 @@ fuzz-smoke:
 	$(GO) test ./internal/monitor -run '^$$' -fuzz '^FuzzBatchFlush$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzCompiledStep$$' -fuzztime $(FUZZTIME)
 
-# Global-store benchmarks, 1 stripe vs the GOMAXPROCS-sized default,
-# diffed with benchstat when it is installed (the benchmark names match
-# across runs by design).
+# Global-store benchmarks, 1 stripe vs the GOMAXPROCS-sized default: each
+# benchmark runs both layouts as shards=1 / shards=auto sub-benchmarks in
+# one pass, put side by side with benchstat when it is installed.
 bench-compare:
-	@TESLA_STORE_SHARDS=1 $(GO) test ./internal/core -run '^$$' -bench 'StoreOLTP' -benchtime 0.5s -count 5 | tee /tmp/tesla-store-old.txt
-	@$(GO) test ./internal/core -run '^$$' -bench 'StoreOLTP' -benchtime 0.5s -count 5 | tee /tmp/tesla-store-new.txt
+	@$(GO) test ./internal/core -run '^$$' -bench 'StoreOLTP' -benchtime 0.5s -count 5 | tee /tmp/tesla-store.txt
 	@if command -v benchstat >/dev/null 2>&1; then \
-		benchstat /tmp/tesla-store-old.txt /tmp/tesla-store-new.txt; \
+		benchstat -col /shards /tmp/tesla-store.txt; \
 	else \
-		echo "benchstat not installed; raw results above (old = 1 stripe, new = GOMAXPROCS stripes)"; \
+		echo "benchstat not installed; raw results above (shards=1 vs shards=auto = GOMAXPROCS stripes)"; \
 	fi
 
 # The benchmark harness is a module of its own (cmd/tesla-perf/go.mod), so

@@ -39,11 +39,9 @@ type Automaton struct {
 	// nfa is retained for equivalence testing (DFA vs NFA acceptance).
 	nfa *nfaGraph
 
-	// engineOnce/engine hold the lazily-lowered StepEngine (engine.go).
-	// The build graph's engine node may install a cached image first via
-	// AttachEngine; otherwise the first Engine() call lowers in place.
-	engineOnce sync.Once
-	engine     *StepEngine
+	// plansOnce/plans hold the lazily-lowered engine plans (engine.go).
+	plansOnce sync.Once
+	plans     []*core.SymbolPlan
 }
 
 // SymbolByName finds an alphabet symbol by display name, or nil.

@@ -1,188 +1,28 @@
 package automata
 
-import (
-	"bytes"
-	"encoding/binary"
-	"encoding/gob"
-	"fmt"
+import "tesla/internal/core"
 
-	"tesla/internal/core"
-)
-
-// Engine lowering. At automaton-link time each class is compiled into a
-// StepEngine: a dense symbol-ID→plan table whose entries are the
-// monomorphic core.SymbolPlans the stores' engine bodies execute. The
-// lowering hoists everything that is constant per (class, symbol) — the
-// state→transition table, the «init» selection, the cleanup flag, the
-// deterministic/keyed shape — out of the per-event loop; the per-event
-// residue is what internal/core's compiled bodies run.
+// Engine lowering. Each class is compiled into one monomorphic
+// core.SymbolPlan per alphabet symbol, the form the stores' event bodies
+// execute. The lowering hoists everything that is constant per (class,
+// symbol) — the state→transition table, the «init» selection, the cleanup
+// flag — out of the per-event loop; the per-event residue is what
+// internal/core's compiled bodies run.
 //
-// Lowering is lazy (the first Engine call pays it once, guarded by a
-// sync.Once) so every path that compiles automata — the sequential
-// toolchain, tests, tools — gets engines without new plumbing. The build
-// graph's engine node additionally persists lowered engines as images keyed
-// on the per-class fingerprint, and re-attaches them on warm builds via
-// AttachEngine so only edited classes are re-lowered.
+// Lowering is lazy and happens once per automaton, guarded by a sync.Once:
+// monitor.New pays it when it registers the automaton, so every path that
+// compiles automata — the build graph, the sequential toolchain, tests,
+// tools — reaches plans the same way.
 
-// StepEngine is one automaton class's compiled transition engine.
-type StepEngine struct {
-	// Auto is the automaton the engine was lowered from.
-	Auto *Automaton
-	// Plans holds one compiled plan per alphabet symbol, indexed by
-	// symbol ID (Symbols[i].ID == i, so the table is dense by
-	// construction).
-	Plans []*core.SymbolPlan
-}
-
-// PlanFor returns the plan of one symbol, or nil if the ID is out of range.
-func (e *StepEngine) PlanFor(symID int) *core.SymbolPlan {
-	if symID < 0 || symID >= len(e.Plans) {
-		return nil
-	}
-	return e.Plans[symID]
-}
-
-// Engine returns the automaton's compiled engine, lowering it on first use.
-// Safe for concurrent callers.
-func (a *Automaton) Engine() *StepEngine {
-	a.engineOnce.Do(func() {
-		if a.engine == nil {
-			a.engine = lowerEngine(a)
+// Plans returns the automaton's compiled plans, one per alphabet symbol and
+// indexed by symbol ID (Symbols[i].ID == i, so the table is dense by
+// construction), lowering them on first use. Safe for concurrent callers.
+func (a *Automaton) Plans() []*core.SymbolPlan {
+	a.plansOnce.Do(func() {
+		a.plans = make([]*core.SymbolPlan, len(a.Symbols))
+		for i, s := range a.Symbols {
+			a.plans[i] = core.NewSymbolPlan(a.Class, s.Name, s.Flags, a.Trans[s.ID])
 		}
 	})
-	return a.engine
-}
-
-// lowerEngine compiles every (class, symbol) pair into its plan.
-func lowerEngine(a *Automaton) *StepEngine {
-	plans := make([]*core.SymbolPlan, len(a.Symbols))
-	for i, s := range a.Symbols {
-		plans[i] = core.NewSymbolPlan(a.Class, s.Name, s.Flags, a.Trans[s.ID])
-	}
-	return &StepEngine{Auto: a, Plans: plans}
-}
-
-// EngineImage is the serialisable form of a lowered engine — the build
-// graph's engine artifact. It carries the compiled tables plus enough
-// identity (class name, state count, per-symbol name/flags) for AttachEngine
-// to reject an image that does not belong to the automaton it is offered to.
-type EngineImage struct {
-	Class   string
-	States  uint32
-	Symbols []SymbolImage
-}
-
-// SymbolImage is one symbol's compiled table in an EngineImage.
-type SymbolImage struct {
-	Name  string
-	Flags core.SymbolFlags
-	Shape string
-	Next  []int32
-}
-
-// EngineImageOf lowers (or reuses) the automaton's engine and captures it as
-// a serialisable image.
-func EngineImageOf(a *Automaton) *EngineImage {
-	e := a.Engine()
-	img := &EngineImage{Class: a.Name, States: a.States}
-	for _, p := range e.Plans {
-		img.Symbols = append(img.Symbols, SymbolImage{
-			Name:  p.Symbol,
-			Flags: p.Flags,
-			Shape: p.Shape(),
-			Next:  p.Next(),
-		})
-	}
-	return img
-}
-
-// EncodeEngine serialises the automaton's engine image.
-func EncodeEngine(a *Automaton) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(EngineImageOf(a)); err != nil {
-		return nil, fmt.Errorf("automata: encode engine for %s: %w", a.Name, err)
-	}
-	return buf.Bytes(), nil
-}
-
-// DecodeEngineImage deserialises an engine image.
-func DecodeEngineImage(data []byte) (*EngineImage, error) {
-	var img EngineImage
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&img); err != nil {
-		return nil, fmt.Errorf("automata: decode engine image: %w", err)
-	}
-	return &img, nil
-}
-
-// AttachEngine installs a cached engine image as the automaton's engine,
-// validating every table against the automaton's transition sets first: a
-// stale or corrupt image is rejected with an error (and the automaton left
-// untouched, so the lazy lowering still applies). If an engine is already
-// resident the attach is a validated no-op.
-func (a *Automaton) AttachEngine(img *EngineImage) error {
-	e, err := img.build(a)
-	if err != nil {
-		return err
-	}
-	a.engineOnce.Do(func() { a.engine = e })
-	return nil
-}
-
-// build validates the image against the automaton and constructs the engine.
-func (img *EngineImage) build(a *Automaton) (*StepEngine, error) {
-	if img.Class != a.Name {
-		return nil, fmt.Errorf("automata: engine image for class %q attached to %q", img.Class, a.Name)
-	}
-	if img.States != a.States {
-		return nil, fmt.Errorf("automata: engine image for %s has %d states, automaton has %d", a.Name, img.States, a.States)
-	}
-	if len(img.Symbols) != len(a.Symbols) {
-		return nil, fmt.Errorf("automata: engine image for %s has %d symbols, automaton has %d", a.Name, len(img.Symbols), len(a.Symbols))
-	}
-	plans := make([]*core.SymbolPlan, len(a.Symbols))
-	for i, s := range a.Symbols {
-		si := &img.Symbols[i]
-		if si.Name != s.Name || si.Flags != s.Flags {
-			return nil, fmt.Errorf("automata: engine image for %s symbol %d: identity mismatch", a.Name, i)
-		}
-		p, err := core.NewSymbolPlanFromTables(a.Class, s.Name, s.Flags, a.Trans[s.ID], si.Next)
-		if err != nil {
-			return nil, err
-		}
-		plans[i] = p
-	}
-	return &StepEngine{Auto: a, Plans: plans}, nil
-}
-
-// EngineFingerprint returns canonical bytes identifying everything the
-// lowering consumes for this class: name, state count, and per symbol its
-// identity plus the exact transition table. The build graph keys per-class
-// engine artifacts on a hash of these bytes, so an assertion edit invalidates
-// exactly the classes whose automata changed.
-func EngineFingerprint(a *Automaton) []byte {
-	var buf bytes.Buffer
-	buf.WriteString("tesla-engine-v1\x00")
-	buf.WriteString(a.Name)
-	buf.WriteByte(0)
-	var w [4]byte
-	u32 := func(v uint32) {
-		binary.LittleEndian.PutUint32(w[:], v)
-		buf.Write(w[:])
-	}
-	u32(a.States)
-	u32(uint32(len(a.Symbols)))
-	for _, s := range a.Symbols {
-		buf.WriteString(s.Name)
-		buf.WriteByte(0)
-		u32(uint32(s.Flags))
-		ts := a.Trans[s.ID]
-		u32(uint32(len(ts)))
-		for _, t := range ts {
-			u32(t.From)
-			u32(t.To)
-			u32(t.KeyMask)
-			u32(uint32(t.Flags))
-		}
-	}
-	return buf.Bytes()
+	return a.plans
 }

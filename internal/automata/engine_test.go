@@ -1,172 +1,38 @@
 package automata
 
 import (
-	"bytes"
 	"math/rand"
 	"testing"
 )
 
 const engineTestSpec = `TESLA_WITHIN(main, previously(lock(x) == 0, unlock(x) == 0))`
 
-// TestEngineLoweringMatchesTransitions pins the lowered plan tables against
-// the automaton's own transition sets: for every symbol and every state, the
-// dense table must name exactly the transition the interpreted first-match
-// scan would take.
+// TestEngineLoweringMatchesTransitions pins the lowered plans against the
+// automaton's own alphabet and transition sets: one plan per symbol, indexed
+// by symbol ID, carrying that symbol's identity and the «init»/cleanup flags
+// of its transition set, lowered once. The plan's state table itself is
+// checked against the first-match scan in package core.
 func TestEngineLoweringMatchesTransitions(t *testing.T) {
 	auto := compileSrc(t, "lower", engineTestSpec, nil)
-	e := auto.Engine()
-	if len(e.Plans) != len(auto.Symbols) {
-		t.Fatalf("engine has %d plans for %d symbols", len(e.Plans), len(auto.Symbols))
+	plans := auto.Plans()
+	if len(plans) != len(auto.Symbols) {
+		t.Fatalf("engine has %d plans for %d symbols", len(plans), len(auto.Symbols))
 	}
-	if e.Auto != auto {
-		t.Fatal("engine does not reference its automaton")
-	}
-	edges := 0
 	for _, s := range auto.Symbols {
-		p := e.PlanFor(s.ID)
+		p := plans[s.ID]
 		if p == nil {
 			t.Fatalf("no plan for symbol %d (%s)", s.ID, s.Name)
 		}
-		if p.Symbol != s.Name || p.Flags != s.Flags {
+		if p.Symbol != s.Name || p.Flags != s.Flags || p.Cls != auto.Class {
 			t.Fatalf("plan identity mismatch for %s: %s/%v", s.Name, p.Symbol, p.Flags)
 		}
 		ts := auto.Trans[s.ID]
 		if p.HasCleanup() != ts.HasCleanup() || p.HasInit() != ts.HasInit() {
-			t.Fatalf("plan %s shape flags drifted from transition set", s.Name)
-		}
-		next := p.Next()
-		for q := uint32(0); q < uint32(len(next)); q++ {
-			// The interpreted scan: first transition whose From is q.
-			want := int32(-1)
-			for j := range ts {
-				if ts[j].From == q {
-					want = int32(j)
-					break
-				}
-			}
-			if next[q] != want {
-				t.Fatalf("symbol %s state %d: table says %d, first-match scan says %d",
-					s.Name, q, next[q], want)
-			}
-			if want >= 0 {
-				edges++
-			}
+			t.Fatalf("plan %s flags drifted from transition set", s.Name)
 		}
 	}
-	if edges == 0 {
-		t.Fatal("lowered automaton has no edges at all")
-	}
-	if e2 := auto.Engine(); e2 != e {
-		t.Fatal("Engine() must be lowered once and cached")
-	}
-	if e.PlanFor(-1) != nil || e.PlanFor(len(e.Plans)) != nil {
-		t.Fatal("out-of-range symbol IDs must yield nil plans")
-	}
-}
-
-// TestEngineImageRoundTrip serialises an engine and attaches it to a freshly
-// compiled automaton of the same class: the attached plans must match the
-// lowering the fresh automaton would have produced.
-func TestEngineImageRoundTrip(t *testing.T) {
-	auto := compileSrc(t, "round", engineTestSpec, nil)
-	data, err := EncodeEngine(auto)
-	if err != nil {
-		t.Fatal(err)
-	}
-	img, err := DecodeEngineImage(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	fresh := compileSrc(t, "round", engineTestSpec, nil)
-	if err := fresh.AttachEngine(img); err != nil {
-		t.Fatalf("attach round-tripped image: %v", err)
-	}
-	want := lowerEngine(fresh)
-	got := fresh.Engine()
-	for i := range want.Plans {
-		if !int32sEqual(got.Plans[i].Next(), want.Plans[i].Next()) {
-			t.Fatalf("symbol %d: attached table differs from fresh lowering", i)
-		}
-		if got.Plans[i].Shape() != want.Plans[i].Shape() {
-			t.Fatalf("symbol %d: shape %s, want %s", i, got.Plans[i].Shape(), want.Plans[i].Shape())
-		}
-	}
-	// Attaching again (engine already resident) is a validated no-op.
-	if err := fresh.AttachEngine(img); err != nil {
-		t.Fatalf("re-attach: %v", err)
-	}
-}
-
-// TestAttachEngineRejectsCorrupt tampers with every identity and table field
-// an image carries; each corruption must be rejected, and the automaton must
-// still lower a correct engine lazily afterwards.
-func TestAttachEngineRejectsCorrupt(t *testing.T) {
-	auto := compileSrc(t, "corrupt", engineTestSpec, nil)
-	data, err := EncodeEngine(auto)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	corruptions := []struct {
-		name string
-		mut  func(img *EngineImage)
-	}{
-		{"wrong class", func(img *EngineImage) { img.Class = "someone-else" }},
-		{"wrong state count", func(img *EngineImage) { img.States++ }},
-		{"missing symbol", func(img *EngineImage) { img.Symbols = img.Symbols[:len(img.Symbols)-1] }},
-		{"renamed symbol", func(img *EngineImage) { img.Symbols[0].Name += "x" }},
-		{"flipped flags", func(img *EngineImage) { img.Symbols[0].Flags ^= 1 }},
-		{"truncated table", func(img *EngineImage) {
-			s := &img.Symbols[len(img.Symbols)-1]
-			s.Next = s.Next[:len(s.Next)-1]
-		}},
-		{"drifted table", func(img *EngineImage) {
-			s := &img.Symbols[len(img.Symbols)-1]
-			s.Next[len(s.Next)-1]++
-		}},
-	}
-	for _, c := range corruptions {
-		img, err := DecodeEngineImage(data)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c.mut(img)
-		victim := compileSrc(t, "corrupt", engineTestSpec, nil)
-		if err := victim.AttachEngine(img); err == nil {
-			t.Errorf("%s: corrupt image attached without error", c.name)
-		}
-		// The rejected attach must leave lazy lowering intact and correct.
-		want := lowerEngine(victim)
-		got := victim.Engine()
-		for i := range want.Plans {
-			if !int32sEqual(got.Plans[i].Next(), want.Plans[i].Next()) {
-				t.Fatalf("%s: lazy lowering corrupted after rejected attach", c.name)
-			}
-		}
-	}
-
-	if _, err := DecodeEngineImage([]byte("not a gob stream")); err == nil {
-		t.Error("garbage bytes decoded into an image")
-	}
-}
-
-// TestEngineFingerprint pins the build key's sensitivity: identical automata
-// agree, and any change the lowering consumes — the assertion body, and with
-// it states, symbols or tables — moves the fingerprint.
-func TestEngineFingerprint(t *testing.T) {
-	a := compileSrc(t, "fp", engineTestSpec, nil)
-	b := compileSrc(t, "fp", engineTestSpec, nil)
-	if !bytes.Equal(EngineFingerprint(a), EngineFingerprint(b)) {
-		t.Fatal("identical automata fingerprint differently")
-	}
-	c := compileSrc(t, "fp", `TESLA_WITHIN(main, previously(lock(x) == 1, unlock(x) == 0))`, nil)
-	if bytes.Equal(EngineFingerprint(a), EngineFingerprint(c)) {
-		t.Fatal("edited assertion kept the same fingerprint")
-	}
-	d := compileSrc(t, "fp2", engineTestSpec, nil)
-	if bytes.Equal(EngineFingerprint(a), EngineFingerprint(d)) {
-		t.Fatal("renamed class kept the same fingerprint")
+	if again := auto.Plans(); &again[0] != &plans[0] {
+		t.Fatal("Plans() must be lowered once and cached")
 	}
 }
 
@@ -214,16 +80,4 @@ func TestStepUnifiedContract(t *testing.T) {
 			}
 		}
 	}
-}
-
-func int32sEqual(a, b []int32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

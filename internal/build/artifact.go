@@ -106,28 +106,6 @@ func decodeAutos(data []byte) (any, error) {
 	return &autosArtifact{Autos: autos, Manifest: data}, nil
 }
 
-// engineArtifact is the engine node's product: one compiled engine image
-// per automaton class (manifest order), plus this build's lowered/reused
-// split. Only the images persist; a node-level cache hit means no lowering
-// happened at all, so the loader reconstructs the counters as all-reused.
-type engineArtifact struct {
-	Lowered int
-	Reused  int
-	Images  []*automata.EngineImage
-}
-
-func encodeEngines(art any) ([]byte, error) {
-	return gobEncode(art.(*engineArtifact).Images)
-}
-
-func decodeEngines(data []byte) (any, error) {
-	var imgs []*automata.EngineImage
-	if err := gobDecode(data, &imgs); err != nil {
-		return nil, err
-	}
-	return &engineArtifact{Reused: len(imgs), Images: imgs}, nil
-}
-
 func (u *unitArtifact) unit() (*compiler.Unit, error) {
 	frag, err := manifest.Decode(bytes.NewReader(u.Fragment))
 	if err != nil {

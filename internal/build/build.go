@@ -76,22 +76,10 @@ type Result struct {
 	Program *ir.Module
 	// Stats aggregates instrumentation statistics across units.
 	Stats instrument.Stats
-	// Engines reports the engine node's per-class lowering reuse
-	// (instrumented builds only).
-	Engines EngineStats
 	// Report is the static checker's verdicts (Check builds only).
 	Report *staticcheck.Report
 	// Nodes reports every graph node's status, in pipeline order.
 	Nodes []NodeReport
-}
-
-// EngineStats is the engine node's per-class outcome split: how many
-// automaton classes had their transition engines lowered this build versus
-// reinstalled from cached images. On a warm build every class is reused;
-// an assertion edit re-lowers exactly the classes whose automata changed.
-type EngineStats struct {
-	Lowered int
-	Reused  int
 }
 
 // NodeReport is one node's execution record, for -explain output.
@@ -330,63 +318,6 @@ func Run(sources map[string]string, opts Options) (*Result, error) {
 		})
 	}
 
-	// Stage 5b: engine lowering. The node is *scheduled* after the automata
-	// node but *keyed* on the per-class engine fingerprints (an `after`
-	// dependency plus extraFn), so its cutoff is finer than the automata
-	// artifact's: an edit that recompiles the manifest but leaves every
-	// automaton's transition tables intact still hits. Inside the node each
-	// class has its own disk object keyed on its fingerprint — an assertion
-	// edit re-lowers exactly the classes whose automata changed and reuses
-	// every other class's image.
-	var engineNode *node
-	if opts.Instrument {
-		engineNode = add(&node{
-			id:    "engine",
-			kind:  "engine",
-			after: []*node{autosNode},
-			extraFn: func() [][]byte {
-				autos := autosNode.art.(*autosArtifact).Autos
-				fps := make([][]byte, len(autos))
-				for i, a := range autos {
-					fps[i] = automata.EngineFingerprint(a)
-				}
-				return fps
-			},
-			cacheable: true,
-			run: func() (any, error) {
-				autos := autosNode.art.(*autosArtifact).Autos
-				art := &engineArtifact{Images: make([]*automata.EngineImage, len(autos))}
-				for i, a := range autos {
-					key := nodeKey("engine-image", [][]byte{automata.EngineFingerprint(a)}, nil)
-					if data, ok := cache.getDisk(key); ok {
-						if img, err := automata.DecodeEngineImage(data); err == nil {
-							if err := a.AttachEngine(img); err == nil {
-								art.Images[i] = img
-								art.Reused++
-								continue
-							}
-						}
-						// Corrupt or stale image: re-lower over it.
-					}
-					data, err := automata.EncodeEngine(a)
-					if err != nil {
-						return nil, err
-					}
-					img, err := automata.DecodeEngineImage(data)
-					if err != nil {
-						return nil, err
-					}
-					art.Images[i] = img
-					art.Lowered++
-					_ = cache.putDisk(key, data)
-				}
-				return art, nil
-			},
-			encode: encodeEngines,
-			decode: decodeEngines,
-		})
-	}
-
 	// Static checking: the raw (uninstrumented, sites in place) linked
 	// program, then the checker. The check node's artifact hash is its
 	// elision set, so downstream instrument keys change exactly when the
@@ -557,24 +488,6 @@ func Run(sources map[string]string, opts Options) (*Result, error) {
 	res.Manifest = combineNode.art.(*manifest.File)
 	if opts.Instrument {
 		res.Autos = autosNode.art.(*autosArtifact).Autos
-		if engineNode != nil {
-			ea := engineNode.art.(*engineArtifact)
-			for i, img := range ea.Images {
-				if img == nil || i >= len(res.Autos) {
-					continue
-				}
-				// A no-op when the engine node itself attached (it ran this
-				// build); on a node-level cache hit this is where the cached
-				// images install. A stale image is rejected here and the
-				// class falls back to lazy lowering.
-				_ = res.Autos[i].AttachEngine(img)
-			}
-			res.Engines = EngineStats{Lowered: ea.Lowered, Reused: ea.Reused}
-			if engineNode.status != StatusBuilt {
-				// Served from cache: no lowering happened anywhere.
-				res.Engines = EngineStats{Reused: len(ea.Images)}
-			}
-		}
 		for _, n := range unitNodes {
 			s := n.art.(*moduleArtifact).Stats
 			res.Stats.Hooks += s.Hooks

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"tesla/internal/bench"
+	"tesla/internal/core"
 	"tesla/internal/monitor"
 	"tesla/internal/toolchain"
 )
@@ -86,6 +87,10 @@ int soo_poll(struct socket *so, struct ucred *active_cred, int check) {
 	return sopoll(so, active_cred);
 }
 
+int amd64_syscall(struct socket *so, struct ucred *cred, int check) {
+	return soo_poll(so, cred, check);
+}
+
 int main(int do_check) {
 	struct protosw *p = alloc(protosw);
 	p->pru_sopoll = sopoll_generic;
@@ -93,7 +98,7 @@ int main(int do_check) {
 	so->so_proto = p;
 	struct ucred *cred = alloc(ucred);
 	cred->uid = 1001;
-	return soo_poll(so, cred, do_check);
+	return amd64_syscall(so, cred, do_check);
 }
 `
 
@@ -236,29 +241,57 @@ func TestGraphWarmMatchesCold(t *testing.T) {
 	}
 }
 
-// TestGraphRunsLikeSequential executes both builds and compares program
-// results — instrumentation differences would show as verdict divergence.
+// TestGraphRunsLikeSequential executes the sequential build, a cold graph
+// build and a warm graph build served from the cold build's disk cache, and
+// compares program results and violation counts — instrumentation or
+// lowering differences would show as verdict divergence.
 func TestGraphRunsLikeSequential(t *testing.T) {
 	sources := map[string]string{"uipc_socket.c": progFig4}
 	seq, err := toolchain.BuildSequential(sources, toolchain.BuildOptions{Instrument: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	graph, err := toolchain.BuildProgram(sources, true)
+	dir := t.TempDir()
+	opts := toolchain.BuildOptions{Instrument: true, CacheDir: dir}
+	cold, err := toolchain.BuildProgramOpts(sources, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A fresh Cache over the cold build's directory: every automaton the
+	// warm build hands the monitor was decoded from disk, not lowered by
+	// the cold build.
+	warm, err := toolchain.BuildProgramOpts(sources, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !warm.Graph.AllCached() || warm.Graph.Counts().DiskHits == 0 {
+		t.Fatalf("warm build not served from disk: %s", warm.Graph.Summary())
+	}
 	for _, arg := range []int64{0, 1} {
-		r1, _, err := seq.Run("main", monitorOptions(), arg)
-		if err != nil {
-			t.Fatal(err)
+		r1, v1 := runCounting(t, seq, arg)
+		if want := map[int64]int{0: 1, 1: 0}[arg]; v1 != want {
+			t.Fatalf("arg %d: sequential build reported %d violations, want %d", arg, v1, want)
 		}
-		r2, _, err := graph.Run("main", monitorOptions(), arg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if r1 != r2 {
-			t.Fatalf("arg %d: sequential %d != graph %d", arg, r1, r2)
+		for name, b := range map[string]*toolchain.Build{"cold graph": cold, "warm graph": warm} {
+			r2, v2 := runCounting(t, b, arg)
+			if r1 != r2 || v1 != v2 {
+				t.Fatalf("arg %d: sequential (ret %d, %d violations) != %s (ret %d, %d violations)",
+					arg, r1, v1, name, r2, v2)
+			}
 		}
 	}
+}
+
+// runCounting runs main(arg) under a counting handler and returns the
+// result and the number of violations reported.
+func runCounting(t *testing.T, b *toolchain.Build, arg int64) (int64, int) {
+	t.Helper()
+	h := core.NewCountingHandler()
+	opts := monitorOptions()
+	opts.Handler = h
+	ret, _, err := b.Run("main", opts, arg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ret, len(h.Violations())
 }

@@ -59,13 +59,6 @@ type node struct {
 	extra   [][]byte
 	extraFn func() [][]byte
 
-	// after are scheduling-only dependencies: the node waits for them and
-	// skips when they fail, but their artifact hashes do NOT feed its key.
-	// Use them when a node derives its own key material from an upstream
-	// artifact (via extraFn) with finer granularity than the artifact's
-	// hash — keying on both would defeat the finer cutoff.
-	after []*node
-
 	// cacheable gates the on-disk layer; in-memory caching always applies.
 	cacheable bool
 
@@ -106,11 +99,8 @@ func (x *exec) runGraph(nodes []*node) {
 
 	ready := make(chan *node, len(nodes))
 	for _, n := range nodes {
-		n.pending = int32(len(n.deps) + len(n.after))
+		n.pending = int32(len(n.deps))
 		for _, d := range n.deps {
-			d.dependents = append(d.dependents, n)
-		}
-		for _, d := range n.after {
 			d.dependents = append(d.dependents, n)
 		}
 	}
@@ -159,13 +149,6 @@ func (x *exec) execNode(n *node) {
 			return
 		}
 		depHashes[i] = d.hash
-	}
-	for _, d := range n.after {
-		if d.err != nil {
-			n.status = StatusSkipped
-			n.err = errSkipped
-			return
-		}
 	}
 	extra := n.extra
 	if n.extraFn != nil {

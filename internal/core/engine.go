@@ -2,8 +2,8 @@ package core
 
 // The compiled transition engine. Everything an event's effect depends on
 // that is constant per (class, symbol) is derived once, at automaton-link
-// time — internal/automata lowers each class into a StepEngine holding one
-// SymbolPlan per alphabet symbol — so the store's event bodies do
+// time — internal/automata lowers each class into one SymbolPlan per
+// alphabet symbol — so the store's event bodies do
 // O(candidates) table lookups per event:
 //
 //   - a dense state→transition array (next) replaces a first-match scan
@@ -17,7 +17,7 @@ package core
 //
 // Both store bodies — per-thread slots (update.go) and global stripes
 // (shard.go) — execute plans; UpdateState lowers one per call for callers
-// without a StepEngine.
+// without a lowered automaton.
 
 import "sync"
 
@@ -82,9 +82,6 @@ type SymbolPlan struct {
 	init int32
 	// cleanup is TS.HasCleanup().
 	cleanup bool
-	// det and keyed classify the plan's shape (see Shape).
-	det   bool
-	keyed bool
 }
 
 // NewSymbolPlan lowers one (class, symbol) transition set into its engine
@@ -103,7 +100,6 @@ func NewSymbolPlan(cls *Class, symbol string, flags SymbolFlags, ts TransitionSe
 		TS:     ts,
 		next:   make([]int32, states),
 		init:   -1,
-		det:    true,
 	}
 	for q := range p.next {
 		p.next[q] = -1
@@ -112,16 +108,12 @@ func NewSymbolPlan(cls *Class, symbol string, flags SymbolFlags, ts TransitionSe
 		q := ts[i].From
 		if p.next[q] >= 0 {
 			// A second edge from the same state: the first one in
-			// TS order wins and the shape is nondeterministic.
-			p.det = false
+			// TS order wins.
 			continue
 		}
 		p.next[q] = int32(i)
 		if q < 64 {
 			p.fromMask |= 1 << q
-		}
-		if ts[i].KeyMask != 0 {
-			p.keyed = true
 		}
 	}
 	for i := range ts {
@@ -134,70 +126,11 @@ func NewSymbolPlan(cls *Class, symbol string, flags SymbolFlags, ts TransitionSe
 	return p
 }
 
-// NewSymbolPlanFromTables rebuilds a plan from precomputed tables (a decoded
-// engine image from the build cache). The tables are validated against the
-// transition set — a corrupt or stale image is rejected so the caller can
-// fall back to fresh lowering — and the derived flags are recomputed from
-// ts, which is authoritative.
-func NewSymbolPlanFromTables(cls *Class, symbol string, flags SymbolFlags, ts TransitionSet, next []int32) (*SymbolPlan, error) {
-	fresh := NewSymbolPlan(cls, symbol, flags, ts)
-	if len(next) != len(fresh.next) {
-		return nil, &EngineImageError{Class: cls.Name, Symbol: symbol, Reason: "state table length mismatch"}
-	}
-	for q, i := range next {
-		if i != fresh.next[q] {
-			return nil, &EngineImageError{Class: cls.Name, Symbol: symbol, Reason: "state table drifted from transition set"}
-		}
-	}
-	return fresh, nil
-}
-
-// EngineImageError reports a cached engine image that does not match the
-// automaton it was attached to.
-type EngineImageError struct {
-	Class, Symbol, Reason string
-}
-
-func (e *EngineImageError) Error() string {
-	return "core: engine image for " + e.Class + "/" + e.Symbol + ": " + e.Reason
-}
-
-// Next exposes the dense state→transition table (index into TS per state,
-// -1 for no edge) for serialisation by the build layer.
-func (p *SymbolPlan) Next() []int32 { return p.next }
-
 // HasInit reports whether the plan carries an «init» transition.
 func (p *SymbolPlan) HasInit() bool { return p.init >= 0 }
 
 // HasCleanup reports whether the plan finalises instances.
 func (p *SymbolPlan) HasCleanup() bool { return p.cleanup }
-
-// Deterministic reports whether every state has at most one edge.
-func (p *SymbolPlan) Deterministic() bool { return p.det }
-
-// Keyed reports whether any transition binds key slots.
-func (p *SymbolPlan) Keyed() bool { return p.keyed }
-
-// Shape names the plan's place in the engine's shape taxonomy — which
-// specialisations apply — for diagnostics and the engine dump.
-func (p *SymbolPlan) Shape() string {
-	s := "det"
-	if !p.det {
-		s = "nondet"
-	}
-	if p.keyed {
-		s += "+keyed"
-	} else {
-		s += "+unkeyed"
-	}
-	if p.init >= 0 {
-		s += "+init"
-	}
-	if p.cleanup {
-		s += "+cleanup"
-	}
-	return s
-}
 
 // find returns the transition taken from state q, or nil. One shift-and-test
 // rejects edge-less states; the table lookup handles the rest.

@@ -1,24 +1,18 @@
 package core
 
 import (
-	"os"
-	"strconv"
 	"sync"
 	"testing"
 )
 
-// benchShards selects the global store's stripe count under benchmark from
-// the TESLA_STORE_SHARDS environment variable (0 or unset = GOMAXPROCS).
-// `make bench-compare` runs these benchmarks at 1 stripe and at the default
-// and diffs them with benchstat: the benchmark names are identical across
-// runs by construction.
-func benchShards() int {
-	n, err := strconv.Atoi(os.Getenv("TESLA_STORE_SHARDS"))
-	if err != nil {
-		return 0
-	}
-	return n
-}
+// shardConfigs are the global store layouts every store benchmark runs
+// under, as `shards=…` sub-benchmarks: one stripe against the GOMAXPROCS-
+// sized default (Shards 0). `make bench-compare` runs them once and lets
+// benchstat put the two side by side.
+var shardConfigs = []struct {
+	name   string
+	shards int
+}{{"shards=1", 1}, {"shards=auto", 0}}
 
 // benchStore builds the OLTP-session store of the `-fig shard` figure: a
 // pool of keyed sessions inside a much larger preallocated block. Plans are
@@ -39,42 +33,50 @@ func benchStore(shards int) (s *Store, work, site *SymbolPlan) {
 // BenchmarkStoreOLTP drives keyed work and required-site events through the
 // global store from one goroutine.
 func BenchmarkStoreOLTP(b *testing.B) {
-	s, work, site := benchStore(benchShards())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		key := NewKey(Value(i % 128))
-		if i%8 == 7 {
-			s.UpdateStatePlan(site, key)
-		} else {
-			s.UpdateStatePlan(work, key)
-		}
+	for _, c := range shardConfigs {
+		b.Run(c.name, func(b *testing.B) {
+			s, work, site := benchStore(c.shards)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				key := NewKey(Value(i % 128))
+				if i%8 == 7 {
+					s.UpdateStatePlan(site, key)
+				} else {
+					s.UpdateStatePlan(work, key)
+				}
+			}
+		})
 	}
 }
 
 // BenchmarkStoreOLTPParallel is the contended variant: RunParallel drives
 // disjoint key ranges from GOMAXPROCS goroutines.
 func BenchmarkStoreOLTPParallel(b *testing.B) {
-	s, work, site := benchStore(benchShards())
-	var nextG int
-	var mu sync.Mutex
-	b.ReportAllocs()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		mu.Lock()
-		g := nextG
-		nextG++
-		mu.Unlock()
-		base := (g * 16) % 128
-		i := 0
-		for pb.Next() {
-			key := NewKey(Value(base + i%16))
-			if i%8 == 7 {
-				s.UpdateStatePlan(site, key)
-			} else {
-				s.UpdateStatePlan(work, key)
-			}
-			i++
-		}
-	})
+	for _, c := range shardConfigs {
+		b.Run(c.name, func(b *testing.B) {
+			s, work, site := benchStore(c.shards)
+			var nextG int
+			var mu sync.Mutex
+			b.ReportAllocs()
+			b.ResetTimer()
+			b.RunParallel(func(pb *testing.PB) {
+				mu.Lock()
+				g := nextG
+				nextG++
+				mu.Unlock()
+				base := (g * 16) % 128
+				i := 0
+				for pb.Next() {
+					key := NewKey(Value(base + i%16))
+					if i%8 == 7 {
+						s.UpdateStatePlan(site, key)
+					} else {
+						s.UpdateStatePlan(work, key)
+					}
+					i++
+				}
+			})
+		})
+	}
 }

@@ -1,6 +1,9 @@
 package core
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+)
 
 // TransitionSet predicate tests: HasInit/HasCleanup and the «init» selection
 // are hoisted into every SymbolPlan at lowering time, so their edge cases —
@@ -66,7 +69,7 @@ func TestTransitionSetCleanupOnly(t *testing.T) {
 	cls := &Class{Name: "cleanuponly", States: 8}
 	p := NewSymbolPlan(cls, "exit", 0, ts)
 	if p.HasInit() || !p.HasCleanup() {
-		t.Errorf("plan shape %s, want cleanup without init", p.Shape())
+		t.Errorf("plan HasInit %v HasCleanup %v, want cleanup without init", p.HasInit(), p.HasCleanup())
 	}
 }
 
@@ -78,5 +81,48 @@ func TestTransitionSetInitAndCleanupTogether(t *testing.T) {
 	}
 	if tr := initOf(ts); tr == nil || !tr.Cleanup() {
 		t.Errorf("hoisted init = %v, want the combined edge", tr)
+	}
+}
+
+// TestTransitionSetFirstMatchTable pins the lowered state table against the
+// interpreted first-match scan: for every state, next names exactly the
+// first transition in set order whose From is that state, and find agrees —
+// across duplicate edges from one state, From states past the class's state
+// count and states on both sides of the 64-bit prefilter.
+func TestTransitionSetFirstMatchTable(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	edges := 0
+	for trial := 0; trial < 300; trial++ {
+		cls := &Class{Name: "table", States: uint32(1 + rng.Intn(80))}
+		ts := make(TransitionSet, rng.Intn(12))
+		for i := range ts {
+			ts[i] = Transition{From: uint32(rng.Intn(100)), To: uint32(rng.Intn(100))}
+		}
+		p := NewSymbolPlan(cls, "e", 0, ts)
+		for q := uint32(0); q < uint32(len(p.next))+3; q++ {
+			want := int32(-1)
+			for j := range ts {
+				if ts[j].From == q {
+					want = int32(j)
+					break
+				}
+			}
+			if q < uint32(len(p.next)) && p.next[q] != want {
+				t.Fatalf("trial %d state %d: table says %d, first-match scan says %d", trial, q, p.next[q], want)
+			}
+			got := p.find(q)
+			switch {
+			case want < 0 && got != nil:
+				t.Fatalf("trial %d state %d: find = %v, scan finds no edge", trial, q, got)
+			case want >= 0 && got != &ts[want]:
+				t.Fatalf("trial %d state %d: find = %v, want transition %d", trial, q, got, want)
+			}
+			if want >= 0 {
+				edges++
+			}
+		}
+	}
+	if edges == 0 {
+		t.Fatal("no trial lowered an edge")
 	}
 }

@@ -30,7 +30,7 @@ import (
 //
 // The synchronous path (BatchSize == 0) is untouched and serves as the
 // executable differential reference; the parity suites in
-// batch_parity_test.go and core/differential_test.go pin the two equal.
+// parity_test.go and core/differential_test.go pin the two equal.
 
 // stagedOp is one matched symbol waiting in the ring: the store it targets
 // and the deferred UpdateStatePlan call.

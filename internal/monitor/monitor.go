@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"tesla/internal/automata"
 	"tesla/internal/core"
@@ -49,14 +48,10 @@ type Options struct {
 	// Overflow is the store-default degradation policy applied when a
 	// class's instance table is full and Class.Overflow is OverflowDefault.
 	Overflow core.OverflowPolicy
-	// QuarantineAfter, RearmEvents and RearmAfter tune QuarantineClass for
-	// classes that don't set their own thresholds (0 = core defaults).
+	// QuarantineAfter and RearmEvents tune QuarantineClass for classes
+	// that don't set their own thresholds (0 = core defaults).
 	QuarantineAfter int
 	RearmEvents     int
-	RearmAfter      time.Duration
-	// HandlerPanicLimit quarantines the Handler after this many recovered
-	// panics (0 = core default).
-	HandlerPanicLimit int
 	// AllocFail, when set, is consulted before every instance allocation
 	// and forces an allocation failure when it returns true — the
 	// fault-injection seam (internal/faultinject). Nil in production.
@@ -67,16 +62,14 @@ type Options struct {
 // given context.
 func (o Options) storeOpts(ctx core.Context) core.StoreOpts {
 	return core.StoreOpts{
-		Context:           ctx,
-		Handler:           o.Handler,
-		Shards:            o.GlobalShards,
-		Failure:           o.Failure,
-		Overflow:          o.Overflow,
-		QuarantineAfter:   o.QuarantineAfter,
-		RearmEvents:       o.RearmEvents,
-		RearmAfter:        o.RearmAfter,
-		HandlerPanicLimit: o.HandlerPanicLimit,
-		AllocFail:         o.AllocFail,
+		Context:         ctx,
+		Handler:         o.Handler,
+		Shards:          o.GlobalShards,
+		Failure:         o.Failure,
+		Overflow:        o.Overflow,
+		QuarantineAfter: o.QuarantineAfter,
+		RearmEvents:     o.RearmEvents,
+		AllocFail:       o.AllocFail,
 	}
 }
 
@@ -102,7 +95,7 @@ type Monitor struct {
 	siteIdx   map[string]symRef
 
 	// plans[idx][symID] is automaton idx's compiled engine plan for that
-	// symbol (automata.StepEngine lowering): every dispatch path routes
+	// symbol (Automaton.Plans): every dispatch path routes
 	// events through these.
 	plans [][]*core.SymbolPlan
 
@@ -210,9 +203,9 @@ func (m *Monitor) add(a *automata.Automaton) error {
 	if _, dup := m.siteIdx[a.Name]; dup {
 		return fmt.Errorf("monitor: duplicate automaton name %q", a.Name)
 	}
-	// Link-time engine lowering: reuses an engine the build graph attached,
-	// else lowers here, once, so no event pays for plan construction.
-	m.plans = append(m.plans, a.Engine().Plans)
+	// Link-time engine lowering: the automaton lowers its plans once, on
+	// first use, so no event pays for plan construction.
+	m.plans = append(m.plans, a.Plans())
 	// Both contexts resolve failure actions against the same option
 	// defaults, so the global store answers for all.
 	m.failStop = append(m.failStop, m.global.FailStopFor(a.Class))

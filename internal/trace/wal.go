@@ -151,7 +151,7 @@ func OpenSpool(dir string, opts SpoolOpts) (*Spool, error) {
 	// whole frame and every later segment is dropped.
 	end := len(segs)
 	for i, seg := range segs {
-		valid, frames, total, err := scanSegment(filepath.Join(dir, segName(seg)))
+		valid, frames, total, err := walkSegment(filepath.Join(dir, segName(seg)), nil)
 		if err != nil {
 			return nil, err
 		}
@@ -229,10 +229,15 @@ func listSegments(dir string) ([]int, error) {
 	return segs, nil
 }
 
-// scanSegment walks one segment and returns the offset of its last valid
-// frame boundary, the frame count up to it, and the file's total size.
-// Corruption is a verdict, not an error: only I/O failures error.
-func scanSegment(path string) (valid int64, frames uint64, total int64, err error) {
+// walkSegment reads one segment's frames in order, handing each valid
+// payload to fn (when non-nil), and returns the offset just past the last
+// valid frame, the number of valid frames, and the file's total size. The
+// walk stops at the first invalid byte: a torn or foreign header (wrong
+// magic or version), a torn or oversized frame, a CRC mismatch. Corruption
+// is a verdict, not an error: only I/O failures and fn's own error are
+// returned. Payloads are read into one buffer reused across frames, so a
+// payload is valid only during its fn call.
+func walkSegment(path string, fn func(payload []byte) error) (valid int64, frames uint64, total int64, err error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return 0, 0, 0, err
@@ -269,6 +274,11 @@ func scanSegment(path string) (valid int64, frames uint64, total int64, err erro
 		}
 		if crc32.Checksum(payload, crcTable) != crc {
 			return valid, frames, total, nil // corrupt payload
+		}
+		if fn != nil {
+			if err := fn(payload); err != nil {
+				return valid, frames, total, err
+			}
 		}
 		valid += walFrameHeader + int64(n)
 		frames++
@@ -433,8 +443,12 @@ func (s *Spool) Close() error {
 }
 
 // Range calls fn for every valid frame payload in append order, reading
-// back from the segment files. It stops early when fn errors. Appends
-// are held off for the duration.
+// back from the segment files, and stops at the first invalid frame (Open
+// already repaired the tail; this tolerates a reader racing a
+// not-yet-synced writer). It stops early when fn errors. Appends are held
+// off for the duration. A payload is valid only during its fn call — the
+// read buffer is reused for the next frame — so fn must copy or decode
+// what it keeps.
 func (s *Spool) Range(fn func(payload []byte) error) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -443,47 +457,11 @@ func (s *Spool) Range(fn func(payload []byte) error) error {
 		return err
 	}
 	for _, seg := range segs {
-		if err := rangeSegment(filepath.Join(s.dir, segName(seg)), fn); err != nil {
+		if _, _, _, err := walkSegment(filepath.Join(s.dir, segName(seg)), fn); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// rangeSegment streams one segment's valid frames into fn, stopping
-// silently at the first invalid frame (Open already repaired the tail;
-// this tolerates a reader racing a not-yet-synced writer).
-func rangeSegment(path string, fn func(payload []byte) error) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	head := make([]byte, walHeaderSize)
-	if _, err := io.ReadFull(f, head); err != nil || string(head[:len(walMagic)]) != walMagic {
-		return nil
-	}
-	var hdr [walFrameHeader]byte
-	for {
-		if _, err := io.ReadFull(f, hdr[:]); err != nil {
-			return nil
-		}
-		n := binary.LittleEndian.Uint32(hdr[:4])
-		crc := binary.LittleEndian.Uint32(hdr[4:])
-		if n > MaxFramePayload {
-			return nil
-		}
-		payload := make([]byte, n)
-		if _, err := io.ReadFull(f, payload); err != nil {
-			return nil
-		}
-		if crc32.Checksum(payload, crcTable) != crc {
-			return nil
-		}
-		if err := fn(payload); err != nil {
-			return err
-		}
-	}
 }
 
 // syncDir fsyncs a directory so file creations/removals inside it are
