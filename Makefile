@@ -166,17 +166,22 @@ crash-gate: build
 # store reuses its memory. UpdateBatch allocates nothing on the slot array
 # or the striped store; a Publisher flush (cut, encode, send, server apply,
 # ack) and an IngestFrame cost as many allocations for 2000 events as for
-# 100. The tests carry a !race build tag (sync.Pool drops items under the
-# race detector), so this gate is their only CI run besides `make test`.
+# 100. Re-encoding a linked program into a reused buffer allocates at
+# most once, and a built node encodes into the scheduler's pooled buffer:
+# the largest corpus program's link node allocates no more than a
+# one-instruction module's. The tests carry a !race build tag (sync.Pool
+# drops items under the race detector), so this gate is their only CI run
+# besides `make test`.
 alloc-gate:
 	$(GO) test -count=1 ./internal/core -run '^TestUpdateBatchAllocs$$'
 	$(GO) test -count=1 ./internal/agg -run '^(TestIngestFrameAllocs|TestPublisherFlushAllocs)$$'
+	$(GO) test -count=1 ./internal/build -run '^TestEncodeModuleAllocs$$'
 
 # Short fuzz pass over the binary/JSON trace codec, the streaming frame
 # reader, the WAL spool's segment repair, the csub front end, the batched
-# event plane's flush protocol and the event bodies against the lifecycle
-# model ($(FUZZTIME) per target); saved crashers land in testdata/fuzz and fail
-# `make test` from then on.
+# event plane's flush protocol, the event bodies against the lifecycle
+# model and the build cache's IR module codec ($(FUZZTIME) per target);
+# saved crashers land in testdata/fuzz and fail `make test` from then on.
 fuzz-smoke:
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzCodecRoundTrip$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzFrameStream$$' -fuzztime $(FUZZTIME)
@@ -184,6 +189,7 @@ fuzz-smoke:
 	$(GO) test ./internal/csub -run '^$$' -fuzz '^FuzzCsubParse$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/monitor -run '^$$' -fuzz '^FuzzBatchFlush$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzCompiledStep$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/ir -run '^$$' -fuzz '^FuzzModuleCodec$$' -fuzztime $(FUZZTIME)
 
 # Global-store benchmarks, 1 stripe vs the GOMAXPROCS-sized default: each
 # benchmark runs both layouts as shards=1 / shards=auto sub-benchmarks in

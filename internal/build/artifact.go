@@ -2,8 +2,8 @@ package build
 
 import (
 	"bytes"
-	"encoding/gob"
-	"fmt"
+	"encoding/binary"
+	"errors"
 
 	"tesla/internal/automata"
 	"tesla/internal/compiler"
@@ -16,6 +16,10 @@ import (
 // the bytes are what the on-disk cache stores, and their hash is what
 // downstream node keys incorporate — so "did my input change?" is always
 // answered by comparing serialised content, never pointers or timestamps.
+//
+// Encoders append into dst, a buffer the scheduler owns and reuses once
+// the bytes are hashed and written; an encoder must not retain it.
+// Decoders receive bytes read from disk and may keep them.
 
 // unitArtifact is the compile node's product: the file's IR module plus
 // its manifest fragment (the analyse stage extracts the fragment; carrying
@@ -33,50 +37,71 @@ type moduleArtifact struct {
 	Stats  instrument.Stats
 }
 
-func gobEncode(v any) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return nil, fmt.Errorf("build: encode: %w", err)
-	}
-	return buf.Bytes(), nil
-}
+var errTrailing = errors.New("build: decode: trailing bytes after artifact")
 
-func gobDecode(data []byte, v any) error {
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(v); err != nil {
-		return fmt.Errorf("build: decode: %w", err)
-	}
-	return nil
+// encodeUnit: the module, then the length-prefixed fragment.
+func encodeUnit(art any, dst []byte) ([]byte, error) {
+	u := art.(*unitArtifact)
+	dst = u.Module.AppendBinary(dst)
+	dst = binary.AppendUvarint(dst, uint64(len(u.Fragment)))
+	return append(dst, u.Fragment...), nil
 }
-
-func encodeUnit(art any) ([]byte, error)   { return gobEncode(art.(*unitArtifact)) }
-func encodeModule(art any) ([]byte, error) { return gobEncode(art.(*moduleArtifact)) }
 
 func decodeUnit(data []byte) (any, error) {
-	var u unitArtifact
-	if err := gobDecode(data, &u); err != nil {
+	m, rest, err := ir.DecodeModule(data)
+	if err != nil {
 		return nil, err
 	}
-	return &u, nil
+	n, k := binary.Uvarint(rest)
+	if k <= 0 || n > uint64(len(rest)-k) {
+		return nil, errors.New("build: decode: truncated fragment")
+	}
+	if rest = rest[k:]; uint64(len(rest)) != n {
+		return nil, errTrailing
+	}
+	return &unitArtifact{Module: m, Fragment: bytes.Clone(rest)}, nil
+}
+
+// encodeModule: the module, then the five Stats counters.
+func encodeModule(art any, dst []byte) ([]byte, error) {
+	a := art.(*moduleArtifact)
+	dst = a.Module.AppendBinary(dst)
+	for _, v := range [...]int{a.Stats.Hooks, a.Stats.Translators, a.Stats.Sites, a.Stats.ElidedHooks, a.Stats.ElidedSites} {
+		dst = binary.AppendVarint(dst, int64(v))
+	}
+	return dst, nil
 }
 
 func decodeModule(data []byte) (any, error) {
-	var m moduleArtifact
-	if err := gobDecode(data, &m); err != nil {
+	m, rest, err := ir.DecodeModule(data)
+	if err != nil {
 		return nil, err
 	}
-	return &m, nil
+	a := &moduleArtifact{Module: m}
+	for _, p := range [...]*int{&a.Stats.Hooks, &a.Stats.Translators, &a.Stats.Sites, &a.Stats.ElidedHooks, &a.Stats.ElidedSites} {
+		v, k := binary.Varint(rest)
+		if k <= 0 {
+			return nil, errors.New("build: decode: truncated stats")
+		}
+		*p, rest = int(v), rest[k:]
+	}
+	if len(rest) != 0 {
+		return nil, errTrailing
+	}
+	return a, nil
 }
 
-func encodeIface(art any) ([]byte, error) { return art.(*compiler.Interface).Encode() }
+func encodeIface(art any, dst []byte) ([]byte, error) {
+	data, err := art.(*compiler.Interface).Encode()
+	return append(dst, data...), err
+}
 
 func decodeIface(data []byte) (any, error) { return compiler.DecodeInterface(data) }
 
-func encodeManifest(art any) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := art.(*manifest.File).Encode(&buf); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+func encodeManifest(art any, dst []byte) ([]byte, error) {
+	buf := bytes.NewBuffer(dst)
+	err := art.(*manifest.File).Encode(buf)
+	return buf.Bytes(), err
 }
 
 func decodeManifest(data []byte) (any, error) {
@@ -92,7 +117,9 @@ type autosArtifact struct {
 	Manifest []byte
 }
 
-func encodeAutos(art any) ([]byte, error) { return art.(*autosArtifact).Manifest, nil }
+func encodeAutos(art any, dst []byte) ([]byte, error) {
+	return append(dst, art.(*autosArtifact).Manifest...), nil
+}
 
 func decodeAutos(data []byte) (any, error) {
 	m, err := manifest.Decode(bytes.NewReader(data))

@@ -25,6 +25,7 @@
 package build
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"sort"
 	"sync"
@@ -150,8 +151,9 @@ func (g *graphState) context() (*compiler.Context, error) {
 }
 
 // defined returns the program-wide defined-function set and its
-// fingerprint (a deterministic serialisation, used as instrument/check key
-// material). Same availability precondition as context.
+// fingerprint (the hash of a deterministic serialisation, used as
+// instrument/check key material). Same availability precondition as
+// context.
 func (g *graphState) defined() (map[string]bool, []byte) {
 	g.defsOnce.Do(func() {
 		g.defs = map[string]bool{}
@@ -170,7 +172,8 @@ func (g *graphState) defined() (map[string]bool, []byte) {
 			fp = append(fp, fn...)
 			fp = append(fp, 0)
 		}
-		g.defsFp = fp
+		sum := sha256.Sum256(fp)
+		g.defsFp = sum[:]
 	})
 	return g.defs, g.defsFp
 }
@@ -197,13 +200,17 @@ func Run(sources map[string]string, opts Options) (*Result, error) {
 		return n
 	}
 
-	// Stage 1: per-file interface summaries (parse on demand).
-	for _, name := range g.names {
+	// Stage 1: per-file interface summaries (parse on demand). Each source
+	// is hashed once; the interface and compile nodes key on its digest.
+	digests := make([][]byte, len(g.names))
+	for i, name := range g.names {
 		name := name
+		sum := sha256.Sum256([]byte(sources[name]))
+		digests[i] = sum[:]
 		g.ifaceNodes = append(g.ifaceNodes, add(&node{
 			id:        "iface:" + name,
 			kind:      "iface",
-			extra:     [][]byte{[]byte(name), []byte(sources[name])},
+			extra:     [][]byte{[]byte(name), digests[i]},
 			cacheable: true,
 			run: func() (any, error) {
 				f, err := g.parse(name)
@@ -218,7 +225,7 @@ func Run(sources map[string]string, opts Options) (*Result, error) {
 	}
 
 	// Stage 2: per-file compilation to IR + assertion extraction. The key
-	// is the file's own bytes plus every interface artifact hash (the
+	// is the file's own digest plus every interface artifact hash (the
 	// role of header dependencies in a C build): editing one file's body
 	// leaves its interface — and so every other file's compile key —
 	// unchanged.
@@ -229,7 +236,7 @@ func Run(sources map[string]string, opts Options) (*Result, error) {
 			id:        "compile:" + name,
 			kind:      "compile",
 			deps:      g.ifaceNodes,
-			extra:     [][]byte{[]byte(name), []byte(sources[name])},
+			extra:     [][]byte{[]byte(name), digests[i]},
 			cacheable: true,
 			run: func() (any, error) {
 				f, err := g.parse(name)
@@ -244,7 +251,7 @@ func Run(sources map[string]string, opts Options) (*Result, error) {
 				if err != nil {
 					return nil, err
 				}
-				frag, err := encodeManifest(manifest.FromAssertions(name, u.Assertions))
+				frag, err := encodeManifest(manifest.FromAssertions(name, u.Assertions), nil)
 				if err != nil {
 					return nil, err
 				}
@@ -307,7 +314,7 @@ func Run(sources map[string]string, opts Options) (*Result, error) {
 				if err != nil {
 					return nil, err
 				}
-				data, err := encodeManifest(m)
+				data, err := encodeManifest(m, nil)
 				if err != nil {
 					return nil, err
 				}
@@ -359,8 +366,8 @@ func Run(sources map[string]string, opts Options) (*Result, error) {
 					staticcheck.Options{Entry: opts.Entry, DefinedFns: defs, NoLiveness: opts.NoLiveness},
 				), nil
 			},
-			encode: func(art any) ([]byte, error) {
-				return encodeSafeSet(art.(*staticcheck.Report)), nil
+			encode: func(art any, dst []byte) ([]byte, error) {
+				return appendSafeSet(dst, art.(*staticcheck.Report)), nil
 			},
 		})
 	}
@@ -504,18 +511,17 @@ func Run(sources map[string]string, opts Options) (*Result, error) {
 	return res, nil
 }
 
-// encodeSafeSet serialises a report's provably-safe automata names — the
+// appendSafeSet serialises a report's provably-safe automata names — the
 // only part of a check verdict downstream instrumentation keys on.
-func encodeSafeSet(r *staticcheck.Report) []byte {
+func appendSafeSet(dst []byte, r *staticcheck.Report) []byte {
 	var names []string
 	for name := range r.SafeSet() {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	var out []byte
 	for _, n := range names {
-		out = append(out, n...)
-		out = append(out, 0)
+		dst = append(dst, n...)
+		dst = append(dst, 0)
 	}
-	return out
+	return dst
 }

@@ -4,9 +4,10 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"io"
+	"hash"
 	"os"
 	"path/filepath"
+	"strconv"
 	"sync"
 )
 
@@ -110,10 +111,10 @@ func hashBytes(data []byte) string {
 
 // keyVersion salts every node key; bump it when artifact encodings or
 // pipeline semantics change so stale caches invalidate wholesale.
-const keyVersion = "tesla-build-v1"
+const keyVersion = "tesla-build-v2"
 
 // nodeKey derives a node's cache key from its kind, its literal inputs
-// (source bytes, file names, pipeline options) and its dependencies'
+// (source digests, file names, pipeline options) and its dependencies'
 // artifact hashes. Every component is length-prefixed so distinct input
 // vectors can never collide by concatenation.
 func nodeKey(kind string, extra [][]byte, depHashes []string) string {
@@ -129,7 +130,8 @@ func nodeKey(kind string, extra [][]byte, depHashes []string) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-func writeComponent(w io.Writer, data []byte) {
-	fmt.Fprintf(w, "%d:", len(data))
-	w.Write(data)
+func writeComponent(h hash.Hash, data []byte) {
+	var prefix [24]byte
+	h.Write(append(strconv.AppendInt(prefix[:0], int64(len(data)), 10), ':'))
+	h.Write(data)
 }

@@ -186,30 +186,129 @@ int checksum(int x) { return x % MODULUS; }
 // TestCorruptCacheObjectRebuilds: a truncated or garbage object is a miss,
 // not an error.
 func TestCorruptCacheObjectRebuilds(t *testing.T) {
-	dir := t.TempDir()
-	opts := toolchain.BuildOptions{Instrument: true, CacheDir: dir}
-	cold := mustBuild(t, threeFiles(), opts)
+	for name, corrupt := range map[string]func([]byte) []byte{
+		"overwrite": func([]byte) []byte { return []byte("not an artifact") },
+		"truncate":  func(data []byte) []byte { return data[:len(data)/2] },
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			opts := toolchain.BuildOptions{Instrument: true, CacheDir: dir}
+			cold := mustBuild(t, threeFiles(), opts)
 
-	objects := filepath.Join(dir, "objects")
-	var clobbered int
-	err := filepath.Walk(objects, func(path string, info os.FileInfo, err error) error {
-		if err != nil || info.IsDir() {
-			return err
-		}
-		clobbered++
-		return os.WriteFile(path, []byte("not an artifact"), 0o644)
-	})
-	if err != nil || clobbered == 0 {
-		t.Fatalf("clobber failed: %d objects, %v", clobbered, err)
-	}
+			objects := filepath.Join(dir, "objects")
+			var clobbered int
+			err := filepath.Walk(objects, func(path string, info os.FileInfo, err error) error {
+				if err != nil || info.IsDir() {
+					return err
+				}
+				data, err := os.ReadFile(path)
+				if err != nil {
+					return err
+				}
+				clobbered++
+				return os.WriteFile(path, corrupt(data), 0o644)
+			})
+			if err != nil || clobbered == 0 {
+				t.Fatalf("clobber failed: %d objects, %v", clobbered, err)
+			}
 
-	rebuilt := mustBuild(t, threeFiles(), opts)
-	if cold.Program.String() != rebuilt.Program.String() {
-		t.Fatal("rebuild over corrupt cache produced different program")
+			rebuilt := mustBuild(t, threeFiles(), opts)
+			if c := rebuilt.Graph.Counts(); c.DiskHits != 0 {
+				t.Errorf("%d corrupt object(s) served as hits: %s", c.DiskHits, rebuilt.Graph.Summary())
+			}
+			if cold.Program.String() != rebuilt.Program.String() {
+				t.Fatal("rebuild over corrupt cache produced different program")
+			}
+			warm := mustBuild(t, threeFiles(), opts)
+			if !warm.Graph.AllCached() {
+				t.Fatalf("cache did not repair itself: %s", warm.Graph.Summary())
+			}
+		})
 	}
-	warm := mustBuild(t, threeFiles(), opts)
-	if !warm.Graph.AllCached() {
-		t.Fatalf("cache did not repair itself: %s", warm.Graph.Summary())
+}
+
+// TestDiskRebuildMatchesMemory: an incremental build whose unchanged
+// artifacts are decoded from disk behaves exactly like one served from
+// memory — same node keys, statuses, IR and stats. Instrument and link
+// nodes rebuild from decoded modules, and their outputs feed downstream
+// keys, so this pins that a decoded module re-encodes to the bytes it was
+// decoded from: early cutoff works the same from disk as from memory.
+func TestDiskRebuildMatchesMemory(t *testing.T) {
+	base := threeFiles()
+	// A struct-using unit, so interned layouts cross the disk too.
+	base["rec.c"] = `
+struct rec { int sig; int ok; };
+int record(int sig) {
+	struct rec *r = alloc(rec);
+	r->sig = sig;
+	r->ok = verify(sig);
+	return r->ok;
+}
+`
+	edits := map[string]func(map[string]string){
+		"body edit": func(s map[string]string) {
+			s["lib.c"] = "\nint checksum(int x) { return x % 89; }\n"
+		},
+		"assertion edit": func(s map[string]string) {
+			s["client.c"] = strings.Replace(s["client.c"], "verify(ANY(int)) == 1", "verify(ANY(int)) == 0", 1)
+		},
+	}
+	for name, edit := range edits {
+		t.Run(name, func(t *testing.T) {
+			edited := map[string]string{}
+			for k, v := range base {
+				edited[k] = v
+			}
+			edit(edited)
+			rebuild := func(first, second *build.Cache) *build.Result {
+				t.Helper()
+				if _, err := build.Run(base, build.Options{Instrument: true, Cache: first}); err != nil {
+					t.Fatal(err)
+				}
+				res, err := build.Run(edited, build.Options{Instrument: true, Cache: second})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res
+			}
+			mc := build.NewCache()
+			mem := rebuild(mc, mc)
+			dir := t.TempDir()
+			cold, err := build.Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh, err := build.Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			disk := rebuild(cold, fresh)
+
+			if c := disk.Counts(); c.MemHits != 0 || c.DiskHits == 0 {
+				t.Fatalf("second build not served from disk: %s", disk.Summary())
+			}
+			hit := func(s build.Status) build.Status {
+				if s == build.StatusDiskHit {
+					return build.StatusMemHit
+				}
+				return s
+			}
+			if len(mem.Nodes) != len(disk.Nodes) {
+				t.Fatalf("%d nodes from memory, %d from disk", len(mem.Nodes), len(disk.Nodes))
+			}
+			for i, m := range mem.Nodes {
+				d := disk.Nodes[i]
+				if m.ID != d.ID || m.Key != d.Key || hit(m.Status) != hit(d.Status) {
+					t.Errorf("node %d: memory %s %s %.12s, disk %s %s %.12s", i, m.ID, m.Status, m.Key, d.ID, d.Status, d.Key)
+				}
+			}
+			if mem.Program.String() != disk.Program.String() {
+				t.Error("linked IR differs between memory and disk rebuilds")
+			}
+			if mem.Stats != disk.Stats {
+				t.Errorf("stats: memory %+v, disk %+v", mem.Stats, disk.Stats)
+			}
+		})
 	}
 }
 
@@ -261,4 +360,21 @@ func asErrorList(err error, target **build.ErrorList) bool {
 		return true
 	}
 	return false
+}
+
+// TestSummaryCountsFailures pins the summary line's format: a build with
+// one compile error reports it as failed=1 at the end of the line, after
+// the counters CI gates grep for.
+func TestSummaryCountsFailures(t *testing.T) {
+	res, err := build.Run(map[string]string{
+		"bad.c":  "int f(int x) { y = 3; return x; }\n",
+		"main.c": "int main(int x) { return x; }\n",
+	}, build.Options{Instrument: true})
+	if err == nil {
+		t.Fatal("want a compile error")
+	}
+	const want = "graph: 13 nodes  built=6 mem=0 disk=0 skipped=6 failed=1"
+	if got := res.Summary(); got != want {
+		t.Fatalf("summary\n got %q\nwant %q", got, want)
+	}
 }

@@ -44,11 +44,11 @@ func (r *Result) AllCached() bool {
 
 // Summary is the one-line cache report, greppable by CI gates:
 //
-//	graph: 14 nodes  built=2 mem=0 disk=12 skipped=0
+//	graph: 14 nodes  built=2 mem=0 disk=12 skipped=0 failed=0
 func (r *Result) Summary() string {
 	c := r.Counts()
-	return fmt.Sprintf("graph: %d nodes  built=%d mem=%d disk=%d skipped=%d",
-		len(r.Nodes), c.Built, c.MemHits, c.DiskHits, c.Skipped)
+	return fmt.Sprintf("graph: %d nodes  built=%d mem=%d disk=%d skipped=%d failed=%d",
+		len(r.Nodes), c.Built, c.MemHits, c.DiskHits, c.Skipped, c.Failed)
 }
 
 // Explain writes the per-node hit/miss/rebuild report followed by the

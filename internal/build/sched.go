@@ -52,7 +52,7 @@ type node struct {
 	kind string // key namespace, e.g. "compile"
 
 	// deps are the nodes whose artifact hashes feed this node's key, in a
-	// fixed order. extra is the literal key material (source bytes, file
+	// fixed order. extra is the literal key material (source digests, file
 	// names, pipeline options); extraFn supplies key material that is only
 	// derivable after the deps completed (it must not fail).
 	deps    []*node
@@ -62,8 +62,10 @@ type node struct {
 	// cacheable gates the on-disk layer; in-memory caching always applies.
 	cacheable bool
 
+	// run produces the artifact; encode appends its bytes to dst, a
+	// buffer execNode reuses (see artifact.go); decode reads them back.
 	run    func() (any, error)
-	encode func(any) ([]byte, error)
+	encode func(art any, dst []byte) ([]byte, error)
 	decode func([]byte) (any, error)
 
 	// Scheduler state.
@@ -178,19 +180,27 @@ func (x *exec) execNode(n *node) {
 		n.err = err
 		return
 	}
-	data, err := n.encode(art)
+	buf := encodeBufs.Get().(*[]byte)
+	defer encodeBufs.Put(buf)
+	*buf, err = n.encode(art, (*buf)[:0])
 	if err != nil {
 		n.status = StatusFailed
 		n.err = err
 		return
 	}
 	n.art = art
-	n.hash = hashBytes(data)
+	n.hash = hashBytes(*buf)
 	n.status = StatusBuilt
 	x.cache.putMem(n.key, n.art, n.hash)
 	if n.cacheable {
 		// Failing to persist is not a build failure; the artifact is in
 		// hand and the next build simply rebuilds it.
-		_ = x.cache.putDisk(n.key, data)
+		_ = x.cache.putDisk(n.key, *buf)
 	}
 }
+
+// encodeBufs holds the buffers built artifacts are encoded into. A buffer
+// is only needed until its bytes are hashed and written to disk, so it
+// goes back to the pool as execNode returns and the next node's encode
+// appends into memory the last one grew.
+var encodeBufs = sync.Pool{New: func() any { return new([]byte) }}
