@@ -5,9 +5,9 @@ GO ?= go
 # Per-target budget for the fuzz smoke pass (native Go fuzzing syntax).
 FUZZTIME ?= 30s
 
-.PHONY: ci fmt vet build test race check bench fuzz-smoke bench-compare cache-gate bench-rebuild chaos-gate bench-faults liveness-gate agg-gate bench-agg ingest-gate bench-ingest compile-gate crash-gate alloc-gate perf-test
+.PHONY: ci fmt vet build test race check bench fuzz-smoke bench-compare cache-gate bench-rebuild chaos-gate bench-faults liveness-gate agg-gate bench-agg ingest-gate bench-ingest compile-gate crash-gate alloc-gate perf-test gate-patterns
 
-ci: fmt vet build test race check liveness-gate cache-gate chaos-gate agg-gate ingest-gate compile-gate crash-gate alloc-gate fuzz-smoke bench-compare perf-test
+ci: fmt vet build test race check liveness-gate cache-gate chaos-gate agg-gate ingest-gate compile-gate crash-gate alloc-gate gate-patterns fuzz-smoke bench-compare perf-test
 
 fmt:
 	@out="$$(gofmt -l .)"; \
@@ -86,7 +86,8 @@ cache-gate: build
 # first overflow, where the lifecycle model stops), cross-class quarantine
 # isolation, exact suppression and handler-panic accounting, and concurrent
 # no-deadlock/no-corruption invariants — plus the injector's own
-# determinism tests and the monitor's supervision passthrough.
+# determinism tests, the monitor's supervision passthrough and its one
+# fail-stop flag draining each automaton's verdicts through a batched ring.
 chaos-gate:
 	$(GO) test -race -count=1 ./internal/faultinject
 	$(GO) test -race -count=1 ./internal/core -run 'TestChaos|TestDifferential'
@@ -158,7 +159,7 @@ compile-gate:
 # tests add a spool replay that survives a connection reset and one that
 # refuses to close the accounting with a degraded bye.
 crash-gate: build
-	$(GO) test -count=1 ./internal/trace -run 'TestSpool|TestWAL'
+	$(GO) test -count=1 ./internal/trace -run 'TestSpool'
 	$(GO) test -count=1 ./internal/agg -run 'TestCrashSchedules|TestSnapshot|TestDurableAcks|TestResendDeduplicated|TestResendSpool'
 	$(GO) test -count=1 ./cmd/tesla-agg -run 'TestCrashGate'
 
@@ -176,6 +177,12 @@ alloc-gate:
 	$(GO) test -count=1 ./internal/core -run '^TestUpdateBatchAllocs$$'
 	$(GO) test -count=1 ./internal/agg -run '^(TestIngestFrameAllocs|TestPublisherFlushAllocs)$$'
 	$(GO) test -count=1 ./internal/build -run '^TestEncodeModuleAllocs$$'
+
+# Gate-pattern check: every -run/-fuzz alternative in this Makefile must name a
+# test in its package (`go test -list`), so renaming or deleting a test a
+# gate selects by name fails here instead of shrinking that gate silently.
+gate-patterns:
+	GO=$(GO) bash scripts/gate-patterns.sh Makefile
 
 # Short fuzz pass over the binary/JSON trace codec, the streaming frame
 # reader, the WAL spool's segment repair, the csub front end, the batched

@@ -26,13 +26,17 @@
 //
 // Usage:
 //
-//	tesla-run [-plain] [-debug] [-trace out.tr] [-entry main]
+//	tesla-run [-debug] [-trace out.tr] [-entry main]
 //	          [-trace-spool dir] [-spool-flush dur] [-spool-sync policy]
 //	          [-agg addr] [-agg-flush dur] [-agg-process name]
 //	          [-agg-spool dir]
 //	          [-j N] [-cache dir] [-explain] [-health] [-failure mode]
 //	          [-overflow policy] [-quarantine-after K] [-rearm N]
-//	          [-shards N] [-batch N] [-arg N]... file.c...
+//	          [-batch N] [-arg N]... file.c...
+//
+// -failure and -overflow set one supervision policy for every automaton:
+// -failure is report or stop, -overflow is drop-new, evict-oldest or
+// quarantine.
 //
 // -batch N switches the monitor to the batched per-thread event plane: each
 // thread stages up to N events in a local ring and applies them to the
@@ -66,8 +70,7 @@ import (
 
 func main() {
 	tool := cli.New("tesla-run",
-		"[-plain] [-debug] [-trace out.tr] [-agg addr] [-j N] [-cache dir] [-explain] [-health] [-failure mode] [-overflow policy] [-shards N] [-batch N] [-arg N]... file.c...")
-	plain := flag.Bool("plain", false, "run without instrumentation (Default build)")
+		"[-debug] [-trace out.tr] [-agg addr] [-j N] [-cache dir] [-explain] [-health] [-failure mode] [-overflow policy] [-batch N] [-arg N]... file.c...")
 	debug := flag.Bool("debug", false, "trace automaton events (TESLA_DEBUG-style output)")
 	tracePath := flag.String("trace", "", "record an event trace to this file (.json for JSON, else binary)")
 	traceCap := flag.Int("trace-buf", 0, "per-thread trace ring capacity in events (0 = default)")
@@ -79,11 +82,10 @@ func main() {
 	aggProcess := flag.String("agg-process", "", "process name reported to -agg (default host:pid)")
 	aggSpool := flag.String("agg-spool", "", "write-ahead spool directory for -agg (crash-durable exactly-once delivery)")
 	entry := flag.String("entry", "main", "entry function")
-	shards := flag.Int("shards", 0, "global-store lock stripes (0 = GOMAXPROCS)")
 	batch := flag.Int("batch", 0, "per-thread event ring size for batched dispatch (0 = synchronous reference path)")
 	health := flag.Bool("health", false, "print the per-class monitor health report to stderr after the run")
-	failureMode := flag.String("failure", "default", "violation action: default, report, stop or callback")
-	overflow := flag.String("overflow", "default", "instance-table overflow policy: default, drop-new, evict-oldest or quarantine")
+	failureMode := flag.String("failure", "report", "violation action: report or stop")
+	overflow := flag.String("overflow", "drop-new", "instance-table overflow policy: drop-new, evict-oldest or quarantine")
 	quarAfter := flag.Int("quarantine-after", 0, "consecutive overflows before a class is quarantined (0 = default)")
 	rearm := flag.Int("rearm", 0, "suppressed events before a quarantined class re-arms (0 = default)")
 	buildFlags := cli.RegisterBuildFlags()
@@ -100,7 +102,7 @@ func main() {
 		tool.FatalCode(2, err)
 	}
 
-	opts := toolchain.BuildOptions{Instrument: !*plain}
+	opts := toolchain.BuildOptions{Instrument: true}
 	buildFlags.Apply(&opts)
 	build, err := toolchain.BuildProgramOpts(sources, opts)
 	if err != nil {
@@ -113,7 +115,6 @@ func main() {
 		handler = append(handler, &core.PrintHandler{W: os.Stderr})
 	}
 	monOpts := monitor.Options{
-		GlobalShards:    *shards,
 		BatchSize:       *batch,
 		Failure:         failure,
 		Overflow:        overflowPol,
@@ -183,7 +184,7 @@ func main() {
 	// Process exit is a required-site drain for the batched event plane:
 	// every staged event must reach the store and the trace rings before the
 	// trace is saved, the final agg delta is cut, or any verdict is counted.
-	// A nil monitor (plain build) has nothing staged.
+	// A nil monitor (a program without assertions) has nothing staged.
 	if rt.Monitor != nil {
 		rt.Monitor.Drain()
 	}
@@ -223,9 +224,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "tesla-run: DEGRADED: monitor lost coverage; verdict incomplete")
 		os.Exit(3)
 	}
-	if !*plain {
-		fmt.Printf("all %d assertions held\n", len(build.Autos))
-	}
+	fmt.Printf("all %d assertions held\n", len(build.Autos))
 }
 
 // openEmptySpool opens (or creates) a write-ahead spool directory and
@@ -301,7 +300,7 @@ func finishAgg(pub *agg.Publisher, c *agg.Client, m *monitor.Monitor) bool {
 }
 
 // degradedClasses reports whether any class's health counters show lost
-// coverage. A nil monitor (plain build) is never degraded.
+// coverage. A nil monitor (a program without assertions) is never degraded.
 func degradedClasses(m *monitor.Monitor) bool {
 	return m != nil && m.Degraded()
 }
@@ -309,7 +308,7 @@ func degradedClasses(m *monitor.Monitor) bool {
 // printHealth writes the per-class health table to stderr.
 func printHealth(m *monitor.Monitor) {
 	if m == nil {
-		fmt.Fprintln(os.Stderr, "tesla-run: health: no monitor (plain build)")
+		fmt.Fprintln(os.Stderr, "tesla-run: health: no monitor (program has no assertions)")
 		return
 	}
 	fmt.Fprintln(os.Stderr, "tesla-run: health:")

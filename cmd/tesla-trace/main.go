@@ -137,7 +137,7 @@ func showHeader(version, events int, automata []string, dropped uint64) {
 // run evicted survives a drop-new replay), so reproducing its verdict
 // means replaying under the same policy tesla-run used.
 func policyFlags(fs *flag.FlagSet) func() monitor.Options {
-	overflow := fs.String("overflow", "default", "overflow policy the run was recorded under (default, drop-new, evict-oldest, quarantine)")
+	overflow := fs.String("overflow", "drop-new", "overflow policy the run was recorded under (drop-new, evict-oldest or quarantine)")
 	quarAfter := fs.Int("quarantine-after", 0, "consecutive overflows before quarantine (0 = default)")
 	rearm := fs.Int("rearm", 0, "suppressed events before a quarantined class re-arms (0 = default)")
 	return func() monitor.Options {

@@ -71,10 +71,10 @@ func (s *Store) updateBatchSharded(ops []BatchOp, nb *noteBuf) error {
 			continue
 		}
 
-		set, _ := eventNeed(sc, ops[i].Plan, ops[i].Key)
+		set, _ := s.eventNeed(sc, ops[i].Plan, ops[i].Key)
 		j := i + 1
 		for ; j < len(ops) && j-i < batchRunMax && ops[j].Plan.Cls == cls; j++ {
-			ps, _ := eventNeed(sc, ops[j].Plan, ops[j].Key)
+			ps, _ := s.eventNeed(sc, ops[j].Plan, ops[j].Key)
 			set |= ps
 		}
 		set, _ = s.lockCovering(sc, set, ops[i].Plan, ops[i].Key)
@@ -88,7 +88,7 @@ func (s *Store) updateBatchSharded(ops []BatchOp, nb *noteBuf) error {
 				i++
 				continue
 			}
-			need, scan := eventNeed(sc, op.Plan, op.Key)
+			need, scan := s.eventNeed(sc, op.Plan, op.Key)
 			if need&^set != 0 {
 				// The run's window no longer covers this op (a mid-run
 				// activation widened its mask set, or a re-arm left a
@@ -106,11 +106,11 @@ func (s *Store) updateBatchSharded(ops []BatchOp, nb *noteBuf) error {
 	return firstErr
 }
 
-// FailStopFor reports whether cls's effective failure action in this store
-// is fail-stop — whether a violation surfaces as an UpdateState error. The
-// monitor's batch plane uses it to decide which staged ops must drain
-// through synchronously so their verdict error surfaces at the event call
-// that caused it.
-func (s *Store) FailStopFor(cls *Class) bool {
-	return s.sv.resolve(cls).failure == FailStop
+// FailStop reports whether the store's failure action is fail-stop —
+// whether a violation surfaces as an UpdateState error. The monitor's batch
+// plane uses it to decide whether staged verdict-bearing ops must drain
+// through synchronously so their error surfaces at the event call that
+// caused it.
+func (s *Store) FailStop() bool {
+	return s.sv.failure == FailStop
 }

@@ -26,8 +26,8 @@ import (
 func runBatchDifferential(t *testing.T, seed int64, seqL, batL layout, batchSize int, rate float64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	cls := &Class{
-		Name: "batchdiff", States: 8, Limit: 2 + rng.Intn(8),
+	cls := &Class{Name: "batchdiff", States: 8, Limit: 2 + rng.Intn(8)}
+	sup := StoreOpts{
 		Overflow:        []OverflowPolicy{DropNew, EvictOldest, QuarantineClass}[rng.Intn(3)],
 		QuarantineAfter: 1 + rng.Intn(3),
 		RearmEvents:     1 + rng.Intn(8),
@@ -43,14 +43,12 @@ func runBatchDifferential(t *testing.T, seed int64, seqL, batL layout, batchSize
 
 	hseq := &noteHandler{}
 	hbat := &noteHandler{}
-	seq := seqL.store(StoreOpts{
-		Handler:   hseq,
-		AllocFail: func(c *Class) bool { return injSeq.Should(faultinject.SiteAlloc, c.Name) },
-	})
-	bat := batL.store(StoreOpts{
-		Handler:   hbat,
-		AllocFail: func(c *Class) bool { return injBat.Should(faultinject.SiteAlloc, c.Name) },
-	})
+	sup.Handler = hseq
+	sup.AllocFail = func(c *Class) bool { return injSeq.Should(faultinject.SiteAlloc, c.Name) }
+	seq := seqL.store(sup)
+	sup.Handler = hbat
+	sup.AllocFail = func(c *Class) bool { return injBat.Should(faultinject.SiteAlloc, c.Name) }
+	bat := batL.store(sup)
 	seq.Register(cls)
 	bat.Register(cls)
 

@@ -45,16 +45,11 @@ func runChaosDifferential(t *testing.T, seed int64, shards int, rate float64, ca
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	pol := chaosPolicies[rng.Intn(len(chaosPolicies))]
-	cls := &Class{
-		Name:   "chaos",
-		States: 8,
-		Limit:  2 + rng.Intn(6),
-		// Small thresholds make quarantine and re-arm reachable inside a
-		// 64-event schedule.
-		Overflow:        pol,
-		QuarantineAfter: 1 + rng.Intn(3),
-		RearmEvents:     1 + rng.Intn(6),
-	}
+	cls := &Class{Name: "chaos", States: 8, Limit: 2 + rng.Intn(6)}
+	// Small thresholds make quarantine and re-arm reachable inside a
+	// 64-event schedule.
+	quarAfter := 1 + rng.Intn(3)
+	rearm := 1 + rng.Intn(6)
 	states := uint32(3 + rng.Intn(3))
 
 	injRef := faultinject.New(uint64(seed))
@@ -67,10 +62,12 @@ func runChaosDifferential(t *testing.T, seed int64, shards int, rate float64, ca
 	failure := failureFor(rng.Intn(2) == 0)
 	ref := NewStoreOpts(StoreOpts{
 		Context: PerThread, Handler: href, Failure: failure,
+		Overflow: pol, QuarantineAfter: quarAfter, RearmEvents: rearm,
 		AllocFail: func(c *Class) bool { return injRef.Should(faultinject.SiteAlloc, c.Name) },
 	})
 	sh := NewStoreOpts(StoreOpts{
 		Context: Global, Handler: hsh, Shards: shards, Failure: failure,
+		Overflow: pol, QuarantineAfter: quarAfter, RearmEvents: rearm,
 		AllocFail: func(c *Class) bool { return injSh.Should(faultinject.SiteAlloc, c.Name) },
 	})
 	ref.Register(cls)
@@ -154,19 +151,21 @@ func classStream(h *noteHandler, cls string) []string {
 	return out
 }
 
-// runIsolation drives a hot class A (tiny limit, quarantine policy, injected
-// allocation failures) interleaved with a healthy class B through one store
-// and returns B's exact notification stream and verdict sequence.
+// runIsolation drives a hot class A (tiny limit, injected allocation
+// failures) interleaved with a healthy class B through one store under the
+// quarantine policy and returns B's exact notification stream and verdict
+// sequence. B never overflows, so the policy only ever acts on A.
 func runIsolation(t *testing.T, l layout, inject bool, rate float64) ([]string, string) {
 	t.Helper()
-	a := &Class{Name: "iso-a", States: 4, Limit: 1, Overflow: QuarantineClass, QuarantineAfter: 2, RearmEvents: 4}
+	a := &Class{Name: "iso-a", States: 4, Limit: 1}
 	b := &Class{Name: "iso-b", States: 4, Limit: 8}
 
 	inj := faultinject.New(2026)
 	inj.SetRate(faultinject.SiteAlloc, rate)
 	h := &noteHandler{}
 	s := l.store(StoreOpts{
-		Handler: h,
+		Handler:  h,
+		Overflow: QuarantineClass, QuarantineAfter: 2, RearmEvents: 4,
 		AllocFail: func(c *Class) bool {
 			if !inject || c.Name != "iso-a" {
 				return false
@@ -274,11 +273,12 @@ func TestChaosHandlerPanicRates(t *testing.T) {
 	}
 }
 
-// TestChaosConcurrentInvariants hammers a sharded store from several
-// goroutines with every policy active, allocation failures and handler
-// panics injected at 10%, and trace-style re-entrant reads mixed in. The
-// schedule must complete (no deadlock — enforced by a watchdog), leave
-// instance state structurally consistent, and keep -race silent.
+// TestChaosConcurrentInvariants hammers sharded stores from several
+// goroutines with every policy active (one store per policy, one class in
+// each), allocation failures and handler panics injected at 10%, and
+// trace-style re-entrant reads mixed in. The schedule must complete (no
+// deadlock — enforced by a watchdog), leave instance state structurally
+// consistent, and keep -race silent.
 func TestChaosConcurrentInvariants(t *testing.T) {
 	for _, seed := range chaosSeeds {
 		inj := faultinject.New(uint64(seed))
@@ -287,17 +287,19 @@ func TestChaosConcurrentInvariants(t *testing.T) {
 
 		classes := []*Class{
 			{Name: "c-drop", States: 8, Limit: 16},
-			{Name: "c-evict", States: 8, Limit: 16, Overflow: EvictOldest},
-			{Name: "c-quar", States: 8, Limit: 16, Overflow: QuarantineClass, QuarantineAfter: 4, RearmEvents: 32},
+			{Name: "c-evict", States: 8, Limit: 16},
+			{Name: "c-quar", States: 8, Limit: 16},
 		}
-		s := NewStoreOpts(StoreOpts{
-			Context: Global, Shards: 8,
-			Handler:           &injectedPanicHandler{inj: inj},
-			HandlerPanicLimit: 1 << 30,
-			AllocFail:         func(c *Class) bool { return inj.Should(faultinject.SiteAlloc, c.Name) },
-		})
-		for _, c := range classes {
-			s.Register(c)
+		stores := make([]*Store, len(classes))
+		for i, pol := range chaosPolicies {
+			stores[i] = NewStoreOpts(StoreOpts{
+				Context: Global, Shards: 8,
+				Handler:           &injectedPanicHandler{inj: inj},
+				HandlerPanicLimit: 1 << 30,
+				AllocFail:         func(c *Class) bool { return inj.Should(faultinject.SiteAlloc, c.Name) },
+				Overflow:          pol, QuarantineAfter: 4, RearmEvents: 32,
+			})
+			stores[i].Register(classes[i])
 		}
 
 		enter := initTS()
@@ -312,7 +314,8 @@ func TestChaosConcurrentInvariants(t *testing.T) {
 				defer wg.Done()
 				rng := rand.New(rand.NewSource(int64(g)*31 + seed))
 				for i := 0; i < 600; i++ {
-					cls := classes[rng.Intn(len(classes))]
+					ci := rng.Intn(len(classes))
+					s, cls := stores[ci], classes[ci]
 					switch rng.Intn(12) {
 					case 0:
 						s.UpdateState(cls, "exit", 0, AnyKey, exit)
@@ -337,7 +340,10 @@ func TestChaosConcurrentInvariants(t *testing.T) {
 			t.Fatalf("seed %d: chaos schedule deadlocked", seed)
 		}
 
-		for _, cls := range classes {
+		var panics uint64
+		for ci, cls := range classes {
+			s := stores[ci]
+			panics += s.HandlerPanics()
 			insts := s.Instances(cls)
 			if len(insts) != s.LiveCount(cls) {
 				t.Fatalf("seed %d %s: LiveCount=%d but %d instances", seed, cls.Name, s.LiveCount(cls), len(insts))
@@ -353,15 +359,17 @@ func TestChaosConcurrentInvariants(t *testing.T) {
 				seen[in.Key] = true
 			}
 		}
-		if s.HandlerPanics() == 0 {
+		if panics == 0 {
 			t.Fatalf("seed %d: no handler panics injected; test lost its teeth", seed)
 		}
-		// The store still works after the storm: a fresh class monitors.
+		// The stores still work after the storm: a fresh class monitors.
 		fresh := &Class{Name: "fresh", States: 3, Limit: 4}
-		s.Register(fresh)
+		for _, s := range stores {
+			s.Register(fresh)
+			s.ResetClass(fresh)
+		}
 		s2 := NewStoreOpts(StoreOpts{Context: Global, Shards: 8})
 		s2.Register(fresh)
-		s.ResetClass(fresh)
 		if err := s2.UpdateState(fresh, "enter", 0, NewKey(1), initTS()); err != nil {
 			t.Fatalf("seed %d: post-chaos monitoring broken: %v", seed, err)
 		}
@@ -373,8 +381,8 @@ func TestChaosConcurrentInvariants(t *testing.T) {
 // is fully predictable, then asserted event-for-event on both stores.
 func TestChaosSuppressionExact(t *testing.T) {
 	bothStores(t, func(t *testing.T, mk func(o StoreOpts) *Store) {
-		cls := &Class{Name: "sup", States: 3, Limit: 1, Overflow: QuarantineClass, QuarantineAfter: 1, RearmEvents: 10}
-		s := mk(StoreOpts{})
+		cls := &Class{Name: "sup", States: 3, Limit: 1}
+		s := mk(StoreOpts{Overflow: QuarantineClass, QuarantineAfter: 1, RearmEvents: 10})
 		s.Register(cls)
 
 		s.UpdateState(cls, "enter", 0, NewKey(1), initTS()) // fills the single slot

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"fmt"
-	"time"
-)
+import "fmt"
 
 // TransFlags annotate a transition with lifecycle roles (§4.4.1).
 type TransFlags uint8
@@ -90,7 +87,8 @@ const (
 )
 
 // Class is one programmer-specified automaton. Instances of the class are
-// managed by a Store and differentiated by Key.
+// managed by a Store and differentiated by Key. What a violation or an
+// overflow does is the store's policy (StoreOpts), not the class's.
 type Class struct {
 	// Name identifies the automaton, conventionally "file:line" of the
 	// assertion site or a programmer-supplied label.
@@ -106,30 +104,6 @@ type Class struct {
 	// slots so that automaton bookkeeping never allocates in code paths
 	// that cannot (§4.4.1); overflow is reported, not fatal.
 	Limit int
-
-	// Failure selects what a violation of this class does to the program
-	// (§4.4.2's panic/printf/probe spectrum). FailDefault defers to the
-	// store. Set before the class is registered.
-	Failure FailureAction
-
-	// OnViolation is invoked (outside store locks, panic-isolated) for
-	// each violation when the effective failure action is FailCallback.
-	OnViolation func(*Violation)
-
-	// Overflow selects the class's instance-table degradation policy;
-	// OverflowDefault defers to the store (whose default is DropNew).
-	// Set before the class is registered.
-	Overflow OverflowPolicy
-
-	// QuarantineAfter is the consecutive-overflow count that trips
-	// QuarantineClass (0 = store default, then DefaultQuarantineAfter).
-	QuarantineAfter int
-
-	// RearmEvents re-arms a quarantined class after this many suppressed
-	// events (0 = store default). RearmAfter re-arms after a duration;
-	// when both are zero, DefaultRearmEvents applies.
-	RearmEvents int
-	RearmAfter  time.Duration
 }
 
 // DefaultInstanceLimit is used when a Class does not set Limit. The

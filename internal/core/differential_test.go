@@ -156,8 +156,9 @@ func runDifferential(t *testing.T, seed int64, shards int, failFast bool) {
 	// with the overflow-degradation policy so the whole supervision matrix
 	// rides the same 1300+-schedule sweep (chaos_test.go adds injected
 	// allocation failures on top).
-	cls := &Class{
-		Name: "diff", States: 8, Limit: 2 + rng.Intn(8),
+	cls := &Class{Name: "diff", States: 8, Limit: 2 + rng.Intn(8)}
+	sup := StoreOpts{
+		Failure:         failureFor(failFast),
 		Overflow:        []OverflowPolicy{DropNew, EvictOldest, QuarantineClass}[rng.Intn(3)],
 		QuarantineAfter: 1 + rng.Intn(3),
 		RearmEvents:     1 + rng.Intn(8),
@@ -166,8 +167,10 @@ func runDifferential(t *testing.T, seed int64, shards int, failFast bool) {
 
 	href := &noteHandler{}
 	hsh := &noteHandler{}
-	ref := NewStoreOpts(StoreOpts{Context: PerThread, Handler: href, Failure: failureFor(failFast)})
-	sh := NewStoreOpts(StoreOpts{Context: Global, Handler: hsh, Shards: shards, Failure: failureFor(failFast)})
+	sup.Handler = href
+	ref := layout{PerThread, 0}.store(sup)
+	sup.Handler = hsh
+	sh := layout{Global, shards}.store(sup)
 	ref.Register(cls)
 	sh.Register(cls)
 

@@ -144,13 +144,6 @@ func (h *CountingHandler) Fail(v *Violation) {
 	h.mu.Unlock()
 }
 
-// EdgeCount returns the number of times the edge fired.
-func (h *CountingHandler) EdgeCount(e TransitionEdge) uint64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.edges[e]
-}
-
 // Edges returns a copy of all edge counts.
 func (h *CountingHandler) Edges() map[TransitionEdge]uint64 {
 	h.mu.Lock()

@@ -249,13 +249,13 @@ func (l layout) store(o StoreOpts) *Store {
 	return NewStoreOpts(o)
 }
 
-// failureFor maps a schedule's fail-fast switch onto the store-wide
-// failure action; off leaves it unset, which resolves to FailReport.
+// failureFor maps a schedule's fail-fast switch onto the store's failure
+// action.
 func failureFor(failFast bool) FailureAction {
 	if failFast {
 		return FailStop
 	}
-	return FailDefault
+	return FailReport
 }
 
 // planCache memoizes one schedule's lowered plans per (symbol, flags): the

@@ -64,8 +64,6 @@ type shardedClass struct {
 
 	shards []storeShard
 
-	// pol is the class's supervision policy, resolved at registration.
-	pol classPolicy
 	// quarantined mirrors the quarantine bit for the lock-free fast path;
 	// quar holds the mutable quarantine bookkeeping under quarMu.
 	quarantined atomic.Bool
@@ -317,7 +315,7 @@ func (sc *shardedClass) expungeLocked() {
 // the key itself (clone target) and of the «init» key. scan reports that
 // some live instance binds a slot outside the event's mask, forcing the
 // all-stripes fallback.
-func (sc *shardedClass) lockSet(key Key, init *Transition) (set uint64, scan bool) {
+func (s *Store) lockSet(sc *shardedClass, key Key, init *Transition) (set uint64, scan bool) {
 	// A pending quarantine flush needs exclusive ownership.
 	if sc.needsFlush.Load() {
 		return sc.allMask(), true
@@ -332,9 +330,9 @@ func (sc *shardedClass) lockSet(key Key, init *Transition) (set uint64, scan boo
 	// headroom lockSet saw; the allocation path re-checks ownership and
 	// degrades that rare overflow to drop-new rather than scan unowned
 	// stripes.
-	if sc.pol.overflow == EvictOldest {
+	if s.sv.overflow == EvictOldest {
 		live := int(sc.live.Load())
-		if sc.pol.injected || sc.limit-live < live+1 {
+		if s.sv.allocFail != nil || sc.limit-live < live+1 {
 			return sc.allMask(), true
 		}
 	}
@@ -369,7 +367,6 @@ func (s *Store) registerSharded(cls *Class, storage []Instance) {
 		nt.m[c] = sc
 	}
 	sc := newShardedClass(cls, storage, s.nshards)
-	sc.pol = s.sv.resolve(cls)
 	replaced := false
 	for _, prev := range old.order {
 		if prev.cls == cls {
@@ -442,7 +439,7 @@ func (s *Store) shardedQuarGate(sc *shardedClass, nb *noteBuf) bool {
 	case !sc.quarantined.Load():
 		// Re-armed by a concurrent event; proceed.
 		sc.quarMu.Unlock()
-	case sc.quar.rearmDue(sc.pol, s.sv.now):
+	case sc.quar.suppressed >= s.sv.rearmEvents:
 		sc.quar = quarState{}
 		sc.quarantined.Store(false)
 		nb.add(note{kind: noteQuarantine, cls: sc.cls, on: false})
@@ -465,7 +462,7 @@ func (s *Store) shardedFail(sc *shardedClass, nb *noteBuf, failStop bool, firstE
 	}
 }
 
-// shardedClaim claims one instance slot under the class's overflow policy.
+// shardedClaim claims one instance slot under the store's overflow policy.
 // It mirrors the per-thread store's slotClaim (update.go) decision for
 // decision, including when the fault injector is consulted, so the
 // differential harness sees identical degradation sequences. Returns the
@@ -483,7 +480,7 @@ func (s *Store) shardedClaim(sc *shardedClass, nb *noteBuf, failStop bool, first
 	if slot < 0 {
 		sc.health.overflows.Add(1)
 		nb.add(note{kind: noteOverflow, cls: sc.cls, key: k})
-		switch sc.pol.overflow {
+		switch s.sv.overflow {
 		case EvictOldest:
 			if set != sc.allMask() {
 				// Concurrent events consumed the free headroom
@@ -528,8 +525,8 @@ func (s *Store) shardedClaim(sc *shardedClass, nb *noteBuf, failStop bool, first
 		case QuarantineClass:
 			sc.quarMu.Lock()
 			sc.quar.streak++
-			if sc.quar.streak >= sc.pol.quarantineAfter {
-				sc.quar.enter(sc.pol, s.sv.now)
+			if sc.quar.streak >= s.sv.quarantineAfter {
+				sc.quar = quarState{}
 				sc.quarantined.Store(true)
 				sc.needsFlush.Store(true)
 				sc.health.quarantines.Add(1)
@@ -544,7 +541,7 @@ func (s *Store) shardedClaim(sc *shardedClass, nb *noteBuf, failStop bool, first
 		}
 		return -1
 	}
-	if sc.pol.overflow == QuarantineClass {
+	if s.sv.overflow == QuarantineClass {
 		sc.quarMu.Lock()
 		sc.quar.streak = 0
 		sc.quarMu.Unlock()
@@ -554,8 +551,8 @@ func (s *Store) shardedClaim(sc *shardedClass, nb *noteBuf, failStop bool, first
 
 // eventNeed is one event's full lock requirement: its stripe set, escalated
 // to every stripe for cleanup events (which expunge the whole class).
-func eventNeed(sc *shardedClass, p *SymbolPlan, key Key) (set uint64, scan bool) {
-	set, scan = sc.lockSet(key, p.initTr())
+func (s *Store) eventNeed(sc *shardedClass, p *SymbolPlan, key Key) (set uint64, scan bool) {
+	set, scan = s.lockSet(sc, key, p.initTr())
 	if p.cleanup {
 		set = sc.allMask()
 	}
@@ -570,7 +567,7 @@ func eventNeed(sc *shardedClass, p *SymbolPlan, key Key) (set uint64, scan bool)
 func (s *Store) lockCovering(sc *shardedClass, set uint64, p *SymbolPlan, key Key) (uint64, bool) {
 	for tries := 0; ; tries++ {
 		s.lockShards(sc, set)
-		need, scan := eventNeed(sc, p, key)
+		need, scan := s.eventNeed(sc, p, key)
 		if need&^set == 0 {
 			return set, scan
 		}
@@ -593,7 +590,7 @@ func (s *Store) updateSharded(sc *shardedClass, p *SymbolPlan, key Key, nb *note
 	if s.shardedQuarGate(sc, nb) {
 		return nil
 	}
-	set, _ := eventNeed(sc, p, key)
+	set, _ := s.eventNeed(sc, p, key)
 	set, scan := s.lockCovering(sc, set, p, key)
 	defer s.unlockShards(sc, set)
 	return s.applySharded(sc, p, key, nb, set, scan)
@@ -615,7 +612,7 @@ func (s *Store) applySharded(sc *shardedClass, p *SymbolPlan, key Key, nb *noteB
 	}
 
 	var firstErr error
-	failStop := sc.pol.failure == FailStop
+	failStop := s.sv.failure == FailStop
 
 	// Collect the instances live before this event (so clones made below
 	// are not driven by the same event), compatible with its key. With no

@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Context selects where automata state lives (§3.2). In the thread-local
@@ -45,10 +44,8 @@ type classState struct {
 	insts []Instance
 	live  int
 
-	// pol is the class's supervision policy resolved against the store's
-	// defaults at registration; quar and health are its degradation
-	// state and accounting.
-	pol         classPolicy
+	// quar and health are the class's degradation state and accounting
+	// under the store's supervision policy.
 	quar        quarState
 	quarantined bool
 	health      Health
@@ -68,18 +65,18 @@ type StoreOpts struct {
 	// stores take no locks and ignore it.
 	Shards int
 
-	// Failure is the store-wide default failure action for classes whose
-	// Class.Failure is FailDefault (FailReport when left FailDefault).
-	// It is resolved once per class, at registration.
+	// Failure is what a violation of any class does (FailReport, the
+	// zero value, or FailStop).
 	Failure FailureAction
-	// Overflow is the store-wide default overflow policy (DropNew when
-	// left OverflowDefault).
+	// Overflow is every class's instance-table degradation policy
+	// (DropNew, the zero value, EvictOldest or QuarantineClass).
 	Overflow OverflowPolicy
-	// QuarantineAfter / RearmEvents / RearmAfter are store-wide defaults
-	// for the QuarantineClass policy knobs (see the Class fields).
+	// QuarantineAfter is the consecutive-overflow count that trips
+	// QuarantineClass (0 = DefaultQuarantineAfter); RearmEvents re-arms a
+	// quarantined class after this many suppressed events (0 =
+	// DefaultRearmEvents).
 	QuarantineAfter int
 	RearmEvents     int
-	RearmAfter      time.Duration
 	// HandlerPanicLimit quarantines the notification handler after this
 	// many recovered panics (0 = DefaultHandlerPanicLimit).
 	HandlerPanicLimit int
@@ -89,9 +86,6 @@ type StoreOpts struct {
 	// by internal/faultinject; it runs under store locks and must not
 	// call back into the store.
 	AllocFail func(cls *Class) bool
-	// Clock overrides the time source for timed quarantine re-arm
-	// (deterministic tests); nil uses time.Now.
-	Clock func() time.Time
 }
 
 // Store manages automata instances for one context. The context alone picks
@@ -103,7 +97,7 @@ type Store struct {
 	// mu serialises the Global store's copy-on-write registrations.
 	mu      sync.Mutex
 	context Context
-	hv      atomic.Pointer[handlerCell]
+	handler Handler
 
 	// nshards is the Global store's stripe count; 0 marks a PerThread
 	// store, whose state lives in classes instead of stab.
@@ -124,10 +118,6 @@ type Store struct {
 	panicBy      map[string]uint64
 }
 
-// handlerCell boxes the handler so it can be swapped atomically: the sharded
-// store reads it outside any store-wide lock.
-type handlerCell struct{ h Handler }
-
 // shardTable is the registration snapshot of a sharded store, replaced
 // copy-on-write under Store.mu so the event hot path can read it lock-free.
 type shardTable struct {
@@ -146,9 +136,8 @@ func NewStoreOpts(o StoreOpts) *Store {
 	if o.Handler == nil {
 		o.Handler = NopHandler{}
 	}
-	s := &Store{context: o.Context}
+	s := &Store{context: o.Context, handler: o.Handler}
 	s.sv.init(o)
-	s.hv.Store(&handlerCell{h: o.Handler})
 	if o.Context != Global {
 		s.classes = make(map[*Class]*classState)
 		return s
@@ -184,17 +173,6 @@ func (s *Store) Context() Context { return s.context }
 // takes no locks.
 func (s *Store) Shards() int { return s.nshards }
 
-// Handler returns the store's notification handler.
-func (s *Store) Handler() Handler { return s.hv.Load().h }
-
-// SetHandler replaces the notification handler.
-func (s *Store) SetHandler(h Handler) {
-	if h == nil {
-		h = NopHandler{}
-	}
-	s.hv.Store(&handlerCell{h: h})
-}
-
 // Register adds a class to the store, preallocating its instance block.
 // Registering the same class twice is a no-op.
 func (s *Store) Register(cls *Class) {
@@ -208,7 +186,6 @@ func (s *Store) Register(cls *Class) {
 	cs := &classState{
 		cls:   cls,
 		insts: make([]Instance, cls.limit()),
-		pol:   s.sv.resolve(cls),
 	}
 	s.classes[cls] = cs
 	s.order = append(s.order, cs)
@@ -242,10 +219,9 @@ func (s *Store) RegisterWithStorage(cls *Class, storage []Instance) {
 		cs.clearQuarantine()
 		cs.health = Health{}
 		cs.birthClock = 0
-		cs.pol = s.sv.resolve(cls)
 		return
 	}
-	cs := &classState{cls: cls, insts: storage, pol: s.sv.resolve(cls)}
+	cs := &classState{cls: cls, insts: storage}
 	s.classes[cls] = cs
 	s.order = append(s.order, cs)
 }

@@ -3,16 +3,16 @@ package core
 import (
 	"fmt"
 	"sync/atomic"
-	"time"
 )
 
 // This file is the store's supervision layer: the configurable failure-mode
 // spectrum of §4.4, plus the isolation machinery that keeps the *monitored*
-// system alive when the *monitor* misbehaves.
+// system alive when the *monitor* misbehaves. The policy is one per store,
+// set through StoreOpts; classes carry none of their own.
 //
 //   - FailureAction reproduces the paper's panic / printf / DTrace-probe
-//     spectrum (§4.4.2) per automaton class: stop the program, report and
-//     continue, or hand the violation to a user callback.
+//     spectrum (§4.4.2): stop the program, or report and continue (a
+//     probe is a Handler).
 //   - OverflowPolicy governs instance-table exhaustion (§4.4.1 prescribes
 //     reporting overflow rather than allocating in constrained paths):
 //     drop the new instance, evict the oldest, or quarantine a class that
@@ -25,37 +25,28 @@ import (
 //   - Health counters account for every degradation decision per class, so
 //     a degraded monitor is observable instead of a silent lie.
 
-// FailureAction selects what a violation does to the monitored program,
-// per class (§4.4.2: kernel panic / fail-stop versus best-effort printf or
-// DTrace-probe reporting).
+// FailureAction selects what a violation does to the monitored program
+// (§4.4.2: kernel panic / fail-stop versus best-effort printf or
+// DTrace-probe reporting). As in the paper, it is one choice for the whole
+// store.
 type FailureAction int
 
 const (
-	// FailDefault defers to the store's default action
-	// (StoreOpts.Failure, itself FailReport when left FailDefault).
-	FailDefault FailureAction = iota
 	// FailReport notifies the handler and continues: the paper's
-	// best-effort printf/DTrace modes.
-	FailReport
+	// best-effort printf/DTrace modes. It is the zero value.
+	FailReport FailureAction = iota
 	// FailStop returns the violation as an error from UpdateState, the
 	// paper's kernel-panic/abort mode; the instrumented program is
 	// expected to stop on it.
 	FailStop
-	// FailCallback notifies the handler and additionally invokes the
-	// class's OnViolation callback (the pluggable-probe mode).
-	FailCallback
 )
 
 func (a FailureAction) String() string {
 	switch a {
-	case FailDefault:
-		return "default"
 	case FailReport:
 		return "report"
 	case FailStop:
 		return "stop"
-	case FailCallback:
-		return "callback"
 	default:
 		return "FailureAction(?)"
 	}
@@ -66,11 +57,10 @@ func (a FailureAction) String() string {
 type OverflowPolicy int
 
 const (
-	// OverflowDefault defers to the store's default policy (DropNew).
-	OverflowDefault OverflowPolicy = iota
 	// DropNew reports the overflow and drops the new instance — the
-	// paper's behaviour: preallocation is adjusted on the next run.
-	DropNew
+	// paper's behaviour: preallocation is adjusted on the next run. It is
+	// the zero value.
+	DropNew OverflowPolicy = iota
 	// EvictOldest reports the overflow, evicts the oldest live instance
 	// with the same key mask as the newcomer (falling back to the oldest
 	// overall) and claims its slot. Monitoring stays live for recent
@@ -81,14 +71,12 @@ const (
 	// QuarantineClass drops new instances like DropNew but, after
 	// QuarantineAfter consecutive overflows, takes the whole class out of
 	// service: instances are expunged and events are suppressed (and
-	// counted) until the class re-arms by event count or elapsed time.
+	// counted) until RearmEvents suppressed events re-arm it.
 	QuarantineClass
 )
 
 func (p OverflowPolicy) String() string {
 	switch p {
-	case OverflowDefault:
-		return "default"
 	case DropNew:
 		return "drop-new"
 	case EvictOldest:
@@ -103,34 +91,32 @@ func (p OverflowPolicy) String() string {
 // ParseFailureAction maps the String spellings back onto actions, for CLI
 // flags.
 func ParseFailureAction(s string) (FailureAction, error) {
-	for _, a := range []FailureAction{FailDefault, FailReport, FailStop, FailCallback} {
+	for _, a := range []FailureAction{FailReport, FailStop} {
 		if s == a.String() {
 			return a, nil
 		}
 	}
-	return FailDefault, fmt.Errorf("unknown failure action %q (want default, report, stop or callback)", s)
+	return FailReport, fmt.Errorf("unknown failure action %q (want report or stop)", s)
 }
 
 // ParseOverflowPolicy maps the String spellings back onto policies, for CLI
 // flags.
 func ParseOverflowPolicy(s string) (OverflowPolicy, error) {
-	for _, p := range []OverflowPolicy{OverflowDefault, DropNew, EvictOldest, QuarantineClass} {
+	for _, p := range []OverflowPolicy{DropNew, EvictOldest, QuarantineClass} {
 		if s == p.String() {
 			return p, nil
 		}
 	}
-	return OverflowDefault, fmt.Errorf("unknown overflow policy %q (want default, drop-new, evict-oldest or quarantine)", s)
+	return DropNew, fmt.Errorf("unknown overflow policy %q (want drop-new, evict-oldest or quarantine)", s)
 }
 
-// Defaults for the quarantine policy when the class and store leave them
-// unset.
+// Defaults for the supervision knobs a store leaves unset.
 const (
 	// DefaultQuarantineAfter is the consecutive-overflow threshold that
 	// trips QuarantineClass.
 	DefaultQuarantineAfter = 8
 	// DefaultRearmEvents is how many suppressed events re-arm a
-	// quarantined class when neither an event count nor a duration is
-	// configured.
+	// quarantined class.
 	DefaultRearmEvents = 256
 	// DefaultHandlerPanicLimit is how many recovered handler panics
 	// quarantine the handler.
@@ -184,126 +170,47 @@ type ClassHealth struct {
 	Health
 }
 
-// supervision is a store's resolved supervision configuration, fixed at
-// construction.
+// supervision is a store's supervision policy, resolved once at
+// construction: every class in the store degrades under it, and both event
+// bodies read these fields directly.
 type supervision struct {
 	failure         FailureAction
 	overflow        OverflowPolicy
 	quarantineAfter int
 	rearmEvents     int
-	rearmAfter      time.Duration
 	panicLimit      int
 	allocFail       func(cls *Class) bool
-	now             func() time.Time
 }
 
 func (sv *supervision) init(o StoreOpts) {
 	sv.failure = o.Failure
 	sv.overflow = o.Overflow
 	sv.quarantineAfter = o.QuarantineAfter
+	if sv.quarantineAfter <= 0 {
+		sv.quarantineAfter = DefaultQuarantineAfter
+	}
 	sv.rearmEvents = o.RearmEvents
-	sv.rearmAfter = o.RearmAfter
+	if sv.rearmEvents <= 0 {
+		sv.rearmEvents = DefaultRearmEvents
+	}
 	sv.panicLimit = o.HandlerPanicLimit
 	if sv.panicLimit <= 0 {
 		sv.panicLimit = DefaultHandlerPanicLimit
 	}
 	sv.allocFail = o.AllocFail
-	sv.now = o.Clock
-	if sv.now == nil {
-		sv.now = time.Now
-	}
-}
-
-// classPolicy is the per-class supervision configuration after resolving
-// class fields against store defaults, cached at registration so the event
-// hot path reads plain fields.
-type classPolicy struct {
-	failure         FailureAction // never FailDefault once resolved
-	overflow        OverflowPolicy
-	quarantineAfter int
-	rearmEvents     int
-	rearmAfter      time.Duration
-	// injected records that the store has a fault injector armed: any
-	// allocation can then fail, so the sharded store's lock planner cannot
-	// use free-headroom reasoning to skip the all-stripes fallback that
-	// EvictOldest's class-wide victim scan needs.
-	injected bool
-}
-
-func (sv *supervision) resolve(cls *Class) classPolicy {
-	p := classPolicy{
-		failure:         cls.Failure,
-		overflow:        cls.Overflow,
-		quarantineAfter: cls.QuarantineAfter,
-		rearmEvents:     cls.RearmEvents,
-		rearmAfter:      cls.RearmAfter,
-		injected:        sv.allocFail != nil,
-	}
-	if p.failure == FailDefault {
-		p.failure = sv.failure
-	}
-	if p.failure == FailDefault {
-		p.failure = FailReport
-	}
-	if p.overflow == OverflowDefault {
-		p.overflow = sv.overflow
-	}
-	if p.overflow == OverflowDefault {
-		p.overflow = DropNew
-	}
-	if p.quarantineAfter <= 0 {
-		p.quarantineAfter = sv.quarantineAfter
-	}
-	if p.quarantineAfter <= 0 {
-		p.quarantineAfter = DefaultQuarantineAfter
-	}
-	if p.rearmEvents <= 0 {
-		p.rearmEvents = sv.rearmEvents
-	}
-	if p.rearmAfter <= 0 {
-		p.rearmAfter = sv.rearmAfter
-	}
-	if p.rearmEvents <= 0 && p.rearmAfter <= 0 {
-		p.rearmEvents = DefaultRearmEvents
-	}
-	return p
 }
 
 // quarState is the quarantine bookkeeping shared by both store layouts.
-// The per-thread store mutates it directly; the sharded store guards it with shardedClass.quarMu and mirrors the
-// quarantined bit into an atomic for the lock-free fast path.
+// The per-thread store mutates it directly; the sharded store guards it with
+// shardedClass.quarMu and mirrors the quarantined bit into an atomic for the
+// lock-free fast path.
 type quarState struct {
 	// streak counts consecutive overflows since the last successful
 	// allocation, reset or re-arm.
 	streak int
 	// suppressed counts events ignored since quarantine entry (the
-	// event-count re-arm trigger; Health.Suppressed is the cumulative
-	// total).
+	// re-arm trigger; Health.Suppressed is the cumulative total).
 	suppressed int
-	// rearmAt is the timed re-arm deadline (zero when not timed).
-	rearmAt time.Time
-}
-
-// rearmDue reports whether a quarantined class should come back.
-func (q *quarState) rearmDue(p classPolicy, now func() time.Time) bool {
-	if p.rearmEvents > 0 && q.suppressed >= p.rearmEvents {
-		return true
-	}
-	if p.rearmAfter > 0 && !now().Before(q.rearmAt) {
-		return true
-	}
-	return false
-}
-
-// enter initialises quarantine state at entry.
-func (q *quarState) enter(p classPolicy, now func() time.Time) {
-	q.streak = 0
-	q.suppressed = 0
-	if p.rearmAfter > 0 {
-		q.rearmAt = now().Add(p.rearmAfter)
-	} else {
-		q.rearmAt = time.Time{}
-	}
 }
 
 // ---------------------------------------------------------------------------
@@ -366,13 +273,12 @@ func (nb *noteBuf) empty() bool { return nb.n == 0 && len(nb.spill) == 0 }
 // outside any store lock, recovering panics. Each recovered panic is
 // counted against the note's class; past the store's panic limit the
 // handler is quarantined and later notifications are dropped (counted in
-// NotesDropped). Violation callbacks (FailCallback) run under the same
-// isolation.
+// NotesDropped).
 func (s *Store) dispatch(nb *noteBuf) {
 	if nb.empty() {
 		return
 	}
-	h := s.Handler()
+	h := s.handler
 	for i := 0; i < nb.n; i++ {
 		s.deliverNote(h, &nb.arr[i])
 	}
@@ -387,12 +293,6 @@ func (s *Store) deliverNote(h Handler, n *note) {
 		return
 	}
 	s.notify(h, n)
-	if n.kind == noteFail && n.cls.OnViolation != nil {
-		pol := s.policyOf(n.cls)
-		if pol.failure == FailCallback {
-			s.callback(n.cls, n.v)
-		}
-	}
 }
 
 // notify invokes one handler method under panic isolation.
@@ -418,13 +318,6 @@ func (s *Store) notify(h Handler, n *note) {
 	}
 }
 
-// callback invokes a class's OnViolation under the same isolation as
-// handler methods.
-func (s *Store) callback(cls *Class, v *Violation) {
-	defer s.recoverHandler(cls)
-	cls.OnViolation(v)
-}
-
 // recoverHandler absorbs a handler panic: count it store-wide and per
 // class, and quarantine the handler once the limit is reached.
 func (s *Store) recoverHandler(cls *Class) {
@@ -439,20 +332,6 @@ func (s *Store) recoverHandler(cls *Class) {
 			s.hquar.Store(true)
 		}
 	}
-}
-
-// policyOf returns the cached per-class policy (resolving lazily for
-// classes that were registered before supervision existed in a path that
-// bypassed resolution — never on the hot path).
-func (s *Store) policyOf(cls *Class) classPolicy {
-	if s.nshards > 0 {
-		if sc := s.shardedClassOf(cls); sc != nil {
-			return sc.pol
-		}
-	} else if cs := s.classes[cls]; cs != nil {
-		return cs.pol
-	}
-	return s.sv.resolve(cls)
 }
 
 // HandlerPanics returns the recovered handler-panic count, store-wide.

@@ -27,8 +27,8 @@ func initTS() TransitionSet {
 	return TransitionSet{{From: 0, To: 1, Flags: TransInit, KeyMask: 1}}
 }
 
-// TestFailureActions covers the §4.4.2 spectrum: stop, report, callback, and
-// the FailDefault → StoreOpts.Failure fallback.
+// TestFailureActions covers the §4.4.2 spectrum: a FailStop store returns
+// the violation, a store left at the zero value reports it and continues.
 func TestFailureActions(t *testing.T) {
 	site := TransitionSet{{From: 1, To: 2, KeyMask: 1}}
 	violate := func(s *Store, cls *Class) error {
@@ -58,37 +58,6 @@ func TestFailureActions(t *testing.T) {
 				t.Fatal("handler missed the violation")
 			}
 		})
-		t.Run("class-report-overrides-failfast", func(t *testing.T) {
-			cls := &Class{Name: "r", States: 3, Limit: 4, Failure: FailReport}
-			s := mk(StoreOpts{Failure: FailStop})
-			s.Register(cls)
-			if err := violate(s, cls); err != nil {
-				t.Fatalf("FailReport class under FailStop store: unexpected error %v", err)
-			}
-		})
-		t.Run("class-stop-overrides-default", func(t *testing.T) {
-			cls := &Class{Name: "s", States: 3, Limit: 4, Failure: FailStop}
-			s := mk(StoreOpts{})
-			s.Register(cls)
-			if err := violate(s, cls); err == nil {
-				t.Fatal("FailStop class: want violation error")
-			}
-		})
-		t.Run("callback", func(t *testing.T) {
-			var got []*Violation
-			cls := &Class{
-				Name: "c", States: 3, Limit: 4, Failure: FailCallback,
-				OnViolation: func(v *Violation) { got = append(got, v) },
-			}
-			s := mk(StoreOpts{})
-			s.Register(cls)
-			if err := violate(s, cls); err != nil {
-				t.Fatalf("FailCallback: unexpected error %v", err)
-			}
-			if len(got) != 1 || got[0].Kind != VerdictNoInstance {
-				t.Fatalf("callback got %v", got)
-			}
-		})
 		t.Run("store-default-action", func(t *testing.T) {
 			cls := &Class{Name: "sd", States: 3, Limit: 4}
 			s := mk(StoreOpts{Failure: FailStop})
@@ -104,9 +73,9 @@ func TestFailureActions(t *testing.T) {
 // live for new bindings, and the eviction is notified and accounted.
 func TestEvictOldest(t *testing.T) {
 	bothStores(t, func(t *testing.T, mk func(o StoreOpts) *Store) {
-		cls := &Class{Name: "ev", States: 3, Limit: 2, Overflow: EvictOldest}
+		cls := &Class{Name: "ev", States: 3, Limit: 2}
 		h := &noteHandler{}
-		s := mk(StoreOpts{Handler: h})
+		s := mk(StoreOpts{Handler: h, Overflow: EvictOldest})
 		s.Register(cls)
 
 		for _, v := range []Value{1, 2, 3} {
@@ -167,12 +136,9 @@ func TestDropNewPreserved(t *testing.T) {
 // processes the re-arming event itself.
 func TestQuarantineLifecycle(t *testing.T) {
 	bothStores(t, func(t *testing.T, mk func(o StoreOpts) *Store) {
-		cls := &Class{
-			Name: "q", States: 3, Limit: 1,
-			Overflow: QuarantineClass, QuarantineAfter: 2, RearmEvents: 3,
-		}
+		cls := &Class{Name: "q", States: 3, Limit: 1}
 		h := &noteHandler{}
-		s := mk(StoreOpts{Handler: h})
+		s := mk(StoreOpts{Handler: h, Overflow: QuarantineClass, QuarantineAfter: 2, RearmEvents: 3})
 		s.Register(cls)
 
 		s.UpdateState(cls, "enter", 0, NewKey(1), initTS()) // fills the block
@@ -220,48 +186,12 @@ func TestQuarantineLifecycle(t *testing.T) {
 	})
 }
 
-// TestQuarantineTimedRearm: the duration-based re-arm honours the injected
-// clock.
-func TestQuarantineTimedRearm(t *testing.T) {
-	bothStores(t, func(t *testing.T, mk func(o StoreOpts) *Store) {
-		now := time.Unix(1000, 0)
-		var mu sync.Mutex
-		clock := func() time.Time { mu.Lock(); defer mu.Unlock(); return now }
-		advance := func(d time.Duration) { mu.Lock(); now = now.Add(d); mu.Unlock() }
-
-		cls := &Class{
-			Name: "tq", States: 3, Limit: 1,
-			Overflow: QuarantineClass, QuarantineAfter: 1, RearmAfter: time.Minute,
-		}
-		s := mk(StoreOpts{Clock: clock})
-		s.Register(cls)
-
-		s.UpdateState(cls, "enter", 0, NewKey(1), initTS())
-		s.UpdateState(cls, "enter", 0, NewKey(2), initTS()) // overflow → quarantine
-		if !s.Quarantined(cls) {
-			t.Fatal("not quarantined")
-		}
-		s.UpdateState(cls, "enter", 0, NewKey(3), initTS())
-		if !s.Quarantined(cls) {
-			t.Fatal("re-armed before the deadline")
-		}
-		advance(2 * time.Minute)
-		s.UpdateState(cls, "enter", 0, NewKey(4), initTS())
-		if s.Quarantined(cls) {
-			t.Fatal("did not re-arm after the deadline")
-		}
-		if s.LiveCount(cls) != 1 {
-			t.Fatal("re-arming event not processed")
-		}
-	})
-}
-
 // TestResetLiftsQuarantine: Reset and ResetClass return a quarantined class
 // to service without a Quarantine(off) notification.
 func TestResetLiftsQuarantine(t *testing.T) {
 	bothStores(t, func(t *testing.T, mk func(o StoreOpts) *Store) {
-		cls := &Class{Name: "rq", States: 3, Limit: 1, Overflow: QuarantineClass, QuarantineAfter: 1}
-		s := mk(StoreOpts{})
+		cls := &Class{Name: "rq", States: 3, Limit: 1}
+		s := mk(StoreOpts{Overflow: QuarantineClass, QuarantineAfter: 1})
 		s.Register(cls)
 		s.UpdateState(cls, "enter", 0, NewKey(1), initTS())
 		s.UpdateState(cls, "enter", 0, NewKey(2), initTS())
@@ -336,27 +266,6 @@ func TestHandlerPanicIsolated(t *testing.T) {
 	})
 }
 
-// TestCallbackPanicIsolated: OnViolation panics are recovered like handler
-// panics.
-func TestCallbackPanicIsolated(t *testing.T) {
-	bothStores(t, func(t *testing.T, mk func(o StoreOpts) *Store) {
-		cls := &Class{
-			Name: "cp", States: 3, Limit: 4, Failure: FailCallback,
-			OnViolation: func(*Violation) { panic("callback bug") },
-		}
-		s := mk(StoreOpts{})
-		s.Register(cls)
-		s.UpdateState(cls, "enter", 0, NewKey(1), initTS())
-		site := TransitionSet{{From: 1, To: 2, KeyMask: 1}}
-		if err := s.UpdateState(cls, "site", SymRequired, NewKey(2), site); err != nil {
-			t.Fatalf("unexpected error %v", err)
-		}
-		if s.HandlerPanics() != 1 {
-			t.Fatalf("HandlerPanics = %d", s.HandlerPanics())
-		}
-	})
-}
-
 // reentrantHandler calls back into the store it observes — the regression
 // case for notifications dispatched under the store lock (deadlock before
 // the supervision layer).
@@ -409,12 +318,13 @@ func TestReentrantHandlerNoDeadlock(t *testing.T) {
 }
 
 // TestHealthReport: the per-store report covers every class in registration
-// order with live counts and quarantine flags.
+// order with live counts and quarantine flags. Both classes run under the
+// quarantine policy; only b overflows, so only b is quarantined.
 func TestHealthReport(t *testing.T) {
 	bothStores(t, func(t *testing.T, mk func(o StoreOpts) *Store) {
 		a := &Class{Name: "a", States: 3, Limit: 2}
-		b := &Class{Name: "b", States: 3, Limit: 1, Overflow: QuarantineClass, QuarantineAfter: 1}
-		s := mk(StoreOpts{})
+		b := &Class{Name: "b", States: 3, Limit: 1}
+		s := mk(StoreOpts{Overflow: QuarantineClass, QuarantineAfter: 1})
 		s.Register(a)
 		s.Register(b)
 		s.UpdateState(a, "enter", 0, NewKey(1), initTS())
@@ -437,15 +347,38 @@ func TestHealthReport(t *testing.T) {
 	})
 }
 
-// TestPolicyStringers pins the flag-facing names.
+// TestPolicyStringers pins the flag-facing names: every spelling parses
+// back to its value and prints as itself, and the spellings of the removed
+// per-class modes are rejected.
 func TestPolicyStringers(t *testing.T) {
-	if FailStop.String() != "stop" || FailReport.String() != "report" ||
-		FailCallback.String() != "callback" || FailDefault.String() != "default" {
-		t.Fatal("FailureAction strings changed")
+	for _, tc := range []struct {
+		s    string
+		want FailureAction
+	}{{"report", FailReport}, {"stop", FailStop}} {
+		got, err := ParseFailureAction(tc.s)
+		if err != nil || got != tc.want || got.String() != tc.s {
+			t.Errorf("ParseFailureAction(%q) = %v, %v; want %v", tc.s, got, err, tc.want)
+		}
 	}
-	if DropNew.String() != "drop-new" || EvictOldest.String() != "evict-oldest" ||
-		QuarantineClass.String() != "quarantine" || OverflowDefault.String() != "default" {
-		t.Fatal("OverflowPolicy strings changed")
+	for _, tc := range []struct {
+		s    string
+		want OverflowPolicy
+	}{{"drop-new", DropNew}, {"evict-oldest", EvictOldest}, {"quarantine", QuarantineClass}} {
+		got, err := ParseOverflowPolicy(tc.s)
+		if err != nil || got != tc.want || got.String() != tc.s {
+			t.Errorf("ParseOverflowPolicy(%q) = %v, %v; want %v", tc.s, got, err, tc.want)
+		}
+	}
+	if FailureAction(0) != FailReport || OverflowPolicy(0) != DropNew {
+		t.Error("zero values must be report and drop-new")
+	}
+	for _, s := range []string{"default", "callback", ""} {
+		if _, err := ParseFailureAction(s); err == nil {
+			t.Errorf("ParseFailureAction(%q) accepted", s)
+		}
+		if _, err := ParseOverflowPolicy(s); err == nil {
+			t.Errorf("ParseOverflowPolicy(%q) accepted", s)
+		}
 	}
 }
 
@@ -457,8 +390,8 @@ func TestPolicyStringers(t *testing.T) {
 // against a program that checks more keys than the block holds.
 func TestEvictSparesParent(t *testing.T) {
 	bothStores(t, func(t *testing.T, mk func(o StoreOpts) *Store) {
-		cls := &Class{Name: "par", States: 3, Limit: 3, Overflow: EvictOldest}
-		s := mk(StoreOpts{})
+		cls := &Class{Name: "par", States: 3, Limit: 3}
+		s := mk(StoreOpts{Overflow: EvictOldest})
 		s.Register(cls)
 		enter := TransitionSet{{From: 0, To: 1, Flags: TransInit}}
 		check := TransitionSet{

@@ -35,9 +35,8 @@ func (s *Store) UpdateState(cls *Class, symbol string, flags SymbolFlags, key Ke
 // after every lock is released (see supervise.go), so handlers may block, or
 // even call back into the store, without stalling monitored threads.
 //
-// The returned error is non-nil only when the class's effective failure
-// action is FailStop (FailDefault defers to StoreOpts.Failure) and a violation
-// or overflow occurred; the store's Handler is notified of every outcome
+// The returned error is non-nil only when the store's failure action is
+// FailStop and a violation or overflow occurred; the store's Handler is notified of every outcome
 // regardless.
 func (s *Store) UpdateStatePlan(p *SymbolPlan, key Key) error {
 	nb := notePool.Get().(*noteBuf)
@@ -81,7 +80,7 @@ func (s *Store) slotQuarGate(cs *classState, nb *noteBuf) bool {
 	if !cs.quarantined {
 		return false
 	}
-	if cs.quar.rearmDue(cs.pol, s.sv.now) {
+	if cs.quar.suppressed >= s.sv.rearmEvents {
 		cs.quarantined = false
 		cs.quar = quarState{}
 		nb.add(note{kind: noteQuarantine, cls: cs.cls, on: false})
@@ -101,7 +100,7 @@ func (s *Store) slotFail(cs *classState, nb *noteBuf, failStop bool, firstErr *e
 	}
 }
 
-// slotClaim claims one instance slot under the class's overflow policy. It
+// slotClaim claims one instance slot under the store's overflow policy. It
 // consults the fault injector first; on overflow it records one Overflow
 // note, then degrades: DropNew drops, EvictOldest sacrifices the oldest
 // instance and retries once (the retry consults the injector again; a second
@@ -121,7 +120,7 @@ func (s *Store) slotClaim(cs *classState, nb *noteBuf, failStop bool, firstErr *
 	if slot == nil {
 		cs.health.Overflows++
 		nb.add(note{kind: noteOverflow, cls: cls, key: k})
-		switch cs.pol.overflow {
+		switch s.sv.overflow {
 		case EvictOldest:
 			// Prefer the oldest victim bound like the incoming
 			// instance: a plain class-wide minimum would sacrifice
@@ -155,11 +154,11 @@ func (s *Store) slotClaim(cs *classState, nb *noteBuf, failStop bool, firstErr *
 			}
 		case QuarantineClass:
 			cs.quar.streak++
-			if cs.quar.streak >= cs.pol.quarantineAfter {
+			if cs.quar.streak >= s.sv.quarantineAfter {
 				cs.expunge()
 				cs.quarantined = true
 				cs.health.Quarantines++
-				cs.quar.enter(cs.pol, s.sv.now)
+				cs.quar = quarState{}
 				nb.add(note{kind: noteQuarantine, cls: cls, on: true})
 			}
 		}
@@ -186,7 +185,7 @@ func (s *Store) updateSlots(cs *classState, p *SymbolPlan, key Key, nb *noteBuf)
 	}
 
 	var firstErr error
-	failStop := cs.pol.failure == FailStop
+	failStop := s.sv.failure == FailStop
 
 	// Snapshot the instances live before this event so that clones created
 	// below are not themselves driven by the same event. The walk stops at

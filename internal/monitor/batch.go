@@ -153,10 +153,10 @@ func (th *Thread) stageOp(store *core.Store, op core.BatchOp, drainThrough bool)
 
 // opDrains reports whether a staged op must drain through synchronously:
 // only verdict-bearing symbols (required, strict, or cleanup transitions)
-// on automata whose effective failure action is fail-stop can turn into
-// UpdateStatePlan errors, and only those pay the inline flush.
-func (th *Thread) opDrains(idx int, p *core.SymbolPlan) bool {
-	if !th.m.failStop[idx] {
+// under a fail-stop monitor can turn into UpdateStatePlan errors, and only
+// those pay the inline flush.
+func (th *Thread) opDrains(p *core.SymbolPlan) bool {
+	if !th.m.failStop {
 		return false
 	}
 	return p.Flags&(core.SymRequired|core.SymStrict) != 0 || p.HasCleanup()
@@ -247,9 +247,6 @@ func (th *Thread) Flush() error {
 	_, err := th.flushBatch()
 	return err
 }
-
-// Batched reports whether the thread stages events (Options.BatchSize > 0).
-func (th *Thread) Batched() bool { return th.batch != nil }
 
 // Drain flushes every thread's staged ring — the required-site drain used
 // before verdict reads, health reports, trace cuts and process exit. In

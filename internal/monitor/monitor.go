@@ -40,16 +40,16 @@ type Options struct {
 	// force a flush, so observable verdicts are identical in both modes.
 	BatchSize int
 
-	// Failure is the store-default failure action for classes that leave
-	// Class.Failure at FailDefault (§4.4.2's panic/printf spectrum).
-	// FailStop propagates the first violation as an error from the Thread
-	// event methods (TESLA's fail-stop behaviour); the zero value reports.
+	// Failure is every automaton's failure action (§4.4.2's panic/printf
+	// spectrum). FailStop propagates the first violation as an error from
+	// the Thread event methods (TESLA's fail-stop behaviour); the zero
+	// value reports.
 	Failure core.FailureAction
-	// Overflow is the store-default degradation policy applied when a
-	// class's instance table is full and Class.Overflow is OverflowDefault.
+	// Overflow is every automaton's degradation policy when its instance
+	// table is full; the zero value drops the new instance.
 	Overflow core.OverflowPolicy
-	// QuarantineAfter and RearmEvents tune QuarantineClass for classes
-	// that don't set their own thresholds (0 = core defaults).
+	// QuarantineAfter and RearmEvents tune QuarantineClass (0 = core
+	// defaults).
 	QuarantineAfter int
 	RearmEvents     int
 	// AllocFail, when set, is consulted before every instance allocation
@@ -99,11 +99,10 @@ type Monitor struct {
 	// events through these.
 	plans [][]*core.SymbolPlan
 
-	// failStop records, per automaton, whether its class's effective
-	// failure action is fail-stop — the batch plane drains through on
-	// verdict-bearing ops of exactly these automata so their violation
+	// failStop records whether the failure action is fail-stop — the batch
+	// plane then drains through on verdict-bearing ops so their violation
 	// errors surface at the causing event call.
-	failStop []bool
+	failStop bool
 
 	// boundSlot maps a Bound (begin/end event pair) to a dense index;
 	// autoBound gives each automaton's bound slot. The four dispatch maps
@@ -170,6 +169,9 @@ func New(opts Options, autos ...*automata.Automaton) (*Monitor, error) {
 		}
 	}
 	m.globalLazy = newLazyState(len(m.boundSlot), len(m.autos))
+	// Every store is built from the same options, so the global store
+	// answers for the per-thread ones too.
+	m.failStop = m.global.FailStop()
 	return m, nil
 }
 
@@ -206,9 +208,6 @@ func (m *Monitor) add(a *automata.Automaton) error {
 	// Link-time engine lowering: the automaton lowers its plans once, on
 	// first use, so no event pays for plan construction.
 	m.plans = append(m.plans, a.Plans())
-	// Both contexts resolve failure actions against the same option
-	// defaults, so the global store answers for all.
-	m.failStop = append(m.failStop, m.global.FailStopFor(a.Class))
 
 	bound := a.Spec.Bound
 	boundKey := bound.String()
@@ -681,7 +680,7 @@ func (th *Thread) BoundEnd(slot int) error {
 func (th *Thread) sendOp(store *core.Store, idx int, sym *automata.Symbol, key core.Key) error {
 	p := th.m.plans[idx][sym.ID]
 	if th.batch != nil {
-		return th.stageOp(store, core.BatchOp{Plan: p, Key: key}, th.opDrains(idx, p))
+		return th.stageOp(store, core.BatchOp{Plan: p, Key: key}, th.opDrains(p))
 	}
 	return store.UpdateStatePlan(p, key)
 }

@@ -93,3 +93,30 @@ func TestHealthCleanRun(t *testing.T) {
 		t.Fatal("clean run Degraded() = true")
 	}
 }
+
+// TestSupervisionFailStopBatched: one fail-stop policy covers every
+// automaton. With a staging ring far larger than the run, a verdict-bearing
+// op of each of two automata — one per-thread, one global — still drains
+// through and returns its violation from its own event call, not from a
+// later flush.
+func TestSupervisionFailStopBatched(t *testing.T) {
+	pt := mustAuto(t, "pt", `TESLA_SYSCALL_PREVIOUSLY(chk(x) == 0)`, nil)
+	gl := mustAuto(t, "gl", `TESLA_GLOBAL(call(start_op), returnfrom(end_op), previously(prepare(x) == 0))`, nil)
+	m := MustNew(Options{Failure: core.FailStop, BatchSize: 64}, pt, gl)
+	th := m.NewThread()
+
+	wantViolation := func(name string, err error) {
+		t.Helper()
+		v, ok := err.(*core.Violation)
+		if !ok || v.Class.Name != name || v.Kind != core.VerdictNoInstance {
+			t.Fatalf("site %s: err = %v, want its NoInstance violation at the call", name, err)
+		}
+	}
+	th.Call("amd64_syscall")
+	wantViolation("pt", th.Site("pt", 5))
+	th.Call("start_op")
+	wantViolation("gl", th.Site("gl", 5))
+	if err := m.Drain(); err != nil {
+		t.Fatalf("drain surfaced a violation the event calls already returned: %v", err)
+	}
+}
