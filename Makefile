@@ -58,10 +58,12 @@ liveness-gate:
 bench:
 	$(GO) run ./cmd/tesla-bench -fig elide -files 8
 
-# The §5.1 rebuild matrix on the build graph: cold vs warm vs one-file
-# incremental, sequential vs parallel.
+# The §5.1 rebuild matrix on the build graph: tesla-perf's seeded rebuild
+# workload (cold build, no-op, one-file body edit, one-file assertion edit,
+# with each edit's rebuild counts checked), traced so it prints the per-stage
+# build.* metrics.
 bench-rebuild:
-	$(GO) run ./cmd/tesla-bench -fig rebuild -files 12
+	bash cmd/tesla-perf/run.sh --workload rebuild --trace 1
 
 # Cache-correctness gate: build the example program twice against the same
 # on-disk cache. The second build must do zero stage work (built=0 in the
@@ -93,10 +95,17 @@ chaos-gate:
 	$(GO) test -race -count=1 ./internal/core -run 'TestChaos|TestDifferential'
 	$(GO) test -race -count=1 ./internal/monitor -run 'TestSupervision|TestHealth'
 
-# Supervision-policy cost ladder on the sharded store (drop-new vs
-# evict-oldest vs quarantine vs injected faults); target <3% per rung.
+# Supervision-policy cost ladder on the 8-stripe global store (drop-new vs
+# evict-oldest vs quarantine vs drop-new with 1% injected allocation
+# failures), one goroutine on one P; target <3% per rung against drop-new.
+# benchstat puts the rungs side by side when it is installed.
 bench-faults:
-	$(GO) run ./cmd/tesla-bench -fig faults
+	@$(GO) test ./internal/core -run '^$$' -bench '^BenchmarkStorePolicy$$' -benchtime 0.5s -count 7 -cpu 1 | tee /tmp/tesla-policy.txt
+	@if command -v benchstat >/dev/null 2>&1; then \
+		benchstat -col /policy /tmp/tesla-policy.txt; \
+	else \
+		echo "benchstat not installed; raw results above (target: every rung within 3% of drop-new)"; \
+	fi
 
 # Fleet-aggregation gate: the in-process fleet smoke under the race
 # detector (concurrent producers, one mid-stream disconnect, exact
@@ -178,9 +187,10 @@ alloc-gate:
 	$(GO) test -count=1 ./internal/agg -run '^(TestIngestFrameAllocs|TestPublisherFlushAllocs)$$'
 	$(GO) test -count=1 ./internal/build -run '^TestEncodeModuleAllocs$$'
 
-# Gate-pattern check: every -run/-fuzz alternative in this Makefile must name a
-# test in its package (`go test -list`), so renaming or deleting a test a
-# gate selects by name fails here instead of shrinking that gate silently.
+# Gate-pattern check: every -run/-fuzz/-bench alternative in this Makefile must
+# name a test or benchmark in its package (`go test -list`), so renaming or
+# deleting one a gate selects by name fails here instead of shrinking that
+# gate silently.
 gate-patterns:
 	GO=$(GO) bash scripts/gate-patterns.sh Makefile
 
@@ -200,7 +210,9 @@ fuzz-smoke:
 
 # Global-store benchmarks, 1 stripe vs the GOMAXPROCS-sized default: each
 # benchmark runs both layouts as shards=1 / shards=auto sub-benchmarks in
-# one pass, put side by side with benchstat when it is installed.
+# one pass, put side by side with benchstat when it is installed. For the
+# goroutine ladder, run
+#   go test ./internal/core -run '^$' -bench StoreOLTPParallel -cpu 1,2,4,8
 bench-compare:
 	@$(GO) test ./internal/core -run '^$$' -bench 'StoreOLTP' -benchtime 0.5s -count 5 | tee /tmp/tesla-store.txt
 	@if command -v benchstat >/dev/null 2>&1; then \

@@ -7,90 +7,126 @@
 //
 //	tesla-bench -all
 //	tesla-bench -table 1
-//	tesla-bench -fig 9|10|11a|11b|12|13|14a|14b|elide|trace|shard|rebuild|faults|agg|ingest
+//	tesla-bench -fig 9|10|11a|11b|12|13|14a|14b|elide|agg|ingest
 //
 // -fig elide (alias: elision) prints the hook/instruction counts of the
 // three elision rungs: full instrumentation, safety-only elision, and
-// elision with the liveness refinement.
+// elision with the liveness refinement. An unknown -table or -fig name
+// exits 2 with the usage line.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"strings"
 
 	"tesla/internal/bench"
 )
 
-func main() {
-	all := flag.Bool("all", false, "run everything")
-	table := flag.String("table", "", "regenerate a table (1)")
-	fig := flag.String("fig", "", "regenerate a figure (9, 10, 11a, 11b, 12, 13, 14a, 14b, elide, trace, shard, rebuild, faults, agg, ingest)")
-	iters := flag.Int("iters", 2000, "iterations per measurement")
-	files := flag.Int("files", 24, "files in the figure 10 synthetic codebase")
-	flag.Parse()
+// params are the sizing flags every runner may read.
+type params struct{ iters, files int }
 
-	if !*all && *table == "" && *fig == "" {
-		fmt.Fprintln(os.Stderr, "usage: tesla-bench -all | -table 1 | -fig 9|10|11a|11b|12|13|14a|14b|elide|trace|shard|rebuild|faults|agg|ingest")
-		os.Exit(2)
+// runner regenerates one table or figure.
+type runner struct {
+	name string
+	run  func(w io.Writer, p params) error
+}
+
+var tables = []runner{
+	{"1", func(w io.Writer, _ params) error { bench.Table1(w); return nil }},
+}
+
+// figures are listed in -all order.
+var figures = []runner{
+	{"9", func(w io.Writer, p params) error { return bench.Fig9(w, p.iters) }},
+	{"10", func(w io.Writer, p params) error { return bench.Fig10(w, p.files, 6) }},
+	{"11a", func(w io.Writer, p params) error { return bench.Fig11a(w, p.iters) }},
+	{"11b", func(w io.Writer, p params) error { return bench.Fig11b(w, p.iters) }},
+	{"12", func(w io.Writer, p params) error { return bench.Fig12(w, p.iters) }},
+	{"13", func(w io.Writer, p params) error { return bench.Fig13(w, p.iters) }},
+	{"14a", func(w io.Writer, p params) error { bench.Fig14a(w, p.iters*10); return nil }},
+	{"14b", func(w io.Writer, _ params) error { return bench.Fig14b(w, 256) }},
+	{"elide", func(w io.Writer, p params) error { return bench.Elision(w, p.files, 6) }},
+	{"agg", func(w io.Writer, p params) error { return bench.FigAgg(w, p.iters) }},
+	{"ingest", func(w io.Writer, p params) error { return bench.FigIngest(w, p.iters) }},
+}
+
+func names(rs []runner) string {
+	s := make([]string, len(rs))
+	for i, r := range rs {
+		s[i] = r.name
 	}
+	return strings.Join(s, "|")
+}
 
-	w := os.Stdout
-	run := func(name string, fn func() error) {
-		if err := fn(); err != nil {
-			fmt.Fprintf(os.Stderr, "tesla-bench: %s: %v\n", name, err)
-			os.Exit(1)
+func usage() string {
+	return "usage: tesla-bench -all | -table " + names(tables) + " | -fig " + names(figures)
+}
+
+func lookup(rs []runner, name string) (runner, bool) {
+	for _, r := range rs {
+		if r.name == name {
+			return r, true
 		}
 	}
+	return runner{}, false
+}
 
-	want := func(name string) bool { return *all || *table == name || *fig == name }
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	if want("1") && *fig == "" {
-		bench.Table1(w)
+// run is the whole command: it returns 2 on a usage error (including an
+// unknown -table or -fig name), 1 when a runner fails and 0 otherwise.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("tesla-bench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	all := fs.Bool("all", false, "run everything")
+	table := fs.String("table", "", "regenerate a table ("+names(tables)+")")
+	fig := fs.String("fig", "", "regenerate a figure ("+names(figures)+")")
+	iters := fs.Int("iters", 2000, "iterations per measurement")
+	files := fs.Int("files", 24, "files in the figure 10 synthetic codebase")
+	if err := fs.Parse(args); err != nil {
+		return 2
 	}
-	if want("9") && *table == "" {
-		run("fig9", func() error { return bench.Fig9(w, *iters) })
+
+	var todo []runner
+	if *table != "" {
+		r, ok := lookup(tables, *table)
+		if !ok {
+			fmt.Fprintf(stderr, "tesla-bench: unknown table %q\n", *table)
+			fmt.Fprintln(stderr, usage())
+			return 2
+		}
+		todo = append(todo, r)
 	}
-	if want("10") && *table == "" {
-		run("fig10", func() error { return bench.Fig10(w, *files, 6) })
+	if *fig != "" {
+		name := *fig
+		if name == "elision" { // the figure's older name
+			name = "elide"
+		}
+		r, ok := lookup(figures, name)
+		if !ok {
+			fmt.Fprintf(stderr, "tesla-bench: unknown figure %q\n", *fig)
+			fmt.Fprintln(stderr, usage())
+			return 2
+		}
+		todo = append(todo, r)
 	}
-	if want("11a") {
-		run("fig11a", func() error { return bench.Fig11a(w, *iters) })
+	if *all {
+		todo = append(append([]runner(nil), tables...), figures...)
 	}
-	if want("11b") {
-		run("fig11b", func() error { return bench.Fig11b(w, *iters) })
+	if len(todo) == 0 {
+		fmt.Fprintln(stderr, usage())
+		return 2
 	}
-	if want("12") {
-		run("fig12", func() error { return bench.Fig12(w, *iters) })
+
+	p := params{iters: *iters, files: *files}
+	for _, r := range todo {
+		if err := r.run(stdout, p); err != nil {
+			fmt.Fprintf(stderr, "tesla-bench: %s: %v\n", r.name, err)
+			return 1
+		}
 	}
-	if want("13") {
-		run("fig13", func() error { return bench.Fig13(w, *iters) })
-	}
-	if want("14a") {
-		bench.Fig14a(w, *iters*10)
-	}
-	if want("14b") {
-		run("fig14b", func() error { return bench.Fig14b(w, 256) })
-	}
-	if want("elision") || want("elide") {
-		run("elision", func() error { return bench.Elision(w, *files, 6) })
-	}
-	if want("trace") {
-		run("trace", func() error { return bench.TraceOverhead(w, *iters) })
-	}
-	if want("shard") {
-		run("shard", func() error { return bench.FigShard(w, *iters) })
-	}
-	if want("rebuild") {
-		run("rebuild", func() error { return bench.FigRebuild(w, *files, 6) })
-	}
-	if want("faults") {
-		run("faults", func() error { return bench.FigFaults(w, *iters) })
-	}
-	if want("agg") {
-		run("agg", func() error { return bench.FigAgg(w, *iters) })
-	}
-	if want("ingest") {
-		run("ingest", func() error { return bench.FigIngest(w, *iters) })
-	}
+	return 0
 }

@@ -150,34 +150,6 @@ func TestFig14aLadderShape(t *testing.T) {
 	}
 }
 
-func TestTraceOverheadRuns(t *testing.T) {
-	var sb strings.Builder
-	if err := TraceOverhead(&sb, 20); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	for _, want := range []string{"tracing off", "ring buffer", "ring + file", "ns/event", "bytes/event"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("trace overhead output missing %q:\n%s", want, out)
-		}
-	}
-}
-
-func TestTraceRunRecordsEvents(t *testing.T) {
-	// The recording modes must capture a non-empty, complete event stream:
-	// a complete trace is what makes the file mode's output replayable.
-	_, events, bytes, err := traceRun(TraceFile, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if events == 0 {
-		t.Fatal("no events recorded")
-	}
-	if bytes == 0 {
-		t.Fatal("no trace encoded")
-	}
-}
-
 func TestPercentile(t *testing.T) {
 	s := []time.Duration{5, 1, 9, 3, 7}
 	if Percentile(s, 0) != 1 || Percentile(s, 1) != 9 || Percentile(s, 0.5) != 5 {

@@ -19,9 +19,8 @@
 // With a disk-backed Cache (Open), artifacts persist across processes: an
 // unchanged file is never re-parsed or re-compiled, because its interface
 // summary, IR module and manifest fragment all load by key. Outputs are
-// byte-identical to the sequential reference pipeline
-// (toolchain.BuildSequential); internal/build's differential tests hold
-// the two implementations together.
+// byte-identical to the sequential reference pipeline, which lives in this
+// package's differential tests (buildSequential) and nowhere else.
 package build
 
 import (

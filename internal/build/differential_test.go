@@ -3,17 +3,25 @@ package build_test
 // Differential tests: the build graph must be a perfect drop-in for the
 // sequential reference pipeline. For every program in the corpus, the
 // graph-built manifest, automata and linked module must be byte-identical
-// to toolchain.BuildSequential's, at every worker count, with and without
+// to buildSequential's, at every worker count, with and without
 // an on-disk cache, cold and warm.
 
 import (
 	"bytes"
+	"fmt"
 	"os"
+	"sort"
 	"testing"
 
 	"tesla/internal/bench"
+	"tesla/internal/compiler"
 	"tesla/internal/core"
+	"tesla/internal/csub"
+	"tesla/internal/instrument"
+	"tesla/internal/ir"
+	"tesla/internal/manifest"
 	"tesla/internal/monitor"
+	"tesla/internal/staticcheck"
 	"tesla/internal/toolchain"
 )
 
@@ -144,6 +152,112 @@ int main(int doLog) {
 }
 `
 
+// buildSequential is the original single-threaded, cache-free pipeline,
+// kept as the executable specification of what a build produces: the
+// graph's manifest, automata and linked program must be byte-identical to
+// this function's.
+func buildSequential(sources map[string]string, opts toolchain.BuildOptions) (*toolchain.Build, error) {
+	b := &toolchain.Build{}
+
+	names := make([]string, 0, len(sources))
+	for n := range sources {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+
+	// Front-end: parse every file.
+	for _, n := range names {
+		f, err := csub.Parse(n, sources[n])
+		if err != nil {
+			return nil, err
+		}
+		b.Files = append(b.Files, f)
+	}
+	ctx, err := compiler.NewContext(b.Files...)
+	if err != nil {
+		return nil, err
+	}
+
+	// Per-file compilation and analysis.
+	var manifests []*manifest.File
+	for _, f := range b.Files {
+		u, err := compiler.CompileFile(f, ctx)
+		if err != nil {
+			return nil, err
+		}
+		b.Units = append(b.Units, u)
+		manifests = append(manifests, manifest.FromAssertions(f.Name, u.Assertions))
+	}
+	b.Manifest, err = manifest.Combine(manifests...)
+	if err != nil {
+		return nil, err
+	}
+
+	// Instrument (or strip) each module, then optimise and link.
+	var mods []*ir.Module
+	if opts.Instrument || opts.Check {
+		b.Autos, err = b.Manifest.Compile()
+		if err != nil {
+			return nil, err
+		}
+	}
+	defined := ctx.DefinedFns()
+	if opts.Check {
+		// The checker sees the raw linked program: uninstrumented, with
+		// the site pseudo-calls still in place.
+		raw := make([]*ir.Module, 0, len(b.Units))
+		for _, u := range b.Units {
+			raw = append(raw, u.Module)
+		}
+		prog, err := ir.Link("program", raw...)
+		if err != nil {
+			return nil, err
+		}
+		b.Report = staticcheck.Check(prog, b.Autos, staticcheck.Options{
+			Entry:      opts.Entry,
+			DefinedFns: defined,
+			NoLiveness: opts.NoLiveness,
+		})
+	}
+	if opts.Instrument {
+		var elide map[string]bool
+		if opts.Elide && b.Report != nil {
+			elide = b.Report.SafeSet()
+		}
+		for i, u := range b.Units {
+			m, stats, err := instrument.Module(u.Module, b.Autos, instrument.Options{
+				DefinedFns: defined,
+				Suffix:     fmt.Sprintf("__m%d", i),
+				Elide:      elide,
+			})
+			if err != nil {
+				return nil, err
+			}
+			b.Stats.Hooks += stats.Hooks
+			b.Stats.Translators += stats.Translators
+			b.Stats.Sites += stats.Sites
+			b.Stats.ElidedHooks += stats.ElidedHooks
+			b.Stats.ElidedSites += stats.ElidedSites
+			ir.Optimize(m)
+			mods = append(mods, m)
+		}
+	} else {
+		// Uninstrumented build: no monitor will attach, so drop the autos
+		// compiled for the checker (the Report keeps its own references).
+		b.Autos = nil
+		for _, u := range b.Units {
+			m := instrument.Strip(u.Module)
+			ir.Optimize(m)
+			mods = append(mods, m)
+		}
+	}
+	b.Program, err = ir.Link("program", mods...)
+	if err != nil {
+		return nil, err
+	}
+	return b, nil
+}
+
 // manifestBytes renders a manifest for byte comparison.
 func manifestBytes(t *testing.T, b *toolchain.Build) []byte {
 	t.Helper()
@@ -180,7 +294,7 @@ func TestGraphMatchesSequential(t *testing.T) {
 	for name, sources := range corpus(t) {
 		for _, instrument := range []bool{true, false} {
 			opts := toolchain.BuildOptions{Instrument: instrument}
-			seq, err := toolchain.BuildSequential(sources, opts)
+			seq, err := buildSequential(sources, opts)
 			if err != nil {
 				t.Fatalf("%s: sequential: %v", name, err)
 			}
@@ -202,7 +316,7 @@ func TestGraphMatchesSequential(t *testing.T) {
 func TestGraphMatchesSequentialChecked(t *testing.T) {
 	for name, sources := range corpus(t) {
 		opts := toolchain.BuildOptions{Instrument: true, Check: true, Elide: true}
-		seq, err := toolchain.BuildSequential(sources, opts)
+		seq, err := buildSequential(sources, opts)
 		if err != nil {
 			t.Fatalf("%s: sequential: %v", name, err)
 		}
@@ -247,7 +361,7 @@ func TestGraphWarmMatchesCold(t *testing.T) {
 // lowering differences would show as verdict divergence.
 func TestGraphRunsLikeSequential(t *testing.T) {
 	sources := map[string]string{"uipc_socket.c": progFig4}
-	seq, err := toolchain.BuildSequential(sources, toolchain.BuildOptions{Instrument: true})
+	seq, err := buildSequential(sources, toolchain.BuildOptions{Instrument: true})
 	if err != nil {
 		t.Fatal(err)
 	}

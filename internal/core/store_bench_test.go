@@ -3,6 +3,8 @@ package core
 import (
 	"sync"
 	"testing"
+
+	"tesla/internal/faultinject"
 )
 
 // shardConfigs are the global store layouts every store benchmark runs
@@ -14,12 +16,13 @@ var shardConfigs = []struct {
 	shards int
 }{{"shards=1", 1}, {"shards=auto", 0}}
 
-// benchStore builds the OLTP-session store of the `-fig shard` figure: a
-// pool of keyed sessions inside a much larger preallocated block. Plans are
-// lowered once, so the benchmarks price the event path, not lowering.
-func benchStore(shards int) (s *Store, work, site *SymbolPlan) {
+// benchStore builds the OLTP-session store every store benchmark drives: a
+// pool of 128 keyed sessions inside a much larger preallocated block, so no
+// rung ever overflows. Plans are lowered once, so the benchmarks price the
+// event path, not lowering.
+func benchStore(opts StoreOpts) (s *Store, work, site *SymbolPlan) {
 	cls := &Class{Name: "bench", States: 8, Limit: 1024}
-	s = NewStoreOpts(StoreOpts{Context: Global, Shards: shards})
+	s = NewStoreOpts(opts)
 	s.Register(cls)
 	enter := NewSymbolPlan(cls, "enter", 0, TransitionSet{{From: 0, To: 1, Flags: TransInit, KeyMask: 1}})
 	work = NewSymbolPlan(cls, "work", 0, TransitionSet{{From: 1, To: 2, KeyMask: 1}, {From: 2, To: 1, KeyMask: 1}})
@@ -35,17 +38,52 @@ func benchStore(shards int) (s *Store, work, site *SymbolPlan) {
 func BenchmarkStoreOLTP(b *testing.B) {
 	for _, c := range shardConfigs {
 		b.Run(c.name, func(b *testing.B) {
-			s, work, site := benchStore(c.shards)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				key := NewKey(Value(i % 128))
-				if i%8 == 7 {
-					s.UpdateStatePlan(site, key)
-				} else {
-					s.UpdateStatePlan(work, key)
-				}
-			}
+			benchSessions(b, StoreOpts{Context: Global, Shards: c.shards})
+		})
+	}
+}
+
+// benchSessions is BenchmarkStoreOLTP's loop over a store built from opts.
+func benchSessions(b *testing.B, opts StoreOpts) {
+	s, work, site := benchStore(opts)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		key := NewKey(Value(i % 128))
+		if i%8 == 7 {
+			s.UpdateStatePlan(site, key)
+		} else {
+			s.UpdateStatePlan(work, key)
+		}
+	}
+}
+
+// BenchmarkStorePolicy prices the supervision policy on the event path: the
+// one-goroutine session workload on an 8-stripe global store under each
+// overflow policy, and under drop-new with 1% of allocations failing. The
+// sessions fit the class limit, so each rung prices the policy plumbing, not
+// degraded operation; the target is every rung within 3% of drop-new.
+// `make bench-faults` runs it with -cpu 1, so extra Ps add no noise.
+func BenchmarkStorePolicy(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		opts func() StoreOpts
+	}{
+		{"policy=drop-new", func() StoreOpts { return StoreOpts{} }},
+		{"policy=evict-oldest", func() StoreOpts { return StoreOpts{Overflow: EvictOldest} }},
+		{"policy=quarantine", func() StoreOpts { return StoreOpts{Overflow: QuarantineClass} }},
+		{"policy=drop-new+inject1%", func() StoreOpts {
+			inj := faultinject.New(1)
+			inj.SetRate(faultinject.SiteAlloc, 0.01)
+			return StoreOpts{AllocFail: func(cls *Class) bool {
+				return inj.Should(faultinject.SiteAlloc, cls.Name)
+			}}
+		}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			opts := c.opts()
+			opts.Context, opts.Shards = Global, 8
+			benchSessions(b, opts)
 		})
 	}
 }
@@ -55,7 +93,7 @@ func BenchmarkStoreOLTP(b *testing.B) {
 func BenchmarkStoreOLTPParallel(b *testing.B) {
 	for _, c := range shardConfigs {
 		b.Run(c.name, func(b *testing.B) {
-			s, work, site := benchStore(c.shards)
+			s, work, site := benchStore(StoreOpts{Context: Global, Shards: c.shards})
 			var nextG int
 			var mu sync.Mutex
 			b.ReportAllocs()

@@ -5,20 +5,13 @@
 // per-file analysis into .tesla manifests, combination into a program
 // manifest, per-file instrumentation against the combined manifest (the
 // one-to-many property behind the incremental-rebuild costs of §5.1),
-// post-instrumentation optimisation, then linking.
-//
-// Since the build-graph refactor the package is a thin compatibility shim:
-// BuildProgram and BuildProgramOpts execute the content-hash-cached
-// parallel graph in internal/build, while BuildSequential keeps the
-// original strictly sequential pipeline as the reference implementation
-// the graph is differentially tested against (outputs must be
-// byte-identical).
+// post-instrumentation optimisation, then linking. BuildProgram and
+// BuildProgramOpts run those stages as the content-hash-cached parallel
+// graph in internal/build.
 package toolchain
 
 import (
-	"fmt"
 	"io"
-	"sort"
 
 	"tesla/internal/automata"
 	"tesla/internal/build"
@@ -53,8 +46,8 @@ type Build struct {
 	// Report is the static checker's verdict set, when the build ran with
 	// BuildOptions.Check (nil otherwise).
 	Report *staticcheck.Report
-	// Graph is the build graph's execution report (nil for
-	// BuildSequential builds): per-node hit/miss/rebuild statuses.
+	// Graph is the build graph's execution report: per-node
+	// hit/miss/rebuild statuses.
 	Graph *build.Result
 }
 
@@ -98,7 +91,7 @@ func BuildProgram(sources map[string]string, instrumented bool) (*Build, error) 
 }
 
 // BuildProgramOpts is BuildProgram with stage selection. It executes the
-// internal/build graph; outputs are byte-identical to BuildSequential's.
+// internal/build graph.
 func BuildProgramOpts(sources map[string]string, opts BuildOptions) (*Build, error) {
 	cache := opts.Cache
 	if cache == nil && opts.CacheDir != "" {
@@ -133,112 +126,6 @@ func BuildProgramOpts(sources map[string]string, opts BuildOptions) (*Build, err
 		Report:   res.Report,
 		Graph:    res,
 	}, nil
-}
-
-// BuildSequential is the original single-threaded, cache-free pipeline,
-// kept as the executable specification of what a build produces. The
-// differential tests in internal/build assert that the graph's manifest,
-// automata and linked program are byte-identical to this function's.
-func BuildSequential(sources map[string]string, opts BuildOptions) (*Build, error) {
-	b := &Build{}
-
-	names := make([]string, 0, len(sources))
-	for n := range sources {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-
-	// Front-end: parse every file.
-	for _, n := range names {
-		f, err := csub.Parse(n, sources[n])
-		if err != nil {
-			return nil, err
-		}
-		b.Files = append(b.Files, f)
-	}
-	ctx, err := compiler.NewContext(b.Files...)
-	if err != nil {
-		return nil, err
-	}
-
-	// Per-file compilation and analysis.
-	var manifests []*manifest.File
-	for _, f := range b.Files {
-		u, err := compiler.CompileFile(f, ctx)
-		if err != nil {
-			return nil, err
-		}
-		b.Units = append(b.Units, u)
-		manifests = append(manifests, manifest.FromAssertions(f.Name, u.Assertions))
-	}
-	b.Manifest, err = manifest.Combine(manifests...)
-	if err != nil {
-		return nil, err
-	}
-
-	// Instrument (or strip) each module, then optimise and link.
-	var mods []*ir.Module
-	if opts.Instrument || opts.Check {
-		b.Autos, err = b.Manifest.Compile()
-		if err != nil {
-			return nil, err
-		}
-	}
-	defined := ctx.DefinedFns()
-	if opts.Check {
-		// The checker sees the raw linked program: uninstrumented, with
-		// the site pseudo-calls still in place.
-		raw := make([]*ir.Module, 0, len(b.Units))
-		for _, u := range b.Units {
-			raw = append(raw, u.Module)
-		}
-		prog, err := ir.Link("program", raw...)
-		if err != nil {
-			return nil, err
-		}
-		b.Report = staticcheck.Check(prog, b.Autos, staticcheck.Options{
-			Entry:      opts.Entry,
-			DefinedFns: defined,
-			NoLiveness: opts.NoLiveness,
-		})
-	}
-	if opts.Instrument {
-		var elide map[string]bool
-		if opts.Elide && b.Report != nil {
-			elide = b.Report.SafeSet()
-		}
-		for i, u := range b.Units {
-			m, stats, err := instrument.Module(u.Module, b.Autos, instrument.Options{
-				DefinedFns: defined,
-				Suffix:     fmt.Sprintf("__m%d", i),
-				Elide:      elide,
-			})
-			if err != nil {
-				return nil, err
-			}
-			b.Stats.Hooks += stats.Hooks
-			b.Stats.Translators += stats.Translators
-			b.Stats.Sites += stats.Sites
-			b.Stats.ElidedHooks += stats.ElidedHooks
-			b.Stats.ElidedSites += stats.ElidedSites
-			ir.Optimize(m)
-			mods = append(mods, m)
-		}
-	} else {
-		// Uninstrumented build: no monitor will attach, so drop the autos
-		// compiled for the checker (the Report keeps its own references).
-		b.Autos = nil
-		for _, u := range b.Units {
-			m := instrument.Strip(u.Module)
-			ir.Optimize(m)
-			mods = append(mods, m)
-		}
-	}
-	b.Program, err = ir.Link("program", mods...)
-	if err != nil {
-		return nil, err
-	}
-	return b, nil
 }
 
 // Runtime bundles an executable VM with its monitor, for instrumented
