@@ -67,9 +67,12 @@ bench-rebuild:
 
 # Cache-correctness gate: build the example program twice against the same
 # on-disk cache. The second build must do zero stage work (built=0 in the
-# summary line) and both linked-IR dumps must be byte-identical.
+# summary line) and both linked-IR dumps must be byte-identical. First, a
+# memory-only build must leave the link artifact unencoded (nothing reads
+# its bytes) and a disk-backed build must write it as an object.
 CACHEGATE := /tmp/tesla-cache-gate
 cache-gate: build
+	$(GO) test -count=1 ./internal/build -run '^TestLinkEncodedOnlyForDisk$$'
 	@rm -rf $(CACHEGATE) && mkdir -p $(CACHEGATE)
 	$(GO) run ./cmd/tesla-build -cache $(CACHEGATE)/cache -o $(CACHEGATE)/a.ir \
 		examples/buildgraph/testdata/*.c
@@ -149,13 +152,15 @@ bench-ingest:
 # plus the cached-plan slot-array-vs-striped engine differentials (sync
 # and batched, with and without injected allocation faults), the
 # plan-lowering unit tests (state tables against the first-match scan),
-# the automaton-level lowering suite, and the sequential, cold-graph and
+# the automaton-level lowering suite, the sequential, cold-graph and
 # warm-graph builds of one program running to the same results and
-# verdicts.
+# verdicts, and a Check+Elide build over a Check build's memory cache
+# keying every node as a cold one does (the check artifact, unhashed by
+# the first build, is hashed on the second's memory hit).
 compile-gate:
 	$(GO) test -race -count=1 ./internal/core -run 'TestModelDifferential|TestEngine|TestTransitionSet|TestInitTransition'
 	$(GO) test -race -count=1 ./internal/automata -run 'TestEngine|TestStepUnifiedContract'
-	$(GO) test -race -count=1 ./internal/build -run 'TestGraphRunsLikeSequential|TestGraphWarmMatchesCold'
+	$(GO) test -race -count=1 ./internal/build -run 'TestGraphRunsLikeSequential|TestGraphWarmMatchesCold|TestCheckThenElideSharesCache'
 
 # Crash-consistency gate: the WAL spool's torn-tail recovery unit suite,
 # the in-process randomized crash schedules (producer/server kills and
@@ -178,8 +183,8 @@ crash-gate: build
 # ack) and an IngestFrame cost as many allocations for 2000 events as for
 # 100. Re-encoding a linked program into a reused buffer allocates at
 # most once, and a built node encodes into the scheduler's pooled buffer:
-# the largest corpus program's link node allocates no more than a
-# one-instruction module's. The tests carry a !race build tag (sync.Pool
+# the largest corpus program's link node, given a dependent so its hash is
+# needed, allocates no more than a one-instruction module's. The tests carry a !race build tag (sync.Pool
 # drops items under the race detector), so this gate is their only CI run
 # besides `make test`.
 alloc-gate:

@@ -19,7 +19,8 @@ import (
 // appends without reflection or scratch buffers — and a built node's
 // encode reuses the scheduler's pooled buffer, so running the largest
 // corpus program's link node allocates no more than a one-function
-// module's.
+// module's. ExecModuleNode gives the node a dependent, so it encodes on
+// every run (a link node without one never encodes).
 func TestEncodeModuleAllocs(t *testing.T) {
 	var prog *ir.Module
 	var size int

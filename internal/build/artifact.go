@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"sync"
 
 	"tesla/internal/automata"
 	"tesla/internal/compiler"
@@ -12,10 +13,12 @@ import (
 	"tesla/internal/manifest"
 )
 
-// Artifact codecs. Every node encodes its artifact to deterministic bytes:
-// the bytes are what the on-disk cache stores, and their hash is what
-// downstream node keys incorporate — so "did my input change?" is always
-// answered by comparing serialised content, never pointers or timestamps.
+// Artifact codecs. A node's artifact is encoded to deterministic bytes
+// when a dependent key or the disk layer reads them: the bytes are what
+// the on-disk cache stores, and their hash is what downstream node keys
+// incorporate — so "did my input change?" is always answered by comparing
+// serialised content, never pointers or timestamps. An artifact nothing
+// reads (the linked program on a memory-only cache) is never encoded.
 //
 // Encoders append into dst, a buffer the scheduler owns and reuses once
 // the bytes are hashed and written; an encoder must not retain it.
@@ -28,6 +31,12 @@ import (
 type unitArtifact struct {
 	Module   *ir.Module
 	Fragment []byte // fragment manifest, JSON-encoded
+
+	// The parsed unit, memoized: the artifact is shared through the
+	// memory cache, so each build that hits it reuses one decode.
+	unitOnce sync.Once
+	unitVal  *compiler.Unit
+	unitErr  error
 }
 
 // moduleArtifact is the product of the instrument, strip and link nodes.
@@ -133,8 +142,16 @@ func decodeAutos(data []byte) (any, error) {
 	return &autosArtifact{Autos: autos, Manifest: data}, nil
 }
 
+// unit decodes and parses the fragment's assertions once per artifact.
+// Every build served this artifact gets the same *compiler.Unit, which
+// callers only read.
 func (u *unitArtifact) unit() (*compiler.Unit, error) {
-	frag, err := manifest.Decode(bytes.NewReader(u.Fragment))
+	u.unitOnce.Do(func() { u.unitVal, u.unitErr = u.parseUnit() })
+	return u.unitVal, u.unitErr
+}
+
+func (u *unitArtifact) parseUnit() (*compiler.Unit, error) {
+	frag, err := u.fragment()
 	if err != nil {
 		return nil, err
 	}

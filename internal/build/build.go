@@ -465,7 +465,11 @@ func Run(sources map[string]string, opts Options) (*Result, error) {
 		}
 	}
 	for _, n := range nodes {
-		res.Nodes = append(res.Nodes, NodeReport{ID: n.id, Status: n.status, Key: n.key, Err: n.err})
+		r := NodeReport{ID: n.id, Status: n.status, Err: n.err}
+		if n.status != StatusSkipped {
+			r.Key = n.key.String()
+		}
+		res.Nodes = append(res.Nodes, r)
 	}
 
 	// Diagnostics: every failed node, deduplicated (shared singletons like

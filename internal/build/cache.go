@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"hash"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -21,17 +20,28 @@ type Cache struct {
 	dir string
 
 	mu  sync.Mutex
-	mem map[string]memEntry
+	mem map[digest]memEntry
 }
 
+// digest is a SHA-256 sum: a node key or an artifact hash. It stays raw
+// inside the graph and is hex-encoded only for object paths and reports.
+type digest [sha256.Size]byte
+
+func (d digest) String() string { return hex.EncodeToString(d[:]) }
+
+// memEntry is one artifact in the memory cache. hashed is false while the
+// artifact has never been encoded: the node that stored it had no
+// dependent and no disk layer, so nothing read its bytes. The first memory
+// hit that needs the hash encodes the artifact and stores the hash back.
 type memEntry struct {
-	art  any
-	hash string
+	art    any
+	hash   digest
+	hashed bool
 }
 
 // NewCache returns a memory-only cache.
 func NewCache() *Cache {
-	return &Cache{mem: map[string]memEntry{}}
+	return &Cache{mem: map[digest]memEntry{}}
 }
 
 // Open returns a cache backed by the given directory, creating it if
@@ -40,32 +50,33 @@ func Open(dir string) (*Cache, error) {
 	if err := os.MkdirAll(filepath.Join(dir, "objects"), 0o755); err != nil {
 		return nil, fmt.Errorf("build: cache: %w", err)
 	}
-	return &Cache{dir: dir, mem: map[string]memEntry{}}, nil
+	return &Cache{dir: dir, mem: map[digest]memEntry{}}, nil
 }
 
 // Dir reports the backing directory ("" for memory-only caches).
 func (c *Cache) Dir() string { return c.dir }
 
-func (c *Cache) getMem(key string) (any, string, bool) {
+func (c *Cache) getMem(key digest) (memEntry, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e, ok := c.mem[key]
-	return e.art, e.hash, ok
+	return e, ok
 }
 
-func (c *Cache) putMem(key string, art any, hash string) {
+func (c *Cache) putMem(key digest, e memEntry) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.mem[key] = memEntry{art: art, hash: hash}
+	c.mem[key] = e
 }
 
-func (c *Cache) objectPath(key string) string {
-	return filepath.Join(c.dir, "objects", key[:2], key[2:])
+func (c *Cache) objectPath(key digest) string {
+	h := key.String()
+	return filepath.Join(c.dir, "objects", h[:2], h[2:])
 }
 
 // getDisk loads an object's bytes, or reports a miss. A file that cannot
 // be read is a miss, never an error: the caller rebuilds and overwrites.
-func (c *Cache) getDisk(key string) ([]byte, bool) {
+func (c *Cache) getDisk(key digest) ([]byte, bool) {
 	if c.dir == "" {
 		return nil, false
 	}
@@ -78,7 +89,7 @@ func (c *Cache) getDisk(key string) ([]byte, bool) {
 
 // putDisk stores an object atomically (write-to-temp then rename), so a
 // concurrent or crashed build can never leave a truncated object behind.
-func (c *Cache) putDisk(key string, data []byte) error {
+func (c *Cache) putDisk(key digest, data []byte) error {
 	if c.dir == "" {
 		return nil
 	}
@@ -102,36 +113,32 @@ func (c *Cache) putDisk(key string, data []byte) error {
 	return os.Rename(tmp.Name(), path)
 }
 
-// hashBytes is the content hash used for both artifact bytes and node
-// keys.
-func hashBytes(data []byte) string {
-	sum := sha256.Sum256(data)
-	return hex.EncodeToString(sum[:])
-}
-
-// keyVersion salts every node key; bump it when artifact encodings or
-// pipeline semantics change so stale caches invalidate wholesale.
-const keyVersion = "tesla-build-v2"
+// keyVersion salts every node key; bump it when artifact encodings,
+// pipeline semantics or the key derivation change so stale caches
+// invalidate wholesale.
+const keyVersion = "tesla-build-v3"
 
 // nodeKey derives a node's cache key from its kind, its literal inputs
 // (source digests, file names, pipeline options) and its dependencies'
-// artifact hashes. Every component is length-prefixed so distinct input
-// vectors can never collide by concatenation.
-func nodeKey(kind string, extra [][]byte, depHashes []string) string {
-	h := sha256.New()
-	writeComponent(h, []byte(keyVersion))
-	writeComponent(h, []byte(kind))
+// raw artifact hashes. Every component is length-prefixed so distinct
+// input vectors can never collide by concatenation. The components are
+// gathered in a stack buffer and hashed in one call, so a key costs no
+// allocation unless its material outgrows the buffer.
+func nodeKey(kind string, extra [][]byte, deps []*node) digest {
+	var stack [2048]byte
+	buf := appendComponent(stack[:0], keyVersion)
+	buf = appendComponent(buf, kind)
 	for _, e := range extra {
-		writeComponent(h, e)
+		buf = appendComponent(buf, e)
 	}
-	for _, d := range depHashes {
-		writeComponent(h, []byte(d))
+	for _, d := range deps {
+		buf = appendComponent(buf, d.hash[:])
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	return sha256.Sum256(buf)
 }
 
-func writeComponent(h hash.Hash, data []byte) {
-	var prefix [24]byte
-	h.Write(append(strconv.AppendInt(prefix[:0], int64(len(data)), 10), ':'))
-	h.Write(data)
+func appendComponent[T string | []byte](dst []byte, data T) []byte {
+	dst = strconv.AppendInt(dst, int64(len(data)), 10)
+	dst = append(dst, ':')
+	return append(dst, data...)
 }

@@ -312,6 +312,102 @@ int record(int sig) {
 	}
 }
 
+// reportKey returns the report's key for the node with the given ID.
+func reportKey(t *testing.T, res *build.Result, id string) string {
+	t.Helper()
+	for _, n := range res.Nodes {
+		if n.ID == id {
+			return n.Key
+		}
+	}
+	t.Fatalf("no %s node in %s", id, res.Summary())
+	return ""
+}
+
+// stageNodes is the report without its parse records.
+func stageNodes(res *build.Result) []build.NodeReport {
+	var out []build.NodeReport
+	for _, n := range res.Nodes {
+		if !strings.HasPrefix(n.ID, "parse:") {
+			out = append(out, n)
+		}
+	}
+	return out
+}
+
+// TestLinkEncodedOnlyForDisk: nothing reads the link artifact's bytes on a
+// memory-only cache (no node depends on it), so the build must not encode
+// it; with a disk layer the bytes are the stored object, so the build must
+// encode and write it.
+func TestLinkEncodedOnlyForDisk(t *testing.T) {
+	opts := build.Options{Instrument: true, Cache: build.NewCache()}
+	res, err := build.Run(threeFiles(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hashed, ok := opts.Cache.Hashed(reportKey(t, res, "link")); !ok || hashed {
+		t.Errorf("memory-only build: link artifact cached %t, encoded %t; want cached and not encoded", ok, hashed)
+	}
+	if hashed, ok := opts.Cache.Hashed(reportKey(t, res, "instrument:lib.c")); !ok || !hashed {
+		t.Errorf("memory-only build: instrument artifact cached %t, encoded %t; want both (link keys on it)", ok, hashed)
+	}
+
+	dir := t.TempDir()
+	if opts.Cache, err = build.Open(dir); err != nil {
+		t.Fatal(err)
+	}
+	if res, err = build.Run(threeFiles(), opts); err != nil {
+		t.Fatal(err)
+	}
+	key := reportKey(t, res, "link")
+	if hashed, ok := opts.Cache.Hashed(key); !ok || !hashed {
+		t.Errorf("disk-backed build: link artifact cached %t, encoded %t; want both", ok, hashed)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "objects", key[:2], key[2:])); err != nil {
+		t.Errorf("disk-backed build did not write the link object: %v", err)
+	}
+}
+
+// TestCheckThenElideSharesCache: the check node has dependents only when
+// instrumentation elides, and its key does not include Elide, so a Check
+// build leaves its artifact unhashed in the memory cache and a following
+// Check+Elide build hits it. That hit must hash the artifact: every node
+// key and the linked program must equal a cold Check+Elide build's.
+func TestCheckThenElideSharesCache(t *testing.T) {
+	for name, sources := range corpus(t) {
+		cache := build.NewCache()
+		checked := build.Options{Instrument: true, Check: true, Cache: cache}
+		if _, err := build.Run(sources, checked); err != nil {
+			t.Fatalf("%s: check build: %v", name, err)
+		}
+		elided := checked
+		elided.Elide = true
+		warm, err := build.Run(sources, elided)
+		if err != nil {
+			t.Fatalf("%s: elide build on the shared cache: %v", name, err)
+		}
+		elided.Cache = nil
+		cold, err := build.Run(sources, elided)
+		if err != nil {
+			t.Fatalf("%s: cold elide build: %v", name, err)
+		}
+		// Parse records differ (the warm build parses nothing); stage
+		// nodes must match one for one.
+		wn, cn := stageNodes(warm), stageNodes(cold)
+		if len(wn) != len(cn) {
+			t.Fatalf("%s: %d nodes on the shared cache, %d cold", name, len(wn), len(cn))
+		}
+		for i, w := range wn {
+			if c := cn[i]; w.ID != c.ID || w.Key != c.Key {
+				t.Errorf("%s: node %d: shared cache %s %.12s, cold %s %.12s", name, i, w.ID, w.Key, c.ID, c.Key)
+			}
+		}
+		if warm.Program.String() != cold.Program.String() {
+			t.Errorf("%s: linked IR differs between the shared-cache and cold elide builds", name)
+		}
+	}
+}
+
 // TestAllParseErrorsReported: the build must surface every failing file's
 // diagnostics with positions, not stop at the first.
 func TestAllParseErrorsReported(t *testing.T) {

@@ -11,17 +11,36 @@ func EncodeModuleArtifact(m *ir.Module) func(dst []byte) ([]byte, error) {
 
 // ExecModuleNode returns a function that runs one link node producing m
 // through execNode, on a memory cache emptied before each call so every
-// call misses and encodes.
+// call misses. The node is given a dependent, so its hash is needed and
+// every call encodes into the scheduler's pooled buffer.
 func ExecModuleNode(m *ir.Module) func() {
 	art := &moduleArtifact{Module: m}
 	x := &exec{cache: NewCache()}
 	n := &node{id: "link", kind: "link", encode: encodeModule, decode: decodeModule,
 		run: func() (any, error) { return art, nil }}
+	n.dependents = []*node{{id: "consumer"}}
 	return func() {
 		clear(x.cache.mem)
 		x.execNode(n)
 		if n.err != nil {
 			panic(n.err)
 		}
+		if !x.cache.mem[n.key].hashed {
+			panic("link node with a dependent did not encode its artifact")
+		}
 	}
+}
+
+// Hashed reports whether the memory cache holds an artifact under the
+// hex node key (as NodeReport.Key prints it), and whether that artifact
+// has been encoded and hashed.
+func (c *Cache) Hashed(key string) (hashed, ok bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for k, e := range c.mem {
+		if k.String() == key {
+			return e.hashed, true
+		}
+	}
+	return false, false
 }

@@ -1,6 +1,7 @@
 package build
 
 import (
+	"crypto/sha256"
 	"errors"
 	"runtime"
 	"sync"
@@ -63,7 +64,8 @@ type node struct {
 	cacheable bool
 
 	// run produces the artifact; encode appends its bytes to dst, a
-	// buffer execNode reuses (see artifact.go); decode reads them back.
+	// buffer the scheduler reuses (see artifact.go); decode reads them
+	// back.
 	run    func() (any, error)
 	encode func(art any, dst []byte) ([]byte, error)
 	decode func([]byte) (any, error)
@@ -72,8 +74,8 @@ type node struct {
 	pending    int32
 	dependents []*node
 	status     Status
-	key        string
-	hash       string
+	key        digest
+	hash       digest // zero unless a dependent or the disk layer needed it
 	art        any
 	err        error
 	dur        time.Duration
@@ -137,29 +139,38 @@ func (x *exec) runGraph(nodes []*node) {
 
 // execNode resolves one node: propagate upstream failure, derive the
 // content-hash key, consult the memory and disk caches, and only then run
-// the stage. Built artifacts are encoded immediately — their bytes are the
-// artifact hash downstream keys depend on.
+// the stage. An artifact is encoded only when something reads its bytes:
+// a dependent's key incorporates their hash, and the disk layer stores
+// them. A node with neither (the link node, and the check node unless
+// instrumentation elides) leaves its artifact in the memory cache
+// unhashed; a later hit from a node that has dependents hashes it then.
 func (x *exec) execNode(n *node) {
 	start := time.Now()
 	defer func() { n.dur = time.Since(start) }()
 
-	depHashes := make([]string, len(n.deps))
-	for i, d := range n.deps {
+	for _, d := range n.deps {
 		if d.err != nil {
 			n.status = StatusSkipped
 			n.err = errSkipped
 			return
 		}
-		depHashes[i] = d.hash
 	}
 	extra := n.extra
 	if n.extraFn != nil {
 		extra = append(append([][]byte{}, extra...), n.extraFn()...)
 	}
-	n.key = nodeKey(n.kind, extra, depHashes)
+	n.key = nodeKey(n.kind, extra, n.deps)
+	persist := n.cacheable && x.cache.dir != ""
+	needHash := persist || len(n.dependents) > 0
 
-	if art, hash, ok := x.cache.getMem(n.key); ok {
-		n.art, n.hash, n.status = art, hash, StatusMemHit
+	if e, ok := x.cache.getMem(n.key); ok {
+		n.art, n.hash, n.status = e.art, e.hash, StatusMemHit
+		if needHash && !e.hashed {
+			if err := x.encode(n, persist); err != nil {
+				n.status = StatusFailed
+				n.err = err
+			}
+		}
 		return
 	}
 	if n.cacheable {
@@ -167,8 +178,8 @@ func (x *exec) execNode(n *node) {
 			// A corrupt or undecodable object is treated as a miss and
 			// rebuilt over.
 			if art, err := n.decode(data); err == nil {
-				n.art, n.hash, n.status = art, hashBytes(data), StatusDiskHit
-				x.cache.putMem(n.key, n.art, n.hash)
+				n.art, n.hash, n.status = art, sha256.Sum256(data), StatusDiskHit
+				x.cache.putMem(n.key, memEntry{art: n.art, hash: n.hash, hashed: true})
 				return
 			}
 		}
@@ -180,27 +191,39 @@ func (x *exec) execNode(n *node) {
 		n.err = err
 		return
 	}
-	buf := encodeBufs.Get().(*[]byte)
-	defer encodeBufs.Put(buf)
-	*buf, err = n.encode(art, (*buf)[:0])
-	if err != nil {
-		n.status = StatusFailed
-		n.err = err
+	n.art, n.status = art, StatusBuilt
+	if !needHash {
+		x.cache.putMem(n.key, memEntry{art: art})
 		return
 	}
-	n.art = art
-	n.hash = hashBytes(*buf)
-	n.status = StatusBuilt
-	x.cache.putMem(n.key, n.art, n.hash)
-	if n.cacheable {
+	if err := x.encode(n, persist); err != nil {
+		n.status = StatusFailed
+		n.err = err
+	}
+}
+
+// encode encodes n's artifact into a pooled buffer, sets n.hash from the
+// bytes, stores the artifact in the memory cache as hashed and, with
+// persist, writes the bytes to the disk layer.
+func (x *exec) encode(n *node, persist bool) error {
+	buf := encodeBufs.Get().(*[]byte)
+	defer encodeBufs.Put(buf)
+	var err error
+	if *buf, err = n.encode(n.art, (*buf)[:0]); err != nil {
+		return err
+	}
+	n.hash = sha256.Sum256(*buf)
+	x.cache.putMem(n.key, memEntry{art: n.art, hash: n.hash, hashed: true})
+	if persist {
 		// Failing to persist is not a build failure; the artifact is in
 		// hand and the next build simply rebuilds it.
 		_ = x.cache.putDisk(n.key, *buf)
 	}
+	return nil
 }
 
-// encodeBufs holds the buffers built artifacts are encoded into. A buffer
-// is only needed until its bytes are hashed and written to disk, so it
-// goes back to the pool as execNode returns and the next node's encode
-// appends into memory the last one grew.
+// encodeBufs holds the buffers artifacts are encoded into. A buffer is
+// only needed until its bytes are hashed and written to disk, so it goes
+// back to the pool as encode returns and the next encode appends into
+// memory the last one grew.
 var encodeBufs = sync.Pool{New: func() any { return new([]byte) }}
