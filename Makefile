@@ -30,22 +30,34 @@ test:
 race:
 	$(GO) test -race ./...
 
-# The static checker over the demo programs: safe.c and liveness.c must
-# pass (exit 0), doomed.c must be rejected (exit 1); the -json reports
-# must match the golden files byte for byte (regenerate with
-# `go test ./examples/staticcheck -update`).
+# The static checker and the analyser over the demo programs, from
+# binaries built once (`go run` reports a child's exit 2 as 1). tesla-check
+# must exit 0 on safe.c and liveness.c, 1 on doomed.c (provably failing)
+# and 2 on a program that does not parse; its -json reports must match the
+# golden files byte for byte (regenerate with
+# `go test ./examples/staticcheck -update`). `tesla-analyse -lint -print`
+# (stdout, then stderr) must match cmd/tesla-analyse/testdata/*.golden,
+# the multi-file buildgraph program included.
 check: build
-	$(GO) run ./cmd/tesla-check examples/staticcheck/testdata/safe.c
-	! $(GO) run ./cmd/tesla-check examples/staticcheck/testdata/doomed.c
-	$(GO) run ./cmd/tesla-check examples/staticcheck/testdata/liveness.c
-	@for n in safe liveness; do \
-		$(GO) run ./cmd/tesla-check -json examples/staticcheck/testdata/$$n.c \
-			| diff - examples/staticcheck/testdata/$$n.golden.json \
+	@bin=$$(mktemp -d); trap 'rm -rf "$$bin"' EXIT; \
+	$(GO) build -o "$$bin/" ./cmd/tesla-check ./cmd/tesla-analyse || exit 1; \
+	sc=examples/staticcheck/testdata; \
+	for want in $$sc/safe.c:0 $$sc/doomed.c:1 $$sc/liveness.c:0 cmd/tesla-check/testdata/parse_error.c:2; do \
+		f=$${want%:*}; \
+		"$$bin/tesla-check" "$$f"; rc=$$?; \
+		[ "$$rc" = "$${want##*:}" ] || { echo "check: tesla-check $$f exited $$rc, want $${want##*:}"; exit 1; }; \
+	done; \
+	for n in safe doomed liveness; do \
+		"$$bin/tesla-check" -json $$sc/$$n.c | diff - $$sc/$$n.golden.json \
 			|| { echo "check: $$n.c JSON drifted from golden"; exit 1; }; \
+	done; \
+	for n in safe doomed liveness buildgraph; do \
+		if [ $$n = buildgraph ]; then src=examples/buildgraph/testdata/*.c; else src=$$sc/$$n.c; fi; \
+		"$$bin/tesla-analyse" -lint -print $$src >"$$bin/out" 2>"$$bin/err" \
+			|| { echo "check: tesla-analyse $$n failed"; cat "$$bin/err"; exit 1; }; \
+		cat "$$bin/out" "$$bin/err" | diff - cmd/tesla-analyse/testdata/$$n.golden \
+			|| { echo "check: tesla-analyse $$n output drifted from golden"; exit 1; }; \
 	done
-	@$(GO) run ./cmd/tesla-check -json examples/staticcheck/testdata/doomed.c \
-		| diff - examples/staticcheck/testdata/doomed.golden.json \
-		|| { echo "check: doomed.c JSON drifted from golden"; exit 1; }
 
 # Soundness differential for the liveness refinement: every corpus
 # program is executed under the real VM/monitor across an input range; a

@@ -1,10 +1,12 @@
-// tesla-analyse is the TESLA analyser (§4.1): it parses csub source files,
-// extracts the TESLA assertions in them and writes .tesla manifest files —
-// one per source plus a combined program manifest.
+// tesla-analyse is the TESLA analyser (§4.1): it builds csub source files
+// through the build graph, which extracts the TESLA assertions in them, and
+// writes .tesla manifest files — one per source plus a combined program
+// manifest. With -lint it also runs the static checker and reports
+// assertions whose events can never occur or that provably fail.
 //
 // Usage:
 //
-//	tesla-analyse [-o combined.tesla] [-print] file.c...
+//	tesla-analyse [-o combined.tesla] [-print] [-lint] [-entry main] file.c...
 package main
 
 import (
@@ -13,24 +15,25 @@ import (
 	"os"
 
 	"tesla/internal/analyse"
+	"tesla/internal/build"
 	"tesla/internal/toolchain/cli"
 )
 
 func main() {
-	tool := cli.New("tesla-analyse", "[-o combined.tesla] [-print] file.c...")
+	tool := cli.New("tesla-analyse", "[-o combined.tesla] [-print] [-lint] [-entry main] file.c...")
 	out := flag.String("o", "", "path for the combined program manifest (default: program.tesla)")
 	print := flag.Bool("print", false, "print manifests to stdout instead of writing files")
 	lint := flag.Bool("lint", false, "also report assertions whose events can never occur")
 	entry := flag.String("entry", "main", "entry point for the -lint static checker")
 	sources := tool.LoadSources(tool.ParseSourceArgs())
 
-	perFile, combined, err := analyse.Sources(sources)
+	res, err := build.Run(sources, build.Options{Check: *lint, Entry: *entry})
 	if err != nil {
 		tool.Fatal(err)
 	}
 
 	if *lint {
-		warnings, _, err := analyse.LintProgram(sources, *entry)
+		warnings, err := analyse.Lint(res)
 		if err != nil {
 			tool.Fatal(err)
 		}
@@ -40,20 +43,22 @@ func main() {
 	}
 
 	if *print {
-		for name, m := range perFile {
+		for i, name := range res.Names {
+			m := res.Fragments[i]
 			fmt.Printf("; %s (%d assertions)\n", name, len(m.Assertions))
 			if err := m.Encode(os.Stdout); err != nil {
 				tool.Fatal(err)
 			}
 		}
-		fmt.Printf("; combined (%d assertions)\n", len(combined.Assertions))
-		if err := combined.Encode(os.Stdout); err != nil {
+		fmt.Printf("; combined (%d assertions)\n", len(res.Manifest.Assertions))
+		if err := res.Manifest.Encode(os.Stdout); err != nil {
 			tool.Fatal(err)
 		}
 		return
 	}
 
-	for name, m := range perFile {
+	for i, name := range res.Names {
+		m := res.Fragments[i]
 		path := name + ".tesla"
 		if err := m.Save(path); err != nil {
 			tool.Fatal(err)
@@ -64,8 +69,8 @@ func main() {
 	if target == "" {
 		target = "program.tesla"
 	}
-	if err := combined.Save(target); err != nil {
+	if err := res.Manifest.Save(target); err != nil {
 		tool.Fatal(err)
 	}
-	fmt.Printf("wrote %s (%d assertions)\n", target, len(combined.Assertions))
+	fmt.Printf("wrote %s (%d assertions)\n", target, len(res.Manifest.Assertions))
 }

@@ -1,8 +1,9 @@
-// tesla-check is the static model checker: it compiles csub source files,
-// walks the linked program's control-flow graph against every assertion
-// automaton, and classifies each assertion as PROVABLY-SAFE (its
-// instrumentation can be elided), PROVABLY-FAILING (a compile-time error:
-// the assertion cannot hold in any completing run) or NEEDS-RUNTIME.
+// tesla-check is the static model checker: it builds csub source files
+// through the build graph, walks the linked program's control-flow graph
+// against every assertion automaton, and classifies each assertion as
+// PROVABLY-SAFE (its instrumentation can be elided), PROVABLY-FAILING (a
+// compile-time error: the assertion cannot hold in any completing run) or
+// NEEDS-RUNTIME.
 //
 // PROVABLY-SAFE now covers liveness too: «eventually» obligations whose
 // discharge the refinement pass proves (counted-loop ranking, pruned
@@ -24,6 +25,7 @@ import (
 	"os"
 
 	"tesla/internal/staticcheck"
+	"tesla/internal/toolchain"
 	"tesla/internal/toolchain/cli"
 )
 
@@ -35,10 +37,11 @@ func main() {
 	quiet := flag.Bool("q", false, "only print non-SAFE assertions")
 	sources := tool.LoadSources(tool.ParseSourceArgs())
 
-	rep, err := staticcheck.CheckSources(sources, *entry)
+	b, err := toolchain.BuildProgramOpts(sources, toolchain.BuildOptions{Check: true, Entry: *entry})
 	if err != nil {
 		tool.FatalCode(2, err)
 	}
+	rep := b.Report
 
 	if *jsonOut {
 		if err := rep.WriteJSON(os.Stdout); err != nil {

@@ -12,7 +12,6 @@ import (
 	"os"
 	"path/filepath"
 
-	"tesla/internal/staticcheck"
 	"tesla/internal/toolchain"
 )
 
@@ -29,13 +28,22 @@ func main() {
 		}
 		sources := map[string]string{name: string(text)}
 
-		rep, err := staticcheck.CheckSources(sources, "main")
+		// Build twice to show the elision payoff for the safe program; the
+		// checked build carries the verdicts.
+		full, err := toolchain.BuildProgramOpts(sources, toolchain.BuildOptions{Instrument: true})
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
+		elided, err := toolchain.BuildProgramOpts(sources, toolchain.BuildOptions{
+			Instrument: true, Check: true, Elide: true, Entry: "main",
+		})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
 		fmt.Printf("== %s\n", name)
-		for _, r := range rep.Results {
+		for _, r := range elided.Report.Results {
 			fmt.Printf("  %-22s %s\n", r.Automaton.Name, r.Verdict)
 			for _, reason := range r.Reasons {
 				fmt.Printf("    - %s\n", reason)
@@ -46,20 +54,6 @@ func main() {
 			for _, o := range r.Obligations {
 				fmt.Printf("    - obligation: %s\n", o.Detail)
 			}
-		}
-
-		// Build twice to show the elision payoff for the safe program.
-		full, err := toolchain.BuildProgramOpts(sources, toolchain.BuildOptions{Instrument: true})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		elided, err := toolchain.BuildProgramOpts(sources, toolchain.BuildOptions{
-			Instrument: true, Check: true, Elide: true,
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
 		}
 		fmt.Printf("  hooks: %d without checker, %d with elision (%d elided)\n",
 			full.Stats.Hooks, elided.Stats.Hooks, elided.Stats.ElidedHooks)

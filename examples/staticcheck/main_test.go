@@ -7,7 +7,7 @@ import (
 	"path/filepath"
 	"testing"
 
-	"tesla/internal/staticcheck"
+	"tesla/internal/toolchain"
 )
 
 var update = flag.Bool("update", false, "rewrite the JSON golden files")
@@ -28,12 +28,13 @@ func TestJSONGoldens(t *testing.T) {
 			}
 			key := "examples/staticcheck/" + filepath.ToSlash(path)
 			render := func() []byte {
-				rep, err := staticcheck.CheckSources(map[string]string{key: string(text)}, "main")
+				b, err := toolchain.BuildProgramOpts(map[string]string{key: string(text)},
+					toolchain.BuildOptions{Check: true, Entry: "main"})
 				if err != nil {
 					t.Fatal(err)
 				}
 				var buf bytes.Buffer
-				if err := rep.WriteJSON(&buf); err != nil {
+				if err := b.Report.WriteJSON(&buf); err != nil {
 					t.Fatal(err)
 				}
 				return buf.Bytes()

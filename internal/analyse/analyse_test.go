@@ -1,12 +1,25 @@
 package analyse
 
 import (
+	"reflect"
 	"strings"
 	"testing"
+
+	"tesla/internal/build"
+	"tesla/internal/manifest"
 )
 
+// lintSources builds sources through the build graph and lints the result.
+func lintSources(sources map[string]string) ([]Warning, error) {
+	res, err := build.Run(sources, build.Options{})
+	if err != nil {
+		return nil, err
+	}
+	return Lint(res)
+}
+
 func TestSources(t *testing.T) {
-	perFile, combined, err := Sources(map[string]string{
+	res, err := build.Run(map[string]string{
 		"a.c": `
 int f(int x) {
 	TESLA_SYSCALL_PREVIOUSLY(check(x) == 0);
@@ -21,10 +34,15 @@ int g(int y) {
 }
 `,
 		"c.c": `int plain(int z) { return z; }`,
-	})
+	}, build.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	perFile := map[string]*manifest.File{}
+	for i, name := range res.Names {
+		perFile[name] = res.Fragments[i]
+	}
+	combined := res.Manifest
 	if len(perFile["a.c"].Assertions) != 1 || len(perFile["b.c"].Assertions) != 2 || len(perFile["c.c"].Assertions) != 0 {
 		t.Fatalf("per-file counts wrong: %+v", perFile)
 	}
@@ -42,21 +60,21 @@ int g(int y) {
 }
 
 func TestSourcesErrors(t *testing.T) {
-	if _, _, err := Sources(map[string]string{"bad.c": "int f( {"}); err == nil {
+	if _, err := build.Run(map[string]string{"bad.c": "int f( {"}, build.Options{}); err == nil {
 		t.Fatal("parse error must propagate")
 	}
-	if _, _, err := Sources(map[string]string{"bad.c": `
+	if _, err := build.Run(map[string]string{"bad.c": `
 int f(int x) {
 	TESLA_WITHIN(main, previously(check(undeclared_var) == 0));
 	return x;
 }
-`}); err == nil {
+`}, build.Options{}); err == nil {
 		t.Fatal("out-of-scope assertion variable must fail analysis")
 	}
 }
 
 func TestLint(t *testing.T) {
-	warnings, err := LintSources(map[string]string{"a.c": `
+	warnings, err := lintSources(map[string]string{"a.c": `
 int check(int x) { return 0; }
 int amd64_syscall(int x) {
 	int c = check(x);
@@ -92,7 +110,7 @@ int amd64_syscall(int x) {
 func TestLintExternalCallIsKnown(t *testing.T) {
 	// A function that is only *called* (defined in a library outside the
 	// program) still counts: caller-side instrumentation can observe it.
-	warnings, err := LintSources(map[string]string{"a.c": `
+	warnings, err := lintSources(map[string]string{"a.c": `
 int amd64_syscall(int x) {
 	int c = ext_check(x);
 	TESLA_SYSCALL_PREVIOUSLY(ext_check(x) == 0);
@@ -108,7 +126,7 @@ int amd64_syscall(int x) {
 }
 
 func TestLintFieldEvents(t *testing.T) {
-	warnings, err := LintSources(map[string]string{"a.c": `
+	warnings, err := lintSources(map[string]string{"a.c": `
 struct proc { int p_flag; };
 int amd64_syscall(struct proc *p) {
 	TESLA_SYSCALL(eventually(p.p_flag = 1));
@@ -141,7 +159,7 @@ int helper(struct proc2 *p) {
 func TestLintDescendsIntoIndexExprs(t *testing.T) {
 	// The only call to check() hides inside an index expression; the
 	// lint walker must still see it.
-	warnings, err := LintSources(map[string]string{"a.c": `
+	warnings, err := lintSources(map[string]string{"a.c": `
 struct pair { int a; int b; };
 int amd64_syscall(struct pair *p, int x) {
 	p[check(x)] = p[also_called(x)];
@@ -179,7 +197,7 @@ int main(int x) {
 	}
 	var first []Warning
 	for i := 0; i < 5; i++ {
-		warnings, err := LintSources(sources)
+		warnings, err := lintSources(sources)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -201,17 +219,22 @@ int main(int x) {
 }
 
 func TestLintProgramSurfacesVerdicts(t *testing.T) {
-	warnings, rep, err := LintProgram(map[string]string{"a.c": `
+	res, err := build.Run(map[string]string{"a.c": `
 int security_check(int x) { return 0; }
 int do_work(int x) {
 	TESLA_WITHIN(main, previously(security_check(ANY(int))));
 	return x;
 }
 int main(int x) { return do_work(x); }
-`}, "main")
+`}, build.Options{Check: true, Entry: "main"})
 	if err != nil {
 		t.Fatal(err)
 	}
+	warnings, err := Lint(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := res.Report
 	// The plain lint is silent (the function exists), but the checker
 	// proves the assertion doomed.
 	if len(warnings) != 1 || !strings.Contains(warnings[0].Message, "provably failing") {
@@ -222,5 +245,53 @@ int main(int x) { return do_work(x); }
 	}
 	if _, failing, _ := rep.Counts(); failing != 1 {
 		t.Fatalf("counts = %v", rep.Results[0].Verdict)
+	}
+}
+
+// TestLintWarmCache lints a build served entirely from a warm disk cache —
+// no file is parsed, so the lint sees only cached IR and manifests — and
+// expects exactly the cold build's warnings, checker verdicts included.
+func TestLintWarmCache(t *testing.T) {
+	sources := map[string]string{
+		"a.c": `
+struct proc { int p_flag; };
+int security_check(int x) { return 0; }
+int do_work(struct proc *p, int x) {
+	TESLA_WITHIN(main, previously(security_check(ANY(int))));
+	TESLA_WITHIN(main, previously(nowhere(ANY(int))));
+	TESLA_WITHIN(main, eventually(p.missing = 1));
+	return lib_fn(x);
+}
+`,
+		"b.c": `
+int lib_fn(int x) { return x; }
+int main(int x) { return do_work(alloc(proc), x); }
+`,
+	}
+	dir := t.TempDir()
+	lint := func() ([]Warning, *build.Result) {
+		cache, err := build.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := build.Run(sources, build.Options{Check: true, Entry: "main", Cache: cache})
+		if err != nil {
+			t.Fatal(err)
+		}
+		warnings, err := Lint(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return warnings, res
+	}
+	cold, _ := lint()
+	warm, res := lint()
+	for i, f := range res.Files {
+		if f != nil {
+			t.Fatalf("warm build parsed %s", res.Names[i])
+		}
+	}
+	if len(cold) != 5 || !reflect.DeepEqual(cold, warm) {
+		t.Fatalf("warm lint differs from cold:\ncold %v\nwarm %v", cold, warm)
 	}
 }

@@ -2,14 +2,11 @@ package staticcheck_test
 
 import (
 	"bytes"
-	"sort"
 	"strings"
 	"testing"
 
-	"tesla/internal/compiler"
-	"tesla/internal/csub"
+	"tesla/internal/build"
 	"tesla/internal/ir"
-	"tesla/internal/manifest"
 	"tesla/internal/staticcheck"
 )
 
@@ -203,7 +200,7 @@ int main(int x) {
 func TestLivenessVerdicts(t *testing.T) {
 	for _, tc := range livenessPrograms {
 		t.Run(tc.name, func(t *testing.T) {
-			rep, err := staticcheck.CheckSources(map[string]string{tc.name + ".c": tc.src}, "main")
+			rep, err := checkSources(map[string]string{tc.name + ".c": tc.src}, "main")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -257,52 +254,26 @@ func TestLivenessVerdicts(t *testing.T) {
 	}
 }
 
-// checkWithOptions compiles sources exactly as CheckSources does but runs
-// the checker under caller-supplied Options (CheckSources hardcodes the
-// defaults).
+// checkWithOptions builds sources through the build graph but runs the
+// checker itself, under caller-supplied Options (the graph's check node
+// only exposes Entry and NoLiveness).
 func checkWithOptions(t *testing.T, sources map[string]string, opts staticcheck.Options) *staticcheck.Report {
 	t.Helper()
-	names := make([]string, 0, len(sources))
-	for n := range sources {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	var files []*csub.File
-	for _, n := range names {
-		f, err := csub.Parse(n, sources[n])
-		if err != nil {
-			t.Fatal(err)
-		}
-		files = append(files, f)
-	}
-	ctx, err := compiler.NewContext(files...)
+	res, err := build.Run(sources, build.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var mods []*ir.Module
-	var manifests []*manifest.File
-	for _, f := range files {
-		u, err := compiler.CompileFile(f, ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mods = append(mods, u.Module)
-		manifests = append(manifests, manifest.FromAssertions(f.Name, u.Assertions))
-	}
-	combined, err := manifest.Combine(manifests...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	autos, err := combined.Compile()
-	if err != nil {
-		t.Fatal(err)
+	mods := make([]*ir.Module, len(res.Units))
+	for i, u := range res.Units {
+		mods[i] = u.Module
 	}
 	prog, err := ir.Link("program", mods...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if opts.DefinedFns == nil {
-		opts.DefinedFns = ctx.DefinedFns()
+	autos, err := res.Manifest.Compile()
+	if err != nil {
+		t.Fatal(err)
 	}
 	return staticcheck.Check(prog, autos, opts)
 }
@@ -388,7 +359,7 @@ int main(int n) {
 }
 `
 	render := func() (string, string) {
-		rep, err := staticcheck.CheckSources(sources, "main")
+		rep, err := checkSources(sources, "main")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -414,7 +385,7 @@ int main(int n) {
 // TestObligationDot renders an undischarged obligation's product graph and
 // checks the dashed fairness edge is present.
 func TestObligationDot(t *testing.T) {
-	rep, err := staticcheck.CheckSources(map[string]string{"dot.c": livenessPrograms[4].src}, "main")
+	rep, err := checkSources(map[string]string{"dot.c": livenessPrograms[4].src}, "main")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,10 +35,7 @@ import (
 	"sort"
 
 	"tesla/internal/automata"
-	"tesla/internal/compiler"
-	"tesla/internal/csub"
 	"tesla/internal/ir"
-	"tesla/internal/manifest"
 )
 
 // Verdict classifies one assertion.
@@ -200,53 +197,6 @@ func Check(mod *ir.Module, autos []*automata.Automaton, opts Options) *Report {
 		rep.Results = append(rep.Results, checkOne(mod, a, opts))
 	}
 	return rep
-}
-
-// CheckSources runs the front end (parse, compile, analyse, link) and then
-// Check — the path cmd/tesla-check and analyse.LintProgram share. The
-// linked module is the raw, uninstrumented program.
-func CheckSources(sources map[string]string, entry string) (*Report, error) {
-	names := make([]string, 0, len(sources))
-	for n := range sources {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-
-	var files []*csub.File
-	for _, n := range names {
-		f, err := csub.Parse(n, sources[n])
-		if err != nil {
-			return nil, err
-		}
-		files = append(files, f)
-	}
-	ctx, err := compiler.NewContext(files...)
-	if err != nil {
-		return nil, err
-	}
-	var mods []*ir.Module
-	var manifests []*manifest.File
-	for _, f := range files {
-		u, err := compiler.CompileFile(f, ctx)
-		if err != nil {
-			return nil, err
-		}
-		mods = append(mods, u.Module)
-		manifests = append(manifests, manifest.FromAssertions(f.Name, u.Assertions))
-	}
-	combined, err := manifest.Combine(manifests...)
-	if err != nil {
-		return nil, err
-	}
-	autos, err := combined.Compile()
-	if err != nil {
-		return nil, err
-	}
-	prog, err := ir.Link("program", mods...)
-	if err != nil {
-		return nil, err
-	}
-	return Check(prog, autos, Options{Entry: entry, DefinedFns: ctx.DefinedFns()}), nil
 }
 
 // sortedReasons normalises a reason set for deterministic output. Every

@@ -7,7 +7,18 @@ import (
 	"testing"
 
 	"tesla/internal/staticcheck"
+	"tesla/internal/toolchain"
 )
+
+// checkSources builds sources through the build graph with the checker on
+// and returns its verdicts.
+func checkSources(sources map[string]string, entry string) (*staticcheck.Report, error) {
+	b, err := toolchain.BuildProgramOpts(sources, toolchain.BuildOptions{Check: true, Entry: entry})
+	if err != nil {
+		return nil, err
+	}
+	return b.Report, nil
+}
 
 // The verdict programs double as the soundness corpus in sound_test.go.
 var verdictPrograms = []struct {
@@ -258,7 +269,7 @@ int main(int x) {
 func TestVerdicts(t *testing.T) {
 	for _, tc := range verdictPrograms {
 		t.Run(tc.name, func(t *testing.T) {
-			rep, err := staticcheck.CheckSources(map[string]string{tc.name + ".c": tc.src}, "main")
+			rep, err := checkSources(map[string]string{tc.name + ".c": tc.src}, "main")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -294,7 +305,7 @@ int main(int x) {
 int audit_log(int x) { return 0; }
 `,
 	}
-	rep, err := staticcheck.CheckSources(sources, "main")
+	rep, err := checkSources(sources, "main")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +315,7 @@ int audit_log(int x) { return 0; }
 }
 
 func TestMissingEntry(t *testing.T) {
-	rep, err := staticcheck.CheckSources(map[string]string{"a.c": `
+	rep, err := checkSources(map[string]string{"a.c": `
 int audit_log(int x) { return 0; }
 int start(int x) {
 	TESLA_WITHIN(start, previously(audit_log(ANY(int))));
@@ -319,7 +330,7 @@ int start(int x) {
 		t.Fatalf("verdict = %s %v", r.Verdict, r.Reasons)
 	}
 	// With the right entry the same program is provable.
-	rep, err = staticcheck.CheckSources(map[string]string{"a.c": `
+	rep, err = checkSources(map[string]string{"a.c": `
 int audit_log(int x) { return 0; }
 int start(int x) {
 	int r = audit_log(x);
@@ -349,7 +360,7 @@ int main(int x) {
 	return do_work(x);
 }
 `}
-	rep, err := staticcheck.CheckSources(sources, "main")
+	rep, err := checkSources(sources, "main")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,7 +378,7 @@ int main(int x) {
 }
 
 func TestDotOutput(t *testing.T) {
-	rep, err := staticcheck.CheckSources(map[string]string{"d.c": verdictPrograms[0].src}, "main")
+	rep, err := checkSources(map[string]string{"d.c": verdictPrograms[0].src}, "main")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,7 +403,7 @@ func TestExamplePrograms(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := staticcheck.CheckSources(map[string]string{name: string(text)}, "main")
+		rep, err := checkSources(map[string]string{name: string(text)}, "main")
 		if err != nil {
 			t.Fatal(err)
 		}
