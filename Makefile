@@ -5,9 +5,9 @@ GO ?= go
 # Per-target budget for the fuzz smoke pass (native Go fuzzing syntax).
 FUZZTIME ?= 30s
 
-.PHONY: ci fmt vet build test race check bench fuzz-smoke bench-compare cache-gate bench-rebuild chaos-gate bench-faults liveness-gate agg-gate bench-agg ingest-gate bench-ingest compile-gate crash-gate alloc-gate perf-test gate-patterns
+.PHONY: ci fmt vet build test race check bench fuzz-smoke bench-compare cache-gate bench-rebuild chaos-gate bench-faults liveness-gate agg-gate bench-agg ingest-gate bench-ingest compile-gate crash-gate alloc-gate perf-test gate-patterns bench-smoke
 
-ci: fmt vet build test race check liveness-gate cache-gate chaos-gate agg-gate ingest-gate compile-gate crash-gate alloc-gate gate-patterns fuzz-smoke bench-compare perf-test
+ci: fmt vet build test race check liveness-gate cache-gate chaos-gate agg-gate ingest-gate compile-gate crash-gate alloc-gate gate-patterns bench-smoke fuzz-smoke bench-compare perf-test
 
 fmt:
 	@out="$$(gofmt -l .)"; \
@@ -69,6 +69,18 @@ liveness-gate:
 
 bench:
 	$(GO) run ./cmd/tesla-bench -fig elide -files 8
+
+# Smoke run of the paper's timed figures (10-14b) in both harnesses: every
+# root BenchmarkFig* case once, then each tesla-bench figure on the same
+# cases with a few iterations. The numbers are not judged; a figure that
+# fails to set up, panics or exits nonzero fails the target. The agg and
+# ingest figures are left out: their noise gates are slow and can fail on
+# a shared host.
+bench-smoke:
+	$(GO) test -count=1 -run '^$$' -bench '^BenchmarkFig' -benchtime 1x .
+	@for f in 10 11a 11b 12 13 14a 14b; do \
+		$(GO) run ./cmd/tesla-bench -fig $$f -iters 8 -files 4 || exit 1; \
+	done
 
 # The §5.1 rebuild matrix on the build graph: tesla-perf's seeded rebuild
 # workload (cold build, no-op, one-file body edit, one-file assertion edit,

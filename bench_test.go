@@ -1,47 +1,58 @@
 // Benchmarks regenerating the paper's evaluation (§5), one benchmark family
 // per table/figure. Absolute numbers reflect this simulator, not the
 // paper's FreeBSD/LLVM testbed; the comparisons within each family are the
-// reproduction target. cmd/tesla-bench prints the same data as formatted
-// tables.
+// reproduction target. Figs. 11a-14b run internal/bench's case lists, the
+// same set-ups and timing loops cmd/tesla-bench prints as tables.
 package tesla
 
 import (
-	"sync"
 	"testing"
+	"time"
 
-	"tesla/internal/automata"
 	"tesla/internal/bench"
 	"tesla/internal/core"
 	"tesla/internal/gui"
-	"tesla/internal/kernel"
 	"tesla/internal/monitor"
-	"tesla/internal/objc"
-	"tesla/internal/spec"
 	"tesla/internal/toolchain"
 	"tesla/internal/xnee"
 )
 
-// BenchmarkFig10Build measures clean and incremental builds of the
-// synthetic OpenSSL codebase, with and without the TESLA workflow.
+// BenchmarkFig10Build times clean and incremental builds of the synthetic
+// OpenSSL codebase, with and without TESLA: one Fig10Measure per iteration,
+// its four build times reported as metrics.
 func BenchmarkFig10Build(b *testing.B) {
 	sources := bench.OpenSSLCodebase(12, 6)
-	for _, which := range []string{"CleanDefault", "CleanTESLA", "IncrDefault", "IncrTESLA"} {
-		b.Run(which, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				bt, err := bench.Fig10Measure(sources)
-				if err != nil {
-					b.Fatal(err)
-				}
-				switch which {
-				case "CleanDefault":
-					b.ReportMetric(float64(bt.CleanDefault.Nanoseconds()), "ns/build")
-				case "CleanTESLA":
-					b.ReportMetric(float64(bt.CleanTESLA.Nanoseconds()), "ns/build")
-				case "IncrDefault":
-					b.ReportMetric(float64(bt.IncrDefault.Nanoseconds()), "ns/build")
-				case "IncrTESLA":
-					b.ReportMetric(float64(bt.IncrTESLA.Nanoseconds()), "ns/build")
-				}
+	var sum bench.BuildTimes
+	for i := 0; i < b.N; i++ {
+		bt, err := bench.Fig10Measure(sources)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sum.CleanDefault += bt.CleanDefault
+		sum.CleanTESLA += bt.CleanTESLA
+		sum.IncrDefault += bt.IncrDefault
+		sum.IncrTESLA += bt.IncrTESLA
+	}
+	n := float64(b.N)
+	b.ReportMetric(float64(sum.CleanDefault)/n, "CleanDefault-ns")
+	b.ReportMetric(float64(sum.CleanTESLA)/n, "CleanTESLA-ns")
+	b.ReportMetric(float64(sum.IncrDefault)/n, "IncrDefault-ns")
+	b.ReportMetric(float64(sum.IncrTESLA)/n, "IncrTESLA-ns")
+}
+
+// runCases runs each case as a sub-benchmark: set-up, then b.N operations
+// of its timing loop. report, if not nil, adds the case's own metrics.
+func runCases(b *testing.B, cases []bench.Case, report func(b *testing.B)) {
+	for _, c := range cases {
+		b.Run(c.Name, func(b *testing.B) {
+			op, err := c.Setup()
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			op(b.N)
+			if report != nil {
+				report(b)
 			}
 		})
 	}
@@ -49,181 +60,38 @@ func BenchmarkFig10Build(b *testing.B) {
 
 // BenchmarkFig11aOpenClose is the lmbench-style open/close microbenchmark
 // across kernel configurations.
-func BenchmarkFig11aOpenClose(b *testing.B) {
-	for _, cfg := range bench.KernelConfigs() {
-		b.Run(cfg.Name, func(b *testing.B) {
-			k, err := bench.BootConfig(cfg, kernel.BugConfig{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			th := k.NewThread()
-			bench.OpenClosePrewarm(th)
-			b.ResetTimer()
-			kernel.OpenClose(th, b.N)
-		})
-	}
-}
+func BenchmarkFig11aOpenClose(b *testing.B) { runCases(b, bench.Fig11aCases(), nil) }
 
 // BenchmarkFig11bOLTP is the socket-intensive macrobenchmark.
-func BenchmarkFig11bOLTP(b *testing.B) {
-	for _, cfg := range bench.KernelConfigs() {
-		b.Run(cfg.Name, func(b *testing.B) {
-			k, err := bench.BootConfig(cfg, kernel.BugConfig{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			th := k.NewThread()
-			pair, err := kernel.SetupOLTP(th)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				kernel.OLTPTransaction(th, pair)
-			}
-		})
-	}
-}
+func BenchmarkFig11bOLTP(b *testing.B) { runCases(b, bench.Fig11bCases(bench.OLTP), nil) }
 
 // BenchmarkFig11bBuild is the FS/compute-intensive macrobenchmark.
-func BenchmarkFig11bBuild(b *testing.B) {
-	for _, cfg := range bench.KernelConfigs() {
-		b.Run(cfg.Name, func(b *testing.B) {
-			k, err := bench.BootConfig(cfg, kernel.BugConfig{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			th := k.NewThread()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				kernel.BuildStep(th, i)
-			}
-		})
-	}
-}
+func BenchmarkFig11bBuild(b *testing.B) { runCases(b, bench.Fig11bCases(bench.ClangBuild), nil) }
 
-// BenchmarkFig12Context compares per-thread and global assertion contexts:
-// the global context serialises all threads' events behind one lock, which
-// comes at a run-time cost under concurrency.
-func BenchmarkFig12Context(b *testing.B) {
-	for _, ctx := range []spec.Context{spec.PerThread, spec.Global} {
-		b.Run(ctx.String(), func(b *testing.B) {
-			a := spec.Assert("fig12", ctx, spec.WithinBound("amd64_syscall"),
-				spec.Previously(spec.Call("mac_socket_check_poll",
-					spec.AnyPtr(), spec.Var("so")).ReturnsInt(0)))
-			auto := automata.MustCompile(a)
-			mon := monitor.MustNew(monitor.Options{}, auto)
-			k := kernel.New(kernel.Config{Monitor: mon})
-
-			// One kernel thread and socket pair per goroutine,
-			// created before the clock starts.
-			var mu sync.Mutex
-			mkThread := func() (*kernel.Thread, kernel.OLTPPair) {
-				mu.Lock()
-				defer mu.Unlock()
-				th := k.NewThread()
-				pair, err := kernel.SetupOLTP(th)
-				if err != nil {
-					b.Fatal(err)
-				}
-				return th, pair
-			}
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				th, pair := mkThread()
-				for pb.Next() {
-					th.Poll(pair.Client)
-				}
-			})
-		})
-	}
-}
+// BenchmarkFig12Context compares per-thread and global assertion contexts
+// over polls from 4 kernel threads: the global one serialises their events.
+func BenchmarkFig12Context(b *testing.B) { runCases(b, bench.Fig12Cases(), nil) }
 
 // BenchmarkFig13LazyInit compares the naive implementation (work on every
 // syscall-bounded automaton at every syscall) against the lazy-init
-// optimisation, for micro and macro workloads.
-func BenchmarkFig13LazyInit(b *testing.B) {
-	cases := []struct {
-		name  string
-		naive bool
-		macro bool
-	}{
-		{"MicroPre", true, false},
-		{"MicroPost", false, false},
-		{"MacroPre", true, true},
-		{"MacroPost", false, true},
-	}
-	for _, c := range cases {
-		b.Run(c.name, func(b *testing.B) {
-			cfg := bench.KernelConfig{Name: c.name, Sets: kernel.SetAll, Naive: c.naive}
-			k, err := bench.BootConfig(cfg, kernel.BugConfig{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			th := k.NewThread()
-			pair, err := kernel.SetupOLTP(th)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if c.macro {
-					kernel.OLTPTransaction(th, pair)
-				} else {
-					// Micro: one cheap syscall per iteration —
-					// the per-syscall automaton bookkeeping
-					// dominates.
-					th.Poll(pair.Client)
-				}
-			}
-		})
-	}
-}
+// optimisation, for micro (one poll) and macro workloads.
+func BenchmarkFig13LazyInit(b *testing.B) { runCases(b, bench.Fig13Cases(), nil) }
 
 // BenchmarkFig14aMsgSend is the Objective-C message-send ladder: release,
 // tracing compiled in, trivial interposition, full TESLA.
-func BenchmarkFig14aMsgSend(b *testing.B) {
-	for _, mode := range []objc.TraceMode{objc.NoTracing, objc.TracingCompiled, objc.Interposed, objc.TESLA} {
-		b.Run(mode.String(), func(b *testing.B) {
-			rt := objc.NewRuntime(mode)
-			cls := objc.NewClass("Probe", nil)
-			cls.AddMethod("ping", func(*objc.Runtime, *objc.Object, ...core.Value) core.Value { return 1 })
-			obj := rt.NewObject(cls)
-			switch mode {
-			case objc.Interposed:
-				rt.Interpose("ping", func(*objc.Object, string, []core.Value) {})
-			case objc.TESLA:
-				auto := automata.MustCompile(spec.Within("fig14a", "loop",
-					spec.Previously(spec.AtLeast(0, spec.Msg(spec.Any("id"), "ping")))))
-				m := monitor.MustNew(monitor.Options{}, auto)
-				th := m.NewThread()
-				rt.InterposeTESLA(th, []string{"ping"}, nil)
-				th.Call("loop")
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				rt.MsgSend(obj, "ping")
-			}
-		})
-	}
-}
+func BenchmarkFig14aMsgSend(b *testing.B) { runCases(b, bench.Fig14aCases(), nil) }
 
 // BenchmarkFig14bRedraw measures run-loop iterations (Xnee dialog replay)
-// across the four tracing configurations.
+// across the four tracing configurations, reporting the redraw-time
+// percentiles tesla-bench prints.
 func BenchmarkFig14bRedraw(b *testing.B) {
-	for _, mode := range []bench.Fig14bMode{bench.BaselineMode, bench.InterpositionMode, bench.TESLAMode, bench.TracingMode} {
-		b.Run(mode.String(), func(b *testing.B) {
-			_, rl, err := bench.Fig14bSetup(mode)
-			if err != nil {
-				b.Fatal(err)
-			}
-			script := xnee.DialogSession(64)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				rl.ProcessBatch(script.Batches[i%len(script.Batches)])
-			}
-		})
-	}
+	var batches []time.Duration
+	runCases(b, bench.Fig14bCases(&batches), func(b *testing.B) {
+		b.ReportMetric(float64(bench.Percentile(batches, 0.50)), "p50-ns")
+		b.ReportMetric(float64(bench.Percentile(batches, 0.95)), "p95-ns")
+		b.ReportMetric(float64(bench.Percentile(batches, 1.0)), "max-ns")
+		batches = batches[:0]
+	})
 }
 
 // benchPlans lowers the enter/check/exit automaton the store benchmarks
@@ -361,10 +229,7 @@ int main(int n) { return work(n); }
 // BenchmarkGUICursorTracking measures the cursor/tracking machinery with
 // TESLA tracing attached — the §3.5.3 debugging setup.
 func BenchmarkGUICursorTracking(b *testing.B) {
-	_, rl, err := bench.Fig14bSetup(bench.TESLAMode)
-	if err != nil {
-		b.Fatal(err)
-	}
+	rl := bench.Fig14bSetup(bench.TESLAMode)
 	script := xnee.CursorCrossing(gui.Rect{X: 0, Y: 0, W: 100, H: 100}, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -11,8 +11,10 @@
 //
 // -fig elide (alias: elision) prints the hook/instruction counts of the
 // three elision rungs: full instrumentation, safety-only elision, and
-// elision with the liveness refinement. An unknown -table or -fig name
-// exits 2 with the usage line.
+// elision with the liveness refinement. An unknown -table or -fig name, or
+// an -iters below 1, exits 2 with the usage line. Each of figs. 11a-14b
+// times -iters operations of every case in its internal/bench case list,
+// the same cases the root-level BenchmarkFig* benchmarks run.
 package main
 
 import (
@@ -46,8 +48,8 @@ var figures = []runner{
 	{"11b", func(w io.Writer, p params) error { return bench.Fig11b(w, p.iters) }},
 	{"12", func(w io.Writer, p params) error { return bench.Fig12(w, p.iters) }},
 	{"13", func(w io.Writer, p params) error { return bench.Fig13(w, p.iters) }},
-	{"14a", func(w io.Writer, p params) error { bench.Fig14a(w, p.iters*10); return nil }},
-	{"14b", func(w io.Writer, _ params) error { return bench.Fig14b(w, 256) }},
+	{"14a", func(w io.Writer, p params) error { return bench.Fig14a(w, p.iters) }},
+	{"14b", func(w io.Writer, p params) error { return bench.Fig14b(w, p.iters) }},
 	{"elide", func(w io.Writer, p params) error { return bench.Elision(w, p.files, 6) }},
 	{"agg", func(w io.Writer, p params) error { return bench.FigAgg(w, p.iters) }},
 	{"ingest", func(w io.Writer, p params) error { return bench.FigIngest(w, p.iters) }},
@@ -77,7 +79,8 @@ func lookup(rs []runner, name string) (runner, bool) {
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 // run is the whole command: it returns 2 on a usage error (including an
-// unknown -table or -fig name), 1 when a runner fails and 0 otherwise.
+// unknown -table or -fig name or an -iters below 1), 1 when a runner fails
+// and 0 otherwise.
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("tesla-bench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -87,6 +90,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	iters := fs.Int("iters", 2000, "iterations per measurement")
 	files := fs.Int("files", 24, "files in the figure 10 synthetic codebase")
 	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if *iters < 1 {
+		fmt.Fprintf(stderr, "tesla-bench: -iters %d, want at least 1\n", *iters)
+		fmt.Fprintln(stderr, usage())
 		return 2
 	}
 

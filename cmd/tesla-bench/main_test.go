@@ -49,3 +49,25 @@ func TestKnownNamesRun(t *testing.T) {
 		}
 	}
 }
+
+// TestItersBounds: an -iters below 1 is a usage error for every figure,
+// and figure 12, which splits its iterations into rounds, runs with fewer
+// iterations than rounds.
+func TestItersBounds(t *testing.T) {
+	for _, args := range [][]string{{"-fig", "11a", "-iters", "0"}, {"-fig", "12", "-iters", "-3"}} {
+		var out, errb bytes.Buffer
+		if code := run(args, &out, &errb); code != 2 {
+			t.Errorf("%v: exit %d, want 2", args, code)
+		}
+		if !strings.Contains(errb.String(), usage()) || out.Len() != 0 {
+			t.Errorf("%v: stdout %q, stderr %q", args, out.String(), errb.String())
+		}
+	}
+	var out, errb bytes.Buffer
+	if code := run([]string{"-fig", "12", "-iters", "4"}, &out, &errb); code != 0 {
+		t.Fatalf("-fig 12 -iters 4: exit %d: %s", code, errb.String())
+	}
+	if !strings.Contains(out.String(), "Global") {
+		t.Errorf("-fig 12 -iters 4: output lacks the Global row:\n%s", out.String())
+	}
+}

@@ -1,25 +1,23 @@
 // tesla-instrument runs the TESLA instrumenter (§4.2) over csub sources:
-// it compiles each file to IR, instruments it against a manifest (by
-// default the one analysed from the same sources), links, and reports what
-// was inserted. With -dump the instrumented IR is printed.
+// it compiles each file to IR, instruments it against the manifest analysed
+// from the same sources, links, and reports what was inserted. With -dump
+// the instrumented IR is printed.
 //
 // Usage:
 //
-//	tesla-instrument [-manifest program.tesla] [-dump] [-strip] file.c...
+//	tesla-instrument [-dump] [-strip] file.c...
 package main
 
 import (
 	"flag"
 	"fmt"
 
-	"tesla/internal/manifest"
 	"tesla/internal/toolchain"
 	"tesla/internal/toolchain/cli"
 )
 
 func main() {
-	tool := cli.New("tesla-instrument", "[-manifest m.tesla] [-dump] [-strip] file.c...")
-	manifestPath := flag.String("manifest", "", "instrument against this manifest instead of the sources' own assertions")
+	tool := cli.New("tesla-instrument", "[-dump] [-strip] file.c...")
 	dump := flag.Bool("dump", false, "print the linked instrumented IR")
 	strip := flag.Bool("strip", false, "produce the uninstrumented (Default) build instead")
 	sources := tool.LoadSources(tool.ParseSourceArgs())
@@ -27,15 +25,6 @@ func main() {
 	build, err := toolchain.BuildProgram(sources, !*strip)
 	if err != nil {
 		tool.Fatal(err)
-	}
-
-	if *manifestPath != "" {
-		m, err := manifest.Load(*manifestPath)
-		if err != nil {
-			tool.Fatal(err)
-		}
-		fmt.Printf("manifest %s: %d assertions (build used %d from sources)\n",
-			*manifestPath, len(m.Assertions), len(build.Manifest.Assertions))
 	}
 
 	fmt.Printf("modules: %d  functions: %d\n", len(build.Units), len(build.Program.Funcs))

@@ -1,13 +1,12 @@
 package bench
 
 import (
+	"io"
 	"strings"
 	"testing"
 	"time"
 
 	"tesla/internal/kernel"
-	"tesla/internal/objc"
-	"tesla/internal/spec"
 )
 
 // The harness runners are exercised with tiny iteration counts: the goal is
@@ -19,11 +18,8 @@ func TestKernelConfigs(t *testing.T) {
 	if len(cfgs) != 10 {
 		t.Fatalf("configs = %d", len(cfgs))
 	}
-	if _, ok := ConfigByName("Release"); !ok {
-		t.Fatal("Release config missing")
-	}
-	if _, ok := ConfigByName("nope"); ok {
-		t.Fatal("phantom config")
+	if cfgs[0].Name != "Release" {
+		t.Fatalf("first config = %q, want the Release baseline", cfgs[0].Name)
 	}
 	for _, c := range cfgs {
 		k, err := BootConfig(c, kernel.BugConfig{})
@@ -112,25 +108,36 @@ func TestFig12And13Runners(t *testing.T) {
 	}
 }
 
+// timeRows times iters operations of every case and indexes the rows by
+// case name.
+func timeRows(t *testing.T, cases []Case, iters, rounds int) map[string]float64 {
+	t.Helper()
+	rows, err := timeCases(cases, iters, rounds, "ns", time.Nanosecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	byName := map[string]float64{}
+	for _, r := range rows {
+		byName[r.Label] = r.Value
+	}
+	return byName
+}
+
 func TestFig13ShapeHolds(t *testing.T) {
-	pre, err := Fig13Measure(kernel.SetAll, true, OLTP, 50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	post, err := Fig13Measure(kernel.SetAll, false, OLTP, 50)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ns := timeRows(t, Fig13Cases()[4:6], 50, 1)
+	pre, post := ns["OLTP pre"], ns["OLTP post"]
 	// The lazy-init optimisation must be a clear win — the figure 13
 	// claim. Allow generous slack for timer noise.
 	if post >= pre {
-		t.Fatalf("optimisation not effective: pre=%v post=%v", pre, post)
+		t.Fatalf("optimisation not effective: pre=%vns post=%vns", pre, post)
 	}
 }
 
 func TestFig14Runners(t *testing.T) {
 	var sb strings.Builder
-	Fig14a(&sb, 500)
+	if err := Fig14a(&sb, 500); err != nil {
+		t.Fatal(err)
+	}
 	if err := Fig14b(&sb, 32); err != nil {
 		t.Fatal(err)
 	}
@@ -143,8 +150,8 @@ func TestFig14Runners(t *testing.T) {
 }
 
 func TestFig14aLadderShape(t *testing.T) {
-	rel := Fig14aMeasure(objc.NoTracing, 30000)
-	tes := Fig14aMeasure(objc.TESLA, 30000)
+	ns := timeRows(t, Fig14aCases(), 30000, 1)
+	rel, tes := ns["release"], ns["TESLA"]
 	if tes <= rel {
 		t.Fatalf("TESLA mode (%v) must cost more than release (%v)", tes, rel)
 	}
@@ -161,10 +168,53 @@ func TestPercentile(t *testing.T) {
 }
 
 func TestFig12MeasureBothContexts(t *testing.T) {
-	for _, ctx := range []spec.Context{spec.PerThread, spec.Global} {
-		if _, err := Fig12Measure(ctx, 32); err != nil {
-			t.Fatalf("%v: %v", ctx, err)
+	ns := timeRows(t, Fig12Cases(), 32, 8)
+	for _, ctx := range []string{"Per-thread", "Global"} {
+		if ns[ctx] <= 0 {
+			t.Fatalf("%s context did not run: %v", ctx, ns)
 		}
+	}
+}
+
+// TestFigureCases: every figure's case names are unique row labels of its
+// printer, and every case sets up and runs.
+func TestFigureCases(t *testing.T) {
+	var batches []time.Duration
+	for _, fig := range []struct {
+		name  string
+		cases []Case
+		print func(io.Writer, int) error
+	}{
+		{"11a", Fig11aCases(), Fig11a},
+		{"11b OLTP", Fig11bCases(OLTP), Fig11b},
+		{"11b build", Fig11bCases(ClangBuild), Fig11b},
+		{"12", Fig12Cases(), Fig12},
+		{"13", Fig13Cases(), Fig13},
+		{"14a", Fig14aCases(), Fig14a},
+		{"14b", Fig14bCases(&batches), Fig14b},
+	} {
+		var sb strings.Builder
+		if err := fig.print(&sb, 1); err != nil {
+			t.Fatalf("fig %s: %v", fig.name, err)
+		}
+		seen := map[string]bool{}
+		for _, c := range fig.cases {
+			if seen[c.Name] {
+				t.Errorf("fig %s: case %q twice", fig.name, c.Name)
+			}
+			seen[c.Name] = true
+			if !strings.Contains(sb.String(), "\n  "+c.Name+" ") {
+				t.Errorf("fig %s: printer emits no %q row:\n%s", fig.name, c.Name, sb.String())
+			}
+			op, err := c.Setup()
+			if err != nil {
+				t.Fatalf("fig %s: %s: %v", fig.name, c.Name, err)
+			}
+			op(2)
+		}
+	}
+	if len(batches) == 0 {
+		t.Fatal("fig 14b cases recorded no batch durations")
 	}
 }
 

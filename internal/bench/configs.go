@@ -1,9 +1,13 @@
-// Package bench is the harness that regenerates the paper's evaluation:
-// every table and figure of §5 has a runner here, shared by cmd/tesla-bench
-// and the root-level testing.B benchmarks. Absolute numbers differ from the
-// paper's FreeBSD/LLVM testbed — the substrate here is a simulator — but
-// the shapes (who wins, by roughly what factor, where the crossovers fall)
-// are the reproduction target.
+// Package bench is the harness that regenerates the paper's evaluation
+// (§5). Table 1 and fig. 9 are printers over the kernel's assertion corpus;
+// fig. 10 is one build-timing function, Fig10Measure. Figs. 11a–14b are
+// each one list of named cases: a case's untimed set-up returns the
+// figure's only timing loop, op(n). cmd/tesla-bench prints those cases as
+// tables, and the root-level testing.B benchmarks run the same cases with
+// b.N operations. Absolute numbers differ from the paper's FreeBSD/LLVM
+// testbed, because the substrate here is a simulator. The shapes are the
+// reproduction target: who wins, by roughly what factor, and where the
+// crossovers fall.
 package bench
 
 import (
@@ -46,16 +50,6 @@ func KernelConfigs() []KernelConfig {
 	}
 }
 
-// ConfigByName finds a configuration.
-func ConfigByName(name string) (KernelConfig, bool) {
-	for _, c := range KernelConfigs() {
-		if c.Name == name {
-			return c, true
-		}
-	}
-	return KernelConfig{}, false
-}
-
 // BootConfig boots a kernel for a configuration.
 func BootConfig(c KernelConfig, bugs kernel.BugConfig) (*kernel.Kernel, error) {
 	k, _, err := kernel.Boot(c.Mode, c.Sets, bugs, monitor.Options{
@@ -91,11 +85,47 @@ func Table(w io.Writer, title string, rows []Row, normaliseTo string) {
 	fmt.Fprintln(w)
 }
 
-// Measure times fn over iters iterations and returns time per iteration.
-func Measure(iters int, fn func()) time.Duration {
-	start := time.Now()
-	fn()
-	return time.Since(start) / time.Duration(iters)
+// Case is one named measurement of a figure. Setup does the untimed work
+// and returns the figure's timing loop: op(n) runs n operations.
+type Case struct {
+	Name  string
+	Setup func() (op func(n int), err error)
+}
+
+// timeCases sets every case up, then times iters operations of each,
+// split over rounds interleaved rounds so that drift between cases does not
+// bias one of them. It returns one row per case: the mean time per
+// operation, in units of per.
+func timeCases(cases []Case, iters, rounds int, unit string, per time.Duration) ([]Row, error) {
+	if iters < 1 {
+		return nil, fmt.Errorf("bench: %d iterations, want at least 1", iters)
+	}
+	ops := make([]func(int), len(cases))
+	for i, c := range cases {
+		op, err := c.Setup()
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", c.Name, err)
+		}
+		ops[i] = op
+	}
+	rounds = min(rounds, iters)
+	spent := make([]time.Duration, len(cases))
+	for r := 0; r < rounds; r++ {
+		n := iters / rounds
+		if r < iters%rounds {
+			n++
+		}
+		for i, op := range ops {
+			start := time.Now()
+			op(n)
+			spent[i] += time.Since(start)
+		}
+	}
+	rows := make([]Row, len(cases))
+	for i, c := range cases {
+		rows[i] = Row{Label: c.Name, Value: float64(spent[i]) / float64(iters) / float64(per), Unit: unit}
+	}
+	return rows, nil
 }
 
 // Percentile returns the p-quantile (0..1) of the sorted-in-place samples.

@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 	"io"
+	"sort"
 	"time"
 
 	"tesla/internal/compiler"
@@ -88,7 +89,8 @@ type buildState struct {
 	ctx       *compiler.Context
 }
 
-func (bs *buildState) parseAll() error {
+// compileAll parses every file, then compiles each.
+func (bs *buildState) compileAll() error {
 	bs.files = map[string]*csub.File{}
 	var all []*csub.File
 	for _, n := range bs.names {
@@ -104,6 +106,13 @@ func (bs *buildState) parseAll() error {
 		return err
 	}
 	bs.ctx = ctx
+	bs.units = map[string]*compiler.Unit{}
+	bs.manifests = map[string]*manifest.File{}
+	for _, n := range bs.names {
+		if err := bs.compileOne(n); err != nil {
+			return err
+		}
+	}
 	return nil
 }
 
@@ -117,15 +126,14 @@ func (bs *buildState) compileOne(name string) error {
 	return nil
 }
 
-func (bs *buildState) compileAll() error {
-	bs.units = map[string]*compiler.Unit{}
-	bs.manifests = map[string]*manifest.File{}
-	for _, n := range bs.names {
-		if err := bs.compileOne(n); err != nil {
-			return err
-		}
+// recompile re-parses and recompiles one edited file.
+func (bs *buildState) recompile(name string) error {
+	f, err := csub.Parse(name, bs.sources[name])
+	if err != nil {
+		return err
 	}
-	return nil
+	bs.files[name] = f
+	return bs.compileOne(name)
 }
 
 // instrumentAll re-instruments every IR file against the combined
@@ -182,13 +190,10 @@ func Fig10Measure(sources map[string]string) (BuildTimes, error) {
 	for n := range sources {
 		bs.names = append(bs.names, n)
 	}
-	sortStrings(bs.names)
+	sort.Strings(bs.names)
 
 	// Clean default build: parse, compile, strip, link.
 	start := time.Now()
-	if err := bs.parseAll(); err != nil {
-		return bt, err
-	}
 	if err := bs.compileAll(); err != nil {
 		return bt, err
 	}
@@ -200,9 +205,6 @@ func Fig10Measure(sources map[string]string) (BuildTimes, error) {
 
 	// Clean TESLA build: parse, compile, analyse, instrument all, link.
 	start = time.Now()
-	if err := bs.parseAll(); err != nil {
-		return bt, err
-	}
 	if err := bs.compileAll(); err != nil {
 		return bt, err
 	}
@@ -219,23 +221,15 @@ func Fig10Measure(sources map[string]string) (BuildTimes, error) {
 	// cached modules.
 	edited := "client.c"
 	start = time.Now()
-	f, err := csub.Parse(edited, bs.sources[edited])
-	if err != nil {
-		return bt, err
-	}
-	bs.files[edited] = f
-	if err := bs.compileOne(edited); err != nil {
+	if err := bs.recompile(edited); err != nil {
 		return bt, err
 	}
 	// Only the changed module is re-stripped; others are cached.
-	cached := make([]*ir.Module, 0, len(bs.names))
-	for _, n := range bs.names {
+	cached := append([]*ir.Module(nil), mods...)
+	for i, n := range bs.names {
 		if n == edited {
-			m := instrument.Strip(bs.units[n].Module)
-			ir.Optimize(m)
-			cached = append(cached, m)
-		} else {
-			cached = append(cached, mods[indexOf(bs.names, n)])
+			cached[i] = instrument.Strip(bs.units[n].Module)
+			ir.Optimize(cached[i])
 		}
 	}
 	if _, err := ir.Link("program", cached...); err != nil {
@@ -247,12 +241,7 @@ func Fig10Measure(sources map[string]string) (BuildTimes, error) {
 	// assertions feed the combined manifest, re-instrument every module
 	// and relink.
 	start = time.Now()
-	f, err = csub.Parse(edited, bs.sources[edited])
-	if err != nil {
-		return bt, err
-	}
-	bs.files[edited] = f
-	if err := bs.compileOne(edited); err != nil {
+	if err := bs.recompile(edited); err != nil {
 		return bt, err
 	}
 	imods, err = bs.instrumentAll()
@@ -290,21 +279,4 @@ func ratio(a, b time.Duration) float64 {
 		return 0
 	}
 	return float64(a) / float64(b)
-}
-
-func indexOf(names []string, n string) int {
-	for i, x := range names {
-		if x == n {
-			return i
-		}
-	}
-	return -1
-}
-
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }

@@ -38,34 +38,56 @@ func Table1(w io.Writer) {
 	fmt.Fprintln(w)
 }
 
-// Fig11aMeasure runs the open/close microbenchmark on one configuration.
-func Fig11aMeasure(c KernelConfig, iters int) (time.Duration, error) {
-	k, err := BootConfig(c, kernel.BugConfig{})
-	if err != nil {
-		return 0, err
-	}
-	th := k.NewThread()
-	OpenClosePrewarm(th)
-	return Measure(iters, func() { kernel.OpenClose(th, iters) }), nil
+// kernelOp builds a timing loop on one thread of a booted kernel.
+type kernelOp func(th *kernel.Thread) (func(n int), error)
+
+// openClose is the lmbench open/close loop; it creates the file once.
+func openClose(th *kernel.Thread) (func(n int), error) {
+	kernel.OpenClose(th, 1)
+	return func(n int) { kernel.OpenClose(th, n) }, nil
 }
 
-// OpenClosePrewarm creates the benchmark file once.
-func OpenClosePrewarm(th *kernel.Thread) {
-	fd := th.Open("/tmp/lat_fs")
-	if fd >= 0 {
-		th.Close(fd)
+// poll is one poll syscall per operation on a connected socket.
+func poll(th *kernel.Thread) (func(n int), error) {
+	pair, err := kernel.SetupOLTP(th)
+	if err != nil {
+		return nil, err
 	}
+	return func(n int) {
+		for i := 0; i < n; i++ {
+			th.Poll(pair.Client)
+		}
+	}, nil
 }
+
+// kernelCase boots the configuration and drives op on one of its threads.
+func kernelCase(name string, c KernelConfig, op kernelOp) Case {
+	return Case{Name: name, Setup: func() (func(int), error) {
+		k, err := BootConfig(c, kernel.BugConfig{})
+		if err != nil {
+			return nil, err
+		}
+		return op(k.NewThread())
+	}}
+}
+
+// configCases runs op on every figure 11 configuration.
+func configCases(op kernelOp) []Case {
+	var cases []Case
+	for _, c := range KernelConfigs() {
+		cases = append(cases, kernelCase(c.Name, c, op))
+	}
+	return cases
+}
+
+// Fig11aCases are the open/close microbenchmark's configurations.
+func Fig11aCases() []Case { return configCases(openClose) }
 
 // Fig11a prints the open/close microbenchmark across configurations.
 func Fig11a(w io.Writer, iters int) error {
-	var rows []Row
-	for _, c := range KernelConfigs() {
-		d, err := Fig11aMeasure(c, iters)
-		if err != nil {
-			return err
-		}
-		rows = append(rows, Row{Label: c.Name, Value: float64(d.Nanoseconds()) / 1000, Unit: "µs/op"})
+	rows, err := timeCases(Fig11aCases(), iters, 1, "µs/op", time.Microsecond)
+	if err != nil {
+		return err
 	}
 	Table(w, "Figure 11a: lmbench open/close microbenchmark", rows, "Release")
 	fmt.Fprintln(w, "  paper shape: microbenchmarks visibly slowed, growing with assertion sets;")
@@ -91,43 +113,36 @@ func (m MacroWorkload) String() string {
 	return "Clang build"
 }
 
-// Fig11bMeasure runs one macro workload on one configuration.
-func Fig11bMeasure(c KernelConfig, workload MacroWorkload, iters int) (time.Duration, error) {
-	k, err := BootConfig(c, kernel.BugConfig{})
-	if err != nil {
-		return 0, err
-	}
-	th := k.NewThread()
-	switch workload {
-	case OLTP:
-		pair, err := kernel.SetupOLTP(th)
-		if err != nil {
-			return 0, err
-		}
-		return Measure(iters, func() {
-			for i := 0; i < iters; i++ {
-				kernel.OLTPTransaction(th, pair)
-			}
-		}), nil
-	default:
-		return Measure(iters, func() {
-			for i := 0; i < iters; i++ {
+// op is the workload's timing loop: one transaction or one build step per
+// operation.
+func (m MacroWorkload) op(th *kernel.Thread) (func(n int), error) {
+	if m == ClangBuild {
+		return func(n int) {
+			for i := 0; i < n; i++ {
 				kernel.BuildStep(th, i)
 			}
-		}), nil
+		}, nil
 	}
+	pair, err := kernel.SetupOLTP(th)
+	if err != nil {
+		return nil, err
+	}
+	return func(n int) {
+		for i := 0; i < n; i++ {
+			kernel.OLTPTransaction(th, pair)
+		}
+	}, nil
 }
+
+// Fig11bCases are one macro workload's configurations.
+func Fig11bCases(wl MacroWorkload) []Case { return configCases(wl.op) }
 
 // Fig11b prints both macrobenchmarks, normalised to Release.
 func Fig11b(w io.Writer, iters int) error {
 	for _, wl := range []MacroWorkload{OLTP, ClangBuild} {
-		var rows []Row
-		for _, c := range KernelConfigs() {
-			d, err := Fig11bMeasure(c, wl, iters)
-			if err != nil {
-				return err
-			}
-			rows = append(rows, Row{Label: c.Name, Value: float64(d.Nanoseconds()) / 1000, Unit: "µs/tx"})
+		rows, err := timeCases(Fig11bCases(wl), iters, 1, "µs/tx", time.Microsecond)
+		if err != nil {
+			return err
 		}
 		Table(w, fmt.Sprintf("Figure 11b: %s (normalised run time)", wl), rows, "Release")
 	}
@@ -136,86 +151,86 @@ func Fig11b(w io.Writer, iters int) error {
 	return nil
 }
 
-// fig12Assertion builds the same assertion in both contexts.
-func fig12Assertion(ctx spec.Context) *automata.Automaton {
-	a := spec.Assert("fig12", ctx, spec.WithinBound("amd64_syscall"),
-		spec.Previously(spec.Call("mac_socket_check_poll", spec.AnyPtr(), spec.Var("so")).ReturnsInt(0)))
-	return automata.MustCompile(a)
-}
+// fig12Threads is how many kernel threads share a figure 12 case's polls.
+const fig12Threads = 4
 
-// Fig12Measure times a poll-heavy workload with the assertion in the given
-// context, across several concurrent threads. Global assertions require
-// explicit synchronisation, which comes at a run-time cost (figure 12).
-func Fig12Measure(ctx spec.Context, iters int) (time.Duration, error) {
-	// The global context's cost is cross-thread serialisation, which needs
-	// genuine parallelism to show; give the scheduler enough Ps even on
-	// small hosts.
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	auto := fig12Assertion(ctx)
-	mon, err := monitor.New(monitor.Options{}, auto)
-	if err != nil {
-		return 0, err
-	}
-	k := kernel.New(kernel.Config{Monitor: mon})
-	const threads = 4
-	ths := make([]*kernel.Thread, threads)
-	pairs := make([]kernel.OLTPPair, threads)
-	for i := range ths {
-		ths[i] = k.NewThread()
-		pairs[i], err = kernel.SetupOLTP(ths[i])
-		if err != nil {
-			return 0, err
+// fig12Case splits the polls between fig12Threads kernel threads under one
+// assertion in the given context. The global context's cost is cross-thread
+// serialisation, which needs genuine parallelism to show, so the timed loop
+// runs on fig12Threads Ps even on small hosts.
+func fig12Case(name string, ctx spec.Context) Case {
+	return Case{Name: name, Setup: func() (func(int), error) {
+		auto := automata.MustCompile(spec.Assert("fig12", ctx, spec.WithinBound("amd64_syscall"),
+			spec.Previously(spec.Call("mac_socket_check_poll", spec.AnyPtr(), spec.Var("so")).ReturnsInt(0))))
+		k := kernel.New(kernel.Config{Monitor: monitor.MustNew(monitor.Options{}, auto)})
+		polls := make([]func(int), fig12Threads)
+		for t := range polls {
+			var err error
+			if polls[t], err = poll(k.NewThread()); err != nil {
+				return nil, err
+			}
 		}
-	}
-	var wg sync.WaitGroup
-	return Measure(iters*threads, func() {
-		for t := 0; t < threads; t++ {
-			wg.Add(1)
-			go func(t int) {
-				defer wg.Done()
-				for i := 0; i < iters; i++ {
-					ths[t].Poll(pairs[t].Client)
+		return func(n int) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(fig12Threads))
+			var wg sync.WaitGroup
+			for t, p := range polls {
+				share := n / fig12Threads
+				if t < n%fig12Threads {
+					share++
 				}
-			}(t)
-		}
-		wg.Wait()
-	}), nil
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					p(share)
+				}()
+			}
+			wg.Wait()
+		}, nil
+	}}
 }
 
-// Fig12 prints the per-thread vs global comparison. The two contexts are
-// measured in interleaved rounds so scheduler and cache drift do not bias
-// either side.
+// Fig12Cases are the same poll assertion in the per-thread and the global
+// context.
+func Fig12Cases() []Case {
+	return []Case{fig12Case("Per-thread", spec.PerThread), fig12Case("Global", spec.Global)}
+}
+
+// Fig12 prints the per-thread vs global comparison. Global assertions
+// require explicit synchronisation, which comes at a run-time cost. The two
+// contexts are measured in interleaved rounds so scheduler and cache drift
+// do not bias either side.
 func Fig12(w io.Writer, iters int) error {
-	const rounds = 8
-	var pt, gl time.Duration
-	for r := 0; r < rounds; r++ {
-		d, err := Fig12Measure(spec.PerThread, iters/rounds)
-		if err != nil {
-			return err
-		}
-		pt += d
-		d, err = Fig12Measure(spec.Global, iters/rounds)
-		if err != nil {
-			return err
-		}
-		gl += d
+	rows, err := timeCases(Fig12Cases(), iters, 8, "µs/op", time.Microsecond)
+	if err != nil {
+		return err
 	}
-	pt /= rounds
-	gl /= rounds
-	Table(w, "Figure 12: assertion context cost (poll syscall)", []Row{
-		{Label: "Per-thread", Value: float64(pt.Nanoseconds()) / 1000, Unit: "µs/op"},
-		{Label: "Global", Value: float64(gl.Nanoseconds()) / 1000, Unit: "µs/op"},
-	}, "Per-thread")
+	Table(w, "Figure 12: assertion context cost (poll syscall)", rows, "Per-thread")
 	fmt.Fprintln(w, "  paper shape: global requires lock-based serialisation and is slower")
 	fmt.Fprintln(w)
 	return nil
 }
 
-// Fig13Measure runs a workload in naive (pre-optimisation) or lazy
-// (post-optimisation) mode.
-func Fig13Measure(sets kernel.Set, naive bool, workload MacroWorkload, iters int) (time.Duration, error) {
-	c := KernelConfig{Name: "fig13", Sets: sets, Naive: naive}
-	return Fig11bMeasure(c, workload, iters)
+// Fig13Cases are the naive (pre-optimisation) and lazy (post) runs of the
+// §5.2.2 lazy-initialisation optimisation, in the order micro (one poll
+// syscall per operation: MAC, then PROC assertions) and macro (OLTP and
+// Clang build under every assertion).
+func Fig13Cases() []Case {
+	var cases []Case
+	for _, cl := range []struct {
+		label string
+		sets  kernel.Set
+		op    kernelOp
+	}{
+		{"MAC micro", kernel.SetM, poll},
+		{"PROC micro", kernel.SetP, poll},
+		{"OLTP", kernel.SetAll, OLTP.op},
+		{"Clang build", kernel.SetAll, ClangBuild.op},
+	} {
+		cases = append(cases,
+			kernelCase(cl.label+" pre", KernelConfig{Sets: cl.sets, Naive: true}, cl.op),
+			kernelCase(cl.label+" post", KernelConfig{Sets: cl.sets}, cl.op))
+	}
+	return cases
 }
 
 // Fig13 prints the pre/post optimisation comparison of §5.2.2: the naive
@@ -223,78 +238,58 @@ func Fig13Measure(sets kernel.Set, naive bool, workload MacroWorkload, iters int
 // syscall; the optimisation keeps a per-context record of init/cleanup
 // events and initialises instances lazily.
 func Fig13(w io.Writer, iters int) error {
-	type cell struct {
-		label string
-		sets  kernel.Set
-		wl    MacroWorkload
+	rows, err := timeCases(Fig13Cases(), iters, 1, "µs", time.Microsecond)
+	if err != nil {
+		return err
 	}
-	micro := []cell{
-		{"MAC micro", kernel.SetM, OLTP},
-		{"PROC micro", kernel.SetP, OLTP},
-	}
-	macro := []cell{
-		{"OLTP", kernel.SetAll, OLTP},
-		{"Clang build", kernel.SetAll, ClangBuild},
-	}
-	for _, group := range [][]cell{micro, macro} {
-		var rows []Row
-		for _, cl := range group {
-			pre, err := Fig13Measure(cl.sets, true, cl.wl, iters)
-			if err != nil {
-				return err
-			}
-			post, err := Fig13Measure(cl.sets, false, cl.wl, iters)
-			if err != nil {
-				return err
-			}
-			rows = append(rows,
-				Row{Label: cl.label + " pre", Value: float64(pre.Nanoseconds()) / 1000, Unit: "µs"},
-				Row{Label: cl.label + " post", Value: float64(post.Nanoseconds()) / 1000, Unit: "µs"})
-		}
-		Table(w, "Figure 13: lazy-initialisation optimisation", rows, "")
-	}
+	Table(w, "Figure 13: lazy-initialisation optimisation (micro, µs per poll)", rows[:4], "")
+	Table(w, "Figure 13: lazy-initialisation optimisation (macro, µs per tx/step)", rows[4:], "")
 	fmt.Fprintln(w, "  paper shape: pre-optimisation micro ≈100x over baseline, post <7x;")
 	fmt.Fprintln(w, "  macro from 2-10x down to <10% overhead")
 	fmt.Fprintln(w)
 	return nil
 }
 
-// Fig14aMeasure times a tight message-send loop in one tracing mode.
-func Fig14aMeasure(mode objc.TraceMode, iters int) time.Duration {
-	rt := objc.NewRuntime(mode)
-	cls := objc.NewClass("Probe", nil)
-	cls.AddMethod("ping", func(*objc.Runtime, *objc.Object, ...core.Value) core.Value { return 1 })
-	obj := rt.NewObject(cls)
-
-	switch mode {
-	case objc.Interposed:
-		rt.Interpose("ping", func(*objc.Object, string, []core.Value) {})
-	case objc.TESLA:
-		auto := automata.MustCompile(spec.Within("fig14a", "loop",
-			spec.Previously(spec.AtLeast(0, spec.Msg(spec.Any("id"), "ping")))))
-		m := monitor.MustNew(monitor.Options{}, auto)
-		th := m.NewThread()
-		rt.InterposeTESLA(th, []string{"ping"}, nil)
-		th.Call("loop")
+// Fig14aCases are the Objective-C message-send ladder: release, tracing
+// compiled in, trivial interposition, full TESLA.
+func Fig14aCases() []Case {
+	var cases []Case
+	for _, mode := range []objc.TraceMode{objc.NoTracing, objc.TracingCompiled, objc.Interposed, objc.TESLA} {
+		cases = append(cases, Case{Name: mode.String(), Setup: func() (func(int), error) {
+			rt := objc.NewRuntime(mode)
+			cls := objc.NewClass("Probe", nil)
+			cls.AddMethod("ping", func(*objc.Runtime, *objc.Object, ...core.Value) core.Value { return 1 })
+			obj := rt.NewObject(cls)
+			switch mode {
+			case objc.Interposed:
+				rt.Interpose("ping", func(*objc.Object, string, []core.Value) {})
+			case objc.TESLA:
+				auto := automata.MustCompile(spec.Within("fig14a", "loop",
+					spec.Previously(spec.AtLeast(0, spec.Msg(spec.Any("id"), "ping")))))
+				th := monitor.MustNew(monitor.Options{}, auto).NewThread()
+				rt.InterposeTESLA(th, []string{"ping"}, nil)
+				th.Call("loop")
+			}
+			return func(n int) {
+				for i := 0; i < n; i++ {
+					rt.MsgSend(obj, "ping")
+				}
+			}, nil
+		}})
 	}
-
-	return Measure(iters, func() {
-		for i := 0; i < iters; i++ {
-			rt.MsgSend(obj, "ping")
-		}
-	})
+	return cases
 }
 
 // Fig14a prints the Objective-C message-send ladder.
-func Fig14a(w io.Writer, iters int) {
-	var rows []Row
-	for _, mode := range []objc.TraceMode{objc.NoTracing, objc.TracingCompiled, objc.Interposed, objc.TESLA} {
-		d := Fig14aMeasure(mode, iters)
-		rows = append(rows, Row{Label: mode.String(), Value: float64(d.Nanoseconds()), Unit: "ns/msg"})
+func Fig14a(w io.Writer, iters int) error {
+	rows, err := timeCases(Fig14aCases(), iters, 1, "ns/msg", time.Nanosecond)
+	if err != nil {
+		return err
 	}
 	Table(w, "Figure 14a: Objective-C message-send microbenchmark", rows, "release")
 	fmt.Fprintln(w, "  paper shape: TESLA up to ≈16x on the tight loop")
 	fmt.Fprintln(w)
+	return nil
 }
 
 // Fig14bMode is one of the four figure 14b configurations.
@@ -312,16 +307,7 @@ const (
 )
 
 func (m Fig14bMode) String() string {
-	switch m {
-	case BaselineMode:
-		return "Baseline"
-	case InterpositionMode:
-		return "Interposition"
-	case TESLAMode:
-		return "TESLA"
-	default:
-		return "Tracing"
-	}
+	return [...]string{"Baseline", "Interposition", "TESLA", "Tracing"}[m]
 }
 
 // traceRecorder is the custom handler of §3.5.3: it formats trace records
@@ -335,18 +321,9 @@ func (t *traceRecorder) Transition(cls *core.Class, inst *core.Instance, from, t
 	t.records = append(t.records, fmt.Sprintf("%s: %s %d->%d", cls.Name, symbol, from, to))
 }
 
-// Fig14bSetup builds a window/run loop in the given mode.
-func Fig14bSetup(mode Fig14bMode) (*gui.Window, *gui.RunLoop, error) {
-	var rtMode objc.TraceMode
-	switch mode {
-	case BaselineMode:
-		rtMode = objc.NoTracing
-	case InterpositionMode:
-		rtMode = objc.Interposed
-	default:
-		rtMode = objc.TESLA
-	}
-	rt := objc.NewRuntime(rtMode)
+// Fig14bSetup builds a window's run loop in the given mode.
+func Fig14bSetup(mode Fig14bMode) *gui.RunLoop {
+	rt := objc.NewRuntime([...]objc.TraceMode{objc.NoTracing, objc.Interposed, objc.TESLA, objc.TESLA}[mode])
 	var th *monitor.Thread
 	switch mode {
 	case InterpositionMode:
@@ -358,20 +335,13 @@ func Fig14bSetup(mode Fig14bMode) (*gui.Window, *gui.RunLoop, error) {
 		for _, sel := range gui.AllSelectors() {
 			events = append(events, spec.Msg(spec.Any("id"), sel))
 		}
-		auto, err := automata.Compile(spec.Within("gui:runloop", "startDrawing",
+		auto := automata.MustCompile(spec.Within("gui:runloop", "startDrawing",
 			spec.Previously(spec.AtLeast(0, events...))))
-		if err != nil {
-			return nil, nil, err
-		}
 		var handler core.Handler
 		if mode == TracingMode {
 			handler = &traceRecorder{}
 		}
-		m, err := monitor.New(monitor.Options{Handler: handler}, auto)
-		if err != nil {
-			return nil, nil, err
-		}
-		th = m.NewThread()
+		th = monitor.MustNew(monitor.Options{Handler: handler}, auto).NewThread()
 		rt.InterposeTESLA(th, gui.AllSelectors(), []string{"drawWithFrame:inView:"})
 	}
 
@@ -381,40 +351,42 @@ func Fig14bSetup(mode Fig14bMode) (*gui.Window, *gui.RunLoop, error) {
 	w.AddView(gui.Rect{X: 0, Y: 150, W: 400, H: 150}, 3, 12, false)
 	w.AddTracking(gui.Rect{X: 0, Y: 0, W: 100, H: 100}, gui.CursorIBeam)
 	w.AddTracking(gui.Rect{X: 200, Y: 0, W: 100, H: 100}, gui.CursorHand)
-	rl := gui.NewRunLoop(w, th)
-	return w, rl, nil
+	return gui.NewRunLoop(w, th)
 }
 
-// Fig14bMeasure replays a dialog session and returns per-batch redraw
-// durations.
-func Fig14bMeasure(mode Fig14bMode, iterations int) ([]time.Duration, error) {
-	_, rl, err := Fig14bSetup(mode)
-	if err != nil {
-		return nil, err
+// Fig14bCases are the four redraw configurations. Each operation replays
+// one batch of a 256-batch dialog session, cycling through it, and appends
+// the batch's duration to *batches. Every 16th batch is a complete redraw.
+func Fig14bCases(batches *[]time.Duration) []Case {
+	script := xnee.DialogSession(256)
+	var cases []Case
+	for _, mode := range []Fig14bMode{BaselineMode, InterpositionMode, TESLAMode, TracingMode} {
+		cases = append(cases, Case{Name: mode.String(), Setup: func() (func(int), error) {
+			rl := Fig14bSetup(mode)
+			return func(n int) {
+				for i := 0; i < n; i++ {
+					start := time.Now()
+					rl.ProcessBatch(script.Batches[i%len(script.Batches)])
+					*batches = append(*batches, time.Since(start))
+				}
+			}, nil
+		}})
 	}
-	script := xnee.DialogSession(iterations)
-	out := make([]time.Duration, 0, len(script.Batches))
-	for _, batch := range script.Batches {
-		start := time.Now()
-		rl.ProcessBatch(batch)
-		out = append(out, time.Since(start))
-	}
-	return out, nil
+	return cases
 }
 
-// Fig14b prints redraw-time percentiles per mode.
-func Fig14b(w io.Writer, iterations int) error {
+// Fig14b prints redraw-time percentiles per mode over iters batches.
+func Fig14b(w io.Writer, iters int) error {
 	fmt.Fprintln(w, "Figure 14b: window redraw times (Xnee replay)")
 	fmt.Fprintf(w, "  %-16s %10s %10s %10s\n", "mode", "p50", "p95", "max")
-	for _, mode := range []Fig14bMode{BaselineMode, InterpositionMode, TESLAMode, TracingMode} {
-		samples, err := Fig14bMeasure(mode, iterations)
-		if err != nil {
+	var batches []time.Duration
+	for _, c := range Fig14bCases(&batches) {
+		batches = batches[:0]
+		if _, err := timeCases([]Case{c}, iters, 1, "", 1); err != nil {
 			return err
 		}
-		p50 := Percentile(samples, 0.50)
-		p95 := Percentile(samples, 0.95)
-		max := Percentile(samples, 1.0)
-		fmt.Fprintf(w, "  %-16s %10v %10v %10v\n", mode, p50, p95, max)
+		fmt.Fprintf(w, "  %-16s %10v %10v %10v\n", c.Name,
+			Percentile(batches, 0.50), Percentile(batches, 0.95), Percentile(batches, 1.0))
 	}
 	fmt.Fprintln(w, "  paper shape: majority of redraws small (partial repaints); outliers are")
 	fmt.Fprintln(w, "  complete redraws; with all tracing on, redraw stays animation-smooth")

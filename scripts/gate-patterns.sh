@@ -32,7 +32,7 @@ checked=0
 dead=0
 # Join backslash-continued lines, then keep the go test invocations.
 while IFS= read -r line; do
-	pkg=$(grep -oE '\./[^ ]+' <<<"$line" | head -n 1)
+	pkg=$(grep -oE ' \.(/[^ ]*)?( |$)' <<<"$line" | head -n 1 | tr -d ' ')
 	for flag in -run -fuzz -bench; do
 		pat=$(sed -nE "s/.* $flag '([^']*)'.*/\1/p" <<<"$line")
 		pat=${pat//\$\$/\$}
