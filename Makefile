@@ -62,9 +62,11 @@ check: build
 # Soundness differential for the liveness refinement: every corpus
 # program is executed under the real VM/monitor across an input range; a
 # liveness-PROVABLY-SAFE assertion must never record a runtime violation,
-# and its hooks must actually be elided.
+# and its hooks must actually be elided. TestHookOrderAgrees pins the hook
+# order the checker and the instrumenter share to the monitor's own.
 liveness-gate:
 	$(GO) test -count=1 ./internal/staticcheck -run 'TestLivenessGate|TestVerdictSoundness'
+	$(GO) test -count=1 ./internal/toolchain -run 'TestHookOrderAgrees'
 	$(GO) test -count=1 ./examples/staticcheck -run 'TestJSONGoldens'
 
 bench:

@@ -129,38 +129,6 @@ func constExpr(e csub.Expr, ctx *Context) (int64, bool) {
 	return 0, false
 }
 
-// Compile parses and compiles several sources as one program, returning the
-// per-file units and the linked program module.
-func Compile(sources map[string]string) ([]*Unit, *ir.Module, error) {
-	var files []*csub.File
-	for name, src := range sources {
-		f, err := csub.Parse(name, src)
-		if err != nil {
-			return nil, nil, err
-		}
-		files = append(files, f)
-	}
-	ctx, err := NewContext(files...)
-	if err != nil {
-		return nil, nil, err
-	}
-	var units []*Unit
-	var mods []*ir.Module
-	for _, f := range files {
-		u, err := CompileFile(f, ctx)
-		if err != nil {
-			return nil, nil, err
-		}
-		units = append(units, u)
-		mods = append(mods, u.Module)
-	}
-	prog, err := ir.Link("program", mods...)
-	if err != nil {
-		return nil, nil, err
-	}
-	return units, prog, nil
-}
-
 type varInfo struct {
 	addr int // register holding the alloca/global address
 	typ  csub.Type

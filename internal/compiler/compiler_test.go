@@ -177,14 +177,23 @@ int f(int n) {
 }
 
 func TestCompileLinksProgram(t *testing.T) {
-	units, prog, err := Compile(map[string]string{
+	ctx, files := ctxFor(t, map[string]string{
 		"a.c": `int f(int x) { return g(x) + 1; }`,
 		"b.c": `int g(int x) { return x * 2; }`,
 	})
+	var mods []*ir.Module
+	for _, f := range files {
+		u, err := CompileFile(f, ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mods = append(mods, u.Module)
+	}
+	prog, err := ir.Link("program", mods...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(units) != 2 || len(prog.Funcs) != 2 {
-		t.Fatalf("units=%d funcs=%d", len(units), len(prog.Funcs))
+	if len(prog.Funcs) != 2 {
+		t.Fatalf("funcs=%d", len(prog.Funcs))
 	}
 }

@@ -4,7 +4,7 @@ import (
 	"strings"
 	"testing"
 
-	"tesla/internal/compiler"
+	"tesla/internal/build"
 	"tesla/internal/csub"
 )
 
@@ -53,6 +53,6 @@ int main(int fd) {
 		// The compiler runs its own assertion parser over TESLA macro text
 		// and type-checks the AST; none of it may panic on parser-accepted
 		// input.
-		_, _, _ = compiler.Compile(map[string]string{"fuzz.c": src})
+		_, _ = build.Run(map[string]string{"fuzz.c": src}, build.Options{Jobs: 1})
 	})
 }

@@ -6,11 +6,13 @@
 // static parameters and, on success, pass the dynamic variable–value
 // mapping to libtesla via the __tesla_update intrinsic).
 //
-// Function events are instrumented in callee context when the target is
-// defined in the program (hooks in its entry block and before its returns)
-// and in caller context otherwise (hooks immediately before and after call
-// sites) — or as forced by the caller/callee modifiers. Instrumentation
-// runs on unoptimised IR; the optimiser runs afterwards (§4.2).
+// Which hooks go where, and in what order, is the hook plan's decision
+// (automata.Plan), which the static checker reads too: function events are
+// instrumented in callee context when the target is defined in the program
+// (hooks in its entry block and before its returns) and in caller context
+// otherwise (hooks immediately before and after call sites) — or as forced
+// by the caller/callee modifiers. Instrumentation runs on unoptimised IR;
+// the optimiser runs afterwards (§4.2).
 package instrument
 
 import (
@@ -20,7 +22,6 @@ import (
 	"tesla/internal/automata"
 	"tesla/internal/compiler"
 	"tesla/internal/ir"
-	"tesla/internal/monitor"
 	"tesla/internal/spec"
 )
 
@@ -61,20 +62,20 @@ type Stats struct {
 // the input module is not mutated. The automata slice order must match the
 // order used to construct the runtime monitor (indices are compiled in).
 func Module(mod *ir.Module, autos []*automata.Automaton, opts Options) (*ir.Module, Stats, error) {
-	ins := &instrumenter{
-		mod:     mod.Clone(),
-		autos:   autos,
-		slots:   monitor.BoundSlots(autos),
-		defined: opts.DefinedFns,
-		suffix:  opts.Suffix,
-		elide:   opts.Elide,
-		genned:  map[string]bool{},
-	}
-	if ins.defined == nil {
-		ins.defined = map[string]bool{}
+	defined := opts.DefinedFns
+	if defined == nil {
+		defined = map[string]bool{}
 		for _, f := range mod.Funcs {
-			ins.defined[f.Name] = true
+			defined[f.Name] = true
 		}
+	}
+	ins := &instrumenter{
+		mod:    mod.Clone(),
+		autos:  autos,
+		plan:   automata.NewPlan(autos, defined),
+		suffix: opts.Suffix,
+		elide:  opts.Elide,
+		genned: map[string]bool{},
 	}
 	if err := ins.run(); err != nil {
 		return nil, Stats{}, err
@@ -103,19 +104,18 @@ func Strip(mod *ir.Module) *ir.Module {
 }
 
 type instrumenter struct {
-	mod     *ir.Module
-	autos   []*automata.Automaton
-	slots   map[string]int
-	defined map[string]bool
-	suffix  string
-	elide   map[string]bool
-	genned  map[string]bool
-	stats   Stats
+	mod    *ir.Module
+	autos  []*automata.Automaton
+	plan   *automata.Plan
+	suffix string
+	elide  map[string]bool
+	genned map[string]bool
+	stats  Stats
 }
 
 func (ins *instrumenter) run() error {
 	for _, f := range ins.mod.Funcs {
-		if strings.HasPrefix(f.Name, "__tesla") {
+		if automata.Intrinsic(f.Name) {
 			continue
 		}
 		if err := ins.instrumentFunc(f); err != nil {
@@ -125,126 +125,43 @@ func (ins *instrumenter) run() error {
 	return nil
 }
 
-// calleeSide reports whether a function event should hook the callee.
-func (ins *instrumenter) calleeSide(sym *automata.Symbol) bool {
-	switch sym.Side {
-	case spec.SideCallee:
-		return true
-	case spec.SideCaller:
-		return false
-	default:
-		return ins.defined[sym.Fn]
-	}
-}
-
+// instrumentFunc emits the plan's hooks for f in the plan's order: at
+// entry, bound begins, then events, then call-kind bound ends; before each
+// return, events, then return-kind bound ends, then return-kind bound
+// begins; around each call site and after each field store, the events
+// observed there.
 func (ins *instrumenter) instrumentFunc(f *ir.Func) error {
-	// Entry hooks run bound begins before entry-event translators; return
-	// hooks run exit-event translators before bound ends, matching the
-	// runtime dispatch order (events belong to the bound they occur in).
-	var entryBounds, entryEvents []ir.Instr
-	var retEvents, retBounds []ir.Instr
-	elidedEntry, elidedRet := 0, 0
-
-	for ai, a := range ins.autos {
-		el := ins.elide[a.Name]
-		b := a.Spec.Bound
-		slot := ins.slots[b.String()]
-		if b.Begin.Fn == f.Name {
-			h := ir.Instr{Op: ir.OpCall, Sym: "__tesla_bound_begin", Imm: int64(slot)}
-			switch {
-			case el && b.Begin.Kind == spec.StaticCall:
-				elidedEntry++
-			case el:
-				elidedRet++
-			case b.Begin.Kind == spec.StaticCall:
-				entryBounds = append(entryBounds, h)
-			default:
-				retBounds = append(retBounds, h)
-			}
-		}
-		if b.End.Fn == f.Name {
-			h := ir.Instr{Op: ir.OpCall, Sym: "__tesla_bound_end", Imm: int64(slot)}
-			switch {
-			case el && b.End.Kind == spec.StaticReturn:
-				elidedRet++
-			case el:
-				elidedEntry++
-			case b.End.Kind == spec.StaticReturn:
-				retBounds = append(retBounds, h)
-			default:
-				entryEvents = append(entryEvents, h)
-			}
-		}
-
-		for _, sym := range a.Symbols {
-			if sym.ObjC || sym.Fn != f.Name || !ins.calleeSide(sym) {
-				continue
-			}
-			switch sym.Kind {
-			case automata.KindFuncEntry:
-				if len(sym.Args) > f.NParams {
-					continue // cannot match: fewer params than patterns
-				}
-				if el {
-					elidedEntry++
-					continue
-				}
-				tr := ins.translator(ai, sym)
-				args := paramRegs(len(sym.Args))
-				entryEvents = append(entryEvents, ir.Instr{Op: ir.OpCall, Sym: tr, Args: args})
-			case automata.KindFuncExit:
-				if len(sym.Args) > f.NParams {
-					continue
-				}
-				if el {
-					elidedRet++
-					continue
-				}
-				tr := ins.translator(ai, sym)
-				// Args fixed; ret value appended at each ret site.
-				retEvents = append(retEvents, ir.Instr{Op: ir.OpCall, Sym: tr, Args: paramRegs(len(sym.Args)), Imm: 1})
-			}
+	var entry []ir.Instr
+	for _, h := range ins.plan.Entry(f.Name, f.NParams) {
+		ins.hook(&entry, f, h, paramRegs)
+	}
+	if len(entry) > 0 {
+		f.Blocks[0].Instrs = append(entry, f.Blocks[0].Instrs...)
+	}
+	ret := ins.plan.Return(f.Name, f.NParams)
+	for _, h := range ret {
+		// Generate exit translators before walking the body, so the
+		// module's function order does not depend on where f returns.
+		if h.Kind == automata.HookEvent && !ins.elide[ins.autos[h.Auto].Name] {
+			ins.translator(h.Auto, h.Sym)
 		}
 	}
-	ins.stats.ElidedHooks += elidedEntry
-	entryHooks := append(entryBounds, entryEvents...)
-	retHooks := append(retEvents, retBounds...)
 
-	// Insert entry hooks at the top of the entry block.
-	if len(entryHooks) > 0 {
-		entry := f.Blocks[0]
-		pre := make([]ir.Instr, 0, len(entryHooks))
-		for _, h := range entryHooks {
-			h.Dst = f.NewReg()
-			pre = append(pre, h)
-			ins.stats.Hooks++
-		}
-		entry.Instrs = append(pre, entry.Instrs...)
-	}
-
-	// Walk every block: ret hooks, caller-side call hooks, field stores,
-	// assertion sites.
 	for _, blk := range f.Blocks {
 		out := make([]ir.Instr, 0, len(blk.Instrs))
 		for _, in := range blk.Instrs {
 			switch in.Op {
 			case ir.OpRet:
-				ins.stats.ElidedHooks += elidedRet
-				for _, h := range retHooks {
-					h2 := h
-					h2.Dst = f.NewReg()
-					if h.Imm == 1 && h.Op == ir.OpCall && strings.HasPrefix(h.Sym, "__tesla_evt") {
-						// Exit translator: append the return value.
-						h2.Imm = 0
+				for _, h := range ret {
+					// Exit translators take the return value last.
+					ins.hook(&out, f, h, func(n int) []int {
 						retArg := in.X
 						if !in.HasX {
 							retArg = f.NewReg()
 							out = append(out, ir.Instr{Op: ir.OpConst, Dst: retArg, Imm: 0})
 						}
-						h2.Args = append(append([]int{}, h.Args...), retArg)
-					}
-					out = append(out, h2)
-					ins.stats.Hooks++
+						return append(paramRegs(n), retArg)
+					})
 				}
 				out = append(out, in)
 
@@ -257,14 +174,27 @@ func (ins *instrumenter) instrumentFunc(f *ir.Func) error {
 					out = append(out, site...)
 					continue
 				}
-				pre, post := ins.callerHooks(f, in)
-				out = append(out, pre...)
+				args := func(n int) []int { return append([]int{}, in.Args[:n]...) }
+				for _, h := range ins.plan.BeforeCall(in.Sym, len(in.Args)) {
+					ins.hook(&out, f, h, args)
+				}
 				out = append(out, in)
-				out = append(out, post...)
+				for _, h := range ins.plan.AfterCall(in.Sym, len(in.Args)) {
+					ins.hook(&out, f, h, func(n int) []int { return append(args(n), in.Dst) })
+				}
 
 			case ir.OpFieldStore:
 				out = append(out, in)
-				out = append(out, ins.fieldHooks(f, in)...)
+				// The translator receives (target, value); increments
+				// pass a dummy value.
+				val := in.Y
+				if in.Assign == ir.AssignIncr {
+					val = in.X
+				}
+				st := in.Struct
+				for _, h := range ins.plan.FieldStore(st.Name, st.Fields[in.Field].Name, in.Assign) {
+					ins.hook(&out, f, h, func(int) []int { return []int{in.X, val} })
+				}
 
 			default:
 				out = append(out, in)
@@ -273,6 +203,29 @@ func (ins *instrumenter) instrumentFunc(f *ir.Func) error {
 		blk.Instrs = out
 	}
 	return nil
+}
+
+// hook lowers one planned hook in f to a call appended to *out, or counts
+// it as elided when its automaton is. An event hook calls its translator
+// with args(n), n being the symbol's argument-pattern count; args runs
+// after the call's result register is allocated and may itself append to
+// *out.
+func (ins *instrumenter) hook(out *[]ir.Instr, f *ir.Func, h automata.Hook, args func(n int) []int) {
+	if ins.elide[ins.autos[h.Auto].Name] {
+		ins.stats.ElidedHooks++
+		return
+	}
+	ins.stats.Hooks++
+	call := ir.Instr{Op: ir.OpCall, Dst: f.NewReg()}
+	switch h.Kind {
+	case automata.HookBoundBegin:
+		call.Sym, call.Imm = "__tesla_bound_begin", int64(h.Slot)
+	case automata.HookBoundEnd:
+		call.Sym, call.Imm = "__tesla_bound_end", int64(h.Slot)
+	default:
+		call.Sym, call.Args = ins.translator(h.Auto, h.Sym), args(len(h.Sym.Args))
+	}
+	*out = append(*out, call)
 }
 
 func paramRegs(n int) []int {
@@ -306,95 +259,6 @@ func (ins *instrumenter) siteCall(in ir.Instr, f *ir.Func) ([]ir.Instr, error) {
 		}
 	}
 	return []ir.Instr{{Op: ir.OpConst, Dst: in.Dst, Imm: 0}}, nil
-}
-
-// callerHooks instruments around a call site when the event wants (or
-// needs) caller-side instrumentation.
-func (ins *instrumenter) callerHooks(f *ir.Func, in ir.Instr) (pre, post []ir.Instr) {
-	if strings.HasPrefix(in.Sym, "__tesla") || in.Sym == "print" {
-		return nil, nil
-	}
-	for ai, a := range ins.autos {
-		el := ins.elide[a.Name]
-		for _, sym := range a.Symbols {
-			if sym.ObjC || sym.Fn != in.Sym || ins.calleeSide(sym) {
-				continue
-			}
-			if len(sym.Args) > len(in.Args) {
-				continue
-			}
-			switch sym.Kind {
-			case automata.KindFuncEntry:
-				if el {
-					ins.stats.ElidedHooks++
-					continue
-				}
-				tr := ins.translator(ai, sym)
-				pre = append(pre, ir.Instr{
-					Op: ir.OpCall, Dst: f.NewReg(), Sym: tr,
-					Args: append([]int{}, in.Args[:len(sym.Args)]...),
-				})
-				ins.stats.Hooks++
-			case automata.KindFuncExit:
-				if el {
-					ins.stats.ElidedHooks++
-					continue
-				}
-				tr := ins.translator(ai, sym)
-				post = append(post, ir.Instr{
-					Op: ir.OpCall, Dst: f.NewReg(), Sym: tr,
-					Args: append(append([]int{}, in.Args[:len(sym.Args)]...), in.Dst),
-				})
-				ins.stats.Hooks++
-			}
-		}
-	}
-	return pre, post
-}
-
-// fieldHooks instruments after a matching structure-field store. The
-// translator receives (target, value); increments pass a dummy value.
-func (ins *instrumenter) fieldHooks(f *ir.Func, in ir.Instr) []ir.Instr {
-	var out []ir.Instr
-	for ai, a := range ins.autos {
-		for _, sym := range a.Symbols {
-			if sym.Kind != automata.KindFieldAssign {
-				continue
-			}
-			if sym.Struct != in.Struct.Name || sym.Field != in.Struct.Fields[in.Field].Name {
-				continue
-			}
-			if assignKind(sym.AssignOp) != in.Assign {
-				continue
-			}
-			if ins.elide[a.Name] {
-				ins.stats.ElidedHooks++
-				continue
-			}
-			tr := ins.translator(ai, sym)
-			val := in.Y
-			if in.Assign == ir.AssignIncr {
-				val = in.X // unused by the translator; keep registers valid
-			}
-			out = append(out, ir.Instr{
-				Op: ir.OpCall, Dst: f.NewReg(), Sym: tr,
-				Args: []int{in.X, val},
-			})
-			ins.stats.Hooks++
-		}
-	}
-	return out
-}
-
-func assignKind(op spec.AssignOp) ir.AssignKind {
-	switch op {
-	case spec.OpAddAssign:
-		return ir.AssignAdd
-	case spec.OpIncr:
-		return ir.AssignIncr
-	default:
-		return ir.AssignSet
-	}
 }
 
 // translator returns (generating on first use) the event-translator

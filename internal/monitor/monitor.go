@@ -157,7 +157,7 @@ func New(opts Options, autos ...*automata.Automaton) (*Monitor, error) {
 		msgRetIdx: map[string][]symRef{},
 		fieldIdx:  map[string][]symRef{},
 		siteIdx:   map[string]symRef{},
-		boundSlot: map[string]int{},
+		boundSlot: automata.BoundSlots(autos),
 		beginCall: map[string][]int{},
 		beginRet:  map[string][]int{},
 		endCall:   map[string][]int{},
@@ -166,6 +166,23 @@ func New(opts Options, autos ...*automata.Automaton) (*Monitor, error) {
 	for _, a := range autos {
 		if err := m.add(a); err != nil {
 			return nil, err
+		}
+	}
+	// One dispatch entry per bound slot, in slot order.
+	bounds := make([]spec.Bound, len(m.boundSlot))
+	for idx, a := range m.autos {
+		bounds[m.autoBound[idx]] = a.Spec.Bound
+	}
+	for slot, b := range bounds {
+		if b.Begin.Kind == spec.StaticCall {
+			m.beginCall[b.Begin.Fn] = append(m.beginCall[b.Begin.Fn], slot)
+		} else {
+			m.beginRet[b.Begin.Fn] = append(m.beginRet[b.Begin.Fn], slot)
+		}
+		if b.End.Kind == spec.StaticCall {
+			m.endCall[b.End.Fn] = append(m.endCall[b.End.Fn], slot)
+		} else {
+			m.endRet[b.End.Fn] = append(m.endRet[b.End.Fn], slot)
 		}
 	}
 	m.globalLazy = newLazyState(len(m.boundSlot), len(m.autos))
@@ -184,21 +201,6 @@ func MustNew(opts Options, autos ...*automata.Automaton) *Monitor {
 	return m
 }
 
-// BoundSlots assigns a dense slot index to each distinct bound (begin/end
-// event pair) across the automata, in first-appearance order. Both the
-// Monitor and the instrumenter derive slot numbers from this function, so
-// compiled-in hook indices agree with the runtime.
-func BoundSlots(autos []*automata.Automaton) map[string]int {
-	slots := map[string]int{}
-	for _, a := range autos {
-		k := a.Spec.Bound.String()
-		if _, ok := slots[k]; !ok {
-			slots[k] = len(slots)
-		}
-	}
-	return slots
-}
-
 func (m *Monitor) add(a *automata.Automaton) error {
 	idx := len(m.autos)
 	m.autos = append(m.autos, a)
@@ -209,24 +211,7 @@ func (m *Monitor) add(a *automata.Automaton) error {
 	// first use, so no event pays for plan construction.
 	m.plans = append(m.plans, a.Plans())
 
-	bound := a.Spec.Bound
-	boundKey := bound.String()
-	slot, ok := m.boundSlot[boundKey]
-	if !ok {
-		slot = len(m.boundSlot)
-		m.boundSlot[boundKey] = slot
-		if bound.Begin.Kind == spec.StaticCall {
-			m.beginCall[bound.Begin.Fn] = append(m.beginCall[bound.Begin.Fn], slot)
-		} else {
-			m.beginRet[bound.Begin.Fn] = append(m.beginRet[bound.Begin.Fn], slot)
-		}
-		if bound.End.Kind == spec.StaticCall {
-			m.endCall[bound.End.Fn] = append(m.endCall[bound.End.Fn], slot)
-		} else {
-			m.endRet[bound.End.Fn] = append(m.endRet[bound.End.Fn], slot)
-		}
-	}
-	m.autoBound = append(m.autoBound, slot)
+	m.autoBound = append(m.autoBound, m.boundSlot[a.Spec.Bound.String()])
 
 	for _, s := range a.Symbols {
 		ref := symRef{idx: idx, sym: s}

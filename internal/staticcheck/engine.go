@@ -8,7 +8,6 @@ import (
 	"tesla/internal/automata"
 	"tesla/internal/compiler"
 	"tesla/internal/ir"
-	"tesla/internal/spec"
 )
 
 // config is the abstract monitor state for one automaton at one program
@@ -59,20 +58,6 @@ type exitState struct {
 	ret cval
 }
 
-// event is one instrumentation point the instrumenter would emit for the
-// automaton under analysis, in the exact order hooks execute.
-type event struct {
-	bound int // 0 = symbol event, 1 = bound begin, 2 = bound end
-	sym   *automata.Symbol
-}
-
-// fnEvents are the per-function hook sequences (entry block prologue and
-// pre-return epilogue), mirroring instrument.instrumentFunc.
-type fnEvents struct {
-	entry []event
-	ret   []event
-}
-
 type checker struct {
 	mod  *ir.Module
 	auto *automata.Automaton
@@ -81,8 +66,10 @@ type checker struct {
 	// branch pruning and counted-loop widening.
 	refine bool
 
-	fns      map[string]*ir.Func
-	events   map[string]*fnEvents
+	fns map[string]*ir.Func
+	// plan is the instrumenter's hook plan restricted to this automaton:
+	// the program points the walk abstracts over, in execution order.
+	plan     *automata.Plan
 	stackFns map[string]bool // functions named by incallstack symbols
 	infos    map[string]*fnInfo
 	// reachableFns are the functions reachable from the entry point via
@@ -113,7 +100,7 @@ func newChecker(mod *ir.Module, auto *automata.Automaton, opts Options, refine b
 		opts:      opts,
 		refine:    refine,
 		fns:       map[string]*ir.Func{},
-		events:    map[string]*fnEvents{},
+		plan:      automata.NewPlan([]*automata.Automaton{auto}, opts.DefinedFns),
 		stackFns:  map[string]bool{},
 		infos:     map[string]*fnInfo{},
 		summaries: map[string][]exitState{},
@@ -357,7 +344,7 @@ func (c *checker) findIndirectCall(entry *ir.Func) string {
 				case ir.OpCallPtr:
 					return f.Name
 				case ir.OpCall:
-					if g, ok := c.fns[in.Sym]; ok && !strings.HasPrefix(in.Sym, "__tesla") {
+					if g, ok := c.fns[in.Sym]; ok && !automata.Intrinsic(in.Sym) {
 						if hit := visit(g); hit != "" {
 							return hit
 						}
@@ -370,68 +357,13 @@ func (c *checker) findIndirectCall(entry *ir.Func) string {
 	return visit(entry)
 }
 
-// calleeSide mirrors instrument.(*instrumenter).calleeSide.
-func (c *checker) calleeSide(sym *automata.Symbol) bool {
-	switch sym.Side {
-	case spec.SideCallee:
-		return true
-	case spec.SideCaller:
-		return false
-	default:
-		return c.opts.DefinedFns[sym.Fn]
-	}
-}
-
-// eventsFor computes the entry/return hook sequences the instrumenter
-// would insert in f for this automaton, in execution order.
-func (c *checker) eventsFor(f *ir.Func) *fnEvents {
-	if ev, ok := c.events[f.Name]; ok {
-		return ev
-	}
-	ev := &fnEvents{}
-	b := c.auto.Spec.Bound
-	// Entry: call-kind bound begin, then call-kind bound end, then
-	// callee-side entry translators in symbol order.
-	if b.Begin.Fn == f.Name && b.Begin.Kind == spec.StaticCall {
-		ev.entry = append(ev.entry, event{bound: 1})
-	}
-	if b.End.Fn == f.Name && b.End.Kind != spec.StaticReturn {
-		ev.entry = append(ev.entry, event{bound: 2})
-	}
-	for _, sym := range c.auto.Symbols {
-		if sym.ObjC || sym.Fn != f.Name || !c.calleeSide(sym) {
-			continue
-		}
-		switch sym.Kind {
-		case automata.KindFuncEntry:
-			if len(sym.Args) <= f.NParams {
-				ev.entry = append(ev.entry, event{sym: sym})
-			}
-		case automata.KindFuncExit:
-			if len(sym.Args) <= f.NParams {
-				ev.ret = append(ev.ret, event{sym: sym})
-			}
-		}
-	}
-	// Return: exit translators, then return-kind bound begin, then
-	// return-kind bound end (instrumenter appends begin before end).
-	if b.Begin.Fn == f.Name && b.Begin.Kind != spec.StaticCall {
-		ev.ret = append(ev.ret, event{bound: 1})
-	}
-	if b.End.Fn == f.Name && b.End.Kind == spec.StaticReturn {
-		ev.ret = append(ev.ret, event{bound: 2})
-	}
-	c.events[f.Name] = ev
-	return ev
-}
-
 // apply advances a config over one event, recording possible and
 // guaranteed violations.
-func (c *checker) apply(cfg config, ev event, where string) config {
+func (c *checker) apply(cfg config, h automata.Hook, where string) config {
 	from := cfg.key()
 	label := ""
-	switch {
-	case ev.bound == 1:
+	switch h.Kind {
+	case automata.HookBoundBegin:
 		label = "«bound begin»"
 		if cfg.active {
 			c.bailf("bound re-opened while already open at %s: epochs would overlap", where)
@@ -442,7 +374,7 @@ func (c *checker) apply(cfg config, ev event, where string) config {
 		cfg.lo = automata.NewStateSet(c.auto.Start)
 		cfg.hi = automata.NewStateSet(c.auto.Start)
 
-	case ev.bound == 2:
+	case automata.HookBoundEnd:
 		label = "«bound end»"
 		if !cfg.active {
 			return cfg // runtime ignores bound exits with no open bound
@@ -477,7 +409,7 @@ func (c *checker) apply(cfg config, ev event, where string) config {
 		cfg.lo, cfg.hi = nil, nil
 
 	default:
-		sym := ev.sym
+		sym := h.Sym
 		label = sym.Name
 		if !cfg.active {
 			return cfg // events outside the bound are ignored (lazy init)
@@ -524,7 +456,7 @@ func (c *checker) applySite(cfg config, stack map[string]bool, where string) con
 	}
 	for _, sym := range c.auto.Symbols {
 		if sym.Kind == automata.KindInCallStack && stack[sym.Fn] {
-			cfg = c.apply(cfg, event{sym: sym}, where)
+			cfg = c.apply(cfg, automata.Hook{Kind: automata.HookEvent, Sym: sym}, where)
 		}
 	}
 	from := cfg.key()
@@ -607,11 +539,11 @@ func (c *checker) analyzeFn(f *ir.Func, onChain, stack map[string]bool, entry co
 		}
 	}()
 
-	ev := c.eventsFor(f)
 	cfg := entry
-	for _, e := range ev.entry {
-		cfg = c.apply(cfg, e, f.Name)
+	for _, h := range c.plan.Entry(f.Name, f.NParams) {
+		cfg = c.apply(cfg, h, f.Name)
 	}
+	retHooks := c.plan.Return(f.Name, f.NParams)
 	if c.bail != "" {
 		return nil
 	}
@@ -703,8 +635,8 @@ func (c *checker) analyzeFn(f *ir.Func, onChain, stack map[string]bool, entry co
 			case ir.OpRet:
 				for _, s := range cur {
 					cf := s.cfg
-					for _, e := range ev.ret {
-						cf = c.apply(cf, e, f.Name)
+					for _, h := range retHooks {
+						cf = c.apply(cf, h, f.Name)
 					}
 					ret := cval{}
 					if c.refine {
@@ -829,30 +761,15 @@ func (c *checker) applyCall(f *ir.Func, in ir.Instr, cur []absState, onChain, st
 		}
 		return cur
 	}
-	if in.Sym == "print" || strings.HasPrefix(in.Sym, "__tesla") {
-		clobber()
+	if automata.Intrinsic(in.Sym) {
+		clobber() // the VM runs it: no hooks and no callee to follow
 		return cur
 	}
 
-	// Caller-side entry hooks run before the call executes.
-	var pre, post []*automata.Symbol
-	for _, sym := range c.auto.Symbols {
-		if sym.ObjC || sym.Fn != in.Sym || c.calleeSide(sym) {
-			continue
-		}
-		if len(sym.Args) > len(in.Args) {
-			continue
-		}
-		switch sym.Kind {
-		case automata.KindFuncEntry:
-			pre = append(pre, sym)
-		case automata.KindFuncExit:
-			post = append(post, sym)
-		}
-	}
+	pre := c.plan.BeforeCall(in.Sym, len(in.Args))
 	for i := range cur {
-		for _, sym := range pre {
-			cur[i].cfg = c.apply(cur[i].cfg, event{sym: sym}, where)
+		for _, h := range pre {
+			cur[i].cfg = c.apply(cur[i].cfg, h, where)
 		}
 	}
 
@@ -868,6 +785,7 @@ func (c *checker) applyCall(f *ir.Func, in ir.Instr, cur []absState, onChain, st
 		return nil
 	}
 
+	post := c.plan.AfterCall(in.Sym, len(in.Args))
 	var out []absState
 	for _, s := range cur {
 		var args []cval
@@ -892,8 +810,8 @@ func (c *checker) applyCall(f *ir.Func, in ir.Instr, cur []absState, onChain, st
 				}
 				ns.fr = nf
 			}
-			for _, sym := range post {
-				ns.cfg = c.apply(ns.cfg, event{sym: sym}, where)
+			for _, h := range post {
+				ns.cfg = c.apply(ns.cfg, h, where)
 			}
 			out = append(out, ns)
 		}
@@ -901,31 +819,11 @@ func (c *checker) applyCall(f *ir.Func, in ir.Instr, cur []absState, onChain, st
 	return out
 }
 
-// applyFieldStore fires the field-assignment translators that match the
-// store's struct, field and assignment operator, in symbol order.
+// applyFieldStore fires the field-assignment hooks the plan places after
+// the store.
 func (c *checker) applyFieldStore(cfg config, in ir.Instr, fname string) config {
-	for _, sym := range c.auto.Symbols {
-		if sym.Kind != automata.KindFieldAssign {
-			continue
-		}
-		if sym.Struct != in.Struct.Name || sym.Field != in.Struct.Fields[in.Field].Name {
-			continue
-		}
-		if assignKind(sym.AssignOp) != in.Assign {
-			continue
-		}
-		cfg = c.apply(cfg, event{sym: sym}, fmt.Sprintf("%s (line %d)", fname, in.Line))
+	for _, h := range c.plan.FieldStore(in.Struct.Name, in.Struct.Fields[in.Field].Name, in.Assign) {
+		cfg = c.apply(cfg, h, fmt.Sprintf("%s (line %d)", fname, in.Line))
 	}
 	return cfg
-}
-
-func assignKind(op spec.AssignOp) ir.AssignKind {
-	switch op {
-	case spec.OpAddAssign:
-		return ir.AssignAdd
-	case spec.OpIncr:
-		return ir.AssignIncr
-	default:
-		return ir.AssignSet
-	}
 }

@@ -2,10 +2,10 @@
 // work (§7): an interprocedural model checker that decides, before the
 // program ever runs, which assertions need their runtime instrumentation at
 // all. It walks the IR control-flow graph from the program entry point,
-// abstracts every instruction the instrumenter would hook (function entries
-// and returns, call sites, field stores, assertion sites, bound events)
-// into the automaton alphabet, and propagates the product of the program
-// state with an abstraction of the libtesla instance store.
+// abstracts the program over the hook plan the instrumenter emits
+// (automata.Plan: function entries and returns, call sites, field stores,
+// bound events) plus the assertion sites, and propagates the product of
+// the program state with an abstraction of the libtesla instance store.
 //
 // Every assertion is classified as one of:
 //
@@ -161,8 +161,9 @@ func (r *Report) SafeSet() map[string]bool {
 type Options struct {
 	// Entry is the program entry point; "" means main.
 	Entry string
-	// DefinedFns mirrors instrument.Options.DefinedFns: the set used to
-	// pick caller- vs callee-side hooks. Nil means the module's functions.
+	// DefinedFns is the program's defined-function set the hook plan
+	// (automata.NewPlan) is built over; pass the set the program is
+	// instrumented with. Nil means the module's functions.
 	DefinedFns map[string]bool
 	// MaxConfigs bounds distinct abstract configurations per basic block
 	// before the checker gives up on an automaton (NEEDS-RUNTIME). Zero

@@ -7,19 +7,26 @@ import (
 	"testing"
 	"testing/quick"
 
-	"tesla/internal/compiler"
+	"tesla/internal/build"
 	"tesla/internal/core"
 	"tesla/internal/ir"
 )
 
-// run compiles and executes a csub program.
-func run(t *testing.T, src string, entry string, args ...int64) (int64, *VM) {
+// compile builds a one-file csub program through the build graph,
+// uninstrumented.
+func compile(t *testing.T, src string) *build.Result {
 	t.Helper()
-	_, prog, err := compiler.Compile(map[string]string{"t.c": src})
+	res, err := build.Run(map[string]string{"t.c": src}, build.Options{Jobs: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	vm := New(prog)
+	return res
+}
+
+// run compiles and executes a csub program.
+func run(t *testing.T, src string, entry string, args ...int64) (int64, *VM) {
+	t.Helper()
+	vm := New(compile(t, src).Program)
 	ret, err := vm.Run(entry, args...)
 	if err != nil {
 		t.Fatal(err)
@@ -123,11 +130,8 @@ int main(int n) {
 }
 
 func TestPrintBuiltin(t *testing.T) {
-	_, prog, err := compiler.Compile(map[string]string{"t.c": `
-int main() { print(42); print(1, 2); return 0; }`})
-	if err != nil {
-		t.Fatal(err)
-	}
+	prog := compile(t, `
+int main() { print(42); print(1, 2); return 0; }`).Program
 	vm := New(prog)
 	var buf bytes.Buffer
 	vm.Out = &buf
@@ -153,12 +157,7 @@ func TestRuntimeErrors(t *testing.T) {
 		{`int rec(int n) { return rec(n); } int main() { return rec(1); }`, "depth"},
 	}
 	for i, c := range cases {
-		_, prog, err := compiler.Compile(map[string]string{"t.c": c.src})
-		if err != nil {
-			t.Fatalf("case %d compile: %v", i, err)
-		}
-		vm := New(prog)
-		_, err = vm.Run("main", 1)
+		_, err := New(compile(t, c.src).Program).Run("main", 1)
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("case %d: err = %v, want %q", i, err, c.want)
 		}
@@ -174,10 +173,7 @@ int main() {
 	return q->v;
 }
 `
-	_, prog, err := compiler.Compile(map[string]string{"t.c": src})
-	if err != nil {
-		t.Fatal(err)
-	}
+	prog := compile(t, src).Program
 	vm := New(prog)
 	if _, err := vm.Run("main"); err == nil {
 		t.Fatal("null dereference should fail")
@@ -185,11 +181,8 @@ int main() {
 }
 
 func TestStepLimit(t *testing.T) {
-	_, prog, err := compiler.Compile(map[string]string{"t.c": `
-int main() { while (1) { } return 0; }`})
-	if err != nil {
-		t.Fatal(err)
-	}
+	prog := compile(t, `
+int main() { while (1) { } return 0; }`).Program
 	vm := New(prog)
 	vm.MaxSteps = 10_000
 	if _, err := vm.Run("main"); err != ErrMaxSteps {
@@ -198,8 +191,7 @@ int main() { while (1) { } return 0; }`})
 }
 
 func TestUnknownEntry(t *testing.T) {
-	_, prog, _ := compiler.Compile(map[string]string{"t.c": `int main() { return 0; }`})
-	vm := New(prog)
+	vm := New(compile(t, `int main() { return 0; }`).Program)
 	if _, err := vm.Run("nope"); err == nil {
 		t.Fatal("expected unknown-function error")
 	}
@@ -216,10 +208,7 @@ int main() {
 	return p;
 }
 `
-	_, prog, err := compiler.Compile(map[string]string{"t.c": src})
-	if err != nil {
-		t.Fatal(err)
-	}
+	prog := compile(t, src).Program
 	vm := New(prog)
 	addr, err := vm.Run("main")
 	if err != nil {
@@ -251,10 +240,8 @@ int main(int a, int b) {
 	return y - x + helper(a, a);
 }
 `
-	_, prog, err := compiler.Compile(map[string]string{"t.c": src})
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The unit's module is the compiler's unoptimised output.
+	prog := compile(t, src).Units[0].Module
 	opt := prog.Clone()
 	ir.Optimize(opt)
 
@@ -329,10 +316,7 @@ int main(int i) {
 	return p[i];
 }
 `
-	_, prog, err := compiler.Compile(map[string]string{"t.c": src})
-	if err != nil {
-		t.Fatal(err)
-	}
+	prog := compile(t, src).Program
 	if _, err := New(prog).Run("main", 99999); err == nil {
 		t.Fatal("out-of-range index must be a VM error")
 	}
