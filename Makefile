@@ -111,17 +111,18 @@ cache-gate: build
 
 # Fault-injection gate: the chaos property suite (deterministic seeded
 # injector, fixed seed matrix baked into the tests) under the race detector.
-# Covers per-thread-slot-array vs global-striped parity across the overflow
-# policies, with and without injected allocation failures at 1%/10%/50%
-# (the two bodies share no code, so each is the other's reference past the
-# first overflow, where the lifecycle model stops), cross-class quarantine
-# isolation, exact suppression and handler-panic accounting, and concurrent
+# The reference for the overflow policies, quarantine and injected
+# allocation failures is the lifecycle model: TestModelDifferential holds
+# every layout to it under all three policies and injected failure rates of
+# 0/10%/50%, to each schedule's end. Around it: per-thread-slot-array vs
+# global-striped parity at 1%/10%/50%, cross-class quarantine isolation,
+# exact suppression and handler-panic accounting, and concurrent
 # no-deadlock/no-corruption invariants — plus the injector's own
 # determinism tests, the monitor's supervision passthrough and its one
 # fail-stop flag draining each automaton's verdicts through a batched ring.
 chaos-gate:
 	$(GO) test -race -count=1 ./internal/faultinject
-	$(GO) test -race -count=1 ./internal/core -run 'TestChaos|TestDifferential'
+	$(GO) test -race -count=1 ./internal/core -run 'TestModelDifferential|TestChaos|TestDifferential'
 	$(GO) test -race -count=1 ./internal/monitor -run 'TestSupervision|TestHealth'
 
 # Supervision-policy cost ladder on the 8-stripe global store (drop-new vs
@@ -171,10 +172,10 @@ bench-ingest:
 	$(GO) run ./cmd/tesla-bench -fig ingest
 
 # Compiled-engine gate: the event bodies against the lifecycle model under
-# the race detector. Covers 1440 seeded schedules (>=1000 of them overflow-
-# free, compared on every event to their end; the rest up to their first
-# overflow) over the per-thread slot array and the global store at 1-16
-# stripes, both fail-fast modes, synchronous and batched at sizes 1/7/64,
+# the race detector. Covers 2160 seeded schedules, each compared on every
+# event to its end, over the per-thread slot array and the global store at
+# 1-16 stripes, both failure actions, synchronous and batched at sizes
+# 1/7/64, the three overflow policies and injected allocation failures,
 # plus the cached-plan slot-array-vs-striped engine differentials (sync
 # and batched, with and without injected allocation faults), the
 # plan-lowering unit tests (state tables against the first-match scan),

@@ -40,7 +40,7 @@ func (s *Store) UpdateBatch(ops []BatchOp) error {
 	} else {
 		for i := range ops {
 			op := &ops[i]
-			if err := s.updateSlots(s.slotsOf(op.Plan.Cls), op.Plan, op.Key, nb); err != nil && firstErr == nil {
+			if err := s.updateSlots(s.classFor(op.Plan.Cls), op.Plan, op.Key, nb); err != nil && firstErr == nil {
 				firstErr = err
 			}
 		}
@@ -65,30 +65,30 @@ func (s *Store) updateBatchSharded(ops []BatchOp, nb *noteBuf) error {
 	i := 0
 	for i < len(ops) {
 		cls := ops[i].Plan.Cls
-		sc := s.shardsOf(cls)
-		if s.shardedQuarGate(sc, nb) {
+		c := s.classFor(cls)
+		if s.quarGate(c, nb) {
 			i++
 			continue
 		}
 
-		set, _ := s.eventNeed(sc, ops[i].Plan, ops[i].Key)
+		set, _ := s.eventNeed(c, ops[i].Plan, ops[i].Key)
 		j := i + 1
 		for ; j < len(ops) && j-i < batchRunMax && ops[j].Plan.Cls == cls; j++ {
-			ps, _ := s.eventNeed(sc, ops[j].Plan, ops[j].Key)
+			ps, _ := s.eventNeed(c, ops[j].Plan, ops[j].Key)
 			set |= ps
 		}
-		set, _ = s.lockCovering(sc, set, ops[i].Plan, ops[i].Key)
+		set, _ = s.lockCovering(c, set, ops[i].Plan, ops[i].Key)
 
 		for i < j {
 			op := &ops[i]
-			if s.shardedQuarGate(sc, nb) {
+			if s.quarGate(c, nb) {
 				// Quarantined mid-run (or suppressed); the gate counted
 				// it, skip the op. Safe under the held stripes: quarMu
 				// nests inside stripe locks everywhere.
 				i++
 				continue
 			}
-			need, scan := s.eventNeed(sc, op.Plan, op.Key)
+			need, scan := s.eventNeed(c, op.Plan, op.Key)
 			if need&^set != 0 {
 				// The run's window no longer covers this op (a mid-run
 				// activation widened its mask set, or a re-arm left a
@@ -96,12 +96,12 @@ func (s *Store) updateBatchSharded(ops []BatchOp, nb *noteBuf) error {
 				// and reacquire.
 				break
 			}
-			if err := s.applySharded(sc, op.Plan, op.Key, nb, set, scan); err != nil && firstErr == nil {
+			if err := s.applySharded(c, op.Plan, op.Key, nb, set, scan); err != nil && firstErr == nil {
 				firstErr = err
 			}
 			i++
 		}
-		s.unlockShards(sc, set)
+		c.unlock(set)
 	}
 	return firstErr
 }

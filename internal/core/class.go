@@ -128,9 +128,9 @@ type Instance struct {
 	Key    Key
 	Active bool
 
-	// birth orders activations class-wide, so both store implementations
-	// agree on which instance EvictOldest sacrifices, and so an event's
-	// pre-snapshotted candidate list can detect a slot that was evicted
-	// and reused mid-event.
+	// birth orders activations class-wide: events drive candidates and
+	// EvictOldest picks its victim in this order, and an event's
+	// pre-snapshotted candidate list detects by it a slot that was
+	// evicted and reused mid-event.
 	birth uint64
 }

@@ -10,10 +10,12 @@ import (
 )
 
 // Differential property harness: the global lock-striped store must be
-// observationally equivalent to the per-thread slot-array store. The two
-// bodies share no code, so each is the other's reference wherever the
-// lifecycle model (model_test.go) stops — past the first overflow, where the
-// overflow policies and quarantine take over. Identical randomised event
+// observationally equivalent to the per-thread slot-array store. The
+// reference both are held to is the lifecycle model (model_test.go); this
+// harness adds what the model does not vary — random class limits per
+// schedule, per-event plan lowering on one side, concurrent goroutines —
+// and pins that the two candidate walks, the slot scan and the stripe plan,
+// hand the shared lifecycle the same candidates. Identical randomised event
 // schedules — init, update, clone, cleanup over random keys, ANY patterns,
 // strict and required events, overflow — are driven through both stores,
 // asserting identical verdicts, live counts, instance sets and handler

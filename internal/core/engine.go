@@ -10,21 +10,13 @@ package core
 //     over the TransitionSet, with a 64-bit From-state bitmask in front of
 //     it so the common no-edge case is one shift-and-test;
 //   - the «init» transition and the cleanup flag are picked once, not once
-//     per event;
-//   - Key compatibility is unrolled for TESLA_KEY_SIZE = 4 into a branchless
-//     mismatch mask, and clone-key unions skip the redundant compatibility
-//     re-check the generic Key methods pay.
+//     per event.
 //
 // Both store bodies — per-thread slots (update.go) and global stripes
 // (shard.go) — execute plans; UpdateState lowers one per call for callers
 // without a lowered automaton.
 
 import "sync"
-
-// The key-comparison unrolling below is only valid while TESLA_KEY_SIZE is
-// 4; force a compile error if KeySize ever changes so the engine is revised
-// rather than silently miscompiled.
-const _ = uint(KeySize-4) + uint(4-KeySize)
 
 // notePool recycles per-event notification buffers. A noteBuf's inline
 // array is several KB and escapes into the handler interface, so a fresh one
@@ -155,43 +147,4 @@ func (p *SymbolPlan) initTr() *Transition {
 		return nil
 	}
 	return &p.TS[p.init]
-}
-
-// compatible4 is Key.Compatible unrolled for KeySize = 4: compare all four
-// slots unconditionally into a mismatch mask, then test it against the slots
-// bound in both keys. No per-slot branches, no loop.
-func compatible4(k, o Key) bool {
-	var bad uint32
-	if k.Data[0] != o.Data[0] {
-		bad = 1
-	}
-	if k.Data[1] != o.Data[1] {
-		bad |= 2
-	}
-	if k.Data[2] != o.Data[2] {
-		bad |= 4
-	}
-	if k.Data[3] != o.Data[3] {
-		bad |= 8
-	}
-	return k.Mask&o.Mask&bad == 0
-}
-
-// union4 merges two keys known to be compatible (the engine body established
-// it via compatible4), skipping Union's redundant re-check and panic guard.
-func union4(k, o Key) Key {
-	if o.Mask&1 != 0 {
-		k.Data[0] = o.Data[0]
-	}
-	if o.Mask&2 != 0 {
-		k.Data[1] = o.Data[1]
-	}
-	if o.Mask&4 != 0 {
-		k.Data[2] = o.Data[2]
-	}
-	if o.Mask&8 != 0 {
-		k.Data[3] = o.Data[3]
-	}
-	k.Mask |= o.Mask
-	return k
 }

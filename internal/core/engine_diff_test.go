@@ -9,10 +9,9 @@ import "testing"
 // array lowering a fresh plan per event (UpdateState), over the supervision
 // schedules (overflow policies, quarantine/re-arm, strict and required
 // symbols, resets) at every stripe count, with and without injected
-// allocation failures. The two bodies share no body code, so each is the
-// other's reference for the degradation paths the lifecycle model in
-// model_test.go does not cover; a plan that went stale or was mutated by
-// execution diverges from the fresh one. This is part of `make compile-gate`.
+// allocation failures. A plan that went stale or was mutated by execution
+// diverges from the fresh one; the degradation paths themselves are held to
+// the lifecycle model in model_test.go. This is part of `make compile-gate`.
 
 // TestEngineDifferential sweeps 1250 randomised schedules of cached-plan
 // events on 1, 2, 4, 8 and 16 stripes against the slot array.

@@ -7,7 +7,8 @@ import (
 
 // FuzzCompiledStep feeds fuzzer-chosen event streams through the per-thread
 // slot array and the global striped store and checks every event against the
-// lifecycle model (model_test.go), up to the stream's first overflow. Each
+// lifecycle model (model_test.go) to the stream's end, overflows included:
+// the limit is small and the policy DropNew under FailStop. Each
 // input byte encodes one event — symbol choice in the low bits, key material
 // in the high bits — so the fuzzer can reach clone chains, strict
 // violations, required-site misses and cleanup expunges in any order. This
@@ -47,7 +48,7 @@ func FuzzCompiledStep(f *testing.F) {
 			h := &noteHandler{}
 			s := l.store(StoreOpts{Handler: h, Failure: FailStop})
 			s.Register(cls)
-			m := newLifecycleModel(cls.Name, limit)
+			m := newLifecycleModel(cls.Name, limit, modelPolicy{failStop: true})
 
 			plans := make([]*SymbolPlan, len(symbols))
 			for i, sym := range symbols {
@@ -63,17 +64,11 @@ func FuzzCompiledStep(f *testing.F) {
 				if b&0x20 != 0 {
 					key = key.Set(1, Value(b>>5&1))
 				}
-				violated, overflow := m.step(sym.name, sym.flags, key, sym.ts)
+				want := m.step(sym.name, sym.flags, key, sym.ts)
 				err := s.UpdateStatePlan(plans[int(b)%len(symbols)], key)
-				if overflow {
-					if !sawOverflow(h) {
-						t.Fatalf("byte %d (%#x, %v): model overflowed, store did not", i, b, l)
-					}
-					break
-				}
 				where := fmt.Sprintf("byte %d (%#x, %v)", i, b, l)
-				if (err != nil) != violated {
-					t.Fatalf("%s: error %v, model violated=%v", where, err, violated)
+				if got := errKind(err); got != want {
+					t.Fatalf("%s: error %q (%v), model %q", where, got, err, want)
 				}
 				checkAgainstModel(t, where, s, cls, h, m)
 			}

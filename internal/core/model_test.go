@@ -1,38 +1,42 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
 	"sort"
-	"strings"
 	"testing"
+
+	"tesla/internal/faultinject"
 )
 
-// The lifecycle model: an executable statement of the §4.4.1 instance rules,
-// written from the rules rather than from either store body. It keeps no
-// slots, locks, plans or store helpers — only the live instances, as a map
-// from key to state stamped with creation order — and emits the noteHandler
-// lines (new, clone, trans, accept, fail) a store must emit for the same
-// event. TestModelDifferential drives randomised schedules through every
-// store layout on both dispatch planes and compares every event (every
-// flush, when batched) with it, up to the schedule's first overflow: the
-// model's capacity is unbounded, so overflow degradation is the business of
-// the slot-array-vs-striped differentials (differential_test.go,
-// chaos_test.go), not of the model.
+// The lifecycle model: an executable statement of the §4.4.1 instance rules
+// and the §4.4.2 degradation policy of DESIGN §11, written from the rules
+// rather than from the store. It keeps no slots, locks, plans, stripes or
+// store helpers — only the live instances, as a map from key to state
+// stamped with creation order, and the quarantine and health counts — and
+// emits the noteHandler lines a store must emit for the same event. It is
+// the reference both store layouts are held to: TestModelDifferential drives
+// randomised schedules through every layout on both dispatch planes, under
+// every overflow policy, both failure actions and injected allocation
+// failures, and compares every event (every flush, when batched) with it to
+// the schedule's end.
 //
 // The rules, for an event with symbol flags F, key E and transition set T:
 //
 //  1. The candidates are the instances live before the event whose key is
 //     compatible with E (no slot bound in both to different values), taken
-//     in creation order.
+//     in creation order. One evicted or killed earlier in the same event is
+//     skipped.
 //  2. A candidate in state q takes the first edge of T leaving q. Without
 //     one, a cleanup event (T has a cleanup edge) reports it incomplete, a
 //     strict symbol reports a bad transition and kills it, and any other
 //     event leaves it alone.
 //  3. If E binds a slot the candidate does not, the edge forks a clone keyed
 //     by the union of both keys, unless an instance with that key is live
-//     already; either way the event counts as consumed and the parent stays.
+//     already or the clone is dropped (rule 8); either way the event counts
+//     as consumed and the parent stays.
 //  4. Otherwise the candidate moves along the edge in place.
 //  5. An event no candidate consumed starts an instance along T's first
 //     «init» edge, keyed by E restricted to that edge's key mask, unless that
@@ -42,6 +46,31 @@ import (
 //  6. Every edge taken is reported as a transition, and an edge carrying the
 //     cleanup flag also as an accept.
 //  7. A cleanup event finally empties the class.
+//
+// The degradation policy:
+//
+//  8. A new instance (a clone or an «init») first asks the fault injector,
+//     then needs one of the class's limit places to be free. If either
+//     refuses, that is an overflow, counted and reported with the
+//     newcomer's key, and the overflow policy decides:
+//     - DropNew drops the newcomer.
+//     - EvictOldest evicts the oldest live instance whose key binds the
+//     same slots as the newcomer's — or the oldest live instance if none
+//     does — counting and reporting it; the newcomer then asks the
+//     injector once more, and a refusal drops it. With nothing live,
+//     the newcomer is dropped.
+//     - QuarantineClass drops the newcomer and counts the consecutive
+//     overflows; the QuarantineAfter-th quarantines the class, counted
+//     and reported: every instance is gone and the event stops there.
+//     A newcomer that finds a place ends the consecutive-overflow count.
+//     Under FailStop a dropped newcomer is the event's error, unless a
+//     violation came first in the same event.
+//  9. Every violation is counted, and under FailStop is the event's error
+//     unless an overflow came first.
+// 10. A quarantined class suppresses, and counts, each event until
+//     RearmEvents events have been suppressed; the next event re-arms it,
+//     reported, and is processed normally. Reset and ResetClass empty the
+//     class and re-arm it silently.
 
 // modelInst is one live instance of the model: its state and creation order.
 type modelInst struct {
@@ -49,17 +78,46 @@ type modelInst struct {
 	born  int
 }
 
+// modelPolicy is the degradation policy the model runs under: StoreOpts'
+// Failure, Overflow, QuarantineAfter and RearmEvents, and the answer to
+// "may this allocation succeed?" that AllocFail gives.
+type modelPolicy struct {
+	failStop        bool
+	overflow        OverflowPolicy
+	quarantineAfter int
+	rearmEvents     int
+	refuse          func() bool
+}
+
+// The model's health counters, in healthOf's order.
+const (
+	hViolations = iota
+	hOverflows
+	hEvictions
+	hSuppressed
+	hQuarantines
+)
+
 // lifecycleModel is the model's whole state for one class.
 type lifecycleModel struct {
 	cls   string
 	limit int
+	pol   modelPolicy
 	live  map[Key]modelInst
 	born  int
 	notes []string
+
+	quarantined bool
+	overflows   int // consecutive, for QuarantineClass
+	suppressed  int // since the quarantine began
+	health      [5]uint64
+	// err is the error the current event must return: "", "violation"
+	// or "overflow".
+	err string
 }
 
-func newLifecycleModel(cls string, limit int) *lifecycleModel {
-	return &lifecycleModel{cls: cls, limit: limit, live: map[Key]modelInst{}}
+func newLifecycleModel(cls string, limit int, pol modelPolicy) *lifecycleModel {
+	return &lifecycleModel{cls: cls, limit: limit, pol: pol, live: map[Key]modelInst{}}
 }
 
 func (m *lifecycleModel) note(format string, args ...interface{}) {
@@ -103,17 +161,77 @@ func modelRestrict(k Key, mask uint32) Key {
 	return out
 }
 
-func (m *lifecycleModel) reset() { m.live = map[Key]modelInst{} }
+// reset is Reset and ResetClass (rule 10).
+func (m *lifecycleModel) reset() {
+	m.live = map[Key]modelInst{}
+	m.quarantined = false
+	m.overflows, m.suppressed = 0, 0
+}
 
-// start creates an instance, or reports false when the store's preallocated
-// block would already be full: the store overflows there.
-func (m *lifecycleModel) start(k Key, state uint32) bool {
-	if len(m.live) >= m.limit {
+// refused asks the fault injector whether the next allocation fails.
+func (m *lifecycleModel) refused() bool {
+	return m.pol.refuse != nil && m.pol.refuse()
+}
+
+// place runs rule 8 for a newcomer keyed k and starts it in state if it
+// finds a place, reporting whether it did.
+func (m *lifecycleModel) place(k Key, state uint32) bool {
+	placed := !m.refused() && len(m.live) < m.limit
+	if !placed {
+		m.health[hOverflows]++
+		m.note("overflow|%s|%s", m.cls, k)
+		switch m.pol.overflow {
+		case EvictOldest:
+			if v, ok := m.victim(k.Mask); ok {
+				m.health[hEvictions]++
+				m.note("evict|%s|%s|%d", m.cls, v, m.live[v].state)
+				delete(m.live, v)
+				placed = !m.refused()
+			}
+		case QuarantineClass:
+			m.overflows++
+			if m.overflows == m.pol.quarantineAfter {
+				m.health[hQuarantines]++
+				m.note("quarantine|%s|true", m.cls)
+				m.live = map[Key]modelInst{}
+				m.quarantined = true
+				m.overflows, m.suppressed = 0, 0
+			}
+		}
+	}
+	if !placed {
+		m.failWith("overflow")
 		return false
 	}
+	m.overflows = 0
 	m.born++
 	m.live[k] = modelInst{state: state, born: m.born}
 	return true
+}
+
+// victim is EvictOldest's choice for a newcomer binding the slots in mask:
+// the oldest live instance binding exactly those slots, else the oldest
+// live instance.
+func (m *lifecycleModel) victim(mask uint32) (Key, bool) {
+	for _, sameMask := range []bool{true, false} {
+		var best Key
+		found := false
+		for k, in := range m.live {
+			if (!sameMask || k.Mask == mask) && (!found || in.born < m.live[best].born) {
+				best, found = k, true
+			}
+		}
+		if found {
+			return best, true
+		}
+	}
+	return Key{}, false
+}
+
+func (m *lifecycleModel) failWith(kind string) {
+	if m.pol.failStop && m.err == "" {
+		m.err = kind
+	}
 }
 
 func (m *lifecycleModel) taken(k Key, tr Transition, symbol string) {
@@ -124,13 +242,26 @@ func (m *lifecycleModel) taken(k Key, tr Transition, symbol string) {
 }
 
 func (m *lifecycleModel) fail(kind VerdictKind, k Key, state uint32, symbol string) {
+	m.health[hViolations]++
 	m.note("fail|%s|%s|%s|%d|%s", m.cls, kind, k, state, symbol)
+	m.failWith("violation")
 }
 
-// step applies one event. It reports whether the event violated the
-// automaton, and whether it overflowed — after which the model no longer
-// predicts the store.
-func (m *lifecycleModel) step(symbol string, flags SymbolFlags, e Key, ts TransitionSet) (violated, overflow bool) {
+// step applies one event and returns the error it must produce: "",
+// "violation" or "overflow".
+func (m *lifecycleModel) step(symbol string, flags SymbolFlags, e Key, ts TransitionSet) string {
+	m.err = ""
+	if m.quarantined {
+		if m.suppressed < m.pol.rearmEvents {
+			m.suppressed++
+			m.health[hSuppressed]++
+			return ""
+		}
+		m.quarantined = false
+		m.overflows, m.suppressed = 0, 0
+		m.note("quarantine|%s|false", m.cls)
+	}
+
 	edge := func(q uint32) *Transition {
 		for i := range ts {
 			if ts[i].From == q {
@@ -149,65 +280,63 @@ func (m *lifecycleModel) step(symbol string, flags SymbolFlags, e Key, ts Transi
 	}
 
 	var cands []Key
-	for k := range m.live {
+	born := map[Key]int{}
+	for k, in := range m.live {
 		if modelCompatible(k, e) {
 			cands = append(cands, k)
+			born[k] = in.born
 		}
 	}
-	sort.Slice(cands, func(i, j int) bool { return m.live[cands[i]].born < m.live[cands[j]].born })
+	sort.Slice(cands, func(i, j int) bool { return born[cands[i]] < born[cands[j]] })
 
 	consumed := false
 	for _, k := range cands {
-		in := m.live[k]
+		in, ok := m.live[k]
+		if m.quarantined {
+			break
+		}
+		if !ok || in.born != born[k] {
+			continue
+		}
 		tr := edge(in.state)
 		if tr == nil {
 			switch {
 			case cleanup:
 				m.fail(VerdictIncomplete, k, in.state, symbol)
-				violated = true
 			case flags&SymStrict != 0:
 				m.fail(VerdictBadTransition, k, in.state, symbol)
 				delete(m.live, k)
-				violated = true
 			}
 			continue
 		}
 		consumed = true
 		if e.Mask&^k.Mask != 0 {
 			u := modelUnion(k, e)
-			if _, ok := m.live[u]; ok {
-				continue
+			if _, ok := m.live[u]; !ok && m.place(u, tr.To) {
+				m.note("clone|%s|%s|%s|%d", m.cls, k, u, tr.To)
+				m.taken(u, *tr, symbol)
 			}
-			if !m.start(u, tr.To) {
-				return violated, true
-			}
-			m.note("clone|%s|%s|%s|%d", m.cls, k, u, tr.To)
-			m.taken(u, *tr, symbol)
 			continue
 		}
 		m.live[k] = modelInst{state: tr.To, born: in.born}
 		m.taken(k, *tr, symbol)
 	}
 
-	if !consumed {
+	if !consumed && !m.quarantined {
 		if init != nil {
 			k := modelRestrict(e, init.KeyMask)
-			if _, ok := m.live[k]; !ok {
-				if !m.start(k, init.To) {
-					return violated, true
-				}
+			if _, ok := m.live[k]; !ok && m.place(k, init.To) {
 				m.note("new|%s|%s|%d", m.cls, k, init.To)
 				m.taken(k, *init, symbol)
 			}
 		} else if flags&SymRequired != 0 && len(m.live) > 0 {
 			m.fail(VerdictNoInstance, e, 0, symbol)
-			violated = true
 		}
 	}
-	if cleanup {
-		m.reset()
+	if cleanup && !m.quarantined {
+		m.live = map[Key]modelInst{}
 	}
-	return violated, false
+	return m.err
 }
 
 // instances is the model's counterpart of instSet.
@@ -273,7 +402,22 @@ func (pc planCache) plan(cls *Class, symbol string, flags SymbolFlags, ts Transi
 	return p
 }
 
-// checkAgainstModel compares a store's observable state with the model's.
+// errKind names a store error the way the model does.
+func errKind(err error) string {
+	var v *Violation
+	switch {
+	case err == nil:
+		return ""
+	case errors.Is(err, ErrOverflow):
+		return "overflow"
+	case errors.As(err, &v):
+		return "violation"
+	}
+	return err.Error()
+}
+
+// checkAgainstModel compares a store's observable state with the model's:
+// live count, instances, quarantine, health and the notification multiset.
 func checkAgainstModel(t *testing.T, where string, s *Store, cls *Class, h *noteHandler, m *lifecycleModel) {
 	t.Helper()
 	if ls, lm := s.LiveCount(cls), len(m.live); ls != lm {
@@ -282,78 +426,89 @@ func checkAgainstModel(t *testing.T, where string, s *Store, cls *Class, h *note
 	if is, im := instSet(s, cls), m.instances(); !reflect.DeepEqual(is, im) {
 		t.Fatalf("%s: instances:\nstore: %v\nmodel: %v", where, is, im)
 	}
+	if qs, qm := s.Quarantined(cls), m.quarantined; qs != qm {
+		t.Fatalf("%s: quarantined: store %v, model %v", where, qs, qm)
+	}
+	if hs, hm := healthOf(s, cls), m.health; hs != hm {
+		t.Fatalf("%s: health [violations overflows evictions suppressed quarantines]: store %v, model %v", where, hs, hm)
+	}
 	if ns, nm := h.sorted(), m.sortedNotes(); !reflect.DeepEqual(ns, nm) {
 		t.Fatalf("%s: notifications:\nstore: %v\nmodel: %v", where, ns, nm)
 	}
 }
 
-// sawOverflow reports whether the store emitted an overflow notification.
-func sawOverflow(h *noteHandler) bool {
-	for _, n := range h.sorted() {
-		if strings.HasPrefix(n, "overflow|") {
-			return true
-		}
-	}
-	return false
+// modelCase is one TestModelDifferential configuration.
+type modelCase struct {
+	seed     int64
+	l        layout
+	failStop bool
+	batch    int // 0 = synchronous
+	overflow OverflowPolicy
+	rate     float64 // injected allocation-failure rate
 }
 
-// runModelDifferential drives one schedule through a store of layout l and
-// the model, one event at a time (batch == 0) or in UpdateBatch flushes of
-// at most batch ops, comparing after every event or flush. It reports
-// whether the schedule ran to its end without overflowing.
-func runModelDifferential(t *testing.T, seed int64, l layout, failFast bool, batch int) bool {
+func (c modelCase) String() string {
+	return fmt.Sprintf("seed %d %v failstop=%v batch %d %v allocfail=%v", c.seed, c.l, c.failStop, c.batch, c.overflow, c.rate)
+}
+
+// runModelDifferential drives one schedule through a store of the case's
+// layout and the model, one event at a time (batch == 0) or in UpdateBatch
+// flushes of at most batch ops, comparing after every event or flush to the
+// schedule's end. Store and model consult two fault injectors built from
+// the same seed, so a store that consults its injector out of the policy's
+// order diverges. It returns the model's final health.
+func runModelDifferential(t *testing.T, c modelCase) [5]uint64 {
 	t.Helper()
-	rng := rand.New(rand.NewSource(seed))
-	// Mostly roomy limits so most schedules run overflow-free to the end;
-	// every fourth schedule gets a tight one so the model's overflow
-	// prediction is exercised too.
-	limit := 24 + rng.Intn(40)
-	if seed%4 == 0 {
-		limit = 2 + rng.Intn(6)
+	rng := rand.New(rand.NewSource(c.seed))
+	// Tight limits in half the schedules so overflow is common; roomy
+	// ones in the rest so long clone chains run too.
+	limit := 2 + rng.Intn(6)
+	if c.seed%2 == 0 {
+		limit = 24 + rng.Intn(40)
 	}
 	cls := &Class{Name: "model", States: 8, Limit: limit}
 	states := uint32(3 + rng.Intn(3))
+	// Small thresholds make quarantine and re-arm reachable inside one
+	// schedule.
+	quarAfter, rearm := 1+rng.Intn(3), 1+rng.Intn(6)
+
+	injStore, injModel := faultinject.New(uint64(c.seed)), faultinject.New(uint64(c.seed))
+	injStore.SetRate(faultinject.SiteAlloc, c.rate)
+	injModel.SetRate(faultinject.SiteAlloc, c.rate)
 
 	h := &noteHandler{}
-	s := l.store(StoreOpts{Handler: h, Failure: failureFor(failFast)})
+	s := c.l.store(StoreOpts{
+		Handler: h, Failure: failureFor(c.failStop),
+		Overflow: c.overflow, QuarantineAfter: quarAfter, RearmEvents: rearm,
+		AllocFail: func(cls *Class) bool { return injStore.Should(faultinject.SiteAlloc, cls.Name) },
+	})
 	s.Register(cls)
-	m := newLifecycleModel(cls.Name, limit)
+	m := newLifecycleModel(cls.Name, limit, modelPolicy{
+		failStop: c.failStop, overflow: c.overflow, quarantineAfter: quarAfter, rearmEvents: rearm,
+		refuse: func() bool { return injModel.Should(faultinject.SiteAlloc, cls.Name) },
+	})
 
 	plans := planCache{}
 	var pending []BatchOp
-	violated, overflow := false, false
-	// settle checks the store after an event or a flush. The model's first
-	// overflow ends the comparison, once the store has reported it too.
-	settle := func(where string, err error) bool {
-		if overflow {
-			if !sawOverflow(h) {
-				t.Fatalf("%s: model overflowed, store did not", where)
-			}
-			return false
-		}
-		if (err != nil) != (failFast && violated) {
-			t.Fatalf("%s: error %v, model violated=%v", where, err, violated)
-		}
-		violated = false
-		checkAgainstModel(t, where, s, cls, h, m)
-		return true
-	}
-	flush := func(i int) bool {
+	want := "" // the model's error for the pending flush
+	flush := func(where string) {
 		if len(pending) == 0 {
-			return true
+			return
 		}
 		err := s.UpdateBatch(pending)
 		pending = pending[:0]
-		return settle(fmt.Sprintf("seed %d %v failfast=%v batch %d flush at event %d", seed, l, failFast, batch, i), err)
+		if got := errKind(err); got != want {
+			t.Fatalf("%s: flush error %q (%v), model %q", where, got, err, want)
+		}
+		want = ""
+		checkAgainstModel(t, where, s, cls, h, m)
 	}
 
 	for i, ev := range randSchedule(rng, states, 48) {
-		where := fmt.Sprintf("seed %d %v failfast=%v batch %d event %d (%s %s)", seed, l, failFast, batch, i, ev.symbol, ev.key)
+		where := fmt.Sprintf("%v event %d (%s %s)", c, i, ev.op+" "+ev.symbol, ev.key)
 		switch ev.op {
 		case "reset", "resetclass":
-			if !flush(i) {
-				return false
-			}
+			flush(where)
 			if ev.op == "reset" {
 				s.Reset()
 			} else {
@@ -364,41 +519,71 @@ func runModelDifferential(t *testing.T, seed int64, l layout, failFast bool, bat
 			continue
 		}
 		p := plans.plan(cls, ev.symbol, ev.flags, ev.ts)
-		v, o := m.step(ev.symbol, ev.flags, ev.key, ev.ts)
-		violated, overflow = violated || v, overflow || o
-		if batch == 0 {
-			if !settle(where, s.UpdateStatePlan(p, ev.key)) {
-				return false
+		got := m.step(ev.symbol, ev.flags, ev.key, ev.ts)
+		if c.batch == 0 {
+			err := s.UpdateStatePlan(p, ev.key)
+			if errKind(err) != got {
+				t.Fatalf("%s: error %q (%v), model %q", where, errKind(err), err, got)
 			}
+			checkAgainstModel(t, where, s, cls, h, m)
 			continue
 		}
+		if want == "" {
+			want = got
+		}
 		pending = append(pending, BatchOp{Plan: p, Key: ev.key})
-		if overflow || len(pending) >= batch || rng.Intn(6) == 0 {
-			if !flush(i) {
-				return false
+		if len(pending) >= c.batch || rng.Intn(6) == 0 {
+			flush(where)
+		}
+	}
+	flush(fmt.Sprintf("%v final flush", c))
+	if fs, fm := injStore.TotalFired(), injModel.TotalFired(); fs != fm {
+		t.Fatalf("%v: injector fired %d times for the store, %d for the model", c, fs, fm)
+	}
+	return m.health
+}
+
+// TestModelDifferential holds every store layout to the lifecycle model:
+// randomised schedules over the per-thread slot array and the global store
+// at 1, 2, 4, 8 and 16 stripes, both failure actions, the synchronous plane
+// and UpdateBatch at batch sizes 1, 7 and 64 (batchRunMax), all three
+// overflow policies and injected allocation failures at 0, 10% and 50%,
+// each compared on every event or flush to its end.
+func TestModelDifferential(t *testing.T) {
+	const reps = 5
+	var cases []modelCase
+	for r := 0; r < reps; r++ {
+		for _, rate := range []float64{0, 0.1, 0.5} {
+			for _, pol := range []OverflowPolicy{DropNew, EvictOldest, QuarantineClass} {
+				for _, batch := range []int{0, 1, 7, 64} {
+					for _, failStop := range []bool{false, true} {
+						for _, l := range layouts {
+							cases = append(cases, modelCase{l: l, failStop: failStop, batch: batch, overflow: pol, rate: rate})
+						}
+					}
+				}
 			}
 		}
 	}
-	return flush(48)
-}
-
-// TestModelDifferential sweeps randomised schedules over every store layout
-// (the per-thread slot array and the global store at 1, 2, 4, 8 and 16
-// stripes), both fail-fast modes, and the synchronous plane plus UpdateBatch
-// at batch sizes 1, 7 and 64 (batchRunMax), against the lifecycle model.
-func TestModelDifferential(t *testing.T) {
-	const schedules = 1440
-	clean := 0
-	for i := 0; i < schedules; i++ {
-		l := layouts[i%len(layouts)]
-		failFast := (i/len(layouts))%2 == 0
-		batch := []int{0, 1, 7, 64}[(i/(2*len(layouts)))%4]
-		if runModelDifferential(t, int64(80000+i), l, failFast, batch) {
-			clean++
+	// seen counts, per health counter, the schedules that moved it: each
+	// degradation path must actually be taken.
+	var seen [5]int
+	for i := range cases {
+		cases[i].seed = int64(80000 + i)
+		h := runModelDifferential(t, cases[i])
+		for j := range h {
+			if h[j] > 0 {
+				seen[j]++
+			}
 		}
 	}
-	if clean < 1000 {
-		t.Fatalf("only %d of %d schedules ran overflow-free to the end, want >= 1000", clean, schedules)
+	t.Logf("%d schedules compared event for event to their end; schedules with [violations overflows evictions suppressed quarantines]: %v", len(cases), seen)
+	if len(cases) < 2000 {
+		t.Fatalf("%d schedules, want >= 2000", len(cases))
 	}
-	t.Logf("%d of %d schedules compared event for event to their end; the rest up to their first overflow", clean, schedules)
+	for j, n := range seen {
+		if n < len(cases)/20 {
+			t.Fatalf("health counter %d moved in only %d of %d schedules", j, n, len(cases))
+		}
+	}
 }

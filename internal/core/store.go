@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -29,29 +30,6 @@ func (c Context) String() string {
 	default:
 		return fmt.Sprintf("Context(%d)", int(c))
 	}
-}
-
-// classState holds a class's preallocated instance block within a per-thread
-// store: a plain slot array scanned linearly, touched by one thread only and
-// therefore never locked (see shard.go for the global store's lock-striped
-// layout).
-type classState struct {
-	cls *Class
-	// insts is allocated once, at class registration, so that instance
-	// bookkeeping never allocates on monitored code paths (§4.4.1: “In
-	// the kernel we rely on preallocation to avoid dynamic allocation in
-	// code paths that do not permit it”).
-	insts []Instance
-	live  int
-
-	// quar and health are the class's degradation state and accounting
-	// under the store's supervision policy.
-	quar        quarState
-	quarantined bool
-	health      Health
-	// birthClock stamps activations so EvictOldest picks the same victim
-	// as the striped store.
-	birthClock uint64
 }
 
 // StoreOpts configures a Store beyond what NewStore exposes.
@@ -88,24 +66,23 @@ type StoreOpts struct {
 	AllocFail func(cls *Class) bool
 }
 
-// Store manages automata instances for one context. The context alone picks
-// the layout: a PerThread store keeps each class in a lock-free slot array
-// (classState, update.go), a Global store in lock-striped hash-indexed
-// shards (shardedClass, shard.go). The zero value is not usable; construct
+// Store manages automata instances for one context. Every class lives in
+// one record (classState) whichever the context; the context picks only how
+// an event reaches the record's instances: a PerThread store walks the
+// block without locks (update.go), a Global store plans lock stripes over
+// hash-indexed shards (shard.go). The zero value is not usable; construct
 // with NewStore or NewStoreOpts.
 type Store struct {
-	// mu serialises the Global store's copy-on-write registrations.
+	// mu serialises the copy-on-write registrations.
 	mu      sync.Mutex
-	context Context
 	handler Handler
 
 	// nshards is the Global store's stripe count; 0 marks a PerThread
-	// store, whose state lives in classes instead of stab.
+	// store, whose classes have no stripes.
 	nshards int
-	classes map[*Class]*classState
-	// order preserves registration order for deterministic iteration.
-	order []*classState
-	stab  atomic.Pointer[shardTable]
+	// tab is the registration snapshot, replaced copy-on-write under mu
+	// so the event path reads it lock-free.
+	tab atomic.Pointer[classTable]
 
 	// sv is the resolved supervision configuration (supervise.go).
 	sv supervision
@@ -118,11 +95,49 @@ type Store struct {
 	panicBy      map[string]uint64
 }
 
-// shardTable is the registration snapshot of a sharded store, replaced
-// copy-on-write under Store.mu so the event hot path can read it lock-free.
-type shardTable struct {
-	m     map[*Class]*shardedClass
-	order []*shardedClass
+// classTable is one registration snapshot: the classes by identity and in
+// registration order.
+type classTable struct {
+	m     map[*Class]*classState
+	order []*classState
+}
+
+// classState is one class's state in a store of either context: the
+// preallocated instance block, its live count and birth clock, the
+// supervision state, and — in a Global store only — the lock stripes with
+// their hash indexes, the free-slot bitmap and the key-mask census
+// (shard.go). A PerThread store's record has no stripes: the one thread
+// that owns it scans the block.
+type classState struct {
+	cls *Class
+	// insts is allocated once, at class registration, so that instance
+	// bookkeeping never allocates on monitored code paths (§4.4.1: “In
+	// the kernel we rely on preallocation to avoid dynamic allocation in
+	// code paths that do not permit it”).
+	insts []Instance
+	live  atomic.Int32
+	// birthClock stamps activations in creation order: event bodies
+	// drive candidates in that order and EvictOldest evicts by it.
+	birthClock atomic.Uint64
+
+	// quarantined is the lock-free fast-path bit; quar, under quarMu,
+	// holds the streak and suppression counts behind it.
+	quarantined atomic.Bool
+	quarMu      sync.Mutex
+	quar        quarState
+	// needsFlush defers the expunge of a class quarantined by an event
+	// that held only some of its stripes: slots are cleared by the first
+	// event that holds them all (lockSet escalates while the flag is
+	// set). Until then the class is logically empty.
+	needsFlush atomic.Bool
+	health     classHealth
+
+	// The striped layout (shard.go); empty in a PerThread store.
+	shards []storeShard
+	// free is the free-slot bitmap (bit set ⇒ slot free).
+	free []atomic.Uint64
+	// masks counts live instances per key mask, for lock planning.
+	masks [1 << KeySize]atomic.Int32
 }
 
 // NewStore creates a store for the given context. handler may be nil, in
@@ -136,18 +151,16 @@ func NewStoreOpts(o StoreOpts) *Store {
 	if o.Handler == nil {
 		o.Handler = NopHandler{}
 	}
-	s := &Store{context: o.Context, handler: o.Handler}
+	s := &Store{handler: o.Handler}
 	s.sv.init(o)
-	if o.Context != Global {
-		s.classes = make(map[*Class]*classState)
-		return s
+	s.tab.Store(&classTable{})
+	if o.Context == Global {
+		n := o.Shards
+		if n == 0 {
+			n = runtime.GOMAXPROCS(0)
+		}
+		s.nshards = shardCount(n)
 	}
-	n := o.Shards
-	if n == 0 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	s.nshards = shardCount(n)
-	s.stab.Store(&shardTable{})
 	return s
 }
 
@@ -166,30 +179,13 @@ func shardCount(n int) int {
 	return p
 }
 
-// Context returns the store's context.
-func (s *Store) Context() Context { return s.context }
-
 // Shards returns the number of lock stripes: 0 for a PerThread store, which
 // takes no locks.
 func (s *Store) Shards() int { return s.nshards }
 
 // Register adds a class to the store, preallocating its instance block.
 // Registering the same class twice is a no-op.
-func (s *Store) Register(cls *Class) {
-	if s.nshards > 0 {
-		s.registerSharded(cls, nil)
-		return
-	}
-	if _, ok := s.classes[cls]; ok {
-		return
-	}
-	cs := &classState{
-		cls:   cls,
-		insts: make([]Instance, cls.limit()),
-	}
-	s.classes[cls] = cs
-	s.order = append(s.order, cs)
-}
+func (s *Store) Register(cls *Class) { s.register(cls, nil) }
 
 // RegisterWithStorage registers cls using caller-supplied instance storage
 // instead of allocating its own — the §7 extension ("performance
@@ -198,7 +194,8 @@ func (s *Store) Register(cls *Class) {
 // per-object assertions, allowing assertions to be more easily tied to an
 // object's lifetime"). The slice's length is the class's instance limit for
 // this store; the caller must not touch it while the class is registered.
-// Re-registering a class replaces its storage and expunges live instances.
+// Re-registering a class replaces its storage and starts it over: live
+// instances, quarantine and health.
 func (s *Store) RegisterWithStorage(cls *Class, storage []Instance) {
 	if len(storage) == 0 {
 		s.Register(cls)
@@ -207,68 +204,74 @@ func (s *Store) RegisterWithStorage(cls *Class, storage []Instance) {
 	for i := range storage {
 		storage[i] = Instance{}
 	}
-	if s.nshards > 0 {
-		s.registerSharded(cls, storage)
+	s.register(cls, storage)
+}
+
+// register adds cls, or replaces it when storage is non-nil, in a new
+// registration snapshot.
+func (s *Store) register(cls *Class, storage []Instance) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	old := s.tab.Load()
+	if _, ok := old.m[cls]; ok && storage == nil {
 		return
 	}
-	if cs, ok := s.classes[cls]; ok {
-		// Replacing storage resets the class wholesale, like the sharded
-		// store's re-registration: supervision state starts over too.
-		cs.insts = storage
-		cs.live = 0
-		cs.clearQuarantine()
-		cs.health = Health{}
-		cs.birthClock = 0
-		return
+	if storage == nil {
+		storage = make([]Instance, cls.limit())
 	}
-	cs := &classState{cls: cls, insts: storage}
-	s.classes[cls] = cs
-	s.order = append(s.order, cs)
+	c := &classState{cls: cls, insts: storage}
+	c.initStripes(s.nshards)
+	nt := &classTable{
+		m:     make(map[*Class]*classState, len(old.m)+1),
+		order: append([]*classState(nil), old.order...),
+	}
+	for k, v := range old.m {
+		nt.m[k] = v
+	}
+	if prev, ok := old.m[cls]; ok {
+		nt.order[slices.Index(nt.order, prev)] = c
+	} else {
+		nt.order = append(nt.order, c)
+	}
+	nt.m[cls] = c
+	s.tab.Store(nt)
+}
+
+// classOf resolves a class against the current registration snapshot.
+func (s *Store) classOf(cls *Class) *classState {
+	return s.tab.Load().m[cls]
+}
+
+// classFor is classOf with implicit registration, which keeps one-off uses
+// simple; hot paths Register up front so the branch never runs.
+func (s *Store) classFor(cls *Class) *classState {
+	c := s.classOf(cls)
+	if c == nil {
+		s.Register(cls)
+		c = s.classOf(cls)
+	}
+	return c
 }
 
 // Registered reports whether cls has been registered.
-func (s *Store) Registered(cls *Class) bool {
-	if s.nshards > 0 {
-		return s.shardedClassOf(cls) != nil
-	}
-	_, ok := s.classes[cls]
-	return ok
-}
+func (s *Store) Registered(cls *Class) bool { return s.classOf(cls) != nil }
 
-// Classes returns registered classes in registration order.
-func (s *Store) Classes() []*Class {
-	if s.nshards > 0 {
-		t := s.stab.Load()
-		out := make([]*Class, len(t.order))
-		for i, sc := range t.order {
-			out[i] = sc.cls
-		}
-		return out
-	}
-	out := make([]*Class, len(s.order))
-	for i, cs := range s.order {
-		out[i] = cs.cls
-	}
-	return out
-}
-
-// Instances returns a snapshot of the live instances of cls, primarily for
-// introspection and tests. The returned values are copies: later UpdateState
-// calls mutate the store's preallocated slots in place, and a snapshot that
-// aliased them would change under the caller mid-inspection.
+// Instances returns a snapshot of the live instances of cls in slot order,
+// primarily for introspection and tests. The returned values are copies:
+// later UpdateState calls mutate the store's preallocated slots in place,
+// and a snapshot that aliased them would change under the caller
+// mid-inspection.
 func (s *Store) Instances(cls *Class) []Instance {
-	if s.nshards > 0 {
-		return s.instancesSharded(cls)
-	}
-	cs := s.classes[cls]
-	if cs == nil || cs.quarantined {
+	c := s.classOf(cls)
+	if c == nil || c.outOfService() {
 		return nil
 	}
+	c.lock(c.allMask())
+	defer c.unlock(c.allMask())
 	var out []Instance
-	for i := range cs.insts {
-		if cs.insts[i].Active {
-			inst := cs.insts[i] // copy, not alias: the slot is reused
-			out = append(out, inst)
+	for i := range c.insts {
+		if c.insts[i].Active {
+			out = append(out, c.insts[i])
 		}
 	}
 	return out
@@ -276,101 +279,115 @@ func (s *Store) Instances(cls *Class) []Instance {
 
 // LiveCount returns the number of active instances of cls.
 func (s *Store) LiveCount(cls *Class) int {
-	if s.nshards > 0 {
-		sc := s.shardedClassOf(cls)
-		if sc == nil || sc.quarantined.Load() || sc.needsFlush.Load() {
-			return 0
-		}
-		return int(sc.live.Load())
+	if c := s.classOf(cls); c != nil {
+		return c.liveCount()
 	}
-	cs := s.classes[cls]
-	if cs == nil || cs.quarantined {
-		return 0
-	}
-	return cs.live
+	return 0
 }
 
 // Reset expunges all instances of every class, as after a cleanup event.
 // Quarantined classes are silently returned to service.
 func (s *Store) Reset() {
-	if s.nshards > 0 {
-		t := s.stab.Load()
-		for _, sc := range t.order {
-			s.lockShards(sc, sc.allMask())
-			sc.expungeLocked()
-			sc.clearQuarantine()
-			s.unlockShards(sc, sc.allMask())
-		}
-		return
-	}
-	for _, cs := range s.order {
-		cs.expunge()
-		cs.clearQuarantine()
+	for _, c := range s.tab.Load().order {
+		c.reset()
 	}
 }
 
 // ResetClass expunges all instances of one class and lifts any quarantine.
 func (s *Store) ResetClass(cls *Class) {
-	if s.nshards > 0 {
-		if sc := s.shardedClassOf(cls); sc != nil {
-			s.lockShards(sc, sc.allMask())
-			sc.expungeLocked()
-			sc.clearQuarantine()
-			s.unlockShards(sc, sc.allMask())
+	if c := s.classOf(cls); c != nil {
+		c.reset()
+	}
+}
+
+// outOfService reports whether the class is logically empty: quarantined,
+// or re-armed with its expunge still deferred.
+func (c *classState) outOfService() bool {
+	return c.quarantined.Load() || c.needsFlush.Load()
+}
+
+func (c *classState) liveCount() int {
+	if c.outOfService() {
+		return 0
+	}
+	return int(c.live.Load())
+}
+
+// reset expunges the class and silently lifts any quarantine.
+func (c *classState) reset() {
+	c.lock(c.allMask())
+	c.expunge()
+	c.quarMu.Lock()
+	c.quar = quarState{}
+	c.quarantined.Store(false)
+	c.needsFlush.Store(false)
+	c.quarMu.Unlock()
+	c.unlock(c.allMask())
+}
+
+// alloc finds the lowest free slot, or -1 when the block is full. The live
+// count moves only when activate fills the slot, so a slot found and then
+// abandoned leaks nothing.
+func (c *classState) alloc() int32 {
+	if c.shards != nil {
+		return c.allocSlot()
+	}
+	for i := range c.insts {
+		if !c.insts[i].Active {
+			return int32(i)
 		}
+	}
+	return -1
+}
+
+// activate fills slot with a new instance. In a striped class the key's
+// stripe lock must be held.
+func (c *classState) activate(slot int32, state uint32, k Key) *Instance {
+	inst := &c.insts[slot]
+	*inst = Instance{State: state, Key: k, Active: true, birth: c.birthClock.Add(1)}
+	if c.shards != nil {
+		c.index(slot)
+	}
+	c.live.Add(1)
+	return inst
+}
+
+// deactivate ends the instance in slot. In a striped class the key's stripe
+// lock must be held.
+func (c *classState) deactivate(slot int32) {
+	c.live.Add(-1)
+	if c.shards != nil {
+		c.unindex(slot)
 		return
 	}
-	if cs := s.classes[cls]; cs != nil {
-		cs.expunge()
-		cs.clearQuarantine()
+	c.insts[slot].Active = false
+}
+
+// expunge ends every instance. In a striped class every stripe lock must be
+// held.
+func (c *classState) expunge() {
+	for i := range c.insts {
+		c.insts[i].Active = false
+	}
+	c.live.Store(0)
+	if c.shards != nil {
+		c.clearStripes()
 	}
 }
 
-func (cs *classState) expunge() {
-	for i := range cs.insts {
-		cs.insts[i].Active = false
+// find returns the slot of the live instance keyed exactly k, or -1. In a
+// striped class the key's stripe lock must be held.
+func (c *classState) find(k Key) int32 {
+	if c.shards != nil {
+		return c.findIn(&c.shards[c.shardOf(k)], k)
 	}
-	cs.live = 0
-}
-
-// clearQuarantine silently resets quarantine state (Reset/ResetClass and
-// storage replacement).
-func (cs *classState) clearQuarantine() {
-	cs.quar = quarState{}
-	cs.quarantined = false
-}
-
-// findExact returns the active instance with exactly the given key, or nil.
-// The scan stops once every live instance has been seen.
-func (cs *classState) findExact(key Key) *Instance {
-	seen := 0
-	for i := range cs.insts {
-		if !cs.insts[i].Active {
-			continue
-		}
-		if cs.insts[i].Key == key {
-			return &cs.insts[i]
-		}
-		if seen++; seen >= cs.live {
-			break
+	for i, n := 0, c.live.Load(); i < len(c.insts) && n > 0; i++ {
+		if c.insts[i].Active {
+			if c.insts[i].Key == k {
+				return int32(i)
+			}
+			n--
 		}
 	}
-	return nil
-}
-
-// alloc claims a free preallocated slot, or returns nil on overflow. The
-// live count is left untouched until the caller commits the slot: an error
-// path between alloc and activation must not leak the count.
-func (cs *classState) alloc() *Instance {
-	for i := range cs.insts {
-		if !cs.insts[i].Active {
-			return &cs.insts[i]
-		}
-	}
-	return nil
-}
-
-// commit accounts a slot claimed by alloc once it is activated.
-func (cs *classState) commit() {
-	cs.live++
+	return -1
 }

@@ -51,36 +51,38 @@ func TestInstancesSnapshotIsolated(t *testing.T) {
 	})
 }
 
-// TestAllocLeavesLiveUntouched is the regression test for the alloc/commit
-// split: claiming a slot must not move the live count until the caller
-// commits it, so error paths between alloc and activation cannot leak
-// counts.
+// TestAllocLeavesLiveUntouched is the regression test for the alloc/activate
+// split: finding a free slot must not move the live count until the caller
+// activates it, so error paths between the two cannot leak counts. It runs
+// on both layouts, since both share the class record.
 func TestAllocLeavesLiveUntouched(t *testing.T) {
-	cls := &Class{Name: "alloc", States: 4, Limit: 4}
-	s := NewStore(PerThread, nil)
-	s.Register(cls)
-	cs := s.classes[cls]
+	for _, l := range []layout{{PerThread, 0}, {Global, 4}} {
+		cls := &Class{Name: "alloc", States: 4, Limit: 4}
+		s := l.store(StoreOpts{})
+		s.Register(cls)
+		c := s.classOf(cls)
+		c.lock(c.allMask())
 
-	inst := cs.alloc()
-	if inst == nil {
-		t.Fatal("alloc failed on empty class")
-	}
-	if cs.live != 0 {
-		t.Fatalf("alloc moved live count to %d before commit", cs.live)
-	}
-	// Abandoning the slot (an error path) leaves the count right and the
-	// slot reusable.
-	if got := s.LiveCount(cls); got != 0 {
-		t.Fatalf("LiveCount = %d after abandoned alloc", got)
-	}
-	again := cs.alloc()
-	if again != inst {
-		t.Fatalf("abandoned slot not reused: %p vs %p", again, inst)
-	}
-	*again = Instance{State: 1, Key: NewKey(1), Active: true}
-	cs.commit()
-	if got := s.LiveCount(cls); got != 1 {
-		t.Fatalf("LiveCount = %d after commit", got)
+		slot := c.alloc()
+		if slot < 0 {
+			t.Fatalf("%v: alloc failed on empty class", l)
+		}
+		if n := c.live.Load(); n != 0 {
+			t.Fatalf("%v: alloc moved live count to %d before activation", l, n)
+		}
+		if l.ctx == Global {
+			// The striped allocator takes its slot off the free
+			// bitmap; an abandoning error path hands it back.
+			c.freeSlot(slot)
+		}
+		if got := c.alloc(); got != slot {
+			t.Fatalf("%v: abandoned slot not reused: %d vs %d", l, got, slot)
+		}
+		c.activate(slot, 1, NewKey(1))
+		c.unlock(c.allMask())
+		if got := s.LiveCount(cls); got != 1 {
+			t.Fatalf("%v: LiveCount = %d after activation", l, got)
+		}
 	}
 }
 

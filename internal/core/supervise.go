@@ -200,10 +200,8 @@ func (sv *supervision) init(o StoreOpts) {
 	sv.allocFail = o.AllocFail
 }
 
-// quarState is the quarantine bookkeeping shared by both store layouts.
-// The per-thread store mutates it directly; the sharded store guards it with
-// shardedClass.quarMu and mirrors the quarantined bit into an atomic for the
-// lock-free fast path.
+// quarState is a class's quarantine bookkeeping, guarded by
+// classState.quarMu.
 type quarState struct {
 	// streak counts consecutive overflows since the last successful
 	// allocation, reset or re-arm.
@@ -211,6 +209,175 @@ type quarState struct {
 	// suppressed counts events ignored since quarantine entry (the
 	// re-arm trigger; Health.Suppressed is the cumulative total).
 	suppressed int
+}
+
+// classHealth is a class's Health, counted atomically so that a report can
+// read it while events run.
+type classHealth struct {
+	violations  atomic.Uint64
+	overflows   atomic.Uint64
+	evictions   atomic.Uint64
+	suppressed  atomic.Uint64
+	quarantines atomic.Uint64
+}
+
+func (ch *classHealth) snapshot() Health {
+	return Health{
+		Violations:  ch.violations.Load(),
+		Overflows:   ch.overflows.Load(),
+		Evictions:   ch.evictions.Load(),
+		Suppressed:  ch.suppressed.Load(),
+		Quarantines: ch.quarantines.Load(),
+	}
+}
+
+// ---------------------------------------------------------------------------
+// The degradation decisions. Both event bodies reach a quarantined class, a
+// violation or an overflow only through quarGate, fail and claim below.
+
+// quarGate runs the quarantine fast path for one event: re-arm when due (so
+// the event that brings the class back is itself processed normally),
+// otherwise count the suppression and report true so the caller skips the
+// event. Safe both before any stripe lock (the single-event path) and while
+// holding a batch run's stripes — quarMu only ever nests inside stripe
+// locks.
+func (s *Store) quarGate(c *classState, nb *noteBuf) bool {
+	return c.quarantined.Load() && s.suppress(c, nb)
+}
+
+// suppress is quarGate's path for a quarantined class.
+func (s *Store) suppress(c *classState, nb *noteBuf) bool {
+	c.quarMu.Lock()
+	defer c.quarMu.Unlock()
+	switch {
+	case !c.quarantined.Load():
+		// Re-armed by a concurrent event; proceed.
+		return false
+	case c.quar.suppressed >= s.sv.rearmEvents:
+		c.quar = quarState{}
+		c.quarantined.Store(false)
+		nb.add(note{kind: noteQuarantine, cls: c.cls, on: false})
+		return false
+	}
+	c.quar.suppressed++
+	c.health.suppressed.Add(1)
+	return true
+}
+
+// fail records one violation: counted, reported, and under FailStop the
+// event's error unless an earlier outcome of the same event already is.
+func (s *Store) fail(c *classState, nb *noteBuf, firstErr *error, v *Violation) {
+	c.health.violations.Add(1)
+	nb.add(note{kind: noteFail, cls: c.cls, v: v})
+	if s.sv.failure == FailStop && *firstErr == nil {
+		*firstErr = v
+	}
+}
+
+// claim claims an instance slot for a new instance keyed k under the
+// store's overflow policy, or returns -1 when the instance must be dropped.
+// It consults the fault injector before the block; on overflow it records
+// one Overflow, then degrades: DropNew drops, EvictOldest evicts a victim
+// and retries once (consulting the injector again; a second failure drops
+// silently), QuarantineClass counts the streak and past the threshold takes
+// the class out of service. A successful claim ends the streak. set is the
+// stripe set the caller holds.
+func (s *Store) claim(c *classState, nb *noteBuf, firstErr *error, set uint64, k Key) int32 {
+	if c.quarantined.Load() {
+		// Entered quarantine earlier in this same event (or
+		// concurrently); no further allocation.
+		return -1
+	}
+	slot := s.tryAlloc(c)
+	if slot < 0 {
+		c.health.overflows.Add(1)
+		nb.add(note{kind: noteOverflow, cls: c.cls, key: k})
+		switch s.sv.overflow {
+		case EvictOldest:
+			if set != c.allMask() {
+				// Concurrent events consumed the free headroom
+				// lockSet justified a partial lock set with; the
+				// victim scan would touch unowned stripes. Degrade
+				// this one allocation to drop-new (the overflow is
+				// already counted). Sequentially this cannot
+				// happen: lockSet takes every stripe whenever the
+				// event alone could exhaust the block or an
+				// injector is armed.
+				break
+			}
+			if v := c.victim(k.Mask); v >= 0 {
+				ev := c.insts[v]
+				c.deactivate(v)
+				c.health.evictions.Add(1)
+				nb.add(note{kind: noteEvict, cls: c.cls, inst: ev})
+				slot = s.tryAlloc(c)
+			}
+		case QuarantineClass:
+			c.quarMu.Lock()
+			c.quar.streak++
+			if c.quar.streak >= s.sv.quarantineAfter {
+				c.quar = quarState{}
+				c.quarantined.Store(true)
+				c.health.quarantines.Add(1)
+				nb.add(note{kind: noteQuarantine, cls: c.cls, on: true})
+				// Expunge now if this event holds every stripe;
+				// otherwise the next event that does flushes.
+				if set == c.allMask() {
+					c.expunge()
+				} else {
+					c.needsFlush.Store(true)
+				}
+			}
+			c.quarMu.Unlock()
+		}
+	}
+	if slot < 0 {
+		if s.sv.failure == FailStop && *firstErr == nil {
+			*firstErr = ErrOverflow
+		}
+		return -1
+	}
+	if s.sv.overflow == QuarantineClass {
+		c.quarMu.Lock()
+		c.quar.streak = 0
+		c.quarMu.Unlock()
+	}
+	return slot
+}
+
+// tryAlloc consults the fault injector, then the block: -1 means the
+// allocation failed either way.
+func (s *Store) tryAlloc(c *classState) int32 {
+	if s.sv.allocFail != nil && s.sv.allocFail(c.cls) {
+		return -1
+	}
+	return c.alloc()
+}
+
+// victim picks EvictOldest's victim for a newcomer with key mask m: the
+// oldest live instance bound like the newcomer, else the oldest overall, or
+// -1 in an empty class. A plain class-wide minimum would sacrifice the
+// unkeyed parent first (it is the oldest by construction), killing the
+// clone source for every later binding in the bound. The caller holds
+// every stripe.
+func (c *classState) victim(m uint32) int32 {
+	same, oldest := int32(-1), int32(-1)
+	for i := range c.insts {
+		in := &c.insts[i]
+		if !in.Active {
+			continue
+		}
+		if oldest < 0 || in.birth < c.insts[oldest].birth {
+			oldest = int32(i)
+		}
+		if in.Key.Mask == m && (same < 0 || in.birth < c.insts[same].birth) {
+			same = int32(i)
+		}
+	}
+	if same >= 0 {
+		return same
+	}
+	return oldest
 }
 
 // ---------------------------------------------------------------------------
@@ -355,16 +522,11 @@ func (s *Store) handlerPanicsFor(class string) uint64 {
 // Health returns the class's degradation accounting in this store. A zero
 // Health is returned for unregistered classes.
 func (s *Store) Health(cls *Class) Health {
-	var h Health
-	if s.nshards > 0 {
-		sc := s.shardedClassOf(cls)
-		if sc == nil {
-			return h
-		}
-		h = sc.healthSnapshot()
-	} else if cs := s.classes[cls]; cs != nil {
-		h = cs.health
+	c := s.classOf(cls)
+	if c == nil {
+		return Health{}
 	}
+	h := c.health.snapshot()
 	h.HandlerPanics = s.handlerPanicsFor(cls.Name)
 	return h
 }
@@ -373,32 +535,14 @@ func (s *Store) Health(cls *Class) Health {
 // order.
 func (s *Store) HealthReport() []ClassHealth {
 	var out []ClassHealth
-	if s.nshards > 0 {
-		t := s.stab.Load()
-		for _, sc := range t.order {
-			ch := ClassHealth{
-				Class:       sc.cls.Name,
-				Quarantined: sc.quarantined.Load(),
-				Health:      sc.healthSnapshot(),
-			}
-			if !ch.Quarantined {
-				ch.Live = int(sc.live.Load())
-			}
-			ch.HandlerPanics = s.handlerPanicsFor(sc.cls.Name)
-			out = append(out, ch)
-		}
-		return out
-	}
-	for _, cs := range s.order {
+	for _, c := range s.tab.Load().order {
 		ch := ClassHealth{
-			Class:       cs.cls.Name,
-			Quarantined: cs.quarantined,
-			Health:      cs.health,
+			Class:       c.cls.Name,
+			Quarantined: c.quarantined.Load(),
+			Live:        c.liveCount(),
+			Health:      c.health.snapshot(),
 		}
-		if !cs.quarantined {
-			ch.Live = cs.live
-		}
-		ch.HandlerPanics = s.handlerPanicsFor(cs.cls.Name)
+		ch.HandlerPanics = s.handlerPanicsFor(c.cls.Name)
 		out = append(out, ch)
 	}
 	return out
@@ -406,29 +550,6 @@ func (s *Store) HealthReport() []ClassHealth {
 
 // Quarantined reports whether cls is currently quarantined in this store.
 func (s *Store) Quarantined(cls *Class) bool {
-	if s.nshards > 0 {
-		sc := s.shardedClassOf(cls)
-		return sc != nil && sc.quarantined.Load()
-	}
-	cs := s.classes[cls]
-	return cs != nil && cs.quarantined
-}
-
-// shardedHealth is the sharded store's atomic mirror of Health.
-type shardedHealth struct {
-	violations  atomic.Uint64
-	overflows   atomic.Uint64
-	evictions   atomic.Uint64
-	suppressed  atomic.Uint64
-	quarantines atomic.Uint64
-}
-
-func (sh *shardedHealth) snapshot() Health {
-	return Health{
-		Violations:  sh.violations.Load(),
-		Overflows:   sh.overflows.Load(),
-		Evictions:   sh.evictions.Load(),
-		Suppressed:  sh.suppressed.Load(),
-		Quarantines: sh.quarantines.Load(),
-	}
+	c := s.classOf(cls)
+	return c != nil && c.quarantined.Load()
 }

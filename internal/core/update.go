@@ -40,11 +40,12 @@ func (s *Store) UpdateState(cls *Class, symbol string, flags SymbolFlags, key Ke
 // regardless.
 func (s *Store) UpdateStatePlan(p *SymbolPlan, key Key) error {
 	nb := notePool.Get().(*noteBuf)
+	c := s.classFor(p.Cls)
 	var err error
 	if s.nshards > 0 {
-		err = s.updateSharded(s.shardsOf(p.Cls), p, key, nb)
+		err = s.updateSharded(c, p, key, nb)
 	} else {
-		err = s.updateSlots(s.slotsOf(p.Cls), p, key, nb)
+		err = s.updateSlots(c, p, key, nb)
 	}
 	s.dispatch(nb)
 	nb.reset()
@@ -52,170 +53,61 @@ func (s *Store) UpdateStatePlan(p *SymbolPlan, key Key) error {
 	return err
 }
 
-// slotsOf resolves cls in a per-thread store. Implicit registration keeps
-// one-off uses simple; hot paths should Register up front so the branch
-// never runs.
-func (s *Store) slotsOf(cls *Class) *classState {
-	cs := s.classes[cls]
-	if cs == nil {
-		s.Register(cls)
-		cs = s.classes[cls]
-	}
-	return cs
-}
-
-// slotCand is one pre-event live instance in the per-thread candidate
-// snapshot. The birth stamp detects a slot that was evicted and reused by
+// cand is one pre-event candidate: a live instance compatible with the
+// event key. The birth stamp detects a slot that was evicted and reused by
 // this same event: the new occupant must not be driven by it.
-type slotCand struct {
-	idx   int
+type cand struct {
+	slot  int32
 	birth uint64
 }
 
-// slotQuarGate runs the quarantine fast path for one event over a per-thread
-// store: re-arm when due (so the event that brings the class back is itself
-// processed normally), otherwise count the suppression and report true so the
-// caller skips the event.
-func (s *Store) slotQuarGate(cs *classState, nb *noteBuf) bool {
-	if !cs.quarantined {
-		return false
-	}
-	if cs.quar.suppressed >= s.sv.rearmEvents {
-		cs.quarantined = false
-		cs.quar = quarState{}
-		nb.add(note{kind: noteQuarantine, cls: cs.cls, on: false})
-		return false
-	}
-	cs.quar.suppressed++
-	cs.health.Suppressed++
-	return true
-}
-
-// slotFail records one violation on the per-thread store.
-func (s *Store) slotFail(cs *classState, nb *noteBuf, failStop bool, firstErr *error, v *Violation) {
-	cs.health.Violations++
-	nb.add(note{kind: noteFail, cls: cs.cls, v: v})
-	if failStop && *firstErr == nil {
-		*firstErr = v
-	}
-}
-
-// slotClaim claims one instance slot under the store's overflow policy. It
-// consults the fault injector first; on overflow it records one Overflow
-// note, then degrades: DropNew drops, EvictOldest sacrifices the oldest
-// instance and retries once (the retry consults the injector again; a second
-// failure drops silently), QuarantineClass counts the streak and past the
-// threshold takes the class out of service. nil means the caller must drop
-// the would-be instance.
-func (s *Store) slotClaim(cs *classState, nb *noteBuf, failStop bool, firstErr *error, k Key) *Instance {
-	cls := cs.cls
-	if cs.quarantined {
-		// Entered quarantine earlier in this same event.
+// updateSlots is the per-thread event body: the quarantine gate, then a
+// lock-free walk of the class's block for candidates, stopping at the live
+// count, then the lifecycle (drive).
+func (s *Store) updateSlots(c *classState, p *SymbolPlan, key Key, nb *noteBuf) error {
+	if s.quarGate(c, nb) {
 		return nil
 	}
-	var slot *Instance
-	if s.sv.allocFail == nil || !s.sv.allocFail(cls) {
-		slot = cs.alloc()
-	}
-	if slot == nil {
-		cs.health.Overflows++
-		nb.add(note{kind: noteOverflow, cls: cls, key: k})
-		switch s.sv.overflow {
-		case EvictOldest:
-			// Prefer the oldest victim bound like the incoming
-			// instance: a plain class-wide minimum would sacrifice
-			// the unkeyed parent first (it is the oldest by
-			// construction), killing the clone source for every
-			// later binding in the bound.
-			victim, anyVictim := -1, -1
-			for i := range cs.insts {
-				if !cs.insts[i].Active {
-					continue
-				}
-				if anyVictim < 0 || cs.insts[i].birth < cs.insts[anyVictim].birth {
-					anyVictim = i
-				}
-				if cs.insts[i].Key.Mask == k.Mask && (victim < 0 || cs.insts[i].birth < cs.insts[victim].birth) {
-					victim = i
-				}
-			}
-			if victim < 0 {
-				victim = anyVictim
-			}
-			if victim >= 0 {
-				ev := cs.insts[victim]
-				cs.insts[victim].Active = false
-				cs.live--
-				cs.health.Evictions++
-				nb.add(note{kind: noteEvict, cls: cls, inst: ev})
-				if s.sv.allocFail == nil || !s.sv.allocFail(cls) {
-					slot = cs.alloc()
-				}
-			}
-		case QuarantineClass:
-			cs.quar.streak++
-			if cs.quar.streak >= s.sv.quarantineAfter {
-				cs.expunge()
-				cs.quarantined = true
-				cs.health.Quarantines++
-				cs.quar = quarState{}
-				nb.add(note{kind: noteQuarantine, cls: cls, on: true})
+	var candBuf [DefaultInstanceLimit]cand
+	cands := candBuf[:0]
+	for i, n := 0, c.live.Load(); i < len(c.insts) && n > 0; i++ {
+		if inst := &c.insts[i]; inst.Active {
+			n--
+			if inst.Key.Compatible(key) {
+				cands = append(cands, cand{slot: int32(i), birth: inst.birth})
 			}
 		}
 	}
-	if slot == nil {
-		if failStop && *firstErr == nil {
-			*firstErr = ErrOverflow
-		}
-		return nil
-	}
-	cs.quar.streak = 0
-	return slot
+	return s.drive(c, cands, p, key, nb, 0)
 }
 
-// updateSlots is the per-thread event body: the §4.4.1 lifecycle over the
-// class's slot array, with the plan's tables answering every per-symbol
-// question. The striped body (shard.go) shares no code with it; the
-// differential suites pin the two equal, and the lifecycle model in
-// model_test.go pins both to the rules.
-func (s *Store) updateSlots(cs *classState, p *SymbolPlan, key Key, nb *noteBuf) error {
-	cls := cs.cls
-	if s.slotQuarGate(cs, nb) {
-		return nil
+// drive applies one event to its candidates — the instances live before it
+// whose keys are compatible with its key — by the lifecycle rules that
+// model_test.go states and checks, for both store layouts. set is the
+// stripe set the caller holds (0 in a PerThread store, which has no
+// stripes).
+func (s *Store) drive(c *classState, cands []cand, p *SymbolPlan, key Key, nb *noteBuf, set uint64) error {
+	// Process in creation order, whatever slots freed and reused ones
+	// hold: the outcome then depends on the event history alone, not on
+	// the slot layout. Insertion sort: lists are short and mostly sorted
+	// already, and sort.Slice would allocate on the monitored path.
+	for i := 1; i < len(cands); i++ {
+		for j := i; j > 0 && cands[j].birth < cands[j-1].birth; j-- {
+			cands[j], cands[j-1] = cands[j-1], cands[j]
+		}
 	}
 
 	var firstErr error
-	failStop := s.sv.failure == FailStop
-
-	// Snapshot the instances live before this event so that clones created
-	// below are not themselves driven by the same event. The walk stops at
-	// the live count instead of covering the whole preallocated block.
-	var candArr [DefaultInstanceLimit]slotCand
-	live := candArr[:0]
-	for i, n := 0, cs.live; i < len(cs.insts) && len(live) < n; i++ {
-		if cs.insts[i].Active {
-			live = append(live, slotCand{idx: i, birth: cs.insts[i].birth})
-		}
-	}
-	// Process in creation order, whichever slots freed and reused ones
-	// hold: the outcome then depends on the event history alone, not on
-	// the slot layout. Insertion sort, because the slot walk is already in
-	// creation order unless a freed slot was reused.
-	for i := 1; i < len(live); i++ {
-		for j := i; j > 0 && live[j].birth < live[j-1].birth; j-- {
-			live[j], live[j-1] = live[j-1], live[j]
-		}
-	}
-
 	matched := false
-	for _, c := range live {
-		inst := &cs.insts[c.idx]
-		if !inst.Active || inst.birth != c.birth {
-			// Evicted or expunged mid-event (the slot may already
-			// hold a new occupant, which this event must not drive).
-			continue
+	for _, cd := range cands {
+		if c.quarantined.Load() {
+			// The class went out of service mid-event.
+			break
 		}
-		if !compatible4(inst.Key, key) {
+		inst := &c.insts[cd.slot]
+		if !inst.Active || inst.birth != cd.birth {
+			// Evicted or killed mid-event (the slot may already hold
+			// a new occupant, which this event must not drive).
 			continue
 		}
 
@@ -226,87 +118,74 @@ func (s *Store) updateSlots(cs *classState, p *SymbolPlan, key Key, nb *noteBuf)
 				// The bound is ending but this instance is stuck
 				// in a non-accepting state: an `eventually`
 				// obligation was never satisfied.
-				s.slotFail(cs, nb, failStop, &firstErr, &Violation{Class: cls, Kind: VerdictIncomplete, Key: inst.Key, State: inst.State, Symbol: p.Symbol})
+				s.fail(c, nb, &firstErr, &Violation{Class: c.cls, Kind: VerdictIncomplete, Key: inst.Key, State: inst.State, Symbol: p.Symbol})
 			case p.Flags&SymStrict != 0:
-				s.slotFail(cs, nb, failStop, &firstErr, &Violation{Class: cls, Kind: VerdictBadTransition, Key: inst.Key, State: inst.State, Symbol: p.Symbol})
-				inst.Active = false
-				cs.live--
+				s.fail(c, nb, &firstErr, &Violation{Class: c.cls, Kind: VerdictBadTransition, Key: inst.Key, State: inst.State, Symbol: p.Symbol})
+				c.deactivate(cd.slot)
 			}
 			continue
 		}
+		// The event is consumed, whether it moves the instance, forks a
+		// clone, finds the clone live already or overflows trying.
+		matched = true
 
 		if key.Mask&^inst.Key.Mask != 0 {
-			// The event binds variables this instance has not seen
-			// (compatibility is already established): clone a more
-			// specific instance and leave the parent.
+			// The event binds variables this instance has not seen:
+			// clone a more specific instance and leave the parent.
 			newKey := union4(inst.Key, key)
-			if cs.findExact(newKey) != nil {
-				// The specific instance already exists and is
-				// processed (or was) on its own terms.
-				matched = true
+			if c.find(newKey) >= 0 {
 				continue
 			}
-			// Copy the parent before allocating: eviction may free
-			// and immediately reuse the parent's own slot.
+			// Copy the parent before claiming: eviction may free and
+			// immediately reuse the parent's own slot.
 			parent := *inst
-			clone := s.slotClaim(cs, nb, failStop, &firstErr, newKey)
-			if clone == nil {
-				continue
-			}
-			cs.birthClock++
-			*clone = Instance{State: tr.To, Key: newKey, Active: true, birth: cs.birthClock}
-			cs.commit()
-			nb.add(note{kind: noteClone, cls: cls, parent: parent, inst: *clone})
-			nb.add(note{kind: noteTransition, cls: cls, inst: *clone, from: tr.From, to: tr.To, symbol: p.Symbol})
-			matched = true
-			if tr.Cleanup() {
-				nb.add(note{kind: noteAccept, cls: cls, inst: *clone})
+			if slot := s.claim(c, nb, &firstErr, set, newKey); slot >= 0 {
+				clone := c.activate(slot, tr.To, newKey)
+				nb.add(note{kind: noteClone, cls: c.cls, parent: parent, inst: *clone})
+				took(c, nb, clone, tr, p.Symbol)
 			}
 			continue
 		}
-
-		from := inst.State
 		inst.State = tr.To
-		nb.add(note{kind: noteTransition, cls: cls, inst: *inst, from: from, to: tr.To, symbol: p.Symbol})
-		matched = true
-		if tr.Cleanup() {
-			nb.add(note{kind: noteAccept, cls: cls, inst: *inst})
-		}
+		took(c, nb, inst, tr, p.Symbol)
 	}
 
-	if !matched && !cs.quarantined {
+	if !matched && !c.quarantined.Load() {
 		if init := p.initTr(); init != nil {
 			initKey := key.project(init.KeyMask)
-			if cs.findExact(initKey) == nil {
-				if inst := s.slotClaim(cs, nb, failStop, &firstErr, initKey); inst != nil {
-					cs.birthClock++
-					*inst = Instance{State: init.To, Key: initKey, Active: true, birth: cs.birthClock}
-					cs.commit()
-					nb.add(note{kind: noteNew, cls: cls, inst: *inst})
-					nb.add(note{kind: noteTransition, cls: cls, inst: *inst, from: init.From, to: init.To, symbol: p.Symbol})
-					if init.Cleanup() {
-						nb.add(note{kind: noteAccept, cls: cls, inst: *inst})
-					}
+			if c.find(initKey) < 0 {
+				if slot := s.claim(c, nb, &firstErr, set, initKey); slot >= 0 {
+					inst := c.activate(slot, init.To, initKey)
+					nb.add(note{kind: noteNew, cls: c.cls, inst: *inst})
+					took(c, nb, inst, init, p.Symbol)
 				}
 			}
-		} else if p.Flags&SymRequired != 0 && cs.live > 0 {
+		} else if p.Flags&SymRequired != 0 && c.live.Load() > 0 {
 			// Execution reached the assertion site with bindings for
 			// which no instance exists: the events the assertion
 			// requires never happened (fig. 9 “Error”). With no live
 			// instances at all the automaton was never initialised —
 			// the event arrived outside the assertion's bound — and
 			// libtesla ignores events until the next «init».
-			s.slotFail(cs, nb, failStop, &firstErr, &Violation{Class: cls, Kind: VerdictNoInstance, Key: key, Symbol: p.Symbol})
+			s.fail(c, nb, &firstErr, &Violation{Class: c.cls, Kind: VerdictNoInstance, Key: key, Symbol: p.Symbol})
 		}
 	}
 
-	if p.cleanup && !cs.quarantined {
+	if p.cleanup && !c.quarantined.Load() {
 		// A cleanup transition resets the class: all instances are
 		// expunged and events are ignored until the next «init».
-		cs.expunge()
+		c.expunge()
 	}
-
 	return firstErr
+}
+
+// took reports inst taking edge tr: a transition, and an accept when the
+// edge finalises.
+func took(c *classState, nb *noteBuf, inst *Instance, tr *Transition, symbol string) {
+	nb.add(note{kind: noteTransition, cls: c.cls, inst: *inst, from: tr.From, to: tr.To, symbol: symbol})
+	if tr.Cleanup() {
+		nb.add(note{kind: noteAccept, cls: c.cls, inst: *inst})
+	}
 }
 
 // project restricts a key to the slots in mask.

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -308,6 +310,51 @@ func TestOverflowReported(t *testing.T) {
 	}
 }
 
+// TestDroppedCloneConsumesEvent pins lifecycle rule 3 (model_test.go): a
+// candidate whose clone the overflow policy drops has still consumed the
+// event. The event must then neither report a missing instance at a
+// required site — lost coverage is the monitor's fault, not the program's —
+// nor start an «init» instance it would not have started had the clone
+// been placed.
+func TestDroppedCloneConsumesEvent(t *testing.T) {
+	enter := TransitionSet{{From: 0, To: 1, Flags: TransInit, KeyMask: 1}, {From: 1, To: 2, KeyMask: 1}}
+	site := TransitionSet{{From: 2, To: 3, KeyMask: 1}}
+	for _, l := range layouts {
+		t.Run("site/"+l.String(), func(t *testing.T) {
+			cls := &Class{Name: "full", States: 4, Limit: 1}
+			h := &noteHandler{}
+			s := l.store(StoreOpts{Handler: h})
+			s.UpdateState(cls, "enter", 0, AnyKey, enter) // (∗) in state 1
+			s.UpdateState(cls, "enter", 0, AnyKey, enter) // (∗) moves to 2
+			// (∗) can take the site edge but its clone (5) finds no slot.
+			if err := s.UpdateState(cls, "site", SymRequired, NewKey(5), site); err != nil {
+				t.Fatal(err)
+			}
+			if hl := s.Health(cls); hl.Overflows != 1 || hl.Violations != 0 {
+				t.Fatalf("health %+v, want one overflow and no violation", hl)
+			}
+		})
+		t.Run("init/"+l.String(), func(t *testing.T) {
+			cls := &Class{Name: "refused", States: 4, Limit: 4}
+			refusals := 0
+			s := l.store(StoreOpts{AllocFail: func(*Class) bool {
+				refusals--
+				return refusals >= 0
+			}})
+			s.UpdateState(cls, "enter", 0, AnyKey, enter) // (∗) in state 1
+			// (∗) forks (3), and the injector refuses that one slot.
+			refusals = 1
+			s.UpdateState(cls, "enter", 0, NewKey(3), enter)
+			if got := instSet(s, cls); !reflect.DeepEqual(got, []string{"(∗)|1"}) {
+				t.Fatalf("instances %v, want only (∗) in state 1", got)
+			}
+			if hl := s.Health(cls); hl.Overflows != 1 {
+				t.Fatalf("health %+v, want one overflow", hl)
+			}
+		})
+	}
+}
+
 type overflowCounter struct{ n *int }
 
 func (overflowCounter) InstanceNew(*Class, *Instance)                        {}
@@ -375,6 +422,46 @@ func TestGlobalStoreConcurrency(t *testing.T) {
 	// 8 goroutines × 10 distinct keys + the (∗) parent.
 	if n := s.LiveCount(cls); n != 81 {
 		t.Fatalf("live=%d, want 81", n)
+	}
+}
+
+// TestConcurrentCensusGrowth races keyed events against the activation of
+// the instances they would project onto. An event keyed (k, v) plans its
+// stripes from the mask census; a parent (k) activated by another goroutine
+// after that plan lives in a stripe the event may not hold, while a third
+// goroutine drives (k) in place under its stripe. Under -race the event must
+// neither read that stripe's index nor drive (k).
+func TestConcurrentCensusGrowth(t *testing.T) {
+	cls := &Class{Name: "census", States: 4, Limit: 64}
+	s := NewStoreOpts(StoreOpts{Context: Global, Shards: 16})
+	s.Register(cls)
+	enter := NewSymbolPlan(cls, "enter", 0, TransitionSet{{From: 0, To: 1, Flags: TransInit, KeyMask: 1}})
+	step := NewSymbolPlan(cls, "step", 0, TransitionSet{{From: 1, To: 2, KeyMask: 1}, {From: 2, To: 1, KeyMask: 1}})
+	var wg sync.WaitGroup
+	for g := 0; g < 6; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 2000; i++ {
+				k := Value(i % 4)
+				switch g % 3 {
+				case 0:
+					if i%4 == 3 {
+						s.ResetClass(cls)
+					} else {
+						s.UpdateStatePlan(enter, NewKey(k))
+					}
+				case 1:
+					s.UpdateStatePlan(step, NewKey(k))
+				default:
+					s.UpdateStatePlan(step, NewKey(k, Value(i%3)))
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if n := s.LiveCount(cls); n > cls.Limit {
+		t.Fatalf("live %d over limit %d", n, cls.Limit)
 	}
 }
 

@@ -19,7 +19,7 @@ import "fmt"
 type Value int64
 
 // KeySize is the maximum number of variables an automaton instance may bind,
-// mirroring TESLA_KEY_SIZE in the reference libtesla implementation.
+// as TESLA_KEY_SIZE is in the reference libtesla implementation.
 const KeySize = 4
 
 // Key names an automaton instance by the variable values it has bound.
@@ -60,27 +60,31 @@ func (k Key) Set(i int, v Value) Key {
 // Bound reports whether slot i carries a value.
 func (k Key) Bound(i int) bool { return k.Mask&(1<<uint(i)) != 0 }
 
+// The key algebra below is unrolled for TESLA_KEY_SIZE = 4; force a compile
+// error if KeySize ever changes so it is revised rather than silently wrong.
+const _ = uint(KeySize-4) + uint(4-KeySize)
+
 // Compatible reports whether two keys agree on every slot bound in both.
 // An instance named (∗) is compatible with every event key; (vp₁) is
-// compatible with (vp₁) but not (vp₂).
+// compatible with (vp₁) but not (vp₂). It runs on every candidate of every
+// event, so it compares all four slots unconditionally into a mismatch mask
+// and tests that against the slots bound in both: no per-slot branches, no
+// loop.
 func (k Key) Compatible(o Key) bool {
-	common := k.Mask & o.Mask
-	for i := 0; common != 0; i++ {
-		if common&1 != 0 && k.Data[i] != o.Data[i] {
-			return false
-		}
-		common >>= 1
+	var bad uint32
+	if k.Data[0] != o.Data[0] {
+		bad = 1
 	}
-	return true
-}
-
-// SubsetOf reports whether every slot bound in k is bound in o with the same
-// value, i.e. k is at least as general as o.
-func (k Key) SubsetOf(o Key) bool {
-	if k.Mask&^o.Mask != 0 {
-		return false
+	if k.Data[1] != o.Data[1] {
+		bad |= 2
 	}
-	return k.Compatible(o)
+	if k.Data[2] != o.Data[2] {
+		bad |= 4
+	}
+	if k.Data[3] != o.Data[3] {
+		bad |= 8
+	}
+	return k.Mask&o.Mask&bad == 0
 }
 
 // Union merges two compatible keys into the most specific key agreeing with
@@ -89,19 +93,26 @@ func (k Key) Union(o Key) Key {
 	if !k.Compatible(o) {
 		panic("core: union of incompatible keys")
 	}
-	for i := 0; i < KeySize; i++ {
-		if o.Bound(i) {
-			k = k.Set(i, o.Data[i])
-		}
-	}
-	return k
+	return union4(k, o)
 }
 
-// Specializes reports whether o adds at least one binding not present in k
-// while remaining compatible — the condition under which an event causes an
-// instance to be cloned rather than updated in place (§4.4.1 “Clone”).
-func (k Key) Specializes(o Key) bool {
-	return k.Compatible(o) && o.Mask&^k.Mask != 0
+// union4 merges two keys known to be compatible, without Union's check: the
+// event bodies establish compatibility when they collect candidates.
+func union4(k, o Key) Key {
+	if o.Mask&1 != 0 {
+		k.Data[0] = o.Data[0]
+	}
+	if o.Mask&2 != 0 {
+		k.Data[1] = o.Data[1]
+	}
+	if o.Mask&4 != 0 {
+		k.Data[2] = o.Data[2]
+	}
+	if o.Mask&8 != 0 {
+		k.Data[3] = o.Data[3]
+	}
+	k.Mask |= o.Mask
+	return k
 }
 
 // String renders the key in the paper's (v₁, ∗, …) notation.

@@ -77,6 +77,58 @@ func (b BinKind) String() string {
 	return fmt.Sprintf("bin%d", int(b))
 }
 
+// EvalBin is the semantics of a binary operator over words: wrapping int64
+// arithmetic, comparisons yielding 0 or 1, bitwise logic. ok is false when
+// the operation has no value — division or remainder by zero, or an
+// unknown operator. The VM executes with it and the static checker folds
+// constants with it.
+func EvalBin(op BinKind, a, b int64) (v int64, ok bool) {
+	switch op {
+	case BinAdd:
+		return a + b, true
+	case BinSub:
+		return a - b, true
+	case BinMul:
+		return a * b, true
+	case BinDiv:
+		if b == 0 {
+			return 0, false
+		}
+		return a / b, true
+	case BinRem:
+		if b == 0 {
+			return 0, false
+		}
+		return a % b, true
+	case BinEq:
+		return b2i(a == b), true
+	case BinNe:
+		return b2i(a != b), true
+	case BinLt:
+		return b2i(a < b), true
+	case BinLe:
+		return b2i(a <= b), true
+	case BinGt:
+		return b2i(a > b), true
+	case BinGe:
+		return b2i(a >= b), true
+	case BinAnd:
+		return a & b, true
+	case BinOr:
+		return a | b, true
+	case BinXor:
+		return a ^ b, true
+	}
+	return 0, false
+}
+
+func b2i(b bool) int64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
 // AssignKind mirrors the source assignment operator on OpFieldStore.
 type AssignKind int
 

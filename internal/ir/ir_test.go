@@ -1,6 +1,7 @@
 package ir
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -147,5 +148,39 @@ func TestStructHelpers(t *testing.T) {
 	st := &StructType{Name: "s", Fields: []Field{{Name: "a", Offset: 0}, {Name: "b", Offset: 1}}}
 	if st.FieldIndex("b") != 1 || st.FieldIndex("z") != -1 || st.Size() != 2 {
 		t.Fatal("struct helpers")
+	}
+}
+
+// TestEvalBin pins the word semantics the VM executes and the static checker
+// folds with, including the operations that have no value.
+func TestEvalBin(t *testing.T) {
+	cases := []struct {
+		op   BinKind
+		a, b int64
+		want int64
+		ok   bool
+	}{
+		{BinAdd, math.MaxInt64, 1, math.MinInt64, true},
+		{BinSub, 3, 5, -2, true},
+		{BinMul, -4, 6, -24, true},
+		{BinDiv, -7, 2, -3, true},
+		{BinRem, -7, 2, -1, true},
+		{BinDiv, 1, 0, 0, false},
+		{BinRem, 1, 0, 0, false},
+		{BinEq, 2, 2, 1, true},
+		{BinNe, 2, 2, 0, true},
+		{BinLt, 1, 2, 1, true},
+		{BinLe, 2, 2, 1, true},
+		{BinGt, 1, 2, 0, true},
+		{BinGe, 1, 2, 0, true},
+		{BinAnd, 6, 3, 2, true},
+		{BinOr, 6, 3, 7, true},
+		{BinXor, 6, 3, 5, true},
+		{BinKind(99), 1, 1, 0, false},
+	}
+	for _, c := range cases {
+		if v, ok := EvalBin(c.op, c.a, c.b); v != c.want || ok != c.ok {
+			t.Errorf("EvalBin(%v, %d, %d) = %d, %v; want %d, %v", c.op, c.a, c.b, v, ok, c.want, c.ok)
+		}
 	}
 }

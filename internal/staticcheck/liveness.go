@@ -22,8 +22,9 @@ import (
 // Soundness rests on two VM facts mirrored exactly here: addresses are
 // object-granular and bounds-checked (a computed pointer can never reach
 // a stack slot whose address was not taken, so non-escaped alloca cells
-// are unaliasable), and evalBin's semantics (wrapping int64 arithmetic,
-// 0/1 comparisons, division by zero is a VM error, not a value).
+// are unaliasable), and ir.EvalBin's semantics, which the VM executes
+// (wrapping int64 arithmetic, 0/1 comparisons, division by zero is a VM
+// error, not a value).
 
 // cval is an abstract integer: a known compile-time constant or ⊤.
 type cval struct {
@@ -465,8 +466,8 @@ func (fr *frame) step(in ir.Instr) bool {
 		if (kind == ir.BinDiv || kind == ir.BinRem) && yok && y == 0 {
 			return false // the VM reports division by zero and unwinds
 		}
-		if xok && yok {
-			fr.regs[in.Dst] = foldBin(kind, x, y)
+		if v, ok := ir.EvalBin(kind, x, y); ok && xok && yok {
+			fr.regs[in.Dst] = v
 		} else {
 			delete(fr.regs, in.Dst)
 		}
@@ -477,48 +478,6 @@ func (fr *frame) step(in ir.Instr) bool {
 		}
 	}
 	return true
-}
-
-// foldBin mirrors vm.evalBin exactly for the defined cases (div/rem by
-// zero is handled — as a path end — before folding).
-func foldBin(kind ir.BinKind, a, b int64) int64 {
-	b2i := func(v bool) int64 {
-		if v {
-			return 1
-		}
-		return 0
-	}
-	switch kind {
-	case ir.BinAdd:
-		return a + b
-	case ir.BinSub:
-		return a - b
-	case ir.BinMul:
-		return a * b
-	case ir.BinDiv:
-		return a / b
-	case ir.BinRem:
-		return a % b
-	case ir.BinEq:
-		return b2i(a == b)
-	case ir.BinNe:
-		return b2i(a != b)
-	case ir.BinLt:
-		return b2i(a < b)
-	case ir.BinLe:
-		return b2i(a <= b)
-	case ir.BinGt:
-		return b2i(a > b)
-	case ir.BinGe:
-		return b2i(a >= b)
-	case ir.BinAnd:
-		return a & b
-	case ir.BinOr:
-		return a | b
-	case ir.BinXor:
-		return a ^ b
-	}
-	return 0
 }
 
 // widenBudget is how many distinct value states a (block, monitor-state)

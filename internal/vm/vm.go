@@ -259,9 +259,9 @@ func (vm *VM) call(f *ir.Func, args []int64) (ret int64, err error) {
 				}
 			}
 		case ir.OpBin:
-			v, berr := evalBin(in.Imm2Bin(), regs[in.X], regs[in.Y])
-			if berr != nil {
-				return 0, fmt.Errorf("%s: %w", f.Name, berr)
+			v, ok := ir.EvalBin(in.Imm2Bin(), regs[in.X], regs[in.Y])
+			if !ok {
+				return 0, fmt.Errorf("%s: %w", f.Name, binError(in.Imm2Bin()))
 			}
 			regs[in.Dst] = v
 		case ir.OpFnAddr:
@@ -378,50 +378,14 @@ func (vm *VM) teslaIntrinsic(in *ir.Instr, regs []int64) (int64, error) {
 	}
 }
 
-func evalBin(op ir.BinKind, a, b int64) (int64, error) {
+// binError is the VM's error for a binary operation ir.EvalBin gives no
+// value.
+func binError(op ir.BinKind) error {
 	switch op {
-	case ir.BinAdd:
-		return a + b, nil
-	case ir.BinSub:
-		return a - b, nil
-	case ir.BinMul:
-		return a * b, nil
 	case ir.BinDiv:
-		if b == 0 {
-			return 0, errors.New("vm: division by zero")
-		}
-		return a / b, nil
+		return errors.New("vm: division by zero")
 	case ir.BinRem:
-		if b == 0 {
-			return 0, errors.New("vm: modulo by zero")
-		}
-		return a % b, nil
-	case ir.BinEq:
-		return b2i(a == b), nil
-	case ir.BinNe:
-		return b2i(a != b), nil
-	case ir.BinLt:
-		return b2i(a < b), nil
-	case ir.BinLe:
-		return b2i(a <= b), nil
-	case ir.BinGt:
-		return b2i(a > b), nil
-	case ir.BinGe:
-		return b2i(a >= b), nil
-	case ir.BinAnd:
-		return a & b, nil
-	case ir.BinOr:
-		return a | b, nil
-	case ir.BinXor:
-		return a ^ b, nil
-	default:
-		return 0, fmt.Errorf("vm: bad binary op %d", int(op))
+		return errors.New("vm: modulo by zero")
 	}
-}
-
-func b2i(b bool) int64 {
-	if b {
-		return 1
-	}
-	return 0
+	return fmt.Errorf("vm: bad binary op %d", int(op))
 }
