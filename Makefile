@@ -171,23 +171,22 @@ ingest-gate:
 bench-ingest:
 	$(GO) run ./cmd/tesla-bench -fig ingest
 
-# Compiled-engine gate: the event bodies against the lifecycle model under
-# the race detector. Covers 2160 seeded schedules, each compared on every
-# event to its end, over the per-thread slot array and the global store at
-# 1-16 stripes, both failure actions, synchronous and batched at sizes
-# 1/7/64, the three overflow policies and injected allocation failures,
-# plus the cached-plan slot-array-vs-striped engine differentials (sync
-# and batched, with and without injected allocation faults), the
-# plan-lowering unit tests (state tables against the first-match scan),
-# the automaton-level lowering suite, the sequential, cold-graph and
-# warm-graph builds of one program running to the same results and
-# verdicts, and a Check+Elide build over a Check build's memory cache
-# keying every node as a cold one does (the check artifact, unhashed by
-# the first build, is hashed on the second's memory hit).
+# Compiled-engine gate, under the race detector: the cached-plan
+# slot-array-vs-striped engine differentials (sync and batched, with and
+# without injected allocation faults), the plan-lowering unit tests (state
+# tables against the first-match scan) and the automaton-level lowering
+# suite. The event bodies against the lifecycle model (TestModelDifferential)
+# run in chaos-gate, the model's home, and in `make race`. On the build
+# side: the sequential, cold-graph and warm-graph builds of one program
+# running to the same results and verdicts; a Check+Elide build over a
+# Check build's memory cache keying every node as a cold one does (the
+# check artifact, unhashed by the first build, is hashed on the second's
+# memory hit); and an assertion edit re-instrumenting every unit while
+# sharing each function the hook plan leaves alone with the previous build.
 compile-gate:
-	$(GO) test -race -count=1 ./internal/core -run 'TestModelDifferential|TestEngine|TestTransitionSet|TestInitTransition'
+	$(GO) test -race -count=1 ./internal/core -run 'TestEngine|TestTransitionSet|TestInitTransition'
 	$(GO) test -race -count=1 ./internal/automata -run 'TestEngine|TestStepUnifiedContract'
-	$(GO) test -race -count=1 ./internal/build -run 'TestGraphRunsLikeSequential|TestGraphWarmMatchesCold|TestCheckThenElideSharesCache'
+	$(GO) test -race -count=1 ./internal/build -run 'TestGraphRunsLikeSequential|TestGraphWarmMatchesCold|TestCheckThenElideSharesCache|TestAssertionEditSharesUntouchedFuncs'
 
 # Crash-consistency gate: the WAL spool's torn-tail recovery unit suite,
 # the in-process randomized crash schedules (producer/server kills and
@@ -211,13 +210,15 @@ crash-gate: build
 # 100. Re-encoding a linked program into a reused buffer allocates at
 # most once, and a built node encodes into the scheduler's pooled buffer:
 # the largest corpus program's link node, given a dependent so its hash is
-# needed, allocates no more than a one-instruction module's. The tests carry a !race build tag (sync.Pool
+# needed, allocates no more than a one-instruction module's; an instrument
+# node over a unit the hook plan leaves alone allocates as often for 64
+# functions as for 8, since it copies none of them. The tests carry a !race build tag (sync.Pool
 # drops items under the race detector), so this gate is their only CI run
 # besides `make test`.
 alloc-gate:
 	$(GO) test -count=1 ./internal/core -run '^TestUpdateBatchAllocs$$'
 	$(GO) test -count=1 ./internal/agg -run '^(TestIngestFrameAllocs|TestPublisherFlushAllocs)$$'
-	$(GO) test -count=1 ./internal/build -run '^TestEncodeModuleAllocs$$'
+	$(GO) test -count=1 ./internal/build -run '^(TestEncodeModuleAllocs|TestInstrumentUntouchedAllocs)$$'
 
 # Gate-pattern check: every -run/-fuzz/-bench alternative in this Makefile must
 # name a test or benchmark in its package (`go test -list`), so renaming or

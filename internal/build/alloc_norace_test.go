@@ -2,11 +2,13 @@
 
 package build_test
 
-// Allocation regressions for artifact encoding. The file is excluded under
+// Allocation regressions for artifact encoding and instrumentation. The file is excluded under
 // -race, where sync.Pool drops items at random, so neither the codec's
 // pooled encoder nor the scheduler's pooled buffer can stay warm.
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"tesla/internal/build"
@@ -63,4 +65,44 @@ func TestEncodeModuleAllocs(t *testing.T) {
 				size, bigAllocs, smallAllocs)
 		}
 	})
+}
+
+// TestInstrumentUntouchedAllocs: an instrument node over a unit the hook
+// plan leaves alone copies none of the unit's functions. Instrumentation
+// shares them with its input, and the node takes the compile artifact's
+// memoized optimised copies, so it makes as many allocations for 8
+// functions as for 64.
+func TestInstrumentUntouchedAllocs(t *testing.T) {
+	// The assertion hooks main, fetch and verify; the library units
+	// define none of them and call none of them.
+	prog, err := build.Run(map[string]string{"client.c": `
+int fetch(int sig) {
+	int ok = verify(sig);
+	TESLA_WITHIN(main, previously(verify(ANY(int)) == 1));
+	return ok;
+}
+int main(int sig) { return fetch(sig); }
+`}, build.Options{Instrument: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lib := func(n int) *ir.Module {
+		var src strings.Builder
+		for i := 0; i < n; i++ {
+			fmt.Fprintf(&src, "int lib_%d(int x) {\n\tint y = x * %d;\n\tif (y > 100) { y = y %% 97; }\n\treturn y + lib_%d(x);\n}\n", i, i+2, (i+1)%n)
+		}
+		res, err := build.Run(map[string]string{"lib.c": src.String()}, build.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Units[0].Module
+	}
+	small, large := build.ExecInstrumentNode(lib(8), prog.Autos), build.ExecInstrumentNode(lib(64), prog.Autos)
+	small() // warm-up: memoizes the optimised functions and grows the pooled buffer
+	large()
+	smallAllocs, largeAllocs := testing.AllocsPerRun(20, small), testing.AllocsPerRun(20, large)
+	if largeAllocs != smallAllocs {
+		t.Fatalf("instrumenting an unhooked unit allocated %.1f times for 64 functions, %.1f for 8: untouched functions are copied",
+			largeAllocs, smallAllocs)
+	}
 }

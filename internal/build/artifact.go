@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"sort"
 	"sync"
 
 	"tesla/internal/automata"
@@ -37,6 +38,12 @@ type unitArtifact struct {
 	unitOnce sync.Once
 	unitVal  *compiler.Unit
 	unitErr  error
+
+	// Module's functions optimised, memoized the same way: every
+	// instrument or strip node over this artifact, in this build or a
+	// later one, shares them for the functions its pass leaves alone.
+	optOnce sync.Once
+	optFns  []*ir.Func
 }
 
 // moduleArtifact is the product of the instrument, strip and link nodes.
@@ -100,6 +107,38 @@ func decodeModule(data []byte) (any, error) {
 	return a, nil
 }
 
+// encodeDefs: the defined-function names, sorted, each NUL-terminated.
+func encodeDefs(art any, dst []byte) ([]byte, error) {
+	defs := art.(map[string]bool)
+	names := make([]string, 0, len(defs))
+	for fn := range defs {
+		names = append(names, fn)
+	}
+	sort.Strings(names)
+	for _, fn := range names {
+		dst = append(dst, fn...)
+		dst = append(dst, 0)
+	}
+	return dst, nil
+}
+
+// decodeDefs accepts only encodeDefs's output: non-empty names in
+// strictly increasing order, each NUL-terminated.
+func decodeDefs(data []byte) (any, error) {
+	defs := map[string]bool{}
+	prev := ""
+	for len(data) > 0 {
+		i := bytes.IndexByte(data, 0)
+		if i <= 0 || (prev != "" && string(data[:i]) <= prev) {
+			return nil, errors.New("build: decode: malformed defined-function set")
+		}
+		prev = string(data[:i])
+		defs[prev] = true
+		data = data[i+1:]
+	}
+	return defs, nil
+}
+
 func encodeIface(art any, dst []byte) ([]byte, error) {
 	data, err := art.(*compiler.Interface).Encode()
 	return append(dst, data...), err
@@ -160,6 +199,28 @@ func (u *unitArtifact) parseUnit() (*compiler.Unit, error) {
 		return nil, err
 	}
 	return &compiler.Unit{Module: u.Module, Assertions: as}, nil
+}
+
+// optimize optimises m, the output of instrument.Module or
+// instrument.Strip over u's module, writing only m.Funcs. A function the
+// pass left alone is u's own pointer at the same index, and takes u's
+// memoized optimised copy; only the functions the pass rewrote or
+// generated are optimised here.
+func (u *unitArtifact) optimize(m *ir.Module) {
+	u.optOnce.Do(func() {
+		u.optFns = make([]*ir.Func, len(u.Module.Funcs))
+		for i, f := range u.Module.Funcs {
+			u.optFns[i] = ir.OptimizeFunc(f)
+		}
+	})
+	src := u.Module.Funcs
+	for i, f := range m.Funcs {
+		if i < len(src) && f == src[i] {
+			m.Funcs[i] = u.optFns[i]
+		} else {
+			m.Funcs[i] = ir.OptimizeFunc(f)
+		}
+	}
 }
 
 func (u *unitArtifact) fragment() (*manifest.File, error) {

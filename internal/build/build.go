@@ -105,10 +105,6 @@ type graphState struct {
 	ctxOnce    sync.Once
 	ctx        *compiler.Context
 	ctxErr     error
-
-	defsOnce sync.Once
-	defs     map[string]bool
-	defsFp   []byte
 }
 
 type parseEntry struct {
@@ -147,34 +143,6 @@ func (g *graphState) context() (*compiler.Context, error) {
 		g.ctx, g.ctxErr = compiler.NewContextFromInterfaces(ifaces...)
 	})
 	return g.ctx, g.ctxErr
-}
-
-// defined returns the program-wide defined-function set and its
-// fingerprint (the hash of a deterministic serialisation, used as
-// instrument/check key material). Same availability precondition as
-// context.
-func (g *graphState) defined() (map[string]bool, []byte) {
-	g.defsOnce.Do(func() {
-		g.defs = map[string]bool{}
-		for _, n := range g.ifaceNodes {
-			for _, fn := range n.art.(*compiler.Interface).Fns {
-				g.defs[fn] = true
-			}
-		}
-		names := make([]string, 0, len(g.defs))
-		for fn := range g.defs {
-			names = append(names, fn)
-		}
-		sort.Strings(names)
-		var fp []byte
-		for _, fn := range names {
-			fp = append(fp, fn...)
-			fp = append(fp, 0)
-		}
-		sum := sha256.Sum256(fp)
-		g.defsFp = sum[:]
-	})
-	return g.defs, g.defsFp
 }
 
 // Run executes the build graph over the sources.
@@ -299,9 +267,30 @@ func Run(sources map[string]string, opts Options) (*Result, error) {
 		decode: decodeManifest,
 	})
 
-	// Stage 5: automata compilation from the combined manifest.
-	var autosNode *node
+	// Stage 5: what checking and instrumentation read besides the units.
+	// The program-wide defined-function set decides each function event's
+	// caller or callee side; it depends on the interfaces alone, so it
+	// hits whenever they all do. The automata compile from the combined
+	// manifest.
+	var defsNode, autosNode *node
 	if opts.Instrument || opts.Check {
+		defsNode = add(&node{
+			id:        "defs",
+			kind:      "defs",
+			deps:      g.ifaceNodes,
+			cacheable: true,
+			run: func() (any, error) {
+				defs := map[string]bool{}
+				for _, n := range g.ifaceNodes {
+					for _, fn := range n.art.(*compiler.Interface).Fns {
+						defs[fn] = true
+					}
+				}
+				return defs, nil
+			},
+			encode: encodeDefs,
+			decode: decodeDefs,
+		})
 		autosNode = add(&node{
 			id:        "automata",
 			kind:      "automata",
@@ -352,17 +341,15 @@ func Run(sources map[string]string, opts Options) (*Result, error) {
 			decode: decodeModule,
 		})
 		checkNode = add(&node{
-			id:      "check",
-			kind:    "check",
-			deps:    []*node{rawLink, autosNode},
-			extra:   [][]byte{[]byte(opts.Entry), []byte(fmt.Sprintf("liveness=%t", !opts.NoLiveness))},
-			extraFn: func() [][]byte { _, fp := g.defined(); return [][]byte{fp} },
+			id:    "check",
+			kind:  "check",
+			deps:  []*node{rawLink, autosNode, defsNode},
+			extra: [][]byte{[]byte(opts.Entry), []byte(fmt.Sprintf("liveness=%t", !opts.NoLiveness))},
 			run: func() (any, error) {
-				defs, _ := g.defined()
 				return staticcheck.Check(
 					rawLink.art.(*moduleArtifact).Module,
 					autosNode.art.(*autosArtifact).Autos,
-					staticcheck.Options{Entry: opts.Entry, DefinedFns: defs, NoLiveness: opts.NoLiveness},
+					staticcheck.Options{Entry: opts.Entry, DefinedFns: defsNode.art.(map[string]bool), NoLiveness: opts.NoLiveness},
 				), nil
 			},
 			encode: func(art any, dst []byte) ([]byte, error) {
@@ -372,13 +359,17 @@ func Run(sources map[string]string, opts Options) (*Result, error) {
 	}
 
 	// Stage 6: per-unit instrumentation (or stripping). Deps: the unit's
-	// module, the automata (for instrumented builds), and — with elision —
-	// the checker's safe set.
+	// module, the automata and the defined-function set (for instrumented
+	// builds), and — with elision — the checker's safe set. Each node
+	// optimises only the functions its pass rewrote or generated; every
+	// other function is the compile artifact's memoised optimised copy, so
+	// re-instrumenting a unit after an assertion edit shares its untouched
+	// functions with the previous build.
 	unitNodes := make([]*node, len(g.names))
 	for i, name := range g.names {
 		i := i
 		if opts.Instrument {
-			deps := []*node{compileNodes[i], autosNode}
+			deps := []*node{compileNodes[i], autosNode, defsNode}
 			elide := opts.Elide && checkNode != nil
 			if elide {
 				deps = append(deps, checkNode)
@@ -389,24 +380,17 @@ func Run(sources map[string]string, opts Options) (*Result, error) {
 				kind:      "instrument",
 				deps:      deps,
 				extra:     [][]byte{[]byte(suffix)},
-				extraFn:   func() [][]byte { _, fp := g.defined(); return [][]byte{fp} },
 				cacheable: true,
 				run: func() (any, error) {
-					defs, _ := g.defined()
 					var elideSet map[string]bool
 					if elide {
 						elideSet = checkNode.art.(*staticcheck.Report).SafeSet()
 					}
-					m, stats, err := instrument.Module(
-						compileNodes[i].art.(*unitArtifact).Module,
+					return instrumentUnit(
+						compileNodes[i].art.(*unitArtifact),
 						autosNode.art.(*autosArtifact).Autos,
-						instrument.Options{DefinedFns: defs, Suffix: suffix, Elide: elideSet},
+						instrument.Options{DefinedFns: defsNode.art.(map[string]bool), Suffix: suffix, Elide: elideSet},
 					)
-					if err != nil {
-						return nil, err
-					}
-					ir.Optimize(m)
-					return &moduleArtifact{Module: m, Stats: stats}, nil
 				},
 				encode: encodeModule,
 				decode: decodeModule,
@@ -418,8 +402,9 @@ func Run(sources map[string]string, opts Options) (*Result, error) {
 				deps:      []*node{compileNodes[i]},
 				cacheable: true,
 				run: func() (any, error) {
-					m := instrument.Strip(compileNodes[i].art.(*unitArtifact).Module)
-					ir.Optimize(m)
+					unit := compileNodes[i].art.(*unitArtifact)
+					m := instrument.Strip(unit.Module)
+					unit.optimize(m)
 					return &moduleArtifact{Module: m}, nil
 				},
 				encode: encodeModule,
@@ -512,6 +497,17 @@ func Run(sources map[string]string, opts Options) (*Result, error) {
 	}
 	res.Program = linkNode.art.(*moduleArtifact).Module
 	return res, nil
+}
+
+// instrumentUnit is the instrument node's stage: instrument the unit's
+// module, then optimise what instrumentation rewrote or generated.
+func instrumentUnit(unit *unitArtifact, autos []*automata.Automaton, opts instrument.Options) (any, error) {
+	m, stats, err := instrument.Module(unit.Module, autos, opts)
+	if err != nil {
+		return nil, err
+	}
+	unit.optimize(m)
+	return &moduleArtifact{Module: m, Stats: stats}, nil
 }
 
 // appendSafeSet serialises a report's provably-safe automata names — the

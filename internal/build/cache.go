@@ -116,7 +116,7 @@ func (c *Cache) putDisk(key digest, data []byte) error {
 // keyVersion salts every node key; bump it when artifact encodings,
 // pipeline semantics or the key derivation change so stale caches
 // invalidate wholesale.
-const keyVersion = "tesla-build-v3"
+const keyVersion = "tesla-build-v4"
 
 // nodeKey derives a node's cache key from its kind, its literal inputs
 // (source digests, file names, pipeline options) and its dependencies'

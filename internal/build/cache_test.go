@@ -11,7 +11,9 @@ import (
 	"strings"
 	"testing"
 
+	"tesla/internal/bench"
 	"tesla/internal/build"
+	"tesla/internal/ir"
 	"tesla/internal/toolchain"
 )
 
@@ -150,6 +152,81 @@ func TestAssertionEditReinstrumentsEverything(t *testing.T) {
 		if st[id] != want {
 			t.Errorf("%s: status %s, want %s", id, st[id], want)
 		}
+	}
+}
+
+// TestAssertionEditSharesUntouchedFuncs: an assertion edit re-instruments
+// every unit, but each instrument node rebuilds only the functions the hook
+// plan touches. Every function the plan leaves alone, in this build and the
+// previous one, is the same *ir.Func in both: the compile artifact's
+// memoized optimised copy, shared instead of copied.
+func TestAssertionEditSharesUntouchedFuncs(t *testing.T) {
+	opts := build.Options{Instrument: true, Jobs: 4, Cache: build.NewCache()}
+	sources := bench.OpenSSLCodebase(6, 4)
+	// Functions with dead code: the optimiser copies these, so only the
+	// compile artifact's memoized copy keeps them shared across builds.
+	sources["util.c"] = `
+int util_scale(int a) {
+	int unused = a * 99;
+	return a * 2;
+}
+int util_mix(int a, int b) {
+	int t = a + b;
+	int dead = t * t;
+	return t % 1009;
+}
+`
+	prev, err := build.Run(sources, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sources["client.c"] = strings.Replace(sources["client.c"], ") == 1));", ") == 0));", 1)
+	next, err := build.Run(sources, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range next.Nodes {
+		if strings.HasPrefix(n.ID, "instrument:") && n.Status != build.StatusBuilt {
+			t.Errorf("%s: status %s after an assertion edit, want %s", n.ID, n.Status, build.StatusBuilt)
+		}
+	}
+	hooked := func(f *ir.Func) bool {
+		for _, b := range f.Blocks {
+			for _, in := range b.Instrs {
+				if in.Op == ir.OpCall && strings.HasPrefix(in.Sym, "__tesla") {
+					return true
+				}
+			}
+		}
+		return false
+	}
+	shared, rebuilt := 0, 0
+	for _, f := range next.Program.Funcs {
+		old := prev.Program.Func(f.Name)
+		switch {
+		case strings.HasPrefix(f.Name, "__tesla"): // generated translators
+		case hooked(f):
+			rebuilt++
+			if f == old {
+				t.Errorf("%s: hooked, but the previous build's function", f.Name)
+			}
+		case old != nil && !hooked(old):
+			shared++
+			if f != old {
+				t.Errorf("%s: the plan leaves it alone, but this build copied it", f.Name)
+			}
+		}
+	}
+	if rebuilt == 0 || shared < len(next.Program.Funcs)/2 {
+		t.Fatalf("%d shared and %d rebuilt of %d functions: the edit does not exercise sharing", shared, rebuilt, len(next.Program.Funcs))
+	}
+	// Sharing changes no byte of the program.
+	cold, err := build.Run(sources, build.Options{Instrument: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cold.Program.String() != next.Program.String() {
+		t.Fatal("the edited program differs from an uncached build")
 	}
 }
 
@@ -469,7 +546,7 @@ func TestSummaryCountsFailures(t *testing.T) {
 	if err == nil {
 		t.Fatal("want a compile error")
 	}
-	const want = "graph: 13 nodes  built=6 mem=0 disk=0 skipped=6 failed=1"
+	const want = "graph: 14 nodes  built=7 mem=0 disk=0 skipped=6 failed=1"
 	if got := res.Summary(); got != want {
 		t.Fatalf("summary\n got %q\nwant %q", got, want)
 	}

@@ -1,6 +1,10 @@
 package build
 
-import "tesla/internal/ir"
+import (
+	"tesla/internal/automata"
+	"tesla/internal/instrument"
+	"tesla/internal/ir"
+)
 
 // EncodeModuleArtifact returns the module artifact encoder bound to m, as
 // execNode calls it for instrument, strip and link nodes.
@@ -27,6 +31,32 @@ func ExecModuleNode(m *ir.Module) func() {
 		}
 		if !x.cache.mem[n.key].hashed {
 			panic("link node with a dependent did not encode its artifact")
+		}
+	}
+}
+
+// ExecInstrumentNode returns a function that runs one instrument node over
+// a compile artifact holding m, against autos, through execNode, on a
+// memory cache emptied before each call so every call misses. Every
+// function m defines counts as defined in the program. The node is given
+// a dependent, so it encodes on every call, as in a build.
+func ExecInstrumentNode(m *ir.Module, autos []*automata.Automaton) func() {
+	unit := &unitArtifact{Module: m}
+	defs := map[string]bool{}
+	for _, f := range m.Funcs {
+		defs[f.Name] = true
+	}
+	x := &exec{cache: NewCache()}
+	n := &node{id: "instrument:" + m.Name, kind: "instrument", encode: encodeModule, decode: decodeModule,
+		run: func() (any, error) {
+			return instrumentUnit(unit, autos, instrument.Options{DefinedFns: defs, Suffix: "__m0"})
+		}}
+	n.dependents = []*node{{id: "link"}}
+	return func() {
+		clear(x.cache.mem)
+		x.execNode(n)
+		if n.err != nil {
+			panic(n.err)
 		}
 	}
 }

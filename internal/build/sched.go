@@ -54,11 +54,9 @@ type node struct {
 
 	// deps are the nodes whose artifact hashes feed this node's key, in a
 	// fixed order. extra is the literal key material (source digests, file
-	// names, pipeline options); extraFn supplies key material that is only
-	// derivable after the deps completed (it must not fail).
-	deps    []*node
-	extra   [][]byte
-	extraFn func() [][]byte
+	// names, pipeline options).
+	deps  []*node
+	extra [][]byte
 
 	// cacheable gates the on-disk layer; in-memory caching always applies.
 	cacheable bool
@@ -155,11 +153,7 @@ func (x *exec) execNode(n *node) {
 			return
 		}
 	}
-	extra := n.extra
-	if n.extraFn != nil {
-		extra = append(append([][]byte{}, extra...), n.extraFn()...)
-	}
-	n.key = nodeKey(n.kind, extra, n.deps)
+	n.key = nodeKey(n.kind, n.extra, n.deps)
 	persist := n.cacheable && x.cache.dir != ""
 	needHash := persist || len(n.dependents) > 0
 

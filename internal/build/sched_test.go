@@ -91,9 +91,9 @@ func TestEveryNodeScheduledOnce(t *testing.T) {
 		}
 	}
 	// Per file: parse record + iface + compile + analyse + instrument,
-	// plus combine/automata/rawlink/check/link.
+	// plus combine/defs/automata/rawlink/check/link.
 	files := len(sources)
-	want := files /*parse*/ + 4*files + 5
+	want := files /*parse*/ + 4*files + 6
 	if len(res.Nodes) != want {
 		t.Errorf("node count = %d, want %d", len(res.Nodes), want)
 	}

@@ -78,8 +78,8 @@ func CompileFile(f *csub.File, ctx *Context) (*Unit, error) {
 		}
 		u.Module.Globals = append(u.Module.Globals, &ir.Global{Name: g.Name, Init: init})
 	}
+	c := &fnCompiler{ctx: ctx, file: f, unit: u}
 	for _, fn := range f.Funcs {
-		c := &fnCompiler{ctx: ctx, file: f, unit: u}
 		irf, err := c.compileFunc(fn)
 		if err != nil {
 			return nil, err
@@ -156,6 +156,10 @@ type fnCompiler struct {
 	cur  int  // current block index
 	done bool // current block is terminated
 	sc   *scope
+	// buf holds the current block's instructions. It is reused across
+	// blocks and functions: each block is entered once, and its
+	// instructions are copied out at their exact size when it is left.
+	buf []ir.Instr
 }
 
 func (c *fnCompiler) errf(line int, format string, args ...interface{}) error {
@@ -166,14 +170,26 @@ func (c *fnCompiler) emit(in ir.Instr) {
 	if c.done {
 		// Unreachable code after return: park it in a fresh block so
 		// the IR stays well-formed.
-		c.cur = c.fn.NewBlock("unreachable")
-		c.done = false
+		c.enter(c.fn.NewBlock("unreachable"))
 	}
-	b := c.fn.Blocks[c.cur]
-	b.Instrs = append(b.Instrs, in)
+	c.buf = append(c.buf, in)
 	switch in.Op {
 	case ir.OpBr, ir.OpCondBr, ir.OpRet:
 		c.done = true
+	}
+}
+
+// enter makes block b current, copying the block being left out of buf.
+func (c *fnCompiler) enter(b int) {
+	c.leave()
+	c.cur, c.done = b, false
+}
+
+// leave stores the current block's instructions at their exact size.
+func (c *fnCompiler) leave() {
+	if len(c.buf) > 0 {
+		c.fn.Blocks[c.cur].Instrs = append([]ir.Instr(nil), c.buf...)
+		c.buf = c.buf[:0]
 	}
 }
 
@@ -186,7 +202,8 @@ func (c *fnCompiler) emitConst(v int64) int {
 func (c *fnCompiler) compileFunc(fd *csub.FuncDef) (*ir.Func, error) {
 	c.fn = &ir.Func{Name: fd.Name, NParams: len(fd.Params)}
 	c.fn.NRegs = len(fd.Params)
-	c.cur = c.fn.NewBlock("entry")
+	c.cur, c.done = c.fn.NewBlock("entry"), false
+	c.buf = c.buf[:0]
 	c.sc = &scope{vars: map[string]varInfo{}}
 
 	// Parameters land in registers 0..n-1; spill each into an alloca so
@@ -205,6 +222,7 @@ func (c *fnCompiler) compileFunc(fd *csub.FuncDef) (*ir.Func, error) {
 		r := c.emitConst(0)
 		c.emit(ir.Instr{Op: ir.OpRet, X: r, HasX: true})
 	}
+	c.leave()
 	return c.fn, nil
 }
 
@@ -248,7 +266,7 @@ func (c *fnCompiler) compileStmt(s csub.Stmt) error {
 		joinB := c.fn.NewBlock("join")
 		c.emit(ir.Instr{Op: ir.OpCondBr, X: cond, Blk1: thenB, Blk2: elseB})
 
-		c.cur, c.done = thenB, false
+		c.enter(thenB)
 		c.pushScope()
 		if err := c.compileStmts(st.Then); err != nil {
 			return err
@@ -258,7 +276,7 @@ func (c *fnCompiler) compileStmt(s csub.Stmt) error {
 			c.emit(ir.Instr{Op: ir.OpBr, Blk1: joinB})
 		}
 
-		c.cur, c.done = elseB, false
+		c.enter(elseB)
 		c.pushScope()
 		if err := c.compileStmts(st.Else); err != nil {
 			return err
@@ -268,7 +286,7 @@ func (c *fnCompiler) compileStmt(s csub.Stmt) error {
 			c.emit(ir.Instr{Op: ir.OpBr, Blk1: joinB})
 		}
 
-		c.cur, c.done = joinB, false
+		c.enter(joinB)
 		return nil
 
 	case *csub.WhileStmt:
@@ -276,13 +294,13 @@ func (c *fnCompiler) compileStmt(s csub.Stmt) error {
 		bodyB := c.fn.NewBlock("while.body")
 		exitB := c.fn.NewBlock("while.exit")
 		c.emit(ir.Instr{Op: ir.OpBr, Blk1: headB})
-		c.cur, c.done = headB, false
+		c.enter(headB)
 		cond, _, err := c.compileExpr(st.Cond)
 		if err != nil {
 			return err
 		}
 		c.emit(ir.Instr{Op: ir.OpCondBr, X: cond, Blk1: bodyB, Blk2: exitB})
-		c.cur, c.done = bodyB, false
+		c.enter(bodyB)
 		c.pushScope()
 		if err := c.compileStmts(st.Body); err != nil {
 			return err
@@ -291,7 +309,7 @@ func (c *fnCompiler) compileStmt(s csub.Stmt) error {
 		if !c.done {
 			c.emit(ir.Instr{Op: ir.OpBr, Blk1: headB})
 		}
-		c.cur, c.done = exitB, false
+		c.enter(exitB)
 		return nil
 
 	case *csub.ReturnStmt:
@@ -633,7 +651,7 @@ func (c *fnCompiler) compileShortCircuit(x *csub.BinExpr) (int, csub.Type, error
 		c.emit(ir.Instr{Op: ir.OpCondBr, X: aBool, Blk1: joinB, Blk2: evalB})
 	}
 
-	c.cur, c.done = evalB, false
+	c.enter(evalB)
 	b, _, err := c.compileExpr(x.Y)
 	if err != nil {
 		return 0, intT, err
@@ -644,7 +662,7 @@ func (c *fnCompiler) compileShortCircuit(x *csub.BinExpr) (int, csub.Type, error
 	c.emit(ir.Instr{Op: ir.OpStore, X: res, Y: bBool})
 	c.emit(ir.Instr{Op: ir.OpBr, Blk1: joinB})
 
-	c.cur, c.done = joinB, false
+	c.enter(joinB)
 	out := c.fn.NewReg()
 	c.emit(ir.Instr{Op: ir.OpLoad, Dst: out, X: res})
 	return out, intT, nil

@@ -13,6 +13,11 @@
 // otherwise (hooks immediately before and after call sites) — or as forced
 // by the caller/callee modifiers. Instrumentation runs on unoptimised IR;
 // the optimiser runs afterwards (§4.2).
+//
+// IR is immutable once compiled (see ir.Func): Module and Strip write
+// nothing they are given. They rebuild only the functions they change and
+// share every other one with the input, so a unit's untouched functions
+// are the same pointers before and after instrumentation.
 package instrument
 
 import (
@@ -58,8 +63,11 @@ type Stats struct {
 	ElidedSites int
 }
 
-// Module instruments a clone of mod against the automata and returns it;
-// the input module is not mutated. The automata slice order must match the
+// Module instruments mod against the automata and returns the result; mod
+// is not written. Only the functions the hook plan hooks or that hold
+// assertion sites are rebuilt. Every other function is mod's own pointer,
+// at its own index: the result lists mod's functions in order, then the
+// generated event translators. The automata slice order must match the
 // order used to construct the runtime monitor (indices are compiled in).
 func Module(mod *ir.Module, autos []*automata.Automaton, opts Options) (*ir.Module, Stats, error) {
 	defined := opts.DefinedFns
@@ -70,37 +78,70 @@ func Module(mod *ir.Module, autos []*automata.Automaton, opts Options) (*ir.Modu
 		}
 	}
 	ins := &instrumenter{
-		mod:    mod.Clone(),
+		mod:    derive(mod),
 		autos:  autos,
 		plan:   automata.NewPlan(autos, defined),
 		suffix: opts.Suffix,
 		elide:  opts.Elide,
 		genned: map[string]bool{},
 	}
-	if err := ins.run(); err != nil {
-		return nil, Stats{}, err
+	for i, f := range mod.Funcs {
+		if automata.Intrinsic(f.Name) || !ins.touches(f) {
+			continue
+		}
+		ins.mod.Funcs[i] = ins.instrumentFunc(f)
 	}
 	return ins.mod, ins.stats, nil
 }
 
 // Strip removes residual assertion-site pseudo-calls, producing the
-// "Default" (uninstrumented) build used as the experimental baseline.
+// "Default" (uninstrumented) build used as the experimental baseline. Like
+// Module, it does not write mod: only functions holding sites are rebuilt,
+// and every other function is mod's own pointer, at its own index.
 func Strip(mod *ir.Module) *ir.Module {
-	out := mod.Clone()
-	for _, f := range out.Funcs {
-		for _, b := range f.Blocks {
-			kept := b.Instrs[:0]
-			for _, in := range b.Instrs {
-				if in.Op == ir.OpCall && strings.HasPrefix(in.Sym, compiler.SitePseudoFn) {
-					kept = append(kept, ir.Instr{Op: ir.OpConst, Dst: in.Dst, Imm: 0})
-					continue
-				}
-				kept = append(kept, in)
-			}
-			b.Instrs = kept
+	out := derive(mod)
+	for i, f := range mod.Funcs {
+		if !hasSite(f) {
+			continue
 		}
+		nf := &ir.Func{Name: f.Name, NParams: f.NParams, NRegs: f.NRegs, Blocks: make([]*ir.Block, len(f.Blocks))}
+		for bi, b := range f.Blocks {
+			nb := &ir.Block{Name: b.Name, Instrs: make([]ir.Instr, len(b.Instrs))}
+			for j, in := range b.Instrs {
+				if isSite(in) {
+					in = ir.Instr{Op: ir.OpConst, Dst: in.Dst, Imm: 0}
+				}
+				nb.Instrs[j] = in
+			}
+			nf.Blocks[bi] = nb
+		}
+		out.Funcs[i] = nf
 	}
 	return out
+}
+
+// derive returns a module sharing mod's types, globals and functions, with
+// a Funcs slice of its own for a pass to replace and append entries in.
+func derive(mod *ir.Module) *ir.Module {
+	return &ir.Module{Name: mod.Name, Structs: mod.Structs, Globals: mod.Globals,
+		Funcs: append([]*ir.Func(nil), mod.Funcs...)}
+}
+
+// isSite reports whether in is an assertion-site pseudo-call.
+func isSite(in ir.Instr) bool {
+	return in.Op == ir.OpCall && strings.HasPrefix(in.Sym, compiler.SitePseudoFn)
+}
+
+// hasSite reports whether f holds an assertion site.
+func hasSite(f *ir.Func) bool {
+	for _, b := range f.Blocks {
+		for _, in := range b.Instrs {
+			if isSite(in) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 type instrumenter struct {
@@ -113,30 +154,41 @@ type instrumenter struct {
 	stats  Stats
 }
 
-func (ins *instrumenter) run() error {
-	for _, f := range ins.mod.Funcs {
-		if automata.Intrinsic(f.Name) {
-			continue
-		}
-		if err := ins.instrumentFunc(f); err != nil {
-			return err
+// touches reports whether instrumentation changes f: the plan hooks its
+// entry, its returns, or a call or field store in it, or f holds an
+// assertion site. Elided hooks count too, since their stats are kept.
+func (ins *instrumenter) touches(f *ir.Func) bool {
+	if len(ins.plan.Entry(f.Name, f.NParams)) > 0 || len(ins.plan.Return(f.Name, f.NParams)) > 0 {
+		return true
+	}
+	for _, b := range f.Blocks {
+		for _, in := range b.Instrs {
+			switch in.Op {
+			case ir.OpCall:
+				if isSite(in) || len(ins.plan.BeforeCall(in.Sym, len(in.Args))) > 0 ||
+					len(ins.plan.AfterCall(in.Sym, len(in.Args))) > 0 {
+					return true
+				}
+			case ir.OpFieldStore:
+				if len(ins.plan.FieldStore(in.Struct.Name, in.Struct.Fields[in.Field].Name, in.Assign)) > 0 {
+					return true
+				}
+			}
 		}
 	}
-	return nil
+	return false
 }
 
-// instrumentFunc emits the plan's hooks for f in the plan's order: at
-// entry, bound begins, then events, then call-kind bound ends; before each
-// return, events, then return-kind bound ends, then return-kind bound
-// begins; around each call site and after each field store, the events
-// observed there.
-func (ins *instrumenter) instrumentFunc(f *ir.Func) error {
+// instrumentFunc returns a new function: f with the plan's hooks, in the
+// plan's order. At entry: bound begins, then events, then call-kind bound
+// ends. Before each return: events, then return-kind bound ends, then
+// return-kind bound begins. Around each call site and after each field
+// store: the events observed there.
+func (ins *instrumenter) instrumentFunc(src *ir.Func) *ir.Func {
+	f := &ir.Func{Name: src.Name, NParams: src.NParams, NRegs: src.NRegs, Blocks: make([]*ir.Block, len(src.Blocks))}
 	var entry []ir.Instr
 	for _, h := range ins.plan.Entry(f.Name, f.NParams) {
 		ins.hook(&entry, f, h, paramRegs)
-	}
-	if len(entry) > 0 {
-		f.Blocks[0].Instrs = append(entry, f.Blocks[0].Instrs...)
 	}
 	ret := ins.plan.Return(f.Name, f.NParams)
 	for _, h := range ret {
@@ -147,8 +199,11 @@ func (ins *instrumenter) instrumentFunc(f *ir.Func) error {
 		}
 	}
 
-	for _, blk := range f.Blocks {
+	for bi, blk := range src.Blocks {
 		out := make([]ir.Instr, 0, len(blk.Instrs))
+		if bi == 0 {
+			out = append(out, entry...)
+		}
 		for _, in := range blk.Instrs {
 			switch in.Op {
 			case ir.OpRet:
@@ -166,12 +221,8 @@ func (ins *instrumenter) instrumentFunc(f *ir.Func) error {
 				out = append(out, in)
 
 			case ir.OpCall:
-				if strings.HasPrefix(in.Sym, compiler.SitePseudoFn) {
-					site, err := ins.siteCall(in, f)
-					if err != nil {
-						return err
-					}
-					out = append(out, site...)
+				if isSite(in) {
+					out = append(out, ins.siteCall(in))
 					continue
 				}
 				args := func(n int) []int { return append([]int{}, in.Args[:n]...) }
@@ -200,9 +251,9 @@ func (ins *instrumenter) instrumentFunc(f *ir.Func) error {
 				out = append(out, in)
 			}
 		}
-		blk.Instrs = out
+		f.Blocks[bi] = &ir.Block{Name: blk.Name, Instrs: out}
 	}
-	return nil
+	return f
 }
 
 // hook lowers one planned hook in f to a call appended to *out, or counts
@@ -238,8 +289,9 @@ func paramRegs(n int) []int {
 
 // siteCall replaces a __tesla_inline_assertion pseudo-call with a call to
 // the __tesla_site intrinsic for the matching automaton. Assertions with no
-// automaton in this build are removed (their Dst is fed a constant).
-func (ins *instrumenter) siteCall(in ir.Instr, f *ir.Func) ([]ir.Instr, error) {
+// automaton in this build, or an elided one, are removed (their Dst is fed
+// a constant).
+func (ins *instrumenter) siteCall(in ir.Instr) ir.Instr {
 	name := strings.TrimPrefix(in.Sym, compiler.SitePseudoFn+":")
 	for ai, a := range ins.autos {
 		if a.Name == name {
@@ -248,17 +300,17 @@ func (ins *instrumenter) siteCall(in ir.Instr, f *ir.Func) ([]ir.Instr, error) {
 				break
 			}
 			ins.stats.Sites++
-			return []ir.Instr{{
+			return ir.Instr{
 				Op:   ir.OpCall,
 				Dst:  in.Dst,
 				Sym:  "__tesla_site",
 				Imm:  int64(ai),
 				Args: in.Args,
 				Line: in.Line,
-			}}, nil
+			}
 		}
 	}
-	return []ir.Instr{{Op: ir.OpConst, Dst: in.Dst, Imm: 0}}, nil
+	return ir.Instr{Op: ir.OpConst, Dst: in.Dst, Imm: 0}
 }
 
 // translator returns (generating on first use) the event-translator

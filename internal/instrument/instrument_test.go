@@ -94,6 +94,63 @@ func TestCalleeSideHooks(t *testing.T) {
 	}
 }
 
+// TestPassesShareUntouchedFuncs: Module and Strip write nothing they are
+// given and copy only what they change. A function the plan does not hook
+// and that holds no site is the input's own pointer, at its own index; a
+// hooked one is a new function. The input module encodes to the same
+// bytes before and after both passes.
+func TestPassesShareUntouchedFuncs(t *testing.T) {
+	src := `
+int check(int vp) { return 0; }
+int helper(int x) {
+	int y = x * 2;
+	return y + 1;
+}
+int body(int vp) {
+	TESLA_SYSCALL_PREVIOUSLY(check(vp) == 0);
+	return helper(vp);
+}
+int amd64_syscall(int vp) {
+	int c = check(vp);
+	return body(vp);
+}
+`
+	u, ctx := compileUnit(t, src)
+	auto, err := automata.Compile(u.Assertions[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := u.Module.AppendBinary(nil)
+	m, _, err := Module(u.Module, []*automata.Automaton{auto}, Options{DefinedFns: ctx.DefinedFns()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := u.Module.AppendBinary(nil); string(got) != string(before) {
+		t.Fatal("Module mutated the input module")
+	}
+	s := Strip(u.Module)
+	if got := u.Module.AppendBinary(nil); string(got) != string(before) {
+		t.Fatal("Strip mutated the input module")
+	}
+	if len(m.Funcs) <= len(u.Module.Funcs) {
+		t.Fatalf("instrumented module has %d functions, input %d: no translators", len(m.Funcs), len(u.Module.Funcs))
+	}
+	// check gets an exit hook, body holds the site, amd64_syscall bounds
+	// the assertion; the plan leaves helper alone. Strip rebuilds body only.
+	hooked := map[string]bool{"check": true, "body": true, "amd64_syscall": true}
+	for i, f := range u.Module.Funcs {
+		if m.Funcs[i].Name != f.Name {
+			t.Fatalf("instrumented function %d is %s, want %s at the input's index", i, m.Funcs[i].Name, f.Name)
+		}
+		if shared := m.Funcs[i] == f; shared == hooked[f.Name] {
+			t.Errorf("Module: %s shared with the input = %t, want %t", f.Name, shared, !hooked[f.Name])
+		}
+		if shared := s.Funcs[i] == f; shared == (f.Name == "body") {
+			t.Errorf("Strip: %s shared with the input = %t, want %t", f.Name, shared, f.Name != "body")
+		}
+	}
+}
+
 func TestCallerSideForUndefinedFn(t *testing.T) {
 	src := `
 int body(int vp) {

@@ -167,6 +167,12 @@ type Block struct {
 }
 
 // Func is an IR function. Parameters arrive in registers 0..NParams-1.
+//
+// A function and its blocks are immutable once the pass that built them
+// returns it. A later pass that changes a function builds a new one (which
+// may share the blocks it leaves alone) and puts it in its own module's
+// Funcs, so modules from different passes and builds share every function
+// neither changed. NewReg and NewBlock are for the pass building f.
 type Func struct {
 	Name    string
 	NParams int
@@ -285,26 +291,4 @@ func Link(name string, mods ...*Module) (*Module, error) {
 		}
 	}
 	return out, nil
-}
-
-// Clone deep-copies a module so instrumentation can run without mutating
-// the front-end's output (needed for clean incremental-rebuild semantics).
-func (m *Module) Clone() *Module {
-	out := &Module{Name: m.Name, Structs: m.Structs}
-	out.Globals = append([]*Global(nil), m.Globals...)
-	for _, f := range m.Funcs {
-		nf := &Func{Name: f.Name, NParams: f.NParams, NRegs: f.NRegs}
-		for _, b := range f.Blocks {
-			nb := &Block{Name: b.Name, Instrs: make([]Instr, len(b.Instrs))}
-			copy(nb.Instrs, b.Instrs)
-			for i := range nb.Instrs {
-				if nb.Instrs[i].Args != nil {
-					nb.Instrs[i].Args = append([]int(nil), nb.Instrs[i].Args...)
-				}
-			}
-			nf.Blocks = append(nf.Blocks, nb)
-		}
-		out.Funcs = append(out.Funcs, nf)
-	}
-	return out
 }

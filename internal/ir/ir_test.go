@@ -65,20 +65,6 @@ func TestLinkConflicts(t *testing.T) {
 	}
 }
 
-func TestCloneIsDeep(t *testing.T) {
-	m := sampleModule("m")
-	m.Funcs[0].Blocks[0].Instrs[0].Args = []int{1, 2}
-	c := m.Clone()
-	c.Funcs[0].Blocks[0].Instrs[0].Imm = 99
-	c.Funcs[0].Blocks[0].Instrs[0].Args[0] = 99
-	if m.Funcs[0].Blocks[0].Instrs[0].Imm == 99 {
-		t.Fatal("clone shares instruction storage")
-	}
-	if m.Funcs[0].Blocks[0].Instrs[0].Args[0] == 99 {
-		t.Fatal("clone shares args storage")
-	}
-}
-
 func TestPrintCoversOpcodes(t *testing.T) {
 	st := &StructType{Name: "s", Fields: []Field{{Name: "f", Offset: 0}}}
 	f := &Func{Name: "all", NParams: 0}
@@ -139,8 +125,17 @@ func TestOptimizeRemovesUnreachableProducers(t *testing.T) {
 	}
 	m := &Module{Name: "m", Funcs: []*Func{f}}
 	Optimize(m)
-	if n := len(f.Blocks[0].Instrs); n != 2 {
+	if n := len(m.Funcs[0].Blocks[0].Instrs); n != 2 {
 		t.Fatalf("instructions after DCE = %d", n)
+	}
+	// Functions are immutable once compiled: the optimiser replaces the
+	// module's entry and leaves the function it was given alone.
+	if n := len(f.Blocks[0].Instrs); n != 4 {
+		t.Fatalf("Optimize rewrote its input: %d instructions left of 4", n)
+	}
+	// A function with nothing dead is kept as it is, not copied.
+	if g := m.Funcs[0]; OptimizeFunc(g) != g {
+		t.Fatal("OptimizeFunc copied a function with no dead instructions")
 	}
 }
 

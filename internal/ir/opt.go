@@ -7,35 +7,58 @@ package ir
 // (the front-end emits temporaries freely) and folds constant conditional
 // branches. Virtual registers are single-assignment for temporaries, so a
 // use count is sufficient for liveness.
+//
+// Functions are immutable once compiled: Optimize writes no *Func it is
+// given. It replaces m.Funcs[i] with OptimizeFunc's result, so the caller's
+// module must own its Funcs slice.
 func Optimize(m *Module) {
-	for _, f := range m.Funcs {
-		optimizeFunc(f)
+	for i, f := range m.Funcs {
+		m.Funcs[i] = OptimizeFunc(f)
 	}
 }
 
-func optimizeFunc(f *Func) {
+// OptimizeFunc returns f without its dead instructions: f itself when
+// nothing is dead, otherwise a new function. Blocks that lose nothing are
+// shared with f; f is never written.
+func OptimizeFunc(f *Func) *Func {
+	n := 0
+	for _, b := range f.Blocks {
+		n += len(b.Instrs)
+	}
+	// dead flags instructions in block order across the whole function.
+	dead := make([]bool, n)
+	used := make([]int, f.NRegs)
+	escaped := make([]bool, f.NRegs)
+	isAlloca := make([]bool, f.NRegs)
+	mark := func(r int) {
+		if r >= 0 && r < len(used) {
+			used[r]++
+		}
+	}
+	escape := func(r int) {
+		mark(r)
+		if r >= 0 && r < len(escaped) {
+			escaped[r] = true
+		}
+	}
+	deadAlloca := func(r int) bool {
+		return r >= 0 && r < len(isAlloca) && isAlloca[r] && !escaped[r]
+	}
+	ndead := 0
 	for {
-		changed := false
-
-		// Use counts over the whole function; storeOnly tracks allocas
-		// whose address never escapes a plain store — their stores are
-		// dead (dead-local elimination).
-		used := make([]int, f.NRegs)
-		escaped := make([]bool, f.NRegs)
-		isAlloca := make([]bool, f.NRegs)
-		mark := func(r int) {
-			if r >= 0 && r < len(used) {
-				used[r]++
-			}
-		}
-		escape := func(r int) {
-			mark(r)
-			if r >= 0 && r < len(escaped) {
-				escaped[r] = true
-			}
-		}
+		// Use counts over the live instructions; escaped tracks allocas
+		// whose address reaches anything but a plain store — stores into
+		// the others are dead (dead-local elimination).
+		clear(used)
+		clear(escaped)
+		clear(isAlloca)
+		i := 0
 		for _, b := range f.Blocks {
 			for _, in := range b.Instrs {
+				i++
+				if dead[i-1] {
+					continue
+				}
 				switch in.Op {
 				case OpAlloca:
 					if in.Dst >= 0 && in.Dst < len(isAlloca) {
@@ -64,35 +87,59 @@ func optimizeFunc(f *Func) {
 				}
 			}
 		}
-		deadAlloca := func(r int) bool {
-			return r >= 0 && r < len(isAlloca) && isAlloca[r] && !escaped[r]
-		}
 
+		prev := ndead
+		i = 0
 		for _, b := range f.Blocks {
-			out := b.Instrs[:0]
 			for _, in := range b.Instrs {
-				dead := false
-				switch in.Op {
-				case OpConst, OpFnAddr, OpGlobalAddr, OpFieldAddr, OpAllocHeap, OpLoad, OpBin:
-					// Pure producers: dead when the result is unused.
-					dead = in.Dst >= 0 && used[in.Dst] == 0
-				case OpAlloca:
-					dead = in.Dst >= 0 && (used[in.Dst] == 0 || deadAlloca(in.Dst))
-				case OpStore:
-					// A store into a never-loaded local is dead.
-					dead = deadAlloca(in.X)
+				if !dead[i] {
+					switch in.Op {
+					case OpConst, OpFnAddr, OpGlobalAddr, OpFieldAddr, OpAllocHeap, OpLoad, OpBin:
+						// Pure producers: dead when the result is unused.
+						dead[i] = in.Dst >= 0 && used[in.Dst] == 0
+					case OpAlloca:
+						dead[i] = in.Dst >= 0 && (used[in.Dst] == 0 || deadAlloca(in.Dst))
+					case OpStore:
+						// A store into a never-loaded local is dead.
+						dead[i] = deadAlloca(in.X)
+					}
+					if dead[i] {
+						ndead++
+					}
 				}
-				if dead {
-					changed = true
-					continue
-				}
-				out = append(out, in)
+				i++
 			}
-			b.Instrs = out
 		}
-
-		if !changed {
-			return
+		if ndead == prev {
+			break
 		}
 	}
+	if ndead == 0 {
+		return f
+	}
+
+	out := &Func{Name: f.Name, NParams: f.NParams, NRegs: f.NRegs, Blocks: make([]*Block, len(f.Blocks))}
+	i := 0
+	for bi, b := range f.Blocks {
+		live := 0
+		for j := range b.Instrs {
+			if !dead[i+j] {
+				live++
+			}
+		}
+		if live == len(b.Instrs) {
+			out.Blocks[bi] = b
+			i += len(b.Instrs)
+			continue
+		}
+		nb := &Block{Name: b.Name, Instrs: make([]Instr, 0, live)}
+		for _, in := range b.Instrs {
+			if !dead[i] {
+				nb.Instrs = append(nb.Instrs, in)
+			}
+			i++
+		}
+		out.Blocks[bi] = nb
+	}
+	return out
 }
