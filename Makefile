@@ -62,8 +62,10 @@ check: build
 # Soundness differential for the liveness refinement: every corpus
 # program is executed under the real VM/monitor across an input range; a
 # liveness-PROVABLY-SAFE assertion must never record a runtime violation,
-# and its hooks must actually be elided. TestHookOrderAgrees pins the hook
-# order the checker and the instrumenter share to the monitor's own.
+# and its hooks must actually be elided. TestHookOrderAgrees holds the three
+# readers of the one hook plan (the instrumenter's VM build, the monitor's
+# name-driven dispatch and the checker) to one answer, with one assertion
+# or two sharing a bound, lazy initialisation on and off.
 liveness-gate:
 	$(GO) test -count=1 ./internal/staticcheck -run 'TestLivenessGate|TestVerdictSoundness'
 	$(GO) test -count=1 ./internal/toolchain -run 'TestHookOrderAgrees'
@@ -212,13 +214,16 @@ crash-gate: build
 # the largest corpus program's link node, given a dependent so its hash is
 # needed, allocates no more than a one-instruction module's; an instrument
 # node over a unit the hook plan leaves alone allocates as often for 64
-# functions as for 8, since it copies none of them. The tests carry a !race build tag (sync.Pool
-# drops items under the race detector), so this gate is their only CI run
-# besides `make test`.
+# functions as for 8, since it copies none of them. The monitor's
+# name-driven Call/Return/Site path allocates only its variadic value
+# slices, however many automata share the bound slot it fires. The tests
+# carry a !race build tag (sync.Pool drops items under the race detector),
+# so this gate is their only CI run besides `make test`.
 alloc-gate:
 	$(GO) test -count=1 ./internal/core -run '^TestUpdateBatchAllocs$$'
 	$(GO) test -count=1 ./internal/agg -run '^(TestIngestFrameAllocs|TestPublisherFlushAllocs)$$'
 	$(GO) test -count=1 ./internal/build -run '^(TestEncodeModuleAllocs|TestInstrumentUntouchedAllocs)$$'
+	$(GO) test -count=1 ./internal/monitor -run '^TestNameDrivenAllocs$$'
 
 # Gate-pattern check: every -run/-fuzz/-bench alternative in this Makefile must
 # name a test or benchmark in its package (`go test -list`), so renaming or

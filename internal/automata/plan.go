@@ -13,40 +13,71 @@ type HookKind uint8
 const (
 	// HookEvent delivers Hook.Sym (through its event translator).
 	HookEvent HookKind = iota
-	// HookBoundBegin opens the automaton's bound («init»).
+	// HookBoundBegin opens a bound slot («init»).
 	HookBoundBegin
-	// HookBoundEnd closes the automaton's bound («cleanup»).
+	// HookBoundEnd closes a bound slot («cleanup»).
 	HookBoundEnd
 )
 
-// Hook is one automaton event observed at one instrumentation point.
+// Hook is one automaton event observed at one program point.
 type Hook struct {
-	Auto int // index into the automata slice the plan was built from
+	// Auto indexes the automata slice the plan was built from: an event
+	// hook's automaton, or a bound hook's slot's first automaton.
+	Auto int
 	Kind HookKind
 	Sym  *Symbol // HookEvent only
-	Slot int     // bound slot (BoundSlots); bound hooks only
+	// Side is where compiled code observes an event hook at a function
+	// point: spec.SideCallee (the entry block, or before each return) or
+	// spec.SideCaller (around each call site). Bound hooks are callee-side.
+	Side spec.InstrSide
+	// Slot and Autos: a bound hook's slot, and every automaton sharing
+	// it, in order. One bound hook stands for the whole slot.
+	Slot  int
+	Autos []int
 }
+
+// Point is a kind of named program point that hooks fire at.
+type Point uint8
+
+const (
+	// AtCall is entry into a function, by name.
+	AtCall Point = iota
+	// AtReturn is return from a function.
+	AtReturn
+	// AtSend is an Objective-C message send, by selector.
+	AtSend
+	// AtSendReturn is the return of a message send.
+	AtSendReturn
+	numPoints
+)
 
 // Plan is the single definition of which automaton events fire where in a
 // program (§4.2) and in what order. The instrumenter emits exactly these
-// hooks, and the static checker abstracts the program over exactly these
-// points, so elision is sound by construction.
+// hooks, the static checker abstracts the program over exactly these
+// points, and the monitor dispatches name-driven events through them, so
+// elision is sound and compiled and name-driven runs agree by
+// construction.
 //
-// A function event is observed in the callee (entry block, before each
-// return) when the function is defined in the program, and around its call
-// sites otherwise, unless a caller/callee modifier forces the side. An
-// event matches only where at least as many arguments are available as it
-// has patterns. Calls to intrinsics are never observed.
+// Each function point holds one table, in order: at a call, bound begins,
+// then events, then call-kind bound ends; at a return, events, then
+// return-kind bound ends, then return-kind bound begins. Within each
+// group, hooks follow automaton order and then symbol order; a bound slot
+// shared by several automata has one hook, where its first automaton's
+// would be. The monitor reads whole tables, firing each bound slot once.
 //
-// Hooks at one point run in the monitor's dispatch order (monitor.Thread
-// Call and Return): at entry, bound begins, then events, then call-kind
-// bound ends; at return, events, then return-kind bound ends, then
-// return-kind bound begins. Within each group, hooks follow automaton order
-// and then symbol order.
+// Compiled code splits each table by Side. A function event is observed in
+// the callee (entry block, before each return) when the function is
+// defined in the program, and around its call sites otherwise, unless a
+// caller/callee modifier forces the side. An event matches only where at
+// least as many arguments are available as it has patterns. Calls to
+// intrinsics are never observed. Message sends are observed by the
+// monitor only.
 type Plan struct {
-	entry, ret    map[string][]Hook // callee side, by function
-	before, after map[string][]Hook // caller side, by callee
-	field         map[fieldKey][]Hook
+	points [numPoints]map[string][]Hook
+	field  map[fieldKey][]Hook
+	stack  [][]*Symbol // per automaton: its incallstack symbols
+	slot   []int       // per automaton: its bound slot
+	slots  [][]int     // per bound slot: the automata sharing it
 }
 
 type fieldKey struct {
@@ -55,72 +86,117 @@ type fieldKey struct {
 }
 
 // NewPlan builds the hook plan for autos (indices refer to this slice)
-// over a program whose defined functions are defined.
+// over a program whose defined functions are defined; a nil set leaves
+// every unmodified function event on the caller side.
 func NewPlan(autos []*Automaton, defined map[string]bool) *Plan {
 	p := &Plan{
-		entry:  map[string][]Hook{},
-		ret:    map[string][]Hook{},
-		before: map[string][]Hook{},
-		after:  map[string][]Hook{},
-		field:  map[fieldKey][]Hook{},
+		field: map[fieldKey][]Hook{},
+		stack: make([][]*Symbol, len(autos)),
+		slot:  make([]int, len(autos)),
 	}
-	slots := BoundSlots(autos)
-	bounds := func(kind HookKind, at spec.StaticKind, into map[string][]Hook) {
-		for ai, a := range autos {
-			ev := a.Spec.Bound.Begin
+	for i := range p.points {
+		p.points[i] = map[string][]Hook{}
+	}
+	// Number each distinct bound (begin/end pair) densely, in
+	// first-appearance order.
+	slotOf := map[string]int{}
+	for ai, a := range autos {
+		k := a.Spec.Bound.String()
+		s, ok := slotOf[k]
+		if !ok {
+			s = len(p.slots)
+			slotOf[k] = s
+			p.slots = append(p.slots, nil)
+		}
+		p.slot[ai] = s
+		p.slots[s] = append(p.slots[s], ai)
+	}
+	bounds := func(kind HookKind, at spec.StaticKind, pt Point) {
+		for s, shared := range p.slots {
+			ev := autos[shared[0]].Spec.Bound.Begin
 			if kind == HookBoundEnd {
-				ev = a.Spec.Bound.End
+				ev = autos[shared[0]].Spec.Bound.End
 			}
 			if ev.Kind == at {
-				into[ev.Fn] = append(into[ev.Fn], Hook{Auto: ai, Kind: kind, Slot: slots[a.Spec.Bound.String()]})
+				p.points[pt][ev.Fn] = append(p.points[pt][ev.Fn],
+					Hook{Auto: shared[0], Kind: kind, Side: spec.SideCallee, Slot: s, Autos: shared})
 			}
 		}
 	}
 
-	bounds(HookBoundBegin, spec.StaticCall, p.entry)
+	bounds(HookBoundBegin, spec.StaticCall, AtCall)
 	for ai, a := range autos {
 		for _, sym := range a.Symbols {
-			h := Hook{Auto: ai, Kind: HookEvent, Sym: sym}
-			if sym.Kind == KindFieldAssign {
+			h := Hook{Auto: ai, Kind: HookEvent, Sym: sym, Side: spec.SideCallee}
+			switch sym.Kind {
+			case KindFieldAssign:
 				k := fieldKey{sym.Struct, sym.Field, assignKind(sym.AssignOp)}
 				p.field[k] = append(p.field[k], h)
-				continue
+			case KindInCallStack:
+				p.stack[ai] = append(p.stack[ai], sym)
+			case KindFuncEntry, KindFuncExit:
+				pt := AtCall
+				if sym.Kind == KindFuncExit {
+					pt = AtReturn
+				}
+				if sym.ObjC {
+					pt += AtSend // AtSend, AtSendReturn follow AtCall, AtReturn
+				} else if sym.Side == spec.SideCaller || (sym.Side != spec.SideCallee && !defined[sym.Fn]) {
+					h.Side = spec.SideCaller
+				}
+				p.points[pt][sym.Fn] = append(p.points[pt][sym.Fn], h)
 			}
-			if sym.ObjC || (sym.Kind != KindFuncEntry && sym.Kind != KindFuncExit) {
-				continue
-			}
-			callee := sym.Side == spec.SideCallee || (sym.Side != spec.SideCaller && defined[sym.Fn])
-			var into map[string][]Hook
-			switch entry := sym.Kind == KindFuncEntry; {
-			case callee && entry:
-				into = p.entry
-			case callee:
-				into = p.ret
-			case entry:
-				into = p.before
-			default:
-				into = p.after
-			}
-			into[sym.Fn] = append(into[sym.Fn], h)
 		}
 	}
-	bounds(HookBoundEnd, spec.StaticCall, p.entry)
-	bounds(HookBoundEnd, spec.StaticReturn, p.ret)
-	bounds(HookBoundBegin, spec.StaticReturn, p.ret)
+	bounds(HookBoundEnd, spec.StaticCall, AtCall)
+	bounds(HookBoundEnd, spec.StaticReturn, AtReturn)
+	bounds(HookBoundBegin, spec.StaticReturn, AtReturn)
 	return p
 }
 
+// Hooks returns every hook at the named point, in order, whatever side
+// compiled code observes it on. The monitor's name-driven entry points
+// run these; matching an event's argument patterns is theirs to do.
+func (p *Plan) Hooks(at Point, name string) []Hook { return p.points[at][name] }
+
+// Assign returns the hooks after a store to structName.field with
+// assignment operator op: FieldStore at op's IR assignment kind.
+func (p *Plan) Assign(structName, field string, op spec.AssignOp) []Hook {
+	return p.FieldStore(structName, field, assignKind(op))
+}
+
+// InCallStack returns automaton auto's incallstack symbols, in symbol
+// order: the branches its assertion site fires first, for the functions
+// on the call stack.
+func (p *Plan) InCallStack(auto int) []*Symbol { return p.stack[auto] }
+
+// Slot returns automaton auto's bound slot: a dense number shared by
+// every automaton with the same bound (begin/end event pair), so
+// compiled-in bound hooks and the monitor agree.
+func (p *Plan) Slot(auto int) int { return p.slot[auto] }
+
+// Slots returns the number of distinct bound slots.
+func (p *Plan) Slots() int { return len(p.slots) }
+
 // Entry returns the hooks at the top of fn's entry block.
-func (p *Plan) Entry(fn string, nparams int) []Hook { return at(p.entry, fn, nparams) }
+func (p *Plan) Entry(fn string, nparams int) []Hook {
+	return p.side(AtCall, fn, spec.SideCallee, nparams)
+}
 
 // Return returns the hooks before each of fn's returns.
-func (p *Plan) Return(fn string, nparams int) []Hook { return at(p.ret, fn, nparams) }
+func (p *Plan) Return(fn string, nparams int) []Hook {
+	return p.side(AtReturn, fn, spec.SideCallee, nparams)
+}
 
 // BeforeCall returns the hooks immediately before a call to callee.
-func (p *Plan) BeforeCall(callee string, nargs int) []Hook { return at(p.before, callee, nargs) }
+func (p *Plan) BeforeCall(callee string, nargs int) []Hook {
+	return p.side(AtCall, callee, spec.SideCaller, nargs)
+}
 
 // AfterCall returns the hooks immediately after a call to callee.
-func (p *Plan) AfterCall(callee string, nargs int) []Hook { return at(p.after, callee, nargs) }
+func (p *Plan) AfterCall(callee string, nargs int) []Hook {
+	return p.side(AtReturn, callee, spec.SideCaller, nargs)
+}
 
 // FieldStore returns the hooks after a store to structName.field with
 // assignment operator op.
@@ -135,15 +211,16 @@ func Intrinsic(fn string) bool {
 	return fn == "print" || strings.HasPrefix(fn, "__tesla")
 }
 
-// at looks up fn's hooks and drops the events with more argument patterns
-// than the n arguments available there.
-func at(m map[string][]Hook, fn string, n int) []Hook {
+// side filters fn's hooks at point at to those compiled code observes on
+// side, dropping the events with more argument patterns than the n
+// arguments available there.
+func (p *Plan) side(at Point, fn string, side spec.InstrSide, n int) []Hook {
 	if Intrinsic(fn) {
 		return nil
 	}
 	var out []Hook
-	for _, h := range m[fn] {
-		if h.Kind != HookEvent || len(h.Sym.Args) <= n {
+	for _, h := range p.points[at][fn] {
+		if h.Side == side && (h.Kind != HookEvent || len(h.Sym.Args) <= n) {
 			out = append(out, h)
 		}
 	}
@@ -161,19 +238,4 @@ func assignKind(op spec.AssignOp) ir.AssignKind {
 	default:
 		return ir.AssignSet
 	}
-}
-
-// BoundSlots assigns a dense slot index to each distinct bound (begin/end
-// event pair) across the automata, in first-appearance order. The monitor
-// and the hook plan both number bounds with it, so compiled-in hook slots
-// agree with the runtime.
-func BoundSlots(autos []*Automaton) map[string]int {
-	slots := map[string]int{}
-	for _, a := range autos {
-		k := a.Spec.Bound.String()
-		if _, ok := slots[k]; !ok {
-			slots[k] = len(slots)
-		}
-	}
-	return slots
 }

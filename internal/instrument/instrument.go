@@ -7,12 +7,12 @@
 // mapping to libtesla via the __tesla_update intrinsic).
 //
 // Which hooks go where, and in what order, is the hook plan's decision
-// (automata.Plan), which the static checker reads too: function events are
-// instrumented in callee context when the target is defined in the program
-// (hooks in its entry block and before its returns) and in caller context
-// otherwise (hooks immediately before and after call sites) — or as forced
-// by the caller/callee modifiers. Instrumentation runs on unoptimised IR;
-// the optimiser runs afterwards (§4.2).
+// (automata.Plan), which the static checker and the monitor read too:
+// function events are instrumented in callee context when the target is
+// defined in the program (hooks in its entry block and before its returns)
+// and in caller context otherwise (hooks immediately before and after call
+// sites) — or as forced by the caller/callee modifiers. Instrumentation
+// runs on unoptimised IR; the optimiser runs afterwards (§4.2).
 //
 // IR is immutable once compiled (see ir.Func): Module and Strip write
 // nothing they are given. They rebuild only the functions they change and
@@ -256,26 +256,35 @@ func (ins *instrumenter) instrumentFunc(src *ir.Func) *ir.Func {
 	return f
 }
 
-// hook lowers one planned hook in f to a call appended to *out, or counts
-// it as elided when its automaton is. An event hook calls its translator
-// with args(n), n being the symbol's argument-pattern count; args runs
-// after the call's result register is allocated and may itself append to
-// *out.
+// hook lowers one planned hook in f to calls appended to *out, counting
+// the calls elision suppresses instead. A bound hook calls its slot's
+// intrinsic once per automaton sharing the slot. An event hook calls its
+// translator with args(n), n being the symbol's argument-pattern count;
+// args runs after the call's result register is allocated and may itself
+// append to *out.
 func (ins *instrumenter) hook(out *[]ir.Instr, f *ir.Func, h automata.Hook, args func(n int) []int) {
+	if h.Kind != automata.HookEvent {
+		sym := "__tesla_bound_begin"
+		if h.Kind == automata.HookBoundEnd {
+			sym = "__tesla_bound_end"
+		}
+		for _, ai := range h.Autos {
+			if ins.elide[ins.autos[ai].Name] {
+				ins.stats.ElidedHooks++
+				continue
+			}
+			ins.stats.Hooks++
+			*out = append(*out, ir.Instr{Op: ir.OpCall, Dst: f.NewReg(), Sym: sym, Imm: int64(h.Slot)})
+		}
+		return
+	}
 	if ins.elide[ins.autos[h.Auto].Name] {
 		ins.stats.ElidedHooks++
 		return
 	}
 	ins.stats.Hooks++
-	call := ir.Instr{Op: ir.OpCall, Dst: f.NewReg()}
-	switch h.Kind {
-	case automata.HookBoundBegin:
-		call.Sym, call.Imm = "__tesla_bound_begin", int64(h.Slot)
-	case automata.HookBoundEnd:
-		call.Sym, call.Imm = "__tesla_bound_end", int64(h.Slot)
-	default:
-		call.Sym, call.Args = ins.translator(h.Auto, h.Sym), args(len(h.Sym.Args))
-	}
+	call := ir.Instr{Op: ir.OpCall, Dst: f.NewReg(), Sym: ins.translator(h.Auto, h.Sym)}
+	call.Args = args(len(h.Sym.Args))
 	*out = append(*out, call)
 }
 

@@ -73,26 +73,21 @@ func (o Options) storeOpts(ctx core.Context) core.StoreOpts {
 	}
 }
 
-// symRef locates one symbol of one automaton.
-type symRef struct {
-	idx int // automaton index
-	sym *automata.Symbol
-}
-
 // Monitor owns the compiled automata, their shared global store and the
-// event-dispatch indexes. Create threads with NewThread; each simulated
-// thread of the monitored program must use its own Thread.
+// hook plan that dispatches events to them. Create threads with NewThread;
+// each simulated thread of the monitored program must use its own Thread.
 type Monitor struct {
 	opts   Options
 	autos  []*automata.Automaton
 	global *core.Store
 
-	callIdx   map[string][]symRef
-	retIdx    map[string][]symRef
-	msgIdx    map[string][]symRef
-	msgRetIdx map[string][]symRef
-	fieldIdx  map[string][]symRef
-	siteIdx   map[string]symRef
+	// hooks is the hook plan over autos: which automaton events fire at
+	// each named program point and in what order, each automaton's bound
+	// slot and its incallstack branches. The instrumenter and the static
+	// checker read the same plan.
+	hooks *automata.Plan
+	// byName indexes autos by automaton (assertion) name.
+	byName map[string]int
 
 	// plans[idx][symID] is automaton idx's compiled engine plan for that
 	// symbol (Automaton.Plans): every dispatch path routes
@@ -103,16 +98,6 @@ type Monitor struct {
 	// plane then drains through on verdict-bearing ops so their violation
 	// errors surface at the causing event call.
 	failStop bool
-
-	// boundSlot maps a Bound (begin/end event pair) to a dense index;
-	// autoBound gives each automaton's bound slot. The four dispatch maps
-	// say which slots begin/end on a given function's call or return.
-	boundSlot map[string]int
-	autoBound []int
-	beginCall map[string][]int
-	beginRet  map[string][]int
-	endCall   map[string][]int
-	endRet    map[string][]int
 
 	// globalLazy tracks bound epochs for global-context automata,
 	// guarded by muGlobal (the analogue of the store's explicit
@@ -149,43 +134,25 @@ func newLazyState(bounds, autos int) lazyState {
 // New creates a monitor for the given compiled automata.
 func New(opts Options, autos ...*automata.Automaton) (*Monitor, error) {
 	m := &Monitor{
-		opts:      opts,
-		global:    core.NewStoreOpts(opts.storeOpts(core.Global)),
-		callIdx:   map[string][]symRef{},
-		retIdx:    map[string][]symRef{},
-		msgIdx:    map[string][]symRef{},
-		msgRetIdx: map[string][]symRef{},
-		fieldIdx:  map[string][]symRef{},
-		siteIdx:   map[string]symRef{},
-		boundSlot: automata.BoundSlots(autos),
-		beginCall: map[string][]int{},
-		beginRet:  map[string][]int{},
-		endCall:   map[string][]int{},
-		endRet:    map[string][]int{},
+		opts:   opts,
+		autos:  append([]*automata.Automaton(nil), autos...),
+		global: core.NewStoreOpts(opts.storeOpts(core.Global)),
+		hooks:  automata.NewPlan(autos, nil),
+		byName: make(map[string]int, len(autos)),
 	}
-	for _, a := range autos {
-		if err := m.add(a); err != nil {
-			return nil, err
+	for idx, a := range autos {
+		if _, dup := m.byName[a.Name]; dup {
+			return nil, fmt.Errorf("monitor: duplicate automaton name %q", a.Name)
+		}
+		m.byName[a.Name] = idx
+		// Link-time engine lowering: the automaton lowers its plans once,
+		// on first use, so no event pays for plan construction.
+		m.plans = append(m.plans, a.Plans())
+		if a.Spec.Context == spec.Global {
+			m.global.Register(a.Class)
 		}
 	}
-	// One dispatch entry per bound slot, in slot order.
-	bounds := make([]spec.Bound, len(m.boundSlot))
-	for idx, a := range m.autos {
-		bounds[m.autoBound[idx]] = a.Spec.Bound
-	}
-	for slot, b := range bounds {
-		if b.Begin.Kind == spec.StaticCall {
-			m.beginCall[b.Begin.Fn] = append(m.beginCall[b.Begin.Fn], slot)
-		} else {
-			m.beginRet[b.Begin.Fn] = append(m.beginRet[b.Begin.Fn], slot)
-		}
-		if b.End.Kind == spec.StaticCall {
-			m.endCall[b.End.Fn] = append(m.endCall[b.End.Fn], slot)
-		} else {
-			m.endRet[b.End.Fn] = append(m.endRet[b.End.Fn], slot)
-		}
-	}
-	m.globalLazy = newLazyState(len(m.boundSlot), len(m.autos))
+	m.globalLazy = newLazyState(m.hooks.Slots(), len(m.autos))
 	// Every store is built from the same options, so the global store
 	// answers for the per-thread ones too.
 	m.failStop = m.global.FailStop()
@@ -201,73 +168,11 @@ func MustNew(opts Options, autos ...*automata.Automaton) *Monitor {
 	return m
 }
 
-func (m *Monitor) add(a *automata.Automaton) error {
-	idx := len(m.autos)
-	m.autos = append(m.autos, a)
-	if _, dup := m.siteIdx[a.Name]; dup {
-		return fmt.Errorf("monitor: duplicate automaton name %q", a.Name)
-	}
-	// Link-time engine lowering: the automaton lowers its plans once, on
-	// first use, so no event pays for plan construction.
-	m.plans = append(m.plans, a.Plans())
-
-	m.autoBound = append(m.autoBound, m.boundSlot[a.Spec.Bound.String()])
-
-	for _, s := range a.Symbols {
-		ref := symRef{idx: idx, sym: s}
-		switch s.Kind {
-		case automata.KindBoundBegin, automata.KindBoundEnd, automata.KindInCallStack:
-			// Bound events dispatch via the bound slot; incallstack
-			// is synthesised at the assertion site.
-		case automata.KindSite:
-			m.siteIdx[a.Name] = ref
-		case automata.KindFuncEntry:
-			if s.ObjC {
-				m.msgIdx[s.Fn] = append(m.msgIdx[s.Fn], ref)
-			} else {
-				m.callIdx[s.Fn] = append(m.callIdx[s.Fn], ref)
-			}
-		case automata.KindFuncExit:
-			if s.ObjC {
-				m.msgRetIdx[s.Fn] = append(m.msgRetIdx[s.Fn], ref)
-			} else {
-				m.retIdx[s.Fn] = append(m.retIdx[s.Fn], ref)
-			}
-		case automata.KindFieldAssign:
-			k := s.Struct + "." + s.Field
-			m.fieldIdx[k] = append(m.fieldIdx[k], ref)
-		}
-	}
-
-	if a.Spec.Context == spec.Global {
-		m.global.Register(a.Class)
-	}
-	return nil
-}
-
 // Automata returns the monitored automata.
 func (m *Monitor) Automata() []*automata.Automaton { return m.autos }
 
 // GlobalStore exposes the shared global-context store.
 func (m *Monitor) GlobalStore() *core.Store { return m.global }
-
-// InstrumentedFns reports every function name the monitor observes, for
-// instrumenter planning and coverage reports.
-func (m *Monitor) InstrumentedFns() map[string]bool {
-	out := map[string]bool{}
-	for fn := range m.callIdx {
-		out[fn] = true
-	}
-	for fn := range m.retIdx {
-		out[fn] = true
-	}
-	for _, idx := range []map[string][]int{m.beginCall, m.beginRet, m.endCall, m.endRet} {
-		for fn := range idx {
-			out[fn] = true
-		}
-	}
-	return out
-}
 
 // Thread is one simulated thread's view of the monitor: its per-thread
 // store, call stack and lazy-init bookkeeping. A Thread must not be used
@@ -296,7 +201,7 @@ func (m *Monitor) NewThread() *Thread {
 		m:     m,
 		id:    int(m.nextThread.Add(1)) - 1,
 		store: core.NewStoreOpts(m.opts.storeOpts(core.PerThread)),
-		lazy:  newLazyState(len(m.boundSlot), len(m.autos)),
+		lazy:  newLazyState(m.hooks.Slots(), len(m.autos)),
 	}
 	if m.opts.Tap != nil {
 		th.tap = m.opts.Tap.ThreadTap(th.id)
@@ -413,53 +318,23 @@ func (th *Thread) emit(ev ProgramEvent) error {
 	return th.stageEvent(ev)
 }
 
-// Call reports entry into fn with the given arguments: it drives «init»
-// transitions for automata bounded by fn and entry-event symbols naming fn,
-// and pushes fn onto the thread's call stack for incallstack patterns.
+// Call reports entry into fn with the given arguments: it pushes fn onto
+// the thread's call stack for incallstack patterns and fires the plan's
+// hooks at fn's entry — «init» for automata bounded by fn and entry-event
+// symbols naming fn.
 func (th *Thread) Call(fn string, args ...core.Value) error {
-	first := th.emit(ProgramEvent{Kind: ProgCall, Time: th.now(), Fn: fn, Vals: args})
+	ev := ProgramEvent{Kind: ProgCall, Time: th.now(), Fn: fn, Vals: args}
+	first := th.emit(ev)
 	th.stack = append(th.stack, fn)
-	for _, slot := range th.m.beginCall[fn] {
-		if err := th.boundBegin(slot); err != nil && first == nil {
-			first = err
-		}
-	}
-	for _, ref := range th.m.callIdx[fn] {
-		if key, ok := matchFunc(ref.sym, args, 0, false, th.m.opts.Memory); ok {
-			if err := th.deliver(ref, key); err != nil && first == nil {
-				first = err
-			}
-		}
-	}
-	for _, slot := range th.m.endCall[fn] {
-		if err := th.boundEnd(slot); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
+	return th.fire(first, th.m.hooks.Hooks(automata.AtCall, fn), &ev)
 }
 
-// Return reports return from fn: exit-event symbols (which may constrain
-// arguments and the return value) and «cleanup» for automata bounded by fn.
+// Return reports return from fn: it fires the plan's hooks at fn's return —
+// exit-event symbols (which may constrain arguments and the return value)
+// and «cleanup» for automata bounded by fn — then pops fn off the stack.
 func (th *Thread) Return(fn string, ret core.Value, args ...core.Value) error {
-	first := th.emit(ProgramEvent{Kind: ProgReturn, Time: th.now(), Fn: fn, Ret: ret, HasRet: true, Vals: args})
-	for _, ref := range th.m.retIdx[fn] {
-		if key, ok := matchFunc(ref.sym, args, ret, true, th.m.opts.Memory); ok {
-			if err := th.deliver(ref, key); err != nil && first == nil {
-				first = err
-			}
-		}
-	}
-	for _, slot := range th.m.endRet[fn] {
-		if err := th.boundEnd(slot); err != nil && first == nil {
-			first = err
-		}
-	}
-	for _, slot := range th.m.beginRet[fn] {
-		if err := th.boundBegin(slot); err != nil && first == nil {
-			first = err
-		}
-	}
+	ev := ProgramEvent{Kind: ProgReturn, Time: th.now(), Fn: fn, Ret: ret, HasRet: true, Vals: args}
+	first := th.fire(th.emit(ev), th.m.hooks.Hooks(automata.AtReturn, fn), &ev)
 	if n := len(th.stack); n > 0 && th.stack[n-1] == fn {
 		th.stack = th.stack[:n-1]
 	}
@@ -469,42 +344,53 @@ func (th *Thread) Return(fn string, ret core.Value, args ...core.Value) error {
 // Send reports an Objective-C message send (selector with receiver).
 func (th *Thread) Send(selector string, receiver core.Value, args ...core.Value) error {
 	all := append([]core.Value{receiver}, args...)
-	first := th.emit(ProgramEvent{Kind: ProgSend, Time: th.now(), Fn: selector, Vals: all})
-	for _, ref := range th.m.msgIdx[selector] {
-		if key, ok := matchFunc(ref.sym, all, 0, false, th.m.opts.Memory); ok {
-			if err := th.deliver(ref, key); err != nil && first == nil {
-				first = err
-			}
-		}
-	}
-	return first
+	ev := ProgramEvent{Kind: ProgSend, Time: th.now(), Fn: selector, Vals: all}
+	return th.fire(th.emit(ev), th.m.hooks.Hooks(automata.AtSend, selector), &ev)
 }
 
 // SendReturn reports the return of an Objective-C message.
 func (th *Thread) SendReturn(selector string, ret core.Value, receiver core.Value, args ...core.Value) error {
 	all := append([]core.Value{receiver}, args...)
-	first := th.emit(ProgramEvent{Kind: ProgSendReturn, Time: th.now(), Fn: selector, Ret: ret, HasRet: true, Vals: all})
-	for _, ref := range th.m.msgRetIdx[selector] {
-		if key, ok := matchFunc(ref.sym, all, ret, true, th.m.opts.Memory); ok {
-			if err := th.deliver(ref, key); err != nil && first == nil {
-				first = err
-			}
-		}
-	}
-	return first
+	ev := ProgramEvent{Kind: ProgSendReturn, Time: th.now(), Fn: selector, Ret: ret, HasRet: true, Vals: all}
+	return th.fire(th.emit(ev), th.m.hooks.Hooks(automata.AtSendReturn, selector), &ev)
 }
 
 // Assign reports a structure-field assignment.
 func (th *Thread) Assign(structName, field string, target core.Value, op spec.AssignOp, value core.Value) error {
-	first := th.emit(ProgramEvent{
+	ev := ProgramEvent{
 		Kind: ProgAssign, Time: th.now(), Fn: structName, Field: field,
 		Op: op, Vals: []core.Value{target, value},
-	})
-	for _, ref := range th.m.fieldIdx[structName+"."+field] {
-		if key, ok := matchField(ref.sym, target, op, value, th.m.opts.Memory); ok {
-			if err := th.deliver(ref, key); err != nil && first == nil {
-				first = err
+	}
+	return th.fire(th.emit(ev), th.m.hooks.Assign(structName, field, op), &ev)
+}
+
+// fire runs the hooks the plan places at ev's program point, in plan order.
+// A bound hook opens or closes its slot, once however many automata share
+// it; an event hook delivers its symbol when ev's values match it. fire
+// returns first if it is set, else the first error a hook reports.
+func (th *Thread) fire(first error, hooks []automata.Hook, ev *ProgramEvent) error {
+	for i := range hooks {
+		h := &hooks[i]
+		var err error
+		switch h.Kind {
+		case automata.HookBoundBegin:
+			err = th.boundBegin(h.Slot)
+		case automata.HookBoundEnd:
+			err = th.boundEnd(h.Slot)
+		default:
+			var key core.Key
+			var ok bool
+			if ev.Kind == ProgAssign {
+				key, ok = matchField(h.Sym, ev.Vals[0], ev.Op, ev.Vals[1], th.m.opts.Memory)
+			} else {
+				key, ok = matchFunc(h.Sym, ev.Vals, ev.Ret, ev.HasRet, th.m.opts.Memory)
 			}
+			if ok {
+				err = th.deliver(h.Auto, h.Sym, key)
+			}
+		}
+		if err != nil && first == nil {
+			first = err
 		}
 	}
 	return first
@@ -514,11 +400,11 @@ func (th *Thread) Assign(structName, field string, target core.Value, op spec.As
 // values of the assertion's scope variables in slot order. incallstack
 // branches are evaluated against the thread's current call stack first.
 func (th *Thread) Site(name string, vals ...core.Value) error {
-	ref, ok := th.m.siteIdx[name]
+	idx, ok := th.m.byName[name]
 	if !ok {
 		return fmt.Errorf("monitor: unknown assertion site %q", name)
 	}
-	return th.site(ref.idx, vals)
+	return th.site(idx, vals)
 }
 
 // site resolves incallstack branches against the live call stack, emits the
@@ -527,8 +413,8 @@ func (th *Thread) Site(name string, vals ...core.Value) error {
 func (th *Thread) site(autoIdx int, vals []core.Value) error {
 	auto := th.m.autos[autoIdx]
 	var inStack []int
-	for _, s := range auto.Symbols {
-		if s.Kind == automata.KindInCallStack && th.InStack(s.Fn) {
+	for _, s := range th.m.hooks.InCallStack(autoIdx) {
+		if th.InStack(s.Fn) {
 			inStack = append(inStack, s.ID)
 		}
 	}
@@ -551,12 +437,11 @@ func (th *Thread) siteResolved(autoIdx int, inStack []int, vals []core.Value) er
 		if id < 0 || id >= len(auto.Symbols) {
 			return fmt.Errorf("monitor: symbol %d out of range for %s", id, auto.Name)
 		}
-		if err := th.deliver(symRef{idx: autoIdx, sym: auto.Symbols[id]}, core.AnyKey); err != nil && first == nil {
+		if err := th.deliver(autoIdx, auto.Symbols[id], core.AnyKey); err != nil && first == nil {
 			first = err
 		}
 	}
-	ref := symRef{idx: autoIdx, sym: auto.Site()}
-	if err := th.deliver(ref, siteKey(auto, vals)); err != nil && first == nil {
+	if err := th.deliver(autoIdx, auto.Site(), siteKey(auto, vals)); err != nil && first == nil {
 		first = err
 	}
 	return first
@@ -615,7 +500,7 @@ func (th *Thread) Deliver(autoIdx, symID int, vals ...core.Value) error {
 			key = key.Set(c.Slot, vals[i])
 		}
 	}
-	if err := th.deliver(symRef{idx: autoIdx, sym: sym}, key); err != nil && first == nil {
+	if err := th.deliver(autoIdx, sym, key); err != nil && first == nil {
 		first = err
 	}
 	return first
@@ -632,10 +517,8 @@ func (th *Thread) SiteByIndex(autoIdx int, vals ...core.Value) error {
 
 // AutoIndex returns the index of the named automaton, or -1.
 func (m *Monitor) AutoIndex(name string) int {
-	for i, a := range m.autos {
-		if a.Name == name {
-			return i
-		}
+	if idx, ok := m.byName[name]; ok {
+		return idx
 	}
 	return -1
 }
@@ -672,19 +555,18 @@ func (th *Thread) sendOp(store *core.Store, idx int, sym *automata.Symbol, key c
 
 // deliver routes a matched event to the automaton's store, materialising a
 // lazy «init» first if needed.
-func (th *Thread) deliver(ref symRef, key core.Key) error {
-	auto := th.m.autos[ref.idx]
-	store := th.storeFor(ref.idx)
+func (th *Thread) deliver(idx int, sym *automata.Symbol, key core.Key) error {
+	store := th.storeFor(idx)
 	if !th.m.opts.Naive {
-		ls, mu := th.lazyFor(ref.idx)
+		ls, mu := th.lazyFor(idx)
 		if mu != nil {
 			mu.Lock()
 		}
-		slot := th.m.autoBound[ref.idx]
-		needInit := ls.inBound[slot] && ls.lastEpoch[ref.idx] != ls.epoch[slot]
+		slot := th.m.hooks.Slot(idx)
+		needInit := ls.inBound[slot] && ls.lastEpoch[idx] != ls.epoch[slot]
 		if needInit {
-			ls.lastEpoch[ref.idx] = ls.epoch[slot]
-			ls.touched[slot] = append(ls.touched[slot], ref.idx)
+			ls.lastEpoch[idx] = ls.epoch[slot]
+			ls.touched[slot] = append(ls.touched[slot], idx)
 		}
 		if mu != nil {
 			mu.Unlock()
@@ -694,12 +576,12 @@ func (th *Thread) deliver(ref symRef, key core.Key) error {
 			// bookkeeping lock as synchronous mode); in batched mode the
 			// materialising «init» op stages in order before the event op
 			// that triggered it.
-			if err := th.sendOp(store, ref.idx, auto.BoundBegin(), core.AnyKey); err != nil {
+			if err := th.sendOp(store, idx, th.m.autos[idx].BoundBegin(), core.AnyKey); err != nil {
 				return err
 			}
 		}
 	}
-	return th.sendOp(store, ref.idx, ref.sym, key)
+	return th.sendOp(store, idx, sym, key)
 }
 
 // boundBegin handles entry into a bound function. In naive mode every
@@ -710,7 +592,7 @@ func (th *Thread) boundBegin(slot int) error {
 	var first error
 	if th.m.opts.Naive {
 		for idx, a := range th.m.autos {
-			if th.m.autoBound[idx] != slot {
+			if th.m.hooks.Slot(idx) != slot {
 				continue
 			}
 			if err := th.sendOp(th.storeFor(idx), idx, a.BoundBegin(), core.AnyKey); err != nil && first == nil {
@@ -743,7 +625,7 @@ func (th *Thread) boundEnd(slot int) error {
 	}
 	if th.m.opts.Naive {
 		for idx := range th.m.autos {
-			if th.m.autoBound[idx] == slot {
+			if th.m.hooks.Slot(idx) == slot {
 				cleanup(idx)
 			}
 		}

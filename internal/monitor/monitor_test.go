@@ -382,19 +382,6 @@ func TestDuplicateAutomatonName(t *testing.T) {
 	}
 }
 
-func TestInstrumentedFns(t *testing.T) {
-	auto := mustAuto(t, "fns", `TESLA_SYSCALL_PREVIOUSLY(chk(x) == 0, TSEQUENCE(call(aux)))`, nil)
-	_ = auto
-	auto2 := mustAuto(t, "fns2", `TESLA_WITHIN(render, previously(draw(x) == 0))`, nil)
-	m := MustNew(Options{}, auto2)
-	fns := m.InstrumentedFns()
-	for _, want := range []string{"render", "draw"} {
-		if !fns[want] {
-			t.Errorf("missing instrumented fn %q in %v", want, fns)
-		}
-	}
-}
-
 func TestDuplicateVariableConsistency(t *testing.T) {
 	// The same variable twice in one event: both positions must agree.
 	auto := mustAuto(t, "dupvar", `TESLA_SYSCALL_PREVIOUSLY(transfer(x, x) == 0)`, nil)

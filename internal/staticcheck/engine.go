@@ -113,10 +113,8 @@ func newChecker(mod *ir.Module, auto *automata.Automaton, opts Options, refine b
 	for _, f := range mod.Funcs {
 		c.fns[f.Name] = f
 	}
-	for _, s := range auto.Symbols {
-		if s.Kind == automata.KindInCallStack {
-			c.stackFns[s.Fn] = true
-		}
+	for _, s := range c.plan.InCallStack(0) {
+		c.stackFns[s.Fn] = true
 	}
 	return c
 }
@@ -445,8 +443,8 @@ func (c *checker) apply(cfg config, h automata.Hook, where string) config {
 	return cfg
 }
 
-// applySite handles the assertion site: incallstack pseudo-events fire
-// first for functions on the abstract call chain, then the required site
+// applySite handles the assertion site: the plan's incallstack branches
+// fire first for functions on the abstract call chain, then the required site
 // symbol, whose rejection is the canonical violation.
 func (c *checker) applySite(cfg config, stack map[string]bool, where string) config {
 	if !cfg.active {
@@ -454,8 +452,8 @@ func (c *checker) applySite(cfg config, stack map[string]bool, where string) con
 		// no live instances are ignored by libtesla.
 		return cfg
 	}
-	for _, sym := range c.auto.Symbols {
-		if sym.Kind == automata.KindInCallStack && stack[sym.Fn] {
+	for _, sym := range c.plan.InCallStack(0) {
+		if stack[sym.Fn] {
 			cfg = c.apply(cfg, automata.Hook{Kind: automata.HookEvent, Sym: sym}, where)
 		}
 	}
