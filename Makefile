@@ -116,7 +116,9 @@ cache-gate: build
 # The reference for the overflow policies, quarantine and injected
 # allocation failures is the lifecycle model: TestModelDifferential holds
 # every layout to it under all three policies and injected failure rates of
-# 0/10%/50%, to each schedule's end. Around it: per-thread-slot-array vs
+# 0/10%/50%, to each schedule's end, and on every seventh schedule holds a
+# no-op-handler store, which builds no notifications, to a listening one.
+# Around it: per-thread-slot-array vs
 # global-striped parity at 1%/10%/50%, cross-class quarantine isolation,
 # exact suppression and handler-panic accounting, and concurrent
 # no-deadlock/no-corruption invariants — plus the injector's own
@@ -215,15 +217,20 @@ crash-gate: build
 # needed, allocates no more than a one-instruction module's; an instrument
 # node over a unit the hook plan leaves alone allocates as often for 64
 # functions as for 8, since it copies none of them. The monitor's
-# name-driven Call/Return/Site path allocates only its variadic value
-# slices, however many automata share the bound slot it fires. The tests
-# carry a !race build tag (sync.Pool drops items under the race detector),
-# so this gate is their only CI run besides `make test`.
+# name-driven Call/Return/Site path allocates nothing, however many
+# automata share the bound slot it fires, and under the trace recorder's
+# tap only the recorder's own copies; no figure 11b configuration's OLTP
+# transaction allocates more than Release's one (the kernel's File
+# record). The tests carry a !race build tag (sync.Pool drops items under
+# the race detector), so this gate is their only CI run besides
+# `make test`.
 alloc-gate:
 	$(GO) test -count=1 ./internal/core -run '^TestUpdateBatchAllocs$$'
 	$(GO) test -count=1 ./internal/agg -run '^(TestIngestFrameAllocs|TestPublisherFlushAllocs)$$'
 	$(GO) test -count=1 ./internal/build -run '^(TestEncodeModuleAllocs|TestInstrumentUntouchedAllocs)$$'
 	$(GO) test -count=1 ./internal/monitor -run '^TestNameDrivenAllocs$$'
+	$(GO) test -count=1 ./internal/trace -run '^TestRecorderTapAllocs$$'
+	$(GO) test -count=1 ./internal/kernel -run '^TestFig11bOLTPAllocs$$'
 
 # Gate-pattern check: every -run/-fuzz/-bench alternative in this Makefile must
 # name a test or benchmark in its package (`go test -list`), so renaming or

@@ -33,7 +33,7 @@ func (s *Store) UpdateBatch(ops []BatchOp) error {
 	if len(ops) == 0 {
 		return nil
 	}
-	nb := notePool.Get().(*noteBuf)
+	nb := s.notes()
 	var firstErr error
 	if s.nshards > 0 {
 		firstErr = s.updateBatchSharded(ops, nb)
@@ -45,9 +45,7 @@ func (s *Store) UpdateBatch(ops []BatchOp) error {
 			}
 		}
 	}
-	s.dispatch(nb)
-	nb.reset()
-	notePool.Put(nb)
+	s.release(nb)
 	return firstErr
 }
 

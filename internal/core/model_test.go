@@ -445,10 +445,43 @@ type modelCase struct {
 	batch    int // 0 = synchronous
 	overflow OverflowPolicy
 	rate     float64 // injected allocation-failure rate
+	// quiet also runs the schedule on a twin store whose handler is the
+	// no-op, and so builds no notifications, and holds it to the
+	// listening store on everything but notifications.
+	quiet bool
 }
 
 func (c modelCase) String() string {
-	return fmt.Sprintf("seed %d %v failstop=%v batch %d %v allocfail=%v", c.seed, c.l, c.failStop, c.batch, c.overflow, c.rate)
+	return fmt.Sprintf("seed %d %v failstop=%v batch %d %v allocfail=%v quiet=%v", c.seed, c.l, c.failStop, c.batch, c.overflow, c.rate, c.quiet)
+}
+
+// sameErr reports whether two stores returned the same event error: none,
+// an overflow, or equal violations.
+func sameErr(a, b error) bool {
+	var va, vb *Violation
+	if errors.As(a, &va) && errors.As(b, &vb) {
+		return *va == *vb
+	}
+	return errors.Is(a, b)
+}
+
+// checkTwin holds the quiet store q to the listening store s: live count,
+// instances in slot order, quarantine and health, everything but the
+// notifications q does not build.
+func checkTwin(t *testing.T, where string, s, q *Store, cls *Class) {
+	t.Helper()
+	if ls, lq := s.LiveCount(cls), q.LiveCount(cls); ls != lq {
+		t.Fatalf("%s: live count: listening %d, quiet %d", where, ls, lq)
+	}
+	if is, iq := s.Instances(cls), q.Instances(cls); !reflect.DeepEqual(is, iq) {
+		t.Fatalf("%s: instances:\nlistening: %v\nquiet:     %v", where, is, iq)
+	}
+	if qs, qq := s.Quarantined(cls), q.Quarantined(cls); qs != qq {
+		t.Fatalf("%s: quarantined: listening %v, quiet %v", where, qs, qq)
+	}
+	if hs, hq := s.Health(cls), q.Health(cls); hs != hq {
+		t.Fatalf("%s: health: listening %+v, quiet %+v", where, hs, hq)
+	}
 }
 
 // runModelDifferential drives one schedule through a store of the case's
@@ -476,13 +509,24 @@ func runModelDifferential(t *testing.T, c modelCase) [5]uint64 {
 	injStore.SetRate(faultinject.SiteAlloc, c.rate)
 	injModel.SetRate(faultinject.SiteAlloc, c.rate)
 
+	store := func(h Handler, inj *faultinject.Injector) *Store {
+		s := c.l.store(StoreOpts{
+			Handler: h, Failure: failureFor(c.failStop),
+			Overflow: c.overflow, QuarantineAfter: quarAfter, RearmEvents: rearm,
+			AllocFail: func(cls *Class) bool { return inj.Should(faultinject.SiteAlloc, cls.Name) },
+		})
+		s.Register(cls)
+		return s
+	}
 	h := &noteHandler{}
-	s := c.l.store(StoreOpts{
-		Handler: h, Failure: failureFor(c.failStop),
-		Overflow: c.overflow, QuarantineAfter: quarAfter, RearmEvents: rearm,
-		AllocFail: func(cls *Class) bool { return injStore.Should(faultinject.SiteAlloc, cls.Name) },
-	})
-	s.Register(cls)
+	s := store(h, injStore)
+	// The quiet twin consults its own injector, built from the same seed.
+	var q *Store
+	if c.quiet {
+		injQuiet := faultinject.New(uint64(c.seed))
+		injQuiet.SetRate(faultinject.SiteAlloc, c.rate)
+		q = store(NopHandler{}, injQuiet)
+	}
 	m := newLifecycleModel(cls.Name, limit, modelPolicy{
 		failStop: c.failStop, overflow: c.overflow, quarantineAfter: quarAfter, rearmEvents: rearm,
 		refuse: func() bool { return injModel.Should(faultinject.SiteAlloc, cls.Name) },
@@ -496,6 +540,12 @@ func runModelDifferential(t *testing.T, c modelCase) [5]uint64 {
 			return
 		}
 		err := s.UpdateBatch(pending)
+		if q != nil {
+			if errQ := q.UpdateBatch(pending); !sameErr(err, errQ) {
+				t.Fatalf("%s: flush error: listening %v, quiet %v", where, err, errQ)
+			}
+			checkTwin(t, where, s, q, cls)
+		}
 		pending = pending[:0]
 		if got := errKind(err); got != want {
 			t.Fatalf("%s: flush error %q (%v), model %q", where, got, err, want)
@@ -509,10 +559,15 @@ func runModelDifferential(t *testing.T, c modelCase) [5]uint64 {
 		switch ev.op {
 		case "reset", "resetclass":
 			flush(where)
-			if ev.op == "reset" {
-				s.Reset()
-			} else {
-				s.ResetClass(cls)
+			for _, st := range []*Store{s, q} {
+				if st == nil {
+					continue
+				}
+				if ev.op == "reset" {
+					st.Reset()
+				} else {
+					st.ResetClass(cls)
+				}
 			}
 			m.reset()
 			checkAgainstModel(t, where, s, cls, h, m)
@@ -524,6 +579,12 @@ func runModelDifferential(t *testing.T, c modelCase) [5]uint64 {
 			err := s.UpdateStatePlan(p, ev.key)
 			if errKind(err) != got {
 				t.Fatalf("%s: error %q (%v), model %q", where, errKind(err), err, got)
+			}
+			if q != nil {
+				if errQ := q.UpdateStatePlan(p, ev.key); !sameErr(err, errQ) {
+					t.Fatalf("%s: error: listening %v, quiet %v", where, err, errQ)
+				}
+				checkTwin(t, where, s, q, cls)
 			}
 			checkAgainstModel(t, where, s, cls, h, m)
 			continue
@@ -537,6 +598,9 @@ func runModelDifferential(t *testing.T, c modelCase) [5]uint64 {
 		}
 	}
 	flush(fmt.Sprintf("%v final flush", c))
+	if q != nil {
+		checkTwin(t, fmt.Sprintf("%v end", c), s, q, cls)
+	}
 	if fs, fm := injStore.TotalFired(), injModel.TotalFired(); fs != fm {
 		t.Fatalf("%v: injector fired %d times for the store, %d for the model", c, fs, fm)
 	}
@@ -548,7 +612,10 @@ func runModelDifferential(t *testing.T, c modelCase) [5]uint64 {
 // at 1, 2, 4, 8 and 16 stripes, both failure actions, the synchronous plane
 // and UpdateBatch at batch sizes 1, 7 and 64 (batchRunMax), all three
 // overflow policies and injected allocation failures at 0, 10% and 50%,
-// each compared on every event or flush to its end.
+// each compared on every event or flush to its end. Every seventh schedule
+// also runs on a NopHandler twin, which builds no notifications; seven
+// shares no factor with any sweep dimension, so the share takes every
+// layout, policy, batch size, failure action and fault rate.
 func TestModelDifferential(t *testing.T) {
 	const reps = 5
 	var cases []modelCase
@@ -570,6 +637,7 @@ func TestModelDifferential(t *testing.T) {
 	var seen [5]int
 	for i := range cases {
 		cases[i].seed = int64(80000 + i)
+		cases[i].quiet = i%7 == 0
 		h := runModelDifferential(t, cases[i])
 		for j := range h {
 			if h[j] > 0 {

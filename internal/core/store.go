@@ -76,6 +76,9 @@ type Store struct {
 	// mu serialises the copy-on-write registrations.
 	mu      sync.Mutex
 	handler Handler
+	// quiet marks a handler that discards everything (NopHandler, the
+	// default): the event bodies then build no notifications (notes).
+	quiet bool
 
 	// nshards is the Global store's stripe count; 0 marks a PerThread
 	// store, whose classes have no stripes.
@@ -151,7 +154,8 @@ func NewStoreOpts(o StoreOpts) *Store {
 	if o.Handler == nil {
 		o.Handler = NopHandler{}
 	}
-	s := &Store{handler: o.Handler}
+	_, quiet := o.Handler.(NopHandler)
+	s := &Store{handler: o.Handler, quiet: quiet}
 	s.sv.init(o)
 	s.tab.Store(&classTable{})
 	if o.Context == Global {

@@ -256,7 +256,9 @@ func (s *Store) suppress(c *classState, nb *noteBuf) bool {
 	case c.quar.suppressed >= s.sv.rearmEvents:
 		c.quar = quarState{}
 		c.quarantined.Store(false)
-		nb.add(note{kind: noteQuarantine, cls: c.cls, on: false})
+		if nb != nil {
+			nb.add(note{kind: noteQuarantine, cls: c.cls, on: false})
+		}
 		return false
 	}
 	c.quar.suppressed++
@@ -268,7 +270,9 @@ func (s *Store) suppress(c *classState, nb *noteBuf) bool {
 // event's error unless an earlier outcome of the same event already is.
 func (s *Store) fail(c *classState, nb *noteBuf, firstErr *error, v *Violation) {
 	c.health.violations.Add(1)
-	nb.add(note{kind: noteFail, cls: c.cls, v: v})
+	if nb != nil {
+		nb.add(note{kind: noteFail, cls: c.cls, v: v})
+	}
 	if s.sv.failure == FailStop && *firstErr == nil {
 		*firstErr = v
 	}
@@ -291,7 +295,9 @@ func (s *Store) claim(c *classState, nb *noteBuf, firstErr *error, set uint64, k
 	slot := s.tryAlloc(c)
 	if slot < 0 {
 		c.health.overflows.Add(1)
-		nb.add(note{kind: noteOverflow, cls: c.cls, key: k})
+		if nb != nil {
+			nb.add(note{kind: noteOverflow, cls: c.cls, key: k})
+		}
 		switch s.sv.overflow {
 		case EvictOldest:
 			if set != c.allMask() {
@@ -309,7 +315,9 @@ func (s *Store) claim(c *classState, nb *noteBuf, firstErr *error, set uint64, k
 				ev := c.insts[v]
 				c.deactivate(v)
 				c.health.evictions.Add(1)
-				nb.add(note{kind: noteEvict, cls: c.cls, inst: ev})
+				if nb != nil {
+					nb.add(note{kind: noteEvict, cls: c.cls, inst: ev})
+				}
 				slot = s.tryAlloc(c)
 			}
 		case QuarantineClass:
@@ -319,7 +327,9 @@ func (s *Store) claim(c *classState, nb *noteBuf, firstErr *error, set uint64, k
 				c.quar = quarState{}
 				c.quarantined.Store(true)
 				c.health.quarantines.Add(1)
-				nb.add(note{kind: noteQuarantine, cls: c.cls, on: true})
+				if nb != nil {
+					nb.add(note{kind: noteQuarantine, cls: c.cls, on: true})
+				}
 				// Expunge now if this event holds every stripe;
 				// otherwise the next event that does flushes.
 				if set == c.allMask() {
@@ -435,6 +445,28 @@ func (nb *noteBuf) add(n note) {
 }
 
 func (nb *noteBuf) empty() bool { return nb.n == 0 && len(nb.spill) == 0 }
+
+// notes returns an event's notification buffer from the pool, or nil when
+// the store's handler is the no-op: nothing listens, so the event bodies
+// build no notes, and every note site checks for nil first. Health
+// counters, violations and fail-stop errors do not depend on notes.
+func (s *Store) notes() *noteBuf {
+	if s.quiet {
+		return nil
+	}
+	return notePool.Get().(*noteBuf)
+}
+
+// release dispatches an event's buffered notes and returns the buffer to
+// the pool; a nil buffer (a quiet store's) has nothing to release.
+func (s *Store) release(nb *noteBuf) {
+	if nb == nil {
+		return
+	}
+	s.dispatch(nb)
+	nb.reset()
+	notePool.Put(nb)
+}
 
 // dispatch delivers the buffered notifications to the store's handler,
 // outside any store lock, recovering panics. Each recovered panic is

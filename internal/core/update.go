@@ -33,23 +33,22 @@ func (s *Store) UpdateState(cls *Class, symbol string, flags SymbolFlags, key Ke
 //
 // Handler notifications are buffered while the event runs and dispatched
 // after every lock is released (see supervise.go), so handlers may block, or
-// even call back into the store, without stalling monitored threads.
+// even call back into the store, without stalling monitored threads. A
+// store whose handler is the no-op builds no notifications at all.
 //
 // The returned error is non-nil only when the store's failure action is
 // FailStop and a violation or overflow occurred; the store's Handler is notified of every outcome
 // regardless.
 func (s *Store) UpdateStatePlan(p *SymbolPlan, key Key) error {
-	nb := notePool.Get().(*noteBuf)
 	c := s.classFor(p.Cls)
+	nb := s.notes()
 	var err error
 	if s.nshards > 0 {
 		err = s.updateSharded(c, p, key, nb)
 	} else {
 		err = s.updateSlots(c, p, key, nb)
 	}
-	s.dispatch(nb)
-	nb.reset()
-	notePool.Put(nb)
+	s.release(nb)
 	return err
 }
 
@@ -141,7 +140,9 @@ func (s *Store) drive(c *classState, cands []cand, p *SymbolPlan, key Key, nb *n
 			parent := *inst
 			if slot := s.claim(c, nb, &firstErr, set, newKey); slot >= 0 {
 				clone := c.activate(slot, tr.To, newKey)
-				nb.add(note{kind: noteClone, cls: c.cls, parent: parent, inst: *clone})
+				if nb != nil {
+					nb.add(note{kind: noteClone, cls: c.cls, parent: parent, inst: *clone})
+				}
 				took(c, nb, clone, tr, p.Symbol)
 			}
 			continue
@@ -156,7 +157,9 @@ func (s *Store) drive(c *classState, cands []cand, p *SymbolPlan, key Key, nb *n
 			if c.find(initKey) < 0 {
 				if slot := s.claim(c, nb, &firstErr, set, initKey); slot >= 0 {
 					inst := c.activate(slot, init.To, initKey)
-					nb.add(note{kind: noteNew, cls: c.cls, inst: *inst})
+					if nb != nil {
+						nb.add(note{kind: noteNew, cls: c.cls, inst: *inst})
+					}
 					took(c, nb, inst, init, p.Symbol)
 				}
 			}
@@ -182,6 +185,9 @@ func (s *Store) drive(c *classState, cands []cand, p *SymbolPlan, key Key, nb *n
 // took reports inst taking edge tr: a transition, and an accept when the
 // edge finalises.
 func took(c *classState, nb *noteBuf, inst *Instance, tr *Transition, symbol string) {
+	if nb == nil {
+		return
+	}
 	nb.add(note{kind: noteTransition, cls: c.cls, inst: *inst, from: tr.From, to: tr.To, symbol: symbol})
 	if tr.Cleanup() {
 		nb.add(note{kind: noteAccept, cls: c.cls, inst: *inst})

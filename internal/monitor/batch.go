@@ -74,10 +74,12 @@ func newBatchState(size int) *batchState {
 }
 
 // stageEvent opens a ring entry for one program event; subsequent stageOp
-// calls from the same entry point attach to it. A full ring flushes first
+// calls from the same entry point attach to it. ev carries no slices; vals
+// and inStack are borrowed from the entry point's caller, and an entry
+// that a tap will see copies them here, once. A full ring flushes first
 // (never drops), which may surface deferred verdict errors — returned here
 // so the entry point reports them.
-func (th *Thread) stageEvent(ev ProgramEvent) error {
+func (th *Thread) stageEvent(ev ProgramEvent, vals []core.Value, inStack []int) error {
 	b := th.batch
 	var first error
 	b.mu.Lock()
@@ -109,16 +111,14 @@ func (th *Thread) stageEvent(ev ProgramEvent) error {
 	e.ops = e.ops[:0]
 	e.hasEv = th.tap != nil
 	if e.hasEv {
-		// Stage the event once: the entry points' borrowed slices are
-		// copied here, and ownership passes to the tap sink at flush.
+		// Stage the event once: the borrowed slices are copied here,
+		// and ownership passes to the tap sink at flush.
 		e.ev = ev
-		e.ev.Vals = nil
-		e.ev.InStack = nil
-		if len(ev.Vals) > 0 {
-			e.ev.Vals = append([]core.Value(nil), ev.Vals...)
+		if len(vals) > 0 {
+			e.ev.Vals = append([]core.Value(nil), vals...)
 		}
-		if len(ev.InStack) > 0 {
-			e.ev.InStack = append([]int(nil), ev.InStack...)
+		if len(inStack) > 0 {
+			e.ev.InStack = append([]int(nil), inStack...)
 		}
 	}
 	b.mu.Unlock()

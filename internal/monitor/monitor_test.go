@@ -1,6 +1,7 @@
 package monitor
 
 import (
+	"errors"
 	"sync"
 	"testing"
 
@@ -371,6 +372,31 @@ func TestUnknownSite(t *testing.T) {
 	th := m.NewThread()
 	if err := th.Site("nope"); err == nil {
 		t.Fatal("expected unknown-site error")
+	} else if !errors.Is(err, ErrUnknownSite) {
+		t.Fatalf("Site(\"nope\"): %v, want ErrUnknownSite", err)
+	}
+}
+
+// TestBoundSlotOutOfRange: a bound hook naming a slot the plan does not
+// have is an error, not a crash, whether or not a tap is recording.
+func TestBoundSlotOutOfRange(t *testing.T) {
+	auto := mustAuto(t, "one", `TESLA_SYSCALL_PREVIOUSLY(f(x) == 0)`, nil)
+	for _, opts := range []Options{{}, {Tap: &orderTap{}}, {Tap: &orderTap{}, BatchSize: 4}} {
+		th := MustNew(opts, auto).NewThread()
+		for _, slot := range []int{7, 1, -1} {
+			if err := th.BoundBegin(slot); err == nil {
+				t.Errorf("BoundBegin(%d) on a one-slot monitor: no error", slot)
+			}
+			if err := th.BoundEnd(slot); err == nil {
+				t.Errorf("BoundEnd(%d) on a one-slot monitor: no error", slot)
+			}
+		}
+		if err := th.BoundBegin(0); err != nil {
+			t.Fatal(err)
+		}
+		if err := th.BoundEnd(0); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -11,8 +11,9 @@ import (
 // buffers on this interface; the replayer feeds recorded events back through
 // the same Thread entry points without re-running the VM or substrate.
 //
-// The tap is zero-cost when absent: every emission site is guarded by a
-// single nil check on the thread's sink.
+// The tap is zero-cost when absent: an entry point builds a ProgramEvent
+// only when a tap or the batched ring takes it, and the caller's argument
+// slices escape to neither (emit), Deliver's to the tap excepted.
 
 // ProgKind classifies raw program events (the Thread entry points).
 type ProgKind uint8
@@ -65,9 +66,10 @@ func (k ProgKind) String() string {
 	}
 }
 
-// ProgramEvent is one raw event as it entered a Thread. Slice fields (Vals,
-// InStack) are borrowed from the caller's stack: a sink that retains the
-// event beyond the callback must copy them.
+// ProgramEvent is one raw event as it entered a Thread. In ProgramEvent
+// callbacks the slice fields (Vals, InStack) are thread-owned buffers that
+// the thread reuses for its next event, or for Deliver the caller's own
+// slice: a sink that retains the event beyond the callback must copy them.
 type ProgramEvent struct {
 	Kind ProgKind
 	// Time is the thread's clock at the event (VM step count when the

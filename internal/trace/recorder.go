@@ -83,8 +83,9 @@ func (r *Recorder) ThreadTap(threadID int) monitor.ThreadTap {
 	return s
 }
 
-// ProgramEvent implements monitor.ThreadTap. The event's slices are
-// borrowed from the caller, so they are copied here.
+// ProgramEvent implements monitor.ThreadTap. The event's slices are the
+// monitor thread's buffers, lent for this call only, so they are copied
+// here.
 func (s *threadSink) ProgramEvent(ev monitor.ProgramEvent) {
 	rec := Event{
 		Seq:    s.rec.seq.Add(1),

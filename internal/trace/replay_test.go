@@ -210,6 +210,28 @@ func TestReplayAfterCodecRoundTrip(t *testing.T) {
 	}
 }
 
+// TestReplayBadBoundSlot: a trace whose bound event names a slot the
+// automata do not have fails its replay with an error instead of crashing
+// the replayer.
+func TestReplayBadBoundSlot(t *testing.T) {
+	tr, build, _ := record(t, tracePrograms[0].src, 1)
+	bound := 0
+	for i := range tr.Events {
+		if p := tr.Events[i].Prog; tr.Events[i].IsProgram() && (p == monitor.ProgBoundBegin || p == monitor.ProgBoundEnd) {
+			bound++
+			bad := *tr
+			bad.Events = append([]trace.Event(nil), tr.Events...)
+			bad.Events[i].Slot = 7
+			if _, err := trace.Replay(&bad, build.Autos); err == nil {
+				t.Fatalf("event %d (%s) with slot 7: replay succeeded", i, p)
+			}
+		}
+	}
+	if bound == 0 {
+		t.Fatal("the recorded trace has no bound events")
+	}
+}
+
 func sigsOf(vs []*core.Violation) []string {
 	out := make([]string, len(vs))
 	for i, v := range vs {
