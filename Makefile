@@ -159,7 +159,9 @@ bench-agg:
 # suites under the race detector. Covers the store-level batch-vs-sequential
 # differential (with injected allocation faults), the monitor-level
 # batched-vs-synchronous parity harness (>=1000 deterministic schedules
-# across batch sizes and thread counts, plus real-goroutine runs), the
+# across batch sizes and thread counts, plus real-goroutine runs, and the
+# one-goroutine schedule in which one thread's bound exit cleans up
+# another's staged global «init»), the
 # trace recorder's ProgramBatch accounting/Seq invariants, replay parity
 # over a batched corpus, and the agg producer's exact accounting under a
 # batched monitor.
@@ -210,8 +212,9 @@ crash-gate: build
 # Allocation gate: the steady-state trace path from recorder to fleet
 # store reuses its memory. UpdateBatch allocates nothing on the slot array
 # or the striped store; a Publisher flush (cut, encode, send, server apply,
-# ack) and an IngestFrame cost as many allocations for 2000 events as for
-# 100. Re-encoding a linked program into a reused buffer allocates at
+# ack) and an IngestFrame of a fleet-shaped frame (program events with
+# values and an instack list, lifecycle events, one failure) cost as many
+# allocations for 2000 events as for 100. Re-encoding a linked program into a reused buffer allocates at
 # most once, and a built node encodes into the scheduler's pooled buffer:
 # the largest corpus program's link node, given a dependent so its hash is
 # needed, allocates no more than a one-instruction module's; an instrument
@@ -240,13 +243,15 @@ gate-patterns:
 	GO=$(GO) bash scripts/gate-patterns.sh Makefile
 
 # Short fuzz pass over the binary/JSON trace codec, the streaming frame
-# reader, the WAL spool's segment repair, the csub front end, the batched
+# reader, the in-memory and streaming event decoders agreeing byte for
+# byte, the WAL spool's segment repair, the csub front end, the batched
 # event plane's flush protocol, the event bodies against the lifecycle
 # model and the build cache's IR module codec ($(FUZZTIME) per target);
 # saved crashers land in testdata/fuzz and fail `make test` from then on.
 fuzz-smoke:
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzCodecRoundTrip$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzFrameStream$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzDecodeAgree$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzSpoolRecover$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/csub -run '^$$' -fuzz '^FuzzCsubParse$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/monitor -run '^$$' -fuzz '^FuzzBatchFlush$$' -fuzztime $(FUZZTIME)

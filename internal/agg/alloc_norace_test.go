@@ -3,7 +3,6 @@
 package agg
 
 import (
-	"encoding/binary"
 	"runtime"
 	"runtime/debug"
 	"testing"
@@ -20,29 +19,19 @@ import (
 // ingesters cannot stay warm. GC is paused while measuring for the same
 // reason: a collection empties the pools.
 
-// lifecycleTrace builds n transition and accept events over a fixed
-// vocabulary. It holds no failures, whose samples are copied by design.
-func lifecycleTrace(n int) *trace.Trace {
-	tr := &trace.Trace{FormatVersion: trace.Version, Automata: []string{"lock"}}
-	for i := 0; i < n; i++ {
-		ev := trace.Event{Seq: uint64(i + 1), Thread: -1, Kind: trace.KindTransition, Class: "lock", From: 0, To: 1, Symbol: "acquire"}
-		if i%3 == 2 {
-			ev = trace.Event{Seq: uint64(i + 1), Thread: -1, Kind: trace.KindAccept, Class: "lock"}
-		}
-		tr.Events = append(tr.Events, ev)
-	}
-	return tr
-}
-
-// TestIngestFrameAllocs: ingesting a lifecycle-only frame allocates the
-// same number of times for 100 events as for 2000 — events stream from
-// the decoder into the store, never into a per-frame slice.
+// TestIngestFrameAllocs: ingesting a fleet-shaped frame — site and
+// deliver events carrying values, an instack list, bound begin/end, init,
+// clone, transition, accept and one failure — allocates the same number
+// of times for 100 events as for 2000. Events decode from the payload into
+// one reused event, their values into the ingester's arena, and site
+// counts into a per-frame table; only the failure's sample and the frame's
+// interned strings are allocated, and neither grows with the frame.
 func TestIngestFrameAllocs(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	store := NewStore(StoreOpts{})
 	allocs := map[int]float64{}
 	for _, n := range []int{100, 2000} {
-		payload := trace.AppendBinary(binary.AppendUvarint(nil, uint64(n)), lifecycleTrace(n))
+		payload := framePayload(fleetTrace(0, n, 50))
 		allocs[n] = testing.AllocsPerRun(50, func() {
 			if err := store.IngestFrame("p", payload); err != nil {
 				t.Fatal(err)

@@ -1,7 +1,9 @@
 package agg
 
 import (
+	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"net"
 	"path/filepath"
@@ -12,6 +14,7 @@ import (
 
 	"tesla/internal/core"
 	"tesla/internal/dtrace"
+	"tesla/internal/monitor"
 	"tesla/internal/trace"
 )
 
@@ -172,4 +175,127 @@ func TestPublisherBufferReuse(t *testing.T) {
 			t.Fatalf("%s diverge from the recorded run\nrecorded: %v\nfleet:    %v", pair.name, w, g)
 		}
 	}
+}
+
+// fleetTrace builds an n-event delta shaped like a fleet producer's: each
+// round of ten is a bound begin, a site and a deliver event with one value,
+// the «init» and clone they cause, a transition, a site carrying an
+// instack list, a second transition, an accept and the bound end. Event
+// failAt is a failure instead, so the frame holds one (none when failAt
+// is past the end). The vocabulary is fixed, so larger frames repeat the
+// same strings and sites; values follow the sequence numbers, so frames
+// at different bases carry different ones.
+func fleetTrace(seqBase uint64, n, failAt int) *trace.Trace {
+	tr := &trace.Trace{FormatVersion: trace.Version, Automata: []string{"lock"}, Dropped: 3}
+	for i := 0; i < n; i++ {
+		v := core.Value((seqBase + uint64(i)) / 10 % 64)
+		key := core.NewKey(v)
+		ev := trace.Event{Seq: seqBase + uint64(i) + 1, Thread: -1, Time: int64(i)}
+		switch i % 10 {
+		case 0:
+			ev.Thread, ev.Kind, ev.Prog, ev.Slot = 0, trace.KindProgram, monitor.ProgBoundBegin, 0
+		case 1:
+			ev.Thread, ev.Kind, ev.Prog, ev.Fn, ev.Vals = 0, trace.KindProgram, monitor.ProgSite, "lock", []core.Value{v}
+		case 2:
+			ev.Kind, ev.Class, ev.Key, ev.State = trace.KindInit, "lock", core.AnyKey, 1
+		case 3:
+			ev.Kind, ev.Class, ev.ParentKey, ev.Key, ev.State = trace.KindClone, "lock", core.AnyKey, key, 2
+		case 4:
+			ev.Thread, ev.Kind, ev.Prog, ev.Auto, ev.Sym, ev.Vals = 0, trace.KindProgram, monitor.ProgDeliver, 0, 1, []core.Value{v}
+		case 5:
+			ev.Kind, ev.Class, ev.Key, ev.From, ev.To, ev.Symbol = trace.KindTransition, "lock", key, 2, 3, "acquire"
+		case 6:
+			ev.Thread, ev.Kind, ev.Prog, ev.Fn, ev.InStack = 0, trace.KindProgram, monitor.ProgSite, "check", []int{0, int(v % 3)}
+		case 7:
+			ev.Kind, ev.Class, ev.Key, ev.From, ev.To, ev.Symbol = trace.KindTransition, "lock", key, 3, 4, "release"
+		case 8:
+			ev.Kind, ev.Class, ev.Key = trace.KindAccept, "lock", key
+		case 9:
+			ev.Thread, ev.Kind, ev.Prog, ev.Slot = 0, trace.KindProgram, monitor.ProgBoundEnd, 0
+		}
+		if i == failAt {
+			ev = trace.Event{Seq: ev.Seq, Thread: -1, Time: ev.Time, Kind: trace.KindFail, Class: "lock",
+				Key: key, State: 3, Symbol: "check", Verdict: core.VerdictNoInstance}
+		}
+		tr.Events = append(tr.Events, ev)
+	}
+	return tr
+}
+
+// framePayload is a trace frame's payload as the server applies it: the
+// event count, then the binary trace.
+func framePayload(tr *trace.Trace) []byte {
+	return trace.AppendBinary(binary.AppendUvarint(nil, uint64(len(tr.Events))), tr)
+}
+
+// TestIngestFrameMatchesIngestTrace: applying fleet-shaped deltas as
+// encoded frames and as decoded traces leaves the same store — every
+// query answers byte for byte alike, failure samples included, and the
+// snapshots are byte-identical. Several frames fail at the same site, so
+// the reservoir replaces samples too; one stripe gives both stores the
+// same reservoir RNG (stripe selection hashes with a per-store seed).
+// The frames shrink, so every frame decodes into the arena the first one
+// grew: a sample that kept arena slices would be overwritten.
+func TestIngestFrameMatchesIngestTrace(t *testing.T) {
+	var frames []*trace.Trace
+	for f := 0; f < 7; f++ {
+		frames = append(frames, fleetTrace(uint64(f)*1000, 400-f*30, 13+f*17))
+	}
+	stores := [2]*Store{}
+	for i := range stores {
+		stores[i] = NewStore(StoreOpts{Stripes: 1, Seed: 5, SampleCap: 2, Window: 6})
+		for _, tr := range frames {
+			if i == 0 {
+				if err := stores[i].IngestFrame("p", framePayload(tr)); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				stores[i].IngestTrace("p", tr)
+			}
+		}
+	}
+	if n := len(stores[0].Samples("lock")); n != 2 {
+		t.Fatalf("%d samples kept, want the reservoir's 2", n)
+	}
+	for _, q := range []Query{{Q: "fleet"}, {Q: "failures"}, {Q: "topk", Class: "lock", K: 10}, {Q: "samples"}, {Q: "health"}} {
+		frame, err := NewServer(stores[0], ServerOpts{}).Answer(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		whole, err := NewServer(stores[1], ServerOpts{}).Answer(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(frame, whole) {
+			t.Fatalf("query %q: IngestFrame and IngestTrace answers differ\nframe: %s\ntrace: %s", q.Q, frame, whole)
+		}
+	}
+	snaps := [2][]byte{}
+	for i, s := range stores {
+		b, err := json.Marshal(s.Snapshot())
+		if err != nil {
+			t.Fatal(err)
+		}
+		snaps[i] = b
+	}
+	if !bytes.Equal(snaps[0], snaps[1]) {
+		t.Fatalf("IngestFrame and IngestTrace snapshots differ\nframe: %s\ntrace: %s", snaps[0], snaps[1])
+	}
+}
+
+// BenchmarkIngestFrame applies one 2000-event fleet-shaped frame per
+// iteration, the server's per-frame apply without the wire, and reports
+// the cost per event.
+func BenchmarkIngestFrame(b *testing.B) {
+	const n = 2000
+	payload := framePayload(fleetTrace(0, n, 50))
+	store := NewStore(StoreOpts{})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := store.IngestFrame("p", payload); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/event")
 }

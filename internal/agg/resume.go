@@ -1,7 +1,6 @@
 package agg
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"net"
@@ -79,6 +78,7 @@ func ResumeSpool(addr, process, dir string, opts ResumeOpts) (ResumeStats, error
 	// Tally the spool for the bye. The delivered prefix counts as sent
 	// up front; the writer adds the rest as it replays them.
 	var skippedEvents uint64
+	var dec trace.Decoder
 	err = spool.Range(func(payload []byte) error {
 		seq, events, tracePayload, err := SeqTraceInfo(payload)
 		if err != nil {
@@ -89,8 +89,8 @@ func ResumeSpool(addr, process, dir string, opts ResumeOpts) (ResumeStats, error
 		// The cut's ring-loss delta sits in the trace header, so the bye's
 		// RingDropped matches what the live client counted.
 		_, n := binary.Uvarint(tracePayload)
-		if sd, err := trace.NewStreamDecoder(bytes.NewReader(tracePayload[n:])); err == nil {
-			st.RingDropped += sd.Dropped()
+		if dec.Reset(tracePayload[n:]) == nil {
+			st.RingDropped += dec.Dropped()
 		}
 		if seq <= ack {
 			st.Skipped++

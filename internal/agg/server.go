@@ -322,11 +322,25 @@ func (s *Server) idleDeadline(conn net.Conn) {
 // unlike frames — so apply and drop accounting reach the store in
 // arrival order and the applied watermark stays monotonic; a read-time
 // drop racing the worker could otherwise be snapshotted before the
-// frames that preceded it.
+// frames that preceded it. frame is the read buffer that holds payload;
+// the worker hands it back to the reader once the frame is applied.
 type frameJob struct {
 	seq     uint64
 	events  uint64
 	payload []byte
+	frame   []byte
+}
+
+// maxReusedFrame caps the frame buffers a connection recycles: one
+// oversized frame must not pin its buffer for the connection's lifetime.
+const maxReusedFrame = 1 << 20
+
+// reusable returns b if it is small enough to recycle, else nil.
+func reusable(b []byte) []byte {
+	if cap(b) > maxReusedFrame {
+		return nil
+	}
+	return b
 }
 
 // serveProducer runs the ingestion loop for one producer connection.
@@ -339,6 +353,9 @@ func (s *Server) serveProducer(hello Hello, conn net.Conn, fr *trace.FrameReader
 	defer s.unregisterAck(process, aw)
 
 	queue := make(chan frameJob, s.opts.Queue)
+	// free carries applied frames' buffers back to the reader, which reads
+	// the next frames into them instead of allocating a buffer per frame.
+	free := make(chan []byte, s.opts.Queue)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -348,16 +365,32 @@ func (s *Server) serveProducer(hello Hello, conn net.Conn, fr *trace.FrameReader
 			} else if err := s.store.ApplySeqFrame(process, job.seq, job.payload); err != nil {
 				s.logf("%v", err)
 			}
+			if b := reusable(job.frame); b != nil {
+				select {
+				case free <- b:
+				default:
+				}
+			}
 			aw.ack(s.store.AckSeq(process))
 		}
 	}()
 
 	clean := false
 	drained := false
+	// spare is the buffer the next frame is read into: a frame that is
+	// not queued leaves its own, else one comes back through free.
+	var spare []byte
 loop:
 	for {
+		if spare == nil {
+			select {
+			case spare = <-free:
+			default:
+			}
+		}
 		s.idleDeadline(conn)
-		kind, payload, err := fr.Next()
+		kind, payload, err := fr.NextInto(spare)
+		spare = reusable(payload)
 		if err != nil {
 			if err != io.EOF && !errors.Is(err, net.ErrClosed) {
 				s.logf("agg: %s: read: %v", process, err)
@@ -379,7 +412,8 @@ loop:
 				continue
 			}
 			select {
-			case queue <- frameJob{seq: seq, events: events, payload: tracePayload}:
+			case queue <- frameJob{seq: seq, events: events, payload: tracePayload, frame: payload}:
+				spare = nil // the worker owns it until applied
 			default:
 				// Queue full: drop-new, but the accounting travels
 				// through the queue as a marker so it lands in order.

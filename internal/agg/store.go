@@ -1,11 +1,11 @@
 package agg
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/maphash"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -175,8 +175,8 @@ func (s *Store) stripeOf(k siteKey) *stripe {
 }
 
 // IngestTrace aggregates one (delta) trace attributed to process. It is
-// the whole-trace convenience over ingest; the server's per-connection
-// workers use IngestFrame on raw payloads instead.
+// the whole-trace convenience over the same ingester; the server's
+// per-connection workers use IngestFrame on raw payloads instead.
 func (s *Store) IngestTrace(process string, tr *trace.Trace) {
 	in := s.ingester(process)
 	for i := range tr.Events {
@@ -191,6 +191,14 @@ func (s *Store) IngestTrace(process string, tr *trace.Trace) {
 // arrives, so a frame is aggregated in memory bounded by the window, not
 // by the frame. Window context is frame-local: a failure in the first
 // events of a delta carries less context, never wrong context.
+//
+// Transition and accept counts collect in counts, keyed by site, and
+// finish merges them into the stripes: one stripe lock per distinct site
+// per frame, not one per event. Failures go to their stripe at once, so
+// each reservoir sees its failures in arrival order.
+//
+// IngestFrame decodes into ev, reused for every event; dec keeps the
+// decoded Vals and InStack in its arena until finish.
 type ingester struct {
 	s       *Store
 	process string
@@ -198,13 +206,21 @@ type ingester struct {
 	start   int           // index of the oldest windowed event
 	n       int           // windowed events
 	events  uint64
+	counts  map[siteKey]uint64 // this frame's transitions and accepts; process unset
+	dec     trace.Decoder
+	ev      trace.Event
 }
+
+// maxFrameSites caps the per-frame count table an ingester keeps for the
+// next frame: one frame with an unusually wide spread of sites must not
+// pin it.
+const maxFrameSites = 1024
 
 // ingester returns a pooled ingester for one frame from process.
 func (s *Store) ingester(process string) *ingester {
 	in, _ := s.ingesters.Get().(*ingester)
 	if in == nil {
-		in = &ingester{s: s, win: make([]trace.Event, s.window)}
+		in = &ingester{s: s, win: make([]trace.Event, s.window), counts: map[siteKey]uint64{}}
 	}
 	in.process = process
 	return in
@@ -212,20 +228,21 @@ func (s *Store) ingester(process string) *ingester {
 
 // feed applies one event, then slides it into the window.
 func (in *ingester) feed(ev *trace.Event) {
-	s := in.s
 	switch ev.Kind {
 	case trace.KindTransition:
-		s.add(siteKey{process: in.process, class: ev.Class, kind: ev.Kind,
-			from: ev.From, to: ev.To, symbol: ev.Symbol}, nil)
+		in.counts[siteKey{class: ev.Class, kind: ev.Kind, from: ev.From, to: ev.To, symbol: ev.Symbol}]++
 	case trace.KindAccept:
-		s.add(siteKey{process: in.process, class: ev.Class, kind: ev.Kind}, nil)
+		in.counts[siteKey{class: ev.Class, kind: ev.Kind}]++
 	case trace.KindFail:
+		// The sample outlives the frame: it owns deep copies of the
+		// windowed events, whose slices point into the decoder's arena
+		// or the caller's trace.
 		sample := make([]trace.Event, 0, in.n+1)
 		for i := 0; i < in.n; i++ {
-			sample = append(sample, in.win[(in.start+i)%len(in.win)])
+			sample = append(sample, ownEvent(in.win[(in.start+i)%len(in.win)]))
 		}
-		s.add(siteKey{process: in.process, class: ev.Class, kind: ev.Kind,
-			symbol: ev.Symbol, verdict: ev.Verdict.String()}, append(sample, *ev))
+		in.s.add(siteKey{process: in.process, class: ev.Class, kind: ev.Kind,
+			symbol: ev.Symbol, verdict: ev.Verdict.String()}, 1, append(sample, ownEvent(*ev)))
 	}
 	if in.n < len(in.win) {
 		in.win[(in.start+in.n)%len(in.win)] = *ev
@@ -237,26 +254,49 @@ func (in *ingester) feed(ev *trace.Event) {
 	in.events++
 }
 
-// finish books the frame against its producer's totals and returns the
-// ingester to the pool, its window cleared so it pins none of the frame's
-// events.
+// ownEvent returns ev with its own copies of Vals and InStack.
+func ownEvent(ev trace.Event) trace.Event {
+	ev.Vals, ev.InStack = slices.Clone(ev.Vals), slices.Clone(ev.InStack)
+	return ev
+}
+
+// finish merges the frame's site counts into the stripes, books the frame
+// against its producer's totals and releases the ingester.
 func (in *ingester) finish(ringDropped uint64) {
 	s := in.s
+	for k, n := range in.counts {
+		k.process = in.process
+		s.add(k, n, nil)
+	}
+	if len(in.counts) > maxFrameSites {
+		in.counts = map[siteKey]uint64{}
+	} else {
+		clear(in.counts)
+	}
+
 	s.mu.Lock()
 	p := s.proc(in.process)
 	p.frames++
 	p.events += in.events
 	p.ringDropped += ringDropped
 	s.mu.Unlock()
-
-	clear(in.win)
-	in.process, in.start, in.n, in.events = "", 0, 0, 0
-	s.ingesters.Put(in)
+	in.release()
 }
 
-// add bumps one site, feeding the failure reservoir when a sample is
+// release returns the ingester to the pool with its window, reused event
+// and decoder cleared, so it pins none of the frame's events and none of
+// its payload.
+func (in *ingester) release() {
+	clear(in.win)
+	in.ev = trace.Event{}
+	in.dec.Reset(nil) // lets go of the payload; the error is the empty input's
+	in.process, in.start, in.n, in.events = "", 0, 0, 0
+	in.s.ingesters.Put(in)
+}
+
+// add adds n to one site, feeding the failure reservoir when a sample is
 // attached.
-func (s *Store) add(k siteKey, sample []trace.Event) {
+func (s *Store) add(k siteKey, n uint64, sample []trace.Event) {
 	st := s.stripeOf(k)
 	st.mu.Lock()
 	a := st.sites[k]
@@ -264,7 +304,7 @@ func (s *Store) add(k siteKey, sample []trace.Event) {
 		a = &siteAgg{}
 		st.sites[k] = a
 	}
-	a.count++
+	a.count += n
 	if sample != nil {
 		a.seen++
 		if len(a.samples) < s.sampleCap {
@@ -277,32 +317,29 @@ func (s *Store) add(k siteKey, sample []trace.Event) {
 }
 
 // IngestFrame decodes and aggregates one trace payload: the event count
-// prefix, then the binary trace. Events stream from the decoder
+// prefix, then the binary trace. Events decode straight from the payload
 // into the frame's ingester one at a time; the frame is never
-// materialised as an event slice. The declared count is the drop-
-// accounting unit; a payload whose decode dies mid-way contributes the
-// events it actually yielded and marks the producer's frame bad.
+// materialised as an event slice, and nothing keeps the payload once
+// IngestFrame returns. The declared count is the drop-accounting unit; a
+// payload whose decode dies mid-way contributes the events it actually
+// yielded and marks the producer's frame bad.
 func (s *Store) IngestFrame(process string, payload []byte) error {
 	declared, n := binary.Uvarint(payload)
 	if n <= 0 {
 		s.markBadFrame(process)
 		return fmt.Errorf("agg: trace frame missing event-count prefix")
 	}
-	sd, err := trace.NewStreamDecoder(bytes.NewReader(payload[n:]))
-	if err != nil {
+	in := s.ingester(process)
+	if err := in.dec.Reset(payload[n:]); err != nil {
+		in.release()
 		s.markBadFrame(process)
 		return fmt.Errorf("agg: trace frame from %s: %w", process, err)
 	}
-	in := s.ingester(process)
-	for {
-		ev, err := sd.Next()
-		if err != nil {
-			break // io.EOF, or corruption counted below
-		}
-		in.feed(&ev)
+	for in.dec.Next(&in.ev) == nil {
+		in.feed(&in.ev)
 	}
 	decoded := in.events
-	in.finish(sd.Dropped())
+	in.finish(in.dec.Dropped())
 	if decoded != declared {
 		s.markBadFrame(process)
 		return fmt.Errorf("agg: trace frame from %s declared %d events, decoded %d", process, declared, decoded)

@@ -117,10 +117,20 @@ type Monitor struct {
 
 // lazyState is the per-context record of initialisation/cleanup events.
 type lazyState struct {
-	epoch     []uint64 // per bound slot; bumped at bound entry
-	inBound   []bool   // per bound slot
-	lastEpoch []uint64 // per automaton; epoch at which init materialised
-	touched   [][]int  // per bound slot: automata initialised this epoch
+	epoch     []uint64     // per bound slot; bumped at bound entry
+	inBound   []bool       // per bound slot
+	lastEpoch []uint64     // per automaton; epoch at which init materialised
+	touched   [][]lazyInit // per bound slot: automata initialised this epoch
+}
+
+// lazyInit is one materialised «init» awaiting its «cleanup»: the
+// automaton and the thread whose event staged the init. In the shared
+// global context the bound's close may come from another thread; in
+// batched mode the cleanup then goes into the initialising thread's ring,
+// behind its init.
+type lazyInit struct {
+	idx int
+	by  *Thread
 }
 
 func newLazyState(bounds, autos int) lazyState {
@@ -128,7 +138,7 @@ func newLazyState(bounds, autos int) lazyState {
 		epoch:     make([]uint64, bounds),
 		inBound:   make([]bool, bounds),
 		lastEpoch: make([]uint64, autos),
-		touched:   make([][]int, bounds),
+		touched:   make([][]lazyInit, bounds),
 	}
 }
 
@@ -193,6 +203,8 @@ type Thread struct {
 	// borrowed slices that a synchronous tap sees (emit).
 	tapVals  []core.Value
 	tapStack []int
+	// cleanups is boundEnd's scratch for the global inits it takes.
+	cleanups []lazyInit
 
 	// StackQuery, when set, answers incallstack queries instead of the
 	// thread's own call stack — the IR interpreter supplies its frame
@@ -646,12 +658,28 @@ func (th *Thread) deliver(idx int, sym *automata.Symbol, key core.Key) error {
 		}
 		slot := th.m.hooks.Slot(idx)
 		needInit := ls.inBound[slot] && ls.lastEpoch[idx] != ls.epoch[slot]
+		drain := false
 		if needInit {
 			ls.lastEpoch[idx] = ls.epoch[slot]
-			ls.touched[slot] = append(ls.touched[slot], idx)
+			ls.touched[slot] = append(ls.touched[slot], lazyInit{idx, th})
+			if mu != nil && th.batch != nil {
+				// A shared init stages before the touched entry is
+				// visible to other threads, so a cleanup that another
+				// thread's bound exit stages behind it in this ring
+				// (boundEnd) can never overtake it. The drain-through,
+				// if any, runs after the lock is released.
+				p := th.m.plans[idx][th.m.autos[idx].BoundBegin().ID]
+				th.stageOp(store, core.BatchOp{Plan: p, Key: core.AnyKey}, false)
+				needInit, drain = false, th.opDrains(p)
+			}
 		}
 		if mu != nil {
 			mu.Unlock()
+		}
+		if drain {
+			if _, err := th.flushBatch(); err != nil {
+				return err
+			}
 		}
 		if needInit {
 			// The lazy decision is made at stage time (under the same
@@ -699,34 +727,50 @@ func (th *Thread) boundBegin(slot int) error {
 // touched ones in optimised mode).
 func (th *Thread) boundEnd(slot int) error {
 	var first error
-	cleanup := func(idx int) {
-		a := th.m.autos[idx]
-		if err := th.sendOp(th.storeFor(idx), idx, a.BoundEnd(), core.AnyKey); err != nil && first == nil {
+	note := func(err error) {
+		if err != nil && first == nil {
 			first = err
 		}
+	}
+	// cleanup sends automaton idx's «cleanup» through thread by: in
+	// batched mode it stages in by's ring, behind the init by staged.
+	cleanup := func(by *Thread, idx int) {
+		note(by.sendOp(th.storeFor(idx), idx, th.m.autos[idx].BoundEnd(), core.AnyKey))
 	}
 	if th.m.opts.Naive {
 		for idx := range th.m.autos {
 			if th.m.hooks.Slot(idx) == slot {
-				cleanup(idx)
+				cleanup(th, idx)
 			}
 		}
 		return first
 	}
-	flush := func(ls *lazyState) []int {
+	flush := func(ls *lazyState) []lazyInit {
 		touched := ls.touched[slot]
 		ls.touched[slot] = ls.touched[slot][:0]
 		ls.inBound[slot] = false
 		return touched
 	}
-	for _, idx := range flush(&th.lazy) {
-		cleanup(idx)
+	for _, t := range flush(&th.lazy) {
+		cleanup(th, t.idx)
 	}
+	// The shared list refills once the lock is released, so the taken
+	// entries are copied out, into the thread's scratch. The loop owns
+	// the scratch meanwhile: a re-entrant bound exit starts a fresh one.
 	th.m.muGlobal.Lock()
-	globalTouched := append([]int(nil), flush(&th.m.globalLazy)...)
+	globalTouched := append(th.cleanups[:0], flush(&th.m.globalLazy)...)
+	th.cleanups = nil
 	th.m.muGlobal.Unlock()
-	for _, idx := range globalTouched {
-		cleanup(idx)
+	for _, t := range globalTouched {
+		cleanup(t.by, t.idx)
+		if t.by != th && t.by.batch != nil {
+			// Another thread's ring now holds the cleanup: drain it, as
+			// Drain would, so the bound's close takes effect now rather
+			// than at that thread's next flush.
+			_, err := t.by.flushBatch()
+			note(err)
+		}
 	}
+	th.cleanups = globalTouched[:0]
 	return first
 }

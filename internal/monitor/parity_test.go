@@ -380,3 +380,40 @@ func TestBatchGlobalConcurrentInvariants(t *testing.T) {
 		}
 	}
 }
+
+// TestBatchGlobalForeignCleanupOrder is the schedule behind the global
+// invariant above, driven from one goroutine so it fails every time
+// instead of once in a few dozen runs. Thread A opens the global bound and
+// stages the lazy «init» its prepare event materialises; thread B then
+// closes the same bound and takes the shared touched list, A's automaton
+// included, before A's ring has reached the store. B's «cleanup» must not
+// overtake A's «init»: on the synchronous plane the init is applied first,
+// so the bound's close expunges the instance, and the batched plane has to
+// end the same way, with no global instance left live.
+func TestBatchGlobalForeignCleanupOrder(t *testing.T) {
+	for _, bs := range []int{0, 1, 7, 64} {
+		autos := parityAutos(t)
+		counting := core.NewCountingHandler()
+		m := monitor.MustNew(monitor.Options{Handler: counting, BatchSize: bs}, autos...)
+		a, b := m.NewThread(), m.NewThread()
+		a.Call("start_op")
+		a.Call("prepare", 1)
+		a.Return("prepare", 0, 1)
+		b.Call("start_op")
+		b.Return("end_op", 0)
+		if err := b.Flush(); err != nil {
+			t.Fatalf("batch %d: flush: %v", bs, err)
+		}
+		a.Return("end_op", 0)
+		if err := m.Drain(); err != nil {
+			t.Fatalf("batch %d: drain: %v", bs, err)
+		}
+		g1 := autos[2]
+		if n := m.GlobalStore().LiveCount(g1.Class); n != 0 {
+			t.Fatalf("batch %d: %d global instances live after both bounds closed", bs, n)
+		}
+		if v := counting.Violations(); len(v) != 0 {
+			t.Fatalf("batch %d: %d violations, want none", bs, len(v))
+		}
+	}
+}

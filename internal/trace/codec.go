@@ -1,9 +1,10 @@
 package trace
 
 import (
-	"bufio"
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math/bits"
@@ -132,15 +133,17 @@ func WriteJSON(w io.Writer, t *Trace) error {
 // Read decodes a trace in either encoding, sniffing the first byte: JSON
 // traces start with '{', binary traces with the magic string.
 func Read(r io.Reader) (*Trace, error) {
-	br := bufio.NewReader(r)
-	first, err := br.Peek(1)
+	data, err := io.ReadAll(r)
 	if err != nil {
-		return nil, fmt.Errorf("trace: empty input: %w", err)
+		return nil, fmt.Errorf("trace: reading trace: %w", err)
 	}
-	if first[0] == '{' {
-		return readJSON(br)
+	if len(data) == 0 {
+		return nil, fmt.Errorf("trace: empty input: %w", io.EOF)
 	}
-	return readBinary(br)
+	if data[0] == '{' {
+		return readJSON(bytes.NewReader(data))
+	}
+	return decodeBinary(data)
 }
 
 func readJSON(r io.Reader) (*Trace, error) {
@@ -154,35 +157,23 @@ func readJSON(r io.Reader) (*Trace, error) {
 	return &t, nil
 }
 
-// readBinary loads a whole binary trace through the incremental
-// StreamDecoder (stream.go), which owns the wire format.
-func readBinary(br *bufio.Reader) (*Trace, error) {
-	sd, err := NewStreamDecoder(br)
+// decodeBinary loads a whole binary trace held in b. Every event owns its
+// slices; the trace keeps nothing of b.
+func decodeBinary(b []byte) (*Trace, error) {
+	d := decoder{buf: b}
+	h, err := decodeHeader(&d)
 	if err != nil {
 		return nil, err
 	}
-	t := &Trace{
-		FormatVersion: Version,
-		Automata:      sd.Automata(),
-		Dropped:       sd.Dropped(),
-	}
-	for {
-		ev, err := sd.Next()
-		if err == io.EOF {
-			return t, nil
-		}
-		if err != nil {
+	t := &Trace{FormatVersion: Version, Automata: h.automata, Dropped: h.dropped}
+	for i := uint64(0); i < h.nEvents; i++ {
+		var ev Event
+		if err := decodeEvent(&d, &ev); err != nil {
 			return nil, err
 		}
 		t.Events = append(t.Events, ev)
 	}
-}
-
-func minU64(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
+	return t, nil
 }
 
 // encoder appends binary output to buf. Strings are interned: the first
@@ -221,36 +212,104 @@ func (e *encoder) key(k core.Key) {
 	}
 }
 
+// decoder reads the binary format from buf, starting at off. It is the
+// one reader of the format: a caller holding the bytes decodes straight
+// from them, and StreamDecoder feeds it from a buffer it refills. Running
+// past the end of buf sets err to errShort, which StreamDecoder answers
+// with a refill and a retry, and everyone else reports as truncation.
+//
+// Strings are copied out of buf into the interning table, so nothing
+// decoded aliases buf. Vals and InStack decode into the vals and inStack
+// arena. With arena set an event keeps slices of it, valid until the
+// arena is reset; otherwise each event gets its own copies.
 type decoder struct {
-	r       *bufio.Reader
+	buf     []byte
+	off     int
 	strings []string
+	prevSeq uint64
 	err     error
+
+	arena   bool
+	vals    []core.Value
+	inStack []int
 }
+
+// errShort is the decoder's end-of-input: the bytes so far are a prefix
+// of something longer.
+var errShort = io.ErrUnexpectedEOF
+
+// errOverflow reports a varint longer than 64 bits.
+var errOverflow = errors.New("varint overflows a 64-bit integer")
 
 func (d *decoder) byte() byte {
 	if d.err != nil {
 		return 0
 	}
-	b, err := d.r.ReadByte()
-	d.err = err
+	if d.off >= len(d.buf) {
+		d.err = errShort
+		return 0
+	}
+	b := d.buf[d.off]
+	d.off++
 	return b
 }
 
+// varintErr maps a binary.Uvarint/Varint size of n <= 0 to the decoder's
+// error: 0 is too few bytes, negative is overflow.
+func varintErr(n int) error {
+	if n == 0 {
+		return errShort
+	}
+	return errOverflow
+}
+
+// uvarint and varint decode a one-byte value, the common case, inline and
+// leave longer ones to encoding/binary. The fast path does not look at
+// err: the first error sticks, and whatever is decoded after it is
+// discarded with the event.
 func (d *decoder) uvarint() uint64 {
+	if d.off < len(d.buf) {
+		if b := d.buf[d.off]; b < 0x80 {
+			d.off++
+			return uint64(b)
+		}
+	}
+	return d.uvarintSlow()
+}
+
+func (d *decoder) uvarintSlow() uint64 {
 	if d.err != nil {
 		return 0
 	}
-	v, err := binary.ReadUvarint(d.r)
-	d.err = err
+	v, n := binary.Uvarint(d.buf[d.off:])
+	if n <= 0 {
+		d.err = varintErr(n)
+		return 0
+	}
+	d.off += n
 	return v
 }
 
 func (d *decoder) varint() int64 {
+	if d.off < len(d.buf) {
+		if b := d.buf[d.off]; b < 0x80 {
+			d.off++
+			return int64(b>>1) ^ -int64(b&1) // zigzag, as binary.Varint
+		}
+	}
+	return d.varintSlow()
+}
+
+func (d *decoder) varintSlow() int64 {
 	if d.err != nil {
 		return 0
 	}
-	v, err := binary.ReadVarint(d.r)
-	d.err = err
+	v, n := binary.Varint(d.buf[d.off:])
+	if n <= 0 {
+		d.err = varintErr(n)
+		return 0
+	}
+	d.off += n
 	return v
 }
 
@@ -274,12 +333,12 @@ func (d *decoder) str() string {
 		d.err = fmt.Errorf("implausible string length %d", n)
 		return ""
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(d.r, buf); err != nil {
-		d.err = err
+	if uint64(len(d.buf)-d.off) < n {
+		d.err = errShort
 		return ""
 	}
-	s := string(buf)
+	s := string(d.buf[d.off : d.off+int(n)])
+	d.off += int(n)
 	d.strings = append(d.strings, s)
 	return s
 }

@@ -5,6 +5,7 @@ import (
 	"io"
 	"reflect"
 	"testing"
+	"testing/iotest"
 
 	"tesla/internal/core"
 	"tesla/internal/monitor"
@@ -31,13 +32,9 @@ func fuzzSeedTrace() *Trace {
 	}
 }
 
-// FuzzCodecRoundTrip checks that Read never panics on arbitrary bytes, and
-// that any trace Read accepts survives a binary encode/decode round trip:
-// re-encoding the decoded trace yields the same trace again. (The first
-// binary pass canonicalises JSON-only looseness such as empty-vs-nil
-// slices, so the invariant compares the first and second binary decodes;
-// for binary inputs that is the identity.)
-func FuzzCodecRoundTrip(f *testing.F) {
+// addCodecSeeds seeds a codec fuzz target: the seed trace in both
+// encodings, a bare magic, a bare JSON brace and an implausible count.
+func addCodecSeeds(f *testing.F) {
 	var bin bytes.Buffer
 	if err := Write(&bin, fuzzSeedTrace()); err != nil {
 		f.Fatal(err)
@@ -51,7 +48,16 @@ func FuzzCodecRoundTrip(f *testing.F) {
 	f.Add([]byte("TESLATRC"))
 	f.Add([]byte("{"))
 	f.Add(append([]byte("TESLATRC\x01\x00\x00"), 0xff, 0xff, 0xff, 0xff, 0x7f))
+}
 
+// FuzzCodecRoundTrip checks that Read never panics on arbitrary bytes, and
+// that any trace Read accepts survives a binary encode/decode round trip:
+// re-encoding the decoded trace yields the same trace again. (The first
+// binary pass canonicalises JSON-only looseness such as empty-vs-nil
+// slices, so the invariant compares the first and second binary decodes;
+// for binary inputs that is the identity.)
+func FuzzCodecRoundTrip(f *testing.F) {
+	addCodecSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		t1, err := Read(bytes.NewReader(data))
 		if err != nil {
@@ -148,6 +154,51 @@ func FuzzFrameStream(f *testing.F) {
 			}
 		}
 	})
+}
+
+// FuzzDecodeAgree holds the two ways into the one event decoder to one
+// answer: decoding the whole input from memory (Decoder) and streaming it
+// one byte per Read (StreamDecoder over iotest.OneByteReader, which makes
+// every field that straddles a refill decode again) yield the same header,
+// the same events and the same error, or both none.
+func FuzzDecodeAgree(f *testing.F) {
+	addCodecSeeds(f)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var dec Decoder
+		decErr := dec.Reset(data)
+		sd, sdErr := NewStreamDecoder(iotest.OneByteReader(bytes.NewReader(data)))
+		if errText(decErr) != errText(sdErr) {
+			t.Fatalf("header errors differ: memory %v, stream %v", decErr, sdErr)
+		}
+		if decErr != nil {
+			return
+		}
+		if !reflect.DeepEqual(dec.Automata(), sd.Automata()) || dec.Dropped() != sd.Dropped() || dec.Len() != sd.Len() {
+			t.Fatalf("headers differ: memory %q/%d/%d, stream %q/%d/%d",
+				dec.Automata(), dec.Dropped(), dec.Len(), sd.Automata(), sd.Dropped(), sd.Len())
+		}
+		for i := 0; ; i++ {
+			var ev Event
+			err := dec.Next(&ev)
+			sev, serr := sd.Next()
+			if errText(err) != errText(serr) {
+				t.Fatalf("event %d: errors differ: memory %v, stream %v", i, err, serr)
+			}
+			if err != nil {
+				return
+			}
+			if !reflect.DeepEqual(ev, sev) {
+				t.Fatalf("event %d differs:\nmemory: %+v\nstream: %+v", i, ev, sev)
+			}
+		}
+	})
+}
+
+func errText(err error) string {
+	if err == nil {
+		return ""
+	}
+	return err.Error()
 }
 
 // TestCodecRoundTripSeed pins the seed trace's exact round trip in the

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -488,7 +487,7 @@ func ReadSpool(dir string) (*Trace, error) {
 	t := &Trace{FormatVersion: Version}
 	first := true
 	err = sp.Range(func(payload []byte) error {
-		delta, err := Read(bytes.NewReader(payload))
+		delta, err := decodeBinary(payload)
 		if err != nil {
 			return fmt.Errorf("trace: spool frame: %w", err)
 		}
