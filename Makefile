@@ -96,11 +96,16 @@ bench-rebuild:
 # Cache-correctness gate: build the example program twice against the same
 # on-disk cache. The second build must do zero stage work (built=0 in the
 # summary line) and both linked-IR dumps must be byte-identical. First, a
-# memory-only build must leave the link artifact unencoded (nothing reads
-# its bytes) and a disk-backed build must write it as an object.
+# memory-only build and an assertion edit on its cache must encode no IR
+# module artifact (their hashes are content sums) and must leave the link
+# artifact unhashed, while a disk-backed build encodes each persisted
+# artifact once and writes the link object; and over the corpus and a
+# body edit, assertion edit, revert and no-op, every node key must agree
+# across memory, cold-disk and warm-disk builds, with every stored content
+# sum equal to one recomputed from scratch.
 CACHEGATE := /tmp/tesla-cache-gate
 cache-gate: build
-	$(GO) test -count=1 ./internal/build -run '^TestLinkEncodedOnlyForDisk$$'
+	$(GO) test -count=1 ./internal/build -run '^(TestLinkEncodedOnlyForDisk|TestContentSumsAgree)$$'
 	@rm -rf $(CACHEGATE) && mkdir -p $(CACHEGATE)
 	$(GO) run ./cmd/tesla-build -cache $(CACHEGATE)/cache -o $(CACHEGATE)/a.ir \
 		examples/buildgraph/testdata/*.c

@@ -232,9 +232,7 @@ func framePayload(tr *trace.Trace) []byte {
 // encoded frames and as decoded traces leaves the same store — every
 // query answers byte for byte alike, failure samples included, and the
 // snapshots are byte-identical. Several frames fail at the same site, so
-// the reservoir replaces samples too; one stripe gives both stores the
-// same reservoir RNG (stripe selection hashes with a per-store seed).
-// The frames shrink, so every frame decodes into the arena the first one
+// the reservoir replaces samples too. The frames shrink, so every frame decodes into the arena the first one
 // grew: a sample that kept arena slices would be overwritten.
 func TestIngestFrameMatchesIngestTrace(t *testing.T) {
 	var frames []*trace.Trace
@@ -243,7 +241,7 @@ func TestIngestFrameMatchesIngestTrace(t *testing.T) {
 	}
 	stores := [2]*Store{}
 	for i := range stores {
-		stores[i] = NewStore(StoreOpts{Stripes: 1, Seed: 5, SampleCap: 2, Window: 6})
+		stores[i] = NewStore(StoreOpts{Seed: 5, SampleCap: 2, Window: 6})
 		for _, tr := range frames {
 			if i == 0 {
 				if err := stores[i].IngestFrame("p", framePayload(tr)); err != nil {
@@ -280,6 +278,46 @@ func TestIngestFrameMatchesIngestTrace(t *testing.T) {
 	}
 	if !bytes.Equal(snaps[0], snaps[1]) {
 		t.Fatalf("IngestFrame and IngestTrace snapshots differ\nframe: %s\ntrace: %s", snaps[0], snaps[1])
+	}
+}
+
+// TestSamplesIndependentOfStripes: reservoir draws depend on the seed and
+// the site, not on the stripe a site hashes to (a per-store seed picks
+// it), so two 16-stripe stores and a 1-stripe store with one seed, fed the
+// same frames, keep byte-identical samples. Every process's failing site
+// overflows the reservoir several times over.
+func TestSamplesIndependentOfStripes(t *testing.T) {
+	var stores []*Store
+	for _, stripes := range []int{16, 16, 1} {
+		s := NewStore(StoreOpts{Stripes: stripes, Seed: 5, SampleCap: 2, Window: 4})
+		for f := 0; f < 9; f++ {
+			for _, proc := range []string{"p", "q", "r", "s", "t"} {
+				if err := s.IngestFrame(proc, framePayload(fleetTrace(uint64(f)*1000, 200, 7+f*13))); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		stores = append(stores, s)
+	}
+	var want []byte
+	for i, s := range stores {
+		samples, err := NewServer(s, ServerOpts{}).Answer(Query{Q: "samples"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap, err := json.Marshal(s.Snapshot())
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := append(samples, snap...)
+		if i == 0 {
+			want = got
+			if n := len(s.Samples("lock")); n != 10 {
+				t.Fatalf("%d samples kept, want 2 for each of 5 sites", n)
+			}
+		} else if !bytes.Equal(got, want) {
+			t.Fatalf("store %d keeps different samples:\n%s\nwant\n%s", i, got, want)
+		}
 	}
 }
 

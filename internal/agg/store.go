@@ -4,7 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/maphash"
-	"math/rand"
+	"math/bits"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -17,14 +17,16 @@ import (
 // reservoir samples of the event windows leading into failures, plus the
 // latest health counters each producer reported. It reuses the PR 3
 // stripe pattern: sites hash onto lock stripes so concurrent connection
-// workers aggregate in parallel, and every stripe owns its map and its
-// reservoir RNG outright — no shared mutable state crosses a stripe
-// boundary. Producer bookkeeping (connect/bye/disconnect, per-producer
-// ingest and drop counters) lives under one mutex; fleet totals are sums
-// over it at query time.
+// workers aggregate in parallel, and every stripe owns its map outright —
+// no shared mutable state crosses a stripe boundary. Reservoir draws are
+// a function of the seed and the site, never of the stripe. Producer
+// bookkeeping (connect/bye/disconnect, per-producer ingest and drop
+// counters) lives under one mutex; fleet totals are sums over it at query
+// time.
 type Store struct {
-	stripes []stripe
-	seed    maphash.Seed
+	stripes    []stripe
+	seed       maphash.Seed
+	sampleSeed uint64
 
 	sampleCap int
 	window    int
@@ -55,17 +57,17 @@ type StoreOpts struct {
 	// Window is how many events of leading context a failure sample
 	// keeps (default 8).
 	Window int
-	// Seed seeds the per-stripe reservoir RNGs; a fixed seed plus a
-	// deterministic ingestion order gives byte-stable samples (the
-	// golden-output example relies on this).
+	// Seed seeds the reservoir draws, together with each failing site's
+	// key; a fixed seed plus a deterministic ingestion order gives
+	// byte-stable samples whatever the stripe count (the golden-output
+	// example relies on this).
 	Seed int64
 }
 
 type stripe struct {
 	mu    sync.Mutex
 	sites map[siteKey]*siteAgg
-	rng   *rand.Rand
-	_     [32]byte // keep neighbouring stripes off one cache line
+	_     [40]byte // keep neighbouring stripes off one cache line
 }
 
 // siteKey identifies one aggregated cell. Process is part of the key so
@@ -150,15 +152,15 @@ func NewStore(opts StoreOpts) *Store {
 		win = 8
 	}
 	s := &Store{
-		stripes:   make([]stripe, n),
-		seed:      maphash.MakeSeed(),
-		sampleCap: cap,
-		window:    win,
-		procs:     map[string]*producer{},
+		stripes:    make([]stripe, n),
+		seed:       maphash.MakeSeed(),
+		sampleSeed: uint64(opts.Seed),
+		sampleCap:  cap,
+		window:     win,
+		procs:      map[string]*producer{},
 	}
 	for i := range s.stripes {
 		s.stripes[i].sites = map[siteKey]*siteAgg{}
-		s.stripes[i].rng = rand.New(rand.NewSource(opts.Seed + int64(i)))
 	}
 	return s
 }
@@ -309,11 +311,44 @@ func (s *Store) add(k siteKey, n uint64, sample []trace.Event) {
 		a.seen++
 		if len(a.samples) < s.sampleCap {
 			a.samples = append(a.samples, Sample{Process: k.process, Events: sample})
-		} else if j := st.rng.Int63n(int64(a.seen)); int(j) < s.sampleCap {
+		} else if j := s.draw(k, a.seen); j < uint64(s.sampleCap) {
 			a.samples[j] = Sample{Process: k.process, Events: sample}
 		}
 	}
 	st.mu.Unlock()
+}
+
+// draw returns the reservoir slot for a site's seen-th failure, uniform in
+// [0, seen). It is splitmix64's seen-th output from a state seeded by the
+// store's seed and an FNV-1a hash of the site key, so it depends on
+// nothing else: stores with one seed keep the same samples whatever
+// stripe a site lands on, and the draw needs no per-site state.
+func (s *Store) draw(k siteKey, seen uint64) uint64 {
+	z := s.sampleSeed ^ siteHash(k)
+	z += seen * 0x9e3779b97f4a7c15
+	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+	z = (z ^ z>>27) * 0x94d049bb133111eb
+	z ^= z >> 31
+	j, _ := bits.Mul64(z, seen)
+	return j
+}
+
+// siteHash is FNV-1a over every field of the site key, each string
+// NUL-terminated.
+func siteHash(k siteKey) uint64 {
+	h := uint64(14695981039346656037)
+	for _, str := range [...]string{k.process, k.class, k.symbol, k.verdict} {
+		for i := 0; i < len(str); i++ {
+			h = (h ^ uint64(str[i])) * 1099511628211
+		}
+		h *= 1099511628211 // the NUL
+	}
+	for _, v := range [...]uint32{uint32(k.kind), k.from, k.to} {
+		for i := 0; i < 4; i++ {
+			h = (h ^ uint64(byte(v>>(8*i)))) * 1099511628211
+		}
+	}
+	return h
 }
 
 // IngestFrame decodes and aggregates one trace payload: the event count

@@ -19,10 +19,10 @@ import (
 // TestEncodeModuleAllocs: re-encoding a linked program into the buffer the
 // last encode returned costs at most one allocation — the module codec
 // appends without reflection or scratch buffers — and a built node's
-// encode reuses the scheduler's pooled buffer, so running the largest
+// content sum hashes from pooled scratch buffers, so running the largest
 // corpus program's link node allocates no more than a one-function
-// module's. ExecModuleNode gives the node a dependent, so it encodes on
-// every run (a link node without one never encodes).
+// module's. ExecModuleNode gives the node a dependent, so it hashes on
+// every run (a link node without one never does).
 func TestEncodeModuleAllocs(t *testing.T) {
 	var prog *ir.Module
 	var size int
@@ -58,10 +58,10 @@ func TestEncodeModuleAllocs(t *testing.T) {
 			Name: "entry", Instrs: []ir.Instr{{Op: ir.OpRet}},
 		}}}}}
 		big, small := build.ExecModuleNode(prog), build.ExecModuleNode(tiny)
-		big() // warm-up: grows the pooled buffer to the program's size
+		big() // warm-up: grows the pooled buffers to the program's size
 		bigAllocs, smallAllocs := testing.AllocsPerRun(20, big), testing.AllocsPerRun(20, small)
 		if bigAllocs > smallAllocs {
-			t.Fatalf("building a %d-byte program's node allocated %.1f times, a one-instruction module's %.1f: the encode buffer is not reused",
+			t.Fatalf("building a %d-byte program's node allocated %.1f times, a one-instruction module's %.1f: the hashing buffers are not reused",
 				size, bigAllocs, smallAllocs)
 		}
 	})
@@ -98,7 +98,7 @@ int main(int sig) { return fetch(sig); }
 		return res.Units[0].Module
 	}
 	small, large := build.ExecInstrumentNode(lib(8), prog.Autos), build.ExecInstrumentNode(lib(64), prog.Autos)
-	small() // warm-up: memoizes the optimised functions and grows the pooled buffer
+	small() // warm-up: memoizes the optimised functions and their digests, and grows the pooled buffers
 	large()
 	smallAllocs, largeAllocs := testing.AllocsPerRun(20, small), testing.AllocsPerRun(20, large)
 	if largeAllocs != smallAllocs {

@@ -2,6 +2,7 @@ package build
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"sort"
@@ -14,12 +15,16 @@ import (
 	"tesla/internal/manifest"
 )
 
-// Artifact codecs. A node's artifact is encoded to deterministic bytes
-// when a dependent key or the disk layer reads them: the bytes are what
-// the on-disk cache stores, and their hash is what downstream node keys
-// incorporate — so "did my input change?" is always answered by comparing
-// serialised content, never pointers or timestamps. An artifact nothing
-// reads (the linked program on a memory-only cache) is never encoded.
+// Artifact codecs. A node's artifact has a hash that dependent keys
+// incorporate, and bytes that the on-disk cache stores. For most kinds the
+// hash is SHA-256 over the bytes, so "did my input change?" is answered by
+// comparing serialised content, never pointers or timestamps. Unit and
+// module artifacts instead carry a content sum (ir.Module.ContentSum): the
+// same content hashed per function, so a function the node shares with
+// its compile artifact contributes that artifact's memoized digest and is
+// not hashed again. Those artifacts are encoded only for the disk layer.
+// An artifact nothing reads (the linked program on a memory-only cache)
+// is never hashed at all.
 //
 // Encoders append into dst, a buffer the scheduler owns and reuses once
 // the bytes are hashed and written; an encoder must not retain it.
@@ -39,18 +44,24 @@ type unitArtifact struct {
 	unitVal  *compiler.Unit
 	unitErr  error
 
-	// Module's functions optimised, memoized the same way: every
-	// instrument or strip node over this artifact, in this build or a
-	// later one, shares them for the functions its pass leaves alone.
+	// Module's functions optimised, and each one's ir.FuncSum, memoized
+	// the same way: every instrument or strip node over this artifact, in
+	// this build or a later one, shares them for the functions its pass
+	// leaves alone.
 	optOnce sync.Once
 	optFns  []*ir.Func
+	optSums []digest
 }
 
 // moduleArtifact is the product of the instrument, strip and link nodes.
-// Stats is meaningful for instrument nodes only.
+// Stats is meaningful for instrument nodes only. from is the compile
+// artifact an instrument or strip node derived Module from (nil for link
+// nodes and decoded artifacts): a function of Module that is one of
+// from's optimised functions takes its memoized digest.
 type moduleArtifact struct {
 	Module *ir.Module
 	Stats  instrument.Stats
+	from   *unitArtifact
 }
 
 var errTrailing = errors.New("build: decode: trailing bytes after artifact")
@@ -78,14 +89,44 @@ func decodeUnit(data []byte) (any, error) {
 	return &unitArtifact{Module: m, Fragment: bytes.Clone(rest)}, nil
 }
 
+// sumUnit is a unit artifact's content sum: the module's, with the
+// fragment as its tail.
+func sumUnit(art any) digest {
+	u := art.(*unitArtifact)
+	return u.Module.ContentSum(nil, u.Fragment)
+}
+
 // encodeModule: the module, then the five Stats counters.
 func encodeModule(art any, dst []byte) ([]byte, error) {
 	a := art.(*moduleArtifact)
-	dst = a.Module.AppendBinary(dst)
+	return a.appendStats(a.Module.AppendBinary(dst)), nil
+}
+
+func (a *moduleArtifact) appendStats(dst []byte) []byte {
 	for _, v := range [...]int{a.Stats.Hooks, a.Stats.Translators, a.Stats.Sites, a.Stats.ElidedHooks, a.Stats.ElidedSites} {
 		dst = binary.AppendVarint(dst, int64(v))
 	}
-	return dst, nil
+	return dst
+}
+
+// sumModule is a module artifact's content sum: the module's, with the
+// Stats counters as its tail. Function i takes the compile artifact's
+// memoized digest when it is that artifact's optimised function i: the
+// IR is immutable once built, so the same pointer means the same content.
+func sumModule(art any) digest {
+	a := art.(*moduleArtifact)
+	var stack [5 * binary.MaxVarintLen64]byte
+	tail := a.appendStats(stack[:0])
+	if a.from == nil {
+		return a.Module.ContentSum(nil, tail)
+	}
+	fns, sums := a.from.optimized()
+	return a.Module.ContentSum(func(i int, f *ir.Func) [sha256.Size]byte {
+		if i < len(fns) && f == fns[i] {
+			return sums[i]
+		}
+		return ir.FuncSum(f)
+	}, tail)
 }
 
 func decodeModule(data []byte) (any, error) {
@@ -201,26 +242,36 @@ func (u *unitArtifact) parseUnit() (*compiler.Unit, error) {
 	return &compiler.Unit{Module: u.Module, Assertions: as}, nil
 }
 
-// optimize optimises m, the output of instrument.Module or
-// instrument.Strip over u's module, writing only m.Funcs. A function the
-// pass left alone is u's own pointer at the same index, and takes u's
-// memoized optimised copy; only the functions the pass rewrote or
-// generated are optimised here.
-func (u *unitArtifact) optimize(m *ir.Module) {
+// optimized returns u's functions optimised and their digests, computing
+// both once per artifact.
+func (u *unitArtifact) optimized() ([]*ir.Func, []digest) {
 	u.optOnce.Do(func() {
 		u.optFns = make([]*ir.Func, len(u.Module.Funcs))
+		u.optSums = make([]digest, len(u.Module.Funcs))
 		for i, f := range u.Module.Funcs {
 			u.optFns[i] = ir.OptimizeFunc(f)
+			u.optSums[i] = ir.FuncSum(u.optFns[i])
 		}
 	})
+	return u.optFns, u.optSums
+}
+
+// optimize optimises m, the output of instrument.Module or
+// instrument.Strip over u's module, writing only m.Funcs, and returns
+// m's artifact. A function the pass left alone is u's own pointer at the
+// same index, and takes u's memoized optimised copy; only the functions
+// the pass rewrote or generated are optimised here.
+func (u *unitArtifact) optimize(m *ir.Module, stats instrument.Stats) *moduleArtifact {
+	opt, _ := u.optimized()
 	src := u.Module.Funcs
 	for i, f := range m.Funcs {
 		if i < len(src) && f == src[i] {
-			m.Funcs[i] = u.optFns[i]
+			m.Funcs[i] = opt[i]
 		} else {
 			m.Funcs[i] = ir.OptimizeFunc(f)
 		}
 	}
+	return &moduleArtifact{Module: m, Stats: stats, from: u}
 }
 
 func (u *unitArtifact) fragment() (*manifest.File, error) {

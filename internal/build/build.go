@@ -6,7 +6,7 @@
 // Every node's cache key is the hash of its literal inputs (source bytes,
 // file names, pipeline options) plus its dependencies' artifact hashes, so
 // the graph gets early cutoff for free: an edit that re-runs a stage but
-// reproduces byte-identical output stops invalidation right there. Two
+// reproduces identical output stops invalidation right there. Two
 // consequences reproduce the paper's §5.1 build behaviour measurably:
 //
 //   - Editing a function body re-compiles that file, but its manifest
@@ -92,8 +92,9 @@ type NodeReport struct {
 
 // graphState carries the shared lazy singletons node run functions need:
 // the parse memo (so a file demanded by both its interface and compile
-// nodes parses once) and the compilation context (built from interface
-// artifacts only after every interface node has finished).
+// nodes parses once), the compilation context (built from interface
+// artifacts only after every interface node has finished) and the hook
+// plan every instrument node reads.
 type graphState struct {
 	sources map[string]string
 	names   []string
@@ -105,6 +106,9 @@ type graphState struct {
 	ctxOnce    sync.Once
 	ctx        *compiler.Context
 	ctxErr     error
+
+	planOnce sync.Once
+	planVal  *automata.Plan
 }
 
 type parseEntry struct {
@@ -145,6 +149,15 @@ func (g *graphState) context() (*compiler.Context, error) {
 	return g.ctx, g.ctxErr
 }
 
+// plan builds the hook plan once per build from the automata and defs
+// artifacts; callers are instrument nodes, which depend on both.
+func (g *graphState) plan(autos, defs *node) *automata.Plan {
+	g.planOnce.Do(func() {
+		g.planVal = automata.NewPlan(autos.art.(*autosArtifact).Autos, defs.art.(map[string]bool))
+	})
+	return g.planVal
+}
+
 // Run executes the build graph over the sources.
 func Run(sources map[string]string, opts Options) (*Result, error) {
 	cache := opts.Cache
@@ -169,15 +182,13 @@ func Run(sources map[string]string, opts Options) (*Result, error) {
 
 	// Stage 1: per-file interface summaries (parse on demand). Each source
 	// is hashed once; the interface and compile nodes key on its digest.
-	digests := make([][]byte, len(g.names))
+	digests := hashSources(sources, g.names)
 	for i, name := range g.names {
 		name := name
-		sum := sha256.Sum256([]byte(sources[name]))
-		digests[i] = sum[:]
 		g.ifaceNodes = append(g.ifaceNodes, add(&node{
 			id:        "iface:" + name,
 			kind:      "iface",
-			extra:     [][]byte{[]byte(name), digests[i]},
+			extra:     [][]byte{[]byte(name), digests[i][:]},
 			cacheable: true,
 			run: func() (any, error) {
 				f, err := g.parse(name)
@@ -203,7 +214,7 @@ func Run(sources map[string]string, opts Options) (*Result, error) {
 			id:        "compile:" + name,
 			kind:      "compile",
 			deps:      g.ifaceNodes,
-			extra:     [][]byte{[]byte(name), digests[i]},
+			extra:     [][]byte{[]byte(name), digests[i][:]},
 			cacheable: true,
 			run: func() (any, error) {
 				f, err := g.parse(name)
@@ -226,6 +237,7 @@ func Run(sources map[string]string, opts Options) (*Result, error) {
 			},
 			encode: encodeUnit,
 			decode: decodeUnit,
+			sum:    sumUnit,
 		})
 	}
 
@@ -339,6 +351,7 @@ func Run(sources map[string]string, opts Options) (*Result, error) {
 			},
 			encode: encodeModule,
 			decode: decodeModule,
+			sum:    sumModule,
 		})
 		checkNode = add(&node{
 			id:    "check",
@@ -364,7 +377,8 @@ func Run(sources map[string]string, opts Options) (*Result, error) {
 	// optimises only the functions its pass rewrote or generated; every
 	// other function is the compile artifact's memoised optimised copy, so
 	// re-instrumenting a unit after an assertion edit shares its untouched
-	// functions with the previous build.
+	// functions, and their digests, with the previous build. Every
+	// instrument node reads one hook plan, built once per build.
 	unitNodes := make([]*node, len(g.names))
 	for i, name := range g.names {
 		i := i
@@ -389,11 +403,13 @@ func Run(sources map[string]string, opts Options) (*Result, error) {
 					return instrumentUnit(
 						compileNodes[i].art.(*unitArtifact),
 						autosNode.art.(*autosArtifact).Autos,
-						instrument.Options{DefinedFns: defsNode.art.(map[string]bool), Suffix: suffix, Elide: elideSet},
+						instrument.Options{DefinedFns: defsNode.art.(map[string]bool), Suffix: suffix, Elide: elideSet,
+							Plan: g.plan(autosNode, defsNode)},
 					)
 				},
 				encode: encodeModule,
 				decode: decodeModule,
+				sum:    sumModule,
 			})
 		} else {
 			unitNodes[i] = add(&node{
@@ -403,12 +419,11 @@ func Run(sources map[string]string, opts Options) (*Result, error) {
 				cacheable: true,
 				run: func() (any, error) {
 					unit := compileNodes[i].art.(*unitArtifact)
-					m := instrument.Strip(unit.Module)
-					unit.optimize(m)
-					return &moduleArtifact{Module: m}, nil
+					return unit.optimize(instrument.Strip(unit.Module), instrument.Stats{}), nil
 				},
 				encode: encodeModule,
 				decode: decodeModule,
+				sum:    sumModule,
 			})
 		}
 	}
@@ -432,6 +447,7 @@ func Run(sources map[string]string, opts Options) (*Result, error) {
 		},
 		encode: encodeModule,
 		decode: decodeModule,
+		sum:    sumModule,
 	})
 
 	x := &exec{cache: cache, jobs: opts.Jobs}
@@ -499,6 +515,26 @@ func Run(sources map[string]string, opts Options) (*Result, error) {
 	return res, nil
 }
 
+// hashSources returns the SHA-256 of each named source, in order. The
+// sources stream through one hasher and a fixed buffer, so hashing
+// copies no source whole.
+func hashSources(sources map[string]string, names []string) []digest {
+	sums := make([]digest, len(names))
+	h := sha256.New()
+	var buf [4096]byte
+	for i, name := range names {
+		src := sources[name]
+		h.Reset()
+		for len(src) > 0 {
+			n := copy(buf[:], src)
+			h.Write(buf[:n])
+			src = src[n:]
+		}
+		h.Sum(sums[i][:0])
+	}
+	return sums
+}
+
 // instrumentUnit is the instrument node's stage: instrument the unit's
 // module, then optimise what instrumentation rewrote or generated.
 func instrumentUnit(unit *unitArtifact, autos []*automata.Automaton, opts instrument.Options) (any, error) {
@@ -506,8 +542,7 @@ func instrumentUnit(unit *unitArtifact, autos []*automata.Automaton, opts instru
 	if err != nil {
 		return nil, err
 	}
-	unit.optimize(m)
-	return &moduleArtifact{Module: m, Stats: stats}, nil
+	return unit.optimize(m, stats), nil
 }
 
 // appendSafeSet serialises a report's provably-safe automata names — the

@@ -21,6 +21,10 @@ type Cache struct {
 
 	mu  sync.Mutex
 	mem map[digest]memEntry
+
+	// encoded, when set, is called with the ID of every node whose
+	// artifact a build over this cache encodes (tests count encodes).
+	encoded func(id string)
 }
 
 // digest is a SHA-256 sum: a node key or an artifact hash. It stays raw
@@ -30,9 +34,9 @@ type digest [sha256.Size]byte
 func (d digest) String() string { return hex.EncodeToString(d[:]) }
 
 // memEntry is one artifact in the memory cache. hashed is false while the
-// artifact has never been encoded: the node that stored it had no
-// dependent and no disk layer, so nothing read its bytes. The first memory
-// hit that needs the hash encodes the artifact and stores the hash back.
+// artifact has never been hashed: the node that stored it had no
+// dependent and no disk layer, so nothing read its hash or bytes. The
+// first memory hit that needs the hash computes it and stores it back.
 type memEntry struct {
 	art    any
 	hash   digest
@@ -116,7 +120,7 @@ func (c *Cache) putDisk(key digest, data []byte) error {
 // keyVersion salts every node key; bump it when artifact encodings,
 // pipeline semantics or the key derivation change so stale caches
 // invalidate wholesale.
-const keyVersion = "tesla-build-v4"
+const keyVersion = "tesla-build-v5"
 
 // nodeKey derives a node's cache key from its kind, its literal inputs
 // (source digests, file names, pipeline options) and its dependencies'

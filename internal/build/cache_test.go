@@ -6,6 +6,7 @@ package build_test
 // plus cache robustness (corrupt objects) and diagnostic collection.
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -312,16 +313,7 @@ func TestCorruptCacheObjectRebuilds(t *testing.T) {
 // decoded from: early cutoff works the same from disk as from memory.
 func TestDiskRebuildMatchesMemory(t *testing.T) {
 	base := threeFiles()
-	// A struct-using unit, so interned layouts cross the disk too.
-	base["rec.c"] = `
-struct rec { int sig; int ok; };
-int record(int sig) {
-	struct rec *r = alloc(rec);
-	r->sig = sig;
-	r->ok = verify(sig);
-	return r->ok;
-}
-`
+	base["rec.c"] = structUnit
 	edits := map[string]func(map[string]string){
 		"body edit": func(s map[string]string) {
 			s["lib.c"] = "\nint checksum(int x) { return x % 89; }\n"
@@ -332,10 +324,7 @@ int record(int sig) {
 	}
 	for name, edit := range edits {
 		t.Run(name, func(t *testing.T) {
-			edited := map[string]string{}
-			for k, v := range base {
-				edited[k] = v
-			}
+			edited := copySources(base)
 			edit(edited)
 			rebuild := func(first, second *build.Cache) *build.Result {
 				t.Helper()
@@ -389,6 +378,108 @@ int record(int sig) {
 	}
 }
 
+// TestContentSumsAgree: unit and module artifacts hash by content sum,
+// from memoized per-function digests when built and from scratch when
+// decoded, so the sum must be a pure function of content for early
+// cutoff to behave the same from memory and from disk. Over the corpus,
+// and over an edit sequence shaped like the rebuild workload (body edit,
+// assertion edit, revert, no-op), every node key must be equal across a
+// memory-cache build, a cold disk-backed build and a warm one that decodes
+// every artifact; and every hashed artifact's stored sum must equal one
+// recomputed from scratch.
+func TestContentSumsAgree(t *testing.T) {
+	type step struct {
+		name    string
+		sources map[string]string
+	}
+	var seqs [][]step
+	for name, sources := range corpus(t) {
+		seqs = append(seqs, []step{{name, sources}, {name + " no-op", sources}})
+	}
+	base := threeFiles()
+	base["rec.c"] = structUnit
+	body := copySources(base)
+	body["lib.c"] = "\nint checksum(int x) { return x % 89; }\n"
+	assert := copySources(body)
+	assert["client.c"] = strings.Replace(assert["client.c"], "verify(ANY(int)) == 1", "verify(ANY(int)) == 0", 1)
+	seqs = append(seqs, []step{
+		{"base", base}, {"body edit", body}, {"assertion edit", assert}, {"revert", base}, {"no-op", base},
+	})
+
+	for _, opts := range []build.Options{{}, {Instrument: true}, {Instrument: true, Check: true, Elide: true}} {
+		for _, seq := range seqs {
+			dir := t.TempDir()
+			mem := build.NewCache()
+			cold, err := build.Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, st := range seq {
+				label := fmt.Sprintf("%s (instrument=%t check=%t)", st.name, opts.Instrument, opts.Check)
+				run := func(c *build.Cache) *build.Result {
+					t.Helper()
+					o := opts
+					o.Cache = c
+					res, err := build.Run(st.sources, o)
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					return res
+				}
+				warmCache, err := build.Open(dir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				m, c := run(mem), run(cold)
+				w := run(warmCache)
+				for _, n := range w.Nodes {
+					if n.Status == build.StatusBuilt && !strings.HasPrefix(n.ID, "parse:") && n.ID != "check" {
+						t.Errorf("%s: warm disk build rebuilt %s", label, n.ID)
+					}
+				}
+				mn, cn, wn := stageNodes(m), stageNodes(c), stageNodes(w)
+				if len(mn) != len(cn) || len(mn) != len(wn) {
+					t.Fatalf("%s: %d nodes from memory, %d cold disk, %d warm disk", label, len(mn), len(cn), len(wn))
+				}
+				for i := range mn {
+					if mn[i].ID != cn[i].ID || mn[i].Key != cn[i].Key || mn[i].ID != wn[i].ID || mn[i].Key != wn[i].Key {
+						t.Errorf("%s: node %d: memory %s %.12s, cold disk %s %.12s, warm disk %s %.12s",
+							label, i, mn[i].ID, mn[i].Key, cn[i].ID, cn[i].Key, wn[i].ID, wn[i].Key)
+					}
+				}
+				if m.Program.String() != w.Program.String() {
+					t.Errorf("%s: linked IR differs between memory and warm disk builds", label)
+				}
+				for _, cache := range []*build.Cache{mem, cold, warmCache} {
+					if stale := cache.StaleSums(); len(stale) > 0 {
+						t.Errorf("%s: stored sums differ from sums recomputed from scratch: %v", label, stale)
+					}
+				}
+			}
+		}
+	}
+}
+
+// structUnit is a struct-using unit, so interned layouts cross the disk
+// and the content sums too.
+const structUnit = `
+struct rec { int sig; int ok; };
+int record(int sig) {
+	struct rec *r = alloc(rec);
+	r->sig = sig;
+	r->ok = verify(sig);
+	return r->ok;
+}
+`
+
+func copySources(src map[string]string) map[string]string {
+	out := make(map[string]string, len(src))
+	for k, v := range src {
+		out[k] = v
+	}
+	return out
+}
+
 // reportKey returns the report's key for the node with the given ID.
 func reportKey(t *testing.T, res *build.Result, id string) string {
 	t.Helper()
@@ -412,37 +503,77 @@ func stageNodes(res *build.Result) []build.NodeReport {
 	return out
 }
 
-// TestLinkEncodedOnlyForDisk: nothing reads the link artifact's bytes on a
-// memory-only cache (no node depends on it), so the build must not encode
-// it; with a disk layer the bytes are the stored object, so the build must
-// encode and write it.
+// TestLinkEncodedOnlyForDisk: the compile, instrument, strip and link
+// nodes hash their artifacts by content sum, so a memory-only cache never
+// needs their bytes: neither a build nor an assertion edit rebuilt on
+// that cache encodes one, and the link artifact, whose hash nothing reads
+// (no node depends on it), is not even hashed. With a disk layer the
+// bytes are the stored object, so a cold build encodes each persisted
+// artifact exactly once and writes the link object.
 func TestLinkEncodedOnlyForDisk(t *testing.T) {
 	opts := build.Options{Instrument: true, Cache: build.NewCache()}
+	encodes := opts.Cache.CountEncodes()
 	res, err := build.Run(threeFiles(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if hashed, ok := opts.Cache.Hashed(reportKey(t, res, "link")); !ok || hashed {
-		t.Errorf("memory-only build: link artifact cached %t, encoded %t; want cached and not encoded", ok, hashed)
+		t.Errorf("memory-only build: link artifact cached %t, hashed %t; want cached and not hashed", ok, hashed)
 	}
 	if hashed, ok := opts.Cache.Hashed(reportKey(t, res, "instrument:lib.c")); !ok || !hashed {
-		t.Errorf("memory-only build: instrument artifact cached %t, encoded %t; want both (link keys on it)", ok, hashed)
+		t.Errorf("memory-only build: instrument artifact cached %t, hashed %t; want both (link keys on it)", ok, hashed)
+	}
+	edited := threeFiles()
+	edited["client.c"] = strings.Replace(edited["client.c"], "verify(ANY(int)) == 1", "verify(ANY(int)) == 0", 1)
+	if res, err = build.Run(edited, opts); err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range res.Nodes {
+		if strings.HasPrefix(n.ID, "instrument:") && n.Status != build.StatusBuilt {
+			t.Fatalf("assertion edit: %s %s, want built", n.ID, n.Status)
+		}
+	}
+	for id, n := range encodes() {
+		if moduleNode(id) {
+			t.Errorf("memory-only build and assertion edit encoded %s %d time(s); want none", id, n)
+		}
 	}
 
 	dir := t.TempDir()
 	if opts.Cache, err = build.Open(dir); err != nil {
 		t.Fatal(err)
 	}
+	encodes = opts.Cache.CountEncodes()
 	if res, err = build.Run(threeFiles(), opts); err != nil {
 		t.Fatal(err)
 	}
+	got := encodes()
+	for _, n := range stageNodes(res) {
+		if got[n.ID] != 1 {
+			t.Errorf("disk-backed build encoded %s %d time(s); want once", n.ID, got[n.ID])
+		}
+	}
+	if len(got) != len(stageNodes(res)) {
+		t.Errorf("disk-backed build encoded %d artifacts for %d nodes: %v", len(got), len(stageNodes(res)), got)
+	}
 	key := reportKey(t, res, "link")
 	if hashed, ok := opts.Cache.Hashed(key); !ok || !hashed {
-		t.Errorf("disk-backed build: link artifact cached %t, encoded %t; want both", ok, hashed)
+		t.Errorf("disk-backed build: link artifact cached %t, hashed %t; want both", ok, hashed)
 	}
 	if _, err := os.Stat(filepath.Join(dir, "objects", key[:2], key[2:])); err != nil {
 		t.Errorf("disk-backed build did not write the link object: %v", err)
 	}
+}
+
+// moduleNode reports whether a node ID names a node whose artifact is an
+// IR module hashed by content sum.
+func moduleNode(id string) bool {
+	for _, p := range []string{"compile:", "instrument:", "strip:"} {
+		if strings.HasPrefix(id, p) {
+			return true
+		}
+	}
+	return id == "rawlink" || id == "link"
 }
 
 // TestCheckThenElideSharesCache: the check node has dependents only when

@@ -1,13 +1,15 @@
 package build
 
 import (
+	"sync"
+
 	"tesla/internal/automata"
 	"tesla/internal/instrument"
 	"tesla/internal/ir"
 )
 
 // EncodeModuleArtifact returns the module artifact encoder bound to m, as
-// execNode calls it for instrument, strip and link nodes.
+// execNode calls it to persist instrument, strip and link nodes.
 func EncodeModuleArtifact(m *ir.Module) func(dst []byte) ([]byte, error) {
 	art := &moduleArtifact{Module: m}
 	return func(dst []byte) ([]byte, error) { return encodeModule(art, dst) }
@@ -16,11 +18,11 @@ func EncodeModuleArtifact(m *ir.Module) func(dst []byte) ([]byte, error) {
 // ExecModuleNode returns a function that runs one link node producing m
 // through execNode, on a memory cache emptied before each call so every
 // call misses. The node is given a dependent, so its hash is needed and
-// every call encodes into the scheduler's pooled buffer.
+// every call takes the module's content sum.
 func ExecModuleNode(m *ir.Module) func() {
 	art := &moduleArtifact{Module: m}
 	x := &exec{cache: NewCache()}
-	n := &node{id: "link", kind: "link", encode: encodeModule, decode: decodeModule,
+	n := &node{id: "link", kind: "link", encode: encodeModule, decode: decodeModule, sum: sumModule,
 		run: func() (any, error) { return art, nil }}
 	n.dependents = []*node{{id: "consumer"}}
 	return func() {
@@ -30,7 +32,7 @@ func ExecModuleNode(m *ir.Module) func() {
 			panic(n.err)
 		}
 		if !x.cache.mem[n.key].hashed {
-			panic("link node with a dependent did not encode its artifact")
+			panic("link node with a dependent did not hash its artifact")
 		}
 	}
 }
@@ -39,7 +41,7 @@ func ExecModuleNode(m *ir.Module) func() {
 // a compile artifact holding m, against autos, through execNode, on a
 // memory cache emptied before each call so every call misses. Every
 // function m defines counts as defined in the program. The node is given
-// a dependent, so it encodes on every call, as in a build.
+// a dependent, so it hashes on every call, as in a build.
 func ExecInstrumentNode(m *ir.Module, autos []*automata.Automaton) func() {
 	unit := &unitArtifact{Module: m}
 	defs := map[string]bool{}
@@ -47,7 +49,7 @@ func ExecInstrumentNode(m *ir.Module, autos []*automata.Automaton) func() {
 		defs[f.Name] = true
 	}
 	x := &exec{cache: NewCache()}
-	n := &node{id: "instrument:" + m.Name, kind: "instrument", encode: encodeModule, decode: decodeModule,
+	n := &node{id: "instrument:" + m.Name, kind: "instrument", encode: encodeModule, decode: decodeModule, sum: sumModule,
 		run: func() (any, error) {
 			return instrumentUnit(unit, autos, instrument.Options{DefinedFns: defs, Suffix: "__m0"})
 		}}
@@ -59,6 +61,52 @@ func ExecInstrumentNode(m *ir.Module, autos []*automata.Automaton) func() {
 			panic(n.err)
 		}
 	}
+}
+
+// CountEncodes makes every build over c count the artifacts it encodes, by
+// node ID, until the returned function is called; that function returns
+// the counts.
+func (c *Cache) CountEncodes() func() map[string]int {
+	var mu sync.Mutex
+	counts := map[string]int{}
+	c.encoded = func(id string) {
+		mu.Lock()
+		counts[id]++
+		mu.Unlock()
+	}
+	return func() map[string]int {
+		c.encoded = nil
+		mu.Lock()
+		defer mu.Unlock()
+		return counts
+	}
+}
+
+// StaleSums recomputes, from scratch, the content sum of every hashed unit
+// and module artifact in the memory cache, with no memoized digest, and
+// returns the hex keys of those whose stored hash differs.
+func (c *Cache) StaleSums() []string {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var stale []string
+	for k, e := range c.mem {
+		if !e.hashed {
+			continue
+		}
+		var sum digest
+		switch a := e.art.(type) {
+		case *unitArtifact:
+			sum = sumUnit(&unitArtifact{Module: a.Module, Fragment: a.Fragment})
+		case *moduleArtifact:
+			sum = sumModule(&moduleArtifact{Module: a.Module, Stats: a.Stats})
+		default:
+			continue
+		}
+		if sum != e.hash {
+			stale = append(stale, k.String())
+		}
+	}
+	return stale
 }
 
 // Hashed reports whether the memory cache holds an artifact under the

@@ -63,10 +63,13 @@ type node struct {
 
 	// run produces the artifact; encode appends its bytes to dst, a
 	// buffer the scheduler reuses (see artifact.go); decode reads them
-	// back.
+	// back. sum, when set, is the artifact's content hash, and the bytes
+	// are encoded only for the disk layer; when nil, the hash is SHA-256
+	// over the bytes.
 	run    func() (any, error)
 	encode func(art any, dst []byte) ([]byte, error)
 	decode func([]byte) (any, error)
+	sum    func(art any) digest
 
 	// Scheduler state.
 	pending    int32
@@ -137,11 +140,12 @@ func (x *exec) runGraph(nodes []*node) {
 
 // execNode resolves one node: propagate upstream failure, derive the
 // content-hash key, consult the memory and disk caches, and only then run
-// the stage. An artifact is encoded only when something reads its bytes:
-// a dependent's key incorporates their hash, and the disk layer stores
-// them. A node with neither (the link node, and the check node unless
-// instrumentation elides) leaves its artifact in the memory cache
-// unhashed; a later hit from a node that has dependents hashes it then.
+// the stage. An artifact is hashed only when something reads the hash or
+// the bytes: a dependent's key incorporates the hash, and the disk layer
+// stores the bytes. A node with neither (the link node, and the check
+// node unless instrumentation elides) leaves its artifact in the memory
+// cache unhashed; a later hit from a node that has dependents hashes it
+// then.
 func (x *exec) execNode(n *node) {
 	start := time.Now()
 	defer func() { n.dur = time.Since(start) }()
@@ -160,7 +164,7 @@ func (x *exec) execNode(n *node) {
 	if e, ok := x.cache.getMem(n.key); ok {
 		n.art, n.hash, n.status = e.art, e.hash, StatusMemHit
 		if needHash && !e.hashed {
-			if err := x.encode(n, persist); err != nil {
+			if err := x.store(n, persist); err != nil {
 				n.status = StatusFailed
 				n.err = err
 			}
@@ -172,7 +176,12 @@ func (x *exec) execNode(n *node) {
 			// A corrupt or undecodable object is treated as a miss and
 			// rebuilt over.
 			if art, err := n.decode(data); err == nil {
-				n.art, n.hash, n.status = art, sha256.Sum256(data), StatusDiskHit
+				n.art, n.status = art, StatusDiskHit
+				if n.sum != nil {
+					n.hash = n.sum(art)
+				} else {
+					n.hash = sha256.Sum256(data)
+				}
 				x.cache.putMem(n.key, memEntry{art: n.art, hash: n.hash, hashed: true})
 				return
 			}
@@ -190,34 +199,46 @@ func (x *exec) execNode(n *node) {
 		x.cache.putMem(n.key, memEntry{art: art})
 		return
 	}
-	if err := x.encode(n, persist); err != nil {
+	if err := x.store(n, persist); err != nil {
 		n.status = StatusFailed
 		n.err = err
 	}
 }
 
-// encode encodes n's artifact into a pooled buffer, sets n.hash from the
-// bytes, stores the artifact in the memory cache as hashed and, with
-// persist, writes the bytes to the disk layer.
-func (x *exec) encode(n *node, persist bool) error {
-	buf := encodeBufs.Get().(*[]byte)
-	defer encodeBufs.Put(buf)
-	var err error
-	if *buf, err = n.encode(n.art, (*buf)[:0]); err != nil {
-		return err
+// store sets n.hash, stores the artifact in the memory cache as hashed
+// and, with persist, writes its bytes to the disk layer. The artifact is
+// encoded, into a pooled buffer, only if the hash or the disk needs the
+// bytes: a node with a content sum on a memory-only cache encodes nothing.
+func (x *exec) store(n *node, persist bool) error {
+	var data []byte
+	if n.sum == nil || persist {
+		buf := encodeBufs.Get().(*[]byte)
+		defer encodeBufs.Put(buf)
+		var err error
+		if *buf, err = n.encode(n.art, (*buf)[:0]); err != nil {
+			return err
+		}
+		data = *buf
+		if x.cache.encoded != nil {
+			x.cache.encoded(n.id)
+		}
 	}
-	n.hash = sha256.Sum256(*buf)
+	if n.sum != nil {
+		n.hash = n.sum(n.art)
+	} else {
+		n.hash = sha256.Sum256(data)
+	}
 	x.cache.putMem(n.key, memEntry{art: n.art, hash: n.hash, hashed: true})
 	if persist {
 		// Failing to persist is not a build failure; the artifact is in
 		// hand and the next build simply rebuilds it.
-		_ = x.cache.putDisk(n.key, *buf)
+		_ = x.cache.putDisk(n.key, data)
 	}
 	return nil
 }
 
 // encodeBufs holds the buffers artifacts are encoded into. A buffer is
 // only needed until its bytes are hashed and written to disk, so it goes
-// back to the pool as encode returns and the next encode appends into
+// back to the pool as store returns and the next encode appends into
 // memory the last one grew.
 var encodeBufs = sync.Pool{New: func() any { return new([]byte) }}

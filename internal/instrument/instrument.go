@@ -47,6 +47,11 @@ type Options struct {
 	// and their assertion sites lower to constants. Elided counts are
 	// recorded in Stats.
 	Elide map[string]bool
+	// Plan, when set, is the hook plan to instrument against, shared by
+	// every module of one program; it must equal
+	// automata.NewPlan(autos, DefinedFns). When nil, Module builds that
+	// plan itself.
+	Plan *automata.Plan
 }
 
 // Stats reports what the instrumenter did, for build reporting and the
@@ -70,17 +75,21 @@ type Stats struct {
 // generated event translators. The automata slice order must match the
 // order used to construct the runtime monitor (indices are compiled in).
 func Module(mod *ir.Module, autos []*automata.Automaton, opts Options) (*ir.Module, Stats, error) {
-	defined := opts.DefinedFns
-	if defined == nil {
-		defined = map[string]bool{}
-		for _, f := range mod.Funcs {
-			defined[f.Name] = true
+	plan := opts.Plan
+	if plan == nil {
+		defined := opts.DefinedFns
+		if defined == nil {
+			defined = map[string]bool{}
+			for _, f := range mod.Funcs {
+				defined[f.Name] = true
+			}
 		}
+		plan = automata.NewPlan(autos, defined)
 	}
 	ins := &instrumenter{
 		mod:    derive(mod),
 		autos:  autos,
-		plan:   automata.NewPlan(autos, defined),
+		plan:   plan,
 		suffix: opts.Suffix,
 		elide:  opts.Elide,
 		genned: map[string]bool{},

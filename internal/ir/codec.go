@@ -1,6 +1,7 @@
 package ir
 
 import (
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -31,6 +32,16 @@ import (
 // decodes as nil. The decoder accepts only the encoder's exact output —
 // minimal varints, 0/1 bools, no trailing garbage inside the module — so
 // any module it returns re-encodes to the bytes it consumed.
+//
+// A module's content sum (ContentSum) hashes the same content in two
+// levels, so a function hashed once need not be hashed again:
+//
+//	sum     = SHA-256( str(Name) uvarint(n) structDef'*n uvarint(n) global*n
+//	                   uvarint(n) funcSum*n tail )
+//	funcSum = SHA-256( func' )
+//
+// where structDef' and func' write every struct layout inline (FuncSum),
+// and tail is the caller's bytes that follow the module in its artifact.
 
 // AppendBinary appends the module's encoding to dst and returns the
 // extended slice. In steady state, appending into a buffer with enough
@@ -39,36 +50,73 @@ import (
 func (m *Module) AppendBinary(dst []byte) []byte {
 	e := encoders.Get().(*encoder)
 	defer e.release()
-	e.buf = dst
-	e.str(m.Name)
-	e.uvarint(uint64(len(m.Structs)))
+	dst = appendStr(dst, m.Name)
+	dst = binary.AppendUvarint(dst, uint64(len(m.Structs)))
 	for _, s := range m.Structs {
-		e.structRef(s)
+		dst = e.structRef(dst, s)
 	}
-	e.uvarint(uint64(len(m.Globals)))
-	for _, g := range m.Globals {
-		e.str(g.Name)
-		e.varint(g.Init)
-	}
-	e.uvarint(uint64(len(m.Funcs)))
+	dst = appendGlobals(dst, m.Globals)
+	dst = binary.AppendUvarint(dst, uint64(len(m.Funcs)))
 	for _, f := range m.Funcs {
-		e.str(f.Name)
-		e.varint(int64(f.NParams))
-		e.varint(int64(f.NRegs))
-		e.uvarint(uint64(len(f.Blocks)))
-		for _, b := range f.Blocks {
-			e.str(b.Name)
-			e.uvarint(uint64(len(b.Instrs)))
-			for i := range b.Instrs {
-				e.instr(&b.Instrs[i])
-			}
-		}
+		dst = e.fn(dst, f)
 	}
-	return e.buf
+	return dst
 }
 
+// FuncSum returns the SHA-256 of a self-contained encoding of f: the
+// func production above, except that every struct reference writes its
+// layout inline (uvarint(1) structDef) instead of interning it. The bytes
+// depend on f alone, not on which function of its module used a layout
+// first, so a function's sum is the same in every module that holds it.
+func FuncSum(f *Func) [sha256.Size]byte {
+	buf := sumBufs.Get().(*[]byte)
+	defer sumBufs.Put(buf)
+	*buf = (*encoder)(nil).fn((*buf)[:0], f)
+	return sha256.Sum256(*buf)
+}
+
+// ContentSum returns the content sum of m with tail: SHA-256 over the
+// header (name, struct layouts, globals), the function count, each
+// function's 32-byte sum in order, then tail. sum gives function i's sum
+// and must return FuncSum(f) for it; nil means FuncSum. It exists so a
+// caller that already holds the sum of a function it knows is unchanged
+// (the same immutable *Func it hashed before) can skip the body. Like the
+// encoding, the result is a pure function of the module's content and
+// tail, never of pointer identity.
+func (m *Module) ContentSum(sum func(i int, f *Func) [sha256.Size]byte, tail []byte) [sha256.Size]byte {
+	buf := sumBufs.Get().(*[]byte)
+	defer sumBufs.Put(buf)
+	b := appendStr((*buf)[:0], m.Name)
+	b = binary.AppendUvarint(b, uint64(len(m.Structs)))
+	for _, s := range m.Structs {
+		b = (*encoder)(nil).structRef(b, s)
+	}
+	b = appendGlobals(b, m.Globals)
+	b = binary.AppendUvarint(b, uint64(len(m.Funcs)))
+	for i, f := range m.Funcs {
+		var fs [sha256.Size]byte
+		if sum != nil {
+			fs = sum(i, f)
+		} else {
+			fs = FuncSum(f)
+		}
+		b = append(b, fs[:]...)
+	}
+	b = append(b, tail...)
+	*buf = b
+	return sha256.Sum256(b)
+}
+
+// sumBufs holds the scratch buffers content sums are hashed from; a
+// buffer is only needed until its bytes are hashed.
+var sumBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// encoder holds the struct interning table of one module encoding. Its
+// methods append to the dst they are given and return it: the bytes
+// stay in a local slice, never in a field, so encoding writes no pointer
+// to the heap per varint. A nil encoder interns nothing and writes every
+// layout inline (FuncSum).
 type encoder struct {
-	buf     []byte
 	structs []*StructType // interned layouts, in first-use order
 }
 
@@ -78,37 +126,44 @@ var encoders = sync.Pool{New: func() any { return new(encoder) }}
 // returns it to the pool with its table's capacity.
 func (e *encoder) release() {
 	clear(e.structs)
-	*e = encoder{structs: e.structs[:0]}
+	e.structs = e.structs[:0]
 	encoders.Put(e)
 }
 
-func (e *encoder) uvarint(v uint64) { e.buf = binary.AppendUvarint(e.buf, v) }
-func (e *encoder) varint(v int64)   { e.buf = binary.AppendVarint(e.buf, v) }
-
-func (e *encoder) str(s string) {
-	e.uvarint(uint64(len(s)))
-	e.buf = append(e.buf, s...)
+func appendStr(dst []byte, s string) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(s)))
+	return append(dst, s...)
 }
 
-func (e *encoder) structRef(s *StructType) {
+func appendGlobals(dst []byte, gs []*Global) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(gs)))
+	for _, g := range gs {
+		dst = appendStr(dst, g.Name)
+		dst = binary.AppendVarint(dst, g.Init)
+	}
+	return dst
+}
+
+func (e *encoder) structRef(dst []byte, s *StructType) []byte {
 	if s == nil {
-		e.uvarint(0)
-		return
+		return binary.AppendUvarint(dst, 0)
 	}
-	for i, t := range e.structs {
-		if sameLayout(s, t) {
-			e.uvarint(uint64(i) + 2)
-			return
+	if e != nil {
+		for i, t := range e.structs {
+			if sameLayout(s, t) {
+				return binary.AppendUvarint(dst, uint64(i)+2)
+			}
 		}
+		e.structs = append(e.structs, s)
 	}
-	e.structs = append(e.structs, s)
-	e.uvarint(1)
-	e.str(s.Name)
-	e.uvarint(uint64(len(s.Fields)))
+	dst = binary.AppendUvarint(dst, 1)
+	dst = appendStr(dst, s.Name)
+	dst = binary.AppendUvarint(dst, uint64(len(s.Fields)))
 	for _, f := range s.Fields {
-		e.str(f.Name)
-		e.varint(int64(f.Offset))
+		dst = appendStr(dst, f.Name)
+		dst = binary.AppendVarint(dst, int64(f.Offset))
 	}
+	return dst
 }
 
 func sameLayout(a, b *StructType) bool {
@@ -126,28 +181,43 @@ func sameLayout(a, b *StructType) bool {
 	return true
 }
 
-func (e *encoder) instr(in *Instr) {
-	e.varint(int64(in.Op))
-	e.varint(int64(in.Dst))
-	e.varint(int64(in.X))
-	e.varint(int64(in.Y))
-	e.varint(in.Imm)
-	e.str(in.Sym)
-	e.structRef(in.Struct)
-	e.varint(int64(in.Field))
-	e.varint(int64(in.Assign))
-	e.uvarint(uint64(len(in.Args)))
+func (e *encoder) fn(dst []byte, f *Func) []byte {
+	dst = appendStr(dst, f.Name)
+	dst = binary.AppendVarint(dst, int64(f.NParams))
+	dst = binary.AppendVarint(dst, int64(f.NRegs))
+	dst = binary.AppendUvarint(dst, uint64(len(f.Blocks)))
+	for _, b := range f.Blocks {
+		dst = appendStr(dst, b.Name)
+		dst = binary.AppendUvarint(dst, uint64(len(b.Instrs)))
+		for i := range b.Instrs {
+			dst = e.instr(dst, &b.Instrs[i])
+		}
+	}
+	return dst
+}
+
+func (e *encoder) instr(dst []byte, in *Instr) []byte {
+	dst = binary.AppendVarint(dst, int64(in.Op))
+	dst = binary.AppendVarint(dst, int64(in.Dst))
+	dst = binary.AppendVarint(dst, int64(in.X))
+	dst = binary.AppendVarint(dst, int64(in.Y))
+	dst = binary.AppendVarint(dst, in.Imm)
+	dst = appendStr(dst, in.Sym)
+	dst = e.structRef(dst, in.Struct)
+	dst = binary.AppendVarint(dst, int64(in.Field))
+	dst = binary.AppendVarint(dst, int64(in.Assign))
+	dst = binary.AppendUvarint(dst, uint64(len(in.Args)))
 	for _, a := range in.Args {
-		e.varint(int64(a))
+		dst = binary.AppendVarint(dst, int64(a))
 	}
-	e.varint(int64(in.Blk1))
-	e.varint(int64(in.Blk2))
+	dst = binary.AppendVarint(dst, int64(in.Blk1))
+	dst = binary.AppendVarint(dst, int64(in.Blk2))
 	if in.HasX {
-		e.buf = append(e.buf, 1)
+		dst = append(dst, 1)
 	} else {
-		e.buf = append(e.buf, 0)
+		dst = append(dst, 0)
 	}
-	e.varint(int64(in.Line))
+	return binary.AppendVarint(dst, int64(in.Line))
 }
 
 // Minimum encoded sizes, which bound every count against the bytes left:

@@ -96,6 +96,9 @@ func TestModuleCodecSharesStructs(t *testing.T) {
 	if !bytes.Equal(shared, copied) {
 		t.Fatal("encoding depends on struct pointer identity")
 	}
+	if build(true).ContentSum(nil, nil) != build(false).ContentSum(nil, nil) {
+		t.Fatal("content sum depends on struct pointer identity")
+	}
 	got, _, err := DecodeModule(copied)
 	if err != nil {
 		t.Fatal(err)
@@ -145,8 +148,18 @@ func FuzzModuleCodec(f *testing.F) {
 			return
 		}
 		used := data[:len(data)-len(rest)]
-		if got := m.AppendBinary(nil); !bytes.Equal(got, used) {
+		got := m.AppendBinary(nil)
+		if !bytes.Equal(got, used) {
 			t.Fatalf("accepted input re-encodes differently:\n in  %x\n out %x", used, got)
+		}
+		// The content sum is a function of content alone: the module
+		// decoded again from its own encoding sums the same.
+		again, _, err := DecodeModule(got)
+		if err != nil {
+			t.Fatalf("re-encoded module does not decode: %v", err)
+		}
+		if m.ContentSum(nil, rest) != again.ContentSum(nil, rest) {
+			t.Fatal("re-decoded module's content sum differs")
 		}
 		for i := range used {
 			if _, _, err := DecodeModule(used[:i]); err == nil {
