@@ -216,7 +216,9 @@ crash-gate: build
 
 # Allocation gate: the steady-state trace path from recorder to fleet
 # store reuses its memory. UpdateBatch allocates nothing on the slot array
-# or the striped store; a Publisher flush (cut, encode, send, server apply,
+# or the striped store; a trace.Flusher flush (cut, merge and encode
+# straight from the rings) allocates nothing at 100 events or at 4000; a
+# Publisher flush (cut, encode, send, server apply,
 # ack) and an IngestFrame of a fleet-shaped frame (program events with
 # values and an instack list, lifecycle events, one failure) cost as many
 # allocations for 2000 events as for 100. Re-encoding a linked program into a reused buffer allocates at
@@ -237,7 +239,7 @@ alloc-gate:
 	$(GO) test -count=1 ./internal/agg -run '^(TestIngestFrameAllocs|TestPublisherFlushAllocs)$$'
 	$(GO) test -count=1 ./internal/build -run '^(TestEncodeModuleAllocs|TestInstrumentUntouchedAllocs)$$'
 	$(GO) test -count=1 ./internal/monitor -run '^TestNameDrivenAllocs$$'
-	$(GO) test -count=1 ./internal/trace -run '^TestRecorderTapAllocs$$'
+	$(GO) test -count=1 ./internal/trace -run '^(TestRecorderTapAllocs|TestFlusherSteadyAllocs)$$'
 	$(GO) test -count=1 ./internal/kernel -run '^TestFig11bOLTPAllocs$$'
 
 # Gate-pattern check: every -run/-fuzz/-bench alternative in this Makefile must
@@ -249,7 +251,8 @@ gate-patterns:
 
 # Short fuzz pass over the binary/JSON trace codec, the streaming frame
 # reader, the in-memory and streaming event decoders agreeing byte for
-# byte, the WAL spool's segment repair, the csub front end, the batched
+# byte, the WAL spool's segment repair, the recorder's one-pass cut
+# encoding against AppendBinary of CutInto, the csub front end, the batched
 # event plane's flush protocol, the event bodies against the lifecycle
 # model and the build cache's IR module codec ($(FUZZTIME) per target);
 # saved crashers land in testdata/fuzz and fail `make test` from then on.
@@ -258,6 +261,7 @@ fuzz-smoke:
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzFrameStream$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzDecodeAgree$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzSpoolRecover$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzCutEncode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/csub -run '^$$' -fuzz '^FuzzCsubParse$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/monitor -run '^$$' -fuzz '^FuzzBatchFlush$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzCompiledStep$$' -fuzztime $(FUZZTIME)

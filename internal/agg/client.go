@@ -1,6 +1,7 @@
 package agg
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"net"
@@ -229,19 +230,34 @@ func dialHandshake(addr string, hello Hello, wrap func(net.Conn) net.Conn) (net.
 // counted.
 //
 // The encode is synchronous and keeps nothing of tr: the caller may
-// refill tr.Events as soon as SendTrace returns (Publisher reuses one
-// delta across flushes). The delta is encoded once, straight into the
-// payload that is queued, resent and spooled.
+// refill tr.Events as soon as SendTrace returns. The delta is encoded
+// once, straight into the payload that is queued, resent and spooled.
 func (c *Client) SendTrace(tr *trace.Trace) error {
 	n := len(tr.Events)
-	buf := appendSeqBody(make([]byte, 0, seqRoom+256+n*int(c.perEvent.Load())), tr)
+	buf := trace.AppendBinary(seqBody(make([]byte, 0, seqRoom+256+n*int(c.perEvent.Load())), uint64(n)), tr)
 	if n >= 64 {
 		// Size the next payload from this one, so an encode normally fills
 		// its allocation without regrowing it.
 		c.perEvent.Store(int64(len(buf)/n + 1))
 	}
-	events := uint64(n)
-	c.ringDropped.Add(tr.Dropped)
+	return c.sendBody(buf, uint64(n), tr.Dropped)
+}
+
+// sendEncoded is Publisher's send: delta is a trace.Flusher's binary
+// encoding of a cut of events events, which the flusher overwrites on its
+// next cut, so it is copied once into a payload of its own.
+func (c *Client) sendEncoded(delta []byte, events, dropped uint64) error {
+	buf := seqBody(make([]byte, 0, seqRoom+binary.MaxVarintLen64+len(delta)), events)
+	return c.sendBody(append(buf, delta...), events, dropped)
+}
+
+// sendBody is the one send path behind SendTrace and sendEncoded: buf is a
+// FrameSeqTrace body (seqBody plus the binary trace) carrying events
+// events, and dropped is the ring loss its delta counted. sendBody seals
+// the sequence number into buf and queues it, spooling it first when a
+// spool is configured.
+func (c *Client) sendBody(buf []byte, events, dropped uint64) error {
+	c.ringDropped.Add(dropped)
 
 	c.mu.Lock()
 	if c.closed {

@@ -83,13 +83,13 @@ func TestStreamingSamplesMatchSliceWindow(t *testing.T) {
 	}
 }
 
-// TestPublisherBufferReuse: the publisher's flusher refills one delta on
-// every flush, so once a flush returns its events are overwritten by the
-// next.
+// TestPublisherBufferReuse: the publisher's flusher encodes every delta
+// into one buffer, so once a flush returns its bytes are overwritten by
+// the next.
 // Frames still queued (a one-frame buffer overflowing to the spool) or
 // unacked (a connection reset after the write landed) must nonetheless
-// deliver the earlier events exactly once: the encode at SendTrace keeps
-// nothing of the delta.
+// deliver the earlier events exactly once: the client's send copies the
+// delta into a payload of its own and keeps nothing of the buffer.
 func TestPublisherBufferReuse(t *testing.T) {
 	srv, sock := startServer(t, ServerOpts{})
 	spool, err := trace.OpenSpool(filepath.Join(t.TempDir(), "spool"), trace.SpoolOpts{Sync: trace.SpoolSyncNone})
@@ -107,17 +107,17 @@ func TestPublisherBufferReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := trace.NewRecorder(nil, 1<<14)
-	// A Publisher is this flusher with Client.SendTrace as its send; the
+	// A Publisher is this flusher with Client.sendEncoded as its send; the
 	// wrapper only watches which array each delta arrives in.
-	var backing *trace.Event
+	var backing *byte
 	reused := true
-	pub := trace.NewFlusher(rec, 0, func(tr *trace.Trace) error {
+	pub := trace.NewFlusher(rec, 0, func(delta []byte, events, dropped uint64) error {
 		if backing == nil {
-			backing = &tr.Events[0]
-		} else if &tr.Events[0] != backing {
+			backing = &delta[0]
+		} else if &delta[0] != backing {
 			reused = false
 		}
-		return c.SendTrace(tr)
+		return c.sendEncoded(delta, events, dropped)
 	})
 	classes := []*core.Class{{Name: "alpha"}, {Name: "beta"}}
 

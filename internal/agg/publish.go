@@ -7,10 +7,11 @@ import (
 )
 
 // Publisher streams a live Recorder to a Client as delta traces: a
-// trace.Flusher whose send is Client.SendTrace, so the fleet store
-// receives every event once — or an explicit drop count. SendTrace
-// encodes synchronously and keeps nothing of the delta, which is what
-// lets every flush reuse it.
+// trace.Flusher whose send frames each encoded delta through the same
+// Client path as SendTrace, so the fleet store receives every event once —
+// or an explicit drop count. The send copies the delta into the payload it
+// queues and keeps nothing of the flusher's buffer, which is what lets
+// every flush reuse it.
 //
 // Start's interval flushing (100ms unless given) keeps a long-running
 // producer's window in the fleet view fresh, and keeps ring overwrites
@@ -22,5 +23,5 @@ type Publisher struct {
 
 // NewPublisher pairs a recorder with a client.
 func NewPublisher(rec *trace.Recorder, c *Client) *Publisher {
-	return &Publisher{trace.NewFlusher(rec, 100*time.Millisecond, c.SendTrace)}
+	return &Publisher{trace.NewFlusher(rec, 100*time.Millisecond, c.sendEncoded)}
 }

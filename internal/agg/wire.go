@@ -188,13 +188,13 @@ func EncodeSeqTrace(seq uint64, tracePayload []byte) []byte {
 // for the sequence number, which is only known once the frame is queued.
 const seqRoom = binary.MaxVarintLen64
 
-// appendSeqBody appends the body of a FrameSeqTrace payload for tr — the
-// event count, then the binary trace — after seqRoom reserved bytes, so the
-// delta is encoded once, in place, into what becomes its final payload.
-func appendSeqBody(dst []byte, tr *trace.Trace) []byte {
+// seqBody starts a FrameSeqTrace payload in dst: seqRoom reserved bytes,
+// then the event count. The binary trace appended after it completes the
+// body, so a delta is encoded (or copied) once, in place, into what
+// becomes its final payload.
+func seqBody(dst []byte, events uint64) []byte {
 	dst = append(dst[:0], make([]byte, seqRoom)...)
-	dst = binary.AppendUvarint(dst, uint64(len(tr.Events)))
-	return trace.AppendBinary(dst, tr)
+	return binary.AppendUvarint(dst, events)
 }
 
 // sealSeq writes seq into the room reserved in front of buf's body and

@@ -44,6 +44,11 @@ type unitArtifact struct {
 	unitVal  *compiler.Unit
 	unitErr  error
 
+	// The ir.FuncSum of each of Module's functions, memoized: the unit's
+	// content sum and the optimised digests below both read them.
+	rawOnce sync.Once
+	rawSums []digest
+
 	// Module's functions optimised, and each one's ir.FuncSum, memoized
 	// the same way: every instrument or strip node over this artifact, in
 	// this build or a later one, shares them for the functions its pass
@@ -90,10 +95,11 @@ func decodeUnit(data []byte) (any, error) {
 }
 
 // sumUnit is a unit artifact's content sum: the module's, with the
-// fragment as its tail.
+// fragment as its tail, from the memoized function digests.
 func sumUnit(art any) digest {
 	u := art.(*unitArtifact)
-	return u.Module.ContentSum(nil, u.Fragment)
+	sums := u.funcSums()
+	return u.Module.ContentSum(func(i int, _ *ir.Func) [sha256.Size]byte { return sums[i] }, u.Fragment)
 }
 
 // encodeModule: the module, then the five Stats counters.
@@ -242,15 +248,36 @@ func (u *unitArtifact) parseUnit() (*compiler.Unit, error) {
 	return &compiler.Unit{Module: u.Module, Assertions: as}, nil
 }
 
+// funcSums returns the ir.FuncSum of each of u's functions, computing
+// them once per artifact. The sync.Once is the happens-before between the
+// graph worker that hashes the compile artifact and the ones that
+// optimise it for instrument and strip nodes, whichever runs first.
+func (u *unitArtifact) funcSums() []digest {
+	u.rawOnce.Do(func() {
+		u.rawSums = make([]digest, len(u.Module.Funcs))
+		for i, f := range u.Module.Funcs {
+			u.rawSums[i] = ir.FuncSum(f)
+		}
+	})
+	return u.rawSums
+}
+
 // optimized returns u's functions optimised and their digests, computing
-// both once per artifact.
+// both once per artifact. ir.OptimizeFunc returns a function with nothing
+// dead as it is, and IR is immutable, so that function's digest is its
+// raw one: it is hashed once, for the unit's content sum, not again here.
 func (u *unitArtifact) optimized() ([]*ir.Func, []digest) {
 	u.optOnce.Do(func() {
+		raw := u.funcSums()
 		u.optFns = make([]*ir.Func, len(u.Module.Funcs))
 		u.optSums = make([]digest, len(u.Module.Funcs))
 		for i, f := range u.Module.Funcs {
 			u.optFns[i] = ir.OptimizeFunc(f)
-			u.optSums[i] = ir.FuncSum(u.optFns[i])
+			if u.optFns[i] == f {
+				u.optSums[i] = raw[i]
+			} else {
+				u.optSums[i] = ir.FuncSum(u.optFns[i])
+			}
 		}
 	})
 	return u.optFns, u.optSums

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"tesla/internal/automata"
+	"tesla/internal/core"
 	"tesla/internal/monitor"
 	"tesla/internal/trace"
 )
@@ -57,5 +58,40 @@ func TestRecorderTapAllocs(t *testing.T) {
 	}
 	if n := rec.EventCount(); n == 0 {
 		t.Fatal("the recorder saw no events")
+	}
+}
+
+// TestFlusherSteadyAllocs: once its buffers have grown, a flush — cut,
+// merge and encode straight from the rings — allocates nothing, for a
+// 100-event delta and for a 4,000-event one. The events themselves (a
+// program event without values and a transition, round after round)
+// allocate nothing either, so any allocation counted is the flush's.
+func TestFlusherSteadyAllocs(t *testing.T) {
+	rec := trace.NewRecorder([]*automata.Automaton{{Name: "lock"}}, 1<<13)
+	tap := rec.ThreadTap(0)
+	var sent uint64
+	f := trace.NewFlusher(rec, 0, func(_ []byte, events, _ uint64) error {
+		sent += events
+		return nil
+	})
+	cls := &core.Class{Name: "lock"}
+	inst := &core.Instance{Key: core.NewKey(1)}
+	for _, n := range []int{100, 4000} {
+		cycle := func() {
+			for i := 0; i < n/2; i++ {
+				tap.ProgramEvent(monitor.ProgramEvent{Kind: monitor.ProgBoundBegin, Fn: "lock"})
+				rec.Transition(cls, inst, 0, 1, "acquire")
+			}
+			if err := f.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		cycle() // warm up: the flusher's buffer and the merge grow once
+		if got := testing.AllocsPerRun(50, cycle); got != 0 {
+			t.Errorf("%d-event delta: %.1f allocations per flush, want 0", n, got)
+		}
+	}
+	if sent != rec.EventCount() {
+		t.Fatalf("flushed %d of %d events", sent, rec.EventCount())
 	}
 }

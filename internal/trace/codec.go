@@ -34,23 +34,18 @@ func Write(w io.Writer, t *Trace) error {
 }
 
 // AppendBinary appends the compact binary encoding of t to dst and returns
-// the extended slice. It is the one encoder behind Write, the WAL trace
-// spool and the agg wire: a caller that owns a reusable buffer encodes a
-// delta straight into it, with no intermediate copy. It keeps nothing of t,
-// so the caller may reuse t.Events as soon as it returns.
+// the extended slice. It shares its encoder with Recorder.AppendCut, which
+// encodes a recorder's cut straight from its rings for the WAL trace spool
+// and the agg wire: a caller that owns a reusable buffer encodes into it,
+// with no intermediate copy. It keeps nothing of t, so the caller may
+// reuse t.Events as soon as it returns.
 func AppendBinary(dst []byte, t *Trace) []byte {
-	enc := encoderPool.Get().(*encoder)
-	enc.buf = append(dst, magic...)
-	enc.trace(t)
-	dst = enc.buf
-	enc.buf = nil
-	if len(enc.strings) > maxPooledStrings {
-		enc.strings = map[string]uint64{}
-	} else {
-		clear(enc.strings)
+	enc := newEncoder(dst)
+	enc.header(t.Dropped, t.Automata, uint64(len(t.Events)))
+	for i := range t.Events {
+		enc.event(&t.Events[i])
 	}
-	encoderPool.Put(enc)
-	return dst
+	return enc.finish()
 }
 
 // encoderPool recycles encoders so a steady stream of delta encodes reuses
@@ -61,62 +56,88 @@ var encoderPool = sync.Pool{New: func() any { return &encoder{strings: map[strin
 // trace with an unusually large vocabulary must not pin it.
 const maxPooledStrings = 1024
 
-func (enc *encoder) trace(t *Trace) {
+// newEncoder takes a pooled encoder that appends one binary trace to dst,
+// starting with the magic. Write the header, then each event, then call
+// finish: AppendBinary encodes a Trace that way and Recorder.AppendCut a
+// cut straight from its rings, so both produce the same bytes.
+func newEncoder(dst []byte) *encoder {
+	enc := encoderPool.Get().(*encoder)
+	enc.buf = append(dst, magic...)
+	return enc
+}
+
+// finish returns the encoded bytes and puts the encoder back in the pool.
+func (enc *encoder) finish() []byte {
+	dst := enc.buf
+	enc.buf = nil
+	if len(enc.strings) > maxPooledStrings {
+		enc.strings = map[string]uint64{}
+	} else {
+		clear(enc.strings)
+	}
+	encoderPool.Put(enc)
+	return dst
+}
+
+// header writes everything before the events; nEvents events must follow.
+func (enc *encoder) header(dropped uint64, automata []string, nEvents uint64) {
 	enc.uvarint(uint64(Version))
-	enc.uvarint(t.Dropped)
-	enc.uvarint(uint64(len(t.Automata)))
-	for _, name := range t.Automata {
+	enc.uvarint(dropped)
+	enc.uvarint(uint64(len(automata)))
+	for _, name := range automata {
 		enc.str(name)
 	}
-	enc.uvarint(uint64(len(t.Events)))
-	var prevSeq uint64
-	for i := range t.Events {
-		ev := &t.Events[i]
-		enc.uvarint(ev.Seq - prevSeq)
-		prevSeq = ev.Seq
-		enc.varint(int64(ev.Thread))
-		enc.byte(byte(ev.Kind))
-		enc.varint(ev.Time)
-		switch ev.Kind {
-		case KindProgram:
-			enc.byte(byte(ev.Prog))
-			enc.str(ev.Fn)
-			enc.str(ev.Field)
-			enc.varint(int64(ev.Op))
-			enc.varint(int64(ev.Auto))
-			enc.varint(int64(ev.Sym))
-			enc.varint(int64(ev.Slot))
-			if ev.HasRet {
+	enc.uvarint(nEvents)
+	enc.prevSeq = 0
+}
+
+// event writes one event; its Seq is coded as the delta from the previous
+// event's.
+func (enc *encoder) event(ev *Event) {
+	enc.uvarint(ev.Seq - enc.prevSeq)
+	enc.prevSeq = ev.Seq
+	enc.varint(int64(ev.Thread))
+	enc.byte(byte(ev.Kind))
+	enc.varint(ev.Time)
+	switch ev.Kind {
+	case KindProgram:
+		enc.byte(byte(ev.Prog))
+		enc.str(ev.Fn)
+		enc.str(ev.Field)
+		enc.varint(int64(ev.Op))
+		enc.varint(int64(ev.Auto))
+		enc.varint(int64(ev.Sym))
+		enc.varint(int64(ev.Slot))
+		if ev.HasRet {
+			enc.byte(1)
+			enc.varint(int64(ev.Ret))
+		} else {
+			enc.byte(0)
+		}
+		enc.uvarint(uint64(len(ev.Vals)))
+		for _, v := range ev.Vals {
+			enc.varint(int64(v))
+		}
+		enc.uvarint(uint64(len(ev.InStack)))
+		for _, id := range ev.InStack {
+			enc.varint(int64(id))
+		}
+	default:
+		enc.str(ev.Class)
+		enc.str(ev.Symbol)
+		enc.key(ev.Key)
+		enc.key(ev.ParentKey)
+		enc.uvarint(uint64(ev.From))
+		enc.uvarint(uint64(ev.To))
+		enc.uvarint(uint64(ev.State))
+		enc.varint(int64(ev.Verdict))
+		if ev.Kind == KindQuarantine {
+			// Trailing byte for the newest kind only, so traces
+			// without quarantine events keep the original layout.
+			if ev.On {
 				enc.byte(1)
-				enc.varint(int64(ev.Ret))
 			} else {
 				enc.byte(0)
-			}
-			enc.uvarint(uint64(len(ev.Vals)))
-			for _, v := range ev.Vals {
-				enc.varint(int64(v))
-			}
-			enc.uvarint(uint64(len(ev.InStack)))
-			for _, id := range ev.InStack {
-				enc.varint(int64(id))
-			}
-		default:
-			enc.str(ev.Class)
-			enc.str(ev.Symbol)
-			enc.key(ev.Key)
-			enc.key(ev.ParentKey)
-			enc.uvarint(uint64(ev.From))
-			enc.uvarint(uint64(ev.To))
-			enc.uvarint(uint64(ev.State))
-			enc.varint(int64(ev.Verdict))
-			if ev.Kind == KindQuarantine {
-				// Trailing byte for the newest kind only, so traces
-				// without quarantine events keep the original layout.
-				if ev.On {
-					enc.byte(1)
-				} else {
-					enc.byte(0)
-				}
 			}
 		}
 	}
@@ -182,6 +203,7 @@ func decodeBinary(b []byte) (*Trace, error) {
 type encoder struct {
 	buf     []byte
 	strings map[string]uint64
+	prevSeq uint64
 }
 
 func (e *encoder) byte(b byte) { e.buf = append(e.buf, b) }

@@ -168,9 +168,10 @@ func TestCodecRejectsGarbage(t *testing.T) {
 func TestRingOverwritesOldest(t *testing.T) {
 	r := newRing(4)
 	for i := 1; i <= 7; i++ {
-		r.push(Event{Seq: uint64(i)})
+		r.next().Seq = uint64(i)
 	}
-	got, lost := r.cutSince(0, nil)
+	a, b, lost := r.since(0)
+	got := append(append([]Event(nil), a...), b...)
 	if len(got) != 4 || lost != 3 {
 		t.Fatalf("got %d events, %d lost; want 4, 3", len(got), lost)
 	}

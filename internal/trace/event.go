@@ -81,9 +81,10 @@ func (k Kind) String() string {
 // from JSON.
 type Event struct {
 	// Seq is the event's position in the global order. Sequence numbers
-	// are allocated from one atomic counter across all threads, so sorting
-	// by Seq linearises the trace; for single-threaded runs the order is
-	// exact.
+	// are allocated from one atomic counter across all threads, each
+	// under the lock of the ring the event is recorded in, so Seq order
+	// is the order in which events entered their rings: a linearisation
+	// of the run that every ring, and every cut, agrees with.
 	Seq uint64 `json:"seq"`
 	// Thread is the monitor thread the event entered on, or -1 for
 	// lifecycle events (which are recorded store-side, where the thread

@@ -5,26 +5,27 @@ import (
 	"time"
 )
 
-// Flusher streams a live Recorder as delta traces: each flush cuts exactly
-// the events recorded since the previous one (Recorder.CutInto), with
-// per-delta loss accounting, and hands every non-empty delta to a send
-// function. It is the one interval cut loop behind SpoolWriter (send
-// appends to a write-ahead spool) and agg.Publisher (send streams to a
-// fleet server).
+// Flusher streams a live Recorder as encoded delta traces: each flush cuts
+// exactly the events recorded since the previous one, with per-delta loss
+// accounting, encodes them straight from the recorder's rings
+// (Recorder.AppendCut) and hands every non-empty delta to a send function
+// as its binary trace, event count and Dropped. It is the one interval cut
+// loop behind SpoolWriter (send appends to a write-ahead spool) and
+// agg.Publisher (send streams to a fleet server).
 //
-// Every flush cuts into the same delta, so send must be done with it when
-// it returns: a steady flush cadence then copies each event once, into
-// memory the flusher already owns.
+// Every flush encodes into the same buffer, so send must be done with the
+// bytes when it returns: a steady flush cadence then reads each event once,
+// from its ring slot, into memory the flusher already owns.
 type Flusher struct {
 	rec      *Recorder
-	send     func(*Trace) error
+	send     func(delta []byte, events, dropped uint64) error
 	interval time.Duration
 
-	// mu serialises flushes and is held across send: the delta send is
-	// given is the one the next flush refills.
-	mu    sync.Mutex
-	cut   Cut
-	delta Trace
+	// mu serialises flushes and is held across send: the bytes send is
+	// given are the ones the next flush overwrites.
+	mu  sync.Mutex
+	cut Cut
+	buf []byte
 
 	stop chan struct{}
 	done chan struct{}
@@ -32,7 +33,7 @@ type Flusher struct {
 
 // NewFlusher pairs a recorder with a send function; interval is the
 // period Start uses when it is given none.
-func NewFlusher(rec *Recorder, interval time.Duration, send func(*Trace) error) *Flusher {
+func NewFlusher(rec *Recorder, interval time.Duration, send func(delta []byte, events, dropped uint64) error) *Flusher {
 	return &Flusher{rec: rec, send: send, interval: interval}
 }
 
@@ -41,11 +42,12 @@ func NewFlusher(rec *Recorder, interval time.Duration, send func(*Trace) error) 
 func (f *Flusher) Flush() error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.rec.CutInto(&f.cut, &f.delta)
-	if len(f.delta.Events) == 0 && f.delta.Dropped == 0 {
+	var events, dropped uint64
+	f.buf, events, dropped = f.rec.AppendCut(f.buf[:0], &f.cut)
+	if events == 0 && dropped == 0 {
 		return nil
 	}
-	return f.send(&f.delta)
+	return f.send(f.buf, events, dropped)
 }
 
 // Start flushes every interval (the flusher's default when <= 0) until

@@ -1,7 +1,7 @@
 package trace
 
 import (
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -21,8 +21,10 @@ import (
 //     carry Thread == -1).
 //
 // One atomic sequence counter spans all rings, so a program event always
-// carries a smaller Seq than the lifecycle events it causes, and Snapshot
-// can merge the rings into a single totally-ordered trace. Install it with:
+// carries a smaller Seq than the lifecycle events it causes. Each event
+// takes its Seq under the lock of the ring it goes to, so every ring is
+// Seq-ordered and a cut merges them into a single totally-ordered trace
+// (see CutInto). Install it with:
 //
 //	rec := trace.NewRecorder(build.Autos, 0)
 //	rt, err := build.NewRuntime(monitor.Options{Tap: rec, Handler: rec})
@@ -40,12 +42,16 @@ type Recorder struct {
 
 	seq atomic.Uint64
 
-	mu    sync.Mutex // guards sinks (growth), life and injected
+	mu    sync.Mutex // guards sinks (growth), life, injected, rejected and merge
 	life  *ring
 	sinks []*threadSink
 	// injected counts DropFault rejections separately from ring
 	// overwrites, so a cut can attribute per-cut losses exactly.
 	injected uint64
+	// rejected is the slot a DropFault-rejected event is written to.
+	rejected Event
+	// merge is the cut's merge state, reused by every cut.
+	merge merge
 }
 
 // threadSink is one thread's ring. Its mutex is uncontended during normal
@@ -85,31 +91,18 @@ func (r *Recorder) ThreadTap(threadID int) monitor.ThreadTap {
 
 // ProgramEvent implements monitor.ThreadTap. The event's slices are the
 // monitor thread's buffers, lent for this call only, so they are copied
-// here.
+// here, before the ring lock is taken.
 func (s *threadSink) ProgramEvent(ev monitor.ProgramEvent) {
-	rec := Event{
-		Seq:    s.rec.seq.Add(1),
-		Thread: s.id,
-		Kind:   KindProgram,
-		Time:   ev.Time,
-		Prog:   ev.Kind,
-		Fn:     ev.Fn,
-		Field:  ev.Field,
-		Op:     ev.Op,
-		Auto:   ev.Auto,
-		Sym:    ev.Sym,
-		Slot:   ev.Slot,
-		Ret:    ev.Ret,
-		HasRet: ev.HasRet,
-	}
+	var vals []core.Value
 	if len(ev.Vals) > 0 {
-		rec.Vals = append([]core.Value(nil), ev.Vals...)
+		vals = append([]core.Value(nil), ev.Vals...)
 	}
+	var inStack []int
 	if len(ev.InStack) > 0 {
-		rec.InStack = append([]int(nil), ev.InStack...)
+		inStack = append([]int(nil), ev.InStack...)
 	}
 	s.mu.Lock()
-	s.ring.push(rec)
+	s.fill(s.ring.next(), s.rec.seq.Add(1), &ev, vals, inStack)
 	s.mu.Unlock()
 }
 
@@ -125,86 +118,102 @@ func (s *threadSink) ProgramBatch(evs []monitor.ProgramEvent) {
 	if len(evs) == 0 {
 		return
 	}
-	base := s.rec.seq.Add(uint64(len(evs))) - uint64(len(evs))
 	s.mu.Lock()
+	base := s.rec.seq.Add(uint64(len(evs))) - uint64(len(evs))
 	for i := range evs {
 		ev := &evs[i]
-		s.ring.push(Event{
-			Seq:     base + uint64(i) + 1,
-			Thread:  s.id,
-			Kind:    KindProgram,
-			Time:    ev.Time,
-			Prog:    ev.Kind,
-			Fn:      ev.Fn,
-			Field:   ev.Field,
-			Op:      ev.Op,
-			Auto:    ev.Auto,
-			Sym:     ev.Sym,
-			Slot:    ev.Slot,
-			Ret:     ev.Ret,
-			HasRet:  ev.HasRet,
-			Vals:    ev.Vals,
-			InStack: ev.InStack,
-		})
+		s.fill(s.ring.next(), base+uint64(i)+1, ev, ev.Vals, ev.InStack)
 	}
 	s.mu.Unlock()
 }
 
-// lifeEvent stamps and records one lifecycle event. Handlers are dispatched
-// after the store has released its locks, so this only has to serialise
-// against other recorder users. DropFault, when set, can reject the event
-// before it reaches the ring — the fault-injection seam for simulated ring
-// drops (counted like real ones).
-func (r *Recorder) lifeEvent(ev Event) {
-	ev.Seq = r.seq.Add(1)
-	ev.Thread = -1
+// fill writes a program event into its ring slot. A thread ring holds
+// only program events, so these are every field a slot of it ever holds.
+// The caller holds s.mu and took seq under it, which keeps the ring
+// Seq-ordered.
+func (s *threadSink) fill(e *Event, seq uint64, ev *monitor.ProgramEvent, vals []core.Value, inStack []int) {
+	e.Seq, e.Thread, e.Kind, e.Time = seq, s.id, KindProgram, ev.Time
+	e.Prog, e.Fn, e.Field, e.Op = ev.Kind, ev.Fn, ev.Field, ev.Op
+	e.Auto, e.Sym, e.Slot = ev.Auto, ev.Sym, ev.Slot
+	e.Ret, e.HasRet = ev.Ret, ev.HasRet
+	e.Vals, e.InStack = vals, inStack
+}
+
+// lifeSlot takes r.mu and returns it held, with the next lifecycle event
+// stamped into the lifecycle ring's next slot: Seq, Thread -1, kind, class
+// and key set and every other lifecycle field zeroed, so the caller sets
+// only what its kind carries and then unlocks r.mu. Handlers are
+// dispatched after the store has released its locks, so this only has to
+// serialise against other recorder users. Taking Seq under r.mu keeps the
+// ring Seq-ordered.
+//
+// DropFault, when set, can reject the event before it reaches the ring —
+// the fault-injection seam for simulated ring drops (counted like real
+// ones). Its Seq is spent all the same, and the caller fills a scratch
+// slot instead.
+func (r *Recorder) lifeSlot(kind Kind, class string, key core.Key) *Event {
 	r.mu.Lock()
+	e := &r.rejected
 	if r.DropFault != nil && r.DropFault() {
 		r.injected++
 	} else {
-		r.life.push(ev)
+		e = r.life.next()
 	}
-	r.mu.Unlock()
+	e.Seq, e.Thread, e.Kind, e.Class, e.Key = r.seq.Add(1), -1, kind, class, key
+	e.ParentKey, e.From, e.To, e.State = core.Key{}, 0, 0, 0
+	e.Symbol, e.Verdict, e.On = "", 0, false
+	return e
 }
 
 // InstanceNew implements core.Handler.
 func (r *Recorder) InstanceNew(cls *core.Class, inst *core.Instance) {
-	r.lifeEvent(Event{Kind: KindInit, Class: cls.Name, Key: inst.Key, State: inst.State})
+	r.lifeSlot(KindInit, cls.Name, inst.Key).State = inst.State
+	r.mu.Unlock()
 }
 
 // InstanceClone implements core.Handler.
 func (r *Recorder) InstanceClone(cls *core.Class, parent, clone *core.Instance) {
-	r.lifeEvent(Event{Kind: KindClone, Class: cls.Name, Key: clone.Key, ParentKey: parent.Key, State: clone.State})
+	e := r.lifeSlot(KindClone, cls.Name, clone.Key)
+	e.ParentKey, e.State = parent.Key, clone.State
+	r.mu.Unlock()
 }
 
 // Transition implements core.Handler.
 func (r *Recorder) Transition(cls *core.Class, inst *core.Instance, from, to uint32, symbol string) {
-	r.lifeEvent(Event{Kind: KindTransition, Class: cls.Name, Key: inst.Key, From: from, To: to, Symbol: symbol})
+	e := r.lifeSlot(KindTransition, cls.Name, inst.Key)
+	e.From, e.To, e.Symbol = from, to, symbol
+	r.mu.Unlock()
 }
 
 // Accept implements core.Handler.
 func (r *Recorder) Accept(cls *core.Class, inst *core.Instance) {
-	r.lifeEvent(Event{Kind: KindAccept, Class: cls.Name, Key: inst.Key, State: inst.State})
+	r.lifeSlot(KindAccept, cls.Name, inst.Key).State = inst.State
+	r.mu.Unlock()
 }
 
 // Fail implements core.Handler.
 func (r *Recorder) Fail(v *core.Violation) {
-	r.lifeEvent(Event{Kind: KindFail, Class: v.Class.Name, Key: v.Key, State: v.State, Symbol: v.Symbol, Verdict: v.Kind})
+	e := r.lifeSlot(KindFail, v.Class.Name, v.Key)
+	e.State, e.Symbol, e.Verdict = v.State, v.Symbol, v.Kind
+	r.mu.Unlock()
 }
 
 // Overflow implements core.Handler.
 func (r *Recorder) Overflow(cls *core.Class, key core.Key) {
-	r.lifeEvent(Event{Kind: KindOverflow, Class: cls.Name, Key: key})
+	r.lifeSlot(KindOverflow, cls.Name, key)
+	r.mu.Unlock()
 }
 
 // Evict implements core.Handler.
 func (r *Recorder) Evict(cls *core.Class, inst *core.Instance) {
-	r.lifeEvent(Event{Kind: KindEvict, Class: cls.Name, Key: inst.Key, State: inst.State})
+	r.lifeSlot(KindEvict, cls.Name, inst.Key).State = inst.State
+	r.mu.Unlock()
 }
 
 // Quarantine implements core.Handler.
 func (r *Recorder) Quarantine(cls *core.Class, on bool) {
-	r.lifeEvent(Event{Kind: KindQuarantine, Class: cls.Name, On: on})
+	r.lifeSlot(KindQuarantine, cls.Name, core.Key{}).On = on
+	r.mu.Unlock()
 }
 
 // EventCount returns how many events have been recorded so far, including
@@ -237,7 +246,8 @@ type Cut struct {
 // the run) as a fresh delta trace, plus the new watermark to pass next
 // time; prev is left unchanged. It is CutInto for callers that keep each
 // delta: a streaming consumer that is done with a delta before the next
-// cut should call CutInto and reuse one trace instead.
+// cut should call CutInto and reuse one trace instead, or AppendCut when
+// it only needs the delta's encoding.
 func (r *Recorder) CutSince(prev *Cut) (*Trace, *Cut) {
 	next, tr := prev.clone(), &Trace{}
 	r.CutInto(next, tr)
@@ -258,6 +268,8 @@ func (c *Cut) clone() *Cut {
 // the steady-state cut copies each event once, into memory the caller
 // already owns, and allocates nothing. tr.Automata is set to the
 // recorder's own name list, which callers must treat as read-only.
+// Snapshot, CutSince and tesla-perf's traced fleet pass cut through here;
+// a consumer that only encodes the delta calls AppendCut instead.
 //
 // The delta's Dropped field counts only what was lost since c — ring
 // overwrites of not-yet-cut events and injected drops — so a consumer
@@ -267,19 +279,55 @@ func (c *Cut) clone() *Cut {
 // hot, with loss explicit, never silent.
 //
 // The cut is a cross-ring barrier: every ring is locked before any is
-// read, so the watermark captures one instant. For a single-threaded run
-// (where pushes are totally ordered in time and Seq order equals push
-// order across rings) each cut is therefore an exact Seq-prefix of the
-// run — the property the WAL trace spool's crash-recovery invariant
-// ("a recovered spool is a verbatim prefix of the uncrashed run") rests
-// on. Reading one ring at a time instead would let an event land in a
-// not-yet-read ring while a causally-later event in an already-read ring
-// is missed, punching a Seq hole through the final, never-followed-up
-// cut of a killed process.
+// read, so the watermark captures one instant. Every recorder path takes
+// an event's Seq under the lock of the ring it writes, and fills the slot
+// before releasing it, so while all ring locks are held every Seq taken so
+// far is in its ring (or counted dropped) and every later one will be
+// larger. Each cut is therefore an exact Seq-prefix of the run, however
+// many threads record — the property the WAL trace spool's
+// crash-recovery invariant ("a recovered spool is a verbatim prefix of
+// the uncrashed run") rests on, and what TestCutsArePrefixes checks under
+// four recording goroutines. Each ring is Seq-ordered by the same token,
+// so the delta is a linear merge of the rings, with no sort.
 func (r *Recorder) CutInto(c *Cut, tr *Trace) {
-	// Lock order: r.mu, then every sink. Push paths take a single sink
-	// lock (never r.mu under it) and lifeEvent takes r.mu alone, so this
-	// cannot deadlock against recording.
+	n, dropped := r.lockCut(c)
+	events := slices.Grow(tr.Events[:0], int(n))
+	for ev := r.merge.next(); ev != nil; ev = r.merge.next() {
+		events = append(events, *ev)
+	}
+	r.unlockCut()
+	tr.FormatVersion = Version
+	tr.Automata = r.names[:len(r.names):len(r.names)]
+	tr.Dropped = dropped
+	tr.Events = events
+}
+
+// AppendCut appends the binary encoding of the events recorded after c's
+// watermark to dst and advances c in place: exactly AppendBinary(dst, tr)
+// for the tr that CutInto(c, tr) would fill, but encoded straight from the
+// ring slots, with no intermediate Trace. It returns the extended slice,
+// the delta's event count and its Dropped. The rings stay locked while the
+// events are encoded.
+func (r *Recorder) AppendCut(dst []byte, c *Cut) (out []byte, events, dropped uint64) {
+	enc := newEncoder(dst)
+	events, dropped = r.lockCut(c)
+	enc.header(dropped, r.names, events)
+	for ev := r.merge.next(); ev != nil; ev = r.merge.next() {
+		enc.event(ev)
+	}
+	r.unlockCut()
+	return enc.finish(), events, dropped
+}
+
+// lockCut locks every ring, advances c past everything they hold and
+// loads r.merge with the events after c's old watermark. It returns the
+// delta's event count and Dropped; the caller drains r.merge, whose
+// events live in the rings, then calls unlockCut.
+//
+// Lock order: r.mu, then every sink. Push paths take a single sink lock
+// (never r.mu under it) and lifeSlot takes r.mu alone, so this cannot
+// deadlock against recording.
+func (r *Recorder) lockCut(c *Cut) (events, dropped uint64) {
 	r.mu.Lock()
 	for _, s := range r.sinks {
 		s.mu.Lock()
@@ -287,31 +335,95 @@ func (r *Recorder) CutInto(c *Cut, tr *Trace) {
 	for len(c.sinks) < len(r.sinks) {
 		c.sinks = append(c.sinks, 0)
 	}
-	events, dropped := r.life.cutSince(c.life, tr.Events[:0])
-	c.life = r.life.pushed
-	dropped += r.injected - c.injected
+	dropped = r.injected - c.injected
 	c.injected = r.injected
+	r.merge.n = 0
+	dropped += r.merge.add(r.life, &c.life)
 	for i, s := range r.sinks {
-		var lost uint64
-		events, lost = s.ring.cutSince(c.sinks[i], events)
-		c.sinks[i] = s.ring.pushed
-		dropped += lost
+		dropped += r.merge.add(s.ring, &c.sinks[i])
 	}
+	return r.merge.n, dropped
+}
+
+func (r *Recorder) unlockCut() {
 	for _, s := range r.sinks {
 		s.mu.Unlock()
 	}
 	r.mu.Unlock()
-	tr.FormatVersion = Version
-	tr.Automata = r.names[:len(r.names):len(r.names)]
-	tr.Dropped = dropped
-	tr.Events = events
-	sort.Sort((*bySeq)(&tr.Events))
 }
 
-// bySeq sorts a merged cut by sequence number. The pointer receiver lets
-// sort.Sort take it without boxing a slice header on the heap.
-type bySeq []Event
+// merge is a k-way merge of Seq-ordered event runs: a binary min-heap of
+// the runs keyed on each one's first Seq. A ring contributes one run (two
+// contiguous slices when its events wrap), so a cut costs O(log k) per
+// event over k rings instead of a sort.
+type merge struct {
+	runs []mergeRun
+	n    uint64 // events added since the last lockCut
+}
 
-func (s *bySeq) Len() int           { return len(*s) }
-func (s *bySeq) Less(i, j int) bool { return (*s)[i].Seq < (*s)[j].Seq }
-func (s *bySeq) Swap(i, j int)      { (*s)[i], (*s)[j] = (*s)[j], (*s)[i] }
+// mergeRun is what is left of one ring's events: a, then b. a is empty
+// only once the run is done.
+type mergeRun struct{ a, b []Event }
+
+// add loads the events rg pushed after *mark, advances *mark to rg's write
+// position and returns the events rg overwrote in between.
+func (m *merge) add(rg *ring, mark *uint64) uint64 {
+	a, b, lost := rg.since(*mark)
+	*mark = rg.pushed
+	m.n += uint64(len(a) + len(b))
+	if len(a) > 0 {
+		m.runs = append(m.runs, mergeRun{a, b})
+		m.up(len(m.runs) - 1)
+	}
+	return lost
+}
+
+// next returns the event with the smallest Seq left, or nil when every
+// run is done.
+func (m *merge) next() *Event {
+	if len(m.runs) == 0 {
+		return nil
+	}
+	top := &m.runs[0]
+	ev := &top.a[0]
+	if top.a = top.a[1:]; len(top.a) == 0 {
+		if top.a, top.b = top.b, nil; len(top.a) == 0 {
+			last := len(m.runs) - 1
+			m.runs[0] = m.runs[last]
+			m.runs[last] = mergeRun{} // keep no slice of a ring past the cut
+			m.runs = m.runs[:last]
+		}
+	}
+	m.down(0)
+	return ev
+}
+
+func (m *merge) less(i, j int) bool { return m.runs[i].a[0].Seq < m.runs[j].a[0].Seq }
+
+func (m *merge) up(i int) {
+	for i > 0 {
+		p := (i - 1) / 2
+		if !m.less(i, p) {
+			return
+		}
+		m.runs[i], m.runs[p] = m.runs[p], m.runs[i]
+		i = p
+	}
+}
+
+func (m *merge) down(i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(m.runs) {
+			return
+		}
+		if r := c + 1; r < len(m.runs) && m.less(r, c) {
+			c = r
+		}
+		if !m.less(c, i) {
+			return
+		}
+		m.runs[i], m.runs[c] = m.runs[c], m.runs[i]
+		i = c
+	}
+}

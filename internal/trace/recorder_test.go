@@ -1,7 +1,9 @@
 package trace_test
 
 import (
+	"bytes"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -199,4 +201,100 @@ func TestRecorderDropFault(t *testing.T) {
 	if life != pushes-int(fired) {
 		t.Fatalf("%d lifecycle events survived, want %d", life, pushes-int(fired))
 	}
+}
+
+// TestCutsArePrefixes checks that every cut is an exact Seq-prefix of the
+// run when several goroutines record at once. Four goroutines record
+// program events, program batches and lifecycle events into rings small
+// enough to overwrite now and then, while a Flusher cuts and encodes
+// concurrently. Across all decoded deltas Seq must rise strictly — a
+// Seq taken before a cut but pushed after it would arrive in a later
+// delta below one already sent — and every Seq in [1, EventCount] must
+// arrive exactly once or be counted in some delta's Dropped.
+func TestCutsArePrefixes(t *testing.T) {
+	rec := trace.NewRecorder([]*automata.Automaton{{Name: "a"}}, 1024)
+	// The send keeps a copy of each delta; they are decoded once recording
+	// is over, so a flush costs little more than its cut.
+	type delta struct {
+		bin             []byte
+		events, dropped uint64
+	}
+	var deltas []delta
+	f := trace.NewFlusher(rec, 0, func(bin []byte, events, dropped uint64) error {
+		deltas = append(deltas, delta{bytes.Clone(bin), events, dropped})
+		return nil
+	})
+
+	const goroutines, rounds = 4, 4000
+	var wg sync.WaitGroup
+	done := make(chan struct{})
+	flushed := make(chan error, 1)
+	go func() {
+		for {
+			select {
+			case <-done:
+				flushed <- nil
+				return
+			default:
+			}
+			if err := f.Flush(); err != nil {
+				flushed <- err
+				return
+			}
+			runtime.Gosched()
+		}
+	}()
+	cls := &core.Class{Name: "a"}
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			tap := rec.ThreadTap(g)
+			batch := tap.(monitor.BatchThreadTap)
+			for r := 0; r < rounds; r++ {
+				inst := &core.Instance{Key: core.NewKey(core.Value(g*rounds + r))}
+				tap.ProgramEvent(monitor.ProgramEvent{Kind: monitor.ProgCall, Fn: "f", Vals: []core.Value{core.Value(r)}})
+				rec.Transition(cls, inst, 0, 1, "f")
+				if r%8 == 0 {
+					batch.ProgramBatch([]monitor.ProgramEvent{{Kind: monitor.ProgSite, Fn: "a"}, {Kind: monitor.ProgReturn, Fn: "f"}})
+					rec.Accept(cls, inst)
+					runtime.Gosched()
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(done)
+	if err := <-flushed; err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Stop(); err != nil {
+		t.Fatal(err)
+	}
+
+	var last, delivered, dropped uint64
+	for i, d := range deltas {
+		tr, err := trace.Read(bytes.NewReader(d.bin))
+		if err != nil {
+			t.Fatalf("delta %d: %v", i, err)
+		}
+		if uint64(len(tr.Events)) != d.events || tr.Dropped != d.dropped {
+			t.Fatalf("delta %d decodes to %d events, %d dropped; the flusher reported %d, %d", i, len(tr.Events), tr.Dropped, d.events, d.dropped)
+		}
+		for _, ev := range tr.Events {
+			if ev.Seq <= last {
+				t.Fatalf("delta %d: Seq %d arrived after Seq %d", i, ev.Seq, last)
+			}
+			last = ev.Seq
+		}
+		delivered += d.events
+		dropped += d.dropped
+	}
+	if n := rec.EventCount(); last > n || delivered+dropped != n {
+		t.Fatalf("%d events recorded, but %d delivered (last Seq %d) + %d dropped", n, delivered, last, dropped)
+	}
+	if len(deltas) < 4 {
+		t.Fatalf("only %d deltas: the flusher hardly cut mid-run", len(deltas))
+	}
+	t.Logf("%d deltas, %d events delivered, %d dropped", len(deltas), delivered, dropped)
 }

@@ -520,13 +520,12 @@ func ReadSpool(dir string) (*Trace, error) {
 // rings did not overwrite between cuts; overwrites are counted in each
 // delta's Dropped, never lost silently.
 //
-// Each flush encodes into the same byte buffer (AppendBinary), and
-// Spool.Append copies the frame into the spool's own buffer, so a steady
-// flush cadence reuses its memory instead of allocating per event.
+// Each flush encodes into the Flusher's byte buffer (Recorder.AppendCut),
+// and Spool.Append copies the frame into the spool's own buffer, so a
+// steady flush cadence reuses its memory instead of allocating per event.
 type SpoolWriter struct {
 	Flusher
 	spool *Spool
-	buf   []byte // the reusable encoding of the delta
 	// lostFrames/lostEvents count deltas a failed append discarded: the
 	// events are gone from the spool, but never silently. Flusher.mu
 	// guards them.
@@ -542,12 +541,11 @@ func NewSpoolWriter(rec *Recorder, spool *Spool) *SpoolWriter {
 	return w
 }
 
-// append encodes one delta and appends it to the spool.
-func (w *SpoolWriter) append(tr *Trace) error {
-	w.buf = AppendBinary(w.buf[:0], tr)
-	if err := w.spool.Append(w.buf); err != nil {
+// append appends one encoded delta to the spool.
+func (w *SpoolWriter) append(delta []byte, events, _ uint64) error {
+	if err := w.spool.Append(delta); err != nil {
 		w.lostFrames++
-		w.lostEvents += uint64(len(tr.Events))
+		w.lostEvents += events
 		return err
 	}
 	return nil
