@@ -109,13 +109,13 @@ func benchPlans(cls *core.Class) (enter, check, exit *core.SymbolPlan) {
 // BenchmarkCoreUpdateState is the hot-path cost of one libtesla event.
 func BenchmarkCoreUpdateState(b *testing.B) {
 	cls := &core.Class{Name: "bench", States: 5, Limit: 8}
-	s := core.NewStore(core.PerThread, nil)
+	s := core.NewStoreOpts(core.StoreOpts{Context: core.PerThread})
 	s.Register(cls)
 	enter, check, exit := benchPlans(cls)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.UpdateStatePlan(enter, core.AnyKey)
-		s.UpdateStatePlan(check, core.NewKey(core.Value(i&7)))
+		s.UpdateStatePlan(check, core.AnyKey.Set(0, core.Value(i&7)))
 		s.UpdateStatePlan(exit, core.AnyKey)
 	}
 }
@@ -127,14 +127,14 @@ func BenchmarkAblationPreallocation(b *testing.B) {
 	for _, limit := range []int{8, 32, 256} {
 		b.Run(map[int]string{8: "limit8", 32: "limit32", 256: "limit256"}[limit], func(b *testing.B) {
 			cls := &core.Class{Name: "prealloc", States: 5, Limit: limit}
-			s := core.NewStore(core.PerThread, nil)
+			s := core.NewStoreOpts(core.StoreOpts{Context: core.PerThread})
 			s.Register(cls)
 			enter, check, exit := benchPlans(cls)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				s.UpdateStatePlan(enter, core.AnyKey)
 				for j := 0; j < 4; j++ {
-					s.UpdateStatePlan(check, core.NewKey(core.Value(j)))
+					s.UpdateStatePlan(check, core.AnyKey.Set(0, core.Value(j)))
 				}
 				s.UpdateStatePlan(exit, core.AnyKey)
 			}

@@ -88,7 +88,7 @@ func spoolPrefixSweep(t *testing.T, bins map[string]string, src string, ref *tra
 		run.Process.Kill()
 		run.Wait()
 
-		tr, err := trace.ReadSpool(spool)
+		tr, _, err := trace.ReadSpool(spool)
 		if err != nil {
 			// A kill before the first flush leaves an empty spool: a
 			// trivially valid (empty) prefix, not a failure.

@@ -159,6 +159,9 @@ func cmdResend(args []string) {
 	}
 	dir := fs.Arg(0)
 	st, err := agg.ResumeSpool(*addr, *process, dir, agg.ResumeOpts{})
+	if note := st.Recovered.Note(); note != "" {
+		fmt.Fprintf(os.Stderr, "tesla-agg: spool %s %s\n", dir, note)
+	}
 	if err != nil {
 		fatal(err)
 	}

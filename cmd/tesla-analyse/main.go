@@ -16,6 +16,7 @@ import (
 
 	"tesla/internal/analyse"
 	"tesla/internal/build"
+	"tesla/internal/manifest"
 	"tesla/internal/toolchain/cli"
 )
 
@@ -59,7 +60,7 @@ func main() {
 
 	for i, name := range res.Names {
 		m := res.Fragments[i]
-		path := name + ".tesla"
+		path := name + manifest.Ext
 		if err := m.Save(path); err != nil {
 			tool.Fatal(err)
 		}
@@ -67,7 +68,7 @@ func main() {
 	}
 	target := *out
 	if target == "" {
-		target = "program.tesla"
+		target = "program" + manifest.Ext
 	}
 	if err := res.Manifest.Save(target); err != nil {
 		tool.Fatal(err)

@@ -232,10 +232,14 @@ func cmdConvert(args []string) {
 
 // loadTrace reads a trace in any of its at-rest forms: binary file, JSON
 // file, or a write-ahead spool directory left by tesla-run -trace-spool
-// (recovered to the longest valid prefix, deltas merged in order).
+// (recovered to the longest valid prefix, deltas merged in order; what the
+// repair cut away is noted on stderr).
 func loadTrace(path string) *trace.Trace {
 	if fi, err := os.Stat(path); err == nil && fi.IsDir() {
-		tr, err := trace.ReadSpool(path)
+		tr, rec, err := trace.ReadSpool(path)
+		if note := rec.Note(); note != "" {
+			fmt.Fprintf(os.Stderr, "tesla-trace: spool %s %s\n", path, note)
+		}
 		if err != nil {
 			fatalCode(2, err)
 		}

@@ -71,11 +71,7 @@ func main() {
 		len(build.Autos), build.Stats.Hooks, build.Stats.Translators, build.Stats.Sites)
 
 	fmt.Println("== instrumented IR for object_method ==")
-	for _, f := range build.Program.Funcs {
-		if f.Name == "object_method" {
-			fmt.Print(f.String())
-		}
-	}
+	fmt.Print(build.Program.Func("object_method").String())
 	fmt.Println()
 
 	runOnce := func(checked int64) {

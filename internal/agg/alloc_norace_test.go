@@ -60,7 +60,7 @@ func TestPublisherFlushAllocs(t *testing.T) {
 	rec := trace.NewRecorder(nil, 1<<12)
 	pub := NewPublisher(rec, c)
 	cls := &core.Class{Name: "lock"}
-	inst := &core.Instance{Key: core.NewKey(1)}
+	inst := &core.Instance{Key: core.AnyKey.Set(0, 1)}
 
 	var frames uint64
 	cycle := func(n int) {

@@ -91,11 +91,11 @@ type ClientOpts struct {
 	// Buffer bounds the frames pending in memory while the connection is
 	// down or slow (default 256).
 	Buffer int
-	// Retries bounds reconnection attempts per frame (default 4).
-	Retries int
-	// Backoff is the base reconnect delay, doubled per attempt
-	// (default 50ms).
-	Backoff time.Duration
+	// retries bounds reconnection attempts per frame (default 4), and
+	// backoff is the base reconnect delay, doubled per attempt (default
+	// 50ms). Only tests change them.
+	retries int
+	backoff time.Duration
 	// Spool, when set, is the client's offline write-ahead spool. It
 	// must be empty at Dial (a leftover spool belongs to a crashed run:
 	// replay it with tesla-agg resend, don't mix two runs' events). The
@@ -165,11 +165,11 @@ func connect(addr string, opts ClientOpts) (*Client, net.Conn, uint64, error) {
 	if opts.Buffer <= 0 {
 		opts.Buffer = 256
 	}
-	if opts.Retries <= 0 {
-		opts.Retries = 4
+	if opts.retries <= 0 {
+		opts.retries = 4
 	}
-	if opts.Backoff <= 0 {
-		opts.Backoff = 50 * time.Millisecond
+	if opts.backoff <= 0 {
+		opts.backoff = 50 * time.Millisecond
 	}
 	c := &Client{opts: opts, addr: addr, done: make(chan struct{})}
 	c.cond = sync.NewCond(&c.mu)
@@ -472,10 +472,10 @@ func (st *connState) fail() {
 func (c *Client) sendFrame(st *connState, f wireFrame) bool {
 	for attempt := 0; ; attempt++ {
 		if st.conn == nil {
-			if attempt >= c.opts.Retries {
+			if attempt >= c.opts.retries {
 				return false
 			}
-			time.Sleep(c.opts.Backoff << attempt)
+			time.Sleep(c.opts.backoff << attempt)
 			conn, ack, err := dialHandshake(c.addr, Hello{
 				Proto: ProtoVersion, Codec: trace.Version,
 				Tool: c.opts.Tool, Process: c.opts.Process,

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -64,14 +65,14 @@ func TestResendDeduplicated(t *testing.T) {
 	srv, sock := startServer(t, ServerOpts{})
 	var fired atomic.Bool
 	c, err := Dial(sock, ClientOpts{
-		Tool: "t", Process: "flaky", Backoff: 5 * time.Millisecond,
+		Tool: "t", Process: "flaky", backoff: 5 * time.Millisecond,
 		wrapConn: func(conn net.Conn) net.Conn {
 			return &flakyConn{Conn: conn, failAt: 3, fired: &fired, landed: func() {
 				// Once the server has applied the frame, its re-send is a
 				// certain dup; without the wait, an ack write to the reset
 				// connection can close it before the frame is read.
 				deadline := time.Now().Add(10 * time.Second)
-				for srv.Store().AckSeq("flaky") < 3 && time.Now().Before(deadline) {
+				for srv.store.AckSeq("flaky") < 3 && time.Now().Before(deadline) {
 					time.Sleep(time.Millisecond)
 				}
 			}}
@@ -99,7 +100,7 @@ func TestResendDeduplicated(t *testing.T) {
 	}
 	var ps ProducerStat
 	waitFor(t, "flaky accounted", func() bool {
-		for _, p := range srv.Store().Fleet().Producers {
+		for _, p := range srv.store.Fleet().Producers {
 			if p.Process == "flaky" && p.Clean {
 				ps = p
 				return true
@@ -117,6 +118,47 @@ func TestResendDeduplicated(t *testing.T) {
 	}
 	if ps.Events+ps.DroppedEvents != ps.SentEvents {
 		t.Fatalf("accounting leak: %d + %d != %d", ps.Events, ps.DroppedEvents, ps.SentEvents)
+	}
+}
+
+// TestResendSpoolReportsRepair: a resend over a spool whose tail was torn
+// delivers the intact frames and reports the cut in its stats, which
+// tesla-agg resend prints.
+func TestResendSpoolReportsRepair(t *testing.T) {
+	_, sock := startServer(t, ServerOpts{})
+	dir := t.TempDir()
+	spool, err := trace.OpenSpool(dir, trace.SpoolOpts{Sync: trace.SpoolSyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const frames, per = 4, 8
+	for i := 1; i <= frames; i++ {
+		payload := encodeTracePayload(t, producerTrace(uint64(i*100), per))
+		if err := spool.Append(EncodeSeqTrace(uint64(i), payload)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := spool.Close(); err != nil {
+		t.Fatal(err)
+	}
+	seg, err := os.OpenFile(filepath.Join(dir, "wal-000001.seg"), os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := seg.Write([]byte{1, 2, 3, 4, 5}); err != nil {
+		t.Fatal(err)
+	}
+	seg.Close()
+
+	st, err := ResumeSpool(sock, "torn", dir, ResumeOpts{})
+	if err != nil {
+		t.Fatalf("resend: %v", err)
+	}
+	if st.Frames != frames || st.Recovered.TruncatedBytes != 5 {
+		t.Fatalf("resume stats %+v, want %d frames and a 5-byte cut", st, frames)
+	}
+	if note := st.Recovered.Note(); !strings.Contains(note, "cut 5 torn or corrupt byte(s)") {
+		t.Fatalf("repair note %q does not report the cut", note)
 	}
 }
 
@@ -149,7 +191,7 @@ func TestResendSpoolReconnects(t *testing.T) {
 		wrapConn: func(conn net.Conn) net.Conn {
 			return &flakyConn{Conn: conn, failAt: 3, fired: &fired, landed: func() {
 				deadline := time.Now().Add(10 * time.Second)
-				for srv.Store().AckSeq("resumed") < 3 && time.Now().Before(deadline) {
+				for srv.store.AckSeq("resumed") < 3 && time.Now().Before(deadline) {
 					time.Sleep(time.Millisecond)
 				}
 			}}
@@ -166,7 +208,7 @@ func TestResendSpoolReconnects(t *testing.T) {
 	}
 	var ps ProducerStat
 	waitFor(t, "resumed producer clean", func() bool {
-		for _, p := range srv.Store().Fleet().Producers {
+		for _, p := range srv.store.Fleet().Producers {
 			if p.Process == "resumed" && p.Clean {
 				ps = p
 				return true
@@ -221,14 +263,14 @@ func TestResendSpoolNoDegradedBye(t *testing.T) {
 		t.Fatal("resend with an undeliverable frame reported success")
 	}
 	waitFor(t, "stuck producer disconnected", func() bool {
-		for _, p := range srv.Store().Fleet().Producers {
+		for _, p := range srv.store.Fleet().Producers {
 			if p.Process == "stuck" && p.Disconnects > 0 {
 				return true
 			}
 		}
 		return false
 	})
-	for _, p := range srv.Store().Fleet().Producers {
+	for _, p := range srv.store.Fleet().Producers {
 		if p.Process == "stuck" && (p.Clean || p.SentEvents != 0) {
 			t.Fatalf("failed resend closed the accounting: %+v", p)
 		}
@@ -243,7 +285,7 @@ func TestResendSpoolNoDegradedBye(t *testing.T) {
 	}
 	var ps ProducerStat
 	waitFor(t, "stuck producer clean", func() bool {
-		for _, p := range srv.Store().Fleet().Producers {
+		for _, p := range srv.store.Fleet().Producers {
 			if p.Process == "stuck" && p.Clean {
 				ps = p
 				return true
@@ -293,7 +335,7 @@ func TestIdleConnReaped(t *testing.T) {
 		t.Fatalf("server kept the idle connection for %v", waited)
 	}
 	waitFor(t, "loris disconnected", func() bool {
-		for _, p := range srv.Store().Fleet().Producers {
+		for _, p := range srv.store.Fleet().Producers {
 			if p.Process == "loris" && !p.Connected && p.Disconnects == 1 {
 				return true
 			}
@@ -363,7 +405,7 @@ func ingestFleet(t *testing.T, sock string, procs int) {
 func TestSnapshotRoundTrip(t *testing.T) {
 	srv, sock := startServer(t, ServerOpts{})
 	ingestFleet(t, sock, 3)
-	st := srv.Store()
+	st := srv.store
 	waitFor(t, "fleet clean", func() bool { return st.Fleet().CleanProducers == 3 })
 
 	path := filepath.Join(t.TempDir(), "agg.snap")
@@ -480,7 +522,7 @@ func TestV1ProducerRejected(t *testing.T) {
 	if _, _, err := trace.NewFrameReader(conn).Next(); err == nil {
 		t.Fatal("rejected connection stayed open")
 	}
-	if ps := srv.Store().Fleet().Producers; len(ps) != 0 {
+	if ps := srv.store.Fleet().Producers; len(ps) != 0 {
 		t.Fatalf("rejected producer left a record: %+v", ps)
 	}
 }
@@ -561,7 +603,7 @@ func crashSchedule(t *testing.T, seed int64) (killPoints int) {
 	}
 	c, err := Dial(sock, ClientOpts{
 		Tool: "t", Process: "crashy", Buffer: 4,
-		Retries: 3, Backoff: 2 * time.Millisecond, Spool: spool,
+		retries: 3, backoff: 2 * time.Millisecond, Spool: spool,
 		wrapConn: func(conn net.Conn) net.Conn {
 			if dead.Load() {
 				conn.Close()
@@ -628,7 +670,7 @@ func crashSchedule(t *testing.T, seed int64) (killPoints int) {
 		}
 	}
 
-	st := srv.Store()
+	st := srv.store
 	var ps ProducerStat
 	// A generous deadline: under the race detector with fsync-heavy
 	// snapshot loops the drain can take a while; correctness, not

@@ -135,7 +135,7 @@ func TestAggGate(t *testing.T) {
 	}
 	conn.Close()
 
-	store := srv.Store()
+	store := srv.store
 	waitFor(t, "all producers accounted", func() bool {
 		sum := store.Fleet()
 		return sum.CleanProducers == producers && sum.Disconnected == 1 &&
@@ -315,7 +315,7 @@ func TestServerQueueDrop(t *testing.T) {
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
-	st := srv.Store()
+	st := srv.store
 	waitFor(t, "storm accounted", func() bool {
 		for _, ps := range st.Fleet().Producers {
 			if ps.Process == "stormy" && ps.Clean {
@@ -343,7 +343,7 @@ func TestServerQueueDrop(t *testing.T) {
 // transparently; every frame still arrives or is counted dropped.
 func TestClientReconnect(t *testing.T) {
 	srv, sock := startServer(t, ServerOpts{})
-	c, err := Dial(sock, ClientOpts{Tool: "t", Process: "bouncy", Backoff: 5 * time.Millisecond})
+	c, err := Dial(sock, ClientOpts{Tool: "t", Process: "bouncy", backoff: 5 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -368,7 +368,7 @@ func TestClientReconnect(t *testing.T) {
 	if c.Stats().Reconnects == 0 {
 		t.Fatal("no reconnect recorded")
 	}
-	st := srv.Store()
+	st := srv.store
 	waitFor(t, "reconnected producer clean", func() bool {
 		for _, ps := range st.Fleet().Producers {
 			if ps.Process == "bouncy" && ps.Clean {
@@ -464,7 +464,7 @@ func TestAggBatchedProducer(t *testing.T) {
 			}
 			recorded := rec.EventCount()
 
-			store := srv.Store()
+			store := srv.store
 			waitFor(t, "batched producer clean", func() bool {
 				for _, ps := range store.Fleet().Producers {
 					if ps.Process == "batchy" && ps.Clean {

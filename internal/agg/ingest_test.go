@@ -98,7 +98,7 @@ func TestPublisherBufferReuse(t *testing.T) {
 	}
 	var fired atomic.Bool
 	c, err := Dial(sock, ClientOpts{
-		Tool: "t", Process: "reuse", Buffer: 1, Backoff: 5 * time.Millisecond, Spool: spool,
+		Tool: "t", Process: "reuse", Buffer: 1, backoff: 5 * time.Millisecond, Spool: spool,
 		wrapConn: func(conn net.Conn) net.Conn {
 			return &flakyConn{Conn: conn, failAt: 2, fired: &fired}
 		},
@@ -126,7 +126,7 @@ func TestPublisherBufferReuse(t *testing.T) {
 		// Every delta has its own content and is no larger than the
 		// first, so each flush overwrites the same backing array.
 		cls := classes[f%2]
-		inst := &core.Instance{Key: core.NewKey(core.Value(f))}
+		inst := &core.Instance{Key: core.AnyKey.Set(0, core.Value(f))}
 		for i := 0; i < 40-f; i++ {
 			rec.Transition(cls, inst, uint32(f), uint32(f+1), fmt.Sprintf("s%d", f))
 		}
@@ -148,7 +148,7 @@ func TestPublisherBufferReuse(t *testing.T) {
 
 	var ps ProducerStat
 	waitFor(t, "reuse producer clean", func() bool {
-		for _, p := range srv.Store().Fleet().Producers {
+		for _, p := range srv.store.Fleet().Producers {
 			if p.Process == "reuse" && p.Clean {
 				ps = p
 				return true
@@ -162,7 +162,7 @@ func TestPublisherBufferReuse(t *testing.T) {
 	if recorded := rec.EventCount(); ps.Events != recorded {
 		t.Fatalf("ingested %d events, recorder recorded %d: not exactly once", ps.Events, recorded)
 	}
-	want, got := dtrace.Summarize(rec.Snapshot()), srv.Store().Summarize()
+	want, got := dtrace.Summarize(rec.Snapshot()), srv.store.Summarize()
 	for _, pair := range []struct {
 		name      string
 		want, got *dtrace.Aggregation
@@ -189,7 +189,7 @@ func fleetTrace(seqBase uint64, n, failAt int) *trace.Trace {
 	tr := &trace.Trace{FormatVersion: trace.Version, Automata: []string{"lock"}, Dropped: 3}
 	for i := 0; i < n; i++ {
 		v := core.Value((seqBase + uint64(i)) / 10 % 64)
-		key := core.NewKey(v)
+		key := core.AnyKey.Set(0, v)
 		ev := trace.Event{Seq: seqBase + uint64(i) + 1, Thread: -1, Time: int64(i)}
 		switch i % 10 {
 		case 0:

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"tesla/internal/dtrace"
 	"tesla/internal/trace"
 )
 
@@ -300,24 +299,4 @@ func (s *Store) Health() []FleetHealth {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Class < out[j].Class })
 	return out
-}
-
-// Summarize rebuilds the dtrace.Summarize aggregations from the fleet
-// store: the same keys, the same counts, as if every producer's trace had
-// been concatenated and summarised offline. This is the differential
-// surface the parity tests pin — fleet aggregation must be
-// dtrace.Summarize scaled out, not a different answer.
-func (s *Store) Summarize() *dtrace.Handler {
-	h := dtrace.NewHandler(nil)
-	s.forEachSite(func(k siteKey, a *siteAgg) {
-		switch k.kind {
-		case trace.KindTransition:
-			h.Transitions.Add(dtrace.Key(k.class, fmt.Sprintf("%d->%d", k.from, k.to), k.symbol), a.count)
-		case trace.KindAccept:
-			h.Accepts.Add(dtrace.Key(k.class), a.count)
-		case trace.KindFail:
-			h.Failures.Add(dtrace.Key(k.class, k.verdict), a.count)
-		}
-	})
-	return h
 }

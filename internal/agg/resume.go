@@ -40,14 +40,13 @@ type ResumeStats struct {
 	// the bye within byeLinger: the bye was written, but whether the
 	// server read it is unknown.
 	ByeLingerExpired uint64
+	// Recovered is what opening the spool repaired: frames in a torn
+	// tail or past a corrupt segment are neither resent nor counted.
+	Recovered trace.SpoolRecovery
 }
 
 // ResumeOpts configures ResumeSpool.
 type ResumeOpts struct {
-	// Tool names the resuming program in the hello (default
-	// "tesla-agg resend").
-	Tool string
-
 	// wrapConn is the same test seam as ClientOpts.wrapConn.
 	wrapConn func(net.Conn) net.Conn
 }
@@ -55,20 +54,18 @@ type ResumeOpts struct {
 // ResumeSpool opens the spool directory (recovering any torn tail),
 // replays it to addr as process, and sends the closing bye.
 func ResumeSpool(addr, process, dir string, opts ResumeOpts) (ResumeStats, error) {
-	if opts.Tool == "" {
-		opts.Tool = "tesla-agg resend"
-	}
 	st := ResumeStats{Process: process}
 	spool, err := trace.OpenSpool(dir, trace.SpoolOpts{Sync: trace.SpoolSyncNone})
 	if err != nil {
 		return st, err
 	}
+	st.Recovered = spool.Recovered()
 	if spool.FrameCount() == 0 {
 		spool.Close()
 		return st, fmt.Errorf("agg: spool %s holds no frames", dir)
 	}
 	c, conn, ack, err := connect(addr, ClientOpts{
-		Tool: opts.Tool, Process: process, Spool: spool, wrapConn: opts.wrapConn,
+		Tool: "tesla-agg resend", Process: process, Spool: spool, wrapConn: opts.wrapConn,
 	})
 	if err != nil {
 		spool.Close()

@@ -74,9 +74,6 @@ func NewServer(store *Store, opts ServerOpts) *Server {
 	return &Server{store: store, opts: opts, conns: map[net.Conn]struct{}{}, acks: map[string]map[*ackWriter]struct{}{}}
 }
 
-// Store returns the server's aggregation store.
-func (s *Server) Store() *Store { return s.store }
-
 // Serve accepts connections on ln until Close. It returns nil after a
 // Close-initiated shutdown and the accept error otherwise.
 func (s *Server) Serve(ln net.Listener) error {

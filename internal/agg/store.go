@@ -176,17 +176,6 @@ func (s *Store) stripeOf(k siteKey) *stripe {
 	return &s.stripes[h.Sum64()&uint64(len(s.stripes)-1)]
 }
 
-// IngestTrace aggregates one (delta) trace attributed to process. It is
-// the whole-trace convenience over the same ingester; the server's
-// per-connection workers use IngestFrame on raw payloads instead.
-func (s *Store) IngestTrace(process string, tr *trace.Trace) {
-	in := s.ingester(process)
-	for i := range tr.Events {
-		in.feed(&tr.Events[i])
-	}
-	in.finish(tr.Dropped)
-}
-
 // ingester applies one frame's events as they arrive, one at a time. It
 // holds a ring of the last Window events — the leading context of a
 // failure sample — and copies a sample out of it only when a failure

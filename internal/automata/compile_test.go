@@ -28,13 +28,13 @@ func compileSrc(t *testing.T, name, src string, env *spec.Env) *Automaton {
 // helper uses unbound keys throughout (pure ordering checks).
 func runString(auto *Automaton, seq []int) (accepted bool, violations []*core.Violation) {
 	h := core.NewCountingHandler()
-	s := core.NewStore(core.PerThread, h)
+	s := core.NewStoreOpts(core.StoreOpts{Context: core.PerThread, Handler: h})
 	s.Register(auto.Class)
-	s.UpdateState(auto.Class, auto.Symbols[boundBeginID].Name, auto.Symbols[boundBeginID].Flags, core.AnyKey, auto.Trans[boundBeginID])
+	s.UpdateStatePlan(core.NewSymbolPlan(auto.Class, auto.Symbols[boundBeginID].Name, auto.Symbols[boundBeginID].Flags, auto.Trans[boundBeginID]), core.AnyKey)
 	for _, sym := range seq {
-		s.UpdateState(auto.Class, auto.Symbols[sym].Name, auto.Symbols[sym].Flags, core.AnyKey, auto.Trans[sym])
+		s.UpdateStatePlan(core.NewSymbolPlan(auto.Class, auto.Symbols[sym].Name, auto.Symbols[sym].Flags, auto.Trans[sym]), core.AnyKey)
 	}
-	s.UpdateState(auto.Class, auto.Symbols[boundEndID].Name, auto.Symbols[boundEndID].Flags, core.AnyKey, auto.Trans[boundEndID])
+	s.UpdateStatePlan(core.NewSymbolPlan(auto.Class, auto.Symbols[boundEndID].Name, auto.Symbols[boundEndID].Flags, auto.Trans[boundEndID]), core.AnyKey)
 	return h.Accepts(auto.Name) > 0, h.Violations()
 }
 
@@ -241,14 +241,14 @@ func TestATLeastZeroTracing(t *testing.T) {
 	}
 
 	h := core.NewCountingHandler()
-	s := core.NewStore(core.PerThread, h)
+	s := core.NewStoreOpts(core.StoreOpts{Context: core.PerThread, Handler: h})
 	s.Register(auto.Class)
-	s.UpdateState(auto.Class, "b", 0, core.AnyKey, auto.Trans[boundBeginID])
+	s.UpdateStatePlan(core.NewSymbolPlan(auto.Class, "b", 0, auto.Trans[boundBeginID]), core.AnyKey)
 	for i := 0; i < 5; i++ {
-		s.UpdateState(auto.Class, auto.Symbols[p.ID].Name, 0, core.AnyKey, auto.Trans[p.ID])
+		s.UpdateStatePlan(core.NewSymbolPlan(auto.Class, auto.Symbols[p.ID].Name, 0, auto.Trans[p.ID]), core.AnyKey)
 	}
-	s.UpdateState(auto.Class, "site", core.SymRequired, core.AnyKey, auto.Trans[siteSymbolID])
-	s.UpdateState(auto.Class, "e", 0, core.AnyKey, auto.Trans[boundEndID])
+	s.UpdateStatePlan(core.NewSymbolPlan(auto.Class, "site", core.SymRequired, auto.Trans[siteSymbolID]), core.AnyKey)
+	s.UpdateStatePlan(core.NewSymbolPlan(auto.Class, "e", 0, auto.Trans[boundEndID]), core.AnyKey)
 	if len(h.Violations()) != 0 {
 		t.Fatalf("violations: %v", h.Violations())
 	}
@@ -336,10 +336,10 @@ func TestDotOutput(t *testing.T) {
 	}
 
 	h := core.NewCountingHandler()
-	s := core.NewStore(core.PerThread, h)
+	s := core.NewStoreOpts(core.StoreOpts{Context: core.PerThread, Handler: h})
 	s.Register(auto.Class)
-	s.UpdateState(auto.Class, auto.Symbols[boundBeginID].Name, 0, core.AnyKey, auto.Trans[boundBeginID])
-	s.UpdateState(auto.Class, auto.Symbols[3].Name, 0, core.NewKey(7), auto.Trans[3])
+	s.UpdateStatePlan(core.NewSymbolPlan(auto.Class, auto.Symbols[boundBeginID].Name, 0, auto.Trans[boundBeginID]), core.AnyKey)
+	s.UpdateStatePlan(core.NewSymbolPlan(auto.Class, auto.Symbols[3].Name, 0, auto.Trans[3]), core.AnyKey.Set(0, 7))
 	weighted := auto.Dot(h.Edges())
 	if !strings.Contains(weighted, "penwidth") || !strings.Contains(weighted, "xlabel") {
 		t.Errorf("weighted dot missing weights:\n%s", weighted)
@@ -486,23 +486,23 @@ func TestQuickOrIsCrossProduct(t *testing.T) {
 // automaton does not know (irrelevant events).
 func runStringNames(auto *Automaton, names []string) (bool, []*core.Violation) {
 	h := core.NewCountingHandler()
-	s := core.NewStore(core.PerThread, h)
+	s := core.NewStoreOpts(core.StoreOpts{Context: core.PerThread, Handler: h})
 	s.Register(auto.Class)
 	begin, end := auto.BoundBegin(), auto.BoundEnd()
-	s.UpdateState(auto.Class, begin.Name, begin.Flags, core.AnyKey, auto.Trans[begin.ID])
+	s.UpdateStatePlan(core.NewSymbolPlan(auto.Class, begin.Name, begin.Flags, auto.Trans[begin.ID]), core.AnyKey)
 	for _, name := range names {
 		if name == "«assertion»" {
 			site := auto.Site()
-			s.UpdateState(auto.Class, site.Name, site.Flags, core.AnyKey, auto.Trans[site.ID])
+			s.UpdateStatePlan(core.NewSymbolPlan(auto.Class, site.Name, site.Flags, auto.Trans[site.ID]), core.AnyKey)
 			continue
 		}
 		sym := auto.SymbolByName(name)
 		if sym == nil {
 			continue
 		}
-		s.UpdateState(auto.Class, sym.Name, sym.Flags, core.AnyKey, auto.Trans[sym.ID])
+		s.UpdateStatePlan(core.NewSymbolPlan(auto.Class, sym.Name, sym.Flags, auto.Trans[sym.ID]), core.AnyKey)
 	}
-	s.UpdateState(auto.Class, end.Name, end.Flags, core.AnyKey, auto.Trans[end.ID])
+	s.UpdateStatePlan(core.NewSymbolPlan(auto.Class, end.Name, end.Flags, auto.Trans[end.ID]), core.AnyKey)
 	return h.Accepts(auto.Name) > 0, h.Violations()
 }
 

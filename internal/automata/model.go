@@ -42,16 +42,6 @@ func (s StateSet) add(q uint32) StateSet {
 	return append(s, q)
 }
 
-// Has reports membership.
-func (s StateSet) Has(q uint32) bool {
-	for _, v := range s {
-		if v == q {
-			return true
-		}
-	}
-	return false
-}
-
 // Union returns s ∪ t without mutating either operand.
 func (s StateSet) Union(t StateSet) StateSet {
 	out := append(StateSet(nil), s...)

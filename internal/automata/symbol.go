@@ -87,7 +87,7 @@ type SlotCapture struct {
 // event together with its static argument checks and key captures. The
 // instrumenter generates one event translator per (instrumentation point,
 // symbol) pair; the translator performs the Symbol's static checks and, if
-// they pass, builds the key and calls core.Store.UpdateState with the
+// they pass, builds the key and calls core.Store.UpdateStatePlan with the
 // symbol's TransitionSet.
 type Symbol struct {
 	ID   int
@@ -117,7 +117,7 @@ type Symbol struct {
 	// ProvidesMask is the key mask of the slots this symbol binds.
 	ProvidesMask uint32
 
-	// Flags passed to UpdateState (SymRequired for sites, SymStrict for
+	// Flags passed to UpdateStatePlan (SymRequired for sites, SymStrict for
 	// strict assertions).
 	Flags core.SymbolFlags
 }

@@ -57,9 +57,6 @@ func Open(dir string) (*Cache, error) {
 	return &Cache{dir: dir, mem: map[digest]memEntry{}}, nil
 }
 
-// Dir reports the backing directory ("" for memory-only caches).
-func (c *Cache) Dir() string { return c.dir }
-
 func (c *Cache) getMem(key digest) (memEntry, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -35,13 +35,6 @@ func (r *Result) Counts() Counts {
 	return c
 }
 
-// AllCached reports whether the build did no stage work at all — every
-// node was served from the memory or disk cache.
-func (r *Result) AllCached() bool {
-	c := r.Counts()
-	return c.Built == 0 && c.Failed == 0 && c.Skipped == 0
-}
-
 // Summary is the one-line cache report, greppable by CI gates:
 //
 //	graph: 14 nodes  built=2 mem=0 disk=12 skipped=0 failed=0

@@ -122,3 +122,10 @@ func (c *Cache) Hashed(key string) (hashed, ok bool) {
 	}
 	return false, false
 }
+
+// AllCached reports whether the build did no stage work at all — every
+// node was served from the memory or disk cache.
+func (r *Result) AllCached() bool {
+	c := r.Counts()
+	return c.Built == 0 && c.Failed == 0 && c.Skipped == 0
+}

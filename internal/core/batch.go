@@ -105,7 +105,7 @@ func (s *Store) updateBatchSharded(ops []BatchOp, nb *noteBuf) error {
 }
 
 // FailStop reports whether the store's failure action is fail-stop —
-// whether a violation surfaces as an UpdateState error. The monitor's batch
+// whether a violation surfaces as an UpdateStatePlan error. The monitor's batch
 // plane uses it to decide whether staged verdict-bearing ops must drain
 // through synchronously so their error surfaces at the event call that
 // caused it.

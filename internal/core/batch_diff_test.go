@@ -10,7 +10,7 @@ import (
 
 // Batched-vs-unbatched store differential: UpdateBatch must be
 // observationally equivalent to the same ops applied one at a time with
-// UpdateState — identical verdicts, live counts, instance sets, quarantine
+// UpdateStatePlan — identical verdicts, live counts, instance sets, quarantine
 // state, health counters and notification multisets at every flush point.
 // Schedules are the randomised supervision sweeps from differential_test.go;
 // flush points are permuted per schedule (a random flush probability rides
@@ -105,7 +105,7 @@ func runBatchDifferential(t *testing.T, seed int64, seqL, batL layout, batchSize
 			bat.ResetClass(cls)
 			compare(i)
 		default:
-			if seq.UpdateState(cls, ev.symbol, ev.flags, ev.key, ev.ts) != nil {
+			if seq.UpdateStatePlan(NewSymbolPlan(cls, ev.symbol, ev.flags, ev.ts), ev.key) != nil {
 				seqErrs++
 			}
 			pending = append(pending, BatchOp{Plan: plans.plan(cls, ev.symbol, ev.flags, ev.ts), Key: ev.key})

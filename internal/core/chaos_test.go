@@ -28,7 +28,7 @@ var chaosPolicies = []OverflowPolicy{DropNew, EvictOldest, QuarantineClass}
 // healthOf flattens a class's health for comparison (HandlerPanics excluded:
 // it is attributed store-wide at dispatch, not part of store parity).
 func healthOf(s *Store, cls *Class) [5]uint64 {
-	h := s.Health(cls)
+	h := storeHealth(s, cls)
 	return [5]uint64{h.Violations, h.Overflows, h.Evictions, h.Suppressed, h.Quarantines}
 }
 
@@ -40,7 +40,7 @@ func healthOf(s *Store, cls *Class) [5]uint64 {
 // get two injectors built from the same seed, so they see byte-identical
 // fault schedules. With cached set, the striped store runs one plan per
 // (symbol, flags), lowered once and reused for the whole schedule, while the
-// slot array keeps lowering a fresh plan per event through UpdateState.
+// slot array keeps lowering a fresh plan per event through UpdateStatePlan.
 func runChaosDifferential(t *testing.T, seed int64, shards int, rate float64, cached bool) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -84,11 +84,11 @@ func runChaosDifferential(t *testing.T, seed int64, shards int, rate float64, ca
 			ref.ResetClass(cls)
 			sh.ResetClass(cls)
 		default:
-			errRef = ref.UpdateState(cls, ev.symbol, ev.flags, ev.key, ev.ts)
+			errRef = ref.UpdateStatePlan(NewSymbolPlan(cls, ev.symbol, ev.flags, ev.ts), ev.key)
 			if cached {
 				errSh = sh.UpdateStatePlan(plans.plan(cls, ev.symbol, ev.flags, ev.ts), ev.key)
 			} else {
-				errSh = sh.UpdateState(cls, ev.symbol, ev.flags, ev.key, ev.ts)
+				errSh = sh.UpdateStatePlan(NewSymbolPlan(cls, ev.symbol, ev.flags, ev.ts), ev.key)
 			}
 		}
 		if (errRef == nil) != (errSh == nil) {
@@ -184,25 +184,25 @@ func runIsolation(t *testing.T, l layout, inject bool, rate float64) ([]string, 
 	rng := rand.New(rand.NewSource(4242))
 	for i := 0; i < 400; i++ {
 		// Class A: hammer inits so it overflows and quarantines.
-		s.UpdateState(a, "enter", 0, NewKey(Value(rng.Intn(50))), enter)
+		s.UpdateStatePlan(NewSymbolPlan(a, "enter", 0, enter), NewKey(Value(rng.Intn(50))))
 		// Class B: a well-behaved workload whose outcomes we fingerprint.
 		k := NewKey(Value(rng.Intn(4)))
 		switch i % 5 {
 		case 0:
-			err := s.UpdateState(b, "enter", 0, k, enter)
+			err := s.UpdateStatePlan(NewSymbolPlan(b, "enter", 0, enter), k)
 			fmt.Fprintf(&verdicts, "%d:enter:%v\n", i, err)
 		case 3:
-			err := s.UpdateState(b, "site", SymRequired, k, site)
+			err := s.UpdateStatePlan(NewSymbolPlan(b, "site", SymRequired, site), k)
 			fmt.Fprintf(&verdicts, "%d:site:%v\n", i, err)
 		default:
-			err := s.UpdateState(b, "mid", 0, k, mid)
+			err := s.UpdateStatePlan(NewSymbolPlan(b, "mid", 0, mid), k)
 			fmt.Fprintf(&verdicts, "%d:mid:%v\n", i, err)
 		}
 	}
-	if inject && !s.Quarantined(a) && s.Health(a).Quarantines == 0 {
+	if inject && !s.Quarantined(a) && storeHealth(s, a).Quarantines == 0 {
 		t.Fatal("isolation run never quarantined class A; test lost its teeth")
 	}
-	if hb := s.Health(b); hb.Degraded() {
+	if hb := storeHealth(s, b); hb.Degraded() {
 		t.Fatalf("class B degraded: %+v", hb)
 	}
 	return classStream(h, "iso-b"), verdicts.String()
@@ -251,14 +251,14 @@ func TestChaosHandlerPanicRates(t *testing.T) {
 				Handler: &injectedPanicHandler{inj: inj},
 				// Keep the handler in service so every injected panic is
 				// exercised rather than short-circuited by quarantine.
-				HandlerPanicLimit: 1 << 30,
+				handlerPanicLimit: 1 << 30,
 			})
 			s.Register(cls)
 			mid := TransitionSet{{From: 1, To: 2, KeyMask: 1}, {From: 2, To: 1, KeyMask: 1}}
 			for i := 0; i < 2000; i++ {
 				k := NewKey(Value(i % 64))
-				s.UpdateState(cls, "enter", 0, k, initTS())
-				s.UpdateState(cls, "mid", 0, k, mid)
+				s.UpdateStatePlan(NewSymbolPlan(cls, "enter", 0, initTS()), k)
+				s.UpdateStatePlan(NewSymbolPlan(cls, "mid", 0, mid), k)
 			}
 			if got, want := s.HandlerPanics(), inj.Fired(faultinject.SiteHandlerPanic, "hp"); got != want {
 				t.Fatalf("%v rate=%v: recovered %d panics, injector fired %d", l, rate, got, want)
@@ -295,7 +295,7 @@ func TestChaosConcurrentInvariants(t *testing.T) {
 			stores[i] = NewStoreOpts(StoreOpts{
 				Context: Global, Shards: 8,
 				Handler:           &injectedPanicHandler{inj: inj},
-				HandlerPanicLimit: 1 << 30,
+				handlerPanicLimit: 1 << 30,
 				AllocFail:         func(c *Class) bool { return inj.Should(faultinject.SiteAlloc, c.Name) },
 				Overflow:          pol, QuarantineAfter: 4, RearmEvents: 32,
 			})
@@ -318,17 +318,17 @@ func TestChaosConcurrentInvariants(t *testing.T) {
 					s, cls := stores[ci], classes[ci]
 					switch rng.Intn(12) {
 					case 0:
-						s.UpdateState(cls, "exit", 0, AnyKey, exit)
+						s.UpdateStatePlan(NewSymbolPlan(cls, "exit", 0, exit), AnyKey)
 					case 1:
-						s.UpdateState(cls, "site", SymRequired, randKey(rng), mid)
+						s.UpdateStatePlan(NewSymbolPlan(cls, "site", SymRequired, mid), randKey(rng))
 					case 2:
 						_ = s.Instances(cls)
 						_ = s.HealthReport()
 					case 3:
-						s.UpdateState(cls, "enter", 0, AnyKey, enter)
+						s.UpdateStatePlan(NewSymbolPlan(cls, "enter", 0, enter), AnyKey)
 					default:
-						s.UpdateState(cls, "enter", 0, randKey(rng), enter)
-						s.UpdateState(cls, "mid", 0, randKey(rng), mid)
+						s.UpdateStatePlan(NewSymbolPlan(cls, "enter", 0, enter), randKey(rng))
+						s.UpdateStatePlan(NewSymbolPlan(cls, "mid", 0, mid), randKey(rng))
 					}
 				}
 			}(g)
@@ -370,7 +370,7 @@ func TestChaosConcurrentInvariants(t *testing.T) {
 		}
 		s2 := NewStoreOpts(StoreOpts{Context: Global, Shards: 8})
 		s2.Register(fresh)
-		if err := s2.UpdateState(fresh, "enter", 0, NewKey(1), initTS()); err != nil {
+		if err := s2.UpdateStatePlan(NewSymbolPlan(fresh, "enter", 0, initTS()), NewKey(1)); err != nil {
 			t.Fatalf("seed %d: post-chaos monitoring broken: %v", seed, err)
 		}
 	}
@@ -385,8 +385,8 @@ func TestChaosSuppressionExact(t *testing.T) {
 		s := mk(StoreOpts{Overflow: QuarantineClass, QuarantineAfter: 1, RearmEvents: 10})
 		s.Register(cls)
 
-		s.UpdateState(cls, "enter", 0, NewKey(1), initTS()) // fills the single slot
-		s.UpdateState(cls, "enter", 0, NewKey(2), initTS()) // overflow → quarantine #1
+		s.UpdateStatePlan(NewSymbolPlan(cls, "enter", 0, initTS()), NewKey(1)) // fills the single slot
+		s.UpdateStatePlan(NewSymbolPlan(cls, "enter", 0, initTS()), NewKey(2)) // overflow → quarantine #1
 		// Drive 25 more inits, each with a fresh key so every processed one
 		// is an allocation attempt. Expected trajectory:
 		//   events  1–10: suppressed            (Suppressed 10)
@@ -398,9 +398,9 @@ func TestChaosSuppressionExact(t *testing.T) {
 		//   event     25: suppressed            (Suppressed 21)
 		const driven = 25
 		for i := 0; i < driven; i++ {
-			s.UpdateState(cls, "enter", 0, NewKey(Value(100+i)), initTS())
+			s.UpdateStatePlan(NewSymbolPlan(cls, "enter", 0, initTS()), NewKey(Value(100+i)))
 		}
-		h := s.Health(cls)
+		h := storeHealth(s, cls)
 		if h.Suppressed != 21 {
 			t.Fatalf("Suppressed = %d, want 21 (health %+v)", h.Suppressed, h)
 		}

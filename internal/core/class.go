@@ -46,18 +46,8 @@ func (t Transition) String() string {
 
 // TransitionSet is every transition of one automaton class that a single
 // program event can drive. Event translators assemble the set statically;
-// UpdateState picks the edge each live instance can take.
+// UpdateStatePlan picks the edge each live instance can take.
 type TransitionSet []Transition
-
-// HasInit reports whether any member can create an instance.
-func (ts TransitionSet) HasInit() bool {
-	for _, t := range ts {
-		if t.Init() {
-			return true
-		}
-	}
-	return false
-}
 
 // HasCleanup reports whether any member finalises instances.
 func (ts TransitionSet) HasCleanup() bool {
@@ -69,7 +59,7 @@ func (ts TransitionSet) HasCleanup() bool {
 	return false
 }
 
-// SymbolFlags control how UpdateState treats an event with respect to
+// SymbolFlags control how UpdateStatePlan treats an event with respect to
 // instances that cannot accept it.
 type SymbolFlags uint8
 

@@ -186,8 +186,8 @@ func runDifferential(t *testing.T, seed int64, shards int, failFast bool) {
 			ref.ResetClass(cls)
 			sh.ResetClass(cls)
 		default:
-			errRef = ref.UpdateState(cls, ev.symbol, ev.flags, ev.key, ev.ts)
-			errSh = sh.UpdateState(cls, ev.symbol, ev.flags, ev.key, ev.ts)
+			errRef = ref.UpdateStatePlan(NewSymbolPlan(cls, ev.symbol, ev.flags, ev.ts), ev.key)
+			errSh = sh.UpdateStatePlan(NewSymbolPlan(cls, ev.symbol, ev.flags, ev.ts), ev.key)
 		}
 		if (errRef == nil) != (errSh == nil) {
 			t.Fatalf("seed %d event %d (%s %s): verdict diverged: ref=%v sharded=%v",
@@ -282,7 +282,7 @@ func TestDifferentialConcurrentPerKey(t *testing.T) {
 					st = step{symbol: "mid", key: key, ts: mid}
 				}
 				schedules[g] = append(schedules[g], st)
-				sh.UpdateState(cls, st.symbol, st.flags, st.key, st.ts)
+				sh.UpdateStatePlan(NewSymbolPlan(cls, st.symbol, st.flags, st.ts), st.key)
 			}
 		}(g)
 	}
@@ -295,10 +295,10 @@ func TestDifferentialConcurrentPerKey(t *testing.T) {
 	}
 
 	for g := 0; g < goroutines; g++ {
-		ref := NewStore(PerThread, nil)
+		ref := NewStoreOpts(StoreOpts{Context: PerThread})
 		ref.Register(cls)
 		for _, st := range schedules[g] {
-			ref.UpdateState(cls, st.symbol, st.flags, st.key, st.ts)
+			ref.UpdateStatePlan(NewSymbolPlan(cls, st.symbol, st.flags, st.ts), st.key)
 		}
 		want := map[Key]uint32{}
 		for _, in := range ref.Instances(cls) {
@@ -344,13 +344,13 @@ func TestDifferentialConcurrentInvariants(t *testing.T) {
 			for i := 0; i < 500; i++ {
 				switch rng.Intn(10) {
 				case 0:
-					sh.UpdateState(cls, "enter", 0, AnyKey, enter)
+					sh.UpdateStatePlan(NewSymbolPlan(cls, "enter", 0, enter), AnyKey)
 				case 1:
-					sh.UpdateState(cls, "exit", 0, AnyKey, exit)
+					sh.UpdateStatePlan(NewSymbolPlan(cls, "exit", 0, exit), AnyKey)
 				case 2:
-					sh.UpdateState(cls, "site", SymRequired, randKey(rng), mid)
+					sh.UpdateStatePlan(NewSymbolPlan(cls, "site", SymRequired, mid), randKey(rng))
 				default:
-					sh.UpdateState(cls, "mid", 0, randKey(rng), mid)
+					sh.UpdateStatePlan(NewSymbolPlan(cls, "mid", 0, mid), randKey(rng))
 				}
 			}
 		}(g)
@@ -368,7 +368,7 @@ func TestDifferentialConcurrentInvariants(t *testing.T) {
 		}
 		seen[in.Key] = true
 	}
-	sh.UpdateState(cls, "exit", 0, AnyKey, exit)
+	sh.UpdateStatePlan(NewSymbolPlan(cls, "exit", 0, exit), AnyKey)
 	if n := sh.LiveCount(cls); n != 0 {
 		t.Fatalf("cleanup left %d instances live", n)
 	}

@@ -13,8 +13,7 @@ package core
 //     per event.
 //
 // Both store bodies — per-thread slots (update.go) and global stripes
-// (shard.go) — execute plans; UpdateState lowers one per call for callers
-// without a lowered automaton.
+// (shard.go) — execute plans.
 
 import "sync"
 
@@ -55,8 +54,8 @@ func (nb *noteBuf) reset() {
 // SymbolPlan is the compiled form of one (class, symbol) pair: everything an
 // event's effect depends on that its TransitionSet fixes, derived once.
 type SymbolPlan struct {
-	// Cls, Symbol, Flags and TS are the arguments the equivalent
-	// UpdateState call would take.
+	// Cls, Symbol, Flags and TS are the class, the event's name and
+	// flags, and the transitions it can drive.
 	Cls    *Class
 	Symbol string
 	Flags  SymbolFlags
@@ -117,9 +116,6 @@ func NewSymbolPlan(cls *Class, symbol string, flags SymbolFlags, ts TransitionSe
 	p.cleanup = ts.HasCleanup()
 	return p
 }
-
-// HasInit reports whether the plan carries an «init» transition.
-func (p *SymbolPlan) HasInit() bool { return p.init >= 0 }
 
 // HasCleanup reports whether the plan finalises instances.
 func (p *SymbolPlan) HasCleanup() bool { return p.cleanup }

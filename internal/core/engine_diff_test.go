@@ -6,7 +6,7 @@ import "testing"
 // lowering — one SymbolPlan per (symbol, flags), reused for every event of
 // that symbol. These sweeps run the striped store on such cached plans
 // (UpdateStatePlan, Plan-carrying UpdateBatch) against the per-thread slot
-// array lowering a fresh plan per event (UpdateState), over the supervision
+// array lowering a fresh plan per event (UpdateStatePlan), over the supervision
 // schedules (overflow policies, quarantine/re-arm, strict and required
 // symbols, resets) at every stripe count, with and without injected
 // allocation failures. A plan that went stale or was mutated by execution

@@ -19,7 +19,7 @@ import (
 // copies taken while the locks were held — the underlying slots may already
 // have been reused by the time the handler runs, so pointers must not be
 // retained. A panicking handler does not kill the program: panics are
-// recovered and counted, and past Store's HandlerPanicLimit the handler is
+// recovered and counted, and past the store's handler-panic limit the handler is
 // quarantined (see supervise.go).
 type Handler interface {
 	// InstanceNew is called when an «init» transition creates an instance.

@@ -479,7 +479,7 @@ func checkTwin(t *testing.T, where string, s, q *Store, cls *Class) {
 	if qs, qq := s.Quarantined(cls), q.Quarantined(cls); qs != qq {
 		t.Fatalf("%s: quarantined: listening %v, quiet %v", where, qs, qq)
 	}
-	if hs, hq := s.Health(cls), q.Health(cls); hs != hq {
+	if hs, hq := storeHealth(s, cls), storeHealth(q, cls); hs != hq {
 		t.Fatalf("%s: health: listening %+v, quiet %+v", where, hs, hq)
 	}
 }

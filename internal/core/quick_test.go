@@ -6,7 +6,7 @@ import (
 	"testing/quick"
 )
 
-// Property tests over UpdateState: random event streams must preserve the
+// Property tests over UpdateStatePlan: random event streams must preserve the
 // store's structural invariants regardless of ordering.
 
 // randomTransitionSets builds a plausible automaton shape: init from 0,
@@ -66,18 +66,18 @@ func quickStoreInvariants(t *testing.T, l layout) {
 		for ev := 0; ev < 60; ev++ {
 			switch rng.Intn(8) {
 			case 0:
-				s.UpdateState(cls, "enter", 0, AnyKey, enter)
+				s.UpdateStatePlan(NewSymbolPlan(cls, "enter", 0, enter), AnyKey)
 			case 1, 2, 3:
-				s.UpdateState(cls, "mid", 0, NewKey(Value(rng.Intn(12))), mid)
+				s.UpdateStatePlan(NewSymbolPlan(cls, "mid", 0, mid), NewKey(Value(rng.Intn(12))))
 			case 4, 5:
-				s.UpdateState(cls, "site", SymRequired, NewKey(Value(rng.Intn(12))), site)
+				s.UpdateStatePlan(NewSymbolPlan(cls, "site", SymRequired, site), NewKey(Value(rng.Intn(12))))
 			case 6:
-				s.UpdateState(cls, "exit", 0, AnyKey, exit)
+				s.UpdateStatePlan(NewSymbolPlan(cls, "exit", 0, exit), AnyKey)
 				if s.LiveCount(cls) != 0 {
 					return false
 				}
 			case 7:
-				s.UpdateState(cls, "mid", SymStrict, NewKey(Value(rng.Intn(12))), mid)
+				s.UpdateStatePlan(NewSymbolPlan(cls, "mid", SymStrict, mid), NewKey(Value(rng.Intn(12))))
 			}
 			if !check() {
 				return false
@@ -98,17 +98,17 @@ func TestQuickCloneKeyProvenance(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	f := func() bool {
 		cls := &Class{Name: "prov", States: 8, Limit: 16}
-		s := NewStore(PerThread, nil)
+		s := NewStoreOpts(StoreOpts{Context: PerThread})
 		s.Register(cls)
 		enter := TransitionSet{{From: 0, To: 1, Flags: TransInit}}
 		mid := TransitionSet{{From: 1, To: 2, KeyMask: 1}, {From: 2, To: 2, KeyMask: 1}}
 
-		s.UpdateState(cls, "enter", 0, AnyKey, enter)
+		s.UpdateStatePlan(NewSymbolPlan(cls, "enter", 0, enter), AnyKey)
 		sent := map[Key]bool{AnyKey: true}
 		for i := 0; i < 20; i++ {
 			k := NewKey(Value(rng.Intn(6)))
 			sent[k] = true
-			s.UpdateState(cls, "mid", 0, k, mid)
+			s.UpdateStatePlan(NewSymbolPlan(cls, "mid", 0, mid), k)
 		}
 		for _, in := range s.Instances(cls) {
 			if !sent[in.Key] {
@@ -129,19 +129,19 @@ func TestQuickHandlerConsistency(t *testing.T) {
 	f := func() bool {
 		cls := &Class{Name: "h", States: 8, Limit: 8}
 		h := NewCountingHandler()
-		s := NewStore(PerThread, h)
+		s := NewStoreOpts(StoreOpts{Context: PerThread, Handler: h})
 		s.Register(cls)
 		enter, mid, site, exit := randomSets(rng)
 		for i := 0; i < 40; i++ {
 			switch rng.Intn(4) {
 			case 0:
-				s.UpdateState(cls, "enter", 0, AnyKey, enter)
+				s.UpdateStatePlan(NewSymbolPlan(cls, "enter", 0, enter), AnyKey)
 			case 1:
-				s.UpdateState(cls, "mid", 0, NewKey(Value(rng.Intn(5))), mid)
+				s.UpdateStatePlan(NewSymbolPlan(cls, "mid", 0, mid), NewKey(Value(rng.Intn(5))))
 			case 2:
-				s.UpdateState(cls, "site", SymRequired, NewKey(Value(rng.Intn(5))), site)
+				s.UpdateStatePlan(NewSymbolPlan(cls, "site", SymRequired, site), NewKey(Value(rng.Intn(5))))
 			case 3:
-				s.UpdateState(cls, "exit", 0, AnyKey, exit)
+				s.UpdateStatePlan(NewSymbolPlan(cls, "exit", 0, exit), AnyKey)
 			}
 		}
 		var transitions uint64

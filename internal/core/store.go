@@ -32,7 +32,7 @@ func (c Context) String() string {
 	}
 }
 
-// StoreOpts configures a Store beyond what NewStore exposes.
+// StoreOpts configures a Store.
 type StoreOpts struct {
 	// Context selects per-thread or global state (§3.2).
 	Context Context
@@ -55,9 +55,10 @@ type StoreOpts struct {
 	// DefaultRearmEvents).
 	QuarantineAfter int
 	RearmEvents     int
-	// HandlerPanicLimit quarantines the notification handler after this
-	// many recovered panics (0 = DefaultHandlerPanicLimit).
-	HandlerPanicLimit int
+	// handlerPanicLimit quarantines the notification handler after this
+	// many recovered panics (0 = DefaultHandlerPanicLimit). Only tests
+	// lower it.
+	handlerPanicLimit int
 	// AllocFail, when non-nil, is consulted before every instance-slot
 	// allocation; returning true forces the allocation to fail as if the
 	// class's block were exhausted. It is the fault-injection seam used
@@ -71,7 +72,7 @@ type StoreOpts struct {
 // an event reaches the record's instances: a PerThread store walks the
 // block without locks (update.go), a Global store plans lock stripes over
 // hash-indexed shards (shard.go). The zero value is not usable; construct
-// with NewStore or NewStoreOpts.
+// with NewStoreOpts.
 type Store struct {
 	// mu serialises the copy-on-write registrations.
 	mu      sync.Mutex
@@ -143,13 +144,7 @@ type classState struct {
 	masks [1 << KeySize]atomic.Int32
 }
 
-// NewStore creates a store for the given context. handler may be nil, in
-// which case notifications are discarded.
-func NewStore(ctx Context, handler Handler) *Store {
-	return NewStoreOpts(StoreOpts{Context: ctx, Handler: handler})
-}
-
-// NewStoreOpts creates a store from explicit options.
+// NewStoreOpts creates a store. A nil Handler discards notifications.
 func NewStoreOpts(o StoreOpts) *Store {
 	if o.Handler == nil {
 		o.Handler = NopHandler{}
@@ -183,59 +178,23 @@ func shardCount(n int) int {
 	return p
 }
 
-// Shards returns the number of lock stripes: 0 for a PerThread store, which
-// takes no locks.
-func (s *Store) Shards() int { return s.nshards }
-
-// Register adds a class to the store, preallocating its instance block.
-// Registering the same class twice is a no-op.
-func (s *Store) Register(cls *Class) { s.register(cls, nil) }
-
-// RegisterWithStorage registers cls using caller-supplied instance storage
-// instead of allocating its own — the §7 extension ("performance
-// improvements could be gained by allowing users to delegate space within
-// data structures of the instrumented program; this would naturally lead to
-// per-object assertions, allowing assertions to be more easily tied to an
-// object's lifetime"). The slice's length is the class's instance limit for
-// this store; the caller must not touch it while the class is registered.
-// Re-registering a class replaces its storage and starts it over: live
-// instances, quarantine and health.
-func (s *Store) RegisterWithStorage(cls *Class, storage []Instance) {
-	if len(storage) == 0 {
-		s.Register(cls)
-		return
-	}
-	for i := range storage {
-		storage[i] = Instance{}
-	}
-	s.register(cls, storage)
-}
-
-// register adds cls, or replaces it when storage is non-nil, in a new
-// registration snapshot.
-func (s *Store) register(cls *Class, storage []Instance) {
+// Register adds a class to the store, preallocating its instance block, in
+// a new registration snapshot. Registering the same class twice is a no-op.
+func (s *Store) Register(cls *Class) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	old := s.tab.Load()
-	if _, ok := old.m[cls]; ok && storage == nil {
+	if _, ok := old.m[cls]; ok {
 		return
 	}
-	if storage == nil {
-		storage = make([]Instance, cls.limit())
-	}
-	c := &classState{cls: cls, insts: storage}
+	c := &classState{cls: cls, insts: make([]Instance, cls.limit())}
 	c.initStripes(s.nshards)
 	nt := &classTable{
 		m:     make(map[*Class]*classState, len(old.m)+1),
-		order: append([]*classState(nil), old.order...),
+		order: append(slices.Clip(old.order), c),
 	}
 	for k, v := range old.m {
 		nt.m[k] = v
-	}
-	if prev, ok := old.m[cls]; ok {
-		nt.order[slices.Index(nt.order, prev)] = c
-	} else {
-		nt.order = append(nt.order, c)
 	}
 	nt.m[cls] = c
 	s.tab.Store(nt)
@@ -257,14 +216,10 @@ func (s *Store) classFor(cls *Class) *classState {
 	return c
 }
 
-// Registered reports whether cls has been registered.
-func (s *Store) Registered(cls *Class) bool { return s.classOf(cls) != nil }
-
 // Instances returns a snapshot of the live instances of cls in slot order,
-// primarily for introspection and tests. The returned values are copies:
-// later UpdateState calls mutate the store's preallocated slots in place,
-// and a snapshot that aliased them would change under the caller
-// mid-inspection.
+// for introspection. The returned values are copies: later events mutate
+// the store's preallocated slots in place, and a snapshot that aliased them
+// would change under the caller mid-inspection.
 func (s *Store) Instances(cls *Class) []Instance {
 	c := s.classOf(cls)
 	if c == nil || c.outOfService() {
@@ -281,29 +236,6 @@ func (s *Store) Instances(cls *Class) []Instance {
 	return out
 }
 
-// LiveCount returns the number of active instances of cls.
-func (s *Store) LiveCount(cls *Class) int {
-	if c := s.classOf(cls); c != nil {
-		return c.liveCount()
-	}
-	return 0
-}
-
-// Reset expunges all instances of every class, as after a cleanup event.
-// Quarantined classes are silently returned to service.
-func (s *Store) Reset() {
-	for _, c := range s.tab.Load().order {
-		c.reset()
-	}
-}
-
-// ResetClass expunges all instances of one class and lifts any quarantine.
-func (s *Store) ResetClass(cls *Class) {
-	if c := s.classOf(cls); c != nil {
-		c.reset()
-	}
-}
-
 // outOfService reports whether the class is logically empty: quarantined,
 // or re-armed with its expunge still deferred.
 func (c *classState) outOfService() bool {
@@ -315,18 +247,6 @@ func (c *classState) liveCount() int {
 		return 0
 	}
 	return int(c.live.Load())
-}
-
-// reset expunges the class and silently lifts any quarantine.
-func (c *classState) reset() {
-	c.lock(c.allMask())
-	c.expunge()
-	c.quarMu.Lock()
-	c.quar = quarState{}
-	c.quarantined.Store(false)
-	c.needsFlush.Store(false)
-	c.quarMu.Unlock()
-	c.unlock(c.allMask())
 }
 
 // alloc finds the lowest free slot, or -1 when the block is full. The live

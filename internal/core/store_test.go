@@ -23,7 +23,7 @@ func TestInstancesSnapshotIsolated(t *testing.T) {
 
 		enter := TransitionSet{{From: 0, To: 1, Flags: TransInit, KeyMask: 1}}
 		work := TransitionSet{{From: 1, To: 2, KeyMask: 1}}
-		if err := s.UpdateState(cls, "enter", 0, NewKey(7), enter); err != nil {
+		if err := s.UpdateStatePlan(NewSymbolPlan(cls, "enter", 0, enter), NewKey(7)); err != nil {
 			t.Fatal(err)
 		}
 
@@ -33,7 +33,7 @@ func TestInstancesSnapshotIsolated(t *testing.T) {
 		}
 
 		// Drive the live instance forward; the old snapshot must not move.
-		if err := s.UpdateState(cls, "work", 0, NewKey(7), work); err != nil {
+		if err := s.UpdateStatePlan(NewSymbolPlan(cls, "work", 0, work), NewKey(7)); err != nil {
 			t.Fatal(err)
 		}
 		if snap[0].State != 1 {
@@ -42,7 +42,7 @@ func TestInstancesSnapshotIsolated(t *testing.T) {
 
 		// Expunge and reuse the slot under a different key; still isolated.
 		s.ResetClass(cls)
-		if err := s.UpdateState(cls, "enter", 0, NewKey(9), enter); err != nil {
+		if err := s.UpdateStatePlan(NewSymbolPlan(cls, "enter", 0, enter), NewKey(9)); err != nil {
 			t.Fatal(err)
 		}
 		if snap[0].Key != NewKey(7) || !snap[0].Active {
@@ -103,34 +103,11 @@ func TestShardCountSelection(t *testing.T) {
 	}
 	for _, c := range cases {
 		s := NewStoreOpts(StoreOpts{Context: c.ctx, Shards: c.shards})
-		if got := s.Shards(); got != c.want {
+		if got := s.nshards; got != c.want {
 			t.Errorf("StoreOpts{%v, Shards: %d}: %d stripes, want %d", c.ctx, c.shards, got, c.want)
 		}
 	}
-	if s := NewStoreOpts(StoreOpts{Context: Global}); s.Shards() < 1 {
+	if s := NewStoreOpts(StoreOpts{Context: Global}); s.nshards < 1 {
 		t.Error("Global store with Shards 0 was not sized to GOMAXPROCS")
-	}
-}
-
-// TestShardedRegisterWithStorage checks the caller-storage path against the
-// sharded store: the supplied block bounds capacity and re-registration
-// expunges.
-func TestShardedRegisterWithStorage(t *testing.T) {
-	cls := &Class{Name: "storage", States: 4, Limit: 64}
-	s := NewStoreOpts(StoreOpts{Context: Global, Shards: 4})
-	block := make([]Instance, 2) // tighter than the class limit
-	s.RegisterWithStorage(cls, block)
-
-	enter := TransitionSet{{From: 0, To: 1, Flags: TransInit, KeyMask: 1}}
-	for k := 0; k < 3; k++ {
-		s.UpdateState(cls, "enter", 0, NewKey(Value(k)), enter)
-	}
-	if got := s.LiveCount(cls); got != 2 {
-		t.Fatalf("LiveCount = %d with 2-slot caller storage", got)
-	}
-
-	s.RegisterWithStorage(cls, make([]Instance, 4))
-	if got := s.LiveCount(cls); got != 0 {
-		t.Fatalf("re-registration kept %d instances live", got)
 	}
 }

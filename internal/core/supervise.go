@@ -35,7 +35,7 @@ const (
 	// FailReport notifies the handler and continues: the paper's
 	// best-effort printf/DTrace modes. It is the zero value.
 	FailReport FailureAction = iota
-	// FailStop returns the violation as an error from UpdateState, the
+	// FailStop returns the violation as an error from UpdateStatePlan, the
 	// paper's kernel-panic/abort mode; the instrumented program is
 	// expected to stop on it.
 	FailStop
@@ -193,7 +193,7 @@ func (sv *supervision) init(o StoreOpts) {
 	if sv.rearmEvents <= 0 {
 		sv.rearmEvents = DefaultRearmEvents
 	}
-	sv.panicLimit = o.HandlerPanicLimit
+	sv.panicLimit = o.handlerPanicLimit
 	if sv.panicLimit <= 0 {
 		sv.panicLimit = DefaultHandlerPanicLimit
 	}
@@ -533,34 +533,11 @@ func (s *Store) recoverHandler(cls *Class) {
 	}
 }
 
-// HandlerPanics returns the recovered handler-panic count, store-wide.
-func (s *Store) HandlerPanics() uint64 { return s.hpanics.Load() }
-
-// HandlerQuarantined reports whether the handler has been taken out of
-// service after repeated panics.
-func (s *Store) HandlerQuarantined() bool { return s.hquar.Load() }
-
-// NotesDropped returns the number of notifications dropped because the
-// handler was quarantined.
-func (s *Store) NotesDropped() uint64 { return s.notesDropped.Load() }
-
 // handlerPanicsFor returns the per-class recovered-panic count.
 func (s *Store) handlerPanicsFor(class string) uint64 {
 	s.panicMu.Lock()
 	defer s.panicMu.Unlock()
 	return s.panicBy[class]
-}
-
-// Health returns the class's degradation accounting in this store. A zero
-// Health is returned for unregistered classes.
-func (s *Store) Health(cls *Class) Health {
-	c := s.classOf(cls)
-	if c == nil {
-		return Health{}
-	}
-	h := c.health.snapshot()
-	h.HandlerPanics = s.handlerPanicsFor(cls.Name)
-	return h
 }
 
 // HealthReport snapshots every registered class's health, in registration
@@ -578,10 +555,4 @@ func (s *Store) HealthReport() []ClassHealth {
 		out = append(out, ch)
 	}
 	return out
-}
-
-// Quarantined reports whether cls is currently quarantined in this store.
-func (s *Store) Quarantined(cls *Class) bool {
-	c := s.classOf(cls)
-	return c != nil && c.quarantined.Load()
 }

@@ -32,9 +32,9 @@ func initTS() TransitionSet {
 func TestFailureActions(t *testing.T) {
 	site := TransitionSet{{From: 1, To: 2, KeyMask: 1}}
 	violate := func(s *Store, cls *Class) error {
-		s.UpdateState(cls, "enter", 0, NewKey(1), initTS())
+		s.UpdateStatePlan(NewSymbolPlan(cls, "enter", 0, initTS()), NewKey(1))
 		// A required event with bindings no instance has: VerdictNoInstance.
-		return s.UpdateState(cls, "site", SymRequired, NewKey(2), site)
+		return s.UpdateStatePlan(NewSymbolPlan(cls, "site", SymRequired, site), NewKey(2))
 	}
 
 	bothStores(t, func(t *testing.T, mk func(o StoreOpts) *Store) {
@@ -79,7 +79,7 @@ func TestEvictOldest(t *testing.T) {
 		s.Register(cls)
 
 		for _, v := range []Value{1, 2, 3} {
-			if err := s.UpdateState(cls, "enter", 0, NewKey(v), initTS()); err != nil {
+			if err := s.UpdateStatePlan(NewSymbolPlan(cls, "enter", 0, initTS()), NewKey(v)); err != nil {
 				t.Fatalf("enter %d: %v", v, err)
 			}
 		}
@@ -93,7 +93,7 @@ func TestEvictOldest(t *testing.T) {
 		if keys[1] || !keys[2] || !keys[3] {
 			t.Fatalf("wrong survivor set: %v (oldest should be gone)", keys)
 		}
-		hh := s.Health(cls)
+		hh := storeHealth(s, cls)
 		if hh.Overflows != 1 || hh.Evictions != 1 {
 			t.Fatalf("health = %+v, want 1 overflow / 1 eviction", hh)
 		}
@@ -112,7 +112,7 @@ func TestDropNewPreserved(t *testing.T) {
 		s := mk(StoreOpts{})
 		s.Register(cls)
 		for _, v := range []Value{1, 2, 3} {
-			s.UpdateState(cls, "enter", 0, NewKey(v), initTS())
+			s.UpdateStatePlan(NewSymbolPlan(cls, "enter", 0, initTS()), NewKey(v))
 		}
 		if n := s.LiveCount(cls); n != 2 {
 			t.Fatalf("live = %d", n)
@@ -124,7 +124,7 @@ func TestDropNewPreserved(t *testing.T) {
 		if !keys[1] || !keys[2] || keys[3] {
 			t.Fatalf("DropNew changed survivors: %v", keys)
 		}
-		hh := s.Health(cls)
+		hh := storeHealth(s, cls)
 		if hh.Overflows != 1 || hh.Evictions != 0 {
 			t.Fatalf("health = %+v", hh)
 		}
@@ -141,12 +141,12 @@ func TestQuarantineLifecycle(t *testing.T) {
 		s := mk(StoreOpts{Handler: h, Overflow: QuarantineClass, QuarantineAfter: 2, RearmEvents: 3})
 		s.Register(cls)
 
-		s.UpdateState(cls, "enter", 0, NewKey(1), initTS()) // fills the block
-		s.UpdateState(cls, "enter", 0, NewKey(2), initTS()) // overflow, streak 1
+		s.UpdateStatePlan(NewSymbolPlan(cls, "enter", 0, initTS()), NewKey(1)) // fills the block
+		s.UpdateStatePlan(NewSymbolPlan(cls, "enter", 0, initTS()), NewKey(2)) // overflow, streak 1
 		if s.Quarantined(cls) {
 			t.Fatal("quarantined too early")
 		}
-		s.UpdateState(cls, "enter", 0, NewKey(3), initTS()) // overflow, streak 2 → quarantine
+		s.UpdateStatePlan(NewSymbolPlan(cls, "enter", 0, initTS()), NewKey(3)) // overflow, streak 2 → quarantine
 		if !s.Quarantined(cls) {
 			t.Fatal("not quarantined after threshold")
 		}
@@ -159,12 +159,12 @@ func TestQuarantineLifecycle(t *testing.T) {
 
 		// Three suppressed events, then the fourth re-arms and processes.
 		for i := 0; i < 3; i++ {
-			s.UpdateState(cls, "enter", 0, NewKey(9), initTS())
+			s.UpdateStatePlan(NewSymbolPlan(cls, "enter", 0, initTS()), NewKey(9))
 			if !s.Quarantined(cls) {
 				t.Fatalf("re-armed after %d events, want 3 suppressed first", i+1)
 			}
 		}
-		s.UpdateState(cls, "enter", 0, NewKey(9), initTS())
+		s.UpdateStatePlan(NewSymbolPlan(cls, "enter", 0, initTS()), NewKey(9))
 		if s.Quarantined(cls) {
 			t.Fatal("did not re-arm")
 		}
@@ -172,7 +172,7 @@ func TestQuarantineLifecycle(t *testing.T) {
 			t.Fatalf("re-arming event was not processed: live = %d", n)
 		}
 
-		hh := s.Health(cls)
+		hh := storeHealth(s, cls)
 		if hh.Suppressed != 3 {
 			t.Fatalf("Suppressed = %d, want exactly 3", hh.Suppressed)
 		}
@@ -193,8 +193,8 @@ func TestResetLiftsQuarantine(t *testing.T) {
 		cls := &Class{Name: "rq", States: 3, Limit: 1}
 		s := mk(StoreOpts{Overflow: QuarantineClass, QuarantineAfter: 1})
 		s.Register(cls)
-		s.UpdateState(cls, "enter", 0, NewKey(1), initTS())
-		s.UpdateState(cls, "enter", 0, NewKey(2), initTS())
+		s.UpdateStatePlan(NewSymbolPlan(cls, "enter", 0, initTS()), NewKey(1))
+		s.UpdateStatePlan(NewSymbolPlan(cls, "enter", 0, initTS()), NewKey(2))
 		if !s.Quarantined(cls) {
 			t.Fatal("not quarantined")
 		}
@@ -202,7 +202,7 @@ func TestResetLiftsQuarantine(t *testing.T) {
 		if s.Quarantined(cls) {
 			t.Fatal("ResetClass left quarantine in place")
 		}
-		s.UpdateState(cls, "enter", 0, NewKey(5), initTS())
+		s.UpdateStatePlan(NewSymbolPlan(cls, "enter", 0, initTS()), NewKey(5))
 		if s.LiveCount(cls) != 1 {
 			t.Fatal("class unusable after ResetClass")
 		}
@@ -229,22 +229,22 @@ func (h *panicHandler) Transition(cls *Class, inst *Instance, from, to uint32, s
 }
 
 // TestHandlerPanicIsolated: a panicking handler does not propagate into
-// UpdateState, panics are counted per class, and past the limit the handler
+// UpdateStatePlan, panics are counted per class, and past the limit the handler
 // is quarantined and further notifications dropped.
 func TestHandlerPanicIsolated(t *testing.T) {
 	bothStores(t, func(t *testing.T, mk func(o StoreOpts) *Store) {
 		cls := &Class{Name: "ph", States: 3, Limit: 8}
-		s := mk(StoreOpts{Handler: &panicHandler{onTrans: true}, HandlerPanicLimit: 3})
+		s := mk(StoreOpts{Handler: &panicHandler{onTrans: true}, handlerPanicLimit: 3})
 		s.Register(cls)
 
 		for i := 0; i < 5; i++ {
 			func() {
 				defer func() {
 					if r := recover(); r != nil {
-						t.Fatalf("handler panic escaped UpdateState: %v", r)
+						t.Fatalf("handler panic escaped UpdateStatePlan: %v", r)
 					}
 				}()
-				s.UpdateState(cls, "enter", 0, NewKey(Value(i)), initTS())
+				s.UpdateStatePlan(NewSymbolPlan(cls, "enter", 0, initTS()), NewKey(Value(i)))
 			}()
 		}
 		if got := s.HandlerPanics(); got != 3 {
@@ -256,7 +256,7 @@ func TestHandlerPanicIsolated(t *testing.T) {
 		if s.NotesDropped() == 0 {
 			t.Fatal("dropped notifications not accounted")
 		}
-		if hh := s.Health(cls); hh.HandlerPanics != 3 {
+		if hh := storeHealth(s, cls); hh.HandlerPanics != 3 {
 			t.Fatalf("per-class HandlerPanics = %d", hh.HandlerPanics)
 		}
 		// The monitor itself is unaffected: instances kept being created.
@@ -285,7 +285,7 @@ func (h *reentrantHandler) Transition(cls *Class, inst *Instance, from, to uint3
 	_ = h.s.LiveCount(h.cls)
 	_ = h.s.Instances(h.cls)
 	if reenter {
-		h.s.UpdateState(h.cls, "enter", 0, NewKey(77), initTS())
+		h.s.UpdateStatePlan(NewSymbolPlan(h.cls, "enter", 0, initTS()), NewKey(77))
 	}
 }
 
@@ -302,7 +302,7 @@ func TestReentrantHandlerNoDeadlock(t *testing.T) {
 
 		done := make(chan struct{})
 		go func() {
-			s.UpdateState(cls, "enter", 0, NewKey(1), initTS())
+			s.UpdateStatePlan(NewSymbolPlan(cls, "enter", 0, initTS()), NewKey(1))
 			close(done)
 		}()
 		select {
@@ -327,9 +327,9 @@ func TestHealthReport(t *testing.T) {
 		s := mk(StoreOpts{Overflow: QuarantineClass, QuarantineAfter: 1})
 		s.Register(a)
 		s.Register(b)
-		s.UpdateState(a, "enter", 0, NewKey(1), initTS())
-		s.UpdateState(b, "enter", 0, NewKey(1), initTS())
-		s.UpdateState(b, "enter", 0, NewKey(2), initTS()) // overflow → quarantine
+		s.UpdateStatePlan(NewSymbolPlan(a, "enter", 0, initTS()), NewKey(1))
+		s.UpdateStatePlan(NewSymbolPlan(b, "enter", 0, initTS()), NewKey(1))
+		s.UpdateStatePlan(NewSymbolPlan(b, "enter", 0, initTS()), NewKey(2)) // overflow → quarantine
 
 		rep := s.HealthReport()
 		if len(rep) != 2 || rep[0].Class != "a" || rep[1].Class != "b" {
@@ -399,13 +399,13 @@ func TestEvictSparesParent(t *testing.T) {
 			{From: 2, To: 2, KeyMask: 1},
 		}
 
-		if err := s.UpdateState(cls, "enter", 0, AnyKey, enter); err != nil {
+		if err := s.UpdateStatePlan(NewSymbolPlan(cls, "enter", 0, enter), AnyKey); err != nil {
 			t.Fatal(err)
 		}
 		// Three slots: the parent plus two clones fill the block; clones
 		// (3) and (4) must each evict the oldest *clone*, never the parent.
 		for v := Value(1); v <= 4; v++ {
-			if err := s.UpdateState(cls, "check", 0, NewKey(v), check); err != nil {
+			if err := s.UpdateStatePlan(NewSymbolPlan(cls, "check", 0, check), NewKey(v)); err != nil {
 				t.Fatalf("check %d: %v", v, err)
 			}
 		}
@@ -424,7 +424,7 @@ func TestEvictSparesParent(t *testing.T) {
 		if keys[1] || keys[2] || !keys[3] || !keys[4] {
 			t.Fatalf("wrong clone survivor set: %v, want {3,4}", keys)
 		}
-		if hh := s.Health(cls); hh.Overflows != 2 || hh.Evictions != 2 {
+		if hh := storeHealth(s, cls); hh.Overflows != 2 || hh.Evictions != 2 {
 			t.Fatalf("health = %+v, want 2 overflows / 2 evictions", hh)
 		}
 	})

@@ -1,6 +1,6 @@
 package core
 
-// UpdateState drives one program event through an automaton class,
+// UpdateStatePlan drives one program event through a compiled plan,
 // implementing the instance lifecycle of §4.4.1:
 //
 //   - «init»: an event whose transition set carries TransInit creates a new
@@ -17,19 +17,10 @@ package core
 //     obligations (eventually-style violations) and all instances are
 //     expunged afterwards.
 //
-// symbol names the driving event for notification purposes. key carries the
-// variable bindings the event provides. ts is the set of class transitions
-// this event can drive, assembled statically by the event translator.
-//
-// UpdateState lowers a fresh SymbolPlan on every call, which suits tests and
-// one-off callers; hot paths lower each (class, symbol) once with
-// NewSymbolPlan and call UpdateStatePlan, the store's only event body.
-func (s *Store) UpdateState(cls *Class, symbol string, flags SymbolFlags, key Key, ts TransitionSet) error {
-	return s.UpdateStatePlan(NewSymbolPlan(cls, symbol, flags, ts), key)
-}
-
-// UpdateStatePlan drives one program event through a compiled plan (see
-// UpdateState for the lifecycle it implements).
+// The plan, lowered once per (class, symbol) by NewSymbolPlan, names the
+// driving event for notification purposes and holds the set of class
+// transitions this event can drive, assembled statically by the event
+// translator. key carries the variable bindings the event provides.
 //
 // Handler notifications are buffered while the event runs and dispatched
 // after every lock is released (see supervise.go), so handlers may block, or

@@ -50,12 +50,12 @@ func fig9Sets() (enter, check, site, exit TransitionSet) {
 func TestFig9Lifecycle(t *testing.T) {
 	cls := fig9Class()
 	h := NewCountingHandler()
-	s := NewStore(PerThread, h)
+	s := NewStoreOpts(StoreOpts{Context: PerThread, Handler: h})
 	s.Register(cls)
 	enter, check, site, exit := fig9Sets()
 
 	// «init»: entering the syscall creates (∗) in state 1.
-	if err := s.UpdateState(cls, symSyscallEnter, 0, AnyKey, enter); err != nil {
+	if err := s.UpdateStatePlan(NewSymbolPlan(cls, symSyscallEnter, 0, enter), AnyKey); err != nil {
 		t.Fatal(err)
 	}
 	insts := s.Instances(cls)
@@ -65,7 +65,7 @@ func TestFig9Lifecycle(t *testing.T) {
 
 	// Clone: a successful check on so=7 forks (7) into state 2; (∗) stays.
 	so := NewKey(7)
-	if err := s.UpdateState(cls, symMACCheck, 0, so, check); err != nil {
+	if err := s.UpdateStatePlan(NewSymbolPlan(cls, symMACCheck, 0, check), so); err != nil {
 		t.Fatal(err)
 	}
 	insts = s.Instances(cls)
@@ -89,7 +89,7 @@ func TestFig9Lifecycle(t *testing.T) {
 	}
 
 	// A second distinct value forks another clone.
-	if err := s.UpdateState(cls, symMACCheck, 0, NewKey(9), check); err != nil {
+	if err := s.UpdateStatePlan(NewSymbolPlan(cls, symMACCheck, 0, check), NewKey(9)); err != nil {
 		t.Fatal(err)
 	}
 	if n := s.LiveCount(cls); n != 3 {
@@ -97,7 +97,7 @@ func TestFig9Lifecycle(t *testing.T) {
 	}
 
 	// Update: assertion site with so=7 advances (7) to state 4.
-	if err := s.UpdateState(cls, symAssert, SymRequired, so, site); err != nil {
+	if err := s.UpdateStatePlan(NewSymbolPlan(cls, symAssert, SymRequired, site), so); err != nil {
 		t.Fatal(err)
 	}
 	found := false
@@ -111,7 +111,7 @@ func TestFig9Lifecycle(t *testing.T) {
 	}
 
 	// «cleanup»: syscall exit accepts all and expunges.
-	if err := s.UpdateState(cls, symSyscallExit, 0, AnyKey, exit); err != nil {
+	if err := s.UpdateStatePlan(NewSymbolPlan(cls, symSyscallExit, 0, exit), AnyKey); err != nil {
 		t.Fatal(err)
 	}
 	if n := s.LiveCount(cls); n != 0 {
@@ -138,12 +138,12 @@ func TestFig9ErrorNoInstance(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	must(s.UpdateState(cls, symSyscallEnter, 0, AnyKey, enter))
-	must(s.UpdateState(cls, symMACCheck, 0, NewKey(7), check))
+	must(s.UpdateStatePlan(NewSymbolPlan(cls, symSyscallEnter, 0, enter), AnyKey))
+	must(s.UpdateStatePlan(NewSymbolPlan(cls, symMACCheck, 0, check), NewKey(7)))
 
 	// Assertion site reached with so=3: mac_socket_check_poll(∗,3) never
 	// returned 0, so no instance can be found to update (fig. 9 “Error”).
-	err := s.UpdateState(cls, symAssert, SymRequired, NewKey(3), site)
+	err := s.UpdateStatePlan(NewSymbolPlan(cls, symAssert, SymRequired, site), NewKey(3))
 	v, ok := err.(*Violation)
 	if !ok {
 		t.Fatalf("want *Violation, got %v", err)
@@ -165,7 +165,7 @@ func TestEventuallyIncompleteAtCleanup(t *testing.T) {
 	// cleanup edge!), 3 = audited.
 	cls := &Class{Name: "audit", Description: "eventually(audit(x))", States: 5, Limit: 4}
 	h := NewCountingHandler()
-	s := NewStore(PerThread, h)
+	s := NewStoreOpts(StoreOpts{Context: PerThread, Handler: h})
 	s.Register(cls)
 
 	// The assertion site binds x from the local scope (§4.2), so the site
@@ -180,18 +180,18 @@ func TestEventuallyIncompleteAtCleanup(t *testing.T) {
 	}
 
 	// Path 1: obligation satisfied.
-	s.UpdateState(cls, "enter", 0, AnyKey, enter)
-	s.UpdateState(cls, "site", SymRequired, NewKey(1), site)
-	s.UpdateState(cls, "audit", 0, NewKey(1), audit)
-	s.UpdateState(cls, "exit", 0, AnyKey, exit)
+	s.UpdateStatePlan(NewSymbolPlan(cls, "enter", 0, enter), AnyKey)
+	s.UpdateStatePlan(NewSymbolPlan(cls, "site", SymRequired, site), NewKey(1))
+	s.UpdateStatePlan(NewSymbolPlan(cls, "audit", 0, audit), NewKey(1))
+	s.UpdateStatePlan(NewSymbolPlan(cls, "exit", 0, exit), AnyKey)
 	if len(h.Violations()) != 0 {
 		t.Fatalf("satisfied path reported violations: %v", h.Violations())
 	}
 
 	// Path 2: site reached but audit never happens before cleanup.
-	s.UpdateState(cls, "enter", 0, AnyKey, enter)
-	s.UpdateState(cls, "site", SymRequired, NewKey(1), site)
-	s.UpdateState(cls, "exit", 0, AnyKey, exit)
+	s.UpdateStatePlan(NewSymbolPlan(cls, "enter", 0, enter), AnyKey)
+	s.UpdateStatePlan(NewSymbolPlan(cls, "site", SymRequired, site), NewKey(1))
+	s.UpdateStatePlan(NewSymbolPlan(cls, "exit", 0, exit), AnyKey)
 	vs := h.Violations()
 	if len(vs) != 1 || vs[0].Kind != VerdictIncomplete {
 		t.Fatalf("want one incomplete violation, got %v", vs)
@@ -202,8 +202,8 @@ func TestEventuallyIncompleteAtCleanup(t *testing.T) {
 
 	// Path 3: bound entered and exited without touching the site — the
 	// bypass cleanup edge from state 1 makes that legal.
-	s.UpdateState(cls, "enter", 0, AnyKey, enter)
-	s.UpdateState(cls, "exit", 0, AnyKey, exit)
+	s.UpdateStatePlan(NewSymbolPlan(cls, "enter", 0, enter), AnyKey)
+	s.UpdateStatePlan(NewSymbolPlan(cls, "exit", 0, exit), AnyKey)
 	if len(h.Violations()) != 1 {
 		t.Fatalf("bypass path must not add violations: %v", h.Violations())
 	}
@@ -212,13 +212,13 @@ func TestEventuallyIncompleteAtCleanup(t *testing.T) {
 func TestStrictViolation(t *testing.T) {
 	cls := &Class{Name: "strict", Description: "strict ordering", States: 3, Limit: 4}
 	h := NewCountingHandler()
-	s := NewStore(PerThread, h)
+	s := NewStoreOpts(StoreOpts{Context: PerThread, Handler: h})
 	s.Register(cls)
 
-	s.UpdateState(cls, "enter", 0, AnyKey, TransitionSet{{From: 0, To: 1, Flags: TransInit}})
+	s.UpdateStatePlan(NewSymbolPlan(cls, "enter", 0, TransitionSet{{From: 0, To: 1, Flags: TransInit}}), AnyKey)
 	// Event B is only legal from state 2; in strict mode observing it in
 	// state 1 is a violation and deactivates the instance.
-	s.UpdateState(cls, "B", SymStrict, AnyKey, TransitionSet{{From: 2, To: 2}})
+	s.UpdateStatePlan(NewSymbolPlan(cls, "B", SymStrict, TransitionSet{{From: 2, To: 2}}), AnyKey)
 	vs := h.Violations()
 	if len(vs) != 1 || vs[0].Kind != VerdictBadTransition {
 		t.Fatalf("want bad-transition, got %v", vs)
@@ -231,11 +231,11 @@ func TestStrictViolation(t *testing.T) {
 func TestNonStrictIgnoresIrrelevantEvent(t *testing.T) {
 	cls := &Class{Name: "lax", States: 3, Limit: 4}
 	h := NewCountingHandler()
-	s := NewStore(PerThread, h)
+	s := NewStoreOpts(StoreOpts{Context: PerThread, Handler: h})
 	s.Register(cls)
 
-	s.UpdateState(cls, "enter", 0, AnyKey, TransitionSet{{From: 0, To: 1, Flags: TransInit}})
-	s.UpdateState(cls, "B", 0, AnyKey, TransitionSet{{From: 2, To: 2}})
+	s.UpdateStatePlan(NewSymbolPlan(cls, "enter", 0, TransitionSet{{From: 0, To: 1, Flags: TransInit}}), AnyKey)
+	s.UpdateStatePlan(NewSymbolPlan(cls, "B", 0, TransitionSet{{From: 2, To: 2}}), AnyKey)
 	if len(h.Violations()) != 0 {
 		t.Fatalf("non-strict must ignore: %v", h.Violations())
 	}
@@ -247,11 +247,11 @@ func TestNonStrictIgnoresIrrelevantEvent(t *testing.T) {
 func TestEventsIgnoredBeforeInit(t *testing.T) {
 	cls := &Class{Name: "preinit", States: 3, Limit: 4}
 	h := NewCountingHandler()
-	s := NewStore(PerThread, h)
+	s := NewStoreOpts(StoreOpts{Context: PerThread, Handler: h})
 	s.Register(cls)
 
 	// Non-init, non-required event before any «init» is ignored.
-	s.UpdateState(cls, "check", 0, NewKey(5), TransitionSet{{From: 1, To: 2, KeyMask: 1}})
+	s.UpdateStatePlan(NewSymbolPlan(cls, "check", 0, TransitionSet{{From: 1, To: 2, KeyMask: 1}}), NewKey(5))
 	if s.LiveCount(cls) != 0 || len(h.Violations()) != 0 {
 		t.Fatalf("pre-init event must be ignored: live=%d, v=%v", s.LiveCount(cls), h.Violations())
 	}
@@ -259,12 +259,12 @@ func TestEventsIgnoredBeforeInit(t *testing.T) {
 
 func TestInitIsIdempotentPerKey(t *testing.T) {
 	cls := &Class{Name: "dup", States: 3, Limit: 4}
-	s := NewStore(PerThread, nil)
+	s := NewStoreOpts(StoreOpts{Context: PerThread})
 	s.Register(cls)
 	enter := TransitionSet{{From: 0, To: 1, Flags: TransInit}}
 
-	s.UpdateState(cls, "enter", 0, AnyKey, enter)
-	s.UpdateState(cls, "enter", 0, AnyKey, enter)
+	s.UpdateStatePlan(NewSymbolPlan(cls, "enter", 0, enter), AnyKey)
+	s.UpdateStatePlan(NewSymbolPlan(cls, "enter", 0, enter), AnyKey)
 	if n := s.LiveCount(cls); n != 1 {
 		t.Fatalf("duplicate init created %d instances", n)
 	}
@@ -272,13 +272,13 @@ func TestInitIsIdempotentPerKey(t *testing.T) {
 
 func TestCloneDedup(t *testing.T) {
 	cls := fig9Class()
-	s := NewStore(PerThread, nil)
+	s := NewStoreOpts(StoreOpts{Context: PerThread})
 	s.Register(cls)
 	enter, check, _, _ := fig9Sets()
 
-	s.UpdateState(cls, symSyscallEnter, 0, AnyKey, enter)
-	s.UpdateState(cls, symMACCheck, 0, NewKey(7), check)
-	s.UpdateState(cls, symMACCheck, 0, NewKey(7), check)
+	s.UpdateStatePlan(NewSymbolPlan(cls, symSyscallEnter, 0, enter), AnyKey)
+	s.UpdateStatePlan(NewSymbolPlan(cls, symMACCheck, 0, check), NewKey(7))
+	s.UpdateStatePlan(NewSymbolPlan(cls, symMACCheck, 0, check), NewKey(7))
 	// (∗) in state 1 and (7) in state 2 — the repeat check self-loops (7)
 	// rather than cloning a duplicate.
 	if n := s.LiveCount(cls); n != 2 {
@@ -295,9 +295,9 @@ func TestOverflowReported(t *testing.T) {
 
 	enter := TransitionSet{{From: 0, To: 1, Flags: TransInit}}
 	check := TransitionSet{{From: 1, To: 2, KeyMask: 1}, {From: 2, To: 2, KeyMask: 1}}
-	s.UpdateState(cls, "enter", 0, AnyKey, enter)
-	s.UpdateState(cls, "check", 0, NewKey(1), check) // fills slot 2
-	err := s.UpdateState(cls, "check", 0, NewKey(2), check)
+	s.UpdateStatePlan(NewSymbolPlan(cls, "enter", 0, enter), AnyKey)
+	s.UpdateStatePlan(NewSymbolPlan(cls, "check", 0, check), NewKey(1)) // fills slot 2
+	err := s.UpdateStatePlan(NewSymbolPlan(cls, "check", 0, check), NewKey(2))
 	if err != ErrOverflow {
 		t.Fatalf("want ErrOverflow, got %v", err)
 	}
@@ -324,13 +324,13 @@ func TestDroppedCloneConsumesEvent(t *testing.T) {
 			cls := &Class{Name: "full", States: 4, Limit: 1}
 			h := &noteHandler{}
 			s := l.store(StoreOpts{Handler: h})
-			s.UpdateState(cls, "enter", 0, AnyKey, enter) // (∗) in state 1
-			s.UpdateState(cls, "enter", 0, AnyKey, enter) // (∗) moves to 2
+			s.UpdateStatePlan(NewSymbolPlan(cls, "enter", 0, enter), AnyKey) // (∗) in state 1
+			s.UpdateStatePlan(NewSymbolPlan(cls, "enter", 0, enter), AnyKey) // (∗) moves to 2
 			// (∗) can take the site edge but its clone (5) finds no slot.
-			if err := s.UpdateState(cls, "site", SymRequired, NewKey(5), site); err != nil {
+			if err := s.UpdateStatePlan(NewSymbolPlan(cls, "site", SymRequired, site), NewKey(5)); err != nil {
 				t.Fatal(err)
 			}
-			if hl := s.Health(cls); hl.Overflows != 1 || hl.Violations != 0 {
+			if hl := storeHealth(s, cls); hl.Overflows != 1 || hl.Violations != 0 {
 				t.Fatalf("health %+v, want one overflow and no violation", hl)
 			}
 		})
@@ -341,14 +341,14 @@ func TestDroppedCloneConsumesEvent(t *testing.T) {
 				refusals--
 				return refusals >= 0
 			}})
-			s.UpdateState(cls, "enter", 0, AnyKey, enter) // (∗) in state 1
+			s.UpdateStatePlan(NewSymbolPlan(cls, "enter", 0, enter), AnyKey) // (∗) in state 1
 			// (∗) forks (3), and the injector refuses that one slot.
 			refusals = 1
-			s.UpdateState(cls, "enter", 0, NewKey(3), enter)
+			s.UpdateStatePlan(NewSymbolPlan(cls, "enter", 0, enter), NewKey(3))
 			if got := instSet(s, cls); !reflect.DeepEqual(got, []string{"(∗)|1"}) {
 				t.Fatalf("instances %v, want only (∗) in state 1", got)
 			}
-			if hl := s.Health(cls); hl.Overflows != 1 {
+			if hl := storeHealth(s, cls); hl.Overflows != 1 {
 				t.Fatalf("health %+v, want one overflow", hl)
 			}
 		})
@@ -368,9 +368,9 @@ func (overflowCounter) Quarantine(*Class, bool)                              {}
 
 func TestImplicitRegistration(t *testing.T) {
 	cls := &Class{Name: "implicit", States: 2, Limit: 2}
-	s := NewStore(PerThread, nil)
-	// No Register call: UpdateState registers on first use.
-	s.UpdateState(cls, "enter", 0, AnyKey, TransitionSet{{From: 0, To: 1, Flags: TransInit}})
+	s := NewStoreOpts(StoreOpts{Context: PerThread})
+	// No Register call: UpdateStatePlan registers on first use.
+	s.UpdateStatePlan(NewSymbolPlan(cls, "enter", 0, TransitionSet{{From: 0, To: 1, Flags: TransInit}}), AnyKey)
 	if !s.Registered(cls) {
 		t.Fatal("implicit registration failed")
 	}
@@ -382,12 +382,12 @@ func TestImplicitRegistration(t *testing.T) {
 func TestResetAndResetClass(t *testing.T) {
 	a := &Class{Name: "a", States: 2, Limit: 2}
 	b := &Class{Name: "b", States: 2, Limit: 2}
-	s := NewStore(PerThread, nil)
+	s := NewStoreOpts(StoreOpts{Context: PerThread})
 	s.Register(a)
 	s.Register(b)
 	enter := TransitionSet{{From: 0, To: 1, Flags: TransInit}}
-	s.UpdateState(a, "enter", 0, AnyKey, enter)
-	s.UpdateState(b, "enter", 0, AnyKey, enter)
+	s.UpdateStatePlan(NewSymbolPlan(a, "enter", 0, enter), AnyKey)
+	s.UpdateStatePlan(NewSymbolPlan(b, "enter", 0, enter), AnyKey)
 
 	s.ResetClass(a)
 	if s.LiveCount(a) != 0 || s.LiveCount(b) != 1 {
@@ -401,18 +401,18 @@ func TestResetAndResetClass(t *testing.T) {
 
 func TestGlobalStoreConcurrency(t *testing.T) {
 	cls := &Class{Name: "conc", States: 3, Limit: 128}
-	s := NewStore(Global, nil)
+	s := NewStoreOpts(StoreOpts{Context: Global})
 	s.Register(cls)
 	enter := TransitionSet{{From: 0, To: 1, Flags: TransInit}}
 	check := TransitionSet{{From: 1, To: 2, KeyMask: 1}, {From: 2, To: 2, KeyMask: 1}}
 
-	s.UpdateState(cls, "enter", 0, AnyKey, enter)
+	s.UpdateStatePlan(NewSymbolPlan(cls, "enter", 0, enter), AnyKey)
 	done := make(chan struct{})
 	for g := 0; g < 8; g++ {
 		go func(g int) {
 			defer func() { done <- struct{}{} }()
 			for i := 0; i < 100; i++ {
-				s.UpdateState(cls, "check", 0, NewKey(Value(g*100+i%10)), check)
+				s.UpdateStatePlan(NewSymbolPlan(cls, "check", 0, check), NewKey(Value(g*100+i%10)))
 			}
 		}(g)
 	}
@@ -499,68 +499,27 @@ func TestContextString(t *testing.T) {
 	}
 }
 
-// TestRegisterWithStorage: the §7 delegated-storage extension — instance
-// state lives in a caller-owned slice (e.g. embedded in the monitored
-// program's own object), tying automata to the object's lifetime.
-func TestRegisterWithStorage(t *testing.T) {
-	cls := &Class{Name: "delegated", States: 3}
-	storage := make([]Instance, 2)
-	s := NewStoreOpts(StoreOpts{Context: PerThread, Failure: FailStop})
-	s.RegisterWithStorage(cls, storage)
-
-	enter := TransitionSet{{From: 0, To: 1, Flags: TransInit}}
-	s.UpdateState(cls, "enter", 0, AnyKey, enter)
-	if !storage[0].Active || storage[0].State != 1 {
-		t.Fatalf("instance not in delegated storage: %+v", storage)
-	}
-	// The limit is the slice length: the third instance overflows.
-	check := TransitionSet{{From: 1, To: 2, KeyMask: 1}, {From: 2, To: 2, KeyMask: 1}}
-	s.UpdateState(cls, "check", 0, NewKey(1), check)
-	if err := s.UpdateState(cls, "check", 0, NewKey(2), check); err != ErrOverflow {
-		t.Fatalf("want overflow, got %v", err)
-	}
-
-	// Re-registering with fresh storage resets the class.
-	fresh := make([]Instance, 4)
-	s.RegisterWithStorage(cls, fresh)
-	if s.LiveCount(cls) != 0 {
-		t.Fatal("re-registration must expunge")
-	}
-	s.UpdateState(cls, "enter", 0, AnyKey, enter)
-	if !fresh[0].Active {
-		t.Fatal("fresh storage unused")
-	}
-
-	// Empty storage falls back to normal registration.
-	cls2 := &Class{Name: "fallback", States: 3}
-	s.RegisterWithStorage(cls2, nil)
-	if !s.Registered(cls2) {
-		t.Fatal("fallback registration failed")
-	}
-}
-
 // TestPrintHandlerOutput: the userspace default handler (TESLA_DEBUG-style
 // stderr traces) reports every lifecycle event.
 func TestPrintHandlerOutput(t *testing.T) {
 	var buf strings.Builder
 	h := &PrintHandler{W: &buf}
 	cls := fig9Class()
-	s := NewStore(PerThread, h)
+	s := NewStoreOpts(StoreOpts{Context: PerThread, Handler: h})
 	s.Register(cls)
 	enter, check, site, exit := fig9Sets()
 
-	s.UpdateState(cls, symSyscallEnter, 0, AnyKey, enter)
-	s.UpdateState(cls, symMACCheck, 0, NewKey(7), check)
-	s.UpdateState(cls, symAssert, SymRequired, NewKey(7), site)
-	s.UpdateState(cls, symAssert, SymRequired, NewKey(3), site)
-	s.UpdateState(cls, symSyscallExit, 0, AnyKey, exit)
+	s.UpdateStatePlan(NewSymbolPlan(cls, symSyscallEnter, 0, enter), AnyKey)
+	s.UpdateStatePlan(NewSymbolPlan(cls, symMACCheck, 0, check), NewKey(7))
+	s.UpdateStatePlan(NewSymbolPlan(cls, symAssert, SymRequired, site), NewKey(7))
+	s.UpdateStatePlan(NewSymbolPlan(cls, symAssert, SymRequired, site), NewKey(3))
+	s.UpdateStatePlan(NewSymbolPlan(cls, symSyscallExit, 0, exit), AnyKey)
 
 	// Overflow path.
 	tiny := &Class{Name: "tiny", States: 3, Limit: 1}
 	s.Register(tiny)
-	s.UpdateState(tiny, "e", 0, AnyKey, TransitionSet{{From: 0, To: 1, Flags: TransInit}})
-	s.UpdateState(tiny, "c", 0, NewKey(1),
-		TransitionSet{{From: 1, To: 2, KeyMask: 1}, {From: 2, To: 2, KeyMask: 1}})
+	s.UpdateStatePlan(NewSymbolPlan(tiny, "e", 0, TransitionSet{{From: 0, To: 1, Flags: TransInit}}), AnyKey)
+	s.UpdateStatePlan(NewSymbolPlan(tiny, "c", 0, TransitionSet{{From: 1, To: 2, KeyMask: 1}, {From: 2, To: 2, KeyMask: 1}}), NewKey(1))
 
 	out := buf.String()
 	for _, want := range []string{

@@ -34,19 +34,6 @@ type Key struct {
 // AnyKey is the fully-unbound key (∗).
 var AnyKey = Key{}
 
-// NewKey builds a key binding the first len(vals) slots.
-func NewKey(vals ...Value) Key {
-	if len(vals) > KeySize {
-		panic(fmt.Sprintf("core: key with %d values exceeds KeySize=%d", len(vals), KeySize))
-	}
-	var k Key
-	for i, v := range vals {
-		k.Data[i] = v
-		k.Mask |= 1 << uint(i)
-	}
-	return k
-}
-
 // Set binds slot i to v, returning the updated key.
 func (k Key) Set(i int, v Value) Key {
 	if i < 0 || i >= KeySize {
@@ -87,17 +74,9 @@ func (k Key) Compatible(o Key) bool {
 	return k.Mask&o.Mask&bad == 0
 }
 
-// Union merges two compatible keys into the most specific key agreeing with
-// both. It panics if the keys are incompatible: callers must check first.
-func (k Key) Union(o Key) Key {
-	if !k.Compatible(o) {
-		panic("core: union of incompatible keys")
-	}
-	return union4(k, o)
-}
-
-// union4 merges two keys known to be compatible, without Union's check: the
-// event bodies establish compatibility when they collect candidates.
+// union4 merges two keys known to be compatible into the most specific key
+// agreeing with both: the event bodies establish compatibility when they
+// collect candidates.
 func union4(k, o Key) Key {
 	if o.Mask&1 != 0 {
 		k.Data[0] = o.Data[0]

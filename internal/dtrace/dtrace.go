@@ -7,7 +7,6 @@ package dtrace
 
 import (
 	"fmt"
-	"io"
 	"sort"
 	"strings"
 	"sync"
@@ -73,61 +72,6 @@ func (a *Aggregation) Keys() []string {
 	return keys
 }
 
-// Print writes the aggregation like dtrace's printa.
-func (a *Aggregation) Print(w io.Writer) {
-	for _, k := range a.Keys() {
-		fmt.Fprintf(w, "  %-60s %8d\n", k, a.Count(k))
-	}
-}
-
-// Quantize builds a power-of-two histogram, like DTrace's quantize().
-type Quantize struct {
-	mu      sync.Mutex
-	buckets [64]uint64
-}
-
-// Add records a value.
-func (q *Quantize) Add(v uint64) {
-	b := 0
-	for v > 0 {
-		v >>= 1
-		b++
-	}
-	q.mu.Lock()
-	q.buckets[b]++
-	q.mu.Unlock()
-}
-
-// Bucket returns the count of values whose highest bit is b.
-func (q *Quantize) Bucket(b int) uint64 {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if b < 0 || b >= len(q.buckets) {
-		return 0
-	}
-	return q.buckets[b]
-}
-
-// Print renders the histogram.
-func (q *Quantize) Print(w io.Writer) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	var max uint64 = 1
-	hi := 0
-	for i, n := range q.buckets {
-		if n > 0 {
-			hi = i
-		}
-		if n > max {
-			max = n
-		}
-	}
-	for i := 0; i <= hi; i++ {
-		bar := strings.Repeat("@", int(40*q.buckets[i]/max))
-		fmt.Fprintf(w, "  %12d |%-40s %d\n", 1<<i, bar, q.buckets[i])
-	}
-}
-
 // StackFunc supplies the current stack trace for aggregation keys.
 type StackFunc func() string
 
@@ -179,14 +123,4 @@ func (h *Handler) Accept(cls *core.Class, inst *core.Instance) {
 // Fail aggregates violations.
 func (h *Handler) Fail(v *core.Violation) {
 	h.Failures.Add(h.key(v.Class.Name, v.Kind.String()), 1)
-}
-
-// Report writes all aggregations.
-func (h *Handler) Report(w io.Writer) {
-	fmt.Fprintln(w, "tesla transition counts:")
-	h.Transitions.Print(w)
-	fmt.Fprintln(w, "tesla acceptances:")
-	h.Accepts.Print(w)
-	fmt.Fprintln(w, "tesla failures:")
-	h.Failures.Print(w)
 }

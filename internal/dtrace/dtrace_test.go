@@ -2,7 +2,6 @@ package dtrace
 
 import (
 	"reflect"
-	"strings"
 	"testing"
 
 	"tesla/internal/core"
@@ -19,52 +18,22 @@ func TestAggregation(t *testing.T) {
 	if got := a.Keys(); !reflect.DeepEqual(got, []string{"y", "x"}) {
 		t.Fatalf("keys = %v", got)
 	}
-	var sb strings.Builder
-	a.Print(&sb)
-	if !strings.Contains(sb.String(), "y") {
-		t.Fatal("print missing key")
-	}
-}
-
-func TestQuantize(t *testing.T) {
-	var q Quantize
-	for _, v := range []uint64{1, 2, 3, 4, 100, 100, 1000} {
-		q.Add(v)
-	}
-	if q.Bucket(1) != 1 { // value 1
-		t.Fatalf("bucket(1) = %d", q.Bucket(1))
-	}
-	if q.Bucket(2) != 2 { // values 2, 3
-		t.Fatalf("bucket(2) = %d", q.Bucket(2))
-	}
-	if q.Bucket(7) != 2 { // 100 twice
-		t.Fatalf("bucket(7) = %d", q.Bucket(7))
-	}
-	if q.Bucket(-1) != 0 || q.Bucket(99) != 0 {
-		t.Fatal("out-of-range buckets")
-	}
-	var sb strings.Builder
-	q.Print(&sb)
-	if !strings.Contains(sb.String(), "@") {
-		t.Fatal("histogram bars missing")
-	}
 }
 
 func TestHandlerAggregates(t *testing.T) {
 	stack := "amd64_syscall>sopoll"
 	h := NewHandler(func() string { return stack })
 	cls := &core.Class{Name: "a", States: 3, Limit: 4}
-	s := core.NewStore(core.PerThread, h)
+	s := core.NewStoreOpts(core.StoreOpts{Context: core.PerThread, Handler: h})
 	s.Register(cls)
 
 	enter := core.TransitionSet{{From: 0, To: 1, Flags: core.TransInit}}
 	exit := core.TransitionSet{{From: 1, To: 2, Flags: core.TransCleanup}}
-	s.UpdateState(cls, "enter", 0, core.AnyKey, enter)
-	s.UpdateState(cls, "exit", 0, core.AnyKey, exit)
+	s.UpdateStatePlan(core.NewSymbolPlan(cls, "enter", 0, enter), core.AnyKey)
+	s.UpdateStatePlan(core.NewSymbolPlan(cls, "exit", 0, exit), core.AnyKey)
 	// A required event with a live instance that cannot accept it.
-	s.UpdateState(cls, "enter", 0, core.AnyKey, enter)
-	s.UpdateState(cls, "site", core.SymRequired, core.NewKey(1),
-		core.TransitionSet{{From: 9, To: 9}})
+	s.UpdateStatePlan(core.NewSymbolPlan(cls, "enter", 0, enter), core.AnyKey)
+	s.UpdateStatePlan(core.NewSymbolPlan(cls, "site", core.SymRequired, core.TransitionSet{{From: 9, To: 9}}), core.AnyKey.Set(0, 1))
 
 	if h.Transitions.Count("a @ 0->1 @ enter @ "+stack) != 2 {
 		t.Fatalf("transition agg: %v", h.Transitions.Keys())
@@ -75,22 +44,14 @@ func TestHandlerAggregates(t *testing.T) {
 	if h.Failures.Count("a @ no-instance @ "+stack) != 1 {
 		t.Fatalf("failure agg: %v", h.Failures.Keys())
 	}
-
-	var sb strings.Builder
-	h.Report(&sb)
-	for _, want := range []string{"transition counts", "acceptances", "failures", stack} {
-		if !strings.Contains(sb.String(), want) {
-			t.Errorf("report missing %q", want)
-		}
-	}
 }
 
 func TestHandlerWithoutStack(t *testing.T) {
 	h := NewHandler(nil)
 	cls := &core.Class{Name: "b", States: 2, Limit: 2}
-	s := core.NewStore(core.PerThread, h)
+	s := core.NewStoreOpts(core.StoreOpts{Context: core.PerThread, Handler: h})
 	s.Register(cls)
-	s.UpdateState(cls, "e", 0, core.AnyKey, core.TransitionSet{{From: 0, To: 1, Flags: core.TransInit}})
+	s.UpdateStatePlan(core.NewSymbolPlan(cls, "e", 0, core.TransitionSet{{From: 0, To: 1, Flags: core.TransInit}}), core.AnyKey)
 	if h.Transitions.Count("b @ 0->1 @ e") != 1 {
 		t.Fatalf("keys = %v", h.Transitions.Keys())
 	}

@@ -23,7 +23,6 @@ package faultinject
 
 import (
 	"math"
-	"sort"
 	"sync"
 )
 
@@ -112,14 +111,6 @@ func (in *Injector) SetEvery(site string, n uint64) {
 	in.mu.Unlock()
 }
 
-// Disarm returns a site to inert.
-func (in *Injector) Disarm(site string) {
-	in.mu.Lock()
-	delete(in.rates, site)
-	delete(in.every, site)
-	in.mu.Unlock()
-}
-
 // Should advances the (site, label) stream by one attempt and reports
 // whether that attempt fails. Decision n of a stream is a pure function of
 // (seed, site, label, n).
@@ -146,16 +137,6 @@ func (in *Injector) Should(site, label string) bool {
 	return fire
 }
 
-// Attempts returns how many decisions the (site, label) stream has made.
-func (in *Injector) Attempts(site, label string) uint64 {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	if st := in.stats[stream{site: site, label: label}]; st != nil {
-		return st.attempts
-	}
-	return 0
-}
-
 // Fired returns how many attempts of the (site, label) stream failed.
 func (in *Injector) Fired(site, label string) uint64 {
 	in.mu.Lock()
@@ -175,19 +156,6 @@ func (in *Injector) TotalFired() uint64 {
 		n += st.fired
 	}
 	return n
-}
-
-// Streams returns the site|label identifiers seen so far, sorted — a report
-// helper for chaos-gate logs.
-func (in *Injector) Streams() []string {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	out := make([]string, 0, len(in.stats))
-	for k := range in.stats {
-		out = append(out, k.site+"|"+k.label)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // draw hashes one attempt of one stream into a uniform uint64. FNV-1a over

@@ -7,11 +7,7 @@
 // save and restore graphics states in a non-LIFO order.
 package gui
 
-import (
-	"fmt"
-
-	"tesla/internal/core"
-)
+import "tesla/internal/core"
 
 // Rect is a drawing rectangle.
 type Rect struct {
@@ -153,23 +149,9 @@ func mix(acc int64, vals ...int64) int64 {
 	return acc
 }
 
-// Cursor identifiers.
+// Cursor identifiers. 1 is the arrow, the default cursor, which no
+// tracking rectangle sets.
 const (
-	CursorArrow int64 = iota + 1
-	CursorIBeam
+	CursorIBeam int64 = iota + 2
 	CursorHand
 )
-
-// CursorName renders a cursor id.
-func CursorName(c int64) string {
-	switch c {
-	case CursorArrow:
-		return "arrow"
-	case CursorIBeam:
-		return "ibeam"
-	case CursorHand:
-		return "hand"
-	default:
-		return fmt.Sprintf("cursor%d", c)
-	}
-}

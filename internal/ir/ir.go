@@ -235,16 +235,6 @@ type Module struct {
 	Funcs   []*Func
 }
 
-// Struct finds a struct type by name, or nil.
-func (m *Module) Struct(name string) *StructType {
-	for _, s := range m.Structs {
-		if s.Name == name {
-			return s
-		}
-	}
-	return nil
-}
-
 // Func finds a function by name, or nil.
 func (m *Module) Func(name string) *Func {
 	for _, f := range m.Funcs {

@@ -97,9 +97,6 @@ func New(cfg Config) *Kernel {
 	return k
 }
 
-// Config returns the kernel's configuration.
-func (k *Kernel) Config() Config { return k.cfg }
-
 func (k *Kernel) id() core.Value {
 	return core.Value(atomic.AddInt64(&k.nextID, 1))
 }
@@ -130,12 +127,6 @@ func (k *Kernel) NewThread() *Thread {
 	}
 	return t
 }
-
-// MonitorThread exposes the TESLA thread context (nil when uninstrumented).
-func (t *Thread) MonitorThread() *monitor.Thread { return t.mt }
-
-// Proc returns the thread's process.
-func (t *Thread) Proc() *Proc { return t.proc }
 
 // Instrumentation shims: these are the hooks the TESLA instrumenter would
 // insert. They compile to nearly nothing in Release builds.

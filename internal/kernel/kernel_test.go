@@ -192,12 +192,12 @@ func TestCoverageReproduction(t *testing.T) {
 
 	// Exercising the missing facilities closes the gap.
 	for op := 0; op < ProcfsOps; op++ {
-		th.Procfs(op, th.Proc())
+		th.Procfs(op, th.proc)
 	}
-	th.CpusetGet(th.Proc())
-	th.CpusetSet(th.Proc())
+	th.CpusetGet(th.proc)
+	th.CpusetSet(th.proc)
 	for op := 0; op < RtprioOps; op++ {
-		th.Rtprio(op, th.Proc())
+		th.Rtprio(op, th.proc)
 	}
 	if missed := Unexercised(h, autos); len(missed) != 0 {
 		t.Fatalf("still unexercised after full drive: %v", missed)
@@ -273,7 +273,7 @@ func TestSetuidExecSetsSUGID(t *testing.T) {
 	th.Close(fd)
 	th.Chmod("/bin/su", 0o4755)
 	th.Exec("/bin/su")
-	if th.Proc().Flag&P_SUGID == 0 {
+	if th.proc.Flag&P_SUGID == 0 {
 		t.Fatal("P_SUGID not set after setuid exec")
 	}
 	if vs := h.Violations(); len(vs) != 0 {
@@ -291,7 +291,7 @@ func TestReleaseKernelFast(t *testing.T) {
 	if k.SyscallCount == 0 {
 		t.Fatal("no syscalls dispatched")
 	}
-	if th.MonitorThread() != nil {
+	if th.mt != nil {
 		t.Fatal("release build has a monitor thread")
 	}
 }
@@ -355,7 +355,7 @@ func TestSyscallErrors(t *testing.T) {
 	if ret := th.Readdir("/nope"); ret != -ENOENT {
 		t.Errorf("readdir(/nope) = %d", ret)
 	}
-	if ret := th.Procfs(99, th.Proc()); ret != -EINVAL {
+	if ret := th.Procfs(99, th.proc); ret != -EINVAL {
 		t.Errorf("procfs(99) = %d", ret)
 	}
 	if vs := h.Violations(); len(vs) != 0 {
@@ -398,12 +398,12 @@ func TestEveryAssertionExercisable(t *testing.T) {
 	th := k.NewThread()
 	ExerciseAll(th)
 	for op := 0; op < ProcfsOps; op++ {
-		th.Procfs(op, th.Proc())
+		th.Procfs(op, th.proc)
 	}
-	th.CpusetGet(th.Proc())
-	th.CpusetSet(th.Proc())
+	th.CpusetGet(th.proc)
+	th.CpusetSet(th.proc)
 	for op := 0; op < RtprioOps; op++ {
-		th.Rtprio(op, th.Proc())
+		th.Rtprio(op, th.proc)
 	}
 
 	missed := Unexercised(h, autos)
@@ -453,18 +453,18 @@ func TestGlobalAssertionAcrossKernelThreads(t *testing.T) {
 
 	// Thread 2 opens the audit window; thread 1 polls (performing the MAC
 	// check); thread 2 reaches the site and commits.
-	t2.MonitorThread().Call("audit_begin")
+	t2.mt.Call("audit_begin")
 	t1.Poll(pair.Client)
-	t2.MonitorThread().Site("global-audit", so.ID)
-	t2.MonitorThread().Return("audit_commit", 0)
+	t2.mt.Site("global-audit", so.ID)
+	t2.mt.Return("audit_commit", 0)
 	if vs := h.Violations(); len(vs) != 0 {
 		t.Fatalf("cross-thread property failed: %v", vs)
 	}
 
 	// Without the poll, the site has no instance to match.
-	t2.MonitorThread().Call("audit_begin")
-	t2.MonitorThread().Site("global-audit", so.ID)
-	t2.MonitorThread().Return("audit_commit", 0)
+	t2.mt.Call("audit_begin")
+	t2.mt.Site("global-audit", so.ID)
+	t2.mt.Return("audit_commit", 0)
 	if vs := h.Violations(); len(vs) != 1 {
 		t.Fatalf("missing cross-thread check not detected: %v", vs)
 	}

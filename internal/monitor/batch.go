@@ -128,7 +128,7 @@ func (th *Thread) stageEvent(ev ProgramEvent, vals []core.Value, inStack []int) 
 // stageOp appends one matched symbol to the current ring entry. When
 // drainThrough is set (verdict-bearing op on a fail-stop automaton) the ring
 // flushes inline so the violation error surfaces from this event call,
-// exactly as the synchronous path's UpdateState would.
+// exactly as the synchronous path's UpdateStatePlan would.
 func (th *Thread) stageOp(store *core.Store, op core.BatchOp, drainThrough bool) error {
 	b := th.batch
 	b.mu.Lock()

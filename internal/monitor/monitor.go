@@ -182,9 +182,6 @@ func MustNew(opts Options, autos ...*automata.Automaton) *Monitor {
 // Automata returns the monitored automata.
 func (m *Monitor) Automata() []*automata.Automaton { return m.autos }
 
-// GlobalStore exposes the shared global-context store.
-func (m *Monitor) GlobalStore() *core.Store { return m.global }
-
 // Thread is one simulated thread's view of the monitor: its per-thread
 // store, call stack and lazy-init bookkeeping. A Thread must not be used
 // concurrently; cross-thread behaviour belongs to global-context automata.
@@ -287,12 +284,6 @@ func (m *Monitor) Degraded() bool {
 	}
 	return false
 }
-
-// Store exposes the thread's per-thread store (introspection/tests).
-func (th *Thread) Store() *core.Store { return th.store }
-
-// ID is the thread's monitor-wide number (trace attribution).
-func (th *Thread) ID() int { return th.id }
 
 // SetClock installs a time source stamped onto tapped events; the VM
 // supplies its step counter so trace records carry instruction time.
@@ -567,7 +558,7 @@ func (th *Thread) Deliver(autoIdx, symID int, vals ...core.Value) error {
 			// emit's thread-owned copy waits for tesla-perf to accept a
 			// zero allocation count: its global-ingest workload is all
 			// Deliver, and its short test wants every end-to-end metric
-			// above 0 (ROADMAP item 2).
+			// above 0 (ROADMAP item 3).
 			ev.Vals = vals
 			th.tap.ProgramEvent(ev)
 		}

@@ -175,7 +175,7 @@ func TestGlobalContextSharedAcrossThreads(t *testing.T) {
 	if vs := h.Violations(); len(vs) != 0 {
 		t.Fatalf("cross-thread previously failed: %v", vs)
 	}
-	if m.GlobalStore().LiveCount(auto.Class) != 0 {
+	if m.GlobalLive(auto.Class) != 0 {
 		t.Error("cleanup did not expunge global instances")
 	}
 }
@@ -524,7 +524,7 @@ func TestGlobalCloneCleanupInterleaving(t *testing.T) {
 	checkSnapshot := func() {
 		seen := map[core.Key]bool{}
 		live := 0
-		for _, inst := range m.GlobalStore().Instances(auto.Class) {
+		for _, inst := range m.global.Instances(auto.Class) {
 			if !inst.Active {
 				continue
 			}
@@ -593,7 +593,7 @@ func TestGlobalCloneCleanupInterleaving(t *testing.T) {
 	th := m.NewThread()
 	th.Call("start_op")
 	th.Return("end_op", 0)
-	if n := m.GlobalStore().LiveCount(auto.Class); n != 0 {
+	if n := m.GlobalLive(auto.Class); n != 0 {
 		t.Fatalf("%d live instances after final cleanup", n)
 	}
 }
@@ -610,7 +610,7 @@ func TestThreadIDsUniqueUnderConcurrency(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			ids <- m.NewThread().ID()
+			ids <- m.NewThread().id
 		}()
 	}
 	wg.Wait()

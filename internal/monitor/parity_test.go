@@ -375,7 +375,7 @@ func TestBatchGlobalConcurrentInvariants(t *testing.T) {
 		th.Return("end_op", 0)
 		th.Flush()
 		g1 := autos[2]
-		if n := m.GlobalStore().LiveCount(g1.Class); n != 0 {
+		if n := m.GlobalLive(g1.Class); n != 0 {
 			t.Fatalf("batch %d: %d global instances live after final bound cycle", bs, n)
 		}
 	}
@@ -409,7 +409,7 @@ func TestBatchGlobalForeignCleanupOrder(t *testing.T) {
 			t.Fatalf("batch %d: drain: %v", bs, err)
 		}
 		g1 := autos[2]
-		if n := m.GlobalStore().LiveCount(g1.Class); n != 0 {
+		if n := m.GlobalLive(g1.Class); n != 0 {
 			t.Fatalf("batch %d: %d global instances live after both bounds closed", bs, n)
 		}
 		if v := counting.Violations(); len(v) != 0 {

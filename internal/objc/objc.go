@@ -172,8 +172,3 @@ func (rt *Runtime) MsgSend(self *Object, selector string, args ...core.Value) co
 	}
 	return ret
 }
-
-// RespondsTo reports whether the object implements the selector.
-func (rt *Runtime) RespondsTo(self *Object, selector string) bool {
-	return self.Class.lookup(selector) != nil
-}

@@ -206,12 +206,13 @@ func (*AssertionSite) String() string { return "TESLA_ASSERTION_SITE" }
 // context instruments the target function's entry and returns (requires its
 // source); caller context instruments around call sites (works for
 // libraries that cannot be recompiled).
+//
+// The zero value lets the instrumenter pick: callee when the function is
+// defined in the instrumented module, caller otherwise.
 type InstrSide int
 
 const (
-	// SideDefault lets the instrumenter pick (callee when the function is
-	// defined in the instrumented module, caller otherwise).
-	SideDefault InstrSide = iota
+	_ InstrSide = iota
 	// SideCallee forces callee-side instrumentation.
 	SideCallee
 	// SideCaller forces caller-side instrumentation.

@@ -99,20 +99,6 @@ func (f *FunctionEvent) Returns(v ArgPattern) *FunctionEvent {
 // ReturnsInt is shorthand for Returns(Int(v)).
 func (f *FunctionEvent) ReturnsInt(v int64) *FunctionEvent { return f.Returns(Int(v)) }
 
-// Callee forces callee-side instrumentation for this event.
-func (f *FunctionEvent) Callee() *FunctionEvent {
-	g := *f
-	g.Side = SideCallee
-	return &g
-}
-
-// Caller forces caller-side instrumentation for this event.
-func (f *FunctionEvent) Caller() *FunctionEvent {
-	g := *f
-	g.Side = SideCaller
-	return &g
-}
-
 // Msg is an Objective-C message-send event: [receiver selector args…].
 func Msg(receiver ArgPattern, selector string, args ...ArgPattern) *FunctionEvent {
 	return &FunctionEvent{

@@ -63,19 +63,6 @@ func Parse(name, src string, env *Env) (*Assertion, error) {
 	return a, nil
 }
 
-// ParseExpr parses a bare TESLA expression (the body of an assertion macro).
-func ParseExpr(src string, env *Env) (Expr, error) {
-	p := &parser{lex: newLexer(src), env: env}
-	e, err := p.parseExpr()
-	if err != nil {
-		return nil, err
-	}
-	if !p.lex.atEOF() {
-		return nil, fmt.Errorf("spec: trailing input %q", p.lex.rest())
-	}
-	return e, nil
-}
-
 // lexer
 
 type tokKind int
@@ -95,10 +82,9 @@ type token struct {
 }
 
 type lexer struct {
-	src  string
-	pos  int
-	tok  token
-	peek *token
+	src string
+	pos int
+	tok token
 }
 
 func newLexer(src string) *lexer {
@@ -117,20 +103,7 @@ func (l *lexer) rest() string {
 }
 
 func (l *lexer) next() {
-	if l.peek != nil {
-		l.tok = *l.peek
-		l.peek = nil
-		return
-	}
 	l.tok = l.scan()
-}
-
-func (l *lexer) peekTok() token {
-	if l.peek == nil {
-		t := l.scan()
-		l.peek = &t
-	}
-	return *l.peek
 }
 
 var multiPunct = []string{"::", "==", "+=", "++", "||"}

@@ -79,7 +79,7 @@ type checker struct {
 	summaries map[string][]exitState
 
 	bail       string          // non-empty: give up, NEEDS-RUNTIME
-	bailBudget bool            // the bail was the MaxConfigs valve, not a modelling gap
+	bailBudget bool            // the bail was the maxConfigs valve, not a modelling gap
 	preBail    bool            // bailed before the walk (strict/entry/indirect)
 	reasons    map[string]bool // possible-violation findings
 	failWhy    map[string]bool // guaranteed-violation findings
@@ -308,7 +308,7 @@ func (c *checker) addBudgetObligation(why string) {
 	ob := Obligation{
 		Kind: "budget",
 		Detail: fmt.Sprintf(
-			"analysis budget exhausted before a proof (%s); raise Options.MaxConfigs to let the checker decide", why),
+			"analysis budget exhausted before a proof (%s); raise staticcheck.DefaultMaxConfigs to let the checker decide", why),
 	}
 	c.obls[ob.id()] = ob
 }
@@ -610,9 +610,9 @@ func (c *checker) analyzeFn(f *ir.Func, onChain, stack map[string]bool, entry co
 		if seen[target][k] {
 			return
 		}
-		if len(seen[target]) >= c.opts.MaxConfigs {
+		if len(seen[target]) >= c.opts.maxConfigs {
 			c.bailBudget = true
-			c.bailf("abstract state explosion in %s (more than %d configurations per block)", f.Name, c.opts.MaxConfigs)
+			c.bailf("abstract state explosion in %s (more than %d configurations per block)", f.Name, c.opts.maxConfigs)
 			return
 		}
 		seen[target][k] = true
@@ -704,9 +704,9 @@ func (c *checker) analyzeFn(f *ir.Func, onChain, stack map[string]bool, entry co
 			if len(cur) == 0 {
 				break
 			}
-			if len(cur) > c.opts.MaxConfigs {
+			if len(cur) > c.opts.maxConfigs {
 				c.bailBudget = true
-				c.bailf("abstract state explosion in %s (more than %d parallel configurations)", f.Name, c.opts.MaxConfigs)
+				c.bailf("abstract state explosion in %s (more than %d parallel configurations)", f.Name, c.opts.maxConfigs)
 				return nil
 			}
 		}

@@ -284,7 +284,7 @@ func checkWithOptions(t *testing.T, sources map[string]string, opts staticcheck.
 func TestLivenessBudget(t *testing.T) {
 	sources := map[string]string{"budget.c": livenessPrograms[0].src}
 
-	rep := checkWithOptions(t, sources, staticcheck.Options{Entry: "main", MaxConfigs: 1})
+	rep := checkWithOptions(t, sources, staticcheck.WithMaxConfigs(staticcheck.Options{Entry: "main"}, 1))
 	if len(rep.Results) != 1 {
 		t.Fatalf("want 1 result, got %d", len(rep.Results))
 	}

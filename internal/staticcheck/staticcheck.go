@@ -120,16 +120,6 @@ type Report struct {
 	Results []*Result
 }
 
-// Result finds the result for a named assertion, or nil.
-func (r *Report) Result(name string) *Result {
-	for _, res := range r.Results {
-		if res.Automaton.Name == name {
-			return res
-		}
-	}
-	return nil
-}
-
 // Counts tallies verdicts.
 func (r *Report) Counts() (safe, failing, runtime int) {
 	for _, res := range r.Results {
@@ -165,10 +155,10 @@ type Options struct {
 	// (automata.NewPlan) is built over; pass the set the program is
 	// instrumented with. Nil means the module's functions.
 	DefinedFns map[string]bool
-	// MaxConfigs bounds distinct abstract configurations per basic block
+	// maxConfigs bounds distinct abstract configurations per basic block
 	// before the checker gives up on an automaton (NEEDS-RUNTIME). Zero
-	// means DefaultMaxConfigs.
-	MaxConfigs int
+	// means DefaultMaxConfigs; only tests lower it.
+	maxConfigs int
 	// NoLiveness disables the liveness refinement pass: verdicts come
 	// from the safety pass alone (the pre-refinement behaviour). Used by
 	// the elision benchmark to separate the safety and liveness rungs.
@@ -184,8 +174,8 @@ func Check(mod *ir.Module, autos []*automata.Automaton, opts Options) *Report {
 	if opts.Entry == "" {
 		opts.Entry = "main"
 	}
-	if opts.MaxConfigs <= 0 {
-		opts.MaxConfigs = DefaultMaxConfigs
+	if opts.maxConfigs <= 0 {
+		opts.maxConfigs = DefaultMaxConfigs
 	}
 	if opts.DefinedFns == nil {
 		opts.DefinedFns = map[string]bool{}

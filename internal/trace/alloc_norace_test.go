@@ -75,7 +75,7 @@ func TestFlusherSteadyAllocs(t *testing.T) {
 		return nil
 	})
 	cls := &core.Class{Name: "lock"}
-	inst := &core.Instance{Key: core.NewKey(1)}
+	inst := &core.Instance{Key: core.AnyKey.Set(0, 1)}
 	for _, n := range []int{100, 4000} {
 		cycle := func() {
 			for i := 0; i < n/2; i++ {

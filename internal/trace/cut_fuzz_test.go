@@ -89,7 +89,7 @@ func FuzzCutEncode(f *testing.F) {
 				}
 			case 2:
 				dropped := dropNext > 0
-				inst := &core.Instance{Key: core.NewKey(core.Value(in.take())), State: uint32(in.take() % 4)}
+				inst := &core.Instance{Key: core.AnyKey.Set(0, core.Value(in.take())), State: uint32(in.take() % 4)}
 				switch in.take() % 8 {
 				case 0:
 					rec.InstanceNew(cls, inst)

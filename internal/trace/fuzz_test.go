@@ -22,12 +22,12 @@ func fuzzSeedTrace() *Trace {
 			{Seq: 1, Thread: 0, Kind: KindProgram, Prog: monitor.ProgCall, Fn: "open", Vals: []core.Value{1, 2}},
 			{Seq: 2, Thread: 0, Kind: KindProgram, Prog: monitor.ProgReturn, Fn: "open", Ret: 3, HasRet: true},
 			{Seq: 3, Thread: 0, Kind: KindProgram, Prog: monitor.ProgSite, Fn: "a", Auto: 0, InStack: []int{0, 2}},
-			{Seq: 4, Thread: -1, Kind: KindInit, Class: "a", Key: core.NewKey(7), State: 1},
-			{Seq: 5, Thread: -1, Kind: KindClone, Class: "a", ParentKey: core.AnyKey, Key: core.NewKey(7), State: 2},
-			{Seq: 6, Thread: -1, Kind: KindTransition, Class: "a", Key: core.NewKey(7), From: 1, To: 2, Symbol: "open"},
-			{Seq: 7, Thread: -1, Kind: KindAccept, Class: "a", Key: core.NewKey(7)},
+			{Seq: 4, Thread: -1, Kind: KindInit, Class: "a", Key: core.AnyKey.Set(0, 7), State: 1},
+			{Seq: 5, Thread: -1, Kind: KindClone, Class: "a", ParentKey: core.AnyKey, Key: core.AnyKey.Set(0, 7), State: 2},
+			{Seq: 6, Thread: -1, Kind: KindTransition, Class: "a", Key: core.AnyKey.Set(0, 7), From: 1, To: 2, Symbol: "open"},
+			{Seq: 7, Thread: -1, Kind: KindAccept, Class: "a", Key: core.AnyKey.Set(0, 7)},
 			{Seq: 8, Thread: -1, Kind: KindFail, Class: "b", Key: core.AnyKey, Verdict: core.VerdictNoInstance, Symbol: "site"},
-			{Seq: 9, Thread: -1, Kind: KindOverflow, Class: "b", Key: core.NewKey(1, 2)},
+			{Seq: 9, Thread: -1, Kind: KindOverflow, Class: "b", Key: core.AnyKey.Set(0, 1).Set(1, 2)},
 		},
 	}
 }

@@ -252,7 +252,7 @@ func TestCutsArePrefixes(t *testing.T) {
 			tap := rec.ThreadTap(g)
 			batch := tap.(monitor.BatchThreadTap)
 			for r := 0; r < rounds; r++ {
-				inst := &core.Instance{Key: core.NewKey(core.Value(g*rounds + r))}
+				inst := &core.Instance{Key: core.AnyKey.Set(0, core.Value(g*rounds+r))}
 				tap.ProgramEvent(monitor.ProgramEvent{Kind: monitor.ProgCall, Fn: "f", Vals: []core.Value{core.Value(r)}})
 				rec.Transition(cls, inst, 0, 1, "f")
 				if r%8 == 0 {

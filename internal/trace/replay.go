@@ -163,19 +163,14 @@ func dispatch(th *monitor.Thread, ev *Event) error {
 	}
 }
 
-// Rerecord replays the given program events through a fresh monitor with a
-// recorder attached, producing a self-consistent trace: fresh sequence
-// numbers and the lifecycle events this exact event sequence causes. The
+// RerecordOpts replays the given program events through a fresh monitor
+// with a recorder attached, producing a self-consistent trace: fresh
+// sequence numbers and the lifecycle events this exact event sequence
+// causes under opts, so a trace shrunk under a non-default supervision
+// policy re-records the evictions and quarantines that policy causes. The
 // shrinker uses it so a minimised trace is a valid trace file in its own
 // right, not a hole-ridden subset. Thread IDs are renumbered in
 // first-appearance order.
-func Rerecord(events []Event, autos []*automata.Automaton) (*Trace, error) {
-	return RerecordOpts(events, autos, monitor.Options{})
-}
-
-// RerecordOpts is Rerecord under explicit monitor options, so a trace
-// shrunk under a non-default supervision policy re-records the lifecycle
-// events (evictions, quarantines) that policy causes.
 func RerecordOpts(events []Event, autos []*automata.Automaton, opts monitor.Options) (*Trace, error) {
 	rec := NewRecorder(autos, 0)
 	opts.Handler = rec

@@ -305,7 +305,7 @@ func TestShrinkMinimality(t *testing.T) {
 // target violation signature occurs.
 func replaysTo(t *testing.T, events []trace.Event, build *toolchain.Build, target string) bool {
 	t.Helper()
-	sub, err := trace.Rerecord(events, build.Autos)
+	sub, err := trace.RerecordOpts(events, build.Autos, monitor.Options{})
 	if err != nil {
 		return false
 	}

@@ -174,7 +174,7 @@ func TestCutSinceExactAccounting(t *testing.T) {
 			}
 		}
 		for i := 0; i < 500; i++ {
-			rec.Transition(cls, &core.Instance{Key: core.NewKey(core.Value(i))}, 0, 1, "sym")
+			rec.Transition(cls, &core.Instance{Key: core.AnyKey.Set(0, core.Value(i))}, 0, 1, "sym")
 			total++
 			if total%flushEvery == 0 {
 				flush()
@@ -203,7 +203,7 @@ func TestCutSinceInjectedDrops(t *testing.T) {
 	n := 0
 	rec.DropFault = func() bool { n++; return n%2 == 0 }
 	for i := 0; i < 10; i++ {
-		rec.Accept(cls, &core.Instance{Key: core.NewKey(core.Value(i))})
+		rec.Accept(cls, &core.Instance{Key: core.AnyKey.Set(0, core.Value(i))})
 	}
 	tr, cut := rec.CutSince(nil)
 	if len(tr.Events) != 5 || tr.Dropped != 5 {
@@ -238,7 +238,7 @@ func TestCutIntoReusesDelta(t *testing.T) {
 			}
 		}
 		for i := 0; i < 2+round*3; i++ { // later rounds overflow the 16-event ring
-			rec.Transition(cls, &core.Instance{Key: core.NewKey(core.Value(i))}, 0, 1, "sym")
+			rec.Transition(cls, &core.Instance{Key: core.AnyKey.Set(0, core.Value(i))}, 0, 1, "sym")
 		}
 		// A cut only reads the rings, so both chains, holding equal
 		// watermarks, must cut the same interval.

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 )
@@ -50,8 +51,8 @@ const (
 	// the crash gate's prefix invariant assumes: an Append that returned
 	// is durable.
 	SpoolSyncAlways SpoolSync = iota
-	// SpoolSyncInterval fsyncs at most once per SyncEvery, trading the
-	// tail of one interval for fewer fsyncs.
+	// SpoolSyncInterval fsyncs at most once per spoolSyncEvery, trading
+	// the tail of one interval for fewer fsyncs.
 	SpoolSyncInterval
 	// SpoolSyncNone never fsyncs explicitly; durability is whatever the
 	// OS page cache provides. Survives process crashes, not power loss.
@@ -71,15 +72,16 @@ func ParseSpoolSync(s string) (SpoolSync, error) {
 	return 0, fmt.Errorf("trace: unknown spool sync policy %q (want always, interval or none)", s)
 }
 
+// spoolSyncEvery is the SpoolSyncInterval cadence.
+const spoolSyncEvery = 50 * time.Millisecond
+
 // SpoolOpts configures a Spool; the zero value selects the defaults.
 type SpoolOpts struct {
-	// SegmentBytes rotates to a fresh segment file once the active one
-	// exceeds this size (default 4 MiB).
-	SegmentBytes int64
 	// Sync is the fsync policy (default SpoolSyncAlways).
 	Sync SpoolSync
-	// SyncEvery is the SpoolSyncInterval cadence (default 50ms).
-	SyncEvery time.Duration
+	// segmentBytes rotates to a fresh segment file once the active one
+	// exceeds this size (default 4 MiB). Only tests lower it.
+	segmentBytes int64
 	// WriteFault and SyncFault are fault-injection seams: when non-nil
 	// and returning an error, the corresponding file operation fails
 	// with it before touching the disk. Wired to internal/faultinject by
@@ -94,9 +96,24 @@ type SpoolRecovery struct {
 	Frames uint64
 	// TruncatedBytes is how much torn or corrupt tail was cut away.
 	TruncatedBytes int64
-	// DroppedSegments counts whole segments discarded because an earlier
-	// segment's corruption ended the valid prefix before them.
-	DroppedSegments int
+	// DroppedSegments names, in order, the whole segments discarded
+	// because an earlier segment's corruption ended the valid prefix
+	// before them.
+	DroppedSegments []string
+}
+
+// Note describes the repair in one line for an operator, or returns ""
+// when the spool needed none.
+func (r SpoolRecovery) Note() string {
+	if r.TruncatedBytes == 0 && len(r.DroppedSegments) == 0 {
+		return ""
+	}
+	note := fmt.Sprintf("repaired on open: cut %d torn or corrupt byte(s)", r.TruncatedBytes)
+	if len(r.DroppedSegments) > 0 {
+		note += fmt.Sprintf(", dropped %d segment(s) past the corruption: %s",
+			len(r.DroppedSegments), strings.Join(r.DroppedSegments, ", "))
+	}
+	return note
 }
 
 // Spool is a segmented append-only frame log. All methods are safe for
@@ -130,11 +147,8 @@ func segName(i int) string { return fmt.Sprintf("wal-%06d.seg", i) }
 // new end of the log, and anything after it — a half-written frame, a
 // CRC mismatch, segments past a corrupt one — is truncated or dropped.
 func OpenSpool(dir string, opts SpoolOpts) (*Spool, error) {
-	if opts.SegmentBytes <= 0 {
-		opts.SegmentBytes = 4 << 20
-	}
-	if opts.SyncEvery <= 0 {
-		opts.SyncEvery = 50 * time.Millisecond
+	if opts.segmentBytes <= 0 {
+		opts.segmentBytes = 4 << 20
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
@@ -168,7 +182,7 @@ func OpenSpool(dir string, opts SpoolOpts) (*Spool, error) {
 		if err := os.Remove(filepath.Join(dir, segName(seg))); err != nil {
 			return nil, fmt.Errorf("trace: spool repair: %w", err)
 		}
-		s.recov.DroppedSegments++
+		s.recov.DroppedSegments = append(s.recov.DroppedSegments, segName(seg))
 	}
 	segs = segs[:end]
 	s.recov.Frames = s.frames
@@ -339,7 +353,7 @@ func (s *Spool) Append(payload []byte) error {
 	}
 
 	frame := int64(walFrameHeader + len(payload))
-	if s.size+frame > s.opts.SegmentBytes && s.size > int64(walHeaderSize) {
+	if s.size+frame > s.opts.segmentBytes && s.size > int64(walHeaderSize) {
 		// Seal the active segment (always synced, whatever the policy:
 		// rotation is rare and a sealed segment should be whole) and
 		// rotate.
@@ -383,7 +397,7 @@ func (s *Spool) Append(payload []byte) error {
 			return err
 		}
 	case SpoolSyncInterval:
-		if time.Since(s.lastSync) >= s.opts.SyncEvery {
+		if time.Since(s.lastSync) >= spoolSyncEvery {
 			if err := s.syncLocked(); err != nil {
 				return err
 			}
@@ -413,16 +427,6 @@ func (s *Spool) syncLocked() error {
 	}
 	s.lastSync = time.Now()
 	return nil
-}
-
-// Sync forces the active segment to stable storage.
-func (s *Spool) Sync() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil
-	}
-	return s.syncLocked()
 }
 
 // Close syncs and closes the active segment. The spool stays readable on
@@ -477,13 +481,16 @@ func syncDir(dir string) error {
 // ReadSpool opens (repairing) a trace spool written by SpoolWriter and
 // merges its delta traces into one Seq-ordered trace — the recovery
 // entry point tesla-trace uses to treat a spool directory like a trace
-// file. The merged Dropped total sums every delta's explicit losses.
-func ReadSpool(dir string) (*Trace, error) {
+// file. The merged Dropped total sums every delta's explicit losses; what
+// the repair cut away is reported beside the trace, since it is lost
+// without a count.
+func ReadSpool(dir string) (*Trace, SpoolRecovery, error) {
 	sp, err := OpenSpool(dir, SpoolOpts{Sync: SpoolSyncNone})
 	if err != nil {
-		return nil, err
+		return nil, SpoolRecovery{}, err
 	}
 	defer sp.Close()
+	rec := sp.Recovered()
 	t := &Trace{FormatVersion: Version}
 	first := true
 	err = sp.Range(func(payload []byte) error {
@@ -500,13 +507,13 @@ func ReadSpool(dir string) (*Trace, error) {
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return nil, rec, err
 	}
 	if first {
-		return nil, fmt.Errorf("trace: spool %s holds no recoverable frames", dir)
+		return nil, rec, fmt.Errorf("trace: spool %s holds no recoverable frames", dir)
 	}
 	sort.SliceStable(t.Events, func(i, j int) bool { return t.Events[i].Seq < t.Events[j].Seq })
-	return t, nil
+	return t, rec, nil
 }
 
 // SpoolWriter streams a live Recorder into a Spool as delta traces: each

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"tesla/internal/automata"
@@ -61,7 +62,7 @@ func TestSpoolAppendReadBack(t *testing.T) {
 // contents survive, and reopening appends into the last segment.
 func TestSpoolSegmentRotation(t *testing.T) {
 	dir := t.TempDir()
-	sp, err := OpenSpool(dir, SpoolOpts{SegmentBytes: 64, Sync: SpoolSyncNone})
+	sp, err := OpenSpool(dir, SpoolOpts{segmentBytes: 64, Sync: SpoolSyncNone})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,11 +84,11 @@ func TestSpoolSegmentRotation(t *testing.T) {
 	}
 
 	// Reopen for append: recovery must find all frames and keep going.
-	sp2, err := OpenSpool(dir, SpoolOpts{SegmentBytes: 64, Sync: SpoolSyncNone})
+	sp2, err := OpenSpool(dir, SpoolOpts{segmentBytes: 64, Sync: SpoolSyncNone})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec := sp2.Recovered(); rec.Frames != 30 || rec.TruncatedBytes != 0 || rec.DroppedSegments != 0 {
+	if rec := sp2.Recovered(); rec.Frames != 30 || rec.TruncatedBytes != 0 || len(rec.DroppedSegments) != 0 {
 		t.Fatalf("clean reopen recovered %+v", rec)
 	}
 	p := []byte("post-recovery frame")
@@ -164,7 +165,7 @@ func TestSpoolTornTailRecovery(t *testing.T) {
 // the valid prefix there; later segments are dropped entirely.
 func TestSpoolMidSegmentCorruption(t *testing.T) {
 	dir := t.TempDir()
-	sp, err := OpenSpool(dir, SpoolOpts{SegmentBytes: 64, Sync: SpoolSyncNone})
+	sp, err := OpenSpool(dir, SpoolOpts{segmentBytes: 64, Sync: SpoolSyncNone})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,8 +191,17 @@ func TestSpoolMidSegmentCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := sp2.Recovered()
-	if rec.DroppedSegments == 0 || rec.TruncatedBytes == 0 {
-		t.Fatalf("recovery stats %+v: expected dropped segments and truncated bytes", rec)
+	var dropped []string
+	for _, seg := range segs[2:] {
+		dropped = append(dropped, segName(seg))
+	}
+	if !reflect.DeepEqual(rec.DroppedSegments, dropped) || rec.TruncatedBytes == 0 {
+		t.Fatalf("recovery stats %+v: expected truncated bytes and dropped segments %v", rec, dropped)
+	}
+	for _, name := range dropped {
+		if !strings.Contains(rec.Note(), name) {
+			t.Errorf("repair note %q does not name dropped segment %s", rec.Note(), name)
+		}
 	}
 	var got [][]byte
 	sp2.Range(func(p []byte) error { got = append(got, append([]byte(nil), p...)); return nil })
@@ -209,6 +219,51 @@ func TestSpoolMidSegmentCorruption(t *testing.T) {
 	}
 	if len(got) == 0 {
 		t.Fatal("corruption in segment 2 wiped segment 1")
+	}
+}
+
+// TestSpoolReadReportsRepair: ReadSpool, tesla-trace's spool input, returns
+// the repair beside the trace. With the middle of three or more segments
+// corrupt, the trace is the frames before the corruption and the repair
+// note names every dropped segment.
+func TestSpoolReadReportsRepair(t *testing.T) {
+	dir := t.TempDir()
+	sp, err := OpenSpool(dir, SpoolOpts{segmentBytes: 128, Sync: SpoolSyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := uint64(1); i <= 12; i++ {
+		delta := &Trace{FormatVersion: Version, Automata: []string{"a"},
+			Events: []Event{{Seq: i, Thread: 0, Kind: KindAccept, Class: "a"}}}
+		if err := sp.Append(AppendBinary(nil, delta)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sp.Close()
+	segs, _ := listSegments(dir)
+	if len(segs) < 3 {
+		t.Fatalf("need >=3 segments, got %d", len(segs))
+	}
+	mid := filepath.Join(dir, segName(segs[1]))
+	data, _ := os.ReadFile(mid)
+	data[len(data)-2] ^= 0xff
+	os.WriteFile(mid, data, 0o644)
+
+	tr, rec, err := ReadSpool(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(tr.Events); n == 0 || n >= 12 || tr.Events[n-1].Seq != uint64(n) {
+		t.Fatalf("recovered %d events, want a proper prefix of 12", n)
+	}
+	note := rec.Note()
+	if rec.TruncatedBytes == 0 || len(rec.DroppedSegments) != len(segs)-2 {
+		t.Fatalf("repair %+v: want truncated bytes and %d dropped segments", rec, len(segs)-2)
+	}
+	for _, seg := range segs[2:] {
+		if !strings.Contains(note, segName(seg)) {
+			t.Errorf("repair note %q does not name dropped segment %s", note, segName(seg))
+		}
 	}
 }
 
@@ -299,7 +354,7 @@ func TestSpoolWriter(t *testing.T) {
 	}
 	w := NewSpoolWriter(rec, sp)
 	for i := 0; i < 137; i++ {
-		rec.Transition(cls, &core.Instance{Key: core.NewKey(core.Value(i))}, 0, 1, "sym")
+		rec.Transition(cls, &core.Instance{Key: core.AnyKey.Set(0, core.Value(i))}, 0, 1, "sym")
 		if i%17 == 0 {
 			if err := w.Flush(); err != nil {
 				t.Fatal(err)
@@ -314,9 +369,12 @@ func TestSpoolWriter(t *testing.T) {
 	}
 	sp.Close()
 
-	got, err := ReadSpool(sp.Dir())
+	got, repair, err := ReadSpool(sp.Dir())
 	if err != nil {
 		t.Fatal(err)
+	}
+	if note := repair.Note(); note != "" {
+		t.Fatalf("intact spool reported a repair: %s", note)
 	}
 	want := rec.Snapshot()
 	if !reflect.DeepEqual(got.Events, want.Events) {
@@ -349,13 +407,13 @@ func TestSpoolWriterLossAccounting(t *testing.T) {
 	}
 	w := NewSpoolWriter(rec, sp)
 	for i := 0; i < 10; i++ {
-		rec.Accept(cls, &core.Instance{Key: core.NewKey(core.Value(i))})
+		rec.Accept(cls, &core.Instance{Key: core.AnyKey.Set(0, core.Value(i))})
 	}
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 7; i++ {
-		rec.Accept(cls, &core.Instance{Key: core.NewKey(core.Value(100 + i))})
+		rec.Accept(cls, &core.Instance{Key: core.AnyKey.Set(0, core.Value(100+i))})
 	}
 	fail = true
 	if err := w.Flush(); err == nil {
@@ -366,9 +424,12 @@ func TestSpoolWriterLossAccounting(t *testing.T) {
 		t.Fatalf("Lost() = %d frames / %d events, want 1 / 7", lf, le)
 	}
 	sp.Close()
-	got, err := ReadSpool(sp.Dir())
+	got, repair, err := ReadSpool(sp.Dir())
 	if err != nil {
 		t.Fatal(err)
+	}
+	if note := repair.Note(); note != "" {
+		t.Fatalf("intact spool reported a repair: %s", note)
 	}
 	if len(got.Events) != 10 {
 		t.Fatalf("spool holds %d events, want the 10 from the successful flush", len(got.Events))

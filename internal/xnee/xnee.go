@@ -1,17 +1,10 @@
-// Package xnee is a GNU Xnee-style X11 event recorder/replayer: the paper
+// Package xnee is a GNU Xnee-style X11 event replayer: the paper
 // uses Xnee to replay X11 events and interact with dialog boxes for the
 // figure 14b redraw-time measurements. This implementation generates and
 // replays deterministic event scripts against the gui substrate.
 package xnee
 
-import (
-	"bufio"
-	"fmt"
-	"io"
-	"strings"
-
-	"tesla/internal/gui"
-)
+import "tesla/internal/gui"
 
 // Script is a recorded interaction session: batches of events, one batch
 // per run-loop iteration.
@@ -80,68 +73,4 @@ func Replay(rl *gui.RunLoop, s *Script) {
 	for _, b := range s.Batches {
 		rl.ProcessBatch(b)
 	}
-}
-
-// Save writes the script in xnee's line-oriented record format.
-func (s *Script) Save(w io.Writer) error {
-	for _, b := range s.Batches {
-		for _, ev := range b {
-			var line string
-			switch ev.Kind {
-			case gui.MouseMove:
-				line = fmt.Sprintf("motion %d %d", ev.X, ev.Y)
-			case gui.Click:
-				line = fmt.Sprintf("button %d %d", ev.X, ev.Y)
-			case gui.Expose:
-				line = "expose"
-			case gui.Invalidate:
-				line = "invalidate"
-			}
-			if _, err := fmt.Fprintln(w, line); err != nil {
-				return err
-			}
-		}
-		if _, err := fmt.Fprintln(w, "---"); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Load reads a script saved with Save.
-func Load(r io.Reader) (*Script, error) {
-	s := &Script{}
-	var batch []gui.Event
-	sc := bufio.NewScanner(r)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		switch {
-		case line == "":
-		case line == "---":
-			s.Batches = append(s.Batches, batch)
-			batch = nil
-		case line == "expose":
-			batch = append(batch, gui.Event{Kind: gui.Expose})
-		case line == "invalidate":
-			batch = append(batch, gui.Event{Kind: gui.Invalidate})
-		default:
-			var kind string
-			var x, y int64
-			if _, err := fmt.Sscanf(line, "%s %d %d", &kind, &x, &y); err != nil {
-				return nil, fmt.Errorf("xnee: bad line %q", line)
-			}
-			switch kind {
-			case "motion":
-				batch = append(batch, gui.Event{Kind: gui.MouseMove, X: x, Y: y})
-			case "button":
-				batch = append(batch, gui.Event{Kind: gui.Click, X: x, Y: y})
-			default:
-				return nil, fmt.Errorf("xnee: unknown event %q", kind)
-			}
-		}
-	}
-	if len(batch) > 0 {
-		s.Batches = append(s.Batches, batch)
-	}
-	return s, sc.Err()
 }

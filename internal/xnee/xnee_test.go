@@ -2,7 +2,6 @@ package xnee
 
 import (
 	"reflect"
-	"strings"
 	"testing"
 
 	"tesla/internal/gui"
@@ -29,30 +28,6 @@ func TestDialogSessionDeterministic(t *testing.T) {
 	}
 	if exposes != 2 {
 		t.Fatalf("exposes = %d", exposes)
-	}
-}
-
-func TestSaveLoadRoundTrip(t *testing.T) {
-	s := DialogSession(8)
-	s.Batches = append(s.Batches, []gui.Event{{Kind: gui.Invalidate}})
-	var sb strings.Builder
-	if err := s.Save(&sb); err != nil {
-		t.Fatal(err)
-	}
-	s2, err := Load(strings.NewReader(sb.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(s, s2) {
-		t.Fatalf("round trip changed script:\n%v\n%v", s, s2)
-	}
-}
-
-func TestLoadErrors(t *testing.T) {
-	for _, bad := range []string{"frobnicate 1 2\n---\n", "motion x y\n---\n"} {
-		if _, err := Load(strings.NewReader(bad)); err == nil {
-			t.Errorf("expected error for %q", bad)
-		}
 	}
 }
 

@@ -1,12 +1,12 @@
 #!/usr/bin/env bash
 # gate-patterns.sh [Makefile]
 #
-# Checks that every alternative of every -run/-fuzz/-bench pattern on a
-# `$(GO) test` line of the Makefile matches at least one test, fuzz target,
-# benchmark or example in that line's package, as listed by `go test -list`.
-# A gate that selects tests or benchmarks by name passes silently once one
-# it names is renamed or deleted; this turns that into a failure naming the
-# dead alternative.
+# Checks that every alternative of every -run/-skip/-fuzz/-bench pattern on
+# a `$(GO) test` line of the Makefile matches at least one test, fuzz target,
+# benchmark or example in that line's package(s), as listed by `go test
+# -list`. A gate that selects or skips tests by name passes silently once one
+# it names is renamed or deleted (a stale -skip skips nothing); this turns
+# that into a failure naming the dead alternative.
 #
 # Patterns are split at `|`, either at the top level (`TestA|TestB`) or
 # inside one anchored group (`^(TestA|TestB)$`). `^$`, which selects nothing
@@ -33,7 +33,7 @@ dead=0
 # Join backslash-continued lines, then keep the go test invocations.
 while IFS= read -r line; do
 	pkg=$(grep -oE ' \.(/[^ ]*)?( |$)' <<<"$line" | head -n 1 | tr -d ' ')
-	for flag in -run -fuzz -bench; do
+	for flag in -run -skip -fuzz -bench; do
 		pat=$(sed -nE "s/.* $flag '([^']*)'.*/\1/p" <<<"$line")
 		pat=${pat//\$\$/\$}
 		if [ -z "$pat" ] || [ "$pat" = '^$' ]; then
