@@ -27,7 +27,7 @@ func TestEngineLoweringMatchesTransitions(t *testing.T) {
 			t.Fatalf("plan identity mismatch for %s: %s/%v", s.Name, p.Symbol, p.Flags)
 		}
 		ts := auto.Trans[s.ID]
-		if p.HasCleanup() != ts.HasCleanup() {
+		if p.HasCleanup() != ts.HasCleanup() || p.HasInit() != ts.HasInit() {
 			t.Fatalf("plan %s flags drifted from transition set", s.Name)
 		}
 	}

@@ -49,6 +49,16 @@ func (t Transition) String() string {
 // UpdateStatePlan picks the edge each live instance can take.
 type TransitionSet []Transition
 
+// HasInit reports whether any member can create an instance.
+func (ts TransitionSet) HasInit() bool {
+	for _, t := range ts {
+		if t.Init() {
+			return true
+		}
+	}
+	return false
+}
+
 // HasCleanup reports whether any member finalises instances.
 func (ts TransitionSet) HasCleanup() bool {
 	for _, t := range ts {

@@ -117,6 +117,9 @@ func NewSymbolPlan(cls *Class, symbol string, flags SymbolFlags, ts TransitionSe
 	return p
 }
 
+// HasInit reports whether the plan carries an «init» transition.
+func (p *SymbolPlan) HasInit() bool { return p.init >= 0 }
+
 // HasCleanup reports whether the plan finalises instances.
 func (p *SymbolPlan) HasCleanup() bool { return p.cleanup }
 

@@ -26,19 +26,6 @@ func (k Key) Union(o Key) Key {
 	return union4(k, o)
 }
 
-// HasInit reports whether any member can create an instance.
-func (ts TransitionSet) HasInit() bool {
-	for _, t := range ts {
-		if t.Init() {
-			return true
-		}
-	}
-	return false
-}
-
-// HasInit reports whether the plan carries an «init» transition.
-func (p *SymbolPlan) HasInit() bool { return p.init >= 0 }
-
 // Registered reports whether cls has been registered.
 func (s *Store) Registered(cls *Class) bool { return s.classOf(cls) != nil }
 

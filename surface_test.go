@@ -57,6 +57,8 @@ var surfaceAllow = map[string]string{
 	"internal/dtrace.Summarize":            "offline reference aggregation: the agg, trace and monitor parity tests hold live and fleet results to it",
 	"internal/dtrace.Aggregation.Snapshot": "reads a Summarize result in the trace and monitor parity tests",
 	"internal/core.Store.Instances":        "introspection: the monitor's clone/cleanup interleaving test checks the global store's live keys",
+	"internal/core.TransitionSet.HasInit":  "introspection: the automata lowering test checks each compiled plan's «init» against its transition set",
+	"internal/core.SymbolPlan.HasInit":     "introspection: the automata lowering test checks each compiled plan's «init» against its transition set",
 }
 
 // TestExportedSurfaceUsed holds the tree's declarations to what its
@@ -74,8 +76,8 @@ var surfaceAllow = map[string]string{
 // A use from the declaration's own package counts, but not one from inside
 // the declaration itself, nor a method receiver naming its own type. A
 // method also counts as used when its type implements an interface that
-// non-test code references or that a standard-library package the tree
-// links declares: the method may be called through it. Uses of generic
+// non-test code references, or one the standard library probes for
+// (dynamicIfaces): the method may be called through it. Uses of generic
 // instantiations count for their origin.
 func TestExportedSurfaceUsed(t *testing.T) {
 	tree, err := loadSurfaceTree(".")
@@ -181,7 +183,10 @@ func modulePath(gomod string) (string, error) {
 }
 
 // stdImporter reads the standard library from export data, located by one
-// `go list -export` over every standard package the tree imports.
+// `go list -export` over every standard package the tree imports. The
+// export data must come from the toolchain whose go/types reads it; `go
+// test` puts that toolchain's bin directory first on the test's PATH, so
+// "go" names it even under `make GO=<other go>`.
 func (tr *surfaceTree) stdImporter(root string) error {
 	need := map[string]bool{}
 	for _, p := range tr.pkgs {
@@ -480,45 +485,78 @@ func (tr *surfaceTree) optionSets() map[types.Object]bool {
 	return set
 }
 
+// dynamicIfaces lists, by package, the standard-library interfaces that
+// the standard library itself probes for with a type assertion, so a
+// method satisfying one is reachable although the code never names the
+// interface.
+var dynamicIfaces = map[string][]string{
+	"fmt":           {"Stringer", "GoStringer", "Formatter"},
+	"encoding":      {"TextMarshaler", "TextUnmarshaler", "BinaryMarshaler", "BinaryUnmarshaler"},
+	"encoding/json": {"Marshaler", "Unmarshaler"},
+}
+
 // markInterfaceMethods marks as used each method through which a
-// referenced or standard-library interface can reach a tree type.
+// referenced interface, or one the standard library probes for, can reach
+// a tree type. An interface is referenced when non-test code names it or
+// an expression, variable, field or function it uses has it in its type
+// (a parameter of type io.Writer references io.Writer).
 func (tr *surfaceTree) markInterfaceMethods(used map[types.Object]bool) {
 	ifaces := map[*types.Interface]bool{}
-	addIface := func(t types.Type) {
-		if it, ok := t.Underlying().(*types.Interface); ok && it.NumMethods() > 0 {
-			ifaces[it] = true
+	var addType func(t types.Type)
+	addType = func(t types.Type) {
+		switch t := t.(type) {
+		case *types.Signature:
+			for _, tup := range []*types.Tuple{t.Params(), t.Results()} {
+				for i := 0; i < tup.Len(); i++ {
+					addType(tup.At(i).Type())
+				}
+			}
+		case *types.Pointer:
+			addType(t.Elem())
+		case *types.Slice:
+			addType(t.Elem())
+		case *types.Array:
+			addType(t.Elem())
+		case *types.Chan:
+			addType(t.Elem())
+		case *types.Map:
+			addType(t.Key())
+			addType(t.Elem())
+		default:
+			if it, ok := t.Underlying().(*types.Interface); ok && it.NumMethods() > 0 {
+				ifaces[it] = true
+			}
 		}
 	}
+	addType(types.Universe.Lookup("error").Type())
 	seen := map[*types.Package]bool{}
-	var stdScopes func(pkg *types.Package)
-	stdScopes = func(pkg *types.Package) {
+	var stdProbes func(pkg *types.Package)
+	stdProbes = func(pkg *types.Package) {
 		if seen[pkg] {
 			return
 		}
 		seen[pkg] = true
-		if tr.pkgs[pkg.Path()] == nil {
-			scope := pkg.Scope()
-			for _, name := range scope.Names() {
-				if tn, ok := scope.Lookup(name).(*types.TypeName); ok && tn.Exported() {
-					addIface(tn.Type())
-				}
+		for _, name := range dynamicIfaces[pkg.Path()] {
+			if tn, ok := pkg.Scope().Lookup(name).(*types.TypeName); ok {
+				addType(tn.Type())
 			}
 		}
 		for _, dep := range pkg.Imports() {
-			stdScopes(dep)
+			stdProbes(dep)
 		}
 	}
 	var named []*types.Named
 	for _, p := range tr.order {
-		stdScopes(p.types)
+		stdProbes(p.types)
 		for _, tv := range p.info.Types {
 			if tv.Type != nil {
-				addIface(tv.Type)
+				addType(tv.Type)
 			}
 		}
 		for _, obj := range p.info.Uses {
-			if tn, ok := obj.(*types.TypeName); ok {
-				addIface(tn.Type())
+			switch obj.(type) {
+			case *types.TypeName, *types.Var, *types.Func:
+				addType(obj.Type())
 			}
 		}
 		scope := p.types.Scope()
