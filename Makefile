@@ -218,8 +218,9 @@ crash-gate: build
 # Allocation gate: the steady-state trace path from recorder to fleet
 # store reuses its memory. UpdateBatch allocates nothing on the slot array
 # or the striped store; a trace.Flusher flush (cut, merge and encode
-# straight from the rings) allocates nothing at 100 events or at 4000; a
-# Publisher flush (cut, encode, send, server apply,
+# straight from the rings) allocates nothing at 100 events or at 4000, and
+# a recorder with one thread tapped allocates no more than its two rings of
+# 144-byte slots and 64 KiB; a Publisher flush (cut, encode, send, server apply,
 # ack) and an IngestFrame of a fleet-shaped frame (program events with
 # values and an instack list, lifecycle events, one failure) cost as many
 # allocations for 2000 events as for 100. Re-encoding a linked program into a reused buffer allocates at
@@ -240,7 +241,7 @@ alloc-gate:
 	$(GO) test -count=1 ./internal/agg -run '^(TestIngestFrameAllocs|TestPublisherFlushAllocs)$$'
 	$(GO) test -count=1 ./internal/build -run '^(TestEncodeModuleAllocs|TestInstrumentUntouchedAllocs)$$'
 	$(GO) test -count=1 ./internal/monitor -run '^TestNameDrivenAllocs$$'
-	$(GO) test -count=1 ./internal/trace -run '^(TestRecorderTapAllocs|TestFlusherSteadyAllocs)$$'
+	$(GO) test -count=1 ./internal/trace -run '^(TestRecorderTapAllocs|TestFlusherSteadyAllocs|TestRecorderFootprint)$$'
 	$(GO) test -count=1 ./internal/kernel -run '^TestFig11bOLTPAllocs$$'
 
 # Gate-pattern check: every -run/-fuzz/-bench alternative in this Makefile must

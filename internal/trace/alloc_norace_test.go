@@ -4,6 +4,7 @@ package trace_test
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"tesla/internal/automata"
@@ -94,4 +95,29 @@ func TestFlusherSteadyAllocs(t *testing.T) {
 	if sent != rec.EventCount() {
 		t.Fatalf("flushed %d of %d events", sent, rec.EventCount())
 	}
+}
+
+// TestRecorderFootprint: a recorder with one thread tapped allocates its
+// two rings whole, up front, and little else. At the default 2¹⁶ slots of
+// 144 bytes that is 2·2¹⁶·144 B = 18,874,368 B; with each slot a 312-byte
+// Event it was 40,894,464 B. The lower bound holds the rings to being
+// allocated (and zeroed) when they are made, not on the event path.
+func TestRecorderFootprint(t *testing.T) {
+	const slotBytes, ringSlots = 144, 1 << 16
+	if trace.ProgSlotSize > slotBytes || trace.LifeSlotSize > slotBytes {
+		t.Fatalf("slots are %d B (thread ring) and %d B (lifecycle ring), want at most %d", trace.ProgSlotSize, trace.LifeSlotSize, slotBytes)
+	}
+	autos := []*automata.Automaton{{Name: "a"}}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	rec := trace.NewRecorder(autos, 0)
+	tap := rec.ThreadTap(0)
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(tap)
+	got := after.TotalAlloc - before.TotalAlloc
+	rings := uint64(trace.ProgSlotSize+trace.LifeSlotSize) * ringSlots
+	if limit := uint64(2*ringSlots*slotBytes + 64<<10); got < rings || got > limit {
+		t.Fatalf("NewRecorder and one ThreadTap allocate %d B; want the rings' %d B and at most %d B in all", got, rings, limit)
+	}
+	t.Logf("NewRecorder and one ThreadTap allocate %d B", got)
 }

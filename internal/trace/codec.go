@@ -91,54 +91,75 @@ func (enc *encoder) header(dropped uint64, automata []string, nEvents uint64) {
 	enc.prevSeq = 0
 }
 
-// event writes one event; its Seq is coded as the delta from the previous
-// event's.
+// event writes one event through the writer for its payload kind.
 func (enc *encoder) event(ev *Event) {
-	enc.uvarint(ev.Seq - enc.prevSeq)
-	enc.prevSeq = ev.Seq
-	enc.varint(int64(ev.Thread))
-	enc.byte(byte(ev.Kind))
-	enc.varint(ev.Time)
-	switch ev.Kind {
-	case KindProgram:
-		enc.byte(byte(ev.Prog))
-		enc.str(ev.Fn)
-		enc.str(ev.Field)
-		enc.varint(int64(ev.Op))
-		enc.varint(int64(ev.Auto))
-		enc.varint(int64(ev.Sym))
-		enc.varint(int64(ev.Slot))
-		if ev.HasRet {
+	if ev.Kind == KindProgram {
+		p := progSlotOf(ev)
+		enc.program(ev.Thread, &p)
+		return
+	}
+	l := lifeSlotOf(ev)
+	enc.lifecycle(ev.Thread, ev.Time, &l)
+}
+
+// head writes the fields every event starts with; Seq is coded as the
+// delta from the previous event's.
+func (enc *encoder) head(seq uint64, thread int, kind Kind, time int64) {
+	enc.uvarint(seq - enc.prevSeq)
+	enc.prevSeq = seq
+	enc.varint(int64(thread))
+	enc.byte(byte(kind))
+	enc.varint(time)
+}
+
+// program writes a KindProgram event. It is the one writer of the program
+// payload, whether it comes from a Trace (event) or a thread ring's slot
+// (Recorder.AppendCut).
+func (enc *encoder) program(thread int, p *progSlot) {
+	enc.head(p.Seq, thread, KindProgram, p.Time)
+	enc.byte(byte(p.Prog))
+	enc.str(p.Fn)
+	enc.str(p.Field)
+	enc.varint(int64(p.Op))
+	enc.varint(int64(p.Auto))
+	enc.varint(int64(p.Sym))
+	enc.varint(int64(p.Slot))
+	if p.HasRet {
+		enc.byte(1)
+		enc.varint(int64(p.Ret))
+	} else {
+		enc.byte(0)
+	}
+	enc.uvarint(uint64(len(p.Vals)))
+	for _, v := range p.Vals {
+		enc.varint(int64(v))
+	}
+	enc.uvarint(uint64(len(p.InStack)))
+	for _, id := range p.InStack {
+		enc.varint(int64(id))
+	}
+}
+
+// lifecycle writes a lifecycle event, the one writer of that payload
+// whether it comes from a Trace or the lifecycle ring (whose events carry
+// thread -1 and time 0).
+func (enc *encoder) lifecycle(thread int, time int64, l *lifeSlot) {
+	enc.head(l.Seq, thread, l.Kind, time)
+	enc.str(l.Class)
+	enc.str(l.Symbol)
+	enc.key(l.Key)
+	enc.key(l.ParentKey)
+	enc.uvarint(uint64(l.From))
+	enc.uvarint(uint64(l.To))
+	enc.uvarint(uint64(l.State))
+	enc.varint(int64(l.Verdict))
+	if l.Kind == KindQuarantine {
+		// Trailing byte for the newest kind only, so traces
+		// without quarantine events keep the original layout.
+		if l.On {
 			enc.byte(1)
-			enc.varint(int64(ev.Ret))
 		} else {
 			enc.byte(0)
-		}
-		enc.uvarint(uint64(len(ev.Vals)))
-		for _, v := range ev.Vals {
-			enc.varint(int64(v))
-		}
-		enc.uvarint(uint64(len(ev.InStack)))
-		for _, id := range ev.InStack {
-			enc.varint(int64(id))
-		}
-	default:
-		enc.str(ev.Class)
-		enc.str(ev.Symbol)
-		enc.key(ev.Key)
-		enc.key(ev.ParentKey)
-		enc.uvarint(uint64(ev.From))
-		enc.uvarint(uint64(ev.To))
-		enc.uvarint(uint64(ev.State))
-		enc.varint(int64(ev.Verdict))
-		if ev.Kind == KindQuarantine {
-			// Trailing byte for the newest kind only, so traces
-			// without quarantine events keep the original layout.
-			if ev.On {
-				enc.byte(1)
-			} else {
-				enc.byte(0)
-			}
 		}
 	}
 }

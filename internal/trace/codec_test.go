@@ -166,19 +166,34 @@ func TestCodecRejectsGarbage(t *testing.T) {
 }
 
 func TestRingOverwritesOldest(t *testing.T) {
-	r := newRing(4)
+	t.Run("program", func(t *testing.T) { testRingOverwritesOldest(t, func(s *progSlot) *uint64 { return &s.Seq }) })
+	t.Run("lifecycle", func(t *testing.T) { testRingOverwritesOldest(t, func(s *lifeSlot) *uint64 { return &s.Seq }) })
+}
+
+// testRingOverwritesOldest pushes seven slots through a four-slot ring;
+// seq addresses a slot's Seq.
+func testRingOverwritesOldest[T any](t *testing.T, seq func(*T) *uint64) {
+	r := newRing[T](4)
 	for i := 1; i <= 7; i++ {
-		r.next().Seq = uint64(i)
+		*seq(r.next()) = uint64(i)
 	}
 	a, b, lost := r.since(0)
-	got := append(append([]Event(nil), a...), b...)
+	got := append(append([]T(nil), a...), b...)
 	if len(got) != 4 || lost != 3 {
-		t.Fatalf("got %d events, %d lost; want 4, 3", len(got), lost)
+		t.Fatalf("got %d slots, %d lost; want 4, 3", len(got), lost)
 	}
-	for i, ev := range got {
-		if want := uint64(4 + i); ev.Seq != want {
-			t.Fatalf("slot %d: seq %d, want %d", i, ev.Seq, want)
+	for i := range got {
+		if want := uint64(4 + i); *seq(&got[i]) != want {
+			t.Fatalf("slot %d: seq %d, want %d", i, *seq(&got[i]), want)
 		}
+	}
+	// A watermark at or past the oldest live slot loses nothing: from 3
+	// the slots wrap the buffer's end (4, then 5–7), from 5 they do not.
+	if a, b, lost := r.since(3); len(a) != 1 || len(b) != 3 || lost != 0 || *seq(&a[0]) != 4 || *seq(&b[2]) != 7 {
+		t.Fatalf("since(3): %d+%d slots, %d lost; want 1+3 (4, then 5-7), none lost", len(a), len(b), lost)
+	}
+	if a, b, lost := r.since(5); len(a) != 2 || len(b) != 0 || lost != 0 || *seq(&a[0]) != 6 || *seq(&a[1]) != 7 {
+		t.Fatalf("since(5): %d+%d slots, %d lost; want 2+0 (6, 7), none lost", len(a), len(b), lost)
 	}
 }
 

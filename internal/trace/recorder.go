@@ -42,14 +42,12 @@ type Recorder struct {
 
 	seq atomic.Uint64
 
-	mu    sync.Mutex // guards sinks (growth), life, injected, rejected and merge
-	life  *ring
+	mu    sync.Mutex // guards sinks (growth), life, injected and merge
+	life  *ring[lifeSlot]
 	sinks []*threadSink
 	// injected counts DropFault rejections separately from ring
 	// overwrites, so a cut can attribute per-cut losses exactly.
 	injected uint64
-	// rejected is the slot a DropFault-rejected event is written to.
-	rejected Event
 	// merge is the cut's merge state, reused by every cut.
 	merge merge
 }
@@ -62,12 +60,15 @@ type threadSink struct {
 	id  int
 
 	mu   sync.Mutex
-	ring *ring
+	ring *ring[progSlot]
 }
 
 // NewRecorder creates a recorder for a run over the given automata.
 // perThreadCap bounds each thread's ring (and the shared lifecycle ring);
-// <= 0 selects the default (65536 events).
+// <= 0 selects the default (65536 events). Each ring is allocated whole:
+// at the default a ring's 144-byte slots take 9.4 MB, so a recorder with
+// one thread tapped holds 18.9 MB of rings (with 312-byte Event slots it
+// was 40.9 MB).
 func NewRecorder(autos []*automata.Automaton, perThreadCap int) *Recorder {
 	names := make([]string, len(autos))
 	for i, a := range autos {
@@ -76,13 +77,13 @@ func NewRecorder(autos []*automata.Automaton, perThreadCap int) *Recorder {
 	return &Recorder{
 		names: names,
 		cap:   perThreadCap,
-		life:  newRing(perThreadCap),
+		life:  newRing[lifeSlot](perThreadCap),
 	}
 }
 
 // ThreadTap implements monitor.Tap.
 func (r *Recorder) ThreadTap(threadID int) monitor.ThreadTap {
-	s := &threadSink{rec: r, id: threadID, ring: newRing(r.cap)}
+	s := &threadSink{rec: r, id: threadID, ring: newRing[progSlot](r.cap)}
 	r.mu.Lock()
 	r.sinks = append(r.sinks, s)
 	r.mu.Unlock()
@@ -102,7 +103,7 @@ func (s *threadSink) ProgramEvent(ev monitor.ProgramEvent) {
 		inStack = append([]int(nil), ev.InStack...)
 	}
 	s.mu.Lock()
-	s.fill(s.ring.next(), s.rec.seq.Add(1), &ev, vals, inStack)
+	s.fill(s.rec.seq.Add(1), &ev, vals, inStack)
 	s.mu.Unlock()
 }
 
@@ -122,98 +123,80 @@ func (s *threadSink) ProgramBatch(evs []monitor.ProgramEvent) {
 	base := s.rec.seq.Add(uint64(len(evs))) - uint64(len(evs))
 	for i := range evs {
 		ev := &evs[i]
-		s.fill(s.ring.next(), base+uint64(i)+1, ev, ev.Vals, ev.InStack)
+		s.fill(base+uint64(i)+1, ev, ev.Vals, ev.InStack)
 	}
 	s.mu.Unlock()
 }
 
-// fill writes a program event into its ring slot. A thread ring holds
-// only program events, so these are every field a slot of it ever holds.
+// fill assigns a program event to the thread ring's next slot, whole.
 // The caller holds s.mu and took seq under it, which keeps the ring
 // Seq-ordered.
-func (s *threadSink) fill(e *Event, seq uint64, ev *monitor.ProgramEvent, vals []core.Value, inStack []int) {
-	e.Seq, e.Thread, e.Kind, e.Time = seq, s.id, KindProgram, ev.Time
-	e.Prog, e.Fn, e.Field, e.Op = ev.Kind, ev.Fn, ev.Field, ev.Op
-	e.Auto, e.Sym, e.Slot = ev.Auto, ev.Sym, ev.Slot
-	e.Ret, e.HasRet = ev.Ret, ev.HasRet
-	e.Vals, e.InStack = vals, inStack
+func (s *threadSink) fill(seq uint64, ev *monitor.ProgramEvent, vals []core.Value, inStack []int) {
+	*s.ring.next() = progSlot{
+		Seq: seq, Time: ev.Time, Fn: ev.Fn, Field: ev.Field, Op: ev.Op,
+		Auto: ev.Auto, Sym: ev.Sym, Slot: ev.Slot, Ret: ev.Ret,
+		Vals: vals, InStack: inStack, Prog: ev.Kind, HasRet: ev.HasRet,
+	}
 }
 
-// lifeSlot takes r.mu and returns it held, with the next lifecycle event
-// stamped into the lifecycle ring's next slot: Seq, Thread -1, kind, class
-// and key set and every other lifecycle field zeroed, so the caller sets
-// only what its kind carries and then unlocks r.mu. Handlers are
-// dispatched after the store has released its locks, so this only has to
-// serialise against other recorder users. Taking Seq under r.mu keeps the
-// ring Seq-ordered.
+// record stamps l with the next Seq and assigns it to the lifecycle ring's
+// next slot, whole, under r.mu. Handlers are dispatched after the store
+// has released its locks, so this only has to serialise against other
+// recorder users. Taking Seq under r.mu keeps the ring Seq-ordered.
 //
 // DropFault, when set, can reject the event before it reaches the ring —
 // the fault-injection seam for simulated ring drops (counted like real
-// ones). Its Seq is spent all the same, and the caller fills a scratch
-// slot instead.
-func (r *Recorder) lifeSlot(kind Kind, class string, key core.Key) *Event {
+// ones). Its Seq is spent all the same.
+func (r *Recorder) record(l lifeSlot) {
 	r.mu.Lock()
-	e := &r.rejected
 	if r.DropFault != nil && r.DropFault() {
 		r.injected++
+		r.seq.Add(1)
 	} else {
-		e = r.life.next()
+		l.Seq = r.seq.Add(1)
+		*r.life.next() = l
 	}
-	e.Seq, e.Thread, e.Kind, e.Class, e.Key = r.seq.Add(1), -1, kind, class, key
-	e.ParentKey, e.From, e.To, e.State = core.Key{}, 0, 0, 0
-	e.Symbol, e.Verdict, e.On = "", 0, false
-	return e
+	r.mu.Unlock()
 }
 
 // InstanceNew implements core.Handler.
 func (r *Recorder) InstanceNew(cls *core.Class, inst *core.Instance) {
-	r.lifeSlot(KindInit, cls.Name, inst.Key).State = inst.State
-	r.mu.Unlock()
+	r.record(lifeSlot{Kind: KindInit, Class: cls.Name, Key: inst.Key, State: inst.State})
 }
 
 // InstanceClone implements core.Handler.
 func (r *Recorder) InstanceClone(cls *core.Class, parent, clone *core.Instance) {
-	e := r.lifeSlot(KindClone, cls.Name, clone.Key)
-	e.ParentKey, e.State = parent.Key, clone.State
-	r.mu.Unlock()
+	r.record(lifeSlot{Kind: KindClone, Class: cls.Name, Key: clone.Key, ParentKey: parent.Key, State: clone.State})
 }
 
 // Transition implements core.Handler.
 func (r *Recorder) Transition(cls *core.Class, inst *core.Instance, from, to uint32, symbol string) {
-	e := r.lifeSlot(KindTransition, cls.Name, inst.Key)
-	e.From, e.To, e.Symbol = from, to, symbol
-	r.mu.Unlock()
+	r.record(lifeSlot{Kind: KindTransition, Class: cls.Name, Key: inst.Key, From: from, To: to, Symbol: symbol})
 }
 
 // Accept implements core.Handler.
 func (r *Recorder) Accept(cls *core.Class, inst *core.Instance) {
-	r.lifeSlot(KindAccept, cls.Name, inst.Key).State = inst.State
-	r.mu.Unlock()
+	r.record(lifeSlot{Kind: KindAccept, Class: cls.Name, Key: inst.Key, State: inst.State})
 }
 
 // Fail implements core.Handler.
 func (r *Recorder) Fail(v *core.Violation) {
-	e := r.lifeSlot(KindFail, v.Class.Name, v.Key)
-	e.State, e.Symbol, e.Verdict = v.State, v.Symbol, v.Kind
-	r.mu.Unlock()
+	r.record(lifeSlot{Kind: KindFail, Class: v.Class.Name, Key: v.Key, State: v.State, Symbol: v.Symbol, Verdict: v.Kind})
 }
 
 // Overflow implements core.Handler.
 func (r *Recorder) Overflow(cls *core.Class, key core.Key) {
-	r.lifeSlot(KindOverflow, cls.Name, key)
-	r.mu.Unlock()
+	r.record(lifeSlot{Kind: KindOverflow, Class: cls.Name, Key: key})
 }
 
 // Evict implements core.Handler.
 func (r *Recorder) Evict(cls *core.Class, inst *core.Instance) {
-	r.lifeSlot(KindEvict, cls.Name, inst.Key).State = inst.State
-	r.mu.Unlock()
+	r.record(lifeSlot{Kind: KindEvict, Class: cls.Name, Key: inst.Key, State: inst.State})
 }
 
 // Quarantine implements core.Handler.
 func (r *Recorder) Quarantine(cls *core.Class, on bool) {
-	r.lifeSlot(KindQuarantine, cls.Name, core.Key{}).On = on
-	r.mu.Unlock()
+	r.record(lifeSlot{Kind: KindQuarantine, Class: cls.Name, On: on})
 }
 
 // EventCount returns how many events have been recorded so far, including
@@ -292,8 +275,12 @@ func (c *Cut) clone() *Cut {
 func (r *Recorder) CutInto(c *Cut, tr *Trace) {
 	n, dropped := r.lockCut(c)
 	events := slices.Grow(tr.Events[:0], int(n))
-	for ev := r.merge.next(); ev != nil; ev = r.merge.next() {
-		events = append(events, *ev)
+	for p, thread, l := r.merge.next(); p != nil || l != nil; p, thread, l = r.merge.next() {
+		if p != nil {
+			events = append(events, p.event(thread))
+		} else {
+			events = append(events, l.event())
+		}
 	}
 	r.unlockCut()
 	tr.FormatVersion = Version
@@ -312,20 +299,24 @@ func (r *Recorder) AppendCut(dst []byte, c *Cut) (out []byte, events, dropped ui
 	enc := newEncoder(dst)
 	events, dropped = r.lockCut(c)
 	enc.header(dropped, r.names, events)
-	for ev := r.merge.next(); ev != nil; ev = r.merge.next() {
-		enc.event(ev)
+	for p, thread, l := r.merge.next(); p != nil || l != nil; p, thread, l = r.merge.next() {
+		if p != nil {
+			enc.program(thread, p)
+		} else {
+			enc.lifecycle(-1, 0, l)
+		}
 	}
 	r.unlockCut()
 	return enc.finish(), events, dropped
 }
 
 // lockCut locks every ring, advances c past everything they hold and
-// loads r.merge with the events after c's old watermark. It returns the
+// loads r.merge with the slots after c's old watermark. It returns the
 // delta's event count and Dropped; the caller drains r.merge, whose
-// events live in the rings, then calls unlockCut.
+// slots live in the rings, then calls unlockCut.
 //
 // Lock order: r.mu, then every sink. Push paths take a single sink lock
-// (never r.mu under it) and lifeSlot takes r.mu alone, so this cannot
+// (never r.mu under it) and record takes r.mu alone, so this cannot
 // deadlock against recording.
 func (r *Recorder) lockCut(c *Cut) (events, dropped uint64) {
 	r.mu.Lock()
@@ -338,9 +329,9 @@ func (r *Recorder) lockCut(c *Cut) (events, dropped uint64) {
 	dropped = r.injected - c.injected
 	c.injected = r.injected
 	r.merge.n = 0
-	dropped += r.merge.add(r.life, &c.life)
+	dropped += r.merge.addLife(r.life, &c.life)
 	for i, s := range r.sinks {
-		dropped += r.merge.add(s.ring, &c.sinks[i])
+		dropped += r.merge.addThread(s.ring, s.id, &c.sinks[i])
 	}
 	return r.merge.n, dropped
 }
@@ -352,54 +343,82 @@ func (r *Recorder) unlockCut() {
 	r.mu.Unlock()
 }
 
-// merge is a k-way merge of Seq-ordered event runs: a binary min-heap of
-// the runs keyed on each one's first Seq. A ring contributes one run (two
-// contiguous slices when its events wrap), so a cut costs O(log k) per
-// event over k rings instead of a sort.
+// merge is a k-way merge of Seq-ordered slot runs. The thread rings' runs
+// sit in a binary min-heap keyed on each one's first Seq; the lifecycle
+// ring's run is interleaved against the heap's top. A ring contributes
+// one run (two contiguous slices when its slots wrap), so a cut costs
+// O(log k) per event over k rings instead of a sort.
 type merge struct {
-	runs []mergeRun
+	runs []threadRun
+	life run[lifeSlot]
 	n    uint64 // events added since the last lockCut
 }
 
-// mergeRun is what is left of one ring's events: a, then b. a is empty
-// only once the run is done.
-type mergeRun struct{ a, b []Event }
+// run is what is left of one ring's slots: a, then b. a is empty only
+// once the run is done.
+type run[T any] struct{ a, b []T }
 
-// add loads the events rg pushed after *mark, advances *mark to rg's write
-// position and returns the events rg overwrote in between.
-func (m *merge) add(rg *ring, mark *uint64) uint64 {
+// pop removes and returns the run's first slot.
+func (r *run[T]) pop() *T {
+	s := &r.a[0]
+	if r.a = r.a[1:]; len(r.a) == 0 {
+		r.a, r.b = r.b, nil
+	}
+	return s
+}
+
+// threadRun is a thread ring's run and the thread its slots belong to.
+type threadRun struct {
+	run[progSlot]
+	thread int
+}
+
+// addLife loads the slots the lifecycle ring pushed after *mark, advances
+// *mark to its write position and returns the slots it overwrote in
+// between.
+func (m *merge) addLife(rg *ring[lifeSlot], mark *uint64) uint64 {
+	a, b, lost := rg.since(*mark)
+	*mark = rg.pushed
+	m.n += uint64(len(a) + len(b))
+	m.life = run[lifeSlot]{a, b}
+	return lost
+}
+
+// addThread is addLife for thread's ring.
+func (m *merge) addThread(rg *ring[progSlot], thread int, mark *uint64) uint64 {
 	a, b, lost := rg.since(*mark)
 	*mark = rg.pushed
 	m.n += uint64(len(a) + len(b))
 	if len(a) > 0 {
-		m.runs = append(m.runs, mergeRun{a, b})
+		m.runs = append(m.runs, threadRun{run[progSlot]{a, b}, thread})
 		m.up(len(m.runs) - 1)
 	}
 	return lost
 }
 
-// next returns the event with the smallest Seq left, or nil when every
-// run is done.
-func (m *merge) next() *Event {
+// next returns the slot with the smallest Seq left: a thread ring's
+// program slot with its thread, or a lifecycle slot. Both are nil when
+// every run is done.
+func (m *merge) next() (p *progSlot, thread int, l *lifeSlot) {
+	if len(m.life.a) > 0 && (len(m.runs) == 0 || m.life.a[0].Seq < m.runs[0].a[0].Seq) {
+		return nil, -1, m.life.pop()
+	}
 	if len(m.runs) == 0 {
-		return nil
+		return nil, 0, nil
 	}
 	top := &m.runs[0]
-	ev := &top.a[0]
-	if top.a = top.a[1:]; len(top.a) == 0 {
-		if top.a, top.b = top.b, nil; len(top.a) == 0 {
-			last := len(m.runs) - 1
-			m.runs[0] = m.runs[last]
-			m.runs[last] = mergeRun{} // keep no slice of a ring past the cut
-			m.runs = m.runs[:last]
-		}
+	p, thread = top.pop(), top.thread
+	if len(top.a) == 0 {
+		last := len(m.runs) - 1
+		m.runs[0] = m.runs[last]
+		m.runs[last] = threadRun{} // keep no slice of a ring past the cut
+		m.runs = m.runs[:last]
 	}
 	m.down(0)
-	return ev
+	return p, thread, nil
 }
 
 func (m *merge) less(i, j int) bool { return m.runs[i].a[0].Seq < m.runs[j].a[0].Seq }
-
 func (m *merge) up(i int) {
 	for i > 0 {
 		p := (i - 1) / 2
