@@ -233,7 +233,8 @@ crash-gate: build
 # automata share the bound slot it fires, and under the trace recorder's
 # tap only the recorder's own copies; no figure 11b configuration's OLTP
 # transaction allocates more than Release's one (the kernel's File
-# record). The tests carry a !race build tag (sync.Pool drops items under
+# record). A warmed VM.Run allocates nothing: plain, and instrumented under
+# the synchronous or the batched monitor. The tests carry a !race build tag (sync.Pool drops items under
 # the race detector), so this gate is their only CI run besides
 # `make test`.
 alloc-gate:
@@ -243,6 +244,7 @@ alloc-gate:
 	$(GO) test -count=1 ./internal/monitor -run '^TestNameDrivenAllocs$$'
 	$(GO) test -count=1 ./internal/trace -run '^(TestRecorderTapAllocs|TestFlusherSteadyAllocs|TestRecorderFootprint)$$'
 	$(GO) test -count=1 ./internal/kernel -run '^TestFig11bOLTPAllocs$$'
+	$(GO) test -count=1 ./internal/vm -run '^TestRunAllocs$$'
 
 # Gate-pattern check: every -run/-fuzz/-bench alternative in this Makefile must
 # name a test or benchmark in its package (`go test -list`), so renaming or

@@ -554,11 +554,13 @@ func (th *Thread) Deliver(autoIdx, symID int, vals ...core.Value) error {
 			first = th.stageEvent(ev, vals, nil)
 		} else {
 			// Unlike emit, the tap is lent the caller's own slice, so vals
-			// escapes and every call heap-allocates it. Lending Deliver
-			// emit's thread-owned copy waits for tesla-perf to accept a
-			// zero allocation count: its global-ingest workload is all
-			// Deliver, and its short test wants every end-to-end metric
-			// above 0 (ROADMAP item 3).
+			// escapes: a caller that passes a slice on its own stack
+			// heap-allocates it on every call. The VM passes one buffer it
+			// owns and reuses, so its calls allocate nothing. Lending
+			// Deliver emit's thread-owned copy waits for tesla-perf to
+			// accept a zero allocation count: its global-ingest workload
+			// is all Deliver from a stack slice, and its short test wants
+			// every end-to-end metric above 0 (ROADMAP item 3).
 			ev.Vals = vals
 			th.tap.ProgramEvent(ev)
 		}

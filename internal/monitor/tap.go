@@ -13,7 +13,10 @@ import (
 //
 // The tap is zero-cost when absent: an entry point builds a ProgramEvent
 // only when a tap or the batched ring takes it, and the caller's argument
-// slices escape to neither (emit), Deliver's to the tap excepted.
+// slices escape to neither (emit), Deliver's to the tap excepted. That
+// escape heap-allocates a slice a direct caller builds on its stack on
+// every call; the VM lends Deliver one buffer it reuses, which allocates
+// nothing.
 
 // ProgKind classifies raw program events (the Thread entry points).
 type ProgKind uint8

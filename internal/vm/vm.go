@@ -30,13 +30,25 @@ var ErrMaxSteps = errors.New("vm: step limit exceeded")
 
 // VM executes one linked module.
 type VM struct {
-	mod  *ir.Module
-	fns  map[string]*ir.Func
-	fnIx []*ir.Func // function-pointer table
+	fnByName map[string]int
+	fnIx     []*ir.Func // function-pointer table
+
+	// syms resolves every OpCall, OpFnAddr and OpGlobalAddr once, indexed
+	// by function, block and instruction: a call's callee index in fnIx or
+	// a call* kind, a function pointer or a global's address, or unresolved.
+	syms [][][]int64
 
 	heap     []allocation
 	freeList []int
-	globals  map[string]int64 // name → address
+
+	// Every frame's registers are a window of stack; sp is the top of the
+	// innermost frame. allocas holds the alloca IDs of the live frames, each
+	// frame's above the mark it took on entry. vals is lent to the monitor
+	// as an intrinsic's argument list.
+	stack   []int64
+	sp      int
+	allocas []int
+	vals    []core.Value
 
 	// Thread, when set, receives instrumentation events from __tesla_*
 	// intrinsics. Running instrumented code without a Thread fails.
@@ -62,26 +74,93 @@ const DefaultMaxSteps = 200_000_000
 // DefaultMaxDepth bounds recursion.
 const DefaultMaxDepth = 10_000
 
-// New prepares a VM for the module.
+// An unresolved symbol fails only when its instruction runs. The other
+// negative entries of VM.syms are the call targets that are not functions.
+const (
+	unresolved = -1 - iota
+	callPrint
+	callInert // a residual assertion-site pseudo-call
+	callBoundBegin
+	callBoundEnd
+	callUpdate
+	callSite
+	callUnknownIntrinsic
+)
+
+// New prepares a VM for the module, resolving every symbol its code names.
 func New(mod *ir.Module) *VM {
 	vm := &VM{
-		mod:      mod,
-		fns:      map[string]*ir.Func{},
-		globals:  map[string]int64{},
+		fnByName: map[string]int{},
+		fnIx:     append([]*ir.Func(nil), mod.Funcs...),
 		maxDepth: DefaultMaxDepth,
 	}
-	for _, f := range mod.Funcs {
-		vm.fns[f.Name] = f
-		vm.fnIx = append(vm.fnIx, f)
+	for i, f := range mod.Funcs {
+		vm.fnByName[f.Name] = i
 	}
 	// Allocation 0 is reserved so that address 0 is NULL.
 	vm.heap = append(vm.heap, allocation{})
+	globals := map[string]int64{}
 	for _, g := range mod.Globals {
 		id := vm.alloc(1)
 		vm.heap[id].data[0] = g.Init
-		vm.globals[g.Name] = int64(id) << offsetBits
+		globals[g.Name] = int64(id) << offsetBits
+	}
+	vm.syms = make([][][]int64, len(mod.Funcs))
+	for fi, f := range mod.Funcs {
+		vm.syms[fi] = make([][]int64, len(f.Blocks))
+		for bi, b := range f.Blocks {
+			syms := make([]int64, len(b.Instrs))
+			for i := range b.Instrs {
+				syms[i] = vm.resolve(&b.Instrs[i], globals)
+			}
+			vm.syms[fi][bi] = syms
+		}
 	}
 	return vm
+}
+
+// resolve gives the syms entry of one instruction.
+func (vm *VM) resolve(in *ir.Instr, globals map[string]int64) int64 {
+	fi, defined := vm.fnByName[in.Sym]
+	switch in.Op {
+	case ir.OpFnAddr:
+		if defined {
+			return fnBase + int64(fi)
+		}
+	case ir.OpGlobalAddr:
+		if addr, ok := globals[in.Sym]; ok {
+			return addr
+		}
+	case ir.OpCall:
+		// Generated event translators are real functions named
+		// __tesla_evt_*; only names with no definition are intrinsics.
+		switch {
+		case strings.HasPrefix(in.Sym, "__tesla") && !defined:
+			return intrinsic(in.Sym)
+		case in.Sym == "print":
+			return callPrint
+		case defined:
+			return int64(fi)
+		}
+	}
+	return unresolved
+}
+
+// intrinsic gives the call kind of a __tesla* callee with no definition.
+func intrinsic(sym string) int64 {
+	switch {
+	case strings.HasPrefix(sym, compiler.SitePseudoFn):
+		return callInert
+	case sym == "__tesla_bound_begin":
+		return callBoundBegin
+	case sym == "__tesla_bound_end":
+		return callBoundEnd
+	case sym == "__tesla_update":
+		return callUpdate
+	case sym == "__tesla_site":
+		return callSite
+	}
+	return callUnknownIntrinsic
 }
 
 // AttachThread wires instrumentation events to a monitor thread and gives
@@ -114,23 +193,25 @@ func (vm *VM) InStack(fn string) bool {
 // Steps returns the number of instructions executed so far.
 func (vm *VM) Steps() int64 { return vm.steps }
 
-// FnAddr returns the function-pointer value for a named function.
-func (vm *VM) FnAddr(name string) (int64, error) {
-	for i, f := range vm.fnIx {
-		if f.Name == name {
-			return fnBase + int64(i), nil
-		}
-	}
-	return 0, fmt.Errorf("vm: unknown function %q", name)
-}
-
 // Run executes the named function with the given arguments.
 func (vm *VM) Run(fn string, args ...int64) (int64, error) {
-	f := vm.fns[fn]
-	if f == nil {
+	fi, ok := vm.fnByName[fn]
+	if !ok {
 		return 0, fmt.Errorf("vm: unknown function %q", fn)
 	}
-	return vm.call(f, args)
+	vm.reserve(vm.sp + len(args))
+	copy(vm.stack[vm.sp:], args)
+	return vm.call(fi, len(args))
+}
+
+// reserve grows the register stack to at least n words. Growing moves it,
+// so a frame re-derives its registers after every call out.
+func (vm *VM) reserve(n int) {
+	if n > len(vm.stack) {
+		grown := make([]int64, max(n, 2*len(vm.stack), 256))
+		copy(grown, vm.stack)
+		vm.stack = grown
+	}
 }
 
 func (vm *VM) alloc(words int) int {
@@ -184,22 +265,35 @@ func (vm *VM) maxSteps() int64 {
 	return DefaultMaxSteps
 }
 
-func (vm *VM) call(f *ir.Func, args []int64) (ret int64, err error) {
+// call runs function fi in a new frame at the top of the register stack,
+// whose first nargs words the caller has filled with the arguments. The
+// frame, its allocas and the stack pointer unwind however it returns.
+func (vm *VM) call(fi, nargs int) (int64, error) {
+	f := vm.fnIx[fi]
 	if len(vm.frames) >= vm.maxDepth {
 		return 0, fmt.Errorf("vm: call depth exceeded in %s", f.Name)
 	}
+	base, mark := vm.sp, len(vm.allocas)
 	vm.frames = append(vm.frames, f.Name)
-	var frameAllocs []int
-	defer func() {
-		vm.frames = vm.frames[:len(vm.frames)-1]
-		for _, id := range frameAllocs {
-			vm.free(id)
-		}
-	}()
+	vm.reserve(base + max(nargs, f.NRegs))
+	if nargs < f.NRegs {
+		clear(vm.stack[base+nargs : base+f.NRegs])
+	}
+	vm.sp = base + f.NRegs
+	ret, err := vm.exec(fi, base)
+	for _, id := range vm.allocas[mark:] {
+		vm.free(id)
+	}
+	vm.allocas = vm.allocas[:mark]
+	vm.frames = vm.frames[:len(vm.frames)-1]
+	vm.sp = base
+	return ret, err
+}
 
-	regs := make([]int64, f.NRegs)
-	copy(regs, args)
-
+// exec interprets function fi on the frame whose registers start at base.
+func (vm *VM) exec(fi, base int) (int64, error) {
+	f, syms := vm.fnIx[fi], vm.syms[fi]
+	regs := vm.stack[base:vm.sp]
 	blk, ip := 0, 0
 	limit := vm.maxSteps()
 	for {
@@ -217,7 +311,7 @@ func (vm *VM) call(f *ir.Func, args []int64) (ret int64, err error) {
 			regs[in.Dst] = in.Imm
 		case ir.OpAlloca:
 			id := vm.alloc(int(in.Imm))
-			frameAllocs = append(frameAllocs, id)
+			vm.allocas = append(vm.allocas, id)
 			regs[in.Dst] = int64(id) << offsetBits
 		case ir.OpAllocHeap:
 			id := vm.alloc(in.Struct.Size())
@@ -265,22 +359,23 @@ func (vm *VM) call(f *ir.Func, args []int64) (ret int64, err error) {
 			}
 			regs[in.Dst] = v
 		case ir.OpFnAddr:
-			v, aerr := vm.FnAddr(in.Sym)
-			if aerr != nil {
-				return 0, aerr
+			v := syms[blk][ip]
+			if v == unresolved {
+				return 0, fmt.Errorf("vm: unknown function %q", in.Sym)
 			}
 			regs[in.Dst] = v
 		case ir.OpGlobalAddr:
-			addr, ok := vm.globals[in.Sym]
-			if !ok {
+			addr := syms[blk][ip]
+			if addr == unresolved {
 				return 0, fmt.Errorf("vm: unknown global %q", in.Sym)
 			}
 			regs[in.Dst] = addr
 		case ir.OpCall:
-			v, cerr := vm.dispatchCall(in, regs)
+			v, cerr := vm.dispatchCall(in, syms[blk][ip], base)
 			if cerr != nil {
 				return 0, cerr
 			}
+			regs = vm.stack[base:vm.sp]
 			regs[in.Dst] = v
 		case ir.OpCallPtr:
 			fp := regs[in.X]
@@ -288,14 +383,11 @@ func (vm *VM) call(f *ir.Func, args []int64) (ret int64, err error) {
 			if idx < 0 || idx >= int64(len(vm.fnIx)) {
 				return 0, fmt.Errorf("vm: %s: indirect call through bad pointer %#x", f.Name, fp)
 			}
-			callArgs := make([]int64, len(in.Args))
-			for i, a := range in.Args {
-				callArgs[i] = regs[a]
-			}
-			v, cerr := vm.call(vm.fnIx[idx], callArgs)
+			v, cerr := vm.callWith(int(idx), in.Args, base)
 			if cerr != nil {
 				return 0, cerr
 			}
+			regs = vm.stack[base:vm.sp]
 			regs[in.Dst] = v
 		case ir.OpBr:
 			blk, ip = in.Blk1, 0
@@ -320,62 +412,59 @@ func (vm *VM) call(f *ir.Func, args []int64) (ret int64, err error) {
 	}
 }
 
-// dispatchCall handles direct calls: user functions, builtins and TESLA
-// intrinsics inserted by the instrumenter.
-func (vm *VM) dispatchCall(in *ir.Instr, regs []int64) (int64, error) {
-	// Generated event translators are real functions named __tesla_evt_*;
-	// only names with no definition are intrinsics.
-	if strings.HasPrefix(in.Sym, "__tesla") && vm.fns[in.Sym] == nil {
-		return vm.teslaIntrinsic(in, regs)
+// callWith calls function fi with the arguments in the given registers of
+// the frame at base.
+func (vm *VM) callWith(fi int, args []int, base int) (int64, error) {
+	vm.reserve(vm.sp + len(args))
+	for i, a := range args {
+		vm.stack[vm.sp+i] = vm.stack[base+a]
 	}
-	switch in.Sym {
-	case "print":
+	return vm.call(fi, len(args))
+}
+
+// dispatchCall handles direct calls, resolved to target by New: user
+// functions, builtins and TESLA intrinsics inserted by the instrumenter.
+func (vm *VM) dispatchCall(in *ir.Instr, target int64, base int) (int64, error) {
+	if target >= 0 {
+		return vm.callWith(int(target), in.Args, base)
+	}
+	switch target {
+	case unresolved:
+		return 0, fmt.Errorf("vm: call to undefined function %q", in.Sym)
+	case callPrint:
 		if vm.Out != nil {
 			vals := make([]interface{}, len(in.Args))
 			for i, a := range in.Args {
-				vals[i] = regs[a]
+				vals[i] = vm.stack[base+a]
 			}
 			fmt.Fprintln(vm.Out, vals...)
 		}
 		return 0, nil
-	}
-	f := vm.fns[in.Sym]
-	if f == nil {
-		return 0, fmt.Errorf("vm: call to undefined function %q", in.Sym)
-	}
-	callArgs := make([]int64, len(in.Args))
-	for i, a := range in.Args {
-		callArgs[i] = regs[a]
-	}
-	return vm.call(f, callArgs)
-}
-
-func (vm *VM) teslaIntrinsic(in *ir.Instr, regs []int64) (int64, error) {
-	// Residual assertion-site pseudo-calls in uninstrumented builds are
-	// inert.
-	if strings.HasPrefix(in.Sym, compiler.SitePseudoFn) {
+	case callInert:
+		// Residual assertion-site pseudo-calls in uninstrumented builds
+		// are inert.
 		return 0, nil
 	}
 	th := vm.Thread
 	if th == nil {
 		return 0, fmt.Errorf("vm: instrumented code (%s) without an attached monitor thread", in.Sym)
 	}
-	vals := make([]core.Value, len(in.Args))
-	for i, a := range in.Args {
-		vals[i] = core.Value(regs[a])
+	vals := vm.vals[:0]
+	for _, a := range in.Args {
+		vals = append(vals, core.Value(vm.stack[base+a]))
 	}
-	switch {
-	case in.Sym == "__tesla_bound_begin":
+	vm.vals = vals
+	switch target {
+	case callBoundBegin:
 		return 0, th.BoundBegin(int(in.Imm))
-	case in.Sym == "__tesla_bound_end":
+	case callBoundEnd:
 		return 0, th.BoundEnd(int(in.Imm))
-	case in.Sym == "__tesla_update":
+	case callUpdate:
 		return 0, th.Deliver(int(in.Imm>>16), int(in.Imm&0xffff), vals...)
-	case in.Sym == "__tesla_site":
+	case callSite:
 		return 0, th.SiteByIndex(int(in.Imm), vals...)
-	default:
-		return 0, fmt.Errorf("vm: unknown TESLA intrinsic %q", in.Sym)
 	}
+	return 0, fmt.Errorf("vm: unknown TESLA intrinsic %q", in.Sym)
 }
 
 // binError is the VM's error for a binary operation ir.EvalBin gives no

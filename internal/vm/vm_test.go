@@ -2,6 +2,7 @@ package vm
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"strings"
 	"testing"
@@ -321,5 +322,134 @@ int main(int i) {
 	prog := compile(t, src).Program
 	if _, err := New(prog).Run("main", 99999); err == nil {
 		t.Fatal("out-of-range index must be a VM error")
+	}
+}
+
+// TestUnresolvedSymbolsFailOnlyWhenReached: New resolves every symbol the
+// code names, but a missing function, function address, global or
+// intrinsic is an error only on the branch that reaches it, with the same
+// text as when the VM looked it up at each execution.
+func TestUnresolvedSymbolsFailOnlyWhenReached(t *testing.T) {
+	cases := []struct {
+		in   ir.Instr
+		want string
+	}{
+		{ir.Instr{Op: ir.OpCall, Dst: 1, Sym: "missing_fn"}, `vm: call to undefined function "missing_fn"`},
+		{ir.Instr{Op: ir.OpFnAddr, Dst: 1, Sym: "missing_fn"}, `vm: unknown function "missing_fn"`},
+		{ir.Instr{Op: ir.OpGlobalAddr, Dst: 1, Sym: "missing_global"}, `vm: unknown global "missing_global"`},
+		{ir.Instr{Op: ir.OpCall, Dst: 1, Sym: "__tesla_bogus"}, "vm: instrumented code (__tesla_bogus) without an attached monitor thread"},
+	}
+	for _, c := range cases {
+		// main(a): if a { <instruction>; return 1 } return 7
+		mod := &ir.Module{Name: "m", Funcs: []*ir.Func{{Name: "main", NParams: 1, NRegs: 2, Blocks: []*ir.Block{
+			{Name: "entry", Instrs: []ir.Instr{{Op: ir.OpCondBr, X: 0, Blk1: 1, Blk2: 2}}},
+			{Name: "taken", Instrs: []ir.Instr{c.in, {Op: ir.OpConst, Dst: 1, Imm: 1}, {Op: ir.OpRet, X: 1, HasX: true}}},
+			{Name: "untaken", Instrs: []ir.Instr{{Op: ir.OpConst, Dst: 1, Imm: 7}, {Op: ir.OpRet, X: 1, HasX: true}}},
+		}}}}
+		vm := New(mod)
+		if got, err := vm.Run("main", 0); err != nil || got != 7 {
+			t.Errorf("%s: untaken branch: got %d, %v; want 7, nil", c.in.Sym, got, err)
+		}
+		if _, err := vm.Run("main", 1); err == nil || err.Error() != c.want {
+			t.Errorf("%s: taken branch: err = %v, want %q", c.in.Sym, err, c.want)
+		}
+	}
+}
+
+// TestRegisterStackGrowth: every frame's registers live on one stack that
+// a deep call reallocates, so a frame must re-derive its registers after
+// each call out. Each level of deep makes a second call after the first
+// returns, with an argument computed after it, and keeps eight locals
+// live across both.
+func TestRegisterStackGrowth(t *testing.T) {
+	src := `
+int leaf(int x) { return x; }
+int deep(int n) {
+	if (n == 0) { return 0; }
+	int a = n * 2;
+	int b = n * 3;
+	int c = n * 5;
+	int d = n * 7;
+	int e = a + b;
+	int f = c + d;
+	int g = e - f;
+	int h = g + 9 * n;
+	int r = deep(n - 1);
+	int s = leaf(n + a);
+	return r + s + b + c + d + e + f + h;
+}
+`
+	vm := New(compile(t, src).Program)
+	for _, n := range []int64{1, 10, 3000, 3000} {
+		// s = 3n, h = 2n: deep(n) = deep(n-1) + (3+3+5+7+5+12+2)n = deep(n-1) + 37n.
+		want := 37 * n * (n + 1) / 2
+		got, err := vm.Run("deep", n)
+		if err != nil || got != want {
+			t.Fatalf("deep(%d) = %d, %v; want %d", n, got, err, want)
+		}
+	}
+	if grown := len(vm.stack); grown < 256<<4 {
+		t.Fatalf("register stack is %d words; the test wants at least four reallocations", grown)
+	}
+	if vm.sp != 0 {
+		t.Fatalf("stack pointer %d after the last run returned", vm.sp)
+	}
+}
+
+// TestErrorLeavesVMReusable: an error raised inside nested calls with
+// allocas unwinds every frame, so the same VM runs again correctly. After
+// each error the call stack, register stack and alloca stack are empty,
+// and the heap stays the same size over 100 rounds of every error kind.
+func TestErrorLeavesVMReusable(t *testing.T) {
+	src := `
+struct s { int v; };
+int rec(int n) { int m = n + 1; return rec(m); }
+int fail(int kind) {
+	int local = kind * 3;
+	if (kind == 1) { return local / (kind - 1); }
+	if (kind == 2) { struct s *q = 0; return q->v; }
+	if (kind == 3) { int r = kind(1); return r; }
+	if (kind == 4) { while (1) { local++; } }
+	if (kind == 5) { return rec(local); }
+	return local;
+}
+int outer(int kind) {
+	int a = kind + 1;
+	int r = fail(kind);
+	return r + a;
+}
+int main(int kind) { int b = kind; return outer(b) + 1; }
+`
+	vm := New(compile(t, src).Program)
+	vm.maxDepth = 200
+	wants := []string{1: "division by zero", 2: "invalid load", 3: "bad pointer", 4: ErrMaxSteps.Error(), 5: "call depth exceeded"}
+	heap := -1
+	for round := 0; round < 100; round++ {
+		for kind := int64(1); kind <= 5; kind++ {
+			if kind == 4 {
+				vm.MaxSteps = vm.Steps() + 5_000
+			}
+			_, err := vm.Run("main", kind)
+			vm.MaxSteps = 0
+			if kind == 4 && !errors.Is(err, ErrMaxSteps) || kind != 4 && (err == nil || !strings.Contains(err.Error(), wants[kind])) {
+				t.Fatalf("round %d kind %d: err = %v, want %q", round, kind, err, wants[kind])
+			}
+			for _, fn := range []string{"main", "outer", "fail", "rec"} {
+				if vm.InStack(fn) {
+					t.Fatalf("round %d kind %d: %s still on the call stack", round, kind, fn)
+				}
+			}
+			if vm.sp != 0 || len(vm.allocas) != 0 {
+				t.Fatalf("round %d kind %d: stack pointer %d, %d allocas left", round, kind, vm.sp, len(vm.allocas))
+			}
+			if got, err := vm.Run("main", 7); err != nil || got != 30 {
+				t.Fatalf("round %d after kind %d: main(7) = %d, %v; want 30", round, kind, got, err)
+			}
+		}
+		if heap < 0 {
+			heap = len(vm.heap)
+		} else if len(vm.heap) != heap {
+			t.Fatalf("round %d: heap holds %d allocations, %d after the first round", round, len(vm.heap), heap)
+		}
 	}
 }
