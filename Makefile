@@ -212,18 +212,20 @@ compile-gate:
 # refuses to close the accounting with a degraded bye.
 crash-gate: build
 	$(GO) test -count=1 ./internal/trace -run 'TestSpool'
-	$(GO) test -count=1 ./internal/agg -run 'TestCrashSchedules|TestSnapshot|TestDurableAcks|TestResendDeduplicated|TestResendSpool'
+	$(GO) test -count=1 ./internal/agg -run 'TestCrashSchedules|TestSnapshot|TestDurableAcks|TestResendDeduplicated|TestResendSpool|TestSpoolFaultResentFromMemory'
 	$(GO) test -count=1 ./cmd/tesla-agg -run 'TestCrashGate'
 
 # Allocation gate: the steady-state trace path from recorder to fleet
 # store reuses its memory. UpdateBatch allocates nothing on the slot array
-# or the striped store; a trace.Flusher flush (cut, merge and encode
+# or the striped store, also with garbage collections between batches; a trace.Flusher flush (cut, merge and encode
 # straight from the rings) allocates nothing at 100 events or at 4000, and
 # a recorder with one thread tapped allocates no more than its two rings of
 # 144-byte slots and 64 KiB; a Publisher flush (cut, encode, send, server apply,
 # ack) and an IngestFrame of a fleet-shaped frame (program events with
 # values and an instack list, lifecycle events, one failure) cost as many
-# allocations for 2000 events as for 100. Re-encoding a linked program into a reused buffer allocates at
+# allocations for 2000 events as for 100. A spooled client whose server
+# holds acks back keeps no payload of a written frame, and its Publisher
+# flush allocates about as many bytes for 2000 events as for 100. Re-encoding a linked program into a reused buffer allocates at
 # most once, and a built node encodes into the scheduler's pooled buffer:
 # the largest corpus program's link node, given a dependent so its hash is
 # needed, allocates no more than a one-instruction module's; an instrument
@@ -239,7 +241,7 @@ crash-gate: build
 # `make test`.
 alloc-gate:
 	$(GO) test -count=1 ./internal/core -run '^TestUpdateBatchAllocs$$'
-	$(GO) test -count=1 ./internal/agg -run '^(TestIngestFrameAllocs|TestPublisherFlushAllocs)$$'
+	$(GO) test -count=1 ./internal/agg -run '^(TestIngestFrameAllocs|TestPublisherFlushAllocs|TestSpooledClientMemoryBound)$$'
 	$(GO) test -count=1 ./internal/build -run '^(TestEncodeModuleAllocs|TestInstrumentUntouchedAllocs)$$'
 	$(GO) test -count=1 ./internal/monitor -run '^TestNameDrivenAllocs$$'
 	$(GO) test -count=1 ./internal/trace -run '^(TestRecorderTapAllocs|TestFlusherSteadyAllocs|TestRecorderFootprint)$$'

@@ -171,7 +171,6 @@ int main(int n) { return run(n); }
 			if err != nil {
 				b.Fatal(err)
 			}
-			rt.VM.MaxSteps = 1 << 62 // the step budget counts across all of the VM's runs
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := rt.VM.Run("main", 50); err != nil {
@@ -217,7 +216,6 @@ int main(int n) { return work(n); }
 			if err != nil {
 				b.Fatal(err)
 			}
-			rt.VM.MaxSteps = 1 << 62 // the step budget counts across all of the VM's runs
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -105,3 +105,89 @@ func TestPublisherFlushAllocs(t *testing.T) {
 		t.Fatalf("Publisher.Flush allocations grow with the delta: %.2f per flush at 100 events, %.2f at 2000", small, large)
 	}
 }
+
+// TestSpooledClientMemoryBound: with a spool, the spool is the client's
+// retransmission window. The server holds every ack back (durable mode,
+// no snapshot), so all 200 frames stay unacked, yet none of them keeps
+// its payload once written, and a 2000-event Publisher flush allocates
+// about as many bytes as a 100-event one: the delta is copied into a
+// recycled buffer, not a payload of its own. Each cycle waits until the
+// server has applied its frame, so the asynchronous work lands inside the
+// cycle that caused it.
+func TestSpooledClientMemoryBound(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	srv, sock := startServer(t, ServerOpts{})
+	srv.store.SetDurable(true)
+	spool, err := trace.OpenSpool(t.TempDir(), trace.SpoolOpts{Sync: trace.SpoolSyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := Dial(sock, ClientOpts{Tool: "alloc-test", Process: "spooled", Spool: spool})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	rec := trace.NewRecorder(nil, 1<<12)
+	pub := NewPublisher(rec, c)
+	cls := &core.Class{Name: "lock"}
+	inst := &core.Instance{Key: core.AnyKey.Set(0, 1)}
+
+	var frames uint64
+	cycle := func(n int) {
+		for i := 0; i < n; i++ {
+			rec.Transition(cls, inst, 0, 1, "acquire")
+		}
+		if err := pub.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		frames++
+		deadline := time.Now().Add(5 * time.Second)
+		for {
+			srv.store.mu.Lock()
+			applied := srv.store.proc("spooled").appliedSeq
+			srv.store.mu.Unlock()
+			if applied >= frames {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("frame %d never applied", frames)
+			}
+			time.Sleep(100 * time.Microsecond)
+		}
+	}
+	const rounds = 98
+	perFlush := func(n int) float64 {
+		cycle(n) // warm up: buffers grow to this delta size once
+		cycle(n)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < rounds; i++ {
+			cycle(n)
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / rounds
+	}
+	small, large := perFlush(100), perFlush(2000)
+
+	c.mu.Lock()
+	unacked, kept := len(c.unacked), 0
+	for _, f := range c.unacked {
+		if f.payload != nil || f.buf != nil {
+			kept++
+		}
+	}
+	c.mu.Unlock()
+	var payload int
+	spool.Range(func(p []byte) error { payload = len(p); return nil })
+	t.Logf("spooled Publisher.Flush: %.0f B per flush at 100 events, %.0f B at 2000 (payload %d B); %d frames unacked, %d keep a payload",
+		small, large, payload, unacked, kept)
+	if unacked != int(frames) || frames != 2*(rounds+2) {
+		t.Fatalf("%d of %d frames unacked: the server acked under durable mode", unacked, frames)
+	}
+	if kept != 0 {
+		t.Fatalf("%d of %d written spooled frames keep their payload in memory", kept, unacked)
+	}
+	if large-small >= float64(payload)/4 {
+		t.Fatalf("spooled Publisher.Flush bytes grow with the delta: %.0f B per flush at 100 events, %.0f B at 2000 (payload %d B)", small, large, payload)
+	}
+}

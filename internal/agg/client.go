@@ -35,9 +35,16 @@ import (
 // With ClientOpts.Spool set, every trace frame is write-ahead-logged to
 // disk before it is queued, and frames the bounded buffer cannot hold
 // overflow to the spool instead of being dropped (the writer reads them
-// back in order once the queue drains). A producer crash then loses
-// nothing durable: `tesla-agg resend` replays the spool and closes the
-// accounting the crash left open.
+// back in order once the queue drains). The spool is then also the
+// retransmission window: once a spooled frame is written, the client keeps
+// only its sequence number and event count, and a reconnect reads its
+// bytes back from the spool. Its payload buffer returns to a small free
+// list that the next frames are encoded into, so a spooled client holds
+// O(Buffer) payloads however long the server takes to ack. A frame whose
+// append failed, and every frame of an unspooled client, keeps its payload
+// in memory until acked. A producer crash loses nothing durable:
+// `tesla-agg resend` replays the spool and closes the accounting the crash
+// left open.
 type Client struct {
 	opts ClientOpts
 	addr string
@@ -46,9 +53,13 @@ type Client struct {
 	cond *sync.Cond
 	// queue holds unsent frames, in order. unacked holds sequenced
 	// frames that were written to some connection but not yet covered by
-	// an ack watermark; a reconnect resends them before anything newer.
+	// an ack watermark, in sequence order; a reconnect resends them before
+	// anything newer.
 	queue   []wireFrame
 	unacked []wireFrame
+	// free holds payload buffers of spooled frames that were written,
+	// dropped or overflowed, for the next frames to be encoded into.
+	free    chan []byte
 	nextSeq uint64 // last sequence assigned
 	acked   uint64 // highest server-acked sequence
 	// loadedSeq is the highest sequence handed toward the wire (queued
@@ -137,10 +148,20 @@ func (s ClientStats) Degraded() bool { return s.DroppedFrames|s.DroppedEvents !=
 
 type wireFrame struct {
 	kind    byte
-	payload []byte
-	events  uint64
-	seq     uint64 // 0 for unsequenced (health) frames
+	payload []byte // nil in unacked once the spool alone holds the frame
+	// buf is set for a frame the spool holds: the client-owned allocation
+	// payload is a suffix of, which goes back to the free list once the
+	// frame is written or dropped. Frames without one keep their payload.
+	buf    []byte
+	events uint64
+	seq    uint64 // 0 for unsequenced (health) frames
 }
+
+// freeFrames is how many payload buffers a client keeps for reuse. A
+// steady producer needs one or two — the writer sends a frame long before
+// the next flush — and a few more absorb a short burst; frames beyond them
+// are garbage collected as before.
+const freeFrames = 4
 
 // Dial connects to a tesla-agg server and completes the handshake
 // synchronously, so version rejections surface immediately as errors
@@ -171,7 +192,7 @@ func connect(addr string, opts ClientOpts) (*Client, net.Conn, uint64, error) {
 	if opts.backoff <= 0 {
 		opts.backoff = 50 * time.Millisecond
 	}
-	c := &Client{opts: opts, addr: addr, done: make(chan struct{})}
+	c := &Client{opts: opts, addr: addr, done: make(chan struct{}), free: make(chan []byte, freeFrames)}
 	c.cond = sync.NewCond(&c.mu)
 	conn, ack, err := dialHandshake(addr, Hello{
 		Proto: ProtoVersion, Codec: trace.Version,
@@ -234,7 +255,7 @@ func dialHandshake(addr string, hello Hello, wrap func(net.Conn) net.Conn) (net.
 // once, straight into the payload that is queued, resent and spooled.
 func (c *Client) SendTrace(tr *trace.Trace) error {
 	n := len(tr.Events)
-	buf := trace.AppendBinary(seqBody(make([]byte, 0, seqRoom+256+n*int(c.perEvent.Load())), uint64(n)), tr)
+	buf := trace.AppendBinary(seqBody(c.frameBuf(seqRoom+256+n*int(c.perEvent.Load())), uint64(n)), tr)
 	if n >= 64 {
 		// Size the next payload from this one, so an encode normally fills
 		// its allocation without regrowing it.
@@ -247,8 +268,32 @@ func (c *Client) SendTrace(tr *trace.Trace) error {
 // encoding of a cut of events events, which the flusher overwrites on its
 // next cut, so it is copied once into a payload of its own.
 func (c *Client) sendEncoded(delta []byte, events, dropped uint64) error {
-	buf := seqBody(make([]byte, 0, seqRoom+binary.MaxVarintLen64+len(delta)), events)
+	buf := seqBody(c.frameBuf(seqRoom+binary.MaxVarintLen64+len(delta)), events)
 	return c.sendBody(append(buf, delta...), events, dropped)
+}
+
+// frameBuf returns an empty buffer to encode a payload into: a recycled
+// one when the free list has one (appends grow it if it is short, and the
+// grown buffer is what comes back), else a new one of capacity n.
+func (c *Client) frameBuf(n int) []byte {
+	select {
+	case b := <-c.free:
+		return b
+	default:
+		return make([]byte, 0, n)
+	}
+}
+
+// recycle puts a frame buffer that nothing references any more on the
+// free list, unless the list is full or the buffer is oversized.
+func (c *Client) recycle(b []byte) {
+	if b = reusable(b); b == nil {
+		return
+	}
+	select {
+	case c.free <- b[:0]:
+	default:
+	}
 }
 
 // sendBody is the one send path behind SendTrace and sendEncoded: buf is a
@@ -279,17 +324,23 @@ func (c *Client) sendBody(buf []byte, events, dropped uint64) error {
 	}
 	switch {
 	case !c.spoolBehind && len(c.queue) < c.opts.Buffer:
-		c.queue = append(c.queue, wireFrame{kind: FrameSeqTrace, payload: payload, events: events, seq: seq})
+		f := wireFrame{kind: FrameSeqTrace, payload: payload, events: events, seq: seq}
+		if spooled {
+			f.buf = buf
+		}
+		c.queue = append(c.queue, f)
 		c.loadedSeq = seq
 		c.cond.Signal()
 	case spooled:
 		// Overflow to disk: the writer reads it back, in order, once the
 		// memory queue drains. Memory stays bounded; nothing is lost.
 		c.spoolBehind = true
+		c.recycle(buf)
 		c.cond.Signal()
 	default:
 		c.droppedFrames.Add(1)
 		c.droppedEvents.Add(events)
+		c.recycle(buf)
 	}
 	c.mu.Unlock()
 	return nil
@@ -434,16 +485,18 @@ func (c *Client) reloadLocked() {
 		if err != nil || seq <= after {
 			return nil
 		}
-		c.queue = append(c.queue, wireFrame{
-			kind:    FrameSeqTrace,
-			payload: append([]byte(nil), payload...),
-			events:  events,
-			seq:     seq,
-		})
+		c.queue = append(c.queue, c.spooledFrame(payload, seq, events))
 		c.loadedSeq = seq
 		loaded++
 		return nil
 	})
+}
+
+// spooledFrame copies a payload read back from the spool, valid only
+// during its Range call, into a free-list buffer of the client's.
+func (c *Client) spooledFrame(payload []byte, seq, events uint64) wireFrame {
+	buf := append(c.frameBuf(len(payload)), payload...)
+	return wireFrame{kind: FrameSeqTrace, payload: buf, buf: buf, events: events, seq: seq}
 }
 
 var errStopRange = fmt.Errorf("agg: stop spool range")
@@ -499,28 +552,79 @@ func (c *Client) sendFrame(st *connState, f wireFrame) bool {
 }
 
 // resendUnacked replays every sent-but-unacked frame on a fresh
-// connection, oldest first, before anything newer is written.
+// connection, oldest first, before anything newer is written. It goes
+// Buffer frames at a time: a frame that kept its payload is written from
+// memory, one the spool holds is read back from the spool first, so a
+// resend holds no more spooled payloads than a full queue does.
 func (c *Client) resendUnacked(st *connState) bool {
-	c.mu.Lock()
-	pending := make([]wireFrame, 0, len(c.unacked))
-	for _, f := range c.unacked {
-		if f.seq > c.acked {
-			pending = append(pending, f)
+	var after uint64
+	for {
+		c.mu.Lock()
+		after = max(after, c.acked)
+		var pending []wireFrame
+		for _, f := range c.unacked {
+			if f.seq > after && len(pending) < c.opts.Buffer {
+				pending = append(pending, f)
+			}
 		}
-	}
-	c.mu.Unlock()
-	for _, f := range pending {
-		if err := st.fw.Frame(f.kind, f.payload); err != nil {
+		c.mu.Unlock()
+		if len(pending) == 0 {
+			return true
+		}
+		ok := c.readSpooled(pending)
+		for _, f := range pending {
+			if ok && st.fw.Frame(f.kind, f.payload) != nil {
+				ok = false
+			}
+			c.recycle(f.buf)
+		}
+		if !ok {
 			st.fail()
 			return false
 		}
+		after = pending[len(pending)-1].seq
 	}
-	return true
+}
+
+// readSpooled fills in, from the spool, the payload of every frame in fs
+// (in sequence order) that only the spool holds. It reports false when
+// the spool does not yield one of them: that frame cannot be resent, so
+// the connection must not carry anything newer.
+func (c *Client) readSpooled(fs []wireFrame) bool {
+	i := 0
+	next := func() {
+		for i < len(fs) && fs[i].payload != nil {
+			i++
+		}
+	}
+	if next(); i == len(fs) {
+		return true
+	}
+	c.opts.Spool.Range(func(payload []byte) error {
+		seq, events, _, err := SeqTraceInfo(payload)
+		if err != nil || seq < fs[i].seq {
+			return nil
+		}
+		if seq > fs[i].seq {
+			return errStopRange // fs[i] is missing from the spool
+		}
+		fs[i] = c.spooledFrame(payload, seq, events)
+		if next(); i == len(fs) {
+			return errStopRange
+		}
+		return nil
+	})
+	return i == len(fs)
 }
 
 // retainUnacked records a successfully written sequenced frame for
-// resend-until-acked.
+// resend-until-acked. A frame the spool holds is kept without its
+// payload, whose buffer goes back to the free list.
 func (c *Client) retainUnacked(f wireFrame) {
+	if f.buf != nil {
+		c.recycle(f.buf)
+		f.payload, f.buf = nil, nil
+	}
 	if f.seq == 0 {
 		return
 	}
@@ -563,6 +667,7 @@ func (c *Client) writer(conn net.Conn) {
 		}
 		c.droppedFrames.Add(1)
 		c.droppedEvents.Add(f.events)
+		c.recycle(f.buf)
 		if c.resumed {
 			return
 		}

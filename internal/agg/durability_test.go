@@ -1,7 +1,9 @@
 package agg
 
 import (
+	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math/rand"
 	"net"
@@ -115,6 +117,140 @@ func TestResendDeduplicated(t *testing.T) {
 	}
 	if ps.DupFrames == 0 {
 		t.Fatalf("expected the resend to be observed as a dedup, got %+v", ps)
+	}
+	if ps.Events+ps.DroppedEvents != ps.SentEvents {
+		t.Fatalf("accounting leak: %d + %d != %d", ps.Events, ps.DroppedEvents, ps.SentEvents)
+	}
+}
+
+// seqTap counts, per sequence number, the trace frames written to a
+// connection without error; the client's FrameWriter hands it one whole
+// frame per Write.
+type seqTap struct {
+	net.Conn
+	mu     *sync.Mutex
+	writes map[uint64]int
+}
+
+func (s *seqTap) Write(b []byte) (int, error) {
+	n, err := s.Conn.Write(b)
+	if err == nil && len(b) > 0 && b[0] == FrameSeqTrace {
+		_, k := binary.Uvarint(b[1:])
+		if seq, _, _, serr := SeqTraceInfo(b[1+k:]); serr == nil {
+			s.mu.Lock()
+			s.writes[seq]++
+			s.mu.Unlock()
+		}
+	}
+	return n, err
+}
+
+// TestSpoolFaultResentFromMemory: a frame whose write-ahead append failed
+// is not in the spool, so the client keeps its payload once it is written
+// and a reconnect resends it from memory, in order among the frames it
+// reads back from the spool. The server holds every ack back (durable
+// mode, no snapshot), so the reset finds all frames unacked: each is
+// resent exactly once, the server ingests every event once, and
+// ingested + dropped == sent.
+func TestSpoolFaultResentFromMemory(t *testing.T) {
+	srv, sock := startServer(t, ServerOpts{})
+	srv.store.SetDurable(true)
+	const faulted = 3
+	var appends atomic.Int32
+	spool, err := trace.OpenSpool(t.TempDir(), trace.SpoolOpts{
+		Sync: trace.SpoolSyncNone,
+		WriteFault: func(int) error {
+			if appends.Add(1) == faulted {
+				return errors.New("injected: spool write failed")
+			}
+			return nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	writes := map[uint64]int{}
+	var conns []net.Conn
+	c, err := Dial(sock, ClientOpts{
+		Tool: "t", Process: "faulty", Spool: spool, backoff: 5 * time.Millisecond,
+		wrapConn: func(conn net.Conn) net.Conn {
+			mu.Lock()
+			defer mu.Unlock()
+			conns = append(conns, conn)
+			return &seqTap{Conn: conn, mu: &mu, writes: writes}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	applied := func() uint64 {
+		srv.store.mu.Lock()
+		defer srv.store.mu.Unlock()
+		return srv.store.proc("faulty").appliedSeq
+	}
+	const before, after, per = 6, 2, 16
+	for i := 0; i < before; i++ {
+		if err := c.SendTrace(producerTrace(uint64(i*100), per)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, "first frames applied", func() bool { return applied() == before })
+	c.mu.Lock()
+	if len(c.unacked) != before {
+		c.mu.Unlock()
+		t.Fatalf("%d unacked frames, want %d: the server acked under durable mode", len(c.unacked), before)
+	}
+	for _, f := range c.unacked {
+		if memory := f.seq == faulted; (f.payload != nil) != memory {
+			c.mu.Unlock()
+			t.Fatalf("unacked frame %d keeps a payload: %v, want %v", f.seq, f.payload != nil, memory)
+		}
+	}
+	c.mu.Unlock()
+
+	// Reset the connection; the next frame's write finds it dead.
+	mu.Lock()
+	for _, cn := range conns {
+		cn.Close()
+	}
+	mu.Unlock()
+	for i := before; i < before+after; i++ {
+		if err := c.SendTrace(producerTrace(uint64(i*100), per)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st := c.Stats()
+	if st.SpoolFaults != 1 || st.Reconnects == 0 {
+		t.Fatalf("stats %+v: want one spool fault and a reconnect", st)
+	}
+	mu.Lock()
+	for seq := uint64(1); seq <= before+after; seq++ {
+		want := 1
+		if seq <= before {
+			want = 2 // written, then resent after the reset
+		}
+		if writes[seq] != want {
+			mu.Unlock()
+			t.Fatalf("frame %d written %d times, want %d (writes %v)", seq, writes[seq], want, writes)
+		}
+	}
+	mu.Unlock()
+	var ps ProducerStat
+	waitFor(t, "faulty accounted", func() bool {
+		for _, p := range srv.store.Fleet().Producers {
+			if p.Process == "faulty" && p.Clean {
+				ps = p
+				return true
+			}
+		}
+		return false
+	})
+	if ps.Events != (before+after)*per || ps.DupFrames != before {
+		t.Fatalf("ingested %d events with %d duplicate frames, want %d and %d", ps.Events, ps.DupFrames, (before+after)*per, before)
 	}
 	if ps.Events+ps.DroppedEvents != ps.SentEvents {
 		t.Fatalf("accounting leak: %d + %d != %d", ps.Events, ps.DroppedEvents, ps.SentEvents)

@@ -2,7 +2,10 @@
 
 package core
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+)
 
 // Allocation regressions for the batched event plane. The file is excluded
 // under -race, where sync.Pool drops items at random, so a pooled buffer
@@ -21,14 +24,19 @@ func (c *noteCounter) Accept(*Class, *Instance)                             { c.
 
 // TestUpdateBatchAllocs: in steady state UpdateBatch allocates nothing, on
 // the per-thread slot array and on the striped global store, even though
-// each batch's notifications spill far past a noteBuf's inline array.
+// each batch's notifications spill far past a noteBuf's inline array —
+// also when garbage collections run between batches, as they do in a
+// long-lived producer: two collections empty a sync.Pool.
 func TestUpdateBatchAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		opts StoreOpts
+		gc   bool // collect twice before every batch
 	}{
-		{"slots", StoreOpts{Context: PerThread}},
-		{"striped", StoreOpts{Context: Global, Shards: 4}},
+		{"slots", StoreOpts{Context: PerThread}, false},
+		{"striped", StoreOpts{Context: Global, Shards: 4}, false},
+		{"slots-gc", StoreOpts{Context: PerThread}, true},
+		{"striped-gc", StoreOpts{Context: Global, Shards: 4}, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			h := &noteCounter{}
@@ -56,6 +64,10 @@ func TestUpdateBatchAllocs(t *testing.T) {
 			ops = append(ops, BatchOp{Plan: exit, Key: AnyKey})
 
 			run := func() {
+				if tc.gc {
+					runtime.GC()
+					runtime.GC()
+				}
 				if err := s.UpdateBatch(ops); err != nil {
 					t.Fatal(err)
 				}

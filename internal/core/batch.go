@@ -33,7 +33,7 @@ func (s *Store) UpdateBatch(ops []BatchOp) error {
 	if len(ops) == 0 {
 		return nil
 	}
-	nb := s.notes()
+	nb := s.batchNotes()
 	var firstErr error
 	if s.nshards > 0 {
 		firstErr = s.updateBatchSharded(ops, nb)
@@ -45,7 +45,7 @@ func (s *Store) UpdateBatch(ops []BatchOp) error {
 			}
 		}
 	}
-	s.release(nb)
+	s.release(nb, true)
 	return firstErr
 }
 

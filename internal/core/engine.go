@@ -21,16 +21,17 @@ import "sync"
 // array is several KB and escapes into the handler interface, so a fresh one
 // per event would be heap-allocated; at millions of events per second that
 // allocation — and the GC work of scanning it — is a large share of the
-// per-event cost. UpdateStatePlan and UpdateBatch draw buffers from this
-// pool instead, and a batch's spill slice keeps its capacity across uses,
-// so the steady-state event path — synchronous or batched — allocates
-// nothing. Safe because notes are delivered to handlers by pointer valid
+// per-event cost. UpdateStatePlan draws buffers from this pool instead;
+// UpdateBatch draws from its store's batchFree list, where a batch's spill
+// slice keeps its capacity across uses and garbage collections. So the
+// steady-state event path — synchronous or batched — allocates nothing.
+// Safe because notes are delivered to handlers by pointer valid
 // only for the duration of the callback (supervise.go: instances are copied
 // because slots may be reused once the locks drop — the same contract
 // covers the buffer itself).
 var notePool = sync.Pool{New: func() any { return new(noteBuf) }}
 
-// noteSpillKeep caps the spill capacity, in notes, that a pooled noteBuf
+// noteSpillKeep caps the spill capacity, in notes, that a recycled noteBuf
 // keeps across uses: a steady batch size reuses its spill, but one burst
 // must not pin its peak in the pool.
 const noteSpillKeep = 1024

@@ -97,6 +97,12 @@ type Store struct {
 	notesDropped atomic.Uint64
 	panicMu      sync.Mutex
 	panicBy      map[string]uint64
+
+	// batchFree recycles UpdateBatch's notification buffers, whose spills
+	// grow to a few hundred KB. They are the store's own, not notePool's:
+	// a sync.Pool drops what two garbage collections find unused, and a
+	// long-lived producer would regrow a spill after every such drop.
+	batchFree chan *noteBuf
 }
 
 // classTable is one registration snapshot: the classes by identity and in
@@ -150,7 +156,8 @@ func NewStoreOpts(o StoreOpts) *Store {
 		o.Handler = NopHandler{}
 	}
 	_, quiet := o.Handler.(NopHandler)
-	s := &Store{handler: o.Handler, quiet: quiet}
+	// One buffer per processor that can be inside UpdateBatch at once.
+	s := &Store{handler: o.Handler, quiet: quiet, batchFree: make(chan *noteBuf, runtime.GOMAXPROCS(0))}
 	s.sv.init(o)
 	s.tab.Store(&classTable{})
 	if o.Context == Global {

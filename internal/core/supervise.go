@@ -457,15 +457,37 @@ func (s *Store) notes() *noteBuf {
 	return notePool.Get().(*noteBuf)
 }
 
+// batchNotes is notes for UpdateBatch: the buffer comes from the store's
+// batchFree list, so a batch's spill outlives garbage collections.
+func (s *Store) batchNotes() *noteBuf {
+	if s.quiet {
+		return nil
+	}
+	select {
+	case nb := <-s.batchFree:
+		return nb
+	default:
+		return new(noteBuf)
+	}
+}
+
 // release dispatches an event's buffered notes and returns the buffer to
-// the pool; a nil buffer (a quiet store's) has nothing to release.
-func (s *Store) release(nb *noteBuf) {
+// the pool, or a batchNotes buffer to batchFree; a nil buffer (a quiet
+// store's) has nothing to release.
+func (s *Store) release(nb *noteBuf, batch bool) {
 	if nb == nil {
 		return
 	}
 	s.dispatch(nb)
 	nb.reset()
-	notePool.Put(nb)
+	if !batch {
+		notePool.Put(nb)
+		return
+	}
+	select {
+	case s.batchFree <- nb:
+	default:
+	}
 }
 
 // dispatch delivers the buffered notifications to the store's handler,

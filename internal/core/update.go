@@ -39,7 +39,7 @@ func (s *Store) UpdateStatePlan(p *SymbolPlan, key Key) error {
 	} else {
 		err = s.updateSlots(c, p, key, nb)
 	}
-	s.release(nb)
+	s.release(nb, false)
 	return err
 }
 

@@ -377,7 +377,10 @@ func (fr *FrameReader) Next() (kind byte, payload []byte, err error) {
 
 // NextInto is Next reading the payload into buf's backing array when it
 // is large enough, so a reader that gets each payload back once it is
-// done with it reads a stream of frames without a buffer per frame.
+// done with it reads a stream of frames without a buffer per frame. A
+// buf too small for the frame is replaced by one at least twice its
+// capacity, so a stream of slowly growing frames reallocates a recycled
+// buffer a logarithmic number of times, not once per larger frame.
 func (fr *FrameReader) NextInto(buf []byte) (kind byte, payload []byte, err error) {
 	kind, err = fr.r.ReadByte()
 	if err != nil {
@@ -391,7 +394,7 @@ func (fr *FrameReader) NextInto(buf []byte) (kind byte, payload []byte, err erro
 		return 0, nil, fmt.Errorf("trace: implausible frame length %d", n)
 	}
 	if buf == nil || uint64(cap(buf)) < n {
-		buf = make([]byte, n)
+		buf = make([]byte, n, min(max(int(n), 2*cap(buf)), MaxFramePayload))
 	}
 	payload = buf[:n]
 	if _, err := io.ReadFull(fr.r, payload); err != nil {

@@ -124,6 +124,43 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 }
 
+// TestNextIntoGrowsGeometrically: a reader that hands every payload back
+// to NextInto reads frames that grow a little each time into a buffer it
+// replaces only a few times, each time at least doubling it, and every
+// payload still reads back intact.
+func TestNextIntoGrowsGeometrically(t *testing.T) {
+	var stream bytes.Buffer
+	fw := NewFrameWriter(&stream)
+	const frames, first, step = 200, 1000, 40 // 1000 B growing to 8960 B
+	for i := 0; i < frames; i++ {
+		if err := fw.Frame(byte(i), bytes.Repeat([]byte{byte(i)}, first+i*step)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fr := NewFrameReader(&stream)
+	buf := make([]byte, 0, first)
+	grown := 0
+	for i := 0; i < frames; i++ {
+		kind, payload, err := fr.NextInto(buf)
+		if err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+		if kind != byte(i) || !bytes.Equal(payload, bytes.Repeat([]byte{byte(i)}, first+i*step)) {
+			t.Fatalf("frame %d: kind %d, %d bytes, not the frame written", i, kind, len(payload))
+		}
+		if cap(payload) != cap(buf) {
+			if cap(payload) < 2*cap(buf) {
+				t.Fatalf("frame %d: buffer grew from %d to %d bytes, want at least double", i, cap(buf), cap(payload))
+			}
+			grown++
+		}
+		buf = payload
+	}
+	if grown > 4 {
+		t.Fatalf("the buffer was replaced %d times for frames growing from %d to %d bytes", grown, first, first+(frames-1)*step)
+	}
+}
+
 // TestFrameReaderTruncation distinguishes the clean boundary (io.EOF)
 // from mid-frame truncation (io.ErrUnexpectedEOF).
 func TestFrameReaderTruncation(t *testing.T) {

@@ -55,10 +55,14 @@ type VM struct {
 	Thread *monitor.Thread
 	// Out receives print() output (nil discards).
 	Out io.Writer
-	// MaxSteps bounds execution (0 = DefaultMaxSteps).
+	// MaxSteps bounds the instructions one Run may execute (0 =
+	// DefaultMaxSteps).
 	MaxSteps int64
 
+	// steps counts the current Run's instructions, which MaxSteps
+	// bounds; prior those of the runs before it. Their sum is Steps.
 	steps    int64
+	prior    int64
 	frames   []string // function-name stack for incallstack queries
 	maxDepth int
 }
@@ -190,8 +194,9 @@ func (vm *VM) InStack(fn string) bool {
 	return false
 }
 
-// Steps returns the number of instructions executed so far.
-func (vm *VM) Steps() int64 { return vm.steps }
+// Steps returns the number of instructions executed so far, over every
+// Run: it is the monitor's clock.
+func (vm *VM) Steps() int64 { return vm.prior + vm.steps }
 
 // Run executes the named function with the given arguments.
 func (vm *VM) Run(fn string, args ...int64) (int64, error) {
@@ -199,6 +204,8 @@ func (vm *VM) Run(fn string, args ...int64) (int64, error) {
 	if !ok {
 		return 0, fmt.Errorf("vm: unknown function %q", fn)
 	}
+	vm.prior += vm.steps
+	vm.steps = 0
 	vm.reserve(vm.sp + len(args))
 	copy(vm.stack[vm.sp:], args)
 	return vm.call(fi, len(args))

@@ -181,13 +181,37 @@ int main() {
 	}
 }
 
+// TestStepLimit: MaxSteps bounds each Run, not the VM's life. Runs that
+// each stay under it succeed however far their total goes past it, a run
+// that goes past it fails with ErrMaxSteps — and the VM runs again after
+// that — while Steps, the monitor's clock, counts across every run.
 func TestStepLimit(t *testing.T) {
 	prog := compile(t, `
+int spin(int n) { int i = 0; while (i < n) { i++; } return i; }
 int main() { while (1) { } return 0; }`).Program
 	vm := New(prog)
 	vm.MaxSteps = 10_000
+	if _, err := vm.Run("spin", 100); err != nil {
+		t.Fatal(err)
+	}
+	per := vm.Steps()
+	if per >= vm.MaxSteps/2 {
+		t.Fatalf("spin(100) took %d steps; the test needs runs well under the %d budget", per, vm.MaxSteps)
+	}
+	const runs = 50
+	for i := 1; i < runs; i++ {
+		if _, err := vm.Run("spin", 100); err != nil {
+			t.Fatalf("run %d of %d under the budget: %v", i+1, runs, err)
+		}
+	}
+	if got := vm.Steps(); got != runs*per || got <= vm.MaxSteps {
+		t.Fatalf("Steps() = %d after %d runs of %d steps; want the cumulative count, past MaxSteps %d", got, runs, per, vm.MaxSteps)
+	}
 	if _, err := vm.Run("main"); err != ErrMaxSteps {
-		t.Fatalf("err = %v", err)
+		t.Fatalf("runaway run: err = %v, want ErrMaxSteps", err)
+	}
+	if _, err := vm.Run("spin", 100); err != nil {
+		t.Fatalf("run after the runaway one: %v", err)
 	}
 }
 
@@ -427,7 +451,7 @@ int main(int kind) { int b = kind; return outer(b) + 1; }
 	for round := 0; round < 100; round++ {
 		for kind := int64(1); kind <= 5; kind++ {
 			if kind == 4 {
-				vm.MaxSteps = vm.Steps() + 5_000
+				vm.MaxSteps = 5_000
 			}
 			_, err := vm.Run("main", kind)
 			vm.MaxSteps = 0
