@@ -126,13 +126,15 @@ cache-gate: build
 # no-op-handler store, which builds no notifications, to a listening one.
 # Around it: per-thread-slot-array vs
 # global-striped parity at 1%/10%/50%, cross-class quarantine isolation,
-# exact suppression and handler-panic accounting, and concurrent
-# no-deadlock/no-corruption invariants — plus the injector's own
+# exact suppression and handler-panic accounting, concurrent
+# no-deadlock/no-corruption invariants, and the striped store's lock
+# planning raced against census growth, one op and batch windows at a
+# time (TestConcurrentCensusGrowth, TestGlobalStoreConcurrency) — plus the injector's own
 # determinism tests, the monitor's supervision passthrough and its one
 # fail-stop flag draining each automaton's verdicts through a batched ring.
 chaos-gate:
 	$(GO) test -race -count=1 ./internal/faultinject
-	$(GO) test -race -count=1 ./internal/core -run 'TestModelDifferential|TestChaos|TestDifferential'
+	$(GO) test -race -count=1 ./internal/core -run 'TestModelDifferential|TestChaos|TestDifferential|TestConcurrentCensusGrowth|TestGlobalStoreConcurrency'
 	$(GO) test -race -count=1 ./internal/monitor -run 'TestSupervision|TestHealth'
 
 # Supervision-policy cost ladder on the 8-stripe global store (drop-new vs
@@ -236,9 +238,10 @@ crash-gate: build
 # tap only the recorder's own copies; no figure 11b configuration's OLTP
 # transaction allocates more than Release's one (the kernel's File
 # record). A warmed VM.Run allocates nothing: plain, and instrumented under
-# the synchronous or the batched monitor. The tests carry a !race build tag (sync.Pool drops items under
-# the race detector), so this gate is their only CI run besides
-# `make test`.
+# the synchronous or the batched monitor. The tests outside internal/core carry a !race build tag
+# (sync.Pool drops items under the race detector), so this gate is their
+# only CI run besides `make test`; the store keeps its note buffers on a
+# channel, so `make race` runs TestUpdateBatchAllocs as well.
 alloc-gate:
 	$(GO) test -count=1 ./internal/core -run '^TestUpdateBatchAllocs$$'
 	$(GO) test -count=1 ./internal/agg -run '^(TestIngestFrameAllocs|TestPublisherFlushAllocs|TestSpooledClientMemoryBound)$$'

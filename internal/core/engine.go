@@ -15,43 +15,6 @@ package core
 // Both store bodies — per-thread slots (update.go) and global stripes
 // (shard.go) — execute plans.
 
-import "sync"
-
-// notePool recycles per-event notification buffers. A noteBuf's inline
-// array is several KB and escapes into the handler interface, so a fresh one
-// per event would be heap-allocated; at millions of events per second that
-// allocation — and the GC work of scanning it — is a large share of the
-// per-event cost. UpdateStatePlan draws buffers from this pool instead;
-// UpdateBatch draws from its store's batchFree list, where a batch's spill
-// slice keeps its capacity across uses and garbage collections. So the
-// steady-state event path — synchronous or batched — allocates nothing.
-// Safe because notes are delivered to handlers by pointer valid
-// only for the duration of the callback (supervise.go: instances are copied
-// because slots may be reused once the locks drop — the same contract
-// covers the buffer itself).
-var notePool = sync.Pool{New: func() any { return new(noteBuf) }}
-
-// noteSpillKeep caps the spill capacity, in notes, that a recycled noteBuf
-// keeps across uses: a steady batch size reuses its spill, but one burst
-// must not pin its peak in the pool.
-const noteSpillKeep = 1024
-
-// reset clears the used prefix and spill — dropping class/violation
-// references so a pooled buffer cannot pin them — and empties nb, keeping
-// the spill's capacity up to noteSpillKeep.
-func (nb *noteBuf) reset() {
-	for i := 0; i < nb.n; i++ {
-		nb.arr[i] = note{}
-	}
-	nb.n = 0
-	if cap(nb.spill) > noteSpillKeep {
-		nb.spill = nil
-		return
-	}
-	clear(nb.spill)
-	nb.spill = nb.spill[:0]
-}
-
 // SymbolPlan is the compiled form of one (class, symbol) pair: everything an
 // event's effect depends on that its TransitionSet fixes, derived once.
 type SymbolPlan struct {

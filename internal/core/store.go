@@ -98,11 +98,13 @@ type Store struct {
 	panicMu      sync.Mutex
 	panicBy      map[string]uint64
 
-	// batchFree recycles UpdateBatch's notification buffers, whose spills
-	// grow to a few hundred KB. They are the store's own, not notePool's:
-	// a sync.Pool drops what two garbage collections find unused, and a
-	// long-lived producer would regrow a spill after every such drop.
-	batchFree chan *noteBuf
+	// noteFree recycles the event path's notification buffers: one per
+	// processor that can be inside UpdateBatch at once. A buffer's inline
+	// array is several KB and a batch's spill grows to a few hundred, so a
+	// fresh one per call would be heap-allocated; a channel, unlike a
+	// sync.Pool, keeps them through garbage collections, so a long-lived
+	// producer never regrows a spill.
+	noteFree chan *noteBuf
 }
 
 // classTable is one registration snapshot: the classes by identity and in
@@ -137,8 +139,8 @@ type classState struct {
 	quar        quarState
 	// needsFlush defers the expunge of a class quarantined by an event
 	// that held only some of its stripes: slots are cleared by the first
-	// event that holds them all (lockSet escalates while the flag is
-	// set). Until then the class is logically empty.
+	// event that holds them all (plan escalates while the flag is set).
+	// Until then the class is logically empty.
 	needsFlush atomic.Bool
 	health     classHealth
 
@@ -156,8 +158,7 @@ func NewStoreOpts(o StoreOpts) *Store {
 		o.Handler = NopHandler{}
 	}
 	_, quiet := o.Handler.(NopHandler)
-	// One buffer per processor that can be inside UpdateBatch at once.
-	s := &Store{handler: o.Handler, quiet: quiet, batchFree: make(chan *noteBuf, runtime.GOMAXPROCS(0))}
+	s := &Store{handler: o.Handler, quiet: quiet, noteFree: make(chan *noteBuf, runtime.GOMAXPROCS(0))}
 	s.sv.init(o)
 	s.tab.Store(&classTable{})
 	if o.Context == Global {
@@ -310,7 +311,8 @@ func (c *classState) expunge() {
 // striped class the key's stripe lock must be held.
 func (c *classState) find(k Key) int32 {
 	if c.shards != nil {
-		return c.findIn(&c.shards[c.shardOf(k)], k)
+		h := hashKey(k)
+		return c.findIn(&c.shards[c.stripeOf(h)], k, h)
 	}
 	for i, n := 0, c.live.Load(); i < len(c.insts) && n > 0; i++ {
 		if c.insts[i].Active {

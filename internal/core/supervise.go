@@ -238,9 +238,8 @@ func (ch *classHealth) snapshot() Health {
 // quarGate runs the quarantine fast path for one event: re-arm when due (so
 // the event that brings the class back is itself processed normally),
 // otherwise count the suppression and report true so the caller skips the
-// event. Safe both before any stripe lock (the single-event path) and while
-// holding a batch run's stripes — quarMu only ever nests inside stripe
-// locks.
+// event. Safe both before any stripe lock (a run's head op) and while
+// holding a run's stripes — quarMu only ever nests inside stripe locks.
 func (s *Store) quarGate(c *classState, nb *noteBuf) bool {
 	return c.quarantined.Load() && s.suppress(c, nb)
 }
@@ -302,13 +301,13 @@ func (s *Store) claim(c *classState, nb *noteBuf, firstErr *error, set uint64, k
 		case EvictOldest:
 			if set != c.allMask() {
 				// Concurrent events consumed the free headroom
-				// lockSet justified a partial lock set with; the
-				// victim scan would touch unowned stripes. Degrade
-				// this one allocation to drop-new (the overflow is
-				// already counted). Sequentially this cannot
-				// happen: lockSet takes every stripe whenever the
-				// event alone could exhaust the block or an
-				// injector is armed.
+				// the event's plan justified a partial lock set
+				// with; the victim scan would touch unowned
+				// stripes. Degrade this one allocation to drop-new
+				// (the overflow is already counted). Sequentially
+				// this cannot happen: plan takes every stripe
+				// whenever the event alone could exhaust the block
+				// or an injector is armed.
 				break
 			}
 			if v := c.victim(k.Mask); v >= 0 {
@@ -446,46 +445,54 @@ func (nb *noteBuf) add(n note) {
 
 func (nb *noteBuf) empty() bool { return nb.n == 0 && len(nb.spill) == 0 }
 
-// notes returns an event's notification buffer from the pool, or nil when
-// the store's handler is the no-op: nothing listens, so the event bodies
-// build no notes, and every note site checks for nil first. Health
+// noteSpillKeep caps the spill capacity, in notes, that a recycled noteBuf
+// keeps across uses: a steady batch size reuses its spill, but one burst
+// must not pin its peak on the free list.
+const noteSpillKeep = 1024
+
+// reset clears the used prefix and spill — dropping class/violation
+// references so a recycled buffer cannot pin them — and empties nb, keeping
+// the spill's capacity up to noteSpillKeep.
+func (nb *noteBuf) reset() {
+	for i := 0; i < nb.n; i++ {
+		nb.arr[i] = note{}
+	}
+	nb.n = 0
+	if cap(nb.spill) > noteSpillKeep {
+		nb.spill = nil
+		return
+	}
+	clear(nb.spill)
+	nb.spill = nb.spill[:0]
+}
+
+// notes returns a notification buffer from the store's free list, or nil
+// when the store's handler is the no-op: nothing listens, so the event
+// bodies build no notes, and every note site checks for nil first. Health
 // counters, violations and fail-stop errors do not depend on notes.
 func (s *Store) notes() *noteBuf {
 	if s.quiet {
 		return nil
 	}
-	return notePool.Get().(*noteBuf)
-}
-
-// batchNotes is notes for UpdateBatch: the buffer comes from the store's
-// batchFree list, so a batch's spill outlives garbage collections.
-func (s *Store) batchNotes() *noteBuf {
-	if s.quiet {
-		return nil
-	}
 	select {
-	case nb := <-s.batchFree:
+	case nb := <-s.noteFree:
 		return nb
 	default:
 		return new(noteBuf)
 	}
 }
 
-// release dispatches an event's buffered notes and returns the buffer to
-// the pool, or a batchNotes buffer to batchFree; a nil buffer (a quiet
-// store's) has nothing to release.
-func (s *Store) release(nb *noteBuf, batch bool) {
+// release dispatches the buffered notes and returns the buffer to the free
+// list; a nil buffer (a quiet store's) has nothing to release. Reuse is safe
+// because a handler gets each note by a pointer valid only for the callback.
+func (s *Store) release(nb *noteBuf) {
 	if nb == nil {
 		return
 	}
 	s.dispatch(nb)
 	nb.reset()
-	if !batch {
-		notePool.Put(nb)
-		return
-	}
 	select {
-	case s.batchFree <- nb:
+	case s.noteFree <- nb:
 	default:
 	}
 }

@@ -22,25 +22,19 @@ package core
 // transitions this event can drive, assembled statically by the event
 // translator. key carries the variable bindings the event provides.
 //
-// Handler notifications are buffered while the event runs and dispatched
-// after every lock is released (see supervise.go), so handlers may block, or
-// even call back into the store, without stalling monitored threads. A
-// store whose handler is the no-op builds no notifications at all.
+// It is UpdateBatch over one op (batch.go): both entries share one event
+// path. Handler notifications are buffered while the event runs and
+// dispatched after every lock is released (see supervise.go), so handlers
+// may block, or even call back into the store, without stalling monitored
+// threads. A store whose handler is the no-op builds no notifications at
+// all.
 //
 // The returned error is non-nil only when the store's failure action is
 // FailStop and a violation or overflow occurred; the store's Handler is notified of every outcome
 // regardless.
 func (s *Store) UpdateStatePlan(p *SymbolPlan, key Key) error {
-	c := s.classFor(p.Cls)
-	nb := s.notes()
-	var err error
-	if s.nshards > 0 {
-		err = s.updateSharded(c, p, key, nb)
-	} else {
-		err = s.updateSlots(c, p, key, nb)
-	}
-	s.release(nb, false)
-	return err
+	ops := [1]BatchOp{{Plan: p, Key: key}}
+	return s.UpdateBatch(ops[:])
 }
 
 // cand is one pre-event candidate: a live instance compatible with the

@@ -429,8 +429,11 @@ func TestGlobalStoreConcurrency(t *testing.T) {
 // the instances they would project onto. An event keyed (k, v) plans its
 // stripes from the mask census; a parent (k) activated by another goroutine
 // after that plan lives in a stripe the event may not hold, while a third
-// goroutine drives (k) in place under its stripe. Under -race the event must
-// neither read that stripe's index nor drive (k).
+// goroutine drives (k) in place under its stripe. A fourth kind sends the
+// same keyed steps through UpdateBatch windows of 8, so ops after a run's
+// head are planned under a held window while the census moves. Under -race
+// no event may read a stripe's index it does not hold, nor drive (k)
+// without its stripe.
 func TestConcurrentCensusGrowth(t *testing.T) {
 	cls := &Class{Name: "census", States: 4, Limit: 64}
 	s := NewStoreOpts(StoreOpts{Context: Global, Shards: 16})
@@ -438,13 +441,14 @@ func TestConcurrentCensusGrowth(t *testing.T) {
 	enter := NewSymbolPlan(cls, "enter", 0, TransitionSet{{From: 0, To: 1, Flags: TransInit, KeyMask: 1}})
 	step := NewSymbolPlan(cls, "step", 0, TransitionSet{{From: 1, To: 2, KeyMask: 1}, {From: 2, To: 1, KeyMask: 1}})
 	var wg sync.WaitGroup
-	for g := 0; g < 6; g++ {
+	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
+			var window []BatchOp
 			for i := 0; i < 2000; i++ {
 				k := Value(i % 4)
-				switch g % 3 {
+				switch g % 4 {
 				case 0:
 					if i%4 == 3 {
 						s.ResetClass(cls)
@@ -453,8 +457,18 @@ func TestConcurrentCensusGrowth(t *testing.T) {
 					}
 				case 1:
 					s.UpdateStatePlan(step, NewKey(k))
-				default:
+				case 2:
 					s.UpdateStatePlan(step, NewKey(k, Value(i%3)))
+				default:
+					key := NewKey(k)
+					if i%2 == 1 {
+						key = NewKey(k, Value(i%3))
+					}
+					window = append(window, BatchOp{Plan: step, Key: key})
+					if len(window) == 8 {
+						s.UpdateBatch(window)
+						window = window[:0]
+					}
 				}
 			}
 		}(g)

@@ -131,17 +131,3 @@ func ddmin(events []Event, test func([]Event) bool) []Event {
 	}
 	return cur
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
