@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -418,4 +419,184 @@ func TestChaosSuppressionExact(t *testing.T) {
 			t.Fatal("class should end quarantined")
 		}
 	})
+}
+
+// TestChaosQuarantineRaisedMidLock: an event that passed the unlocked
+// quarantine gate and then waited on a stripe while another event
+// quarantined the class is suppressed and counted. The quarantining event
+// held one stripe, so it deferred the expunge; the waiting event's plan
+// escalates to every stripe for that flush, and the flush must not let the
+// event through uncounted. The fault injector doubles as the hook that
+// holds the quarantining event inside its stripe. Whether or not the
+// waiter reaches the lock in time, every event it sends is suppressed.
+func TestChaosQuarantineRaisedMidLock(t *testing.T) {
+	for _, batched := range []bool{false, true} {
+		cls := &Class{Name: "midlock", States: 3, Limit: 4}
+		inside, release := make(chan struct{}), make(chan struct{})
+		var armed atomic.Bool
+		armed.Store(true)
+		s := NewStoreOpts(StoreOpts{
+			Context: Global, Shards: 8,
+			Overflow: QuarantineClass, QuarantineAfter: 1, RearmEvents: 100,
+			AllocFail: func(*Class) bool {
+				if armed.CompareAndSwap(true, false) {
+					close(inside)
+					<-release
+					return true
+				}
+				return false
+			},
+		})
+		s.Register(cls)
+		enter := NewSymbolPlan(cls, "enter", 0, initTS())
+		c := s.classFor(cls)
+
+		// The waiter's keys share the quarantining key's stripe, so its
+		// events queue on the stripe that event holds.
+		kx := NewKey(1)
+		var same []Key
+		for v := Value(2); len(same) < 2; v++ {
+			if k := NewKey(v); c.stripeOf(hashKey(k)) == c.stripeOf(hashKey(kx)) {
+				same = append(same, k)
+			}
+		}
+
+		xdone, ydone := make(chan struct{}), make(chan struct{})
+		go func() {
+			s.UpdateStatePlan(enter, kx)
+			close(xdone)
+		}()
+		<-inside
+		want := uint64(1)
+		go func() {
+			if batched {
+				s.UpdateBatch([]BatchOp{{Plan: enter, Key: same[0]}, {Plan: enter, Key: same[1]}})
+			} else {
+				s.UpdateStatePlan(enter, same[0])
+			}
+			close(ydone)
+		}()
+		if batched {
+			want = 2
+		}
+		time.Sleep(20 * time.Millisecond) // let the waiter pass the gate and block
+		close(release)
+		<-xdone
+		<-ydone
+
+		h := storeHealth(s, cls)
+		if h.Quarantines != 1 || h.Suppressed != want {
+			t.Fatalf("batched=%v: health %+v, want 1 quarantine and %d suppressed", batched, h, want)
+		}
+		if !s.Quarantined(cls) || s.LiveCount(cls) != 0 {
+			t.Fatalf("batched=%v: quarantined=%v live=%d, want quarantined and empty",
+				batched, s.Quarantined(cls), s.LiveCount(cls))
+		}
+	}
+}
+
+// TestChaosQuarantineStorm: one goroutine keeps forcing the class into
+// quarantine (its «init» allocations fail on demand) while others send
+// single events and UpdateBatch windows to the same class. A checker holds
+// every stripe and asserts that the live count matches the block and that
+// a quarantined class with no flush pending holds no instance.
+func TestChaosQuarantineStorm(t *testing.T) {
+	cls := &Class{Name: "storm", States: 4, Limit: 16}
+	var forcing atomic.Bool
+	s := NewStoreOpts(StoreOpts{
+		Context: Global, Shards: 8,
+		Overflow: QuarantineClass, QuarantineAfter: 1, RearmEvents: 8,
+		AllocFail: func(*Class) bool { return forcing.Load() },
+	})
+	s.Register(cls)
+	c := s.classFor(cls)
+	enter := NewSymbolPlan(cls, "enter", 0, initTS())
+	step := NewSymbolPlan(cls, "step", 0, TransitionSet{{From: 1, To: 2, KeyMask: 1}, {From: 2, To: 1, KeyMask: 3}})
+
+	stop := make(chan struct{})
+	var senders, checker sync.WaitGroup
+	senders.Add(1)
+	go func() {
+		defer senders.Done()
+		for i := 0; i < 200; i++ {
+			forcing.Store(true)
+			s.UpdateStatePlan(enter, NewKey(Value(100+i)))
+			forcing.Store(false)
+			time.Sleep(50 * time.Microsecond)
+		}
+	}()
+	for g := 0; g < 3; g++ {
+		senders.Add(1)
+		go func(g int) {
+			defer senders.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			var window []BatchOp
+			for i := 0; i < 2000; i++ {
+				p := enter
+				if rng.Intn(2) == 0 {
+					p = step
+				}
+				key := NewKey(Value(rng.Intn(6)), Value(rng.Intn(3)))
+				if g == 0 {
+					s.UpdateStatePlan(p, key)
+					continue
+				}
+				window = append(window, BatchOp{Plan: p, Key: key})
+				if len(window) == 8 {
+					s.UpdateBatch(window)
+					window = window[:0]
+				}
+			}
+		}(g)
+	}
+	checker.Add(1)
+	go func() {
+		defer checker.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			all := c.allMask()
+			c.lock(all)
+			n := 0
+			for i := range c.insts {
+				if c.insts[i].Active {
+					n++
+				}
+			}
+			if n != int(c.live.Load()) {
+				t.Errorf("block holds %d instances, live count %d", n, c.live.Load())
+			}
+			if c.quarantined.Load() && !c.needsFlush.Load() && n > 0 {
+				t.Errorf("quarantined class with no flush pending holds %d instances", n)
+			}
+			c.unlock(all)
+			time.Sleep(100 * time.Microsecond)
+		}
+	}()
+
+	done := make(chan struct{})
+	go func() { senders.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(60 * time.Second):
+		t.Fatal("quarantine storm deadlocked")
+	}
+	close(stop)
+	checker.Wait()
+
+	h := storeHealth(s, cls)
+	if h.Quarantines < 2 || h.Suppressed == 0 {
+		t.Fatalf("health %+v: the storm never cycled quarantine; test lost its teeth", h)
+	}
+	// The class comes back: suppressed events re-arm it, then it monitors.
+	for i := 0; s.Quarantined(cls) && i < 16; i++ {
+		s.UpdateStatePlan(enter, NewKey(Value(1000+i)))
+	}
+	s.ResetClass(cls)
+	if err := s.UpdateStatePlan(enter, NewKey(7)); err != nil || s.LiveCount(cls) != 1 {
+		t.Fatalf("after the storm: err=%v live=%d, want one live instance", err, s.LiveCount(cls))
+	}
 }
