@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	tesla-agg serve [-listen addr] [-queue N] [-samples K] [-window N] [-stripes N]
+//	tesla-agg serve [-listen addr] [-queue N] [-samples K] [-window N]
 //	                [-snapshot path] [-snapshot-interval dur] [-idle-timeout dur]
 //	tesla-agg query [-addr addr] [-class name] [-k N] (fleet|failures|topk|samples|health)
 //	tesla-agg resend [-addr addr] -process name [-rm] spooldir
@@ -61,7 +61,7 @@ func main() {
 
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
-  tesla-agg serve [-listen addr] [-queue N] [-samples K] [-window N] [-stripes N]
+  tesla-agg serve [-listen addr] [-queue N] [-samples K] [-window N]
                   [-snapshot path] [-snapshot-interval dur] [-idle-timeout dur]
   tesla-agg query [-addr addr] [-class name] [-k N] (fleet|failures|topk|samples|health)
   tesla-agg resend [-addr addr] -process name [-rm] spooldir`)
@@ -74,7 +74,6 @@ func cmdServe(args []string) {
 	queue := fs.Int("queue", 0, "per-connection pending-frame queue bound (0 = default)")
 	samples := fs.Int("samples", 0, "failure-sample reservoir size per site (0 = default)")
 	window := fs.Int("window", 0, "events of leading context kept per failure sample (0 = default)")
-	stripes := fs.Int("stripes", 0, "aggregation lock stripes (0 = default)")
 	quiet := fs.Bool("quiet", false, "suppress connection diagnostics")
 	snapPath := fs.String("snapshot", "", "persist the store to this file and restore it at startup")
 	snapEvery := fs.Duration("snapshot-interval", 0, "snapshot interval for -snapshot (0 = default)")
@@ -94,7 +93,7 @@ func cmdServe(args []string) {
 	if *quiet {
 		logf = nil
 	}
-	store := agg.NewStore(agg.StoreOpts{Stripes: *stripes, SampleCap: *samples, Window: *window})
+	store := agg.NewStore(agg.StoreOpts{SampleCap: *samples, Window: *window})
 	if *snapPath != "" {
 		snap, err := agg.LoadSnapshot(*snapPath)
 		if err != nil {

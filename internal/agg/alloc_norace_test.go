@@ -15,32 +15,49 @@ import (
 // Allocation regressions for the fleet trace path: recorder cut, wire
 // encode and server ingest reuse their memory, so the allocations a delta
 // costs do not grow with its event count. The file is excluded under
-// -race, where sync.Pool drops items at random and pooled encoders and
-// ingesters cannot stay warm. GC is paused while measuring for the same
+// -race, where sync.Pool drops items at random and the client's pooled
+// encoders cannot stay warm. GC is paused while measuring for the same
 // reason: a collection empties the pools.
 
 // TestIngestFrameAllocs: ingesting a fleet-shaped frame — site and
 // deliver events carrying values, an instack list, bound begin/end, init,
 // clone, transition, accept and one failure — allocates the same number
 // of times for 100 events as for 2000. Events decode from the payload into
-// one reused event, their values into the ingester's arena, and site
-// counts into a per-frame table; only the failure's sample and the frame's
-// interned strings are allocated, and neither grows with the frame.
+// one reused event, their values into the producer ingester's arena, and
+// site counts straight into the producer's sites; only the failure's
+// sample and the frame's interned strings are allocated, and neither grows
+// with the frame. The ingester belongs to its producer, not to a pool, so
+// after two garbage collections a 2000-event frame allocates at most a
+// few times more than a warmed one.
 func TestIngestFrameAllocs(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	store := NewStore(StoreOpts{})
 	allocs := map[int]float64{}
+	var payload []byte
 	for _, n := range []int{100, 2000} {
-		payload := framePayload(fleetTrace(0, n, 50))
+		payload = framePayload(fleetTrace(0, n, 50))
 		allocs[n] = testing.AllocsPerRun(50, func() {
 			if err := store.IngestFrame("p", payload); err != nil {
 				t.Fatal(err)
 			}
 		})
 	}
-	t.Logf("IngestFrame: %.0f allocations at 100 events, %.0f at 2000", allocs[100], allocs[2000])
+	runtime.GC()
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := store.IngestFrame("p", payload); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	afterGC := after.Mallocs - before.Mallocs
+	t.Logf("IngestFrame: %.0f allocations at 100 events, %.0f at 2000, %d at 2000 after two GCs (%d B)",
+		allocs[100], allocs[2000], afterGC, after.TotalAlloc-before.TotalAlloc)
 	if allocs[2000] != allocs[100] {
 		t.Fatalf("IngestFrame allocations grow with the frame: %.0f for 100 events, %.0f for 2000", allocs[100], allocs[2000])
+	}
+	if float64(afterGC) > allocs[2000]+4 {
+		t.Fatalf("IngestFrame after two GCs allocates %d times, warmed %.0f: a collection emptied what the ingester reuses", afterGC, allocs[2000])
 	}
 }
 

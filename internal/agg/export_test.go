@@ -8,14 +8,15 @@ import (
 )
 
 // IngestTrace aggregates one (delta) trace attributed to process through
-// the same ingester IngestFrame drives; the tests hold IngestFrame's
-// answers to it.
+// the same producer ingester IngestFrame drives; the tests hold
+// IngestFrame's answers to it.
 func (s *Store) IngestTrace(process string, tr *trace.Trace) {
-	in := s.ingester(process)
+	p := s.lockProducer(process)
+	defer p.mu.Unlock()
 	for i := range tr.Events {
-		in.feed(&tr.Events[i])
+		s.feed(p, &tr.Events[i])
 	}
-	in.finish(tr.Dropped)
+	s.finish(p, tr.Dropped)
 }
 
 // Summarize rebuilds the dtrace.Summarize aggregations from the fleet

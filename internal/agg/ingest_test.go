@@ -281,15 +281,15 @@ func TestIngestFrameMatchesIngestTrace(t *testing.T) {
 	}
 }
 
-// TestSamplesIndependentOfStripes: reservoir draws depend on the seed and
-// the site, not on the stripe a site hashes to (a per-store seed picks
-// it), so two 16-stripe stores and a 1-stripe store with one seed, fed the
-// same frames, keep byte-identical samples. Every process's failing site
-// overflows the reservoir several times over.
-func TestSamplesIndependentOfStripes(t *testing.T) {
+// TestSamplesReproducibleAcrossStores: reservoir draws depend on the seed
+// and the site alone, nothing a store picks for itself, so three stores
+// with one seed, fed the same frames, keep byte-identical samples and
+// snapshots. Every process's failing site overflows the reservoir several
+// times over.
+func TestSamplesReproducibleAcrossStores(t *testing.T) {
 	var stores []*Store
-	for _, stripes := range []int{16, 16, 1} {
-		s := NewStore(StoreOpts{Stripes: stripes, Seed: 5, SampleCap: 2, Window: 4})
+	for range 3 {
+		s := NewStore(StoreOpts{Seed: 5, SampleCap: 2, Window: 4})
 		for f := 0; f < 9; f++ {
 			for _, proc := range []string{"p", "q", "r", "s", "t"} {
 				if err := s.IngestFrame(proc, framePayload(fleetTrace(uint64(f)*1000, 200, 7+f*13))); err != nil {

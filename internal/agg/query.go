@@ -95,15 +95,21 @@ type FleetHealth struct {
 	HandlerPanics uint64 `json:"handlerPanics"`
 }
 
-// forEachSite runs fn over every aggregated cell under its stripe lock.
+// forEachSite runs fn over every aggregated cell, each producer's under
+// that producer's lock.
 func (s *Store) forEachSite(fn func(k siteKey, a *siteAgg)) {
-	for i := range s.stripes {
-		st := &s.stripes[i]
-		st.mu.Lock()
-		for k, a := range st.sites {
+	s.mu.Lock()
+	procs := make([]*producer, 0, len(s.procs))
+	for _, p := range s.procs {
+		procs = append(procs, p)
+	}
+	s.mu.Unlock()
+	for _, p := range procs {
+		p.mu.Lock()
+		for k, a := range p.sites {
 			fn(k, a)
 		}
-		st.mu.Unlock()
+		p.mu.Unlock()
 	}
 }
 

@@ -20,7 +20,7 @@ import (
 // goroutine. The reader never blocks on aggregation — when the queue is
 // full the frame is dropped and charged to the producer's drop counters
 // (the PR 5 drop-new contract at fleet scope: degradation is explicit,
-// accounted and queryable, never silent, and one slow stripe cannot
+// accounted and queryable, never silent, and one slow frame apply cannot
 // backpressure the socket into stalling the producer's bye/health
 // control frames).
 //

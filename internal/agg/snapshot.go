@@ -224,13 +224,8 @@ func (s *Store) Restore(snap *Snapshot) {
 			process: site.Process, class: site.Class, kind: site.Kind,
 			from: site.From, to: site.To, symbol: site.Symbol, verdict: site.Verdict,
 		}
-		st := s.stripeOf(k)
-		st.mu.Lock()
-		a := st.sites[k]
-		if a == nil {
-			a = &siteAgg{}
-			st.sites[k] = a
-		}
+		p := s.lockProducer(site.Process)
+		a := p.site(k)
 		a.count = site.Count
 		a.seen = site.Seen
 		a.samples = nil
@@ -240,7 +235,7 @@ func (s *Store) Restore(snap *Snapshot) {
 				Events:  append([]trace.Event(nil), smp.Events...),
 			})
 		}
-		st.mu.Unlock()
+		p.mu.Unlock()
 	}
 
 	s.mu.Lock()

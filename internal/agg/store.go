@@ -3,7 +3,6 @@ package agg
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/maphash"
 	"math/bits"
 	"slices"
 	"sync"
@@ -15,22 +14,23 @@ import (
 // Store is the fleet aggregation store: per-(process, class, site)
 // counters over the lifecycle events of every ingested trace frame, plus
 // reservoir samples of the event windows leading into failures, plus the
-// latest health counters each producer reported. It reuses the PR 3
-// stripe pattern: sites hash onto lock stripes so concurrent connection
-// workers aggregate in parallel, and every stripe owns its map outright —
-// no shared mutable state crosses a stripe boundary. Reservoir draws are
-// a function of the seed and the site, never of the stripe. Producer
-// bookkeeping (connect/bye/disconnect, per-producer ingest and drop
-// counters) lives under one mutex; fleet totals are sums over it at query
-// time.
+// latest health counters each producer reported. It aggregates per
+// producer: every site key names its process, and every site write comes
+// from that process's frame apply (or from Restore, before serving), so
+// each producer record owns its sites and the ingester that applies its
+// frames, under the record's own lock. Connection workers of different
+// producers aggregate in parallel; one producer's frames apply one at a
+// time, on whichever connection they arrive. Reservoir draws are a
+// function of the seed and the site alone. Producer bookkeeping
+// (connect/bye/disconnect, per-producer ingest and drop counters) lives
+// under mu; fleet totals are sums over it at query time.
+//
+// Lock order: applyMu, then a producer's mu, then mu — never mu before a
+// producer's mu.
 type Store struct {
-	stripes    []stripe
-	seed       maphash.Seed
 	sampleSeed uint64
-
-	sampleCap int
-	window    int
-	ingesters sync.Pool // *ingester, one per in-flight frame
+	sampleCap  int
+	window     int
 
 	// applyMu makes snapshots frame-atomic: every frame apply (events +
 	// counters + appliedSeq advance) holds the read side, and
@@ -49,25 +49,16 @@ type Store struct {
 
 // StoreOpts configures a Store; the zero value selects the defaults.
 type StoreOpts struct {
-	// Stripes is the lock-stripe count (rounded up to a power of two;
-	// default 16).
-	Stripes int
 	// SampleCap bounds each failing site's reservoir (default 4).
 	SampleCap int
 	// Window is how many events of leading context a failure sample
 	// keeps (default 8).
 	Window int
 	// Seed seeds the reservoir draws, together with each failing site's
-	// key; a fixed seed plus a deterministic ingestion order gives
-	// byte-stable samples whatever the stripe count (the golden-output
-	// example relies on this).
+	// key; a fixed seed plus a deterministic ingestion order per producer
+	// gives byte-stable samples (the golden-output example relies on
+	// this).
 	Seed int64
-}
-
-type stripe struct {
-	mu    sync.Mutex
-	sites map[siteKey]*siteAgg
-	_     [40]byte // keep neighbouring stripes off one cache line
 }
 
 // siteKey identifies one aggregated cell. Process is part of the key so
@@ -99,10 +90,17 @@ type Sample struct {
 	Events  []trace.Event `json:"events"`
 }
 
-// producer is the per-process accounting record.
+// producer is the per-process record. Its accounting is guarded by
+// Store.mu; its sites and ingester by its own mu, which a frame apply
+// holds from the frame's first event until its counters are booked.
 type producer struct {
 	process string
-	tool    string
+
+	mu    sync.Mutex
+	sites map[siteKey]*siteAgg
+	in    ingester
+
+	tool string
 
 	connections int  // live connections
 	disconnects int  // connections that ended without a bye
@@ -135,14 +133,6 @@ type producer struct {
 
 // NewStore creates a fleet store.
 func NewStore(opts StoreOpts) *Store {
-	n := opts.Stripes
-	if n <= 0 {
-		n = 16
-	}
-	// Round up to a power of two so stripe selection is a mask.
-	for n&(n-1) != 0 {
-		n++
-	}
 	cap := opts.SampleCap
 	if cap <= 0 {
 		cap = 4
@@ -151,29 +141,12 @@ func NewStore(opts StoreOpts) *Store {
 	if win <= 0 {
 		win = 8
 	}
-	s := &Store{
-		stripes:    make([]stripe, n),
-		seed:       maphash.MakeSeed(),
+	return &Store{
 		sampleSeed: uint64(opts.Seed),
 		sampleCap:  cap,
 		window:     win,
 		procs:      map[string]*producer{},
 	}
-	for i := range s.stripes {
-		s.stripes[i].sites = map[siteKey]*siteAgg{}
-	}
-	return s
-}
-
-func (s *Store) stripeOf(k siteKey) *stripe {
-	var h maphash.Hash
-	h.SetSeed(s.seed)
-	h.WriteString(k.process)
-	h.WriteByte(0)
-	h.WriteString(k.class)
-	h.WriteByte(byte(k.kind))
-	h.WriteString(k.symbol)
-	return &s.stripes[h.Sum64()&uint64(len(s.stripes)-1)]
 }
 
 // ingester applies one frame's events as they arrive, one at a time. It
@@ -183,47 +156,56 @@ func (s *Store) stripeOf(k siteKey) *stripe {
 // by the frame. Window context is frame-local: a failure in the first
 // events of a delta carries less context, never wrong context.
 //
-// Transition and accept counts collect in counts, keyed by site, and
-// finish merges them into the stripes: one stripe lock per distinct site
-// per frame, not one per event. Failures go to their stripe at once, so
-// each reservoir sees its failures in arrival order.
-//
-// IngestFrame decodes into ev, reused for every event; dec keeps the
-// decoded Vals and InStack in its arena until finish.
+// Each producer owns one and reuses it frame after frame. IngestFrame
+// decodes into ev, reused for every event; dec keeps the decoded Vals and
+// InStack in its arena until the frame ends.
 type ingester struct {
-	s       *Store
-	process string
-	win     []trace.Event // ring of len s.window
-	start   int           // index of the oldest windowed event
-	n       int           // windowed events
-	events  uint64
-	counts  map[siteKey]uint64 // this frame's transitions and accepts; process unset
-	dec     trace.Decoder
-	ev      trace.Event
+	win    []trace.Event // ring of len Store.window
+	start  int           // index of the oldest windowed event
+	n      int           // windowed events
+	events uint64
+	dec    trace.Decoder
+	ev     trace.Event
 }
 
-// maxFrameSites caps the per-frame count table an ingester keeps for the
-// next frame: one frame with an unusually wide spread of sites must not
-// pin it.
-const maxFrameSites = 1024
+// reset clears the window, the reused event and the decoder, so the
+// ingester pins none of the last frame's events and none of its payload.
+func (in *ingester) reset() {
+	clear(in.win)
+	in.ev = trace.Event{}
+	in.dec.Reset(nil) // lets go of the payload; the error is the empty input's
+	in.start, in.n, in.events = 0, 0, 0
+}
 
-// ingester returns a pooled ingester for one frame from process.
-func (s *Store) ingester(process string) *ingester {
-	in, _ := s.ingesters.Get().(*ingester)
-	if in == nil {
-		in = &ingester{s: s, win: make([]trace.Event, s.window), counts: map[siteKey]uint64{}}
+// lockProducer returns process's record with its mu held: the caller
+// owns the producer's sites and ingester until it unlocks.
+func (s *Store) lockProducer(process string) *producer {
+	s.mu.Lock()
+	p := s.proc(process)
+	s.mu.Unlock()
+	p.mu.Lock()
+	return p
+}
+
+// site returns (creating if needed) p's cell for k; p.mu must be held.
+func (p *producer) site(k siteKey) *siteAgg {
+	a := p.sites[k]
+	if a == nil {
+		a = &siteAgg{}
+		p.sites[k] = a
 	}
-	in.process = process
-	return in
+	return a
 }
 
-// feed applies one event, then slides it into the window.
-func (in *ingester) feed(ev *trace.Event) {
+// feed applies one event of p's frame, then slides it into the window;
+// p.mu must be held.
+func (s *Store) feed(p *producer, ev *trace.Event) {
+	in := &p.in
 	switch ev.Kind {
 	case trace.KindTransition:
-		in.counts[siteKey{class: ev.Class, kind: ev.Kind, from: ev.From, to: ev.To, symbol: ev.Symbol}]++
+		p.site(siteKey{process: p.process, class: ev.Class, kind: ev.Kind, from: ev.From, to: ev.To, symbol: ev.Symbol}).count++
 	case trace.KindAccept:
-		in.counts[siteKey{class: ev.Class, kind: ev.Kind}]++
+		p.site(siteKey{process: p.process, class: ev.Class, kind: ev.Kind}).count++
 	case trace.KindFail:
 		// The sample outlives the frame: it owns deep copies of the
 		// windowed events, whose slices point into the decoder's arena
@@ -232,8 +214,8 @@ func (in *ingester) feed(ev *trace.Event) {
 		for i := 0; i < in.n; i++ {
 			sample = append(sample, ownEvent(in.win[(in.start+i)%len(in.win)]))
 		}
-		in.s.add(siteKey{process: in.process, class: ev.Class, kind: ev.Kind,
-			symbol: ev.Symbol, verdict: ev.Verdict.String()}, 1, append(sample, ownEvent(*ev)))
+		s.fail(p, siteKey{process: p.process, class: ev.Class, kind: ev.Kind,
+			symbol: ev.Symbol, verdict: ev.Verdict.String()}, append(sample, ownEvent(*ev)))
 	}
 	if in.n < len(in.win) {
 		in.win[(in.start+in.n)%len(in.win)] = *ev
@@ -251,67 +233,35 @@ func ownEvent(ev trace.Event) trace.Event {
 	return ev
 }
 
-// finish merges the frame's site counts into the stripes, books the frame
-// against its producer's totals and releases the ingester.
-func (in *ingester) finish(ringDropped uint64) {
-	s := in.s
-	for k, n := range in.counts {
-		k.process = in.process
-		s.add(k, n, nil)
+// fail counts one failure at p's site k and offers its sample to the
+// site's reservoir; p.mu must be held.
+func (s *Store) fail(p *producer, k siteKey, sample []trace.Event) {
+	a := p.site(k)
+	a.count++
+	a.seen++
+	if len(a.samples) < s.sampleCap {
+		a.samples = append(a.samples, Sample{Process: k.process, Events: sample})
+	} else if j := s.draw(k, a.seen); j < uint64(s.sampleCap) {
+		a.samples[j] = Sample{Process: k.process, Events: sample}
 	}
-	if len(in.counts) > maxFrameSites {
-		in.counts = map[siteKey]uint64{}
-	} else {
-		clear(in.counts)
-	}
+}
 
+// finish books p's frame against its totals and resets its ingester;
+// p.mu must be held.
+func (s *Store) finish(p *producer, ringDropped uint64) {
 	s.mu.Lock()
-	p := s.proc(in.process)
 	p.frames++
-	p.events += in.events
+	p.events += p.in.events
 	p.ringDropped += ringDropped
 	s.mu.Unlock()
-	in.release()
-}
-
-// release returns the ingester to the pool with its window, reused event
-// and decoder cleared, so it pins none of the frame's events and none of
-// its payload.
-func (in *ingester) release() {
-	clear(in.win)
-	in.ev = trace.Event{}
-	in.dec.Reset(nil) // lets go of the payload; the error is the empty input's
-	in.process, in.start, in.n, in.events = "", 0, 0, 0
-	in.s.ingesters.Put(in)
-}
-
-// add adds n to one site, feeding the failure reservoir when a sample is
-// attached.
-func (s *Store) add(k siteKey, n uint64, sample []trace.Event) {
-	st := s.stripeOf(k)
-	st.mu.Lock()
-	a := st.sites[k]
-	if a == nil {
-		a = &siteAgg{}
-		st.sites[k] = a
-	}
-	a.count += n
-	if sample != nil {
-		a.seen++
-		if len(a.samples) < s.sampleCap {
-			a.samples = append(a.samples, Sample{Process: k.process, Events: sample})
-		} else if j := s.draw(k, a.seen); j < uint64(s.sampleCap) {
-			a.samples[j] = Sample{Process: k.process, Events: sample}
-		}
-	}
-	st.mu.Unlock()
+	p.in.reset()
 }
 
 // draw returns the reservoir slot for a site's seen-th failure, uniform in
 // [0, seen). It is splitmix64's seen-th output from a state seeded by the
 // store's seed and an FNV-1a hash of the site key, so it depends on
-// nothing else: stores with one seed keep the same samples whatever
-// stripe a site lands on, and the draw needs no per-site state.
+// nothing else: stores with one seed keep the same samples, and the draw
+// needs no per-site state.
 func (s *Store) draw(k siteKey, seen uint64) uint64 {
 	z := s.sampleSeed ^ siteHash(k)
 	z += seen * 0x9e3779b97f4a7c15
@@ -342,7 +292,7 @@ func siteHash(k siteKey) uint64 {
 
 // IngestFrame decodes and aggregates one trace payload: the event count
 // prefix, then the binary trace. Events decode straight from the payload
-// into the frame's ingester one at a time; the frame is never
+// into the producer's ingester one at a time; the frame is never
 // materialised as an event slice, and nothing keeps the payload once
 // IngestFrame returns. The declared count is the drop-accounting unit; a
 // payload whose decode dies mid-way contributes the events it actually
@@ -353,17 +303,19 @@ func (s *Store) IngestFrame(process string, payload []byte) error {
 		s.markBadFrame(process)
 		return fmt.Errorf("agg: trace frame missing event-count prefix")
 	}
-	in := s.ingester(process)
+	p := s.lockProducer(process)
+	defer p.mu.Unlock()
+	in := &p.in
 	if err := in.dec.Reset(payload[n:]); err != nil {
-		in.release()
+		in.reset()
 		s.markBadFrame(process)
 		return fmt.Errorf("agg: trace frame from %s: %w", process, err)
 	}
 	for in.dec.Next(&in.ev) == nil {
-		in.feed(&in.ev)
+		s.feed(p, &in.ev)
 	}
 	decoded := in.events
-	in.finish(in.dec.Dropped())
+	s.finish(p, in.dec.Dropped())
 	if decoded != declared {
 		s.markBadFrame(process)
 		return fmt.Errorf("agg: trace frame from %s declared %d events, decoded %d", process, declared, decoded)
@@ -400,7 +352,8 @@ func (s *Store) MergeHealth(process string, rows []HealthRow) {
 func (s *Store) proc(process string) *producer {
 	p := s.procs[process]
 	if p == nil {
-		p = &producer{process: process}
+		p = &producer{process: process, sites: map[siteKey]*siteAgg{}}
+		p.in.win = make([]trace.Event, s.window)
 		s.procs[process] = p
 	}
 	return p

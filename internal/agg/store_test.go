@@ -1,8 +1,10 @@
 package agg
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 
 	"tesla/internal/core"
@@ -53,7 +55,7 @@ func randomLifecycleTrace(r *rand.Rand, seqBase uint64, n int) *trace.Trace {
 func TestSummarizeParity(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
 	for round := 0; round < 20; round++ {
-		store := NewStore(StoreOpts{Stripes: 1 + r.Intn(8), Seed: int64(round)})
+		store := NewStore(StoreOpts{Seed: int64(round)})
 		merged := &trace.Trace{FormatVersion: trace.Version}
 		nProcs := 1 + r.Intn(6)
 		for p := 0; p < nProcs; p++ {
@@ -61,22 +63,95 @@ func TestSummarizeParity(t *testing.T) {
 			store.IngestTrace(procName(p), tr)
 			merged.Events = append(merged.Events, tr.Events...)
 		}
-		want := dtrace.Summarize(merged)
-		got := store.Summarize()
-		for _, pair := range []struct {
-			name      string
-			want, got *dtrace.Aggregation
-		}{
-			{"transitions", want.Transitions, got.Transitions},
-			{"accepts", want.Accepts, got.Accepts},
-			{"failures", want.Failures, got.Failures},
-		} {
-			w, g := pair.want.Snapshot(), pair.got.Snapshot()
-			if !reflect.DeepEqual(w, g) {
-				t.Fatalf("round %d: %s diverge\ndtrace: %v\nfleet:  %v", round, pair.name, w, g)
-			}
+		checkSummarize(t, fmt.Sprintf("round %d", round), store, merged)
+	}
+}
+
+// checkSummarize fails t unless store.Summarize equals dtrace.Summarize
+// over merged, the concatenation of every trace the store ingested.
+func checkSummarize(t *testing.T, what string, store *Store, merged *trace.Trace) {
+	t.Helper()
+	want, got := dtrace.Summarize(merged), store.Summarize()
+	for _, pair := range []struct {
+		name      string
+		want, got *dtrace.Aggregation
+	}{
+		{"transitions", want.Transitions, got.Transitions},
+		{"accepts", want.Accepts, got.Accepts},
+		{"failures", want.Failures, got.Failures},
+	} {
+		if w, g := pair.want.Snapshot(), pair.got.Snapshot(); !reflect.DeepEqual(w, g) {
+			t.Fatalf("%s: %s diverge\ndtrace: %v\nfleet:  %v", what, pair.name, w, g)
 		}
 	}
+}
+
+// TestOneProducerTwoConnections: a producer that reconnects while its
+// old connection still drains has frames applying on two connection
+// workers at once. The seqs 1..2N are claimed in order, as the two
+// readers would claim them, then 1..N and N+1..2N apply from two
+// goroutines while a third queries the store. The producer's lock applies
+// its frames one at a time, so its frame and event totals come out exact
+// and Summarize equals dtrace.Summarize over the concatenated traces.
+func TestOneProducerTwoConnections(t *testing.T) {
+	const n = 40
+	r := rand.New(rand.NewSource(9))
+	store := NewStore(StoreOpts{Seed: 9})
+	merged := &trace.Trace{FormatVersion: trace.Version}
+	payloads := make([][]byte, 2*n)
+	var events uint64
+	for i := range payloads {
+		tr := randomLifecycleTrace(r, uint64(i)*1000, 1+r.Intn(300))
+		merged.Events = append(merged.Events, tr.Events...)
+		events += uint64(len(tr.Events))
+		payloads[i] = framePayload(tr)
+		if !store.BeginSeqFrame("p", uint64(i+1), uint64(len(tr.Events))) {
+			t.Fatalf("seq %d claimed as a duplicate", i+1)
+		}
+	}
+
+	stop := make(chan struct{})
+	queried := make(chan struct{})
+	go func() {
+		defer close(queried)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			store.Failures()
+			store.Fleet()
+			store.Snapshot()
+		}
+	}()
+	var wg sync.WaitGroup
+	for c := 0; c < 2; c++ {
+		wg.Add(1)
+		go func(first int) {
+			defer wg.Done()
+			for seq := first; seq < first+n; seq++ {
+				if err := store.ApplySeqFrame("p", uint64(seq), payloads[seq-1]); err != nil {
+					t.Error(err)
+				}
+			}
+		}(1 + c*n)
+	}
+	wg.Wait()
+	close(stop)
+	<-queried
+
+	sum := store.Fleet()
+	if len(sum.Producers) != 1 {
+		t.Fatalf("producers: %+v", sum.Producers)
+	}
+	if p := sum.Producers[0]; p.Frames != 2*n || p.Events != events || p.BadFrames != 0 {
+		t.Fatalf("producer totals: %d frames, %d events, %d bad; want %d frames, %d events", p.Frames, p.Events, p.BadFrames, 2*n, events)
+	}
+	if got := store.AckSeq("p"); got != 2*n {
+		t.Fatalf("applied watermark %d, want %d", got, 2*n)
+	}
+	checkSummarize(t, "two connections", store, merged)
 }
 
 func procName(p int) string { return string(rune('a'+p)) + "-proc" }

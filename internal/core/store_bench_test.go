@@ -17,17 +17,17 @@ var shardConfigs = []struct {
 }{{"shards=1", 1}, {"shards=auto", 0}}
 
 // benchStore builds the OLTP-session store every store benchmark drives: a
-// pool of 128 keyed sessions inside a much larger preallocated block, so no
-// rung ever overflows. Plans are lowered once, so the benchmarks price the
-// event path, not lowering.
-func benchStore(opts StoreOpts) (s *Store, work, site *SymbolPlan) {
+// pool of keyed sessions (128 in the global-store benchmarks) inside a much
+// larger preallocated block, so no rung ever overflows. Plans are lowered
+// once, so the benchmarks price the event path, not lowering.
+func benchStore(opts StoreOpts, sessions int) (s *Store, work, site *SymbolPlan) {
 	cls := &Class{Name: "bench", States: 8, Limit: 1024}
 	s = NewStoreOpts(opts)
 	s.Register(cls)
 	enter := NewSymbolPlan(cls, "enter", 0, TransitionSet{{From: 0, To: 1, Flags: TransInit, KeyMask: 1}})
 	work = NewSymbolPlan(cls, "work", 0, TransitionSet{{From: 1, To: 2, KeyMask: 1}, {From: 2, To: 1, KeyMask: 1}})
 	site = NewSymbolPlan(cls, "site", SymRequired, TransitionSet{{From: 1, To: 1, KeyMask: 1}, {From: 2, To: 2, KeyMask: 1}})
-	for k := 0; k < 128; k++ {
+	for k := 0; k < sessions; k++ {
 		s.UpdateStatePlan(enter, NewKey(Value(k)))
 	}
 	return s, work, site
@@ -38,18 +38,28 @@ func benchStore(opts StoreOpts) (s *Store, work, site *SymbolPlan) {
 func BenchmarkStoreOLTP(b *testing.B) {
 	for _, c := range shardConfigs {
 		b.Run(c.name, func(b *testing.B) {
-			benchSessions(b, StoreOpts{Context: Global, Shards: c.shards})
+			benchSessions(b, StoreOpts{Context: Global, Shards: c.shards}, 128)
 		})
 	}
 }
 
-// benchSessions is BenchmarkStoreOLTP's loop over a store built from opts.
-func benchSessions(b *testing.B, opts StoreOpts) {
-	s, work, site := benchStore(opts)
+// BenchmarkStorePerThread prices the per-thread store's one-event path:
+// a PerThread store with 4 keyed sessions and the no-op handler, one
+// UpdateStatePlan per event in BenchmarkStoreOLTP's work/site mix. Its
+// name keeps it out of `make bench-compare`, whose StoreOLTP pattern
+// compares global-store layouts; run it with -cpu 1.
+func BenchmarkStorePerThread(b *testing.B) {
+	benchSessions(b, StoreOpts{Context: PerThread}, 4)
+}
+
+// benchSessions is BenchmarkStoreOLTP's loop over a store built from opts
+// with the given number of sessions.
+func benchSessions(b *testing.B, opts StoreOpts, sessions int) {
+	s, work, site := benchStore(opts, sessions)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		key := NewKey(Value(i % 128))
+		key := NewKey(Value(i % sessions))
 		if i%8 == 7 {
 			s.UpdateStatePlan(site, key)
 		} else {
@@ -83,7 +93,7 @@ func BenchmarkStorePolicy(b *testing.B) {
 		b.Run(c.name, func(b *testing.B) {
 			opts := c.opts()
 			opts.Context, opts.Shards = Global, 8
-			benchSessions(b, opts)
+			benchSessions(b, opts, 128)
 		})
 	}
 }
@@ -93,7 +103,7 @@ func BenchmarkStorePolicy(b *testing.B) {
 func BenchmarkStoreOLTPParallel(b *testing.B) {
 	for _, c := range shardConfigs {
 		b.Run(c.name, func(b *testing.B) {
-			s, work, site := benchStore(StoreOpts{Context: Global, Shards: c.shards})
+			s, work, site := benchStore(StoreOpts{Context: Global, Shards: c.shards}, 128)
 			var nextG int
 			var mu sync.Mutex
 			b.ReportAllocs()

@@ -22,7 +22,7 @@ import (
 // recovered spool is always a valid frame prefix of what was appended.
 //
 // Two producers sit on it: tesla-run -trace-spool streams delta traces
-// (Recorder.CutInto cuts, via SpoolWriter) so a SIGKILL'd process loses
+// (Recorder.AppendCut, via Flusher) so a SIGKILL'd process loses
 // at most one flush interval of events, and the tesla-agg client
 // overflows undeliverable wire frames to disk so a server outage or a
 // producer crash never silently loses accounted events.
@@ -479,10 +479,13 @@ func syncDir(dir string) error {
 }
 
 // ReadSpool opens (repairing) a trace spool written by SpoolWriter and
-// merges its delta traces into one Seq-ordered trace — the recovery
-// entry point tesla-trace uses to treat a spool directory like a trace
-// file. The merged Dropped total sums every delta's explicit losses; what
-// the repair cut away is reported beside the trace, since it is lost
+// concatenates its delta traces into one trace — the recovery entry point
+// tesla-trace uses to treat a spool directory like a trace file. Every
+// cut is a Seq-prefix of what the recorder still holds, so the deltas
+// come out Seq-ordered as appended; a delta whose first Seq is not above
+// the previous event's is an error naming its frame, not something to
+// sort away. The merged Dropped total sums every delta's explicit losses;
+// what the repair cut away is reported beside the trace, since it is lost
 // without a count.
 func ReadSpool(dir string) (*Trace, SpoolRecovery, error) {
 	sp, err := OpenSpool(dir, SpoolOpts{Sync: SpoolSyncNone})
@@ -492,15 +495,19 @@ func ReadSpool(dir string) (*Trace, SpoolRecovery, error) {
 	defer sp.Close()
 	rec := sp.Recovered()
 	t := &Trace{FormatVersion: Version}
-	first := true
+	frames := 0
 	err = sp.Range(func(payload []byte) error {
+		frames++
 		delta, err := decodeBinary(payload)
 		if err != nil {
-			return fmt.Errorf("trace: spool frame: %w", err)
+			return fmt.Errorf("trace: spool frame %d: %w", frames, err)
 		}
-		if first {
+		if frames == 1 {
 			t.Automata = delta.Automata
-			first = false
+		}
+		if n := len(t.Events); n > 0 && len(delta.Events) > 0 && delta.Events[0].Seq <= t.Events[n-1].Seq {
+			return fmt.Errorf("trace: spool frame %d starts at seq %d, not above the previous event's seq %d",
+				frames, delta.Events[0].Seq, t.Events[n-1].Seq)
 		}
 		t.Dropped += delta.Dropped
 		t.Events = append(t.Events, delta.Events...)
@@ -509,10 +516,9 @@ func ReadSpool(dir string) (*Trace, SpoolRecovery, error) {
 	if err != nil {
 		return nil, rec, err
 	}
-	if first {
+	if frames == 0 {
 		return nil, rec, fmt.Errorf("trace: spool %s holds no recoverable frames", dir)
 	}
-	sort.SliceStable(t.Events, func(i, j int) bool { return t.Events[i].Seq < t.Events[j].Seq })
 	return t, rec, nil
 }
 

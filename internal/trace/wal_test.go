@@ -267,6 +267,35 @@ func TestSpoolReadReportsRepair(t *testing.T) {
 	}
 }
 
+// TestSpoolReadRejectsOutOfOrder: every cut is a Seq-prefix, so a spool
+// whose deltas were appended out of Seq order breaks the SpoolWriter's
+// contract. ReadSpool reports the frame that breaks it instead of
+// sorting the events back into order.
+func TestSpoolReadRejectsOutOfOrder(t *testing.T) {
+	dir := t.TempDir()
+	sp, err := OpenSpool(dir, SpoolOpts{Sync: SpoolSyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, seqs := range [][]uint64{{3, 4}, {1, 2}} {
+		delta := &Trace{FormatVersion: Version, Automata: []string{"a"}}
+		for _, seq := range seqs {
+			delta.Events = append(delta.Events, Event{Seq: seq, Thread: 0, Kind: KindAccept, Class: "a"})
+		}
+		if err := sp.Append(AppendBinary(nil, delta)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sp.Close()
+	tr, _, err := ReadSpool(dir)
+	if err == nil {
+		t.Fatalf("ReadSpool accepted deltas appended out of order: %d events", len(tr.Events))
+	}
+	if !strings.Contains(err.Error(), "frame 2") {
+		t.Fatalf("error %q does not name the out-of-order frame 2", err)
+	}
+}
+
 // TestSpoolWriteFaults: injected write failures (internal/faultinject
 // SiteWALWrite) skip exactly the faulted frames, leave the log valid and
 // do not poison subsequent appends.
