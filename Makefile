@@ -247,7 +247,7 @@ crash-gate: build
 alloc-gate:
 	$(GO) test -count=1 ./internal/core -run '^TestUpdateBatchAllocs$$'
 	$(GO) test -count=1 ./internal/agg -run '^(TestIngestFrameAllocs|TestPublisherFlushAllocs|TestSpooledClientMemoryBound)$$'
-	$(GO) test -count=1 ./internal/build -run '^(TestEncodeModuleAllocs|TestInstrumentUntouchedAllocs)$$'
+	$(GO) test -count=1 ./internal/build -run '^(TestEncodeModuleAllocs|TestInstrumentUntouchedAllocs|TestWarmRebuildAllocs)$$'
 	$(GO) test -count=1 ./internal/monitor -run '^TestNameDrivenAllocs$$'
 	$(GO) test -count=1 ./internal/trace -run '^(TestRecorderTapAllocs|TestFlusherSteadyAllocs|TestRecorderFootprint)$$'
 	$(GO) test -count=1 ./internal/kernel -run '^TestFig11bOLTPAllocs$$'

@@ -2,15 +2,18 @@
 
 package build_test
 
-// Allocation regressions for artifact encoding and instrumentation. The file is excluded under
+// Allocation regressions for artifact encoding, instrumentation and the
+// build graph's own bookkeeping. The file is excluded under
 // -race, where sync.Pool drops items at random, so neither the codec's
 // pooled encoder nor the scheduler's pooled buffer can stay warm.
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
+	"tesla/internal/bench"
 	"tesla/internal/build"
 	"tesla/internal/ir"
 	"tesla/internal/toolchain"
@@ -104,5 +107,47 @@ int main(int sig) { return fetch(sig); }
 	if largeAllocs != smallAllocs {
 		t.Fatalf("instrumenting an unhooked unit allocated %.1f times for 64 functions, %.1f for 8: untouched functions are copied",
 			largeAllocs, smallAllocs)
+	}
+}
+
+// TestWarmRebuildAllocs: a warm rebuild that changes nothing runs no
+// stage, so what it allocates is the graph's bookkeeping: the node slab,
+// the dependency and dependent slabs, the node IDs' one buffer, the
+// report and the result. The 26-file, 108-node program must rebuild
+// within these bounds (it reads 19 objects and about 47 KB); a graph that
+// allocated each node, ID, run closure, key-material slice and hex report
+// key on its own took about 1,100 objects and 98 KB. Jobs is fixed so the
+// number of worker goroutines does not follow the host's CPUs.
+func TestWarmRebuildAllocs(t *testing.T) {
+	const maxObjects, maxBytes = 40, 56 << 10
+	sources := bench.OpenSSLCodebase(24, 8)
+	opts := build.Options{Instrument: true, Jobs: 2, Cache: build.NewCache()}
+	if _, err := build.Run(sources, opts); err != nil {
+		t.Fatal(err)
+	}
+	rebuild := func() {
+		res, err := build.Run(sources, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.AllCached() {
+			t.Fatalf("warm rebuild did work: %s", res.Summary())
+		}
+	}
+	rebuild() // warm-up: every hit artifact is hashed and every pool grown
+
+	objects := testing.AllocsPerRun(20, rebuild)
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		rebuild()
+	}
+	runtime.ReadMemStats(&after)
+	bytes := (after.TotalAlloc - before.TotalAlloc) / runs
+	t.Logf("warm no-op rebuild: %.0f objects, %d B per build", objects, bytes)
+	if objects > maxObjects || bytes > maxBytes {
+		t.Fatalf("warm no-op rebuild allocated %.0f objects and %d B per build, want at most %d and %d",
+			objects, bytes, maxObjects, maxBytes)
 	}
 }

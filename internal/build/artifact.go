@@ -13,6 +13,7 @@ import (
 	"tesla/internal/instrument"
 	"tesla/internal/ir"
 	"tesla/internal/manifest"
+	"tesla/internal/staticcheck"
 )
 
 // Artifact codecs. A node's artifact has a hash that dependent keys
@@ -47,7 +48,7 @@ type unitArtifact struct {
 	// The ir.FuncSum of each of Module's functions, memoized: the unit's
 	// content sum and the optimised digests below both read them.
 	rawOnce sync.Once
-	rawSums []digest
+	rawSums []Digest
 
 	// Module's functions optimised, and each one's ir.FuncSum, memoized
 	// the same way: every instrument or strip node over this artifact, in
@@ -55,7 +56,7 @@ type unitArtifact struct {
 	// leaves alone.
 	optOnce sync.Once
 	optFns  []*ir.Func
-	optSums []digest
+	optSums []Digest
 }
 
 // moduleArtifact is the product of the instrument, strip and link nodes.
@@ -96,7 +97,7 @@ func decodeUnit(data []byte) (any, error) {
 
 // sumUnit is a unit artifact's content sum: the module's, with the
 // fragment as its tail, from the memoized function digests.
-func sumUnit(art any) digest {
+func sumUnit(art any) Digest {
 	u := art.(*unitArtifact)
 	sums := u.funcSums()
 	return u.Module.ContentSum(func(i int, _ *ir.Func) [sha256.Size]byte { return sums[i] }, u.Fragment)
@@ -119,7 +120,7 @@ func (a *moduleArtifact) appendStats(dst []byte) []byte {
 // Stats counters as its tail. Function i takes the compile artifact's
 // memoized digest when it is that artifact's optimised function i: the
 // IR is immutable once built, so the same pointer means the same content.
-func sumModule(art any) digest {
+func sumModule(art any) Digest {
 	a := art.(*moduleArtifact)
 	var stack [5 * binary.MaxVarintLen64]byte
 	tail := a.appendStats(stack[:0])
@@ -154,19 +155,29 @@ func decodeModule(data []byte) (any, error) {
 	return a, nil
 }
 
+// encodeSafeSet: a check report's provably-safe automata names, as
+// encodeDefs writes names — the only part of a check verdict downstream
+// instrumentation keys on.
+func encodeSafeSet(art any, dst []byte) ([]byte, error) {
+	return appendNames(dst, art.(*staticcheck.Report).SafeSet()), nil
+}
+
 // encodeDefs: the defined-function names, sorted, each NUL-terminated.
 func encodeDefs(art any, dst []byte) ([]byte, error) {
-	defs := art.(map[string]bool)
-	names := make([]string, 0, len(defs))
-	for fn := range defs {
-		names = append(names, fn)
+	return appendNames(dst, art.(map[string]bool)), nil
+}
+
+func appendNames(dst []byte, set map[string]bool) []byte {
+	names := make([]string, 0, len(set))
+	for name := range set {
+		names = append(names, name)
 	}
 	sort.Strings(names)
-	for _, fn := range names {
-		dst = append(dst, fn...)
+	for _, name := range names {
+		dst = append(dst, name...)
 		dst = append(dst, 0)
 	}
-	return dst, nil
+	return dst
 }
 
 // decodeDefs accepts only encodeDefs's output: non-empty names in
@@ -252,9 +263,9 @@ func (u *unitArtifact) parseUnit() (*compiler.Unit, error) {
 // them once per artifact. The sync.Once is the happens-before between the
 // graph worker that hashes the compile artifact and the ones that
 // optimise it for instrument and strip nodes, whichever runs first.
-func (u *unitArtifact) funcSums() []digest {
+func (u *unitArtifact) funcSums() []Digest {
 	u.rawOnce.Do(func() {
-		u.rawSums = make([]digest, len(u.Module.Funcs))
+		u.rawSums = make([]Digest, len(u.Module.Funcs))
 		for i, f := range u.Module.Funcs {
 			u.rawSums[i] = ir.FuncSum(f)
 		}
@@ -266,11 +277,11 @@ func (u *unitArtifact) funcSums() []digest {
 // both once per artifact. ir.OptimizeFunc returns a function with nothing
 // dead as it is, and IR is immutable, so that function's digest is its
 // raw one: it is hashed once, for the unit's content sum, not again here.
-func (u *unitArtifact) optimized() ([]*ir.Func, []digest) {
+func (u *unitArtifact) optimized() ([]*ir.Func, []Digest) {
 	u.optOnce.Do(func() {
 		raw := u.funcSums()
 		u.optFns = make([]*ir.Func, len(u.Module.Funcs))
-		u.optSums = make([]digest, len(u.Module.Funcs))
+		u.optSums = make([]Digest, len(u.Module.Funcs))
 		for i, f := range u.Module.Funcs {
 			u.optFns[i] = ir.OptimizeFunc(f)
 			if u.optFns[i] == f {

@@ -27,7 +27,9 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
+	"time"
 
 	"tesla/internal/automata"
 	"tesla/internal/compiler"
@@ -86,26 +88,36 @@ type Result struct {
 type NodeReport struct {
 	ID     string
 	Status Status
-	Key    string // content-hash key (hex), "" for parse records
-	Err    error
+	// Key is the node's content-hash key; zero for parse records and
+	// skipped nodes.
+	Key Digest
+	// Dur is the node's own time: key, cache lookups, stage and hash.
+	// Parse records read zero; a parse's time is part of the node that
+	// demanded it.
+	Dur time.Duration
+	Err error
 }
 
-// graphState carries the shared lazy singletons node run functions need:
-// the parse memo (so a file demanded by both its interface and compile
-// nodes parses once), the compilation context (built from interface
-// artifacts only after every interface node has finished) and the hook
-// plan every instrument node reads.
+// graphState is one build: its node slab, the inputs node keys read, and
+// the shared lazy singletons stages need: the parse memo (so a file
+// demanded by both its interface and compile nodes parses once), the
+// interfaces digest and the compilation context (both derived from the
+// interface artifacts once every interface node has finished) and the
+// hook plan every instrument node reads.
 type graphState struct {
+	opts    Options // Cache is set
 	sources map[string]string
 	names   []string
+	digests []Digest // each source's SHA-256, in name order
+	parsed  []parseEntry
+	nodes   []node
 
-	parseMu sync.Mutex
-	parsed  map[string]*parseEntry
+	ifaceOnce sync.Once
+	ifaceSum  Digest
 
-	ifaceNodes []*node
-	ctxOnce    sync.Once
-	ctx        *compiler.Context
-	ctxErr     error
+	ctxOnce sync.Once
+	ctx     *compiler.Context
+	ctxErr  error
 
 	planOnce sync.Once
 	planVal  *automata.Plan
@@ -120,209 +132,153 @@ type parseEntry struct {
 // parse memoizes csub.Parse per file. It only ever runs for files whose
 // interface or compile node missed the cache: an unchanged file with a
 // warm disk cache is never re-parsed.
-func (g *graphState) parse(name string) (*csub.File, error) {
-	g.parseMu.Lock()
-	e, ok := g.parsed[name]
-	if !ok {
-		e = &parseEntry{}
-		g.parsed[name] = e
-	}
-	g.parseMu.Unlock()
+func (g *graphState) parse(unit int) (*csub.File, error) {
+	e := &g.parsed[unit]
 	e.once.Do(func() {
+		name := g.names[unit]
 		e.file, e.err = csub.Parse(name, g.sources[name])
 	})
 	return e.file, e.err
 }
 
-// context builds the cross-file compilation context from the interface
-// artifacts. Callers run only after every interface node completed
-// successfully (compile nodes depend on all of them), so the artifacts are
-// present.
-func (g *graphState) context() (*compiler.Context, error) {
-	g.ctxOnce.Do(func() {
-		ifaces := make([]*compiler.Interface, len(g.ifaceNodes))
-		for i, n := range g.ifaceNodes {
-			ifaces[i] = n.art.(*compiler.Interface)
+// interfaces returns the interfaces digest: SHA-256 over the interface
+// artifact hashes in name order, computed once per build. Compile and
+// defs nodes key on it; both depend on every interface node, so every
+// hash is set when the first of them asks.
+func (g *graphState) interfaces(ifaces []*node) Digest {
+	g.ifaceOnce.Do(func() {
+		h := sha256.New()
+		for _, d := range ifaces {
+			h.Write(d.hash[:])
 		}
-		g.ctx, g.ctxErr = compiler.NewContextFromInterfaces(ifaces...)
+		h.Sum(g.ifaceSum[:0])
+	})
+	return g.ifaceSum
+}
+
+// context builds the cross-file compilation context from the interface
+// artifacts. Callers are compile nodes, which depend on every interface
+// node, so the artifacts are present.
+func (g *graphState) context(ifaces []*node) (*compiler.Context, error) {
+	g.ctxOnce.Do(func() {
+		all := make([]*compiler.Interface, len(ifaces))
+		for i, n := range ifaces {
+			all[i] = n.art.(*compiler.Interface)
+		}
+		g.ctx, g.ctxErr = compiler.NewContextFromInterfaces(all...)
 	})
 	return g.ctx, g.ctxErr
 }
 
 // plan builds the hook plan once per build from the automata and defs
 // artifacts; callers are instrument nodes, which depend on both.
-func (g *graphState) plan(autos, defs *node) *automata.Plan {
+func (g *graphState) plan(autos *autosArtifact, defs map[string]bool) *automata.Plan {
 	g.planOnce.Do(func() {
-		g.planVal = automata.NewPlan(autos.art.(*autosArtifact).Autos, defs.art.(map[string]bool))
+		g.planVal = automata.NewPlan(autos.Autos, defs)
 	})
 	return g.planVal
 }
 
 // Run executes the build graph over the sources.
 func Run(sources map[string]string, opts Options) (*Result, error) {
-	cache := opts.Cache
-	if cache == nil {
-		cache = NewCache()
+	if opts.Cache == nil {
+		opts.Cache = NewCache()
 	}
-
-	g := &graphState{
-		sources: sources,
-		parsed:  map[string]*parseEntry{},
-	}
+	names := make([]string, 0, len(sources))
+	idLen := 0 // the bytes of each file's four per-file node IDs
 	for n := range sources {
-		g.names = append(g.names, n)
+		names = append(names, n)
+		idLen += len("iface:compile:analyse:instrument:") + 4*len(n)
 	}
-	sort.Strings(g.names)
+	sort.Strings(names)
+	files := len(names)
 
-	var nodes []*node
-	add := func(n *node) *node {
-		nodes = append(nodes, n)
+	// Every node lives in one slab, in pipeline order: four per file
+	// (interface, compile, analyse, instrument or strip), combine and
+	// link, defs and automata for instrumented or checked builds, and
+	// rawlink and check for checked ones. Dependency lists that are not a
+	// whole stage are carved from one pointer slab.
+	size := 4*files + 2
+	if opts.Instrument || opts.Check {
+		size += 2
+	}
+	if opts.Check {
+		size += 2
+	}
+	g := &graphState{
+		opts:    opts,
+		sources: sources,
+		names:   names,
+		digests: hashSources(sources, names),
+		parsed:  make([]parseEntry, files),
+		nodes:   make([]node, size),
+	}
+	// A per-file record's ID is "kind:file", cut from one builder sized
+	// for the node IDs (parse records, cold builds only, may grow it). A
+	// builder never rewrites bytes it holds, so every cut stays valid.
+	var ids strings.Builder
+	ids.Grow(idLen)
+	id := func(kind string, unit int) string {
+		start := ids.Len()
+		ids.WriteString(kind)
+		ids.WriteByte(':')
+		ids.WriteString(names[unit])
+		return ids.String()[start:]
+	}
+	next := 0
+	add := func(kind nodeKind, unit int, deps []*node) *node {
+		n := &g.nodes[next]
+		next++
+		n.id, n.kind, n.unit, n.deps = kinds[kind].name, kind, unit, deps
+		if unit >= 0 {
+			n.id = id(n.id, unit)
+		}
 		return n
 	}
+	ptrs := make([]*node, 8*files+4)
+	carve := func(k int) []*node {
+		s := ptrs[:k:k]
+		ptrs = ptrs[k:]
+		return s
+	}
+	deps := func(ns ...*node) []*node { return append(carve(len(ns))[:0], ns...) }
+	ifaces, compiles, analyses, units := carve(files), carve(files), carve(files), carve(files)
 
 	// Stage 1: per-file interface summaries (parse on demand). Each source
 	// is hashed once; the interface and compile nodes key on its digest.
-	digests := hashSources(sources, g.names)
-	for i, name := range g.names {
-		name := name
-		g.ifaceNodes = append(g.ifaceNodes, add(&node{
-			id:        "iface:" + name,
-			kind:      "iface",
-			extra:     [][]byte{[]byte(name), digests[i][:]},
-			cacheable: true,
-			run: func() (any, error) {
-				f, err := g.parse(name)
-				if err != nil {
-					return nil, err
-				}
-				return compiler.InterfaceOf(f), nil
-			},
-			encode: encodeIface,
-			decode: decodeIface,
-		}))
+	for i := range names {
+		ifaces[i] = add(kindIface, i, nil)
 	}
 
 	// Stage 2: per-file compilation to IR + assertion extraction. The key
-	// is the file's own digest plus every interface artifact hash (the
-	// role of header dependencies in a C build): editing one file's body
-	// leaves its interface — and so every other file's compile key —
-	// unchanged.
-	compileNodes := make([]*node, len(g.names))
-	for i, name := range g.names {
-		name := name
-		compileNodes[i] = add(&node{
-			id:        "compile:" + name,
-			kind:      "compile",
-			deps:      g.ifaceNodes,
-			extra:     [][]byte{[]byte(name), digests[i][:]},
-			cacheable: true,
-			run: func() (any, error) {
-				f, err := g.parse(name)
-				if err != nil {
-					return nil, err
-				}
-				ctx, err := g.context()
-				if err != nil {
-					return nil, err
-				}
-				u, err := compiler.CompileFile(f, ctx)
-				if err != nil {
-					return nil, err
-				}
-				frag, err := encodeManifest(manifest.FromAssertions(name, u.Assertions), nil)
-				if err != nil {
-					return nil, err
-				}
-				return &unitArtifact{Module: u.Module, Fragment: frag}, nil
-			},
-			encode: encodeUnit,
-			decode: decodeUnit,
-			sum:    sumUnit,
-		})
+	// is the file's own digest plus the interfaces digest (the role of
+	// header dependencies in a C build): editing one file's body leaves
+	// its interface — and so every other file's compile key — unchanged.
+	for i := range names {
+		compiles[i] = add(kindCompile, i, ifaces)
 	}
 
 	// Stage 3: per-file manifest fragments. Re-running is cheap; the point
 	// of the node is early cutoff — a body edit re-compiles the file but
 	// reproduces the same fragment bytes, so downstream combine hits.
-	analyseNodes := make([]*node, len(g.names))
-	for i, name := range g.names {
-		i := i
-		analyseNodes[i] = add(&node{
-			id:        "analyse:" + name,
-			kind:      "analyse",
-			deps:      []*node{compileNodes[i]},
-			cacheable: true,
-			run: func() (any, error) {
-				return compileNodes[i].art.(*unitArtifact).fragment()
-			},
-			encode: encodeManifest,
-			decode: decodeManifest,
-		})
+	for i := range names {
+		analyses[i] = add(kindAnalyse, i, compiles[i:i+1:i+1])
 	}
 
 	// Stage 4: combine fragments into the program manifest. Its artifact
 	// hash is the one-to-many pivot of §5.1: every instrument node keys on
 	// it (via the automata node).
-	combineNode := add(&node{
-		id:        "combine",
-		kind:      "combine",
-		deps:      analyseNodes,
-		cacheable: true,
-		run: func() (any, error) {
-			frags := make([]*manifest.File, len(analyseNodes))
-			for i, n := range analyseNodes {
-				frags[i] = n.art.(*manifest.File)
-			}
-			return manifest.Combine(frags...)
-		},
-		encode: encodeManifest,
-		decode: decodeManifest,
-	})
+	combine := add(kindCombine, -1, analyses)
 
 	// Stage 5: what checking and instrumentation read besides the units.
 	// The program-wide defined-function set decides each function event's
 	// caller or callee side; it depends on the interfaces alone, so it
 	// hits whenever they all do. The automata compile from the combined
 	// manifest.
-	var defsNode, autosNode *node
+	var defs, autos, check *node
 	if opts.Instrument || opts.Check {
-		defsNode = add(&node{
-			id:        "defs",
-			kind:      "defs",
-			deps:      g.ifaceNodes,
-			cacheable: true,
-			run: func() (any, error) {
-				defs := map[string]bool{}
-				for _, n := range g.ifaceNodes {
-					for _, fn := range n.art.(*compiler.Interface).Fns {
-						defs[fn] = true
-					}
-				}
-				return defs, nil
-			},
-			encode: encodeDefs,
-			decode: decodeDefs,
-		})
-		autosNode = add(&node{
-			id:        "automata",
-			kind:      "automata",
-			deps:      []*node{combineNode},
-			cacheable: true,
-			run: func() (any, error) {
-				m := combineNode.art.(*manifest.File)
-				autos, err := m.Compile()
-				if err != nil {
-					return nil, err
-				}
-				data, err := encodeManifest(m, nil)
-				if err != nil {
-					return nil, err
-				}
-				return &autosArtifact{Autos: autos, Manifest: data}, nil
-			},
-			encode: encodeAutos,
-			decode: decodeAutos,
-		})
+		defs = add(kindDefs, -1, ifaces)
+		autos = add(kindAutomata, -1, deps(combine))
 	}
 
 	// Static checking: the raw (uninstrumented, sites in place) linked
@@ -331,44 +287,8 @@ func Run(sources map[string]string, opts Options) (*Result, error) {
 	// set of provably-safe automata does. Reports are not persisted: a
 	// fresh process re-derives verdicts (cheap relative to their value,
 	// and Report carries live graph state).
-	var checkNode *node
 	if opts.Check {
-		rawLink := add(&node{
-			id:        "rawlink",
-			kind:      "rawlink",
-			deps:      compileNodes,
-			cacheable: true,
-			run: func() (any, error) {
-				mods := make([]*ir.Module, len(compileNodes))
-				for i, n := range compileNodes {
-					mods[i] = n.art.(*unitArtifact).Module
-				}
-				m, err := ir.Link("program", mods...)
-				if err != nil {
-					return nil, err
-				}
-				return &moduleArtifact{Module: m}, nil
-			},
-			encode: encodeModule,
-			decode: decodeModule,
-			sum:    sumModule,
-		})
-		checkNode = add(&node{
-			id:    "check",
-			kind:  "check",
-			deps:  []*node{rawLink, autosNode, defsNode},
-			extra: [][]byte{[]byte(opts.Entry), []byte(fmt.Sprintf("liveness=%t", !opts.NoLiveness))},
-			run: func() (any, error) {
-				return staticcheck.Check(
-					rawLink.art.(*moduleArtifact).Module,
-					autosNode.art.(*autosArtifact).Autos,
-					staticcheck.Options{Entry: opts.Entry, DefinedFns: defsNode.art.(map[string]bool), NoLiveness: opts.NoLiveness},
-				), nil
-			},
-			encode: func(art any, dst []byte) ([]byte, error) {
-				return appendSafeSet(dst, art.(*staticcheck.Report)), nil
-			},
-		})
+		check = add(kindCheck, -1, deps(add(kindRawlink, -1, compiles), autos, defs))
 	}
 
 	// Stage 6: per-unit instrumentation (or stripping). Deps: the unit's
@@ -379,96 +299,41 @@ func Run(sources map[string]string, opts Options) (*Result, error) {
 	// re-instrumenting a unit after an assertion edit shares its untouched
 	// functions, and their digests, with the previous build. Every
 	// instrument node reads one hook plan, built once per build.
-	unitNodes := make([]*node, len(g.names))
-	for i, name := range g.names {
-		i := i
-		if opts.Instrument {
-			deps := []*node{compileNodes[i], autosNode, defsNode}
-			elide := opts.Elide && checkNode != nil
-			if elide {
-				deps = append(deps, checkNode)
-			}
-			suffix := fmt.Sprintf("__m%d", i)
-			unitNodes[i] = add(&node{
-				id:        "instrument:" + name,
-				kind:      "instrument",
-				deps:      deps,
-				extra:     [][]byte{[]byte(suffix)},
-				cacheable: true,
-				run: func() (any, error) {
-					var elideSet map[string]bool
-					if elide {
-						elideSet = checkNode.art.(*staticcheck.Report).SafeSet()
-					}
-					return instrumentUnit(
-						compileNodes[i].art.(*unitArtifact),
-						autosNode.art.(*autosArtifact).Autos,
-						instrument.Options{DefinedFns: defsNode.art.(map[string]bool), Suffix: suffix, Elide: elideSet,
-							Plan: g.plan(autosNode, defsNode)},
-					)
-				},
-				encode: encodeModule,
-				decode: decodeModule,
-				sum:    sumModule,
-			})
-		} else {
-			unitNodes[i] = add(&node{
-				id:        "strip:" + name,
-				kind:      "strip",
-				deps:      []*node{compileNodes[i]},
-				cacheable: true,
-				run: func() (any, error) {
-					unit := compileNodes[i].art.(*unitArtifact)
-					return unit.optimize(instrument.Strip(unit.Module), instrument.Stats{}), nil
-				},
-				encode: encodeModule,
-				decode: decodeModule,
-				sum:    sumModule,
-			})
+	for i := range names {
+		switch {
+		case !opts.Instrument:
+			units[i] = add(kindStrip, i, compiles[i:i+1:i+1])
+		case opts.Elide && check != nil:
+			units[i] = add(kindInstrument, i, deps(compiles[i], autos, defs, check))
+		default:
+			units[i] = add(kindInstrument, i, deps(compiles[i], autos, defs))
 		}
 	}
 
 	// Stage 7: link.
-	linkNode := add(&node{
-		id:        "link",
-		kind:      "link",
-		deps:      unitNodes,
-		cacheable: true,
-		run: func() (any, error) {
-			mods := make([]*ir.Module, len(unitNodes))
-			for i, n := range unitNodes {
-				mods[i] = n.art.(*moduleArtifact).Module
-			}
-			m, err := ir.Link("program", mods...)
-			if err != nil {
-				return nil, err
-			}
-			return &moduleArtifact{Module: m}, nil
-		},
-		encode: encodeModule,
-		decode: decodeModule,
-		sum:    sumModule,
-	})
+	link := add(kindLink, -1, units)
 
-	x := &exec{cache: cache, jobs: opts.Jobs}
-	x.runGraph(nodes)
+	g.runGraph()
 
-	res := &Result{Names: g.names}
-	for _, name := range g.names {
-		g.parseMu.Lock()
-		e := g.parsed[name]
-		g.parseMu.Unlock()
-		if e != nil && e.err == nil {
-			res.Files = append(res.Files, e.file)
-			res.Nodes = append(res.Nodes, NodeReport{ID: "parse:" + name, Status: StatusBuilt})
-		} else {
-			res.Files = append(res.Files, nil)
+	res := &Result{Names: names, Files: make([]*csub.File, files)}
+	parsed := 0
+	for i := range g.parsed {
+		if e := &g.parsed[i]; e.file != nil && e.err == nil {
+			res.Files[i] = e.file
+			parsed++
 		}
 	}
-	for _, n := range nodes {
-		r := NodeReport{ID: n.id, Status: n.status, Err: n.err}
+	res.Nodes = make([]NodeReport, 0, parsed+len(g.nodes))
+	for i, f := range res.Files {
+		if f != nil {
+			res.Nodes = append(res.Nodes, NodeReport{ID: id("parse", i), Status: StatusBuilt})
+		}
+	}
+	for i := range g.nodes {
+		n := &g.nodes[i]
+		r := NodeReport{ID: n.id, Status: n.status, Dur: n.dur, Err: n.err}
 		if n.status != StatusSkipped {
-			r.Key = n.key.String()
+			r.Key = n.key
 		}
 		res.Nodes = append(res.Nodes, r)
 	}
@@ -477,8 +342,8 @@ func Run(sources map[string]string, opts Options) (*Result, error) {
 	// a context error surface once), in pipeline order.
 	var errs []error
 	seen := map[string]bool{}
-	for _, n := range nodes {
-		if n.status == StatusFailed && n.err != nil && !seen[n.err.Error()] {
+	for i := range g.nodes {
+		if n := &g.nodes[i]; n.status == StatusFailed && n.err != nil && !seen[n.err.Error()] {
 			seen[n.err.Error()] = true
 			errs = append(errs, n.err)
 		}
@@ -488,18 +353,20 @@ func Run(sources map[string]string, opts Options) (*Result, error) {
 	}
 
 	// Assemble the result from the node artifacts.
-	for i := range g.names {
-		u, err := compileNodes[i].art.(*unitArtifact).unit()
+	res.Units = make([]*compiler.Unit, files)
+	res.Fragments = make([]*manifest.File, files)
+	for i := range names {
+		u, err := compiles[i].art.(*unitArtifact).unit()
 		if err != nil {
 			return res, err
 		}
-		res.Units = append(res.Units, u)
-		res.Fragments = append(res.Fragments, analyseNodes[i].art.(*manifest.File))
+		res.Units[i] = u
+		res.Fragments[i] = analyses[i].art.(*manifest.File)
 	}
-	res.Manifest = combineNode.art.(*manifest.File)
+	res.Manifest = combine.art.(*manifest.File)
 	if opts.Instrument {
-		res.Autos = autosNode.art.(*autosArtifact).Autos
-		for _, n := range unitNodes {
+		res.Autos = autos.art.(*autosArtifact).Autos
+		for _, n := range units {
 			s := n.art.(*moduleArtifact).Stats
 			res.Stats.Hooks += s.Hooks
 			res.Stats.Translators += s.Translators
@@ -508,18 +375,113 @@ func Run(sources map[string]string, opts Options) (*Result, error) {
 			res.Stats.ElidedSites += s.ElidedSites
 		}
 	}
-	if checkNode != nil {
-		res.Report = checkNode.art.(*staticcheck.Report)
+	if check != nil {
+		res.Report = check.art.(*staticcheck.Report)
 	}
-	res.Program = linkNode.art.(*moduleArtifact).Module
+	res.Program = link.art.(*moduleArtifact).Module
 	return res, nil
+}
+
+// run is every stage's body: it produces n's artifact from its
+// dependencies' artifacts, which the scheduler has resolved.
+func (g *graphState) run(n *node) (any, error) {
+	switch n.kind {
+	case kindIface:
+		f, err := g.parse(n.unit)
+		if err != nil {
+			return nil, err
+		}
+		return compiler.InterfaceOf(f), nil
+	case kindCompile:
+		f, err := g.parse(n.unit)
+		if err != nil {
+			return nil, err
+		}
+		ctx, err := g.context(n.deps)
+		if err != nil {
+			return nil, err
+		}
+		u, err := compiler.CompileFile(f, ctx)
+		if err != nil {
+			return nil, err
+		}
+		frag, err := encodeManifest(manifest.FromAssertions(g.names[n.unit], u.Assertions), nil)
+		if err != nil {
+			return nil, err
+		}
+		return &unitArtifact{Module: u.Module, Fragment: frag}, nil
+	case kindAnalyse:
+		return n.deps[0].art.(*unitArtifact).fragment()
+	case kindCombine:
+		frags := make([]*manifest.File, len(n.deps))
+		for i, d := range n.deps {
+			frags[i] = d.art.(*manifest.File)
+		}
+		return manifest.Combine(frags...)
+	case kindDefs:
+		defs := map[string]bool{}
+		for _, d := range n.deps {
+			for _, fn := range d.art.(*compiler.Interface).Fns {
+				defs[fn] = true
+			}
+		}
+		return defs, nil
+	case kindAutomata:
+		m := n.deps[0].art.(*manifest.File)
+		autos, err := m.Compile()
+		if err != nil {
+			return nil, err
+		}
+		data, err := encodeManifest(m, nil)
+		if err != nil {
+			return nil, err
+		}
+		return &autosArtifact{Autos: autos, Manifest: data}, nil
+	case kindCheck:
+		return staticcheck.Check(
+			n.deps[0].art.(*moduleArtifact).Module,
+			n.deps[1].art.(*autosArtifact).Autos,
+			staticcheck.Options{Entry: g.opts.Entry, DefinedFns: n.deps[2].art.(map[string]bool), NoLiveness: g.opts.NoLiveness},
+		), nil
+	case kindInstrument:
+		unit, autos, defs := n.deps[0].art.(*unitArtifact), n.deps[1].art.(*autosArtifact), n.deps[2].art.(map[string]bool)
+		var elide map[string]bool
+		if len(n.deps) > 3 {
+			elide = n.deps[3].art.(*staticcheck.Report).SafeSet()
+		}
+		m, stats, err := instrument.Module(unit.Module, autos.Autos, instrument.Options{
+			DefinedFns: defs, Suffix: fmt.Sprintf("__m%d", n.unit), Elide: elide, Plan: g.plan(autos, defs)})
+		if err != nil {
+			return nil, err
+		}
+		return unit.optimize(m, stats), nil
+	case kindStrip:
+		unit := n.deps[0].art.(*unitArtifact)
+		return unit.optimize(instrument.Strip(unit.Module), instrument.Stats{}), nil
+	case kindRawlink, kindLink:
+		mods := make([]*ir.Module, len(n.deps))
+		for i, d := range n.deps {
+			switch a := d.art.(type) {
+			case *unitArtifact:
+				mods[i] = a.Module
+			case *moduleArtifact:
+				mods[i] = a.Module
+			}
+		}
+		m, err := ir.Link("program", mods...)
+		if err != nil {
+			return nil, err
+		}
+		return &moduleArtifact{Module: m}, nil
+	}
+	panic(fmt.Sprintf("build: node %s has no stage", n.id))
 }
 
 // hashSources returns the SHA-256 of each named source, in order. The
 // sources stream through one hasher and a fixed buffer, so hashing
 // copies no source whole.
-func hashSources(sources map[string]string, names []string) []digest {
-	sums := make([]digest, len(names))
+func hashSources(sources map[string]string, names []string) []Digest {
+	sums := make([]Digest, len(names))
 	h := sha256.New()
 	var buf [4096]byte
 	for i, name := range names {
@@ -533,29 +495,4 @@ func hashSources(sources map[string]string, names []string) []digest {
 		h.Sum(sums[i][:0])
 	}
 	return sums
-}
-
-// instrumentUnit is the instrument node's stage: instrument the unit's
-// module, then optimise what instrumentation rewrote or generated.
-func instrumentUnit(unit *unitArtifact, autos []*automata.Automaton, opts instrument.Options) (any, error) {
-	m, stats, err := instrument.Module(unit.Module, autos, opts)
-	if err != nil {
-		return nil, err
-	}
-	return unit.optimize(m, stats), nil
-}
-
-// appendSafeSet serialises a report's provably-safe automata names — the
-// only part of a check verdict downstream instrumentation keys on.
-func appendSafeSet(dst []byte, r *staticcheck.Report) []byte {
-	var names []string
-	for name := range r.SafeSet() {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		dst = append(dst, n...)
-		dst = append(dst, 0)
-	}
-	return dst
 }

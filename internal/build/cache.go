@@ -20,18 +20,19 @@ type Cache struct {
 	dir string
 
 	mu  sync.Mutex
-	mem map[digest]memEntry
+	mem map[Digest]memEntry
 
 	// encoded, when set, is called with the ID of every node whose
 	// artifact a build over this cache encodes (tests count encodes).
 	encoded func(id string)
 }
 
-// digest is a SHA-256 sum: a node key or an artifact hash. It stays raw
-// inside the graph and is hex-encoded only for object paths and reports.
-type digest [sha256.Size]byte
+// Digest is a SHA-256 sum: a node key or an artifact hash. It stays raw
+// inside the graph and in NodeReport, and is hex-encoded only for object
+// paths and Explain.
+type Digest [sha256.Size]byte
 
-func (d digest) String() string { return hex.EncodeToString(d[:]) }
+func (d Digest) String() string { return hex.EncodeToString(d[:]) }
 
 // memEntry is one artifact in the memory cache. hashed is false while the
 // artifact has never been hashed: the node that stored it had no
@@ -39,13 +40,13 @@ func (d digest) String() string { return hex.EncodeToString(d[:]) }
 // first memory hit that needs the hash computes it and stores it back.
 type memEntry struct {
 	art    any
-	hash   digest
+	hash   Digest
 	hashed bool
 }
 
 // NewCache returns a memory-only cache.
 func NewCache() *Cache {
-	return &Cache{mem: map[digest]memEntry{}}
+	return &Cache{mem: map[Digest]memEntry{}}
 }
 
 // Open returns a cache backed by the given directory, creating it if
@@ -54,30 +55,30 @@ func Open(dir string) (*Cache, error) {
 	if err := os.MkdirAll(filepath.Join(dir, "objects"), 0o755); err != nil {
 		return nil, fmt.Errorf("build: cache: %w", err)
 	}
-	return &Cache{dir: dir, mem: map[digest]memEntry{}}, nil
+	return &Cache{dir: dir, mem: map[Digest]memEntry{}}, nil
 }
 
-func (c *Cache) getMem(key digest) (memEntry, bool) {
+func (c *Cache) getMem(key Digest) (memEntry, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e, ok := c.mem[key]
 	return e, ok
 }
 
-func (c *Cache) putMem(key digest, e memEntry) {
+func (c *Cache) putMem(key Digest, e memEntry) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.mem[key] = e
 }
 
-func (c *Cache) objectPath(key digest) string {
+func (c *Cache) objectPath(key Digest) string {
 	h := key.String()
 	return filepath.Join(c.dir, "objects", h[:2], h[2:])
 }
 
 // getDisk loads an object's bytes, or reports a miss. A file that cannot
 // be read is a miss, never an error: the caller rebuilds and overwrites.
-func (c *Cache) getDisk(key digest) ([]byte, bool) {
+func (c *Cache) getDisk(key Digest) ([]byte, bool) {
 	if c.dir == "" {
 		return nil, false
 	}
@@ -90,7 +91,7 @@ func (c *Cache) getDisk(key digest) ([]byte, bool) {
 
 // putDisk stores an object atomically (write-to-temp then rename), so a
 // concurrent or crashed build can never leave a truncated object behind.
-func (c *Cache) putDisk(key digest, data []byte) error {
+func (c *Cache) putDisk(key Digest, data []byte) error {
 	if c.dir == "" {
 		return nil
 	}
@@ -116,27 +117,9 @@ func (c *Cache) putDisk(key digest, data []byte) error {
 
 // keyVersion salts every node key; bump it when artifact encodings,
 // pipeline semantics or the key derivation change so stale caches
-// invalidate wholesale.
-const keyVersion = "tesla-build-v5"
-
-// nodeKey derives a node's cache key from its kind, its literal inputs
-// (source digests, file names, pipeline options) and its dependencies'
-// raw artifact hashes. Every component is length-prefixed so distinct
-// input vectors can never collide by concatenation. The components are
-// gathered in a stack buffer and hashed in one call, so a key costs no
-// allocation unless its material outgrows the buffer.
-func nodeKey(kind string, extra [][]byte, deps []*node) digest {
-	var stack [2048]byte
-	buf := appendComponent(stack[:0], keyVersion)
-	buf = appendComponent(buf, kind)
-	for _, e := range extra {
-		buf = appendComponent(buf, e)
-	}
-	for _, d := range deps {
-		buf = appendComponent(buf, d.hash[:])
-	}
-	return sha256.Sum256(buf)
-}
+// invalidate wholesale. v6: compile and defs nodes key on the interfaces
+// digest, not on each interface artifact's hash.
+const keyVersion = "tesla-build-v6"
 
 func appendComponent[T string | []byte](dst []byte, data T) []byte {
 	dst = strconv.AppendInt(dst, int64(len(data)), 10)

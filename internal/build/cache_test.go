@@ -481,7 +481,7 @@ func copySources(src map[string]string) map[string]string {
 }
 
 // reportKey returns the report's key for the node with the given ID.
-func reportKey(t *testing.T, res *build.Result, id string) string {
+func reportKey(t *testing.T, res *build.Result, id string) build.Digest {
 	t.Helper()
 	for _, n := range res.Nodes {
 		if n.ID == id {
@@ -489,7 +489,7 @@ func reportKey(t *testing.T, res *build.Result, id string) string {
 		}
 	}
 	t.Fatalf("no %s node in %s", id, res.Summary())
-	return ""
+	return build.Digest{}
 }
 
 // stageNodes is the report without its parse records.
@@ -560,7 +560,8 @@ func TestLinkEncodedOnlyForDisk(t *testing.T) {
 	if hashed, ok := opts.Cache.Hashed(key); !ok || !hashed {
 		t.Errorf("disk-backed build: link artifact cached %t, hashed %t; want both", ok, hashed)
 	}
-	if _, err := os.Stat(filepath.Join(dir, "objects", key[:2], key[2:])); err != nil {
+	hex := key.String()
+	if _, err := os.Stat(filepath.Join(dir, "objects", hex[:2], hex[2:])); err != nil {
 		t.Errorf("disk-backed build did not write the link object: %v", err)
 	}
 }
@@ -680,5 +681,57 @@ func TestSummaryCountsFailures(t *testing.T) {
 	const want = "graph: 14 nodes  built=7 mem=0 disk=0 skipped=6 failed=1"
 	if got := res.Summary(); got != want {
 		t.Fatalf("summary\n got %q\nwant %q", got, want)
+	}
+}
+
+// TestExplainReport pins what -explain prints for each kind of record: a
+// keyed node's ID, status and the first 12 hex digits of its key; a
+// failed node's error in place of its key; a parse record or a skipped
+// node's ID and status alone; then the summary line.
+func TestExplainReport(t *testing.T) {
+	res, err := build.Run(map[string]string{
+		"bad.c":  "int f(int x) { y = 3; return x; }\n",
+		"main.c": "int main(int x) { return x; }\n",
+	}, build.Options{Instrument: true})
+	if err == nil {
+		t.Fatal("want a compile error")
+	}
+	var out strings.Builder
+	res.Explain(&out)
+	lines := strings.Split(strings.TrimSuffix(out.String(), "\n"), "\n")
+	if len(lines) != len(res.Nodes)+1 {
+		t.Fatalf("explain printed %d lines for %d nodes:\n%s", len(lines), len(res.Nodes), out.String())
+	}
+	seen := map[string]int{}
+	for i, n := range res.Nodes {
+		line := lines[i]
+		rest := strings.TrimSpace(strings.TrimPrefix(line, n.ID))
+		if !strings.HasPrefix(line, n.ID+" ") || !strings.HasPrefix(rest, n.Status.String()) {
+			t.Errorf("line %d %q: want %s %s first", i, line, n.ID, n.Status)
+			continue
+		}
+		rest = strings.TrimSpace(strings.TrimPrefix(rest, n.Status.String()))
+		var want, kind string
+		switch {
+		case n.Status == build.StatusFailed:
+			want, kind = n.Err.Error(), "failed"
+		case strings.HasPrefix(n.ID, "parse:") || n.Status == build.StatusSkipped:
+			want, kind = "", "keyless"
+			if n.Key != (build.Digest{}) {
+				t.Errorf("%s %s carries key %s", n.ID, n.Status, n.Key)
+			}
+		default:
+			want, kind = n.Key.String()[:12], "keyed"
+		}
+		if rest != want {
+			t.Errorf("line %d %q: after the status got %q, want %q", i, line, rest, want)
+		}
+		seen[kind]++
+	}
+	if last := lines[len(lines)-1]; last != res.Summary() {
+		t.Errorf("last line %q, want the summary %q", last, res.Summary())
+	}
+	if seen["failed"] != 1 || seen["keyless"] == 0 || seen["keyed"] == 0 {
+		t.Errorf("records exercised: %v; want one failed and some keyless and keyed", seen)
 	}
 }

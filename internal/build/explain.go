@@ -48,15 +48,11 @@ func (r *Result) Summary() string {
 // summary line — the -explain output of tesla-build and tesla-run.
 func (r *Result) Explain(w io.Writer) {
 	for _, n := range r.Nodes {
-		key := n.Key
-		if len(key) > 12 {
-			key = key[:12]
-		}
 		switch {
 		case n.Err != nil && n.Status == StatusFailed:
 			fmt.Fprintf(w, "%-28s %-11s %s\n", n.ID, n.Status, n.Err)
-		case key != "":
-			fmt.Fprintf(w, "%-28s %-11s %s\n", n.ID, n.Status, key)
+		case n.Key != Digest{}:
+			fmt.Fprintf(w, "%-28s %-11s %.12s\n", n.ID, n.Status, n.Key)
 		default:
 			fmt.Fprintf(w, "%-28s %s\n", n.ID, n.Status)
 		}

@@ -4,7 +4,6 @@ import (
 	"sync"
 
 	"tesla/internal/automata"
-	"tesla/internal/instrument"
 	"tesla/internal/ir"
 )
 
@@ -15,48 +14,50 @@ func EncodeModuleArtifact(m *ir.Module) func(dst []byte) ([]byte, error) {
 	return func(dst []byte) ([]byte, error) { return encodeModule(art, dst) }
 }
 
-// ExecModuleNode returns a function that runs one link node producing m
-// through execNode, on a memory cache emptied before each call so every
-// call misses. The node is given a dependent, so its hash is needed and
-// every call takes the module's content sum.
+// ExecModuleNode returns a function that runs a link node whose artifact
+// is m through execNode. Before each call the memory cache holds that
+// artifact unhashed under the node's key, as a link node without
+// dependents leaves it; this node is given a dependent, so every call
+// hits and takes the module's content sum.
 func ExecModuleNode(m *ir.Module) func() {
-	art := &moduleArtifact{Module: m}
-	x := &exec{cache: NewCache()}
-	n := &node{id: "link", kind: "link", encode: encodeModule, decode: decodeModule, sum: sumModule,
-		run: func() (any, error) { return art, nil }}
+	g := &graphState{opts: Options{Cache: NewCache()}, nodes: []node{{id: "link", kind: kindLink, unit: -1}}}
+	n := &g.nodes[0]
 	n.dependents = []*node{{id: "consumer"}}
+	key, art := g.nodeKey(n), &moduleArtifact{Module: m}
 	return func() {
-		clear(x.cache.mem)
-		x.execNode(n)
+		g.opts.Cache.mem[key] = memEntry{art: art}
+		g.execNode(n)
 		if n.err != nil {
 			panic(n.err)
 		}
-		if !x.cache.mem[n.key].hashed {
+		if !g.opts.Cache.mem[n.key].hashed {
 			panic("link node with a dependent did not hash its artifact")
 		}
 	}
 }
 
-// ExecInstrumentNode returns a function that runs one instrument node over
+// ExecInstrumentNode returns a function that runs an instrument node over
 // a compile artifact holding m, against autos, through execNode, on a
 // memory cache emptied before each call so every call misses. Every
 // function m defines counts as defined in the program. The node is given
 // a dependent, so it hashes on every call, as in a build.
 func ExecInstrumentNode(m *ir.Module, autos []*automata.Automaton) func() {
-	unit := &unitArtifact{Module: m}
 	defs := map[string]bool{}
 	for _, f := range m.Funcs {
 		defs[f.Name] = true
 	}
-	x := &exec{cache: NewCache()}
-	n := &node{id: "instrument:" + m.Name, kind: "instrument", encode: encodeModule, decode: decodeModule, sum: sumModule,
-		run: func() (any, error) {
-			return instrumentUnit(unit, autos, instrument.Options{DefinedFns: defs, Suffix: "__m0"})
-		}}
+	g := &graphState{opts: Options{Cache: NewCache()}, nodes: []node{
+		{id: "compile:" + m.Name, kind: kindCompile, art: &unitArtifact{Module: m}},
+		{id: "automata", kind: kindAutomata, unit: -1, art: &autosArtifact{Autos: autos}},
+		{id: "defs", kind: kindDefs, unit: -1, art: defs},
+		{id: "instrument:" + m.Name, kind: kindInstrument},
+	}}
+	n := &g.nodes[3]
+	n.deps = []*node{&g.nodes[0], &g.nodes[1], &g.nodes[2]}
 	n.dependents = []*node{{id: "link"}}
 	return func() {
-		clear(x.cache.mem)
-		x.execNode(n)
+		clear(g.opts.Cache.mem)
+		g.execNode(n)
 		if n.err != nil {
 			panic(n.err)
 		}
@@ -93,7 +94,7 @@ func (c *Cache) StaleSums() []string {
 		if !e.hashed {
 			continue
 		}
-		var sum digest
+		var sum Digest
 		switch a := e.art.(type) {
 		case *unitArtifact:
 			sum = sumUnit(&unitArtifact{Module: a.Module, Fragment: a.Fragment})
@@ -110,17 +111,12 @@ func (c *Cache) StaleSums() []string {
 }
 
 // Hashed reports whether the memory cache holds an artifact under the
-// hex node key (as NodeReport.Key prints it), and whether that artifact
-// has been encoded and hashed.
-func (c *Cache) Hashed(key string) (hashed, ok bool) {
+// node key, and whether that artifact has been encoded and hashed.
+func (c *Cache) Hashed(key Digest) (hashed, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for k, e := range c.mem {
-		if k.String() == key {
-			return e.hashed, true
-		}
-	}
-	return false, false
+	e, ok := c.mem[key]
+	return e.hashed, ok
 }
 
 // AllCached reports whether the build did no stage work at all — every

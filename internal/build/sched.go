@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"errors"
 	"runtime"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -44,72 +45,109 @@ func (s Status) String() string {
 // errSkipped marks nodes that never ran because an upstream node failed.
 var errSkipped = errors.New("build: skipped: upstream stage failed")
 
-// node is one stage instance in the build graph. All scheduling state is
-// written by the single worker that executes the node; dependents observe
-// it only after the dependency counter reaches zero, which the ready
-// channel orders.
+// nodeKind is a node's stage. It indexes kinds.
+type nodeKind uint8
+
+const (
+	kindIface nodeKind = iota
+	kindCompile
+	kindAnalyse
+	kindCombine
+	kindDefs
+	kindAutomata
+	kindRawlink
+	kindCheck
+	kindInstrument
+	kindStrip
+	kindLink
+)
+
+// kindInfo is what every node of a kind shares. name is the key namespace
+// and the ID (a per-file node's ID is "name:file"). encode appends the
+// artifact's bytes to dst, a buffer the scheduler reuses (see
+// artifact.go); decode reads them back. sum, when set, is the artifact's
+// content hash, and the bytes are encoded only for the disk layer; when
+// nil, the hash is SHA-256 over the bytes. cacheable gates the on-disk
+// layer; in-memory caching always applies.
+type kindInfo struct {
+	name      string
+	cacheable bool
+	encode    func(art any, dst []byte) ([]byte, error)
+	decode    func([]byte) (any, error)
+	sum       func(art any) Digest
+}
+
+var kinds = [...]kindInfo{
+	kindIface:      {"iface", true, encodeIface, decodeIface, nil},
+	kindCompile:    {"compile", true, encodeUnit, decodeUnit, sumUnit},
+	kindAnalyse:    {"analyse", true, encodeManifest, decodeManifest, nil},
+	kindCombine:    {"combine", true, encodeManifest, decodeManifest, nil},
+	kindDefs:       {"defs", true, encodeDefs, decodeDefs, nil},
+	kindAutomata:   {"automata", true, encodeAutos, decodeAutos, nil},
+	kindRawlink:    {"rawlink", true, encodeModule, decodeModule, sumModule},
+	kindCheck:      {"check", false, encodeSafeSet, nil, nil},
+	kindInstrument: {"instrument", true, encodeModule, decodeModule, sumModule},
+	kindStrip:      {"strip", true, encodeModule, decodeModule, sumModule},
+	kindLink:       {"link", true, encodeModule, decodeModule, sumModule},
+}
+
+// node is one stage instance in the build graph; Run places every node
+// of a build in one slab. All scheduling state is written by the single
+// worker that executes the node; dependents observe it only after the
+// dependency counter reaches zero, which the ready channel orders.
 type node struct {
 	id   string // display name, e.g. "compile:client.c"
-	kind string // key namespace, e.g. "compile"
+	kind nodeKind
+	unit int // the file's index in name order; -1 for program-wide nodes
 
-	// deps are the nodes whose artifact hashes feed this node's key, in a
-	// fixed order. extra is the literal key material (source digests, file
-	// names, pipeline options).
-	deps  []*node
-	extra [][]byte
-
-	// cacheable gates the on-disk layer; in-memory caching always applies.
-	cacheable bool
-
-	// run produces the artifact; encode appends its bytes to dst, a
-	// buffer the scheduler reuses (see artifact.go); decode reads them
-	// back. sum, when set, is the artifact's content hash, and the bytes
-	// are encoded only for the disk layer; when nil, the hash is SHA-256
-	// over the bytes.
-	run    func() (any, error)
-	encode func(art any, dst []byte) ([]byte, error)
-	decode func([]byte) (any, error)
-	sum    func(art any) digest
+	// deps are the nodes whose artifacts this node's stage reads and
+	// whose hashes feed its key, in a fixed order.
+	deps []*node
 
 	// Scheduler state.
 	pending    int32
 	dependents []*node
 	status     Status
-	key        digest
-	hash       digest // zero unless a dependent or the disk layer needed it
+	key        Digest
+	hash       Digest // zero unless a dependent or the disk layer needed it
 	art        any
 	err        error
 	dur        time.Duration
 }
 
-// exec runs a node set over a bounded worker pool. Nodes are released in
-// dependency order; independent nodes run concurrently on up to jobs
-// workers.
-type exec struct {
-	cache *Cache
-	jobs  int
-}
-
-func (x *exec) runGraph(nodes []*node) {
-	if len(nodes) == 0 {
-		return
-	}
-	jobs := x.jobs
+// runGraph runs the build's nodes over a bounded worker pool. Nodes are
+// released in dependency order; independent nodes run concurrently on up
+// to Options.Jobs workers. Every node's dependents are carved from one
+// slab, counted first.
+func (g *graphState) runGraph() {
+	nodes := g.nodes
+	jobs := g.opts.Jobs
 	if jobs <= 0 {
 		jobs = runtime.GOMAXPROCS(0)
 	}
-	if jobs > len(nodes) {
-		jobs = len(nodes)
-	}
+	jobs = min(jobs, len(nodes))
 
-	ready := make(chan *node, len(nodes))
-	for _, n := range nodes {
+	// pending counts each node's dependents until it is set to its
+	// number of dependencies below.
+	edges := 0
+	for i := range nodes {
+		for _, d := range nodes[i].deps {
+			d.pending++
+		}
+		edges += len(nodes[i].deps)
+	}
+	slab := make([]*node, edges)
+	for i := range nodes {
+		n := &nodes[i]
+		n.dependents, slab = slab[:0:n.pending], slab[n.pending:]
 		n.pending = int32(len(n.deps))
+	}
+	ready := make(chan *node, len(nodes))
+	for i := range nodes {
+		n := &nodes[i]
 		for _, d := range n.deps {
 			d.dependents = append(d.dependents, n)
 		}
-	}
-	for _, n := range nodes {
 		if n.pending == 0 {
 			ready <- n
 		}
@@ -123,7 +161,9 @@ func (x *exec) runGraph(nodes []*node) {
 		go func() {
 			defer wg.Done()
 			for n := range ready {
-				x.execNode(n)
+				start := time.Now()
+				g.execNode(n)
+				n.dur = time.Since(start)
 				for _, dep := range n.dependents {
 					if atomic.AddInt32(&dep.pending, -1) == 0 {
 						ready <- dep
@@ -146,93 +186,123 @@ func (x *exec) runGraph(nodes []*node) {
 // node unless instrumentation elides) leaves its artifact in the memory
 // cache unhashed; a later hit from a node that has dependents hashes it
 // then.
-func (x *exec) execNode(n *node) {
-	start := time.Now()
-	defer func() { n.dur = time.Since(start) }()
-
+func (g *graphState) execNode(n *node) {
 	for _, d := range n.deps {
 		if d.err != nil {
-			n.status = StatusSkipped
-			n.err = errSkipped
+			n.status, n.err = StatusSkipped, errSkipped
 			return
 		}
 	}
-	n.key = nodeKey(n.kind, n.extra, n.deps)
-	persist := n.cacheable && x.cache.dir != ""
+	k := &kinds[n.kind]
+	n.key = g.nodeKey(n)
+	persist := k.cacheable && g.opts.Cache.dir != ""
 	needHash := persist || len(n.dependents) > 0
 
-	if e, ok := x.cache.getMem(n.key); ok {
+	if e, ok := g.opts.Cache.getMem(n.key); ok {
 		n.art, n.hash, n.status = e.art, e.hash, StatusMemHit
 		if needHash && !e.hashed {
-			if err := x.store(n, persist); err != nil {
-				n.status = StatusFailed
-				n.err = err
+			if err := g.store(n, persist); err != nil {
+				n.status, n.err = StatusFailed, err
 			}
 		}
 		return
 	}
-	if n.cacheable {
-		if data, ok := x.cache.getDisk(n.key); ok {
+	if k.cacheable {
+		if data, ok := g.opts.Cache.getDisk(n.key); ok {
 			// A corrupt or undecodable object is treated as a miss and
 			// rebuilt over.
-			if art, err := n.decode(data); err == nil {
+			if art, err := k.decode(data); err == nil {
 				n.art, n.status = art, StatusDiskHit
-				if n.sum != nil {
-					n.hash = n.sum(art)
+				if k.sum != nil {
+					n.hash = k.sum(art)
 				} else {
 					n.hash = sha256.Sum256(data)
 				}
-				x.cache.putMem(n.key, memEntry{art: n.art, hash: n.hash, hashed: true})
+				g.opts.Cache.putMem(n.key, memEntry{art: n.art, hash: n.hash, hashed: true})
 				return
 			}
 		}
 	}
 
-	art, err := n.run()
+	art, err := g.run(n)
 	if err != nil {
-		n.status = StatusFailed
-		n.err = err
+		n.status, n.err = StatusFailed, err
 		return
 	}
 	n.art, n.status = art, StatusBuilt
 	if !needHash {
-		x.cache.putMem(n.key, memEntry{art: art})
+		g.opts.Cache.putMem(n.key, memEntry{art: art})
 		return
 	}
-	if err := x.store(n, persist); err != nil {
-		n.status = StatusFailed
-		n.err = err
+	if err := g.store(n, persist); err != nil {
+		n.status, n.err = StatusFailed, err
 	}
+}
+
+// nodeKey derives a node's cache key from its kind, its literal inputs
+// and its dependencies' raw artifact hashes. The literal inputs are the
+// file's name and source digest (iface, compile), the unit's function
+// suffix (instrument), or the checker's entry and liveness (check).
+// Compile and defs nodes key on the interfaces digest in place of their
+// dependencies' hashes. Every component is length-prefixed so distinct
+// input vectors can never collide by concatenation, and all of them are
+// gathered in a stack buffer and hashed in one call, so a key costs no
+// allocation unless its material outgrows the buffer.
+func (g *graphState) nodeKey(n *node) Digest {
+	var stack [2048]byte
+	buf := appendComponent(stack[:0], keyVersion)
+	buf = appendComponent(buf, kinds[n.kind].name)
+	switch n.kind {
+	case kindIface, kindCompile:
+		buf = appendComponent(buf, g.names[n.unit])
+		buf = appendComponent(buf, g.digests[n.unit][:])
+	case kindInstrument:
+		var suffix [24]byte
+		buf = appendComponent(buf, strconv.AppendInt(append(suffix[:0], "__m"...), int64(n.unit), 10))
+	case kindCheck:
+		var live [16]byte
+		buf = appendComponent(buf, g.opts.Entry)
+		buf = appendComponent(buf, strconv.AppendBool(append(live[:0], "liveness="...), !g.opts.NoLiveness))
+	}
+	if n.kind == kindCompile || n.kind == kindDefs {
+		ifaces := g.interfaces(n.deps)
+		return sha256.Sum256(appendComponent(buf, ifaces[:]))
+	}
+	for _, d := range n.deps {
+		buf = appendComponent(buf, d.hash[:])
+	}
+	return sha256.Sum256(buf)
 }
 
 // store sets n.hash, stores the artifact in the memory cache as hashed
 // and, with persist, writes its bytes to the disk layer. The artifact is
 // encoded, into a pooled buffer, only if the hash or the disk needs the
 // bytes: a node with a content sum on a memory-only cache encodes nothing.
-func (x *exec) store(n *node, persist bool) error {
+func (g *graphState) store(n *node, persist bool) error {
+	k := &kinds[n.kind]
 	var data []byte
-	if n.sum == nil || persist {
+	if k.sum == nil || persist {
 		buf := encodeBufs.Get().(*[]byte)
 		defer encodeBufs.Put(buf)
 		var err error
-		if *buf, err = n.encode(n.art, (*buf)[:0]); err != nil {
+		if *buf, err = k.encode(n.art, (*buf)[:0]); err != nil {
 			return err
 		}
 		data = *buf
-		if x.cache.encoded != nil {
-			x.cache.encoded(n.id)
+		if g.opts.Cache.encoded != nil {
+			g.opts.Cache.encoded(n.id)
 		}
 	}
-	if n.sum != nil {
-		n.hash = n.sum(n.art)
+	if k.sum != nil {
+		n.hash = k.sum(n.art)
 	} else {
 		n.hash = sha256.Sum256(data)
 	}
-	x.cache.putMem(n.key, memEntry{art: n.art, hash: n.hash, hashed: true})
+	g.opts.Cache.putMem(n.key, memEntry{art: n.art, hash: n.hash, hashed: true})
 	if persist {
 		// Failing to persist is not a build failure; the artifact is in
 		// hand and the next build simply rebuilds it.
-		_ = x.cache.putDisk(n.key, data)
+		_ = g.opts.Cache.putDisk(n.key, data)
 	}
 	return nil
 }

@@ -6,6 +6,7 @@ package build_test
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -96,5 +97,23 @@ func TestEveryNodeScheduledOnce(t *testing.T) {
 	want := files /*parse*/ + 4*files + 6
 	if len(res.Nodes) != want {
 		t.Errorf("node count = %d, want %d", len(res.Nodes), want)
+	}
+}
+
+// TestNodeDurations: every node a cold build ran reports its own time.
+// Parse records are not nodes: a parse is timed in the node that
+// demanded it.
+func TestNodeDurations(t *testing.T) {
+	res, err := build.Run(bench.OpenSSLCodebase(8, 3), build.Options{Instrument: true, Check: true, Elide: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range res.Nodes {
+		if strings.HasPrefix(n.ID, "parse:") {
+			continue
+		}
+		if n.Status != build.StatusBuilt || n.Dur <= 0 {
+			t.Errorf("%s: %s in %v; want built in a positive time", n.ID, n.Status, n.Dur)
+		}
 	}
 }

@@ -1,14 +1,15 @@
 package core
 
-// Batched ingestion, and the store's one event entry: UpdateStatePlan is
-// UpdateBatch over one op. At millions of events per second the monitor's
-// dispatch plane stages matched symbols per thread and applies them here in
-// runs, amortising stripe acquisition and registration lookups across a
-// batch. Semantics are one op at a time's, exactly: ops apply strictly in
-// slice order (no cross-key reordering — the differential harness compares
-// windows of many ops against windows of one), every op is planned under
-// the held stripes, and handler notifications buffer across the whole batch
-// and dispatch once, after every lock is released.
+// Batched ingestion, and the global store's one event entry:
+// UpdateStatePlan there is UpdateBatch over one op. At millions of events
+// per second the monitor's dispatch plane stages matched symbols per
+// thread and applies them here in runs, amortising stripe acquisition and
+// registration lookups across a batch. Semantics are one op at a time's,
+// exactly: ops apply strictly in slice order (no cross-key reordering —
+// the differential harness compares windows of many ops against windows
+// of one), every op is planned under the held stripes, and handler
+// notifications buffer across the whole batch and dispatch once, after
+// every lock is released.
 
 // batchRunMax bounds how many ops one stripe-lock acquisition may cover, so
 // a large batch's union lock set cannot degenerate into holding every stripe
@@ -40,7 +41,7 @@ func (s *Store) UpdateBatch(ops []BatchOp) error {
 	} else {
 		for i := range ops {
 			op := &ops[i]
-			if err := s.updateSlots(s.classFor(op.Plan.Cls), op.Plan, op.Key, nb); err != nil && firstErr == nil {
+			if err := s.updateSlots(op.Plan, op.Key, nb); err != nil && firstErr == nil {
 				firstErr = err
 			}
 		}

@@ -22,19 +22,27 @@ package core
 // transitions this event can drive, assembled statically by the event
 // translator. key carries the variable bindings the event provides.
 //
-// It is UpdateBatch over one op (batch.go): both entries share one event
-// path. Handler notifications are buffered while the event runs and
-// dispatched after every lock is released (see supervise.go), so handlers
-// may block, or even call back into the store, without stalling monitored
-// threads. A store whose handler is the no-op builds no notifications at
-// all.
+// On a global store it is UpdateBatch over one op (batch.go); on a
+// per-thread store it runs updateSlots, the body UpdateBatch's per-thread
+// loop runs for each op, between taking and releasing a note buffer. So
+// each context has one event body and one entry. Handler notifications
+// are buffered while the event runs and dispatched after every lock is
+// released (see supervise.go), so handlers may block, or even call back
+// into the store, without stalling monitored threads. A store whose
+// handler is the no-op builds no notifications at all.
 //
 // The returned error is non-nil only when the store's failure action is
 // FailStop and a violation or overflow occurred; the store's Handler is notified of every outcome
 // regardless.
 func (s *Store) UpdateStatePlan(p *SymbolPlan, key Key) error {
-	ops := [1]BatchOp{{Plan: p, Key: key}}
-	return s.UpdateBatch(ops[:])
+	if s.nshards > 0 {
+		ops := [1]BatchOp{{Plan: p, Key: key}}
+		return s.UpdateBatch(ops[:])
+	}
+	nb := s.notes()
+	err := s.updateSlots(p, key, nb)
+	s.release(nb)
+	return err
 }
 
 // cand is one pre-event candidate: a live instance compatible with the
@@ -45,10 +53,11 @@ type cand struct {
 	birth uint64
 }
 
-// updateSlots is the per-thread event body: the quarantine gate, then a
-// lock-free walk of the class's block for candidates, stopping at the live
-// count, then the lifecycle (drive).
-func (s *Store) updateSlots(c *classState, p *SymbolPlan, key Key, nb *noteBuf) error {
+// updateSlots is the per-thread event body: the plan's class, the
+// quarantine gate, then a lock-free walk of the class's block for
+// candidates, stopping at the live count, then the lifecycle (drive).
+func (s *Store) updateSlots(p *SymbolPlan, key Key, nb *noteBuf) error {
+	c := s.classFor(p.Cls)
 	if s.quarGate(c, nb) {
 		return nil
 	}
