@@ -103,10 +103,16 @@ bench-rebuild:
 # artifact once and writes the link object; and over the corpus and a
 # body edit, assertion edit, revert and no-op, every node key must agree
 # across memory, cold-disk and warm-disk builds, with every stored content
-# sum equal to one recomputed from scratch.
+# sum equal to one recomputed from scratch. A cache that keeps its last
+# build's graph must report every node's status, key and error, and link
+# the same program, as one made to forget it, through edits, errors,
+# added and removed files and toggled options; and builds of two shapes
+# racing on one cache, each taking or missing the kept graph, must pass
+# the race detector.
 CACHEGATE := /tmp/tesla-cache-gate
 cache-gate: build
-	$(GO) test -count=1 ./internal/build -run '^(TestLinkEncodedOnlyForDisk|TestContentSumsAgree)$$'
+	$(GO) test -count=1 ./internal/build -run '^(TestLinkEncodedOnlyForDisk|TestContentSumsAgree|TestKeptGraphMatchesForgotten)$$'
+	$(GO) test -count=1 -race ./internal/build -run '^TestConcurrentBuildsSharedCache$$'
 	@rm -rf $(CACHEGATE) && mkdir -p $(CACHEGATE)
 	$(GO) run ./cmd/tesla-build -cache $(CACHEGATE)/cache -o $(CACHEGATE)/a.ir \
 		examples/buildgraph/testdata/*.c

@@ -111,15 +111,17 @@ int main(int sig) { return fetch(sig); }
 }
 
 // TestWarmRebuildAllocs: a warm rebuild that changes nothing runs no
-// stage, so what it allocates is the graph's bookkeeping: the node slab,
-// the dependency and dependent slabs, the node IDs' one buffer, the
-// report and the result. The 26-file, 108-node program must rebuild
-// within these bounds (it reads 19 objects and about 47 KB); a graph that
+// stage and, on the graph its cache kept, visits no node: it hashes no
+// source and derives no key, so what it allocates is the report and the
+// result, the ready channel and the workers. The 26-file, 108-node
+// program must rebuild within these bounds (it reads 11 objects and
+// about 11.5 KB). A graph wired afresh for every build, with every node
+// keyed and looked up, took 19 objects and about 47 KB; one that also
 // allocated each node, ID, run closure, key-material slice and hex report
 // key on its own took about 1,100 objects and 98 KB. Jobs is fixed so the
 // number of worker goroutines does not follow the host's CPUs.
 func TestWarmRebuildAllocs(t *testing.T) {
-	const maxObjects, maxBytes = 40, 56 << 10
+	const maxObjects, maxBytes = 16, 16 << 10
 	sources := bench.OpenSSLCodebase(24, 8)
 	opts := build.Options{Instrument: true, Jobs: 2, Cache: build.NewCache()}
 	if _, err := build.Run(sources, opts); err != nil {

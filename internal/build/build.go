@@ -26,6 +26,7 @@ package build
 import (
 	"crypto/sha256"
 	"fmt"
+	"hash"
 	"sort"
 	"strings"
 	"sync"
@@ -61,7 +62,7 @@ type Options struct {
 
 // Result is a completed build plus the per-node execution report.
 type Result struct {
-	// Names are the source file names in the build's deterministic order.
+	// Names are the sorted source file names, shared with the cache: read only.
 	Names []string
 	// Files holds parsed ASTs for the files this build actually parsed;
 	// entries are nil for files served entirely from cache.
@@ -92,35 +93,51 @@ type NodeReport struct {
 	// skipped nodes.
 	Key Digest
 	// Dur is the node's own time: key, cache lookups, stage and hash.
-	// Parse records read zero; a parse's time is part of the node that
-	// demanded it.
+	// Clean nodes and parse records read zero; a parse's time is part of
+	// the node that demanded it.
 	Dur time.Duration
 	Err error
 }
 
-// graphState is one build: its node slab, the inputs node keys read, and
-// the shared lazy singletons stages need: the parse memo (so a file
-// demanded by both its interface and compile nodes parses once), the
-// interfaces digest and the compilation context (both derived from the
-// interface artifacts once every interface node has finished) and the
-// hook plan every instrument node reads.
+// graphState is a build graph: its node slab and wiring, the files node
+// keys read, and the shared lazy singletons stages need: the parse memo
+// (so a file demanded by both its interface and compile nodes parses
+// once), the interfaces digest and the compilation context (both derived
+// from the interface artifacts once every interface node has finished)
+// and the hook plan every instrument node reads. A Cache keeps the graph
+// of its last build for the next one of the same shape (see Run).
 type graphState struct {
-	opts    Options // Cache is set
-	sources map[string]string
-	names   []string
-	digests []Digest // each source's SHA-256, in name order
-	parsed  []parseEntry
-	nodes   []node
+	opts  Options // Cache is set
+	names []string
+	files []fileState // in name order
+	nodes []node
+
+	// hasher streams changed sources through hashBuf, copying none whole.
+	hasher  hash.Hash
+	hashBuf [4096]byte
 
 	ifaceOnce sync.Once
 	ifaceSum  Digest
 
 	ctxOnce sync.Once
 	ctx     *compiler.Context
+	ctxSum  Digest // the interfaces digest ctx was built from
 	ctxErr  error
 
-	planOnce sync.Once
-	planVal  *automata.Plan
+	planOnce  sync.Once
+	planVal   *automata.Plan
+	planAutos *autosArtifact // the automata artifact planVal was built from
+	planDefs  Digest         // and the defined-function set's hash
+}
+
+// fileState is one source file. kept is set once src is hashed, so an
+// empty source is never taken for an unchanged one.
+type fileState struct {
+	src           string
+	digest        Digest
+	kept, changed bool
+	parseID       string
+	parse         parseEntry
 }
 
 type parseEntry struct {
@@ -133,11 +150,9 @@ type parseEntry struct {
 // interface or compile node missed the cache: an unchanged file with a
 // warm disk cache is never re-parsed.
 func (g *graphState) parse(unit int) (*csub.File, error) {
-	e := &g.parsed[unit]
-	e.once.Do(func() {
-		name := g.names[unit]
-		e.file, e.err = csub.Parse(name, g.sources[name])
-	})
+	f := &g.files[unit]
+	e := &f.parse
+	e.once.Do(func() { e.file, e.err = csub.Parse(g.names[unit], f.src) })
 	return e.file, e.err
 }
 
@@ -147,48 +162,106 @@ func (g *graphState) parse(unit int) (*csub.File, error) {
 // hash is set when the first of them asks.
 func (g *graphState) interfaces(ifaces []*node) Digest {
 	g.ifaceOnce.Do(func() {
-		h := sha256.New()
+		var stack [2048]byte
+		buf := stack[:0]
 		for _, d := range ifaces {
-			h.Write(d.hash[:])
+			buf = append(buf, d.hash[:]...)
 		}
-		h.Sum(g.ifaceSum[:0])
+		g.ifaceSum = sha256.Sum256(buf)
 	})
 	return g.ifaceSum
 }
 
-// context builds the cross-file compilation context from the interface
-// artifacts. Callers are compile nodes, which depend on every interface
-// node, so the artifacts are present.
+// context returns the cross-file compilation context, built from the
+// interface artifacts unless the graph holds one built from the same
+// interfaces digest. Callers are compile nodes, which depend on every
+// interface node, so the artifacts are present.
 func (g *graphState) context(ifaces []*node) (*compiler.Context, error) {
 	g.ctxOnce.Do(func() {
-		all := make([]*compiler.Interface, len(ifaces))
-		for i, n := range ifaces {
-			all[i] = n.art.(*compiler.Interface)
+		if sum := g.interfaces(ifaces); g.ctx == nil || sum != g.ctxSum {
+			all := make([]*compiler.Interface, len(ifaces))
+			for i, n := range ifaces {
+				all[i] = n.art.(*compiler.Interface)
+			}
+			g.ctx, g.ctxErr = compiler.NewContextFromInterfaces(all...)
+			g.ctxSum = sum
 		}
-		g.ctx, g.ctxErr = compiler.NewContextFromInterfaces(all...)
 	})
 	return g.ctx, g.ctxErr
 }
 
-// plan builds the hook plan once per build from the automata and defs
-// artifacts; callers are instrument nodes, which depend on both.
-func (g *graphState) plan(autos *autosArtifact, defs map[string]bool) *automata.Plan {
+// plan returns the hook plan over the automata and defs artifacts, kept
+// while they are the ones it was built from; callers are instrument
+// nodes, which depend on both.
+func (g *graphState) plan(autos, defs *node) *automata.Plan {
 	g.planOnce.Do(func() {
-		g.planVal = automata.NewPlan(autos.Autos, defs)
+		if a := autos.art.(*autosArtifact); g.planVal == nil || a != g.planAutos || defs.hash != g.planDefs {
+			g.planVal, g.planAutos, g.planDefs = automata.NewPlan(a.Autos, defs.art.(map[string]bool)), a, defs.hash
+		}
 	})
 	return g.planVal
 }
 
-// Run executes the build graph over the sources.
+// shape is the stage selection a kept graph must share with a build.
+func (o Options) shape() Options {
+	o.Jobs, o.Cache = 0, nil
+	return o
+}
+
+// Run executes the build graph over the sources, on the graph the cache
+// kept from its last build if that had the same file names and shape:
+// only changed files are hashed and only nodes whose inputs changed run
+// (see resolve). A fresh graph has nothing kept, so every node runs.
 func Run(sources map[string]string, opts Options) (*Result, error) {
 	if opts.Cache == nil {
 		opts.Cache = NewCache()
 	}
+	g := opts.Cache.swapGraph(nil)
+	if g == nil || g.opts.shape() != opts.shape() || len(g.names) != len(sources) || !g.update(sources) {
+		g = newGraph(sources, opts)
+		g.update(sources)
+	}
+	g.opts = opts
+	g.runGraph()
+	res, err := g.result()
+	opts.Cache.swapGraph(g)
+	return res, err
+}
+
+// update hashes the files whose source is not the one g kept, marking
+// them changed, and resets the per-build memos. It reports false when
+// the sources lack one of g's files.
+func (g *graphState) update(sources map[string]string) bool {
+	for i, name := range g.names {
+		src, ok := sources[name]
+		if !ok {
+			return false
+		}
+		f := &g.files[i]
+		if f.changed = !f.kept || src != f.src; !f.changed {
+			continue
+		}
+		f.src, f.kept = src, true
+		g.hasher.Reset()
+		for len(src) > 0 {
+			n := copy(g.hashBuf[:], src)
+			g.hasher.Write(g.hashBuf[:n])
+			src = src[n:]
+		}
+		g.hasher.Sum(f.digest[:0])
+	}
+	g.ifaceOnce, g.ctxOnce, g.planOnce = sync.Once{}, sync.Once{}, sync.Once{}
+	return true
+}
+
+// newGraph wires a fresh graph for the sources: nothing is kept, so
+// update marks every file changed and every node runs.
+func newGraph(sources map[string]string, opts Options) *graphState {
 	names := make([]string, 0, len(sources))
-	idLen := 0 // the bytes of each file's four per-file node IDs
+	idLen := 0 // the bytes of each file's five per-file IDs
 	for n := range sources {
 		names = append(names, n)
-		idLen += len("iface:compile:analyse:instrument:") + 4*len(n)
+		idLen += len("parse:iface:compile:analyse:instrument:") + 5*len(n)
 	}
 	sort.Strings(names)
 	files := len(names)
@@ -206,16 +279,15 @@ func Run(sources map[string]string, opts Options) (*Result, error) {
 		size += 2
 	}
 	g := &graphState{
-		opts:    opts,
-		sources: sources,
-		names:   names,
-		digests: hashSources(sources, names),
-		parsed:  make([]parseEntry, files),
-		nodes:   make([]node, size),
+		opts:   opts,
+		names:  names,
+		files:  make([]fileState, files),
+		nodes:  make([]node, size),
+		hasher: sha256.New(),
 	}
-	// A per-file record's ID is "kind:file", cut from one builder sized
-	// for the node IDs (parse records, cold builds only, may grow it). A
-	// builder never rewrites bytes it holds, so every cut stays valid.
+	// A per-file ID is "kind:file", cut from one builder sized for them
+	// all. A builder never rewrites bytes it holds, so every cut stays
+	// valid.
 	var ids strings.Builder
 	ids.Grow(idLen)
 	id := func(kind string, unit int) string {
@@ -244,9 +316,10 @@ func Run(sources map[string]string, opts Options) (*Result, error) {
 	deps := func(ns ...*node) []*node { return append(carve(len(ns))[:0], ns...) }
 	ifaces, compiles, analyses, units := carve(files), carve(files), carve(files), carve(files)
 
-	// Stage 1: per-file interface summaries (parse on demand). Each source
-	// is hashed once; the interface and compile nodes key on its digest.
+	// Stage 1: per-file interface summaries (parse on demand). The
+	// interface and compile nodes key on the file's source digest.
 	for i := range names {
+		g.files[i].parseID = id("parse", i)
 		ifaces[i] = add(kindIface, i, nil)
 	}
 
@@ -311,22 +384,46 @@ func Run(sources map[string]string, opts Options) (*Result, error) {
 	}
 
 	// Stage 7: link.
-	link := add(kindLink, -1, units)
+	add(kindLink, -1, units)
 
-	g.runGraph()
+	// Dependents are carved from one slab, counted first in pending.
+	edges := 0
+	for i := range g.nodes {
+		for _, d := range g.nodes[i].deps {
+			d.pending++
+		}
+		edges += len(g.nodes[i].deps)
+	}
+	slab := make([]*node, edges)
+	for i := range g.nodes {
+		n := &g.nodes[i]
+		n.dependents, slab = slab[:0:n.pending], slab[n.pending:]
+	}
+	for i := range g.nodes {
+		for _, d := range g.nodes[i].deps {
+			d.dependents = append(d.dependents, &g.nodes[i])
+		}
+	}
+	return g
+}
 
-	res := &Result{Names: names, Files: make([]*csub.File, files)}
+// result reports the build and assembles its artifacts. It drops the
+// parse memo as it reads it, so no AST outlives the build.
+func (g *graphState) result() (*Result, error) {
+	files := len(g.names)
+	res := &Result{Names: g.names, Files: make([]*csub.File, files)}
 	parsed := 0
-	for i := range g.parsed {
-		if e := &g.parsed[i]; e.file != nil && e.err == nil {
+	for i := range g.files {
+		if e := &g.files[i].parse; e.file != nil && e.err == nil {
 			res.Files[i] = e.file
 			parsed++
 		}
+		g.files[i].parse = parseEntry{}
 	}
 	res.Nodes = make([]NodeReport, 0, parsed+len(g.nodes))
 	for i, f := range res.Files {
 		if f != nil {
-			res.Nodes = append(res.Nodes, NodeReport{ID: id("parse", i), Status: StatusBuilt})
+			res.Nodes = append(res.Nodes, NodeReport{ID: g.files[i].parseID, Status: StatusBuilt})
 		}
 	}
 	for i := range g.nodes {
@@ -355,30 +452,35 @@ func Run(sources map[string]string, opts Options) (*Result, error) {
 	// Assemble the result from the node artifacts.
 	res.Units = make([]*compiler.Unit, files)
 	res.Fragments = make([]*manifest.File, files)
-	for i := range names {
-		u, err := compiles[i].art.(*unitArtifact).unit()
-		if err != nil {
-			return res, err
-		}
-		res.Units[i] = u
-		res.Fragments[i] = analyses[i].art.(*manifest.File)
-	}
-	res.Manifest = combine.art.(*manifest.File)
-	if opts.Instrument {
-		res.Autos = autos.art.(*autosArtifact).Autos
-		for _, n := range units {
+	for i := range g.nodes {
+		switch n := &g.nodes[i]; n.kind {
+		case kindCompile:
+			u, err := n.art.(*unitArtifact).unit()
+			if err != nil {
+				return res, err
+			}
+			res.Units[n.unit] = u
+		case kindAnalyse:
+			res.Fragments[n.unit] = n.art.(*manifest.File)
+		case kindCombine:
+			res.Manifest = n.art.(*manifest.File)
+		case kindAutomata:
+			if g.opts.Instrument {
+				res.Autos = n.art.(*autosArtifact).Autos
+			}
+		case kindInstrument:
 			s := n.art.(*moduleArtifact).Stats
 			res.Stats.Hooks += s.Hooks
 			res.Stats.Translators += s.Translators
 			res.Stats.Sites += s.Sites
 			res.Stats.ElidedHooks += s.ElidedHooks
 			res.Stats.ElidedSites += s.ElidedSites
+		case kindCheck:
+			res.Report = n.art.(*staticcheck.Report)
+		case kindLink:
+			res.Program = n.art.(*moduleArtifact).Module
 		}
 	}
-	if check != nil {
-		res.Report = check.art.(*staticcheck.Report)
-	}
-	res.Program = link.art.(*moduleArtifact).Module
 	return res, nil
 }
 
@@ -450,7 +552,7 @@ func (g *graphState) run(n *node) (any, error) {
 			elide = n.deps[3].art.(*staticcheck.Report).SafeSet()
 		}
 		m, stats, err := instrument.Module(unit.Module, autos.Autos, instrument.Options{
-			DefinedFns: defs, Suffix: fmt.Sprintf("__m%d", n.unit), Elide: elide, Plan: g.plan(autos, defs)})
+			DefinedFns: defs, Suffix: fmt.Sprintf("__m%d", n.unit), Elide: elide, Plan: g.plan(n.deps[1], n.deps[2])})
 		if err != nil {
 			return nil, err
 		}
@@ -475,24 +577,4 @@ func (g *graphState) run(n *node) (any, error) {
 		return &moduleArtifact{Module: m}, nil
 	}
 	panic(fmt.Sprintf("build: node %s has no stage", n.id))
-}
-
-// hashSources returns the SHA-256 of each named source, in order. The
-// sources stream through one hasher and a fixed buffer, so hashing
-// copies no source whole.
-func hashSources(sources map[string]string, names []string) []Digest {
-	sums := make([]Digest, len(names))
-	h := sha256.New()
-	var buf [4096]byte
-	for i, name := range names {
-		src := sources[name]
-		h.Reset()
-		for len(src) > 0 {
-			n := copy(buf[:], src)
-			h.Write(buf[:n])
-			src = src[n:]
-		}
-		h.Sum(sums[i][:0])
-	}
-	return sums
 }

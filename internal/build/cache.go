@@ -21,6 +21,8 @@ type Cache struct {
 
 	mu  sync.Mutex
 	mem map[Digest]memEntry
+	// kept is the last build's graph; nil while a build holds it.
+	kept *graphState
 
 	// encoded, when set, is called with the ID of every node whose
 	// artifact a build over this cache encodes (tests count encodes).
@@ -69,6 +71,15 @@ func (c *Cache) putMem(key Digest, e memEntry) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.mem[key] = e
+}
+
+// swapGraph keeps g and returns the graph kept before, for the caller
+// alone: a concurrent build finds none and wires a fresh one.
+func (c *Cache) swapGraph(g *graphState) *graphState {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	g, c.kept = c.kept, g
+	return g
 }
 
 func (c *Cache) objectPath(key Digest) string {

@@ -125,3 +125,7 @@ func (r *Result) AllCached() bool {
 	c := r.Counts()
 	return c.Built == 0 && c.Failed == 0 && c.Skipped == 0
 }
+
+// ForgetGraph drops the graph c kept from its last build, so the next
+// build over c wires a fresh one.
+func (c *Cache) ForgetGraph() { c.swapGraph(nil) }

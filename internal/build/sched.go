@@ -91,10 +91,10 @@ var kinds = [...]kindInfo{
 	kindLink:       {"link", true, encodeModule, decodeModule, sumModule},
 }
 
-// node is one stage instance in the build graph; Run places every node
-// of a build in one slab. All scheduling state is written by the single
-// worker that executes the node; dependents observe it only after the
-// dependency counter reaches zero, which the ready channel orders.
+// node is one stage instance in the build graph; a graph places its nodes
+// in one slab. All scheduling state is written by the single worker that
+// resolves the node; dependents observe it only after the dependency
+// counter reaches zero, which the ready channel orders.
 type node struct {
 	id   string // display name, e.g. "compile:client.c"
 	kind nodeKind
@@ -113,12 +113,14 @@ type node struct {
 	art        any
 	err        error
 	dur        time.Duration
+	// resolved: the last build left an artifact. changed: this one left
+	// another hash or an error, so dependents must run.
+	resolved, changed bool
 }
 
-// runGraph runs the build's nodes over a bounded worker pool. Nodes are
-// released in dependency order; independent nodes run concurrently on up
-// to Options.Jobs workers. Every node's dependents are carved from one
-// slab, counted first.
+// runGraph resolves the build's nodes over a bounded worker pool. Nodes
+// are released in dependency order; independent nodes run concurrently
+// on up to Options.Jobs workers.
 func (g *graphState) runGraph() {
 	nodes := g.nodes
 	jobs := g.opts.Jobs
@@ -127,27 +129,10 @@ func (g *graphState) runGraph() {
 	}
 	jobs = min(jobs, len(nodes))
 
-	// pending counts each node's dependents until it is set to its
-	// number of dependencies below.
-	edges := 0
-	for i := range nodes {
-		for _, d := range nodes[i].deps {
-			d.pending++
-		}
-		edges += len(nodes[i].deps)
-	}
-	slab := make([]*node, edges)
-	for i := range nodes {
-		n := &nodes[i]
-		n.dependents, slab = slab[:0:n.pending], slab[n.pending:]
-		n.pending = int32(len(n.deps))
-	}
 	ready := make(chan *node, len(nodes))
 	for i := range nodes {
 		n := &nodes[i]
-		for _, d := range n.deps {
-			d.dependents = append(d.dependents, n)
-		}
+		n.pending = int32(len(n.deps))
 		if n.pending == 0 {
 			ready <- n
 		}
@@ -161,9 +146,7 @@ func (g *graphState) runGraph() {
 		go func() {
 			defer wg.Done()
 			for n := range ready {
-				start := time.Now()
-				g.execNode(n)
-				n.dur = time.Since(start)
+				g.resolve(n)
 				for _, dep := range n.dependents {
 					if atomic.AddInt32(&dep.pending, -1) == 0 {
 						ready <- dep
@@ -176,6 +159,28 @@ func (g *graphState) runGraph() {
 		}()
 	}
 	wg.Wait()
+}
+
+// resolve settles one node. A clean node resolved in the last build, and
+// neither its file (interface and compile nodes) nor a dependency's hash
+// changed since: its key, a pure function of those, is unchanged, so it
+// reports the memory hit a lookup would without one. Any other node runs
+// execNode and changes with its hash, the early cutoff for dependents.
+func (g *graphState) resolve(n *node) {
+	clean := n.resolved && !((n.kind == kindIface || n.kind == kindCompile) && g.files[n.unit].changed)
+	for i := 0; clean && i < len(n.deps); i++ {
+		clean = !n.deps[i].changed
+	}
+	if clean {
+		n.status, n.dur, n.changed = StatusMemHit, 0, false
+		return
+	}
+	start, prev := time.Now(), n.hash
+	n.err = nil
+	g.execNode(n)
+	n.dur = time.Since(start)
+	n.resolved = n.err == nil
+	n.changed = !n.resolved || n.hash != prev
 }
 
 // execNode resolves one node: propagate upstream failure, derive the
@@ -255,7 +260,7 @@ func (g *graphState) nodeKey(n *node) Digest {
 	switch n.kind {
 	case kindIface, kindCompile:
 		buf = appendComponent(buf, g.names[n.unit])
-		buf = appendComponent(buf, g.digests[n.unit][:])
+		buf = appendComponent(buf, g.files[n.unit].digest[:])
 	case kindInstrument:
 		var suffix [24]byte
 		buf = appendComponent(buf, strconv.AppendInt(append(suffix[:0], "__m"...), int64(n.unit), 10))

@@ -116,11 +116,12 @@ func Strip(mod *ir.Module) *ir.Module {
 		nf := &ir.Func{Name: f.Name, NParams: f.NParams, NRegs: f.NRegs, Blocks: make([]*ir.Block, len(f.Blocks))}
 		for bi, b := range f.Blocks {
 			nb := &ir.Block{Name: b.Name, Instrs: make([]ir.Instr, len(b.Instrs))}
-			for j, in := range b.Instrs {
-				if isSite(in) {
-					in = ir.Instr{Op: ir.OpConst, Dst: in.Dst, Imm: 0}
+			for j := range b.Instrs {
+				if in := &b.Instrs[j]; isSite(in) {
+					nb.Instrs[j] = ir.Instr{Op: ir.OpConst, Dst: in.Dst, Imm: 0}
+				} else {
+					nb.Instrs[j] = *in
 				}
-				nb.Instrs[j] = in
 			}
 			nf.Blocks[bi] = nb
 		}
@@ -137,15 +138,15 @@ func derive(mod *ir.Module) *ir.Module {
 }
 
 // isSite reports whether in is an assertion-site pseudo-call.
-func isSite(in ir.Instr) bool {
+func isSite(in *ir.Instr) bool {
 	return in.Op == ir.OpCall && strings.HasPrefix(in.Sym, compiler.SitePseudoFn)
 }
 
 // hasSite reports whether f holds an assertion site.
 func hasSite(f *ir.Func) bool {
 	for _, b := range f.Blocks {
-		for _, in := range b.Instrs {
-			if isSite(in) {
+		for j := range b.Instrs {
+			if isSite(&b.Instrs[j]) {
 				return true
 			}
 		}
@@ -171,8 +172,8 @@ func (ins *instrumenter) touches(f *ir.Func) bool {
 		return true
 	}
 	for _, b := range f.Blocks {
-		for _, in := range b.Instrs {
-			switch in.Op {
+		for j := range b.Instrs {
+			switch in := &b.Instrs[j]; in.Op {
 			case ir.OpCall:
 				if isSite(in) || len(ins.plan.BeforeCall(in.Sym, len(in.Args))) > 0 ||
 					len(ins.plan.AfterCall(in.Sym, len(in.Args))) > 0 {
@@ -213,8 +214,8 @@ func (ins *instrumenter) instrumentFunc(src *ir.Func) *ir.Func {
 		if bi == 0 {
 			out = append(out, entry...)
 		}
-		for _, in := range blk.Instrs {
-			switch in.Op {
+		for j := range blk.Instrs {
+			switch in := &blk.Instrs[j]; in.Op {
 			case ir.OpRet:
 				for _, h := range ret {
 					// Exit translators take the return value last.
@@ -227,7 +228,7 @@ func (ins *instrumenter) instrumentFunc(src *ir.Func) *ir.Func {
 						return append(paramRegs(n), retArg)
 					})
 				}
-				out = append(out, in)
+				out = append(out, *in)
 
 			case ir.OpCall:
 				if isSite(in) {
@@ -238,13 +239,13 @@ func (ins *instrumenter) instrumentFunc(src *ir.Func) *ir.Func {
 				for _, h := range ins.plan.BeforeCall(in.Sym, len(in.Args)) {
 					ins.hook(&out, f, h, args)
 				}
-				out = append(out, in)
+				out = append(out, *in)
 				for _, h := range ins.plan.AfterCall(in.Sym, len(in.Args)) {
 					ins.hook(&out, f, h, func(n int) []int { return append(args(n), in.Dst) })
 				}
 
 			case ir.OpFieldStore:
-				out = append(out, in)
+				out = append(out, *in)
 				// The translator receives (target, value); increments
 				// pass a dummy value.
 				val := in.Y
@@ -257,7 +258,7 @@ func (ins *instrumenter) instrumentFunc(src *ir.Func) *ir.Func {
 				}
 
 			default:
-				out = append(out, in)
+				out = append(out, *in)
 			}
 		}
 		f.Blocks[bi] = &ir.Block{Name: blk.Name, Instrs: out}
@@ -309,7 +310,7 @@ func paramRegs(n int) []int {
 // the __tesla_site intrinsic for the matching automaton. Assertions with no
 // automaton in this build, or an elided one, are removed (their Dst is fed
 // a constant).
-func (ins *instrumenter) siteCall(in ir.Instr) ir.Instr {
+func (ins *instrumenter) siteCall(in *ir.Instr) ir.Instr {
 	name := strings.TrimPrefix(in.Sym, compiler.SitePseudoFn+":")
 	for ai, a := range ins.autos {
 		if a.Name == name {

@@ -250,10 +250,24 @@ func (m *Module) Func(name string) *Func {
 // name must have identical layouts; function and global names must be
 // unique across modules.
 func Link(name string, mods ...*Module) (*Module, error) {
+	// Everything is sized up front from the modules' counts. Structs are
+	// shared across modules and deduplicated, so only their index is.
+	var nstructs, nglobals, nfns int
+	for _, m := range mods {
+		nstructs += len(m.Structs)
+		nglobals += len(m.Globals)
+		nfns += len(m.Funcs)
+	}
 	out := &Module{Name: name}
-	structs := map[string]*StructType{}
-	fns := map[string]bool{}
-	globals := map[string]bool{}
+	if nglobals > 0 {
+		out.Globals = make([]*Global, 0, nglobals)
+	}
+	if nfns > 0 {
+		out.Funcs = make([]*Func, 0, nfns)
+	}
+	structs := make(map[string]*StructType, nstructs)
+	fns := make(map[string]bool, nfns)
+	globals := make(map[string]bool, nglobals)
 	for _, m := range mods {
 		for _, s := range m.Structs {
 			if prev, ok := structs[s.Name]; ok {

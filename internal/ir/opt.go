@@ -54,12 +54,12 @@ func OptimizeFunc(f *Func) *Func {
 		clear(isAlloca)
 		i := 0
 		for _, b := range f.Blocks {
-			for _, in := range b.Instrs {
+			for j := range b.Instrs {
 				i++
 				if dead[i-1] {
 					continue
 				}
-				switch in.Op {
+				switch in := &b.Instrs[j]; in.Op {
 				case OpAlloca:
 					if in.Dst >= 0 && in.Dst < len(isAlloca) {
 						isAlloca[in.Dst] = true
@@ -91,9 +91,9 @@ func OptimizeFunc(f *Func) *Func {
 		prev := ndead
 		i = 0
 		for _, b := range f.Blocks {
-			for _, in := range b.Instrs {
+			for j := range b.Instrs {
 				if !dead[i] {
-					switch in.Op {
+					switch in := &b.Instrs[j]; in.Op {
 					case OpConst, OpFnAddr, OpGlobalAddr, OpFieldAddr, OpAllocHeap, OpLoad, OpBin:
 						// Pure producers: dead when the result is unused.
 						dead[i] = in.Dst >= 0 && used[in.Dst] == 0
@@ -133,9 +133,9 @@ func OptimizeFunc(f *Func) *Func {
 			continue
 		}
 		nb := &Block{Name: b.Name, Instrs: make([]Instr, 0, live)}
-		for _, in := range b.Instrs {
+		for j := range b.Instrs {
 			if !dead[i] {
-				nb.Instrs = append(nb.Instrs, in)
+				nb.Instrs = append(nb.Instrs, b.Instrs[j])
 			}
 			i++
 		}
