@@ -106,13 +106,18 @@ bench-rebuild:
 # sum equal to one recomputed from scratch. A cache that keeps its last
 # build's graph must report every node's status, key and error, and link
 # the same program, as one made to forget it, through edits, errors,
-# added and removed files and toggled options; and builds of two shapes
-# racing on one cache, each taking or missing the kept graph, must pass
-# the race detector.
+# added and removed files, shifted, swapped and edited functions and
+# toggled options; that and builds of two shapes racing on one cache,
+# each taking or missing the kept graph and sharing the functions its
+# compile reused, must pass the race detector. Recompiling a file against
+# its last unit must print, encode and assert what compiling it from
+# scratch does, through body, line-shifting, swap, rename, assertion,
+# #define, struct, error-and-fix and add/delete edits.
 CACHEGATE := /tmp/tesla-cache-gate
 cache-gate: build
-	$(GO) test -count=1 ./internal/build -run '^(TestLinkEncodedOnlyForDisk|TestContentSumsAgree|TestKeptGraphMatchesForgotten)$$'
-	$(GO) test -count=1 -race ./internal/build -run '^TestConcurrentBuildsSharedCache$$'
+	$(GO) test -count=1 ./internal/build -run '^(TestLinkEncodedOnlyForDisk|TestContentSumsAgree)$$'
+	$(GO) test -count=1 -race ./internal/build -run '^(TestKeptGraphMatchesForgotten|TestConcurrentBuildsSharedCache)$$'
+	$(GO) test -count=1 ./internal/compiler -run '^TestRecompileMatchesCompile$$'
 	@rm -rf $(CACHEGATE) && mkdir -p $(CACHEGATE)
 	$(GO) run ./cmd/tesla-build -cache $(CACHEGATE)/cache -o $(CACHEGATE)/a.ir \
 		examples/buildgraph/testdata/*.c
@@ -240,7 +245,10 @@ crash-gate: build
 # the largest corpus program's link node, given a dependent so its hash is
 # needed, allocates no more than a one-instruction module's; an instrument
 # node over a unit the hook plan leaves alone allocates as often for 64
-# functions as for 8, since it copies none of them. The monitor's
+# functions as for 8, since it copies none of them; a rebuild after a
+# body edit to one of a file's 8 functions stays within a byte bound the
+# whole file's recompile exceeds, and a warm no-op rebuild within 8
+# objects, since it starts no worker. The monitor's
 # name-driven Call/Return/Site path allocates nothing, however many
 # automata share the bound slot it fires, and under the trace recorder's
 # tap only the recorder's own copies; no figure 11b configuration's OLTP
@@ -253,7 +261,7 @@ crash-gate: build
 alloc-gate:
 	$(GO) test -count=1 ./internal/core -run '^TestUpdateBatchAllocs$$'
 	$(GO) test -count=1 ./internal/agg -run '^(TestIngestFrameAllocs|TestPublisherFlushAllocs|TestSpooledClientMemoryBound)$$'
-	$(GO) test -count=1 ./internal/build -run '^(TestEncodeModuleAllocs|TestInstrumentUntouchedAllocs|TestWarmRebuildAllocs)$$'
+	$(GO) test -count=1 ./internal/build -run '^(TestEncodeModuleAllocs|TestInstrumentUntouchedAllocs|TestWarmRebuildAllocs|TestBodyEditAllocs)$$'
 	$(GO) test -count=1 ./internal/monitor -run '^TestNameDrivenAllocs$$'
 	$(GO) test -count=1 ./internal/trace -run '^(TestRecorderTapAllocs|TestFlusherSteadyAllocs|TestRecorderFootprint)$$'
 	$(GO) test -count=1 ./internal/kernel -run '^TestFig11bOLTPAllocs$$'
@@ -277,7 +285,8 @@ api-gate:
 # reader, the in-memory and streaming event decoders agreeing byte for
 # byte, the WAL spool's segment repair, the recorder's one-pass cut
 # encoding against AppendBinary of CutInto, decoded traces replayed into
-# synchronous, fail-stop and batched monitors, the csub front end, the batched
+# synchronous, fail-stop and batched monitors, the csub front end, a
+# recompile against the last unit after a byte edit, the batched
 # event plane's flush protocol, the event bodies against the lifecycle
 # model and the build cache's IR module codec ($(FUZZTIME) per target);
 # saved crashers land in testdata/fuzz and fail `make test` from then on.
@@ -289,6 +298,7 @@ fuzz-smoke:
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzCutEncode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzReplay$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/csub -run '^$$' -fuzz '^FuzzCsubParse$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/compiler -run '^$$' -fuzz '^FuzzRecompile$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/monitor -run '^$$' -fuzz '^FuzzBatchFlush$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzCompiledStep$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ir -run '^$$' -fuzz '^FuzzModuleCodec$$' -fuzztime $(FUZZTIME)

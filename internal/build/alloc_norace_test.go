@@ -112,16 +112,19 @@ int main(int sig) { return fetch(sig); }
 
 // TestWarmRebuildAllocs: a warm rebuild that changes nothing runs no
 // stage and, on the graph its cache kept, visits no node: it hashes no
-// source and derives no key, so what it allocates is the report and the
-// result, the ready channel and the workers. The 26-file, 108-node
-// program must rebuild within these bounds (it reads 11 objects and
-// about 11.5 KB). A graph wired afresh for every build, with every node
-// keyed and looked up, took 19 objects and about 47 KB; one that also
-// allocated each node, ID, run closure, key-material slice and hex report
-// key on its own took about 1,100 objects and 98 KB. Jobs is fixed so the
-// number of worker goroutines does not follow the host's CPUs.
+// source and derives no key, and the walk settles every node before a
+// worker would start, so it starts none. What it allocates is the report
+// and the result. The 26-file, 108-node program must rebuild within these
+// bounds (it reads 6 objects and about 10.3 KB). Sending every node
+// through the ready channel and its workers took 11 objects and about
+// 11.4 KB; a graph wired afresh for every build, with every node keyed and
+// looked up, took 19 objects and about 47 KB; one that also allocated
+// each node, ID, run closure, key-material slice and hex report key on
+// its own took about 1,100 objects and 98 KB. Jobs is fixed so the number
+// of worker goroutines a build that did start them would use does not
+// follow the host's CPUs.
 func TestWarmRebuildAllocs(t *testing.T) {
-	const maxObjects, maxBytes = 16, 16 << 10
+	const maxObjects, maxBytes = 8, 12 << 10
 	sources := bench.OpenSSLCodebase(24, 8)
 	opts := build.Options{Instrument: true, Jobs: 2, Cache: build.NewCache()}
 	if _, err := build.Run(sources, opts); err != nil {
@@ -151,5 +154,52 @@ func TestWarmRebuildAllocs(t *testing.T) {
 	if objects > maxObjects || bytes > maxBytes {
 		t.Fatalf("warm no-op rebuild allocated %.0f objects and %d B per build, want at most %d and %d",
 			objects, bytes, maxObjects, maxBytes)
+	}
+}
+
+// TestBodyEditAllocs: a body edit that changes one constant in one of a
+// library file's 8 functions recompiles that function alone. The other 7
+// are the last compile's, shared with their digests and optimised copies,
+// so the 26-file program's rebuild allocates within maxBytes (it reads
+// about 55 KB). Recompiling, hashing and optimising every function of the
+// edited file took about 114 KB. Each build writes a value no earlier one
+// saw, so every build does the work; the sources are made beforehand.
+func TestBodyEditAllocs(t *testing.T) {
+	const maxBytes, runs = 80 << 10, 20
+	sources := bench.OpenSSLCodebase(24, 8)
+	opts := build.Options{Instrument: true, Jobs: 2, Cache: build.NewCache()}
+	if _, err := build.Run(sources, opts); err != nil {
+		t.Fatal(err)
+	}
+	const file, old = "ssl_s3_5.c", "x = a * 3 + b;"
+	if !strings.Contains(sources[file], old) {
+		t.Fatalf("%s has no %q", file, old)
+	}
+	edits := make([]string, runs+1)
+	for i := range edits {
+		edits[i] = strings.Replace(sources[file], old, fmt.Sprintf("x = a * %d + b;", 4+i), 1)
+	}
+	rebuild := func(i int) {
+		sources[file] = edits[i]
+		res, err := build.Run(sources, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c := res.Counts(); c.Built == 0 {
+			t.Fatalf("body edit built nothing: %s", res.Summary())
+		}
+	}
+	rebuild(runs) // warm-up: the edited file's first recompile against the kept graph
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		rebuild(i)
+	}
+	runtime.ReadMemStats(&after)
+	bytes := (after.TotalAlloc - before.TotalAlloc) / runs
+	t.Logf("one-function body edit: %d B per build", bytes)
+	if bytes > maxBytes {
+		t.Fatalf("a one-function body edit allocated %d B per build, want at most %d", bytes, maxBytes)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
+	"slices"
 	"sort"
 	"sync"
 
@@ -53,10 +54,45 @@ type unitArtifact struct {
 	// Module's functions optimised, and each one's ir.FuncSum, memoized
 	// the same way: every instrument or strip node over this artifact, in
 	// this build or a later one, shares them for the functions its pass
-	// leaves alone.
+	// leaves alone. newUnitArtifact seeds all three slices for the
+	// functions a recompile shared with the artifact before; a non-nil
+	// optFns entry marks one until optimized fills the rest.
 	optOnce sync.Once
 	optFns  []*ir.Func
 	optSums []Digest
+}
+
+// newUnitArtifact returns the compile artifact of m and its fragment.
+// Each function of m that is one of old's (the artifact the compile node
+// held before, whose functions compiler.Recompile may have reused) takes
+// old's raw and optimised digests and optimised copy, so the memos hash
+// and optimise only the functions compiled afresh. IR is immutable, so
+// the same pointer is the same content. The artifact keeps no pointer to
+// old, so artifacts never chain.
+func newUnitArtifact(m *ir.Module, frag []byte, old *unitArtifact) *unitArtifact {
+	u := &unitArtifact{Module: m, Fragment: frag}
+	if old == nil {
+		return u
+	}
+	var opt []*ir.Func
+	var raw, optSums []Digest
+	for i, f := range m.Funcs {
+		j := slices.Index(old.Module.Funcs, f)
+		if j < 0 {
+			continue
+		}
+		if u.optFns == nil {
+			// Usually a no-op: the node's instrument or strip node
+			// memoized old's optimised functions when it last ran.
+			opt, optSums = old.optimized()
+			raw = old.funcSums()
+			u.rawSums = make([]Digest, len(m.Funcs))
+			u.optFns = make([]*ir.Func, len(m.Funcs))
+			u.optSums = make([]Digest, len(m.Funcs))
+		}
+		u.rawSums[i], u.optFns[i], u.optSums[i] = raw[j], opt[j], optSums[j]
+	}
+	return u
 }
 
 // moduleArtifact is the product of the instrument, strip and link nodes.
@@ -265,9 +301,13 @@ func (u *unitArtifact) parseUnit() (*compiler.Unit, error) {
 // optimise it for instrument and strip nodes, whichever runs first.
 func (u *unitArtifact) funcSums() []Digest {
 	u.rawOnce.Do(func() {
-		u.rawSums = make([]Digest, len(u.Module.Funcs))
+		if u.optFns == nil {
+			u.rawSums = make([]Digest, len(u.Module.Funcs))
+		}
 		for i, f := range u.Module.Funcs {
-			u.rawSums[i] = ir.FuncSum(f)
+			if u.optFns == nil || u.optFns[i] == nil {
+				u.rawSums[i] = ir.FuncSum(f)
+			}
 		}
 	})
 	return u.rawSums
@@ -280,9 +320,14 @@ func (u *unitArtifact) funcSums() []Digest {
 func (u *unitArtifact) optimized() ([]*ir.Func, []Digest) {
 	u.optOnce.Do(func() {
 		raw := u.funcSums()
-		u.optFns = make([]*ir.Func, len(u.Module.Funcs))
-		u.optSums = make([]Digest, len(u.Module.Funcs))
+		if u.optFns == nil {
+			u.optFns = make([]*ir.Func, len(u.Module.Funcs))
+			u.optSums = make([]Digest, len(u.Module.Funcs))
+		}
 		for i, f := range u.Module.Funcs {
+			if u.optFns[i] != nil {
+				continue // seeded
+			}
 			u.optFns[i] = ir.OptimizeFunc(f)
 			if u.optFns[i] == f {
 				u.optSums[i] = raw[i]

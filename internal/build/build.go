@@ -9,9 +9,9 @@
 // reproduces identical output stops invalidation right there. Two
 // consequences reproduce the paper's §5.1 build behaviour measurably:
 //
-//   - Editing a function body re-compiles that file, but its manifest
-//     fragment (and therefore the combined manifest) hashes the same, so
-//     only that one unit re-instruments.
+//   - Editing a function body re-compiles that file's edited functions,
+//     but its manifest fragment (and therefore the combined manifest)
+//     hashes the same, so only that one unit re-instruments.
 //   - Editing an assertion changes the combined manifest's hash, which is
 //     an input to every instrument node — the one-to-many property: one
 //     .tesla change re-instruments every unit in the program.
@@ -131,13 +131,16 @@ type graphState struct {
 }
 
 // fileState is one source file. kept is set once src is hashed, so an
-// empty source is never taken for an unchanged one.
+// empty source is never taken for an unchanged one. unit is the last unit
+// the file's compile stage produced, which the next one reuses functions
+// from (compiler.Recompile); it holds no AST.
 type fileState struct {
 	src           string
 	digest        Digest
 	kept, changed bool
 	parseID       string
 	parse         parseEntry
+	unit          *compiler.Unit
 }
 
 type parseEntry struct {
@@ -503,15 +506,21 @@ func (g *graphState) run(n *node) (any, error) {
 		if err != nil {
 			return nil, err
 		}
-		u, err := compiler.CompileFile(f, ctx)
+		// The last unit is reusable only under the same context, which
+		// Recompile checks: a changed interfaces digest, a fresh graph or
+		// a compile served from the caches leaves nothing to take.
+		file := &g.files[n.unit]
+		u, err := compiler.Recompile(f, ctx, file.unit)
 		if err != nil {
 			return nil, err
 		}
+		file.unit = u
 		frag, err := encodeManifest(manifest.FromAssertions(g.names[n.unit], u.Assertions), nil)
 		if err != nil {
 			return nil, err
 		}
-		return &unitArtifact{Module: u.Module, Fragment: frag}, nil
+		old, _ := n.art.(*unitArtifact)
+		return newUnitArtifact(u.Module, frag, old), nil
 	case kindAnalyse:
 		return n.deps[0].art.(*unitArtifact).fragment()
 	case kindCombine:

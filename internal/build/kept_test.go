@@ -15,11 +15,13 @@ import (
 // through body and assertion edits, a revert and a no-op, a sources map
 // mutated in place, a compile error and its fix, interface edits (a
 // global added; the hooked function renamed away and back), a file added
-// (empty, then filled, then emptied) and removed, and Check and Elide
-// toggled. The forgetting
-// cache wires a fresh graph for every build, each node deriving its key
-// and looking it up; the keeping one visits only the nodes whose inputs
-// changed.
+// (empty, then filled, then emptied) and removed, edits that shift a
+// later function's lines, swap two functions, add and edit an in-file
+// #define and add an assertion inside a function, and Check and Elide
+// toggled. The forgetting cache wires a fresh graph for every build, each
+// node deriving its key and looking it up; the keeping one visits only
+// the nodes whose inputs changed, and recompiles only the functions an
+// edit changed.
 func TestKeptGraphMatchesForgotten(t *testing.T) {
 	for _, disk := range []bool{false, true} {
 		t.Run(map[bool]string{false: "memory", true: "disk"}[disk], func(t *testing.T) {
@@ -79,6 +81,29 @@ func TestKeptGraphMatchesForgotten(t *testing.T) {
 				{"file filled", instrument, func() { sources["extra.c"] = "int extra(int x) { return checksum(x) + 1; }\n" }},
 				{"file emptied", instrument, func() { sources["extra.c"] = "" }},
 				{"file removed", instrument, func() { delete(sources, "extra.c") }},
+				{"body edit in a two-function file", instrument, func() {
+					sources["client.c"] = strings.Replace(sources["client.c"], "verify(sig);", "verify(sig + 0);", 1)
+				}},
+				{"line-shifting edit", instrument, func() {
+					sources["client.c"] = strings.Replace(sources["client.c"], "\treturn ok;\n}", "\tok = ok + 0;\n\treturn ok;\n}", 1)
+				}},
+				{"body edit beside an unchanged function", instrument, func() {
+					sources["client.c"] = strings.Replace(sources["client.c"], "verify(sig + 0);", "verify(sig + 1);", 1)
+				}},
+				{"function swap", instrument, func() {
+					main := "int main(int sig) { return fetch(sig); }\n"
+					sources["client.c"] = "\n" + main + strings.Replace(sources["client.c"][1:], main, "", 1)
+				}},
+				{"define added in file", instrument, func() {
+					sources["crypto.c"] = "#define LIMIT 0" + strings.Replace(sources["crypto.c"], "if (c == 0)", "if (c == LIMIT)", 1)
+				}},
+				{"define edited in file", instrument, func() {
+					sources["crypto.c"] = strings.Replace(sources["crypto.c"], "#define LIMIT 0", "#define LIMIT 3", 1)
+				}},
+				{"assertion added inside a function", instrument, func() {
+					sources["client.c"] = strings.Replace(sources["client.c"], "{ return fetch(sig); }",
+						"{ TESLA_WITHIN(main, previously(checksum(ANY(int)) == 0)); return fetch(sig); }", 1)
+				}},
 				{"check", checked, func() {}},
 				{"check no-op", checked, func() {}},
 				{"elide", elided, func() {}},

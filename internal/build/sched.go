@@ -92,9 +92,10 @@ var kinds = [...]kindInfo{
 }
 
 // node is one stage instance in the build graph; a graph places its nodes
-// in one slab. All scheduling state is written by the single worker that
-// resolves the node; dependents observe it only after the dependency
-// counter reaches zero, which the ready channel orders.
+// in one slab. All scheduling state is written by the walk that settles
+// the node or the single worker that resolves it; dependents observe it
+// only after the dependency counter reaches zero, which the ready channel
+// orders.
 type node struct {
 	id   string // display name, e.g. "compile:client.c"
 	kind nodeKind
@@ -114,32 +115,54 @@ type node struct {
 	err        error
 	dur        time.Duration
 	// resolved: the last build left an artifact. changed: this one left
-	// another hash or an error, so dependents must run.
-	resolved, changed bool
+	// another hash or an error, so dependents must run. settled: this
+	// build's walk found the node clean before any worker started.
+	resolved, changed, settled bool
 }
 
-// runGraph resolves the build's nodes over a bounded worker pool. Nodes
-// are released in dependency order; independent nodes run concurrently
-// on up to Options.Jobs workers.
+// runGraph resolves the build's nodes. It first walks the slab, which is
+// in pipeline order, on the calling goroutine and settles every node the
+// clean rule decides from the nodes this walk has settled: one whose own
+// inputs are clean and all of whose dependencies it settled. Only the
+// nodes left go through the worker pool, released in dependency order;
+// independent ones run concurrently on up to Options.Jobs workers. A
+// settled node's dependencies are all settled, so every dependent of a
+// node left is left too, and a build that changed nothing starts no
+// worker.
 func (g *graphState) runGraph() {
 	nodes := g.nodes
+	left := 0
+	for i := range nodes {
+		n := &nodes[i]
+		n.pending = 0
+		for _, d := range n.deps {
+			if !d.settled {
+				n.pending++
+			}
+		}
+		if n.settled = n.pending == 0 && g.ownInputsClean(n); n.settled {
+			n.status, n.dur, n.changed = StatusMemHit, 0, false
+		} else {
+			left++
+		}
+	}
+	if left == 0 {
+		return
+	}
+
 	jobs := g.opts.Jobs
 	if jobs <= 0 {
 		jobs = runtime.GOMAXPROCS(0)
 	}
-	jobs = min(jobs, len(nodes))
-
-	ready := make(chan *node, len(nodes))
+	jobs = min(jobs, left)
+	ready := make(chan *node, left)
 	for i := range nodes {
-		n := &nodes[i]
-		n.pending = int32(len(n.deps))
-		if n.pending == 0 {
+		if n := &nodes[i]; !n.settled && n.pending == 0 {
 			ready <- n
 		}
 	}
 
 	var done int32
-	total := int32(len(nodes))
 	var wg sync.WaitGroup
 	for w := 0; w < jobs; w++ {
 		wg.Add(1)
@@ -152,7 +175,7 @@ func (g *graphState) runGraph() {
 						ready <- dep
 					}
 				}
-				if atomic.AddInt32(&done, 1) == total {
+				if atomic.AddInt32(&done, 1) == int32(left) {
 					close(ready)
 				}
 			}
@@ -161,13 +184,21 @@ func (g *graphState) runGraph() {
 	wg.Wait()
 }
 
-// resolve settles one node. A clean node resolved in the last build, and
-// neither its file (interface and compile nodes) nor a dependency's hash
-// changed since: its key, a pure function of those, is unchanged, so it
-// reports the memory hit a lookup would without one. Any other node runs
-// execNode and changes with its hash, the early cutoff for dependents.
+// ownInputsClean reports whether n resolved in the last build and its
+// file (interface and compile nodes) did not change since; with no
+// dependency's hash changed either, n is clean.
+func (g *graphState) ownInputsClean(n *node) bool {
+	return n.resolved && !((n.kind == kindIface || n.kind == kindCompile) && g.files[n.unit].changed)
+}
+
+// resolve settles one node the walk left. A clean node resolved in the
+// last build, and neither its file (interface and compile nodes) nor a
+// dependency's hash changed since: its key, a pure function of those, is
+// unchanged, so it reports the memory hit a lookup would without one.
+// Any other node runs execNode and changes with its hash, the early
+// cutoff for dependents.
 func (g *graphState) resolve(n *node) {
-	clean := n.resolved && !((n.kind == kindIface || n.kind == kindCompile) && g.files[n.unit].changed)
+	clean := g.ownInputsClean(n)
 	for i := 0; clean && i < len(n.deps); i++ {
 		clean = !n.deps[i].changed
 	}

@@ -33,7 +33,8 @@ func TestParallelBuildsDeterministic(t *testing.T) {
 
 // TestConcurrentBuildsSharedCache hammers one disk-backed cache from many
 // goroutines building overlapping programs — exercising the memory map,
-// the atomic object writes and the scheduler together.
+// the atomic object writes, the kept graph, the functions one build's
+// compile shares with the last and the scheduler together.
 func TestConcurrentBuildsSharedCache(t *testing.T) {
 	cache, err := build.Open(t.TempDir())
 	if err != nil {
@@ -50,9 +51,11 @@ func TestConcurrentBuildsSharedCache(t *testing.T) {
 			for k, v := range base {
 				sources[k] = v
 			}
-			// Half the builders touch one file so hits and misses race.
+			// Half the builders add a file in one of two versions, so
+			// hits and misses race, and a build on the graph another
+			// kept recompiles one of its functions and shares the other.
 			if i%2 == 1 {
-				sources["extra.c"] = fmt.Sprintf("int extra_%d(int x) { return x + %d; }\n", i%4, i%4)
+				sources["extra.c"] = fmt.Sprintf("int extra(int x) { return x + %d; }\nint extra_b(int x) { return x * 2; }\n", i%4)
 			}
 			res, err := build.Run(sources, build.Options{Instrument: true, Jobs: 4, Cache: cache})
 			if err != nil {

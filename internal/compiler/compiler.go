@@ -61,11 +61,39 @@ func (c *Context) DefinedFns() map[string]bool {
 type Unit struct {
 	Module     *ir.Module
 	Assertions []*spec.Assertion
+
+	// What Recompile needs to reuse a function: the context the unit was
+	// compiled under and, aligned with Module.Funcs, each definition's
+	// source.
+	ctx  *Context
+	defs []defSrc
+}
+
+// defSrc is one compiled definition's source text and first line, and
+// where its assertions are: Assertions[from:to].
+type defSrc struct {
+	text           string
+	line, from, to int
 }
 
 // CompileFile lowers one file against the context.
 func CompileFile(f *csub.File, ctx *Context) (*Unit, error) {
-	u := &Unit{Module: &ir.Module{Name: f.Name}}
+	return Recompile(f, ctx, nil)
+}
+
+// Recompile lowers f against ctx as CompileFile does, but takes from
+// prev, a unit compiled earlier, each function whose IR cannot differ:
+// prev was compiled from a file of f's name under the same ctx pointer,
+// and has a function of the same name whose source text and first line
+// equal the new definition's. Equal text on an equal line parses to an
+// equal definition, and a definition's IR and assertions depend only on
+// it, the file name and the context. A Context is immutable and covers
+// every file's interface, f's #defines included, so the pointer stands
+// for everything else the IR reads. A reused *ir.Func is shared, not
+// copied: IR is immutable once compiled. A nil prev compiles every
+// function.
+func Recompile(f *csub.File, ctx *Context, prev *Unit) (*Unit, error) {
+	u := &Unit{Module: &ir.Module{Name: f.Name}, ctx: ctx, defs: make([]defSrc, len(f.Funcs))}
 	// Only struct types defined in this file go in the module; the linker
 	// dedupes shared types by name.
 	for _, s := range f.Structs {
@@ -78,15 +106,44 @@ func CompileFile(f *csub.File, ctx *Context) (*Unit, error) {
 		}
 		u.Module.Globals = append(u.Module.Globals, &ir.Global{Name: g.Name, Init: init})
 	}
+	if prev != nil && (prev.ctx != ctx || prev.Module.Name != f.Name) {
+		prev = nil
+	}
+	if len(f.Funcs) > 0 {
+		u.Module.Funcs = make([]*ir.Func, len(f.Funcs))
+	}
 	c := &fnCompiler{ctx: ctx, file: f, unit: u}
-	for _, fn := range f.Funcs {
-		irf, err := c.compileFunc(fn)
-		if err != nil {
-			return nil, err
+	for i, fn := range f.Funcs {
+		d := &u.defs[i]
+		d.text, d.line, d.from = f.Src[fn.Start:fn.End], fn.StartLine, len(u.Assertions)
+		if j := prev.find(fn.Name, d); j >= 0 {
+			u.Module.Funcs[i] = prev.Module.Funcs[j]
+			u.Assertions = append(u.Assertions, prev.Assertions[prev.defs[j].from:prev.defs[j].to]...)
+		} else {
+			irf, err := c.compileFunc(fn)
+			if err != nil {
+				return nil, err
+			}
+			u.Module.Funcs[i] = irf
 		}
-		u.Module.Funcs = append(u.Module.Funcs, irf)
+		d.to = len(u.Assertions)
 	}
 	return u, nil
+}
+
+// find returns the index of u's function named name whose definition has
+// d's text and line, or -1. A definition without source text (a File not
+// made by csub.Parse) never matches.
+func (u *Unit) find(name string, d *defSrc) int {
+	if u == nil || d.text == "" {
+		return -1
+	}
+	for j := range u.defs {
+		if e := &u.defs[j]; e.text == d.text && e.line == d.line && u.Module.Funcs[j].Name == name {
+			return j
+		}
+	}
+	return -1
 }
 
 // globalInit evaluates a global initialiser: C static initialisers must be

@@ -44,7 +44,10 @@ type Type struct {
 
 // File is one parsed compilation unit.
 type File struct {
-	Name    string
+	Name string
+	// Src is the source text the file was parsed from; each FuncDef's
+	// extent indexes it.
+	Src     string
 	Defines map[string]int64
 	Structs []*StructDef
 	Globals []*VarDecl
@@ -88,6 +91,12 @@ type FuncDef struct {
 	Params []VarDecl
 	Body   []Stmt
 	Line   int
+	// Start and End bound the definition's source text, File.Src[Start:End]:
+	// Start is the byte offset of its first token (the return type) and
+	// End the offset just past its last (the closing brace). StartLine is
+	// the first token's line. Equal text starting on an equal line lexes
+	// to equal tokens at equal lines, so it parses to an equal FuncDef.
+	Start, End, StartLine int
 }
 
 // Stmt is a csub statement.

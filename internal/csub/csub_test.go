@@ -257,3 +257,36 @@ func TestParseIndexErrors(t *testing.T) {
 		}
 	}
 }
+
+// TestFuncExtent: each definition's extent runs from its return type
+// through its closing brace, on the line of its first token, and covers
+// neither the comments nor the globals around it.
+func TestFuncExtent(t *testing.T) {
+	src := `#define N 2
+int g = 1; // a global
+/* a comment
+   over two lines */ struct s *
+make(int n) { return alloc(s); }
+int f(int x) {
+	if (x) { return N; }
+	return 0;
+}
+`
+	f := parse(t, src)
+	want := []struct {
+		text string
+		line int
+	}{
+		{"struct s *\nmake(int n) { return alloc(s); }", 4},
+		{"int f(int x) {\n\tif (x) { return N; }\n\treturn 0;\n}", 6},
+	}
+	if len(f.Funcs) != len(want) || f.Src != src {
+		t.Fatalf("parsed %d functions from a %d-byte Src", len(f.Funcs), len(f.Src))
+	}
+	for i, w := range want {
+		fn := f.Funcs[i]
+		if got := f.Src[fn.Start:fn.End]; got != w.text || fn.StartLine != w.line {
+			t.Errorf("%s: extent %q on line %d, want %q on line %d", fn.Name, got, fn.StartLine, w.text, w.line)
+		}
+	}
+}

@@ -11,7 +11,7 @@ func Parse(file, src string) (*File, error) {
 	if err := p.advance(); err != nil {
 		return nil, err
 	}
-	f := &File{Name: file, Defines: map[string]int64{}}
+	f := &File{Name: file, Src: src, Defines: map[string]int64{}}
 	for p.tok.kind != tEOF {
 		if err := p.parseTopLevel(f); err != nil {
 			return nil, err
@@ -26,9 +26,11 @@ type parser struct {
 	file  string
 	tok   token
 	ahead *token
+	end   int // the offset just past the last token consumed
 }
 
 func (p *parser) advance() error {
+	p.end = p.tok.pos + len(p.tok.text)
 	if p.ahead != nil {
 		p.tok = *p.ahead
 		p.ahead = nil
@@ -83,6 +85,7 @@ func (p *parser) ident() (string, error) {
 }
 
 func (p *parser) parseTopLevel(f *File) error {
+	first := p.tok // a function definition's extent starts here
 	switch {
 	case p.tok.kind == tPunct && p.tok.text == "#":
 		return p.parseDefine(f)
@@ -93,8 +96,6 @@ func (p *parser) parseTopLevel(f *File) error {
 		}
 		// `struct X {` is a definition; `struct X *name(` is a function.
 		if next.kind == tIdent {
-			save := p.tok
-			_ = save
 			// Look two ahead by parsing tentatively: read `struct X`
 			// then check for '{'.
 			if err := p.advance(); err != nil { // consume 'struct'
@@ -111,14 +112,14 @@ func (p *parser) parseTopLevel(f *File) error {
 			if err := p.expect("*"); err != nil {
 				return err
 			}
-			return p.parseFuncOrGlobal(f, Type{Kind: TPtr, Struct: name})
+			return p.parseFuncOrGlobal(f, Type{Kind: TPtr, Struct: name}, first)
 		}
 		return p.errf("expected struct name")
 	case p.tok.kind == tIdent && (p.tok.text == "int" || p.tok.text == "long" || p.tok.text == "void"):
 		if err := p.advance(); err != nil {
 			return err
 		}
-		return p.parseFuncOrGlobal(f, Type{Kind: TInt})
+		return p.parseFuncOrGlobal(f, Type{Kind: TInt}, first)
 	default:
 		return p.errf("unexpected top-level token %q", p.tok.text)
 	}
@@ -235,7 +236,9 @@ func (p *parser) parseFieldDef() (FieldDef, error) {
 	}
 }
 
-func (p *parser) parseFuncOrGlobal(f *File, typ Type) error {
+// parseFuncOrGlobal parses a definition after its type; first is the
+// type's first token.
+func (p *parser) parseFuncOrGlobal(f *File, typ Type, first token) error {
 	name, err := p.ident()
 	if err != nil {
 		return err
@@ -246,6 +249,7 @@ func (p *parser) parseFuncOrGlobal(f *File, typ Type) error {
 		if err != nil {
 			return err
 		}
+		fn.Start, fn.StartLine = first.pos, first.line
 		f.Funcs = append(f.Funcs, fn)
 		return nil
 	}
@@ -306,7 +310,7 @@ func (p *parser) parseFuncRest(name string, line int) (*FuncDef, error) {
 	if err != nil {
 		return nil, err
 	}
-	fn.Body = body
+	fn.Body, fn.End = body, p.end
 	return fn, nil
 }
 

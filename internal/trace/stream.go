@@ -3,6 +3,7 @@ package trace
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"slices"
@@ -39,6 +40,10 @@ func (h *header) Dropped() uint64 { return h.dropped }
 // Len returns the event count declared by the header.
 func (h *header) Len() int { return int(h.nEvents) }
 
+// errBadMagic is one value, not formatted per call: a Decoder reset to
+// nil to let go of its input takes this path, and must allocate nothing.
+var errBadMagic = errors.New("trace: not a trace file (bad magic)")
+
 // decodeHeader decodes the magic, format version, drop count, automata
 // names and event count. On error d is back where it started, so a
 // StreamDecoder that ran out of bytes can refill and decode again.
@@ -46,10 +51,10 @@ func decodeHeader(d *decoder) (header, error) {
 	var h header
 	if len(d.buf)-d.off < len(magic) {
 		d.err = errShort
-		return h, fmt.Errorf("trace: not a trace file (bad magic)")
+		return h, errBadMagic
 	}
 	if string(d.buf[d.off:d.off+len(magic)]) != magic {
-		return h, fmt.Errorf("trace: not a trace file (bad magic)")
+		return h, errBadMagic
 	}
 	start := d.off
 	d.off += len(magic)
